@@ -58,7 +58,8 @@ Records may also carry an explicit `"class"` field in the *reference*
   `newton/rectifier_iters` and `newton/refactors_per_step`: needing
   more iterations (or more refactorizations per step) than the
   committed baseline means the numeric-refactor Newton path silently
-  degraded.
+  degraded. `serve/lu_nnz` (nnz(L+U) of the served mesh plan) is one
+  too: more fill than committed means the ordering got worse.
 
 `newton/fresh_factor_fallbacks` joins the hard candidate-only checks:
 whenever the reference carries it, the candidate value must be exactly
@@ -204,7 +205,7 @@ def main():
             elif cv > rv:
                 failures.append(
                     f"`{rid}`: {cv!r} exceeded the committed ceiling {rv!r} "
-                    "(convergence cost silently grew)"
+                    "(a cost count silently grew)"
                 )
         else:
             failures.append(f"`{rid}`: unknown record class {cls!r}")

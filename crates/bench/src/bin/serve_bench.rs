@@ -174,13 +174,14 @@ fn main() {
     let profile = plans[0].get("profile").unwrap().clone();
     let num_symbolic = profile.get("num_symbolic").unwrap().as_usize().unwrap();
     let num_numeric = profile.get("num_numeric").unwrap().as_usize().unwrap();
+    let factor_nnz = profile.get("factor_nnz").unwrap().as_usize().unwrap();
 
     let speedup = warm_sps / cold_sps;
     println!("cold : {COLD_REQUESTS} misses in {cold_s:.3}s  ({cold_sps:.1} scenarios/s)");
     println!("warm : {WARM_REQUESTS} hits   in {warm_s:.3}s  ({warm_sps:.1} scenarios/s)");
     println!(
         "warm/cold {speedup:.2}×   hit rate {hit_rate:.3}   max |Δ| = {max_abs_delta:e}   \
-         profile {num_symbolic} symbolic + {num_numeric} numeric"
+         profile {num_symbolic} symbolic + {num_numeric} numeric, nnz(L+U) {factor_nnz}"
     );
 
     assert_eq!(
@@ -215,7 +216,9 @@ fn main() {
          symbolic + numeric factorization + solve). serve/warm_*: {WARM_REQUESTS} repeats \
          of one pinned request, every one a hit (the interned Arc<SimPlan>, zero \
          factorizations — the per-plan profile reads 1 symbolic + 1 numeric total, \
-         asserted). warm_vs_cold_max_abs_delta == 0 is a hard bit-identity gate; the \
+         asserted). serve/lu_nnz is the pinned plan's nnz(L+U), gated as a ceiling: \
+         the fill may only shrink. warm_vs_cold_max_abs_delta == 0 is a hard \
+         bit-identity gate; the \
          hit-rate floor and speedup floor are asserted at generation time \
          (OPM_SERVE_MIN_SPEEDUP / OPM_SERVE_MIN_HIT_RATE). CI gate: ci/compare_bench.py \
          diffs a regenerated run against this committed file. Regenerate: \
@@ -264,6 +267,11 @@ fn main() {
                     ("num_numeric".into(), Json::Int(num_numeric as i64)),
                     ("windows".into(), Json::Int(WINDOWS as i64)),
                     ("profile".into(), profile),
+                ]),
+                rec(vec![
+                    ("id".into(), Json::str("serve/lu_nnz")),
+                    ("value".into(), Json::Int(factor_nnz as i64)),
+                    ("class".into(), Json::str("ceiling")),
                 ]),
             ]),
         ),

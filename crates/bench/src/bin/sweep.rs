@@ -9,7 +9,7 @@
 //!
 //! - `refactor_vs_factor` — the Table II grid's MNA pencils over a
 //!   64-shift step grid: fresh per-pencil factorization (pattern
-//!   rebuild + RCM + pivoted LU, the pre-split hot path) vs one
+//!   rebuild + AMD + pivoted LU, the pre-split hot path) vs one
 //!   `PencilFamily` (pattern/ordering/symbolic analysis paid once,
 //!   numeric-only refactorization per shift).
 //! - `batch_threads_{1,4}` — the 100-scenario batch swept on 1 vs 4
@@ -183,7 +183,7 @@ fn main() {
     let sigmas: Vec<f64> = (0..SHIFTS)
         .map(|j| 2.0 / (1e-10 * 1.05f64.powi(j as i32)))
         .collect();
-    // (a) Fresh path: pattern rebuild + RCM + pivoted LU per pencil (the
+    // (a) Fresh path: pattern rebuild + AMD + pivoted LU per pencil (the
     //     pre-split hot path, kept verbatim as the baseline).
     let (fresh_lus, fresh_s) = timed_best(3, || {
         sigmas

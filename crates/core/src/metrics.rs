@@ -40,6 +40,11 @@ pub struct FactorProfile {
     /// Total pivotal columns of the reference factorization (the
     /// denominator for the coverage ratios; 0 when not captured).
     pub factor_cols: usize,
+    /// Stored entries of the reference factorization, nnz(L+U) with the
+    /// diagonal — the fill the ordering left, which sets the cost of
+    /// every column solve (0 when not captured). Deterministic, so a
+    /// fill regression shows up without timing noise.
+    pub factor_nnz: usize,
     /// Newton iterations performed by `solve_newton` /
     /// `solve_newton_windowed` (one per column on linear netlists —
     /// those converge in a single iteration by construction).
@@ -96,6 +101,7 @@ impl FactorProfile {
             ("supernode_cols".into(), int(self.supernode_cols)),
             ("dense_tail_cols".into(), int(self.dense_tail_cols)),
             ("factor_cols".into(), int(self.factor_cols)),
+            ("factor_nnz".into(), int(self.factor_nnz)),
             ("newton_iters".into(), int(self.newton_iters)),
             ("newton_refactors".into(), int(self.newton_refactors)),
             (

@@ -5,7 +5,7 @@
 //! across solves: a [`Simulation`] owns a model (hand-built or assembled
 //! straight from a netlist), [`Simulation::plan`] validates it against a
 //! [`SolveOptions`] and performs every stimulus-independent step — shape
-//! checks, RCM ordering, pencil factorization, fractional series /
+//! checks, AMD ordering, pencil factorization, fractional series /
 //! finite-recurrence polynomials — and the resulting [`SimPlan`] replays
 //! only the cheap part for each scenario:
 //!
@@ -317,7 +317,7 @@ impl Simulation {
     }
 
     /// Validates the session against `opts` and performs every
-    /// stimulus-independent step once: shape checks, pencil assembly, RCM
+    /// stimulus-independent step once: shape checks, pencil assembly, AMD
     /// ordering, sparse LU factorization, fractional series, recurrence
     /// polynomials. The returned [`SimPlan`] replays scenarios against
     /// the cached factorization.
@@ -890,6 +890,7 @@ const ONE_SYMBOLIC: FactorProfile = FactorProfile {
     supernode_cols: 0,
     dense_tail_cols: 0,
     factor_cols: 0,
+    factor_nnz: 0,
     newton_iters: 0,
     newton_refactors: 0,
     newton_fresh_fallbacks: 0,

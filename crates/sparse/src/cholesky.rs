@@ -188,7 +188,7 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::csr::CsrMatrix;
-    use crate::ordering::{min_degree, rcm};
+    use crate::ordering::{amd, rcm};
 
     fn spd_grid(g: usize) -> CsrMatrix {
         let n = g * g;
@@ -216,7 +216,7 @@ mod tests {
         let n = a.nrows();
         let xt: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
         let b = a.mul_vec(&xt);
-        for order in [None, Some(rcm(&a)), Some(min_degree(&a))] {
+        for order in [None, Some(rcm(&a)), Some(amd(&a))] {
             let ch = SparseCholesky::factor(&a.to_csc(), order.as_ref()).unwrap();
             let x = ch.solve(&b);
             let err = x
@@ -268,7 +268,7 @@ mod tests {
     fn ordering_reduces_cholesky_fill() {
         let a = spd_grid(20);
         let nat = SparseCholesky::factor(&a.to_csc(), None).unwrap();
-        let md = SparseCholesky::factor(&a.to_csc(), Some(&min_degree(&a))).unwrap();
+        let md = SparseCholesky::factor(&a.to_csc(), Some(&amd(&a))).unwrap();
         assert!(md.nnz() < nat.nnz(), "{} !< {}", md.nnz(), nat.nnz());
     }
 

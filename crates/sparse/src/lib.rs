@@ -18,8 +18,8 @@
 //!   pattern assembled once, values rewritten per shift.
 //! - [`cholesky::SparseCholesky`] — left-looking simplicial Cholesky for the
 //!   SPD matrices of the second-order nodal formulation.
-//! - [`ordering`] — reverse Cuthill–McKee and minimum-degree fill-reducing
-//!   orderings; [`perm::Permutation`].
+//! - [`ordering`] — approximate minimum degree (the pencil ordering) and
+//!   reverse Cuthill–McKee fill-reducing orderings; [`perm::Permutation`].
 //!
 //! # Example
 //!

@@ -1074,7 +1074,7 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::csr::CsrMatrix;
-    use crate::ordering::{min_degree, rcm};
+    use crate::ordering::{amd, rcm};
 
     fn residual_inf(a: &CsrMatrix, x: &[f64], b: &[f64]) -> f64 {
         a.mul_vec(x)
@@ -1137,7 +1137,7 @@ mod tests {
         let a = grid_matrix(20); // n = 400
         let xt: Vec<f64> = (0..400).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let b = a.mul_vec(&xt);
-        for order in [None, Some(rcm(&a)), Some(min_degree(&a))] {
+        for order in [None, Some(rcm(&a)), Some(amd(&a))] {
             let lu = SparseLu::factor(&a.to_csc(), order.as_ref()).unwrap();
             let x = lu.solve(&b);
             let err = x
@@ -1153,10 +1153,10 @@ mod tests {
     fn ordering_reduces_fill_on_grid() {
         let a = grid_matrix(24);
         let natural = SparseLu::factor(&a.to_csc(), None).unwrap();
-        let md = SparseLu::factor(&a.to_csc(), Some(&min_degree(&a))).unwrap();
+        let md = SparseLu::factor(&a.to_csc(), Some(&amd(&a))).unwrap();
         assert!(
             md.nnz() < natural.nnz(),
-            "min degree should reduce fill: {} vs {}",
+            "AMD should reduce fill: {} vs {}",
             md.nnz(),
             natural.nnz()
         );
@@ -1333,7 +1333,7 @@ mod tests {
     fn refactor_new_values_solves_the_new_matrix() {
         let a = grid_matrix(10);
         let csc = a.to_csc();
-        let (sym, _) = SymbolicLu::factor(&csc, Some(&min_degree(&a))).unwrap();
+        let (sym, _) = SymbolicLu::factor(&csc, Some(&amd(&a))).unwrap();
         // Scale + perturb the values on the same pattern.
         let vals: Vec<f64> = csc.values().iter().map(|&v| 3.0 * v + 0.1).collect();
         let mut csc2 = csc.clone();

@@ -5,7 +5,7 @@
 
 use opm_rng::StdRng;
 use opm_sparse::lu::{SparseLu, SymbolicLu};
-use opm_sparse::ordering::{min_degree, rcm};
+use opm_sparse::ordering::{amd, rcm};
 use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CooMatrix, CsrMatrix, SparseCholesky, SparseError};
 
@@ -125,7 +125,7 @@ fn sparse_lu_with_orderings_agree() {
         let x1 = SparseLu::factor(&a.to_csc(), Some(&rcm(&a)))
             .unwrap()
             .solve(&b);
-        let x2 = SparseLu::factor(&a.to_csc(), Some(&min_degree(&a)))
+        let x2 = SparseLu::factor(&a.to_csc(), Some(&amd(&a)))
             .unwrap()
             .solve(&b);
         for i in 0..9 {

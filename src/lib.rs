@@ -23,7 +23,7 @@
 //! # Quickstart — one factorization, many scenarios
 //!
 //! The session API goes netlist → [`Simulation`] → [`SimPlan`] →
-//! results. The plan owns the validated problem shape, the RCM ordering
+//! results. The plan owns the validated problem shape, the AMD ordering
 //! and the factored pencil, so every scenario after the first costs only
 //! the column sweep:
 //!
