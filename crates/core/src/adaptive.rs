@@ -15,17 +15,21 @@
 //! diagonal `(2/h_j)^α`, hence its own factorization — the
 //! eigendecomposition route of the paper has the same property.
 
-use crate::engine::{apply_b, apply_b_column, reconstruct_outputs, FactorCache, PencilFamily};
+use crate::engine::{apply_b, apply_b_column, reconstruct_outputs, PencilFamily};
+use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
+use crate::sync::StdSync;
 use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
 use opm_basis::traits::Basis;
 use opm_sparse::SparseLu;
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::InputSet;
+use std::sync::Arc;
 
-/// Options for [`solve_linear_adaptive`].
+/// Options for adaptive linear stepping
+/// ([`crate::SolveOptions::adaptive`]).
 #[derive(Clone, Copy, Debug)]
 pub struct AdaptiveOpmOptions {
     /// Predictor–corrector LTE tolerance (per column, ∞-norm).
@@ -49,72 +53,116 @@ impl Default for AdaptiveOpmOptions {
     }
 }
 
+/// The power-of-two lattice exponent nearest to `h`.
+fn lattice_exp(h: f64) -> i32 {
+    h.log2().round() as i32
+}
+
 fn quantize(h: f64) -> f64 {
-    2.0f64.powi(h.log2().round() as i32)
+    2.0f64.powi(lattice_exp(h))
 }
 
-/// Adaptive-step OPM for linear descriptor systems.
+/// The step the controller takes from `t`: `h` clamped to the quantized
+/// `[h_min, h_max]` lattice range, then halved until it ends inside the
+/// horizon (or reaches `h_min`).
+fn clamp_step(h: f64, t: f64, t_end: f64, opts: &AdaptiveOpmOptions) -> f64 {
+    let mut h = h.min(quantize(opts.h_max)).max(quantize(opts.h_min));
+    while t + h > t_end * (1.0 + 1e-12) && h > opts.h_min {
+        h *= 0.5;
+    }
+    h
+}
+
+/// An adaptive plan's step lattice: one pencil `(2/h)·E − A` per
+/// power-of-two exponent, factored on first use through the
+/// single-flight [`GateCache`] and shared by every scenario — and every
+/// thread — solving through the plan. The family's analysis is recorded
+/// when the lattice is built, at the controller's first step, so every
+/// later exponent is a numeric-only refactorization.
+pub(crate) struct StepLattice {
+    family: PencilFamily,
+    /// The controller's first exponent and the factor the analysis was
+    /// recorded from: its (first) lookup is a miss that factors nothing.
+    first: (i32, Arc<SparseLu>),
+    factors: GateCache<i32, Arc<SparseLu>, OpmError, StdSync>,
+}
+
+impl StepLattice {
+    /// Validates the step options and records the family's analysis at
+    /// the first step the controller will take on `[0, t_end)`.
+    ///
+    /// # Errors
+    /// [`OpmError::BadArguments`] on inconsistent step options,
+    /// [`OpmError::SingularPencil`] when the first pencil is singular.
+    pub(crate) fn new(
+        sys: &DescriptorSystem,
+        t_end: f64,
+        opts: &AdaptiveOpmOptions,
+    ) -> Result<Self, OpmError> {
+        if !(opts.h0 > 0.0 && opts.h_min > 0.0 && opts.h_max >= opts.h0 && t_end > 0.0) {
+            return Err(OpmError::BadArguments("inconsistent step options".into()));
+        }
+        let exp = lattice_exp(clamp_step(quantize(opts.h0), 0.0, t_end, opts));
+        let (family, lu) = PencilFamily::new(sys.e(), sys.a(), 2.0 / 2.0f64.powi(exp))?;
+        // Every exponent the controller can reach: the quantized range,
+        // plus one below it (the end-of-horizon halving may step under
+        // `quantize(h_min)`), so nothing is ever evicted.
+        let lo = lattice_exp(opts.h_min) - 1;
+        let hi = lattice_exp(opts.h_max).max(lo + 1);
+        let capacity = (hi - lo + 1) as usize;
+        Ok(StepLattice {
+            family,
+            first: (exp, Arc::new(lu)),
+            factors: GateCache::new(capacity, || {
+                OpmError::BadArguments(
+                    "step-lattice factorization panicked; the panicking request reports it".into(),
+                )
+            }),
+        })
+    }
+
+    /// The factorization for exponent `exp` (step `h = 2^exp`), computed
+    /// at most once; the flag reports a miss.
+    fn get(&self, exp: i32) -> Result<(Arc<SparseLu>, bool), OpmError> {
+        let (lu, hit) = self.factors.get_or_build(exp, || {
+            if exp == self.first.0 {
+                return Ok(Arc::clone(&self.first.1));
+            }
+            self.family.factor(2.0 / 2.0f64.powi(exp)).map(Arc::new)
+        })?;
+        Ok((lu, !hit))
+    }
+
+    /// The family's symbolic/numeric split plus the lattice's hit/miss
+    /// readout.
+    pub(crate) fn profile(&self) -> FactorProfile {
+        let stats = self.factors.stats();
+        FactorProfile {
+            cache_hits: stats.hits as usize,
+            cache_misses: stats.misses as usize,
+            ..self.family.profile()
+        }
+    }
+}
+
+/// Adaptive-step OPM for linear descriptor systems — the session
+/// layer's adaptive plan kind — against the plan's shared step lattice.
+/// Channels and `x0` are validated by the plan. The returned result
+/// counts the lattice misses *this* call took.
 ///
 /// # Errors
-/// [`OpmError`] on invalid options, singular pencils, or channel
-/// mismatches.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear_adaptive(
-    sys: &DescriptorSystem,
-    inputs: &InputSet,
-    t_end: f64,
-    x0: &[f64],
-    opts: AdaptiveOpmOptions,
-) -> Result<OpmResult, OpmError> {
-    let mut factors = FactorCache::new(sys.e(), sys.a());
-    linear_adaptive_with(sys, inputs, t_end, x0, opts, &mut factors)
-}
-
-/// [`solve_linear_adaptive`] with a caller-owned [`FactorCache`]: the
-/// power-of-two step-lattice factorizations persist in `factors`, so a
-/// batch of scenarios solved against the same system (the plan layer's
-/// [`crate::SimPlan`]) reuses every pencil the earlier scenarios already
-/// factored. The returned result counts only the factorizations *this*
-/// call added.
-///
-/// # Errors
-/// As [`solve_linear_adaptive`].
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear_adaptive_with(
-    sys: &DescriptorSystem,
-    inputs: &InputSet,
-    t_end: f64,
-    x0: &[f64],
-    opts: AdaptiveOpmOptions,
-    factors: &mut FactorCache,
-) -> Result<OpmResult, OpmError> {
-    linear_adaptive_with(sys, inputs, t_end, x0, opts, factors)
-}
-
-/// The adaptive-step implementation the session layer's
-/// [`crate::SimPlan`] adaptive kind drives (the deprecated one-shot
-/// wrappers above delegate here).
+/// [`OpmError::SingularPencil`] when a lattice pencil is singular.
 pub(crate) fn linear_adaptive_with(
     sys: &DescriptorSystem,
     inputs: &InputSet,
     t_end: f64,
     x0: &[f64],
     opts: AdaptiveOpmOptions,
-    factors: &mut FactorCache,
+    lattice: &StepLattice,
 ) -> Result<OpmResult, OpmError> {
     let n = sys.order();
-    let factorizations_before = factors.num_factorizations();
-    if inputs.len() != sys.num_inputs() {
-        return Err(OpmError::BadArguments("input channel mismatch".into()));
-    }
-    if x0.len() != n {
-        return Err(OpmError::BadArguments("x0 length mismatch".into()));
-    }
-    if !(opts.h0 > 0.0 && opts.h_min > 0.0 && opts.h_max >= opts.h0 && t_end > 0.0) {
-        return Err(OpmError::BadArguments("inconsistent step options".into()));
-    }
-
     let mut num_solves = 0usize;
+    let mut num_factorizations = 0usize;
     let shift = x0.iter().any(|&v| v != 0.0);
     let c_force = if shift {
         sys.a().mul_vec(x0)
@@ -122,14 +170,10 @@ pub(crate) fn linear_adaptive_with(
         vec![0.0; n]
     };
 
-    let solve_column = |h: f64,
-                        t0: f64,
-                        g: &[f64],
-                        factors: &mut FactorCache,
-                        num_solves: &mut usize|
-     -> Result<Vec<f64>, OpmError> {
-        let exp = h.log2().round() as i32;
-        let lu = factors.get(exp)?;
+    let mut solve_column = |h: f64, t0: f64, g: &[f64]| -> Result<Vec<f64>, OpmError> {
+        let exp = lattice_exp(h);
+        let (lu, missed) = lattice.get(exp)?;
+        num_factorizations += usize::from(missed);
         let hq = 2.0f64.powi(exp);
         let mut rhs = vec![0.0; n];
         // B·ū over [t0, t0+h] + c − (4/h)·E·g.
@@ -149,7 +193,7 @@ pub(crate) fn linear_adaptive_with(
         for (r, w) in rhs.iter_mut().zip(&eg) {
             *r -= 4.0 / hq * w;
         }
-        *num_solves += 1;
+        num_solves += 1;
         Ok(lu.solve(&rhs))
     };
 
@@ -162,11 +206,8 @@ pub(crate) fn linear_adaptive_with(
     let mut accepted_run = 0usize;
 
     while t < t_end - 1e-12 * t_end {
-        h = h.min(quantize(opts.h_max)).max(quantize(opts.h_min));
-        while t + h > t_end * (1.0 + 1e-12) && h > opts.h_min {
-            h *= 0.5;
-        }
-        let z = solve_column(h, t, &g, factors, &mut num_solves)?;
+        h = clamp_step(h, t, t_end, &opts);
+        let z = solve_column(h, t, &g)?;
         // Predictor: linear extrapolation of the last column pair.
         let est = match (&prev, columns.len()) {
             (Some((z1, h1)), len) if len >= 2 => {
@@ -222,7 +263,7 @@ pub(crate) fn linear_adaptive_with(
         columns,
         outputs,
         num_solves,
-        num_factorizations: factors.num_factorizations() - factorizations_before,
+        num_factorizations,
     })
 }
 
@@ -238,23 +279,6 @@ pub fn geometric_grid(t_end: f64, m: usize, ratio: f64) -> Vec<f64> {
     (0..m)
         .map(|j| t_end * ratio.powi(j as i32) / total)
         .collect()
-}
-
-/// Adaptive-grid OPM for fractional systems: solves
-/// `E X D̃^α = A X + B U` on the caller's distinct-step grid using the
-/// incremental Parlett recurrence.
-///
-/// # Errors
-/// [`OpmError::ConfluentSteps`] when two steps coincide;
-/// [`OpmError::SingularPencil`] when some column's pencil is singular.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_fractional_adaptive(
-    fsys: &FractionalSystem,
-    grid: &AdaptiveBpf,
-    inputs: &InputSet,
-) -> Result<OpmResult, OpmError> {
-    let factors = prepare_step_grid(fsys, grid)?;
-    sweep_step_grid(fsys, grid, &factors, inputs)
 }
 
 /// Stimulus-independent data of a distinct-step fractional solve: the
@@ -281,8 +305,8 @@ impl StepGridFactors {
 }
 
 /// Builds and factors every per-column pencil of a distinct-step grid —
-/// the expensive half of [`solve_fractional_adaptive`], independent of
-/// the stimulus. All columns share one [`PencilFamily`] (pattern,
+/// the expensive half of a step-grid solve
+/// ([`crate::SolveOptions::step_grid`]), independent of the stimulus. All columns share one [`PencilFamily`] (pattern,
 /// ordering and symbolic analysis paid once), and the per-column numeric
 /// refactorizations — independent of each other — run in parallel on the
 /// [`opm_par::default_threads`] workers. Note this *prepare-time*
@@ -291,7 +315,9 @@ impl StepGridFactors {
 /// set `OPM_THREADS=1` to keep plan construction serial.
 ///
 /// # Errors
-/// As [`solve_fractional_adaptive`].
+/// [`OpmError::ConfluentSteps`] when two steps coincide (or lie too
+/// close for a stable fractional power); [`OpmError::SingularPencil`]
+/// when some column's pencil is singular.
 pub(crate) fn prepare_step_grid(
     fsys: &FractionalSystem,
     grid: &AdaptiveBpf,
@@ -330,13 +356,18 @@ pub(crate) fn prepare_step_grid(
 
     // (F[j,j]·E − A)·x_j = B·u_j − E·Σ_{i<j} F[i,j]·x_i — one pencil per
     // column, all on one pattern: analyze once, refactor the rest.
-    let mut family = PencilFamily::new(sys.e(), sys.a());
-    let lus = family
-        .factor_all(&diags, opm_par::default_threads())
-        .map_err(|(j, e)| match e {
-            OpmError::SingularPencil(s) => OpmError::SingularPencil(format!("column {j}: {s}")),
-            other => other,
-        })?;
+    let at_column = |j: usize, e: OpmError| match e {
+        OpmError::SingularPencil(s) => OpmError::SingularPencil(format!("column {j}: {s}")),
+        other => other,
+    };
+    let (family, head) =
+        PencilFamily::new(sys.e(), sys.a(), diags[0]).map_err(|e| at_column(0, e))?;
+    let mut lus = vec![head];
+    lus.extend(
+        family
+            .factor_all(&diags[1..], opm_par::default_threads())
+            .map_err(|(j, e)| at_column(j + 1, e))?,
+    );
     Ok(StepGridFactors {
         f_cols,
         lus,
@@ -345,7 +376,7 @@ pub(crate) fn prepare_step_grid(
 }
 
 /// Runs the distinct-step column sweep against prefactored pencils — the
-/// cheap, per-stimulus half of [`solve_fractional_adaptive`].
+/// cheap, per-stimulus half of a step-grid solve.
 ///
 /// # Errors
 /// [`OpmError::BadArguments`] on channel mismatches.
@@ -397,10 +428,8 @@ pub(crate) fn sweep_step_grid(
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
+    use crate::{SimPlan, Simulation, SolveOptions};
     use opm_fracnum::mittag_leffler::ml_kernel;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::Waveform;
@@ -413,21 +442,56 @@ mod tests {
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
     }
 
+    fn adaptive_plan(
+        sys: DescriptorSystem,
+        t_end: f64,
+        opts: AdaptiveOpmOptions,
+    ) -> Result<SimPlan, OpmError> {
+        Simulation::from_system(sys)
+            .horizon(t_end)
+            .plan(&SolveOptions::new().adaptive(opts))
+    }
+
+    fn step_grid_plan(fsys: FractionalSystem, steps: Vec<f64>) -> Result<SimPlan, OpmError> {
+        let t_end = steps.iter().sum();
+        Simulation::from_fractional(fsys)
+            .horizon(t_end)
+            .plan(&SolveOptions::new().step_grid(steps))
+    }
+
+    #[test]
+    fn step_lattice_memoizes() {
+        let sys = scalar(-1.0);
+        let opts = AdaptiveOpmOptions {
+            h0: 1.0 / 8.0,
+            ..Default::default()
+        };
+        let lattice = StepLattice::new(&sys, 1.0, &opts).unwrap();
+        lattice.get(-3).unwrap();
+        lattice.get(-3).unwrap();
+        lattice.get(-4).unwrap();
+        let p = lattice.profile();
+        assert_eq!(p.num_factorizations(), 2);
+        assert_eq!((p.cache_hits, p.cache_misses), (1, 2));
+        // The second miss reuses the first miss's symbolic analysis.
+        assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
+    }
+
     #[test]
     fn adaptive_linear_tracks_analytic_solution() {
         let sys = scalar(-1.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let r = solve_linear_adaptive(
-            &sys,
-            &inputs,
+        let r = adaptive_plan(
+            sys,
             2.0,
-            &[0.0],
             AdaptiveOpmOptions {
                 tol: 1e-7,
                 h0: 1.0 / 64.0,
                 ..Default::default()
             },
         )
+        .unwrap()
+        .solve(&inputs)
         .unwrap();
         // Check interval averages against the analytic averages.
         for (j, w) in r.bounds.windows(2).enumerate().step_by(5) {
@@ -446,11 +510,9 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::pulse(
             0.0, 1.0, 0.01, 0.005, 0.05, 0.005, 0.0,
         )]);
-        let r = solve_linear_adaptive(
-            &sys,
-            &inputs,
+        let r = adaptive_plan(
+            sys,
             4.0,
-            &[0.0],
             AdaptiveOpmOptions {
                 tol: 1e-5,
                 h0: 1.0 / 256.0,
@@ -458,6 +520,8 @@ mod tests {
                 h_max: 0.5,
             },
         )
+        .unwrap()
+        .solve(&inputs)
         .unwrap();
         let early = r.bounds.iter().filter(|&&t| t <= 0.4).count();
         let late = r.bounds.iter().filter(|&&t| t > 2.0).count();
@@ -483,9 +547,10 @@ mod tests {
     fn fractional_adaptive_matches_mittag_leffler() {
         use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        let grid = AdaptiveBpf::new(geometric_grid(2.0, 32, 1.15));
+        let steps = geometric_grid(2.0, 32, 1.15);
+        let grid = AdaptiveBpf::new(steps.clone());
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let r = solve_fractional_adaptive(&fsys, &grid, &inputs).unwrap();
+        let r = step_grid_plan(fsys, steps).unwrap().solve(&inputs).unwrap();
         for (j, &t) in grid.midpoints().iter().enumerate().skip(5).step_by(4) {
             let want = ml_kernel(0.5, 1.5, -1.0, t);
             let got = r.state_coeff(0, j);
@@ -503,9 +568,12 @@ mod tests {
         use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-2.0)).unwrap();
         let steps = geometric_grid(1.0, 12, 1.15);
-        let grid = AdaptiveBpf::new(steps);
+        let grid = AdaptiveBpf::new(steps.clone());
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let fast = solve_fractional_adaptive(&fsys, &grid, &inputs).unwrap();
+        let fast = step_grid_plan(fsys.clone(), steps)
+            .unwrap()
+            .solve(&inputs)
+            .unwrap();
 
         // Dense oracle: (D̃^αᵀ ⊗ E − I ⊗ A)·vec X = vec(B U).
         let d_alpha = grid.frac_diff_matrix(0.5).unwrap();
@@ -530,10 +598,8 @@ mod tests {
     fn fractional_adaptive_rejects_equal_steps() {
         use opm_system::FractionalSystem;
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        let grid = AdaptiveBpf::new(vec![0.1, 0.2, 0.1]);
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         assert!(matches!(
-            solve_fractional_adaptive(&fsys, &grid, &inputs),
+            step_grid_plan(fsys, vec![0.1, 0.2, 0.1]),
             Err(OpmError::ConfluentSteps(_))
         ));
     }

@@ -12,12 +12,10 @@
 //! - [`validate_coeff_inputs`] / [`validate_horizon`] — argument checks;
 //! - [`factor_pencil`] — AMD-ordered sparse LU with error mapping;
 //! - [`PencilFamily`] — the many-pencil hot path: one union pattern, one
-//!   AMD ordering and one symbolic analysis shared by every shift
-//!   `σ·E − A`, with numeric-only refactorization per shift
-//!   ([`PencilFamily::factor`]) and a parallel batch form
-//!   ([`PencilFamily::factor_all`]);
-//! - [`FactorCache`] — memoized factorizations for step-lattice sweeps,
-//!   backed by a [`PencilFamily`];
+//!   AMD ordering and one symbolic analysis — recorded when the family
+//!   is built — shared by every shift `σ·E − A`, with numeric-only
+//!   refactorization per shift ([`PencilFamily::factor`]) and a parallel
+//!   batch form ([`PencilFamily::factor_all`]);
 //! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
 //!   right-hand side (single scenario or an interleaved lane block);
 //! - [`BlockColumnSweep`] — the cached-factorization column solve loop,
@@ -63,10 +61,10 @@ use crate::OpmError;
 use opm_sparse::lu::LuOptions;
 use opm_sparse::ordering::amd;
 use opm_sparse::pencil::ShiftedPencil;
-use opm_sparse::{CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
+use opm_sparse::{CscMatrix, CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------------
 // Validation
@@ -142,8 +140,7 @@ fn pencil_order(pattern: &CsrMatrix) -> Permutation {
 /// [`OpmError::SingularPencil`] when the pencil is numerically singular.
 pub fn factor_pencil(pencil: &CsrMatrix) -> Result<SparseLu, OpmError> {
     let order = pencil_order(pencil);
-    SparseLu::factor(&pencil.to_csc(), Some(&order))
-        .map_err(|e| OpmError::SingularPencil(format!("{e}")))
+    SparseLu::factor(&pencil.to_csc(), Some(&order)).map_err(singular)
 }
 
 /// Builds and factors the two-matrix pencil `σ·E − A`.
@@ -167,173 +164,221 @@ pub fn factor_shifted_pencil(
 }
 
 // ---------------------------------------------------------------------------
-// Pencil families: one symbolic analysis across many shifts
+// Recorded analyses: one symbolic LU replayed against many value sets
 // ---------------------------------------------------------------------------
 
-/// The shifted-pencil family `σ·E − A` over all shifts, with everything
-/// shift-independent paid **once**: the union CSC pattern
-/// ([`ShiftedPencil`]), the AMD fill-reducing ordering, and — after the
-/// first factorization — the symbolic analysis ([`SymbolicLu`]: fill
-/// pattern, pivot order, elimination reach). Every further shift is a
-/// numeric-only [`SparseLu::refactor`], with an automatic fall back to a
-/// fresh pivoted factorization when a fixed pivot degrades past
-/// [`LuOptions::refactor_threshold`].
-///
-/// The symbolic analysis recorded by the *first* factorization is kept
-/// for the family's whole lifetime (fallbacks do not replace it), so the
-/// factors produced for a given shift are independent of the order — or
-/// the thread — in which shifts are requested.
-pub struct PencilFamily {
-    pencil: ShiftedPencil,
-    order: Permutation,
-    symbolic: Option<SymbolicLu>,
-    /// Scratch value buffer for the serial [`PencilFamily::factor`] path.
-    scratch: Vec<f64>,
-    profile: FactorProfile,
+fn singular(e: SparseError) -> OpmError {
+    OpmError::SingularPencil(format!("{e}"))
 }
 
-impl PencilFamily {
-    /// Assembles the union pattern of `E` and `A` and computes the AMD
-    /// ordering — all shift-independent, done once per family.
-    pub fn new(e: &CsrMatrix, a: &CsrMatrix) -> Self {
-        let pencil = ShiftedPencil::new(e, a);
-        let order = pencil_order(&pencil.pattern().to_csr());
-        PencilFamily {
-            pencil,
+/// One pencil pattern's recorded analysis — its AMD ordering and
+/// [`SymbolicLu`] — plus relaxed counters of the factorizations replayed
+/// against it. Immutable once recorded, so any number of threads can
+/// refactor through it at once.
+pub(crate) struct PencilAnalysis {
+    order: Permutation,
+    symbolic: SymbolicLu,
+    /// Fresh pivoted factorizations forced by pivot degradation.
+    fallbacks: AtomicUsize,
+    /// Numeric-only refactorizations.
+    numeric: AtomicUsize,
+}
+
+impl PencilAnalysis {
+    /// Factors `csc` under `order` and records the analysis.
+    fn record(csc: &CscMatrix, order: Permutation) -> Result<(Self, SparseLu), OpmError> {
+        let (symbolic, lu) =
+            SymbolicLu::factor_with(csc, Some(&order), LuOptions::default()).map_err(singular)?;
+        let analysis = PencilAnalysis {
             order,
-            symbolic: None,
-            scratch: Vec::new(),
-            profile: FactorProfile::default(),
+            symbolic,
+            fallbacks: AtomicUsize::new(0),
+            numeric: AtomicUsize::new(0),
+        };
+        Ok((analysis, lu))
+    }
+
+    /// Factors a CSR pencil with the AMD ordering and records the
+    /// analysis — the multi-term plans' entry point.
+    pub(crate) fn of_pencil(pencil: &CsrMatrix) -> Result<(Self, SparseLu), OpmError> {
+        Self::record(&pencil.to_csc(), pencil_order(pencil))
+    }
+
+    /// The one refactor-with-fallback path: a numeric-only
+    /// [`SparseLu::refactor`] of `values` (laid out on `pattern`, the
+    /// recorded pattern), and on [`SparseError::PivotDegraded`] a fresh
+    /// pivoted factorization of the same values under the recorded
+    /// ordering. The recorded analysis itself never changes, so the
+    /// factor for a value set does not depend on which thread asks or
+    /// when. Returns the factor and whether it fell back.
+    ///
+    /// # Errors
+    /// [`OpmError::SingularPencil`] when the values are singular.
+    pub(crate) fn refactor(
+        &self,
+        pattern: &CscMatrix,
+        values: &[f64],
+    ) -> Result<(SparseLu, bool), OpmError> {
+        match SparseLu::refactor(&self.symbolic, values) {
+            Ok(lu) => {
+                self.numeric.fetch_add(1, Ordering::Relaxed);
+                Ok((lu, false))
+            }
+            Err(SparseError::PivotDegraded(_)) => {
+                let mut csc = pattern.clone();
+                csc.values_mut().copy_from_slice(values);
+                let lu = SparseLu::factor(&csc, Some(&self.order)).map_err(singular)?;
+                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                Ok((lu, true))
+            }
+            Err(e) => Err(singular(e)),
         }
     }
 
-    /// Factors `σ·E − A`: a numeric-only refactorization when the
-    /// family already holds a symbolic analysis (falling back to a fresh
-    /// pivoted factorization on pivot degradation), a full analysis —
-    /// recorded for every later shift — otherwise.
+    /// Counter snapshot: the recorded analysis and every fallback are
+    /// symbolic, the rest numeric.
+    pub(crate) fn profile(&self) -> FactorProfile {
+        FactorProfile {
+            num_symbolic: 1 + self.fallbacks.load(Ordering::Relaxed),
+            num_numeric: self.numeric.load(Ordering::Relaxed),
+            ..FactorProfile::default()
+        }
+    }
+}
+
+/// The shifted-pencil family `σ·E − A` over all shifts, with everything
+/// shift-independent paid **once**, when the family is built: the union
+/// CSC pattern ([`ShiftedPencil`]), the AMD fill-reducing ordering, and
+/// the symbolic analysis ([`SymbolicLu`]: fill pattern, pivot order,
+/// elimination reach) recorded by factoring the reference shift. Every
+/// further shift is a numeric-only [`SparseLu::refactor`], with an
+/// automatic fall back to a fresh pivoted factorization when a fixed
+/// pivot degrades past [`LuOptions::refactor_threshold`]. Fallbacks do
+/// not replace the recorded analysis, so the factors produced for a
+/// given shift are independent of the order — or the thread — in which
+/// shifts are requested.
+///
+/// # Thread safety
+///
+/// A family is immutable once built: [`PencilFamily::factor`],
+/// [`PencilFamily::factor_all`] and [`PencilFamily::factor_stamped`]
+/// take `&self`, each call owns its value buffer, and the counters are
+/// relaxed atomics, so factorizations on one family never wait on each
+/// other. A [`PencilFamily::profile`] snapshot taken while other
+/// threads factor may be mid-update (one counter bumped, the next not
+/// yet); once they finish it is exact.
+pub struct PencilFamily {
+    pencil: ShiftedPencil,
+    analysis: PencilAnalysis,
+    /// Statistics of the reference factorization, set once: every
+    /// refactorization shares its pattern, so they hold for the whole
+    /// family.
+    reference: FactorProfile,
+    newton_iters: AtomicUsize,
+    newton_refactors: AtomicUsize,
+    newton_fresh_fallbacks: AtomicUsize,
+}
+
+impl PencilFamily {
+    /// Assembles the union pattern of `E` and `A`, computes the AMD
+    /// ordering and factors the reference shift `σ₀·E − A`, recording
+    /// the analysis every later shift replays. Returns the family and
+    /// the reference factor.
+    ///
+    /// # Errors
+    /// [`OpmError::SingularPencil`] when `σ₀·E − A` is singular.
+    pub fn new(e: &CsrMatrix, a: &CsrMatrix, sigma0: f64) -> Result<(Self, SparseLu), OpmError> {
+        let mut pencil = ShiftedPencil::new(e, a);
+        let order = pencil_order(&pencil.pattern().to_csr());
+        let (analysis, lu) = PencilAnalysis::record(pencil.shifted(sigma0), order)?;
+        let stats = lu.supernode_stats();
+        let reference = FactorProfile {
+            num_supernodes: stats.num_supernodes,
+            supernode_cols: stats.supernode_cols,
+            dense_tail_cols: stats.dense_tail_cols,
+            factor_cols: stats.num_cols,
+            factor_nnz: lu.nnz(),
+            ..FactorProfile::default()
+        };
+        let family = PencilFamily {
+            pencil,
+            analysis,
+            reference,
+            newton_iters: AtomicUsize::new(0),
+            newton_refactors: AtomicUsize::new(0),
+            newton_fresh_fallbacks: AtomicUsize::new(0),
+        };
+        Ok((family, lu))
+    }
+
+    /// Factors `σ·E − A` against the recorded analysis (numeric-only,
+    /// or a fresh pivoted factorization on pivot degradation).
     ///
     /// # Errors
     /// [`OpmError::SingularPencil`] when the pencil is singular.
-    pub fn factor(&mut self, sigma: f64) -> Result<SparseLu, OpmError> {
-        if let Some(sym) = &self.symbolic {
-            self.pencil.shift_values(sigma, &mut self.scratch);
-            match SparseLu::refactor(sym, &self.scratch) {
-                Ok(lu) => {
-                    self.profile.num_numeric += 1;
-                    return Ok(lu);
-                }
-                Err(SparseError::PivotDegraded(_)) => { /* fresh factor below */ }
-                Err(e) => return Err(OpmError::SingularPencil(format!("{e}"))),
-            }
-        }
-        let record = self.symbolic.is_none();
-        let csc = self.pencil.shifted(sigma);
-        if record {
-            let (sym, lu) = SymbolicLu::factor_with(csc, Some(&self.order), LuOptions::default())
-                .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
-            self.symbolic = Some(sym);
-            self.profile.num_symbolic += 1;
-            // Supernode observability comes from the family's reference
-            // factorization — every refactorization shares its pattern,
-            // so the statistics hold for the whole family.
-            let stats = lu.supernode_stats();
-            self.profile.num_supernodes = stats.num_supernodes;
-            self.profile.supernode_cols = stats.supernode_cols;
-            self.profile.dense_tail_cols = stats.dense_tail_cols;
-            self.profile.factor_cols = stats.num_cols;
-            self.profile.factor_nnz = lu.nnz();
-            Ok(lu)
-        } else {
-            // Pivot-degradation fallback: fresh pivots for this shift
-            // only; the family's shared analysis stays as recorded.
-            let lu = SparseLu::factor(csc, Some(&self.order))
-                .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
-            self.profile.num_symbolic += 1;
-            Ok(lu)
-        }
+    pub fn factor(&self, sigma: f64) -> Result<SparseLu, OpmError> {
+        self.factor_into(sigma, &mut Vec::new())
+    }
+
+    /// [`PencilFamily::factor`] with a caller-owned value buffer.
+    fn factor_into(&self, sigma: f64, vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
+        self.pencil.shift_values(sigma, vals);
+        Ok(self.analysis.refactor(self.pencil.pattern(), vals)?.0)
     }
 
     /// Factors every shift in `sigmas`, numerically refactoring the
     /// independent pencils **in parallel** on up to `threads` workers
-    /// (see [`opm_par::par_map`]): the first shift establishes the
-    /// shared symbolic analysis (unless one exists), the rest are
-    /// scatter–solve value passes against it, each worker carrying only
-    /// a private value buffer. Per-shift pivot degradation falls back to
-    /// a fresh pivoted factorization of that shift alone, so the result
-    /// for each shift — and the whole output — is identical for every
-    /// `threads` value.
+    /// (see [`opm_par::par_map`]), each worker carrying only a private
+    /// value buffer. Per-shift pivot degradation falls back to a fresh
+    /// pivoted factorization of that shift alone, so the result for each
+    /// shift — and the whole output — is identical for every `threads`
+    /// value.
     ///
     /// # Errors
-    /// The index of the offending shift plus
+    /// The index of the first offending shift plus
     /// [`OpmError::SingularPencil`] when some pencil is singular.
     pub fn factor_all(
-        &mut self,
+        &self,
         sigmas: &[f64],
         threads: usize,
     ) -> Result<Vec<SparseLu>, (usize, OpmError)> {
-        let Some((&first, rest)) = sigmas.split_first() else {
-            return Ok(Vec::new());
-        };
-        let head = self.factor(first).map_err(|e| (0, e))?;
-        let sym = self
-            .symbolic
-            .as_ref()
-            .expect("first factorization records the analysis");
-        let pencil = &self.pencil;
-        let order = &self.order;
-        // Contiguous chunks, one per worker task, so every task carries a
-        // single reused value buffer instead of allocating per shift.
-        // (lu, fell_back) per shift; degraded pivots re-factor locally
-        // without touching the shared analysis.
-        let chunk_len = rest.len().div_ceil(threads.max(1)).max(1);
-        let chunks: Vec<&[f64]> = rest.chunks(chunk_len).collect();
-        let tail = opm_par::par_map(threads, &chunks, |chunk| {
+        // Contiguous chunks, one per worker task, so every task reuses a
+        // single value buffer instead of allocating per shift.
+        let chunk_len = sigmas.len().div_ceil(threads.max(1)).max(1);
+        let chunks: Vec<&[f64]> = sigmas.chunks(chunk_len).collect();
+        opm_par::par_map(threads, &chunks, |chunk| {
             let mut vals = Vec::new();
             chunk
                 .iter()
-                .map(|&sigma| {
-                    pencil.shift_values(sigma, &mut vals);
-                    match SparseLu::refactor(sym, &vals) {
-                        Ok(lu) => Ok((lu, false)),
-                        Err(SparseError::PivotDegraded(_)) => {
-                            SparseLu::factor(&pencil.shifted_csc(sigma), Some(order))
-                                .map(|lu| (lu, true))
-                                .map_err(|e| OpmError::SingularPencil(format!("{e}")))
-                        }
-                        Err(e) => Err(OpmError::SingularPencil(format!("{e}"))),
-                    }
-                })
+                .map(|&sigma| self.factor_into(sigma, &mut vals))
                 .collect::<Vec<_>>()
-        });
-        let mut out = Vec::with_capacity(sigmas.len());
-        out.push(head);
-        for (i, res) in tail.into_iter().flatten().enumerate() {
-            match res {
-                Ok((lu, fell_back)) => {
-                    if fell_back {
-                        self.profile.num_symbolic += 1;
-                    } else {
-                        self.profile.num_numeric += 1;
-                    }
-                    out.push(lu);
-                }
-                Err(e) => return Err((i + 1, e)),
-            }
-        }
-        Ok(out)
+        })
+        .into_iter()
+        .flatten()
+        .enumerate()
+        .map(|(i, res)| res.map_err(|e| (i, e)))
+        .collect()
     }
 
     /// Factorization-cost profile of this family so far.
     pub fn profile(&self) -> FactorProfile {
-        self.profile
+        let counts = self.analysis.profile();
+        FactorProfile {
+            num_symbolic: counts.num_symbolic,
+            num_numeric: counts.num_numeric,
+            newton_iters: self.newton_iters.load(Ordering::Relaxed),
+            newton_refactors: self.newton_refactors.load(Ordering::Relaxed),
+            newton_fresh_fallbacks: self.newton_fresh_fallbacks.load(Ordering::Relaxed),
+            ..self.reference
+        }
     }
 
     /// Books `n` Newton iterations into the profile (the session layer
     /// calls this once per solve; on the linear delegation path it books
     /// one iteration per column, matching what a Newton loop would have
     /// measured).
-    pub fn note_newton_iters(&mut self, n: usize) {
-        self.profile.newton_iters += n;
+    pub fn note_newton_iters(&self, n: usize) {
+        self.newton_iters.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Resolves matrix coordinates into value indices of the family's
@@ -389,67 +434,32 @@ impl PencilFamily {
     /// # Errors
     /// [`OpmError::SingularPencil`] when the stamped pencil is singular.
     pub fn factor_stamped(
-        &mut self,
+        &self,
         sigma: f64,
         stamp: impl FnOnce(&mut [f64]),
     ) -> Result<SparseLu, OpmError> {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.pencil.shift_values(sigma, &mut scratch);
-        stamp(&mut scratch);
-        let out = self.factor_values(&scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// Factors the union pattern with an explicit value buffer (the
-    /// numeric half of [`PencilFamily::factor_stamped`]).
-    fn factor_values(&mut self, values: &[f64]) -> Result<SparseLu, OpmError> {
-        if let Some(sym) = &self.symbolic {
-            match SparseLu::refactor(sym, values) {
-                Ok(lu) => {
-                    self.profile.num_numeric += 1;
-                    self.profile.newton_refactors += 1;
-                    return Ok(lu);
-                }
-                Err(SparseError::PivotDegraded(_)) => { /* fresh factor below */ }
-                Err(e) => return Err(OpmError::SingularPencil(format!("{e}"))),
-            }
-        }
-        let mut csc = self.pencil.pattern().clone();
-        csc.values_mut().copy_from_slice(values);
-        if self.symbolic.is_none() {
-            let (sym, lu) = SymbolicLu::factor_with(&csc, Some(&self.order), LuOptions::default())
-                .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
-            self.symbolic = Some(sym);
-            self.profile.num_symbolic += 1;
-            let stats = lu.supernode_stats();
-            self.profile.num_supernodes = stats.num_supernodes;
-            self.profile.supernode_cols = stats.supernode_cols;
-            self.profile.dense_tail_cols = stats.dense_tail_cols;
-            self.profile.factor_cols = stats.num_cols;
-            self.profile.factor_nnz = lu.nnz();
-            Ok(lu)
+        let mut vals = Vec::new();
+        self.pencil.shift_values(sigma, &mut vals);
+        stamp(&mut vals);
+        let (lu, fell_back) = self.analysis.refactor(self.pencil.pattern(), &vals)?;
+        let counter = if fell_back {
+            &self.newton_fresh_fallbacks
         } else {
-            let lu = SparseLu::factor(&csc, Some(&self.order))
-                .map_err(|e| OpmError::SingularPencil(format!("{e}")))?;
-            self.profile.num_symbolic += 1;
-            self.profile.newton_fresh_fallbacks += 1;
-            Ok(lu)
-        }
+            &self.newton_refactors
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Ok(lu)
     }
 }
 
 /// [`factor_pencil`] with the symbolic analysis recorded: the analysis
 /// can later be replayed against any pencil sharing the same pattern via
-/// [`SparseLu::refactor`] — how windowed multi-term solving re-weights
-/// one union pattern per window width at numeric-only cost.
+/// [`SparseLu::refactor`].
 ///
 /// # Errors
 /// As [`factor_pencil`].
 pub fn factor_pencil_symbolic(pencil: &CsrMatrix) -> Result<(SymbolicLu, SparseLu), OpmError> {
-    let order = pencil_order(pencil);
-    SymbolicLu::factor_with(&pencil.to_csc(), Some(&order), LuOptions::default())
-        .map_err(|e| OpmError::SingularPencil(format!("{e}")))
+    PencilAnalysis::of_pencil(pencil).map(|(analysis, lu)| (analysis.symbolic, lu))
 }
 
 /// Builds the multi-term pencil `Σ_k w_k·A_k` from per-term leading
@@ -470,63 +480,6 @@ pub fn weighted_pencil(
         });
     }
     pencil.ok_or(OpmError::BadArguments("no terms".into()))
-}
-
-/// Memoized pencil factorizations keyed by the power-of-two step
-/// exponent — the adaptive linear sweep's factorization cache.
-///
-/// Backed by a [`PencilFamily`]: the union pattern, AMD ordering and
-/// symbolic analysis are shared across the whole step lattice, so every
-/// cache *miss* after the first is a numeric-only refactorization.
-pub struct FactorCache {
-    family: PencilFamily,
-    factors: HashMap<i32, SparseLu>,
-    hits: usize,
-    misses: usize,
-}
-
-impl FactorCache {
-    /// A cache for pencils `(2/h)·E − A` over the step lattice `h = 2^k`.
-    pub fn new(e: &CsrMatrix, a: &CsrMatrix) -> Self {
-        FactorCache {
-            family: PencilFamily::new(e, a),
-            factors: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// The factorization for lattice exponent `exp` (step `h = 2^exp`),
-    /// computing it at most once.
-    ///
-    /// # Errors
-    /// As [`factor_pencil`].
-    pub fn get(&mut self, exp: i32) -> Result<&SparseLu, OpmError> {
-        if !self.factors.contains_key(&exp) {
-            let h = 2.0f64.powi(exp);
-            let lu = self.family.factor(2.0 / h)?;
-            self.factors.insert(exp, lu);
-            self.misses += 1;
-        } else {
-            self.hits += 1;
-        }
-        Ok(&self.factors[&exp])
-    }
-
-    /// Number of distinct factorizations performed so far.
-    pub fn num_factorizations(&self) -> usize {
-        self.family.profile().num_factorizations()
-    }
-
-    /// Factorization profile: symbolic/numeric split plus the hit/miss
-    /// readout of this cache.
-    pub fn profile(&self) -> FactorProfile {
-        FactorProfile {
-            cache_hits: self.hits,
-            cache_misses: self.misses,
-            ..self.family.profile()
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1383,20 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn factor_cache_memoizes() {
-        let sys = scalar(-1.0);
-        let mut cache = FactorCache::new(sys.e(), sys.a());
-        cache.get(-3).unwrap();
-        cache.get(-3).unwrap();
-        cache.get(-4).unwrap();
-        assert_eq!(cache.num_factorizations(), 2);
-        let p = cache.profile();
-        assert_eq!((p.cache_hits, p.cache_misses), (1, 2));
-        // The second miss reuses the first miss's symbolic analysis.
-        assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
-    }
-
-    #[test]
     fn pencil_family_shares_one_symbolic_analysis() {
         use opm_sparse::CooMatrix;
         // A 2-D-grid-shaped pencil large enough for real fill.
@@ -1420,9 +1359,9 @@ mod tests {
             }
         }
         let (e, a) = (e.to_csr(), a.to_csr());
-        let mut family = PencilFamily::new(&e, &a);
         let sigmas = [2.0, 5.0, 17.0, 130.0];
-        for &s in &sigmas {
+        let (family, _) = PencilFamily::new(&e, &a, sigmas[0]).unwrap();
+        for &s in &sigmas[1..] {
             family.factor(s).unwrap();
         }
         let p = family.profile();
@@ -1446,12 +1385,9 @@ mod tests {
     fn pencil_family_factor_all_is_thread_invariant() {
         let sys = scalar(-3.0);
         let sigmas: Vec<f64> = (1..20).map(|k| 1.5 * k as f64).collect();
-        let lus_1 = PencilFamily::new(sys.e(), sys.a())
-            .factor_all(&sigmas, 1)
-            .unwrap();
-        let lus_4 = PencilFamily::new(sys.e(), sys.a())
-            .factor_all(&sigmas, 4)
-            .unwrap();
+        let (family, _) = PencilFamily::new(sys.e(), sys.a(), 0.5).unwrap();
+        let lus_1 = family.factor_all(&sigmas, 1).unwrap();
+        let lus_4 = family.factor_all(&sigmas, 4).unwrap();
         for (l1, l4) in lus_1.iter().zip(&lus_4) {
             assert_eq!(l1.solve(&[1.0]), l4.solve(&[1.0]));
         }

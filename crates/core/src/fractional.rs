@@ -12,43 +12,19 @@
 //! — one sparse LU, but an `O(m)` history convolution per column:
 //! `O(n^β m + n m²)` total, the paper's §IV complexity. Initial
 //! conditions are zero (Caputo sense), as the paper assumes.
-
-use crate::engine::validate_coeff_inputs;
-use crate::result::OpmResult;
-use crate::session::SimPlan;
-use crate::OpmError;
-use opm_system::FractionalSystem;
-
-/// Solves the fractional system by OPM over `[0, t_end)` with `m`
-/// uniform intervals (`m` = columns of `u_coeffs`). A thin one-shot
-/// wrapper over the plan layer ([`crate::session`]): the per-column
-/// right-hand side is `B·u_j − E·Σ_{k=1}^{j} ρ_k·x_{j−k}`. For repeated
-/// solves, build a [`crate::Simulation`] plan and reuse its
-/// factorization.
-///
-/// # Errors
-/// [`OpmError::SingularPencil`] when `ρ₀E − A` is singular;
-/// [`OpmError::BadArguments`] for shape mismatches.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_fractional(
-    fsys: &FractionalSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(fsys.num_inputs(), u_coeffs)?;
-    SimPlan::for_fractional(fsys, m, t_end)?.solve_coeffs(u_coeffs)
-}
+//!
+//! The strategy runs in the plan layer ([`crate::session`]): build a
+//! [`crate::Simulation::from_fractional`] plan and reuse its
+//! factorization for every scenario; this module holds the strategy's
+//! derivation and its tests.
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
-    use super::*;
     use crate::metrics::max_abs_diff;
+    use crate::testkit::{solve_fractional, solve_linear};
     use opm_fracnum::mittag_leffler::ml_kernel;
     use opm_sparse::{CooMatrix, CsrMatrix};
-    use opm_system::DescriptorSystem;
+    use opm_system::{DescriptorSystem, FractionalSystem};
     use opm_waveform::{InputSet, Waveform};
 
     fn scalar_fractional(alpha: f64, lambda: f64) -> FractionalSystem {
@@ -69,7 +45,7 @@ mod tests {
         let m = 64;
         let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 2.0);
         let frac = solve_fractional(&fsys, &u, 2.0).unwrap();
-        let lin = crate::linear::solve_linear(fsys.system(), &u, 2.0, &[0.0]).unwrap();
+        let lin = solve_linear(fsys.system(), &u, 2.0, &[0.0]).unwrap();
         for j in 0..m {
             assert!(
                 (frac.state_coeff(0, j) - lin.state_coeff(0, j)).abs() < 1e-11,

@@ -172,28 +172,8 @@ impl<'a> GeneralBasisPlan<'a> {
     }
 }
 
-/// Solves `E ẋ = A x + B u` in the given basis by the integral form — a
-/// thin one-shot wrapper over [`GeneralBasisPlan`].
-///
-/// # Errors
-/// [`OpmError::BadArguments`] when `n·m` exceeds the dense guard or
-/// shapes mismatch; [`OpmError::SingularPencil`] when the Kronecker
-/// matrix is singular.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_general_basis(
-    sys: &DescriptorSystem,
-    basis: &dyn Basis,
-    inputs: &InputSet,
-    x0: &[f64],
-) -> Result<GeneralBasisResult, OpmError> {
-    GeneralBasisPlan::new(sys, basis, x0)?.solve(inputs)
-}
-
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
     use opm_basis::{BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
     use opm_sparse::{CooMatrix, CsrMatrix};
@@ -213,9 +193,11 @@ mod tests {
         let m = 32;
         let basis = BpfBasis::new(m, 2.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let gen = solve_general_basis(&sys, &basis, &inputs, &[0.5]).unwrap();
+        let gen = GeneralBasisPlan::new(&sys, &basis, &[0.5])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         let u = inputs.bpf_matrix(m, 2.0);
-        let fast = crate::linear::solve_linear(&sys, &u, 2.0, &[0.5]).unwrap();
+        let fast = crate::testkit::solve_linear(&sys, &u, 2.0, &[0.5]).unwrap();
         for j in 0..m {
             assert!(
                 (gen.x_coeffs.get(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
@@ -236,8 +218,12 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::sine(0.3, 1.0, 1.0, 0.0, 0.0)]);
         let wb = WalshBasis::new(m, t_end);
         let bb = BpfBasis::new(m, t_end);
-        let via_walsh = solve_general_basis(&sys, &wb, &inputs, &[0.0]).unwrap();
-        let via_bpf = solve_general_basis(&sys, &bb, &inputs, &[0.0]).unwrap();
+        let via_walsh = GeneralBasisPlan::new(&sys, &wb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
+        let via_bpf = GeneralBasisPlan::new(&sys, &bb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         let walsh_row: Vec<f64> = (0..m).map(|j| via_walsh.x_coeffs.get(0, j)).collect();
         let as_bpf = wb.to_bpf_coeffs(&walsh_row);
         for j in 0..m {
@@ -255,8 +241,12 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::step(0.2, 1.0)]);
         let hb = HaarBasis::new(m, 1.0);
         let bb = BpfBasis::new(m, 1.0);
-        let via_haar = solve_general_basis(&sys, &hb, &inputs, &[0.0]).unwrap();
-        let via_bpf = solve_general_basis(&sys, &bb, &inputs, &[0.0]).unwrap();
+        let via_haar = GeneralBasisPlan::new(&sys, &hb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
+        let via_bpf = GeneralBasisPlan::new(&sys, &bb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         let haar_row: Vec<f64> = (0..m).map(|j| via_haar.x_coeffs.get(0, j)).collect();
         let as_bpf = hb.to_bpf_coeffs(&haar_row);
         for j in 0..m {
@@ -274,8 +264,12 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         let lb = LegendreBasis::new(m, t_end);
         let bb = BpfBasis::new(m, t_end);
-        let via_leg = solve_general_basis(&sys, &lb, &inputs, &[0.0]).unwrap();
-        let via_bpf = solve_general_basis(&sys, &bb, &inputs, &[0.0]).unwrap();
+        let via_leg = GeneralBasisPlan::new(&sys, &lb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
+        let via_bpf = GeneralBasisPlan::new(&sys, &bb, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         let exact = |t: f64| 1.0 - (-t).exp();
         let mut err_leg = 0.0f64;
         let mut err_bpf = 0.0f64;
@@ -309,7 +303,9 @@ mod tests {
         .unwrap();
         let basis = BpfBasis::new(8, 1.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let r = solve_general_basis(&sys, &basis, &inputs, &[0.0, 0.0]).unwrap();
+        let r = GeneralBasisPlan::new(&sys, &basis, &[0.0, 0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
         assert_eq!(r.output_coeffs.nrows(), 1);
         // Output must equal state row 1.
         for j in 0..8 {
@@ -333,9 +329,9 @@ mod tests {
             .unwrap();
         // Linearity through one shared factorization.
         for (r, &a) in runs.iter().zip(&drives) {
-            let one_shot =
-                solve_general_basis(&sys, &basis, &InputSet::new(vec![Waveform::Dc(a)]), &[0.0])
-                    .unwrap();
+            let one_shot = GeneralBasisPlan::new(&sys, &basis, &[0.0])
+                .and_then(|fresh| fresh.solve(&InputSet::new(vec![Waveform::Dc(a)])))
+                .unwrap();
             for j in 0..10 {
                 assert!((r.x_coeffs.get(0, j) - one_shot.x_coeffs.get(0, j)).abs() < 1e-14);
             }
@@ -347,10 +343,16 @@ mod tests {
         let sys = scalar(-1.0);
         let basis = BpfBasis::new(8, 1.0);
         let wrong_inputs = InputSet::new(vec![Waveform::Dc(0.0), Waveform::Dc(0.0)]);
-        assert!(solve_general_basis(&sys, &basis, &wrong_inputs, &[0.0]).is_err());
+        assert!(GeneralBasisPlan::new(&sys, &basis, &[0.0])
+            .and_then(|plan| plan.solve(&wrong_inputs))
+            .is_err());
         let inputs = InputSet::new(vec![Waveform::Dc(0.0)]);
-        assert!(solve_general_basis(&sys, &basis, &inputs, &[0.0, 0.0]).is_err());
+        assert!(GeneralBasisPlan::new(&sys, &basis, &[0.0, 0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .is_err());
         let big = BpfBasis::new(5000, 1.0);
-        assert!(solve_general_basis(&sys, &big, &inputs, &[0.0]).is_err());
+        assert!(GeneralBasisPlan::new(&sys, &big, &[0.0])
+            .and_then(|plan| plan.solve(&inputs))
+            .is_err());
     }
 }

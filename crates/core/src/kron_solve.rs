@@ -167,10 +167,9 @@ pub fn kron_solve_fractional(
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
     use super::*;
+    use crate::testkit::{solve_fractional, solve_linear};
+    use crate::Method;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::{InputSet, Waveform};
 
@@ -189,7 +188,7 @@ mod tests {
         let u = InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.3, 0.05, 0.0)])
             .bpf_matrix(m, 1.0);
         let oracle = kron_solve_linear(&sys, &u, 1.0).unwrap();
-        let fast = crate::linear::solve_linear(&sys, &u, 1.0, &[0.0]).unwrap();
+        let fast = solve_linear(&sys, &u, 1.0, &[0.0]).unwrap();
         for j in 0..m {
             assert!(
                 (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-10,
@@ -207,7 +206,7 @@ mod tests {
         let m = 16;
         let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 1.0);
         let oracle = kron_solve_fractional(&fsys, &u, 1.0).unwrap();
-        let fast = crate::fractional::solve_fractional(&fsys, &u, 1.0).unwrap();
+        let fast = solve_fractional(&fsys, &u, 1.0).unwrap();
         for j in 0..m {
             assert!(
                 (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
@@ -241,7 +240,7 @@ mod tests {
         let m = 20;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 4.0);
         let oracle = kron_solve_multiterm(&mt, &u, 4.0).unwrap();
-        let fast = crate::multiterm::solve_multiterm(&mt, &u, 4.0).unwrap();
+        let fast = crate::testkit::solve_multiterm(&mt, &u, 4.0, Method::Auto).unwrap();
         for j in 0..m {
             assert!(
                 (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-8,
@@ -260,7 +259,7 @@ mod tests {
         let m = 8;
         let u = model.inputs.bpf_matrix(m, t_end);
         let oracle = kron_solve_fractional(&model.system, &u, t_end).unwrap();
-        let fast = crate::fractional::solve_fractional(&model.system, &u, t_end).unwrap();
+        let fast = solve_fractional(&model.system, &u, t_end).unwrap();
         for j in 0..m {
             for i in 0..7 {
                 let a = oracle.state_coeff(i, j);

@@ -18,8 +18,11 @@
 //!   plus the validation, pencil-factorization, cached-factorization
 //!   (block) column-sweep and output-reconstruction primitives every
 //!   strategy below builds on.
-//! - [`linear`] — linear ODE/DAE systems (paper §III). Implements the
-//!   stable two-term recurrence this library derives from the OPM column
+//!
+//! The strategy modules document (and test) the algorithms a plan runs:
+//!
+//! - [`linear`] — linear ODE/DAE systems (paper §III). The stable
+//!   two-term recurrence this library derives from the OPM column
 //!   equations (algebraically identical to the trapezoidal rule) plus the
 //!   paper's literal accumulator formulation for cross-validation.
 //! - [`fractional`] — fractional systems `E d^α x = A x + B u` (paper
@@ -31,7 +34,8 @@
 //! - [`adaptive`] — adaptive time steps (paper §III-B): on-the-fly LTE
 //!   control for linear systems, distinct-step grids with incremental
 //!   Parlett `D̃^α` for fractional systems.
-//! - [`general_basis`] — the integral-form solver that works with *any*
+//! - [`general_basis`] — the integral-form solver
+//!   ([`general_basis::GeneralBasisPlan`]) that works with *any*
 //!   [`opm_basis::Basis`] (Walsh, Haar, Legendre), backing the paper's
 //!   basis-generality claim.
 //! - [`kron_solve`] — the explicit `(Dᵀ⊗E − I⊗A)·vec X` formulation
@@ -155,5 +159,79 @@ impl std::error::Error for OpmError {}
 impl From<opm_circuits::CircuitError> for OpmError {
     fn from(e: opm_circuits::CircuitError) -> Self {
         OpmError::Circuit(e)
+    }
+}
+
+/// One-scenario plan helpers shared by the strategy modules' unit tests:
+/// each builds a [`Simulation`] plan at the coefficient matrix's
+/// resolution and solves it once.
+#[cfg(test)]
+mod testkit {
+    use crate::{Method, OpmError, OpmResult, Simulation, SolveOptions};
+    use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem};
+
+    fn coeff_options(u: &[Vec<f64>], method: Method) -> SolveOptions {
+        SolveOptions::new()
+            .resolution(u.first().map_or(0, Vec::len))
+            .method(method)
+    }
+
+    fn linear(
+        sys: &DescriptorSystem,
+        u: &[Vec<f64>],
+        t_end: f64,
+        x0: &[f64],
+        method: Method,
+    ) -> Result<OpmResult, OpmError> {
+        Simulation::from_system(sys.clone())
+            .horizon(t_end)
+            .initial_state(x0.to_vec())
+            .plan(&coeff_options(u, method))?
+            .solve_coeffs(u)
+    }
+
+    /// The linear two-term recurrence.
+    pub fn solve_linear(
+        sys: &DescriptorSystem,
+        u: &[Vec<f64>],
+        t_end: f64,
+        x0: &[f64],
+    ) -> Result<OpmResult, OpmError> {
+        linear(sys, u, t_end, x0, Method::Auto)
+    }
+
+    /// The paper's literal alternating-accumulator algorithm.
+    pub fn solve_linear_accumulator(
+        sys: &DescriptorSystem,
+        u: &[Vec<f64>],
+        t_end: f64,
+        x0: &[f64],
+    ) -> Result<OpmResult, OpmError> {
+        linear(sys, u, t_end, x0, Method::Accumulator)
+    }
+
+    /// The fractional series convolution.
+    pub fn solve_fractional(
+        fsys: &FractionalSystem,
+        u: &[Vec<f64>],
+        t_end: f64,
+    ) -> Result<OpmResult, OpmError> {
+        Simulation::from_fractional(fsys.clone())
+            .horizon(t_end)
+            .plan(&coeff_options(u, Method::Auto))?
+            .solve_coeffs(u)
+    }
+
+    /// A multi-term sweep on the path `method` selects.
+    pub fn solve_multiterm(
+        mt: &MultiTermSystem,
+        u: &[Vec<f64>],
+        t_end: f64,
+        method: Method,
+    ) -> Result<OpmResult, OpmError> {
+        Simulation::from_multiterm(mt.clone())
+            .horizon(t_end)
+            .plan(&coeff_options(u, method))?
+            .solve_coeffs(u)
     }
 }

@@ -12,74 +12,24 @@
 //! — one sparse LU factorization, one solve per column, `O(n^β m)` total:
 //! the paper's claim that OPM matches trapezoidal-class methods is an
 //! algebraic identity, which the test suite verifies against the paper's
-//! literal accumulator form [`solve_linear_accumulator`] and the
+//! literal accumulator form ([`crate::Method::Accumulator`]) and the
 //! Kronecker oracle.
 //!
 //! Nonzero initial conditions use the state shift `z = x − x₀` (the
 //! constant `A·x₀` joins the input), since the BPF derivative expansion
 //! assumes `x(0⁻) = 0`.
 //!
-//! Both entry points are thin one-shot wrappers over the plan layer
-//! ([`crate::session`]): a [`crate::SimPlan`] validates, factors the
-//! pencil once and runs the (block) column sweep; for repeated solves
-//! against the same system, build the plan yourself via
-//! [`crate::Simulation`] and amortize the factorization across every
-//! scenario.
-
-use crate::engine::validate_coeff_inputs;
-use crate::result::OpmResult;
-use crate::session::SimPlan;
-use crate::OpmError;
-use opm_system::DescriptorSystem;
-
-/// Solves `E ẋ = A x + B u` by OPM over `[0, t_end)` with `m` uniform
-/// intervals (`m` = number of columns of `u_coeffs`).
-///
-/// `u_coeffs[ch][j]` is the BPF coefficient (interval average) of input
-/// channel `ch` on interval `j` — produce it with
-/// [`opm_waveform::InputSet::bpf_matrix`].
-///
-/// # Errors
-/// [`OpmError::SingularPencil`] when `(2/h)E − A` is singular;
-/// [`OpmError::BadArguments`] for shape mismatches.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear(
-    sys: &DescriptorSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-    x0: &[f64],
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(sys.num_inputs(), u_coeffs)?;
-    SimPlan::for_linear(sys, m, t_end, x0, false)?.solve_coeffs(u_coeffs)
-}
-
-/// The paper's literal column algorithm: keep the alternating accumulator
-/// `g_j = Σ_{i<j} (−1)^{j−i}·z_i` and solve
-/// `(2/h·E − A)·z_j = B·u_j + c − (4/h)·E·g_j`.
-///
-/// Algebraically identical to [`solve_linear`]; retained as an
-/// independent implementation for cross-validation and for exposition.
-///
-/// # Errors
-/// As [`solve_linear`].
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_linear_accumulator(
-    sys: &DescriptorSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-    x0: &[f64],
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(sys.num_inputs(), u_coeffs)?;
-    SimPlan::for_linear(sys, m, t_end, x0, true)?.solve_coeffs(u_coeffs)
-}
+//! The strategy runs in the plan layer ([`crate::session`]): a
+//! [`crate::SimPlan`] built by [`crate::Simulation::plan`] validates,
+//! factors the pencil once and runs the (block) column sweep for every
+//! scenario; this module holds the strategy's derivation and its tests.
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
-    use super::*;
+    use crate::testkit::{solve_linear, solve_linear_accumulator};
+    use crate::OpmError;
     use opm_sparse::{CooMatrix, CsrMatrix};
+    use opm_system::DescriptorSystem;
     use opm_waveform::{InputSet, Waveform};
 
     fn scalar(a: f64) -> DescriptorSystem {

@@ -15,88 +15,19 @@
 //!   solver's trapezoidal recurrence).
 //! - **Fractional orders** (general path): per-term series convolution,
 //!   `O(n^β m + n m²)`, the paper's fractional complexity.
-
-use crate::engine::validate_coeff_inputs;
-use crate::result::OpmResult;
-use crate::session::{MtSelect, SimPlan};
-use crate::OpmError;
-use opm_system::{DescriptorSystem, MultiTermSystem};
-
-/// Solves the multi-term system over `[0, t_end)` (zero initial
-/// conditions), dispatching to the integer fast path when possible. A
-/// thin one-shot wrapper over the plan layer ([`crate::session`]); for
-/// repeated solves, build a [`crate::Simulation`] plan and reuse its
-/// factorization.
-///
-/// # Errors
-/// [`OpmError::SingularPencil`] / [`OpmError::BadArguments`].
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_multiterm(
-    mt: &MultiTermSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(mt.num_inputs(), u_coeffs)?;
-    SimPlan::for_multiterm(mt, m, t_end, &MtSelect::Auto)?.solve_coeffs(u_coeffs)
-}
-
-/// Integer-order fast path (documented above). Exposed for ablation
-/// benches; [`solve_multiterm`] selects it automatically.
-///
-/// # Errors
-/// As [`solve_multiterm`]; additionally rejects non-integer orders.
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_multiterm_recurrence(
-    mt: &MultiTermSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(mt.num_inputs(), u_coeffs)?;
-    SimPlan::for_multiterm(mt, m, t_end, &MtSelect::Recurrence)?.solve_coeffs(u_coeffs)
-}
-
-/// General path: per-term nilpotent-series convolution. Works for any
-/// non-negative orders; `O(n^β m + #terms·n·m²)`.
-///
-/// # Errors
-/// As [`solve_multiterm`].
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_multiterm_convolution(
-    mt: &MultiTermSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(mt.num_inputs(), u_coeffs)?;
-    SimPlan::for_multiterm(mt, m, t_end, &MtSelect::Convolution)?.solve_coeffs(u_coeffs)
-}
-
-/// Convenience: runs a plain descriptor system through the multi-term
-/// machinery (used by tests to show the K = 1 fast path *is* the linear
-/// solver).
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_descriptor_as_multiterm(
-    sys: &DescriptorSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(sys.num_inputs(), u_coeffs)?;
-    SimPlan::for_multiterm(
-        &MultiTermSystem::from_descriptor(sys),
-        m,
-        t_end,
-        &MtSelect::Auto,
-    )?
-    .solve_coeffs(u_coeffs)
-}
+//!
+//! Both paths run in the plan layer ([`crate::session`]): a
+//! [`crate::Simulation::from_multiterm`] plan picks the integer fast path
+//! automatically ([`crate::Method::Auto`]; force a path with
+//! [`crate::Method::Recurrence`] / [`crate::Method::Convolution`]); this
+//! module holds the strategy's derivation and its tests.
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
-    use super::*;
+    use crate::testkit::{solve_fractional, solve_linear, solve_multiterm};
+    use crate::Method;
     use opm_sparse::{CooMatrix, CsrMatrix};
-    use opm_system::{SecondOrderSystem, Term};
+    use opm_system::{DescriptorSystem, MultiTermSystem, SecondOrderSystem, Term};
     use opm_waveform::{InputSet, Waveform};
 
     fn eye_term(alpha: f64) -> Term {
@@ -123,8 +54,14 @@ mod tests {
             DescriptorSystem::new(CsrMatrix::identity(1), a.to_csr(), b.to_csr(), None).unwrap();
         let m = 64;
         let u = InputSet::new(vec![Waveform::sine(0.2, 1.0, 1.0, 0.0, 0.0)]).bpf_matrix(m, 2.0);
-        let via_mt = solve_descriptor_as_multiterm(&sys, &u, 2.0).unwrap();
-        let via_lin = crate::linear::solve_linear(&sys, &u, 2.0, &[0.0]).unwrap();
+        let via_mt = solve_multiterm(
+            &MultiTermSystem::from_descriptor(&sys),
+            &u,
+            2.0,
+            Method::Auto,
+        )
+        .unwrap();
+        let via_lin = solve_linear(&sys, &u, 2.0, &[0.0]).unwrap();
         for j in 0..m {
             assert!(
                 (via_mt.state_coeff(0, j) - via_lin.state_coeff(0, j)).abs() < 1e-10,
@@ -144,8 +81,8 @@ mod tests {
         .unwrap();
         let m = 96;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 6.0);
-        let fast = solve_multiterm_recurrence(&mt, &u, 6.0).unwrap();
-        let slow = solve_multiterm_convolution(&mt, &u, 6.0).unwrap();
+        let fast = solve_multiterm(&mt, &u, 6.0, Method::Recurrence).unwrap();
+        let slow = solve_multiterm(&mt, &u, 6.0, Method::Convolution).unwrap();
         for j in 0..m {
             assert!(
                 (fast.state_coeff(0, j) - slow.state_coeff(0, j)).abs() < 1e-8,
@@ -172,7 +109,7 @@ mod tests {
         let t_end = 8.0;
         let u_set = InputSet::new(vec![Waveform::step(0.0, 1.0)]);
         let u = u_set.bpf_matrix(m, t_end);
-        let opm = solve_multiterm(&s.to_multiterm(), &u, t_end).unwrap();
+        let opm = solve_multiterm(&s.to_multiterm(), &u, t_end, Method::Auto).unwrap();
         let reference =
             opm_transient::expm_reference(&s.to_companion(), &u_set, t_end, m, &[0.0, 0.0])
                 .unwrap();
@@ -207,8 +144,8 @@ mod tests {
         .unwrap();
         let m = 128;
         let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 2.0);
-        let via_mt = solve_multiterm(&mt, &u, 2.0).unwrap();
-        let via_frac = crate::fractional::solve_fractional(&fsys, &u, 2.0).unwrap();
+        let via_mt = solve_multiterm(&mt, &u, 2.0, Method::Auto).unwrap();
+        let via_frac = solve_fractional(&fsys, &u, 2.0).unwrap();
         for j in 0..m {
             assert!(
                 (via_mt.state_coeff(0, j) - via_frac.state_coeff(0, j)).abs() < 1e-10,
@@ -228,7 +165,7 @@ mod tests {
         .unwrap();
         let m = 128;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 10.0);
-        let r = solve_multiterm(&mt, &u, 10.0).unwrap();
+        let r = solve_multiterm(&mt, &u, 10.0, Method::Auto).unwrap();
         for j in 0..m {
             let v = r.state_coeff(0, j);
             assert!(v.is_finite() && v.abs() < 3.0, "column {j}: {v}");
@@ -246,6 +183,6 @@ mod tests {
         )
         .unwrap();
         let u = vec![vec![1.0; 8]];
-        assert!(solve_multiterm_recurrence(&mt, &u, 1.0).is_err());
+        assert!(solve_multiterm(&mt, &u, 1.0, Method::Recurrence).is_err());
     }
 }

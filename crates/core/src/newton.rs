@@ -151,7 +151,7 @@ impl<'a> NewtonSweep<'a> {
     #[allow(clippy::too_many_arguments)]
     pub fn window(
         &mut self,
-        family: &mut PencilFamily,
+        family: &PencilFamily,
         sigma: f64,
         m: usize,
         u: &[Vec<f64>],

@@ -1,60 +1,36 @@
-//! Convenience front-end for second-order (nodal-analysis) systems.
+//! Second-order (nodal-analysis) systems.
 //!
 //! The Table II workflow — `C v̈ + G v̇ + Γ v = B·J̇` with the input being
 //! the *derivative* of the physical current excitation — involves enough
-//! plumbing (derivative averages, multi-term conversion) that a dedicated
-//! entry point is warranted. [`solve_second_order`] takes the circuit's
-//! original current waveforms and handles the differentiation exactly via
-//! interval endpoint differences.
-
-use crate::result::OpmResult;
-use crate::session::SimPlan;
-use crate::OpmError;
-use opm_system::SecondOrderSystem;
-use opm_waveform::InputSet;
-
-/// Solves `M₂ ẍ + M₁ ẋ + M₀ x = B·u̇` by OPM with `m` uniform intervals,
-/// where `inputs` holds the *undifferentiated* `u(t)` (e.g. the load
-/// currents of a power grid). Zero initial conditions (`x(0) = ẋ(0) = 0`);
-/// ensure the stimulus ramps from zero (see
-/// [`opm_circuits::grid::PowerGridSpec::pad_ramp`]) so they are
-/// consistent.
-///
-/// # Errors
-/// [`OpmError`] from the underlying multi-term solve; bad shapes.
-///
-/// [`opm_circuits::grid::PowerGridSpec::pad_ramp`]: https://docs.rs/opm-circuits
-#[deprecated(note = "use Simulation::plan")]
-pub fn solve_second_order(
-    sys: &SecondOrderSystem,
-    inputs: &InputSet,
-    t_end: f64,
-    m: usize,
-) -> Result<OpmResult, OpmError> {
-    if m == 0 {
-        return Err(OpmError::BadArguments("zero intervals".into()));
-    }
-    if inputs.len() != sys.num_inputs() {
-        return Err(OpmError::BadArguments(format!(
-            "{} input channels for {} B columns",
-            inputs.len(),
-            sys.num_inputs()
-        )));
-    }
-    SimPlan::for_second_order(sys, m, t_end)?.solve(inputs)
-}
+//! plumbing (derivative averages, multi-term conversion) that the plan
+//! layer handles it: a [`crate::Simulation::from_second_order`] plan takes
+//! the circuit's original current waveforms, differentiates them exactly
+//! via interval endpoint differences, and sweeps the multi-term
+//! conversion. Zero initial conditions (`x(0) = ẋ(0) = 0`); ensure the
+//! stimulus ramps from zero (see
+//! `opm_circuits::grid::PowerGridSpec::pad_ramp`) so they are consistent.
 
 #[cfg(test)]
 mod tests {
-    // The strategy's own unit tests exercise the deprecated one-shot
-    // wrappers on purpose: they pin the wrapper-to-plan delegation.
-    #![allow(deprecated)]
-    use super::*;
-    use crate::multiterm::solve_multiterm;
+    use crate::testkit::solve_multiterm;
+    use crate::{Method, OpmError, OpmResult, Simulation, SolveOptions};
     use opm_circuits::grid::PowerGridSpec;
     use opm_circuits::na::assemble_na;
     use opm_sparse::CsrMatrix;
-    use opm_waveform::Waveform;
+    use opm_system::SecondOrderSystem;
+    use opm_waveform::{InputSet, Waveform};
+
+    fn solve_second_order(
+        sys: &SecondOrderSystem,
+        inputs: &InputSet,
+        t_end: f64,
+        m: usize,
+    ) -> Result<OpmResult, OpmError> {
+        Simulation::from_second_order(sys.clone())
+            .horizon(t_end)
+            .plan(&SolveOptions::new().resolution(m))?
+            .solve(inputs)
+    }
 
     #[test]
     fn matches_manual_multiterm_plumbing() {
@@ -71,7 +47,8 @@ mod tests {
         let direct = solve_second_order(&na.system, &na.inputs, t_end, m).unwrap();
         let bounds: Vec<f64> = (0..=m).map(|k| k as f64 * t_end / m as f64).collect();
         let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
-        let manual = solve_multiterm(&na.system.to_multiterm(), &u_dot, t_end).unwrap();
+        let manual =
+            solve_multiterm(&na.system.to_multiterm(), &u_dot, t_end, Method::Auto).unwrap();
         for j in 0..m {
             for i in 0..na.system.order() {
                 assert_eq!(direct.state_coeff(i, j), manual.state_coeff(i, j));

@@ -38,21 +38,21 @@
 //! assert!(runs[2].output_row(0)[255] > runs[0].output_row(0)[255]);
 //! ```
 //!
-//! [`Problem::solve`](crate::Problem::solve) and the per-strategy entry
-//! points (`solve_linear`, `solve_fractional`, …) are thin one-shot
-//! wrappers over this layer.
+//! [`Problem::solve`](crate::Problem::solve) is a thin one-shot wrapper
+//! over this layer.
 
-use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors};
+use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cancel::CancelToken;
 use crate::engine::{
-    apply_b_block, factor_pencil_symbolic, validate_coeff_inputs, validate_horizon, validate_x0,
-    BlockColumnSweep, BlockOutcome, FactorCache, Method, OutputMap, PencilFamily, SolveOptions,
-    SweepOutcome,
+    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, BlockColumnSweep,
+    BlockOutcome, Method, OutputMap, PencilAnalysis, PencilFamily, SolveOptions, SweepOutcome,
 };
+use crate::gate::GateCache;
 use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
 use crate::metrics::FactorProfile;
 use crate::newton::{NewtonSweep, NewtonWindow};
 use crate::result::OpmResult;
+use crate::sync::StdSync;
 use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
 use opm_basis::bpf::{endpoint_state, BpfBasis};
@@ -67,11 +67,11 @@ use opm_circuits::nonlinear::DeviceModel;
 use opm_circuits::parser::parse_netlist;
 use opm_fracnum::binomial::binomial_series;
 use opm_fracnum::history::{history_convolution_into, HistoryTail};
-use opm_sparse::{SparseError, SparseLu, SymbolicLu};
+use opm_sparse::SparseLu;
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Simulation: the owning session front door
@@ -474,8 +474,8 @@ pub(crate) fn validate_options(
 // SimPlan: validated shape + cached factorization
 // ---------------------------------------------------------------------------
 
-/// Multi-term execution path selector (internal).
-pub(crate) enum MtSelect {
+/// Multi-term execution path selector.
+enum MtSelect {
     Auto,
     Recurrence,
     Convolution,
@@ -484,8 +484,8 @@ pub(crate) enum MtSelect {
 struct MtPlan {
     lu: SparseLu,
     /// Analysis of the pencil's union pattern — replayed numerically per
-    /// window width by windowed second-order solving.
-    symbolic: SymbolicLu,
+    /// window width by windowed multi-term solving.
+    analysis: PencilAnalysis,
     path: MtPath,
 }
 
@@ -511,7 +511,7 @@ enum PlanKind {
         /// symbolic analysis are shared with every *window* pencil the
         /// plan factors later, so a windowed solve costs one numeric
         /// refactorization, never a second analysis.
-        family: Mutex<PencilFamily>,
+        family: PencilFamily,
     },
     /// Fractional series convolution against `ρ₀E − A`.
     Fractional {
@@ -520,7 +520,7 @@ enum PlanKind {
         /// The `σ·E − A` family behind `lu` (`σ = ρ₀`): windowed solving
         /// refactors the window pencil `ρ₀(h_w)·E − A` numerically
         /// against the same recorded analysis.
-        family: Mutex<PencilFamily>,
+        family: PencilFamily,
     },
     /// Multi-term sweep over the model's own terms.
     MultiTerm(MtPlan),
@@ -540,12 +540,12 @@ enum PlanKind {
         mt: Option<MultiTermSystem>,
     },
     /// On-the-fly adaptive linear stepping; the power-of-two lattice
-    /// cache persists across every scenario solved through this plan
-    /// (one symbolic analysis, numeric refactorization per new lattice
+    /// persists across every scenario solved through this plan (one
+    /// symbolic analysis, numeric refactorization per new lattice
     /// exponent).
     AdaptiveLinear {
         aopts: AdaptiveOpmOptions,
-        cache: Mutex<FactorCache>,
+        lattice: StepLattice,
     },
     /// Fractional distinct-step grid with all per-column factorizations
     /// and the `D̃^α` columns precomputed.
@@ -563,6 +563,19 @@ enum PlanKind {
 /// it can move across threads, outlive the session, and be interned
 /// behind an `Arc` in a [`crate::cache::PlanCache`] where one
 /// factorization serves any number of concurrent callers.
+///
+/// # Thread safety
+///
+/// A plan is immutable once [`Simulation::plan`] returns: the recorded
+/// analyses and factors are read-only, per-`W` window kernels and
+/// adaptive lattice factors are built at most once through a
+/// single-flight cache, every scratch buffer belongs to its call, and
+/// the counters are relaxed atomics. Solves on one plan — batch,
+/// windowed, streaming and Newton alike — never wait on each other, and
+/// a panic inside one solve leaves nothing behind for the next. A
+/// [`SimPlan::factor_profile`] snapshot taken during concurrent solves
+/// may be mid-update (one counter bumped, the next not yet); once they
+/// finish it is exact.
 pub struct SimPlan {
     model: Arc<SimModel>,
     t_end: f64,
@@ -574,29 +587,18 @@ pub struct SimPlan {
     /// the linear entry points reject them so a caller can never
     /// silently drop the nonlinearities.
     devices: Arc<Vec<DeviceModel>>,
-    /// Factorization work done at prepare time (live adaptive plans
-    /// report from their lattice cache, linear plans from their pencil
-    /// family, instead).
-    profile: FactorProfile,
-    /// Lazily-built windowed-solve state: the window kernels keyed by
-    /// window count (one factorization serves all `W` windows and every
-    /// scenario) plus the window counters.
-    windowed: Mutex<WindowState>,
+    /// Window kernels keyed by window count `W`, built on first use (one
+    /// factorization serves all `W` windows and every scenario); the
+    /// [`WINDOW_KERNELS_RETAINED`] most recently used are kept.
+    kernels: GateCache<usize, Arc<WindowKernel>, OpmError, StdSync>,
+    /// Windows swept so far, across every windowed/streaming/Newton call.
+    windows_solved: AtomicUsize,
 }
 
-/// Shared windowed-solve state of one plan.
-#[derive(Default)]
-struct WindowState {
-    /// Window kernels keyed by window count `W`.
-    kernels: HashMap<usize, Arc<WindowKernel>>,
-    /// Fresh analyses forced by window factorization (multi-term pivot
-    /// fallbacks only — linear window factors count inside the family).
-    num_symbolic: usize,
-    /// Numeric-only window refactorizations (multi-term path).
-    num_numeric: usize,
-    /// Windows swept so far, across every windowed/streaming call.
-    windows_solved: usize,
-}
+/// Window kernels a plan retains: one per distinct window count `W`
+/// recently solved, least recently used evicted first (an evicted `W`
+/// is refactored on its next use).
+const WINDOW_KERNELS_RETAINED: usize = 8;
 
 /// The per-window solving kernel: everything that depends on the window
 /// width `T/W` and resolution `m`, factored **once** and reused by all
@@ -1013,47 +1015,37 @@ impl SimPlan {
             )));
         }
 
+        let plan = |m: usize, kind: PlanKind| SimPlan {
+            model: Arc::clone(&model),
+            t_end,
+            m,
+            x0: x0.clone(),
+            kind,
+            devices: Arc::clone(&devices),
+            kernels: GateCache::new(WINDOW_KERNELS_RETAINED, || {
+                OpmError::BadArguments(
+                    "window-kernel build panicked; the panicking request reports it".into(),
+                )
+            }),
+            windows_solved: AtomicUsize::new(0),
+        };
         if let Some(aopts) = opts.adaptive {
             require_linear_kind("adaptive")?;
             let SimModel::Linear(sys) = model.as_ref() else {
                 unreachable!("validate_options admits `adaptive` only on linear models");
             };
-            let kind = PlanKind::AdaptiveLinear {
-                aopts,
-                cache: Mutex::new(FactorCache::new(sys.e(), sys.a())),
-            };
-            return Ok(SimPlan {
-                model,
-                t_end,
-                m: 0,
-                x0,
-                kind,
-                devices,
-                profile: FactorProfile::default(),
-                windowed: Mutex::new(WindowState::default()),
-            });
+            let lattice = StepLattice::new(sys, t_end, &aopts)?;
+            return Ok(plan(0, PlanKind::AdaptiveLinear { aopts, lattice }));
         }
-        if opts.step_grid.is_some() {
+        if let Some(steps) = &opts.step_grid {
             require_linear_kind("step-grid")?;
             let SimModel::Fractional(fsys) = model.as_ref() else {
                 unreachable!("validate_options admits `step_grid` only on fractional models");
             };
-            let steps = opts.step_grid.clone().expect("checked above");
-            let grid = AdaptiveBpf::new(steps);
+            let grid = AdaptiveBpf::new(steps.clone());
             let factors = adaptive::prepare_step_grid(fsys, &grid)?;
-            let profile = factors.profile();
             let m = grid.dim();
-            let kind = PlanKind::StepGrid(StepGridPlan { grid, factors });
-            return Ok(SimPlan {
-                model,
-                t_end,
-                m,
-                x0,
-                kind,
-                devices,
-                profile,
-                windowed: Mutex::new(WindowState::default()),
-            });
+            return Ok(plan(m, PlanKind::StepGrid(StepGridPlan { grid, factors })));
         }
 
         if m == 0 {
@@ -1136,105 +1128,7 @@ impl SimPlan {
         if !matches!(kind, PlanKind::Linear { .. }) {
             require_linear_kind(model.strategy_name())?;
         }
-        Ok(SimPlan {
-            model,
-            t_end,
-            m,
-            x0,
-            kind,
-            devices,
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot linear plan for the strategy wrappers (clones the
-    /// borrowed system into the plan's own shared model — the copy is
-    /// O(nnz), dwarfed by the factorization these one-shot paths pay
-    /// anyway).
-    pub(crate) fn for_linear(
-        sys: &DescriptorSystem,
-        m: usize,
-        t_end: f64,
-        x0: &[f64],
-        accumulator: bool,
-    ) -> Result<Self, OpmError> {
-        validate_x0(sys.order(), x0)?;
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::Linear(sys.clone())),
-            t_end,
-            m,
-            x0: x0.to_vec(),
-            kind: linear_plan_kind(sys, m, t_end, accumulator)?,
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot fractional plan for the strategy wrappers.
-    pub(crate) fn for_fractional(
-        fsys: &FractionalSystem,
-        m: usize,
-        t_end: f64,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::Fractional(fsys.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; fsys.order()],
-            kind: fractional_plan_kind(fsys, m, t_end)?,
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot multi-term plan for the strategy wrappers.
-    pub(crate) fn for_multiterm(
-        mt: &MultiTermSystem,
-        m: usize,
-        t_end: f64,
-        select: &MtSelect,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::MultiTerm(mt.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; mt.order()],
-            kind: PlanKind::MultiTerm(mt_plan(mt, m, t_end, select)?),
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
-    }
-
-    /// One-shot second-order plan for the strategy wrappers.
-    pub(crate) fn for_second_order(
-        so: &SecondOrderSystem,
-        m: usize,
-        t_end: f64,
-    ) -> Result<Self, OpmError> {
-        validate_horizon(t_end)?;
-        let mt = so.to_multiterm();
-        let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
-        Ok(SimPlan {
-            model: Arc::new(SimModel::SecondOrder(so.clone())),
-            t_end,
-            m,
-            x0: vec![0.0; so.order()],
-            kind: PlanKind::OwnedMultiTerm {
-                mt,
-                plan,
-                differentiate: true,
-            },
-            devices: Arc::new(Vec::new()),
-            profile: ONE_SYMBOLIC,
-            windowed: Mutex::new(WindowState::default()),
-        })
+        Ok(plan(m, kind))
     }
 
     // -- observability ------------------------------------------------------
@@ -1272,20 +1166,21 @@ impl SimPlan {
     /// factorization — the plan's own analysis plus one numeric
     /// refactorization at the window width.
     pub fn factor_profile(&self) -> FactorProfile {
-        let win = self.windowed.lock().expect("window state poisoned");
-        let mut p = match &self.kind {
-            PlanKind::AdaptiveLinear { cache, .. } => {
-                cache.lock().expect("lattice cache poisoned").profile()
-            }
+        let p = match &self.kind {
             PlanKind::Linear { family, .. } | PlanKind::Fractional { family, .. } => {
-                family.lock().expect("pencil family poisoned").profile()
+                family.profile()
             }
-            _ => self.profile,
+            PlanKind::MultiTerm(plan) | PlanKind::OwnedMultiTerm { plan, .. } => {
+                plan.analysis.profile()
+            }
+            PlanKind::Kron { .. } => ONE_SYMBOLIC,
+            PlanKind::AdaptiveLinear { lattice, .. } => lattice.profile(),
+            PlanKind::StepGrid(sg) => sg.factors.profile(),
         };
-        p.num_symbolic += win.num_symbolic;
-        p.num_numeric += win.num_numeric;
-        p.num_windows = win.windows_solved;
-        p
+        FactorProfile {
+            num_windows: self.windows_solved.load(Ordering::Relaxed),
+            ..p
+        }
     }
 
     /// Column count the plan was built for (0 for on-the-fly adaptive
@@ -1384,22 +1279,17 @@ impl SimPlan {
         self.reject_nonlinear("solve")?;
         self.check_channels(inputs)?;
         match &self.kind {
-            PlanKind::AdaptiveLinear { aopts, cache } => {
+            PlanKind::AdaptiveLinear { aopts, lattice } => {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
                     unreachable!("adaptive plans are linear by construction");
                 };
-                // Serial by design: the lattice cache fills on the fly,
-                // and every scenario should see (and extend) it.
+                // Serial by design: the lattice fills on the fly, and
+                // every scenario should see (and extend) it in order.
                 inputs
                     .iter()
                     .map(|ws| {
                         adaptive::linear_adaptive_with(
-                            sys,
-                            ws,
-                            self.t_end,
-                            &self.x0,
-                            *aopts,
-                            &mut cache.lock().expect("lattice cache poisoned"),
+                            sys, ws, self.t_end, &self.x0, *aopts, lattice,
                         )
                     })
                     .collect()
@@ -1663,10 +1553,7 @@ impl SimPlan {
         } else {
             self.windowed_chunk(&kernel, inputs, opts)?
         };
-        self.windowed
-            .lock()
-            .expect("window state poisoned")
-            .windows_solved += windows;
+        self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(results)
     }
 
@@ -1725,10 +1612,7 @@ impl SimPlan {
             final_state.clear();
             final_state.extend_from_slice(end);
         })?;
-        self.windowed
-            .lock()
-            .expect("window state poisoned")
-            .windows_solved += windows;
+        self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(final_state)
     }
 
@@ -1832,10 +1716,7 @@ impl SimPlan {
                 self.solve_windowed_opts(inputs, &wopts)?
             };
             if let PlanKind::Linear { family, .. } = &self.kind {
-                family
-                    .lock()
-                    .expect("pencil family poisoned")
-                    .note_newton_iters(result.num_intervals());
+                family.note_newton_iters(result.num_intervals());
             }
             return Ok(result);
         }
@@ -1853,13 +1734,12 @@ impl SimPlan {
         // Window width T/W at resolution m ⇒ σ_w = 2·m·W/T.
         let sigma = 2.0 * (m * windows) as f64 / self.t_end;
         let width = self.t_end / windows as f64;
-        let mut fam = family.lock().expect("pencil family poisoned");
-        let mut sweep = NewtonSweep::new(sys, &self.devices, &fam)?;
+        let mut sweep = NewtonSweep::new(sys, &self.devices, family)?;
         let mut e = self.x0.clone();
         let mut columns = Vec::with_capacity(m * windows);
         for w in 0..windows {
             let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
-            let mut win = sweep.window(&mut fam, sigma, m, &u, &e, opts, w)?;
+            let mut win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
             if let Some(threshold) = opts.refinement() {
                 if win.worst_iters >= 3 && m >= 2 && m.is_power_of_two() {
                     let frac = haar_detail_fraction(&win.columns, m, width);
@@ -1869,7 +1749,7 @@ impl SimPlan {
                         // doubled shift) and pair-average back onto the
                         // plan's grid, keeping the fine endpoint.
                         let u2 = inputs.bpf_matrix_window(2 * m, w as f64 * width, width);
-                        let fine = sweep.window(&mut fam, 2.0 * sigma, 2 * m, &u2, &e, opts, w)?;
+                        let fine = sweep.window(family, 2.0 * sigma, 2 * m, &u2, &e, opts, w)?;
                         win = coarsen_pairs(fine, m);
                     }
                 }
@@ -1877,27 +1757,24 @@ impl SimPlan {
             e = win.end;
             columns.extend(win.columns);
         }
-        fam.note_newton_iters(sweep.newton_iters);
+        family.note_newton_iters(sweep.newton_iters);
         // One factorization per Newton iteration (stamped values change
         // every iterate), all numeric-only against the one analysis.
         let num_factorizations = sweep.newton_iters;
         let num_solves = sweep.num_solves;
-        drop(fam);
         let result = SweepOutcome {
             columns,
             num_solves,
             num_factorizations,
         }
         .uniform_result(&self.output_map(), self.t_end);
-        self.windowed
-            .lock()
-            .expect("window state poisoned")
-            .windows_solved += windows;
+        self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(result)
     }
 
-    /// Resolves (and caches) the window kernel for `windows` windows:
-    /// the one factorization all windows and scenarios share.
+    /// Resolves the window kernel for `windows` windows — the one
+    /// factorization all windows and scenarios share — building it on
+    /// the first request through the plan's single-flight kernel cache.
     fn window_kernel(&self, windows: usize) -> Result<Arc<WindowKernel>, OpmError> {
         if windows == 0 {
             return Err(OpmError::BadArguments(
@@ -1905,6 +1782,16 @@ impl SimPlan {
             ));
         }
         validate_horizon(self.t_end)?;
+        let (kernel, _) = self
+            .kernels
+            .get_or_build(windows, || self.build_window_kernel(windows).map(Arc::new))?;
+        Ok(kernel)
+    }
+
+    /// Factors the window kernel for `windows` windows: the window
+    /// pencil refactored numerically against the plan's recorded
+    /// analysis, plus the kernel's window-step symbol data.
+    fn build_window_kernel(&self, windows: usize) -> Result<WindowKernel, OpmError> {
         let unsupported = |strategy: &str, why: &str| {
             Err(OpmError::BadArguments(format!(
                 "windowed solving is not available for the `{strategy}` strategy: {why}"
@@ -1912,29 +1799,16 @@ impl SimPlan {
         };
         match &self.kind {
             PlanKind::Linear { family, .. } => {
-                let mut st = self.windowed.lock().expect("window state poisoned");
-                if let Some(kern) = st.kernels.get(&windows) {
-                    return Ok(Arc::clone(kern));
-                }
                 // Window width T/W at resolution m ⇒ σ_w = 2·m·W/T; the
                 // family replays its recorded analysis numerically.
                 let sigma = 2.0 * (self.m * windows) as f64 / self.t_end;
-                let lu = family
-                    .lock()
-                    .expect("pencil family poisoned")
-                    .factor(sigma)?;
-                let kern = Arc::new(WindowKernel::Linear { lu, sigma });
-                st.kernels.insert(windows, Arc::clone(&kern));
-                Ok(kern)
+                let lu = family.factor(sigma)?;
+                Ok(WindowKernel::Linear { lu, sigma })
             }
             PlanKind::Fractional { family, .. } => {
                 let SimModel::Fractional(fsys) = self.model.as_ref() else {
                     unreachable!("fractional plans are built on fractional models");
                 };
-                let mut st = self.windowed.lock().expect("window state poisoned");
-                if let Some(kern) = st.kernels.get(&windows) {
-                    return Ok(Arc::clone(kern));
-                }
                 // Window step h_w = T/(W·m): the window pencil is
                 // ρ₀(h_w)·E − A — same pattern family as the plan's own
                 // pencil, so it refactors numerically. The weight vector
@@ -1943,26 +1817,24 @@ impl SimPlan {
                 // weights of the carried Caputo/GL memory.
                 let wbasis = BpfBasis::new(self.m, self.t_end / windows as f64);
                 let rho = wbasis.frac_diff_coeffs_n(fsys.alpha(), self.m * windows);
-                let lu = family
-                    .lock()
-                    .expect("pencil family poisoned")
-                    .factor(rho[0])?;
-                let kern = Arc::new(WindowKernel::Fractional { lu, rho });
-                st.kernels.insert(windows, Arc::clone(&kern));
-                Ok(kern)
+                let lu = family.factor(rho[0])?;
+                Ok(WindowKernel::Fractional { lu, rho })
             }
             PlanKind::MultiTerm(plan) | PlanKind::OwnedMultiTerm { plan, .. } => {
                 let mt = self.mt_ref();
-                let mut st = self.windowed.lock().expect("window state poisoned");
-                if let Some(kern) = st.kernels.get(&windows) {
-                    return Ok(Arc::clone(kern));
-                }
+                // The window pencil re-weights the same terms, so it has
+                // the plan pencil's union pattern: refactor it against
+                // the recorded analysis.
+                let refactor = |pencil: opm_sparse::CsrMatrix| {
+                    let csc = pencil.to_csc();
+                    Ok::<_, OpmError>(plan.analysis.refactor(&csc, csc.values())?.0)
+                };
                 let h = self.t_end / (self.m * windows) as f64;
-                let kern = match &plan.path {
+                Ok(match &plan.path {
                     MtPath::Recurrence { .. } => {
                         let (polys, bw) = mt_recurrence_data(mt, h);
-                        let pencil = crate::engine::weighted_pencil(mt.terms(), |k| polys[k][0])?;
-                        let lu = refactor_window_pencil(&plan.symbolic, &pencil, &mut st)?;
+                        let lu =
+                            refactor(crate::engine::weighted_pencil(mt.terms(), |k| polys[k][0])?)?;
                         WindowKernel::Recurrence {
                             lu,
                             polys,
@@ -1981,14 +1853,12 @@ impl SimPlan {
                             .iter()
                             .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, self.m * windows))
                             .collect();
-                        let pencil = crate::engine::weighted_pencil(mt.terms(), |k| series[k][0])?;
-                        let lu = refactor_window_pencil(&plan.symbolic, &pencil, &mut st)?;
+                        let lu = refactor(crate::engine::weighted_pencil(mt.terms(), |k| {
+                            series[k][0]
+                        })?)?;
                         WindowKernel::MtConvolution { lu, series }
                     }
-                };
-                let kern = Arc::new(kern);
-                st.kernels.insert(windows, Arc::clone(&kern));
-                Ok(kern)
+                })
             }
             PlanKind::Kron { .. } => unsupported(
                 &format!("{} (Kronecker plan)", self.model.strategy_name()),
@@ -2642,13 +2512,8 @@ fn fractional_plan_kind(
     let sys = fsys.system();
     let basis = BpfBasis::new(m, t_end);
     let rho = basis.frac_diff_coeffs(fsys.alpha());
-    let mut family = PencilFamily::new(sys.e(), sys.a());
-    let lu = family.factor(rho[0])?;
-    Ok(PlanKind::Fractional {
-        rho,
-        lu,
-        family: Mutex::new(family),
-    })
+    let (family, lu) = PencilFamily::new(sys.e(), sys.a(), rho[0])?;
+    Ok(PlanKind::Fractional { rho, lu, family })
 }
 
 /// The linear plan kind: pencil family + factored `σ·E − A`.
@@ -2659,41 +2524,13 @@ fn linear_plan_kind(
     accumulator: bool,
 ) -> Result<PlanKind, OpmError> {
     let sigma = 2.0 * m as f64 / t_end;
-    let mut family = PencilFamily::new(sys.e(), sys.a());
-    let lu = family.factor(sigma)?;
+    let (family, lu) = PencilFamily::new(sys.e(), sys.a(), sigma)?;
     Ok(PlanKind::Linear {
         sigma,
         lu,
         accumulator,
-        family: Mutex::new(family),
+        family,
     })
-}
-
-/// Factors a window's re-weighted multi-term pencil: same union
-/// pattern, new values — a numeric-only refactorization against the
-/// plan's recorded analysis, with a fresh pivoted fallback on pattern
-/// mismatch or pivot degradation. Books the cost into the window state.
-fn refactor_window_pencil(
-    symbolic: &SymbolicLu,
-    pencil: &opm_sparse::CsrMatrix,
-    st: &mut WindowState,
-) -> Result<SparseLu, OpmError> {
-    let csc = pencil.to_csc();
-    let (lu, fresh) = if csc.values().len() == symbolic.pattern_nnz() {
-        match SparseLu::refactor(symbolic, csc.values()) {
-            Ok(lu) => (lu, false),
-            Err(SparseError::PivotDegraded(_)) => (crate::engine::factor_pencil(pencil)?, true),
-            Err(e) => return Err(OpmError::SingularPencil(format!("{e}"))),
-        }
-    } else {
-        (crate::engine::factor_pencil(pencil)?, true)
-    };
-    if fresh {
-        st.num_symbolic += 1;
-    } else {
-        st.num_numeric += 1;
-    }
-    Ok(lu)
 }
 
 /// Per-term finite recurrence polynomials `p^{(k)}` of degree `K` and
@@ -2753,10 +2590,10 @@ fn mt_plan(
     if recurrence {
         let (polys, bw) = mt_recurrence_data(mt, h);
         let pencil = crate::engine::weighted_pencil(mt.terms(), |k| polys[k][0])?;
-        let (symbolic, lu) = factor_pencil_symbolic(&pencil)?;
+        let (analysis, lu) = PencilAnalysis::of_pencil(&pencil)?;
         Ok(MtPlan {
             lu,
-            symbolic,
+            analysis,
             path: MtPath::Recurrence { polys, bw },
         })
     } else {
@@ -2773,10 +2610,10 @@ fn mt_plan(
             })
             .collect();
         let pencil = crate::engine::weighted_pencil(mt.terms(), |k| series[k][0])?;
-        let (symbolic, lu) = factor_pencil_symbolic(&pencil)?;
+        let (analysis, lu) = PencilAnalysis::of_pencil(&pencil)?;
         Ok(MtPlan {
             lu,
-            symbolic,
+            analysis,
             path: MtPath::Convolution { series },
         })
     }
@@ -3001,10 +2838,12 @@ mod tests {
         };
         let na = assemble_na(&spec.build(), &[]).unwrap();
         let (m, t_end) = (32, 5e-9);
-        // Pins the deprecated wrapper's delegation onto this very plan.
-        #[allow(deprecated)]
-        let direct =
-            crate::second_order::solve_second_order(&na.system, &na.inputs, t_end, m).unwrap();
+        // The one-shot front door runs this very plan.
+        let direct = Problem::second_order(&na.system)
+            .waveforms(&na.inputs)
+            .horizon(t_end)
+            .solve(&SolveOptions::new().resolution(m))
+            .unwrap();
         let sim = Simulation::from_second_order(na.system).horizon(t_end);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
         let via_plan = plan.solve(&na.inputs).unwrap();
@@ -3331,6 +3170,32 @@ mod tests {
                 "column {j}"
             );
         }
+    }
+
+    #[test]
+    fn window_kernel_retention_is_bounded() {
+        let sim = Simulation::from_fractional(FractionalSystem::new(0.5, scalar(-1.0)).unwrap())
+            .horizon(2.0);
+        let plan = sim.plan(&SolveOptions::new().resolution(4)).unwrap();
+        let inputs = InputSet::new(vec![Waveform::step(0.3, 1.0)]);
+        let first = plan.solve_windowed(&inputs, 1).unwrap();
+        for windows in 1..=20 {
+            plan.solve_windowed(&inputs, windows).unwrap();
+            assert!(plan.kernels.len() <= WINDOW_KERNELS_RETAINED);
+        }
+        // The least recently used kernels — W = 1 among them — are gone.
+        let retained: Vec<usize> = plan.kernels.values().into_iter().map(|(w, _)| w).collect();
+        assert_eq!(retained.len(), WINDOW_KERNELS_RETAINED);
+        assert!(!retained.contains(&1), "{retained:?}");
+        // An evicted W refactors and solves bit-identically.
+        let again = plan.solve_windowed(&inputs, 1).unwrap();
+        let bits = |r: &OpmResult| -> Vec<u64> {
+            r.columns.iter().flatten().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&again), bits(&first));
+        // One numeric refactorization per kernel build: W = 1..=20, plus
+        // the rebuild of W = 1.
+        assert_eq!((plan.num_symbolic(), plan.num_numeric()), (1, 21));
     }
 
     #[test]

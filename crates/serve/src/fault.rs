@@ -15,6 +15,7 @@
 //! | `X-Fault`         | Effect                                                  |
 //! |-------------------|---------------------------------------------------------|
 //! | `build-panic`     | panics inside the plan-build closure (cache miss only)  |
+//! | `solve-panic`     | panics inside a `/stream` solve after its first window (cache hit only) |
 //! | `slow-solve=MS`   | sleeps `MS` ms before solving (trips compute deadlines) |
 //! | `drop-stream=N`   | hard-closes the socket after `N` streamed chunks        |
 
@@ -31,6 +32,12 @@ pub enum FaultSpec {
     /// entering the build path — so chaos tests vary the netlist (or
     /// solve options) to guarantee a fresh key.
     BuildPanic,
+    /// Panic inside a `/stream` solve on a cached plan, in the window
+    /// sink after the first window has gone out — mid-way through
+    /// `SimPlan::solve_streaming_opts`, where a real solver bug would
+    /// unwind. Only fires on a cache hit, so the plan the panic unwinds
+    /// through is the one the next request on that key is served from.
+    SolvePanic,
     /// Sleep this long before solving, simulating a solve that blows
     /// its compute budget.
     SlowSolve(Duration),
@@ -50,6 +57,9 @@ impl FaultSpec {
         let h = header.trim();
         if h == "build-panic" {
             return Some(FaultSpec::BuildPanic);
+        }
+        if h == "solve-panic" {
+            return Some(FaultSpec::SolvePanic);
         }
         if let Some(ms) = h.strip_prefix("slow-solve=") {
             return ms
@@ -74,6 +84,8 @@ impl FaultSpec {
 pub struct FaultStats {
     /// Injected plan-build panics that actually fired.
     pub build_panics: AtomicU64,
+    /// Injected mid-solve panics that actually fired.
+    pub solve_panics: AtomicU64,
     /// Injected pre-solve sleeps that actually fired.
     pub slow_solves: AtomicU64,
     /// Streams hard-closed mid-flight by injection.
@@ -87,6 +99,10 @@ impl FaultStats {
             (
                 "build_panics".into(),
                 Json::Int(self.build_panics.load(Ordering::Relaxed) as i64),
+            ),
+            (
+                "solve_panics".into(),
+                Json::Int(self.solve_panics.load(Ordering::Relaxed) as i64),
             ),
             (
                 "slow_solves".into(),
@@ -107,6 +123,7 @@ mod tests {
     #[test]
     fn parses_known_directives() {
         assert_eq!(FaultSpec::parse("build-panic"), Some(FaultSpec::BuildPanic));
+        assert_eq!(FaultSpec::parse("solve-panic"), Some(FaultSpec::SolvePanic));
         assert_eq!(
             FaultSpec::parse(" slow-solve=250 "),
             Some(FaultSpec::SlowSolve(Duration::from_millis(250)))

@@ -41,12 +41,14 @@
 //! - **Panic isolation.** Each connection runs under `catch_unwind`: a
 //!   panicking handler answers 500, bumps the `panics` counter, and
 //!   the daemon keeps serving. The plan cache recovers from poisoned
-//!   locks and per-key build latches keep one request's build panic
-//!   from corrupting any other key.
+//!   locks, per-key build latches keep one request's build panic from
+//!   corrupting any other key, and a cached plan holds no lock at all
+//!   (it is immutable once built), so a panic mid-solve leaves the plan
+//!   serving the next request on its key unchanged.
 //! - **Fault injection.** With [`ServerConfig::fault_injection`] on
 //!   (tests only), the [`fault`] module turns `X-Fault` request
-//!   headers into deterministic build panics, slow solves, and
-//!   mid-stream socket drops — the chaos harness in
+//!   headers into deterministic build panics, mid-solve panics, slow
+//!   solves, and mid-stream socket drops — the chaos harness in
 //!   `tests/chaos.rs` drives these against healthy traffic.
 //!
 //! ```no_run
@@ -774,9 +776,17 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
     let mut sink_err: Option<std::io::Error> = None;
     let mut chunks_sent = 0usize;
     let mut dropped = false;
+    let solve_panic = hit && matches!(ctx.fault, Some(FaultSpec::SolvePanic));
     let streamed = plan.solve_streaming_opts(inputs, &ctx.windowed_opts(windows), |block| {
         if sink_err.is_some() || dropped {
             return;
+        }
+        if solve_panic && chunks_sent >= 1 {
+            ctx.state
+                .faults
+                .solve_panics
+                .fetch_add(1, Ordering::Relaxed);
+            panic!("injected mid-solve panic (X-Fault: solve-panic)");
         }
         if drop_after.is_some_and(|n| chunks_sent >= n) {
             ctx.state

@@ -223,3 +223,72 @@ fn chaos_faults_never_touch_healthy_traffic() {
     assert!(drain.drained, "shutdown failed to drain in-flight requests");
     assert_eq!(drain.abandoned, 0, "worker threads leaked past drain");
 }
+
+/// A panic mid-solve on a cached plan fails only its own request: the
+/// plan is immutable, so the next request on the same key answers 200
+/// with a body bit-identical to a server that never saw the panic, and
+/// `/metrics` accounts for exactly the one injected panic.
+#[test]
+fn solve_panic_leaves_the_cached_plan_serving() {
+    let config = || ServerConfig {
+        fault_injection: true,
+        ..ServerConfig::default()
+    };
+    let clean = spawn(config()).unwrap();
+    let chaos = spawn(config()).unwrap();
+    let body = healthy_body();
+
+    // Prime the key on both servers (a miss each).
+    for server in [&clean, &chaos] {
+        let r = client::post(server.addr(), "/stream", &body).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+
+    // The injected panic fires on the cache hit, inside the window sink
+    // after the first window went out: the client sees a stream that was
+    // cut mid-body, never a clean end-of-stream.
+    let r = one_shot(chaos.addr()).request(
+        "POST",
+        "/stream",
+        Some(&body),
+        &[("X-Fault", "solve-panic")],
+    );
+    assert!(
+        !matches!(&r, Ok(resp) if resp.status == 200 && resp.body.contains("\"done\"")),
+        "panicked stream decoded cleanly: {r:?}"
+    );
+
+    // The next request on the same key is served from the same plan: a
+    // complete stream (the status line goes out before the solve, so
+    // completeness is the final `done` line after all four windows),
+    // bit-identical to the clean server's.
+    let got = client::post(chaos.addr(), "/stream", &body).unwrap();
+    let want = client::post(clean.addr(), "/stream", &body).unwrap();
+    assert_eq!(got.status, 200, "{}", got.body);
+    let lines: Vec<Json> = got.body.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 5, "four windows + done: {}", got.body);
+    assert_eq!(lines[4].get("done").unwrap().as_bool(), Some(true));
+    assert_eq!(
+        got.body, want.body,
+        "post-panic body drifted from a clean run"
+    );
+
+    let doc = client::get(chaos.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let robustness = doc.get("robustness").unwrap();
+    assert_eq!(robustness.get("panics").unwrap().as_usize(), Some(1));
+    let faults = robustness.get("faults").unwrap();
+    assert_eq!(faults.get("solve_panics").unwrap().as_usize(), Some(1));
+    assert_eq!(faults.get("build_panics").unwrap().as_usize(), Some(0));
+    assert_eq!(faults.get("slow_solves").unwrap().as_usize(), Some(0));
+    assert_eq!(faults.get("dropped_streams").unwrap().as_usize(), Some(0));
+    let cache = doc.get("plan_cache").unwrap();
+    assert_eq!(cache.get("misses").unwrap().as_usize(), Some(1));
+
+    for server in [clean, chaos] {
+        let drain = server.shutdown();
+        assert!(drain.drained && drain.abandoned == 0);
+    }
+}

@@ -9,8 +9,7 @@ use opm::circuits::mna::{assemble_mna, Output};
 use opm::circuits::na::assemble_na;
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::adaptive::geometric_grid;
-#[allow(deprecated)] // the general-basis oracle has no plan-layer equivalent
-use opm::core::general_basis::solve_general_basis;
+use opm::core::general_basis::GeneralBasisPlan;
 use opm::core::{Problem, SolveOptions};
 use opm::waveform::Waveform;
 
@@ -25,8 +24,11 @@ fn walsh_and_bpf_agree_on_assembled_circuit() {
     let x0 = vec![0.0; model.system.order()];
 
     let wb = WalshBasis::new(m, t_end);
-    #[allow(deprecated)] // non-BPF bases solve only through the oracle
-    let walsh = solve_general_basis(&model.system, &wb, &model.inputs, &x0).unwrap();
+    // Non-BPF bases solve through the basis-generic integral-form plan.
+    let walsh = GeneralBasisPlan::new(&model.system, &wb, &x0)
+        .unwrap()
+        .solve(&model.inputs)
+        .unwrap();
 
     let u = model.inputs.bpf_matrix(m, t_end);
     let bpf = Problem::linear(&model.system)

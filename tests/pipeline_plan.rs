@@ -325,3 +325,168 @@ fn power_grid_sweep_reuses_factorization() {
         );
     }
 }
+
+/// One solve on a shared plan, its result flattened to bit patterns.
+type Job = fn(&opm::SimPlan, &InputSet) -> Vec<u64>;
+
+fn result_bits(r: &opm::OpmResult) -> Vec<u64> {
+    r.columns
+        .iter()
+        .flatten()
+        .chain(r.outputs.iter().flatten())
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+fn newton_job<const W: usize>(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
+    let opts = opm::NewtonOptions::new();
+    result_bits(&plan.solve_newton_windowed(inputs, W, &opts).unwrap())
+}
+
+fn windowed_job(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
+    let sets = [inputs.clone(), inputs.clone()];
+    let opts = opm::WindowedOptions::new(4);
+    plan.solve_windowed_batch_opts(&sets, &opts, 2)
+        .unwrap()
+        .iter()
+        .flat_map(result_bits)
+        .collect()
+}
+
+fn streaming_job(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
+    let opts = opm::WindowedOptions::new(8).history_len(64);
+    let mut bits = Vec::new();
+    let end = plan
+        .solve_streaming_opts(inputs, &opts, |block| {
+            bits.extend(result_bits(&block.result));
+            bits.extend(block.end_state.iter().map(|v| v.to_bits()));
+        })
+        .unwrap();
+    bits.extend(end.iter().map(|v| v.to_bits()));
+    bits
+}
+
+/// Every counter of a profile, in a fixed order.
+fn counters(p: &opm::FactorProfile) -> [usize; 8] {
+    [
+        p.num_symbolic,
+        p.num_numeric,
+        p.cache_hits,
+        p.cache_misses,
+        p.num_windows,
+        p.newton_iters,
+        p.newton_refactors,
+        p.newton_fresh_fallbacks,
+    ]
+}
+
+/// Runs `jobs` on three threads sharing one `Arc<SimPlan>` while a
+/// fourth thread snapshots `factor_profile()` throughout (all four
+/// released together by a barrier), and checks the
+/// outcome against the same jobs run serially on a fresh plan: every
+/// result bit-identical, and every profile counter equal to the prepare-
+/// time value plus the sum of the serial runs' increments.
+fn race_against_serial(netlist: &str, probe: &str, t_end: f64, m: usize, jobs: [Job; 3]) {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::{Arc, Barrier};
+    let sim = Simulation::from_netlist(netlist, &[probe])
+        .unwrap()
+        .horizon(t_end);
+    let inputs = sim.inputs().unwrap();
+    let opts = SolveOptions::new().resolution(m);
+
+    let serial_plan = sim.plan(&opts).unwrap();
+    let base = counters(&serial_plan.factor_profile());
+    let mut expected = base;
+    let mut serial = Vec::new();
+    for job in jobs {
+        let before = counters(&serial_plan.factor_profile());
+        serial.push(job(&serial_plan, inputs));
+        let after = counters(&serial_plan.factor_profile());
+        for (e, (a, b)) in expected.iter_mut().zip(after.iter().zip(&before)) {
+            *e += a - b;
+        }
+    }
+
+    let plan = Arc::new(sim.plan(&opts).unwrap());
+    assert_eq!(counters(&plan.factor_profile()), base);
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(jobs.len() + 1);
+    let concurrent = std::thread::scope(|s| {
+        let poller = s.spawn(|| {
+            start.wait();
+            // Counters only grow, so every snapshot dominates the last.
+            let mut last = base;
+            while !done.load(Ordering::Relaxed) {
+                let now = counters(&plan.factor_profile());
+                assert!(now.iter().zip(&last).all(|(n, l)| n >= l), "{now:?}");
+                last = now;
+                std::thread::yield_now();
+            }
+        });
+        let workers: Vec<_> = jobs
+            .iter()
+            .map(|&job| {
+                let (plan, start) = (Arc::clone(&plan), &start);
+                s.spawn(move || {
+                    start.wait();
+                    job(&plan, inputs)
+                })
+            })
+            .collect();
+        let out: Vec<Vec<u64>> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        done.store(true, Ordering::Relaxed);
+        poller.join().unwrap();
+        out
+    });
+    for (i, (c, s)) in concurrent.iter().zip(&serial).enumerate() {
+        assert!(c == s, "job {i}: concurrent result differs from serial");
+    }
+    assert_eq!(counters(&plan.factor_profile()), expected);
+}
+
+/// A plan is immutable once built: Newton, windowed-batch and streaming
+/// solves sharing one `Arc<SimPlan>` across threads never wait on each
+/// other, return exactly what they return serially, and book exactly
+/// the serial runs' factorization counts.
+#[test]
+fn concurrent_solves_on_one_plan_match_serial_bitwise() {
+    const RECTIFIER: &str = "\
+V1 in 0 SIN(0 1 1)
+R1 in a 0.1
+D1 a out 1e-14
+R2 out 0 10
+C1 out 0 0.2
+.end";
+    race_against_serial(
+        RECTIFIER,
+        "out",
+        2.0,
+        64,
+        [newton_job::<8>, newton_job::<4>, newton_job::<8>],
+    );
+    const RC: &str = "V1 in 0 DC 5\nR1 in out 1k\nC1 out 0 1u\n.end";
+    race_against_serial(
+        RC,
+        "out",
+        8e-3,
+        32,
+        [windowed_job, streaming_job, windowed_job],
+    );
+    const R_CPE_LADDER: &str = "\
+V1 in 0 DC 1
+R1 in n1 100
+P1 n1 0 CPE 1u 0.5
+R2 n1 n2 100
+P2 n2 0 CPE 1u 0.5
+R3 n2 n3 100
+P3 n3 0 CPE 1u 0.5
+.end";
+    race_against_serial(
+        R_CPE_LADDER,
+        "n3",
+        1e-5,
+        32,
+        [windowed_job, streaming_job, streaming_job],
+    );
+}
