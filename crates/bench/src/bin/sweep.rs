@@ -377,19 +377,42 @@ fn main() {
         opm_fracnum::history::history_convolution_into(&kweights, 0, &ktail, &mut khp)
     });
     kdelta = kdelta.max(max_abs_delta(&khs, &khp));
+    // The windowed form: a window's carried term for every column at
+    // once (Toeplitz block × tail) vs one scalar pass per column.
+    let kwindow = 16;
+    let kbweights: Vec<f64> = (0..=kdepth + kwindow)
+        .map(|k| (-0.85f64).powi(k as i32))
+        .collect();
+    let mut kbs = vec![kb.clone(); kwindow];
+    let mut kbp = kbs.clone();
+    let (_, kblock_scalar_s) = timed_best(3, || {
+        for (j, col) in kbs.iter_mut().enumerate() {
+            opm_fracnum::history::history_convolution_into_scalar(&kbweights, j, &ktail, col);
+        }
+    });
+    let (_, kblock_panel_s) = timed_best(3, || {
+        opm_fracnum::history::history_block_into(&kbweights, &ktail, &mut kbp)
+    });
+    for (cs, cp) in kbs.iter().zip(&kbp) {
+        kdelta = kdelta.max(max_abs_delta(cs, cp));
+    }
+    let kblock_speedup = kblock_scalar_s / kblock_panel_s;
     let ksolve_speedup = ksolve_scalar_s / ksolve_panel_s;
     let kspmm_speedup = kspmm_scalar_s / kspmm_panel_s;
     let khist_speedup = khist_scalar_s / khist_panel_s;
     let panels_enabled = opm_linalg::panel::lane_panels_enabled();
     println!(
         "kernels    : solve {} / {} ({ksolve_speedup:.2}×) | spmm {} / {} ({kspmm_speedup:.2}×) | \
-         history {} / {} ({khist_speedup:.2}×)  scalar/panel, max |Δ| = {kdelta:.2e}",
+         history {} / {} ({khist_speedup:.2}×) | history block {} / {} ({kblock_speedup:.2}×)  \
+         scalar/panel, max |Δ| = {kdelta:.2e}",
         fmt_time(ksolve_scalar_s),
         fmt_time(ksolve_panel_s),
         fmt_time(kspmm_scalar_s),
         fmt_time(kspmm_panel_s),
         fmt_time(khist_scalar_s),
         fmt_time(khist_panel_s),
+        fmt_time(kblock_scalar_s),
+        fmt_time(kblock_panel_s),
     );
     assert_eq!(
         kdelta, 0.0,
@@ -625,7 +648,8 @@ fn main() {
          batch_threads_*/scaling/*: the same 100-scenario batch on 1/2/4 workers ({cores} core(s) \
          available; bit-identical results enforced; speedup ratios are null on single-core machines \
          where they would be scheduler noise). kernel/*: best-of-N panel-vs-scalar A/B of the \
-         lane-elementwise hot kernels (block triangular solve, SpMM, history convolution) on the \
+         lane-elementwise hot kernels (block triangular solve, SpMM, history convolution and its \
+         {kwindow}-column windowed block) on the \
          grid pencil at the plan batch's {SCENARIOS}-lane width; panel_vs_scalar_max_abs_delta == 0 \
          is a hard bit-identity gate. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan \
          vs SimPlan::solve_windowed over {ww} windows (1 symbolic + 1 numeric factorization, \
@@ -805,6 +829,31 @@ fn main() {
             "kernel/history_speedup".into(),
             vec![
                 ("value", Json::Num(khist_speedup)),
+                ("panels_enabled", Json::Bool(panels_enabled)),
+            ],
+        ),
+        rec(
+            "kernel/history_block_scalar".into(),
+            vec![
+                ("seconds", Json::Num(kblock_scalar_s)),
+                ("lanes", int(klanes)),
+                ("depth", int(kdepth)),
+                ("columns", int(kwindow)),
+            ],
+        ),
+        rec(
+            "kernel/history_block_panel".into(),
+            vec![
+                ("seconds", Json::Num(kblock_panel_s)),
+                ("lanes", int(klanes)),
+                ("depth", int(kdepth)),
+                ("columns", int(kwindow)),
+            ],
+        ),
+        rec(
+            "kernel/history_block_speedup".into(),
+            vec![
+                ("value", Json::Num(kblock_speedup)),
                 ("panels_enabled", Json::Bool(panels_enabled)),
             ],
         ),

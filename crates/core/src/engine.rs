@@ -778,7 +778,9 @@ pub struct BlockOutcome {
 }
 
 impl BlockOutcome {
-    /// De-interleaves into one [`SweepOutcome`] per lane.
+    /// De-interleaves into one [`SweepOutcome`] per lane, consuming the
+    /// interleaved columns as it goes (peak storage stays one copy plus
+    /// one block).
     pub fn into_lane_outcomes(self) -> Vec<SweepOutcome> {
         let lanes = self.lanes;
         if lanes == 1 {
@@ -791,13 +793,18 @@ impl BlockOutcome {
             }];
         }
         let n = self.columns.first().map_or(0, |c| c.len() / lanes);
-        (0..lanes)
-            .map(|l| SweepOutcome {
-                columns: self
-                    .columns
-                    .iter()
-                    .map(|blk| (0..n).map(|i| blk[i * lanes + l]).collect())
-                    .collect(),
+        let mut per_lane: Vec<Vec<Vec<f64>>> = (0..lanes)
+            .map(|_| Vec::with_capacity(self.columns.len()))
+            .collect();
+        for blk in self.columns {
+            for (l, cols) in per_lane.iter_mut().enumerate() {
+                cols.push((0..n).map(|i| blk[i * lanes + l]).collect());
+            }
+        }
+        per_lane
+            .into_iter()
+            .map(|columns| SweepOutcome {
+                columns,
                 num_solves: self.num_solves / lanes,
                 num_factorizations: self.num_factorizations,
             })

@@ -66,7 +66,7 @@ use opm_circuits::netlist::{Circuit, Element};
 use opm_circuits::nonlinear::DeviceModel;
 use opm_circuits::parser::parse_netlist;
 use opm_fracnum::binomial::binomial_series;
-use opm_fracnum::history::{history_convolution_into, HistoryTail};
+use opm_fracnum::history::{history_block_into, history_convolution_into};
 use opm_sparse::SparseLu;
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
@@ -655,6 +655,11 @@ enum WindowKernel {
 /// vanishes (the solve becomes bit-identical to full history) once `L`
 /// covers the whole horizon. Unset (the default) means full history:
 /// exact, with `O(total columns)` retained state.
+///
+/// Memory: a windowed solve keeps each solved column once. The tail
+/// the history kernels read is the newest `L` (or, with full history,
+/// all) of the same column store that becomes the result; a streaming
+/// solve trims that store to the tail after every window.
 #[derive(Clone, Debug)]
 pub struct WindowedOptions {
     windows: usize,
@@ -898,17 +903,25 @@ const ONE_SYMBOLIC: FactorProfile = FactorProfile {
     newton_fresh_fallbacks: 0,
 };
 
-/// Lanes per worker for a `lanes`-wide batch on `threads` workers,
-/// rounded up to the panel width so chunk boundaries coincide with
-/// panel boundaries: every worker then runs full
+/// Lanes per worker for a `lanes`-wide batch on `threads` workers.
+///
+/// The even share is rounded up to the panel width so chunk boundaries
+/// coincide with panel boundaries: every worker then runs full
 /// [`opm_linalg::panel::LANE_PANEL_WIDTH`]-wide panels except for the
 /// final chunk's remainder, instead of every worker paying a ragged
-/// remainder chain. Chunking never changes results — lanes are
-/// arithmetically independent.
+/// remainder chain. The rounding is skipped when it would leave fewer
+/// chunks than `min(threads, lanes)` — a small batch (8 lanes on 2
+/// workers) splits evenly rather than leaving a worker idle. Chunking
+/// never changes results — lanes are arithmetically independent.
 fn worker_lane_chunk(lanes: usize, threads: usize) -> usize {
-    lanes
-        .div_ceil(threads.max(1))
-        .next_multiple_of(opm_linalg::panel::LANE_PANEL_WIDTH)
+    let threads = threads.max(1);
+    let even = lanes.div_ceil(threads);
+    let panelled = even.next_multiple_of(opm_linalg::panel::LANE_PANEL_WIDTH);
+    if lanes.div_ceil(panelled) < threads.min(lanes) {
+        even
+    } else {
+        panelled
+    }
 }
 
 /// Pair-averages a `2m`-column fine window back onto the plan's
@@ -1448,13 +1461,13 @@ impl SimPlan {
     /// in particular the fractional short-memory truncation
     /// [`WindowedOptions::history_len`].
     ///
-    /// Note on memory: with *full* history (the default), a fractional
-    /// windowed solve retains a working copy of every past column
-    /// alongside the accumulating result — the exactness costs up to 2×
-    /// the whole-horizon solve's peak. Cap the tail with
-    /// [`WindowedOptions::history_len`] (or stream via
-    /// [`SimPlan::solve_streaming_opts`], where the tail is the *only*
-    /// retained copy) for bounded memory.
+    /// Note on memory: every solved column is stored once — the history
+    /// tail a fractional window reads is the newest part of the column
+    /// store that becomes the result, so a full-history solve holds the
+    /// same columns as the whole-horizon solve. For bounded memory,
+    /// stream via [`SimPlan::solve_streaming_opts`] with
+    /// [`WindowedOptions::history_len`] set: the store is then trimmed
+    /// to the capped tail after every window.
     ///
     /// ```
     /// use opm_core::{Simulation, SolveOptions, WindowedOptions};
@@ -1600,13 +1613,16 @@ impl SimPlan {
         let kernel = self.window_kernel(windows)?;
         let out = self.output_map();
         let mut final_state = self.x0.clone();
-        self.windowed_drive(&kernel, &[inputs], opts, |w, outcome, end| {
-            let bounds = self.window_bounds(windows, w, 0);
-            let mut lanes = outcome.into_lane_outcomes();
-            let one = lanes.pop().expect("one lane in, one result out");
+        self.windowed_drive(&kernel, &[inputs], opts, true, |w, columns, end| {
+            // One lane: the interleaved columns are plain columns.
+            let one = SweepOutcome {
+                columns: columns.to_vec(),
+                num_solves: columns.len(),
+                num_factorizations: 1,
+            };
             sink(WindowBlock {
                 window: w,
-                result: one.grid_result(&out, bounds),
+                result: one.grid_result(&out, self.window_bounds(windows, w, 0)),
                 end_state: end.to_vec(),
             });
             final_state.clear();
@@ -1900,8 +1916,9 @@ impl SimPlan {
 
     /// One worker's share of a windowed batch: runs the full window loop
     /// over a contiguous chunk of scenario lanes and assembles whole-
-    /// horizon results. Lanes never mix arithmetically, so chunked
-    /// parallel runs are bit-identical to the serial run.
+    /// horizon results straight from the loop's column store. Lanes never
+    /// mix arithmetically, so chunked parallel runs are bit-identical to
+    /// the serial run.
     fn windowed_chunk(
         &self,
         kernel: &WindowKernel,
@@ -1909,31 +1926,25 @@ impl SimPlan {
         opts: &WindowedOptions,
     ) -> Result<Vec<OpmResult>, OpmError> {
         let refs: Vec<&InputSet> = chunk.iter().collect();
-        let mut columns = Vec::with_capacity(opts.windows() * self.m);
-        let mut solves = 0;
-        self.windowed_drive(kernel, &refs, opts, |_, outcome, _| {
-            solves += outcome.num_solves;
-            columns.extend(outcome.columns);
-        })?;
+        let store = self.windowed_drive(kernel, &refs, opts, false, |_, _, _| {})?;
         let out = self.output_map();
-        Ok(BlockOutcome {
-            columns,
-            lanes: chunk.len(),
-            num_solves: solves,
-            num_factorizations: 1,
-        }
-        .into_lane_outcomes()
-        .into_iter()
-        .map(|o| o.uniform_result(&out, self.t_end))
-        .collect())
+        Ok(store
+            .into_lane_outcomes()
+            .into_iter()
+            .map(|o| o.uniform_result(&out, self.t_end))
+            .collect())
     }
 
     /// The window loop: sweeps `ws` through the configured windows
-    /// against the shared kernel, handing each window's solved block
-    /// (columns in global state coordinates, lane-interleaved) plus the
-    /// end-of-window state block to `on_window`, then carrying that
-    /// state — polyline endpoint, recurrence tail or Caputo history
-    /// tail, per kernel — forward.
+    /// against the shared kernel, keeping every solved column (global
+    /// state coordinates, lane-interleaved) once, in one store. Each
+    /// window reads the state it carries from the store's newest columns
+    /// — none for the polyline endpoint, the trailing `depth` for an
+    /// integer recurrence, the Caputo/GL history tail (all, or the
+    /// short-memory cap) for fractional kernels. `on_window` then sees the
+    /// window's columns and end-of-window state block; with `trim`, the
+    /// store afterwards keeps only what the kernel still reads (bounded
+    /// streaming memory). Returns the store as one block outcome.
     ///
     /// Polls the [`WindowedOptions`] cancel token at every window
     /// boundary — the cooperative cancellation point that bounds how
@@ -1943,13 +1954,76 @@ impl SimPlan {
         kernel: &WindowKernel,
         ws: &[&InputSet],
         opts: &WindowedOptions,
-        mut on_window: impl FnMut(usize, BlockOutcome, &[f64]),
-    ) -> Result<(), OpmError> {
+        trim: bool,
+        mut on_window: impl FnMut(usize, &[Vec<f64>], &[f64]),
+    ) -> Result<BlockOutcome, OpmError> {
         let windows = opts.windows();
         let n = self.model.order();
         let k = ws.len();
-        let m = self.m;
-        let p = self.model.num_inputs();
+        let carried = match kernel {
+            WindowKernel::Linear { .. } => 0,
+            WindowKernel::Recurrence { depth, .. } => *depth,
+            WindowKernel::Fractional { .. } | WindowKernel::MtConvolution { .. } => {
+                opts.history_cap().unwrap_or(usize::MAX)
+            }
+        };
+        // Linear windows restart from the plan's x0 interleaved across
+        // the lanes; thereafter each lane carries its own end state.
+        let mut end = vec![0.0; n * k];
+        if matches!(kernel, WindowKernel::Linear { .. }) {
+            for (i, &v) in self.x0.iter().enumerate() {
+                end[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
+            }
+        }
+        let mut store: Vec<Vec<f64>> = Vec::with_capacity(if trim { 0 } else { windows * self.m });
+        let mut num_solves = 0;
+        for w in 0..windows {
+            opts.check_cancelled()?;
+            let tail = &store[store.len() - carried.min(store.len())..];
+            let outcome = self.sweep_window(kernel, ws, windows, w, tail, &end);
+            end = endpoint_state(&outcome.columns, &end);
+            num_solves += outcome.num_solves;
+            let fresh = outcome.columns.len();
+            store.extend(outcome.columns);
+            on_window(w, &store[store.len() - fresh..], &end);
+            if trim {
+                store.drain(..store.len().saturating_sub(carried));
+            }
+        }
+        Ok(BlockOutcome {
+            columns: store,
+            lanes: k,
+            num_solves,
+            num_factorizations: 1,
+        })
+    }
+
+    /// Solves window `w` (of `windows`) for the lanes `ws` against the
+    /// shared kernel, given the columns carried from earlier windows
+    /// (`tail`, oldest → newest) and the previous end-of-window state
+    /// block `start`. With the full carried state the restarted sweep is
+    /// column-for-column the unbroken one.
+    fn sweep_window(
+        &self,
+        kernel: &WindowKernel,
+        ws: &[&InputSet],
+        windows: usize,
+        w: usize,
+        tail: &[Vec<f64>],
+        start: &[f64],
+    ) -> BlockOutcome {
+        let (m, p, k) = (self.m, self.model.num_inputs(), ws.len());
+        // Offset projection: the window grid is shifted, the waveforms
+        // are sampled at global time.
+        let window_coeffs = || {
+            let width = self.t_end / windows as f64;
+            let us: Vec<Vec<Vec<f64>>> = ws
+                .iter()
+                .map(|set| set.bpf_matrix_window(m, w as f64 * width, width))
+                .collect();
+            let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
+            LaneCoeffs::interleave(&refs, p, m)
+        };
         match kernel {
             WindowKernel::Linear { lu, sigma } => {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
@@ -1958,47 +2032,21 @@ impl SimPlan {
                 let PlanKind::Linear { accumulator, .. } = &self.kind else {
                     unreachable!("linear window kernels are built on linear plans");
                 };
-                // The plan's x0 interleaved across the lanes; thereafter
-                // each lane carries its own end-of-window state.
-                let mut x0 = vec![0.0; n * k];
-                for (i, &v) in self.x0.iter().enumerate() {
-                    x0[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
-                }
-                let mut c_force = vec![0.0; n * k];
-                let width = self.t_end / windows as f64;
-                for w in 0..windows {
-                    opts.check_cancelled()?;
-                    // Offset projection: the window grid is shifted, the
-                    // waveforms are sampled at global time.
-                    let us: Vec<Vec<Vec<f64>>> = ws
-                        .iter()
-                        .map(|set| set.bpf_matrix_window(m, w as f64 * width, width))
-                        .collect();
-                    let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                    let lc = LaneCoeffs::interleave(&refs, p, m);
-                    // Window-local shift z = x − x(T_w): constant forcing
-                    // c = A·x(T_w), per lane.
-                    sys.a().mul_block_into(&x0, &mut c_force, k);
-                    let mut outcome =
-                        sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, &lc);
-                    // z → x: add the window's start state back.
-                    for col in &mut outcome.columns {
-                        for (c, &v) in col.iter_mut().zip(&x0) {
-                            *c += v;
-                        }
+                // Window-local shift z = x − x(T_w): constant forcing
+                // c = A·x(T_w), per lane.
+                let mut c_force = vec![0.0; sys.order() * k];
+                sys.a().mul_block_into(start, &mut c_force, k);
+                let mut outcome =
+                    sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, &window_coeffs());
+                // z → x: add the window's start state back.
+                for col in &mut outcome.columns {
+                    for (c, &v) in col.iter_mut().zip(start) {
+                        *c += v;
                     }
-                    let end = endpoint_state(&outcome.columns, &x0);
-                    on_window(w, outcome, &end);
-                    x0 = end;
                 }
+                outcome
             }
-            WindowKernel::Recurrence {
-                lu,
-                polys,
-                bw,
-                depth,
-            } => {
-                let mt = self.mt_ref();
+            WindowKernel::Recurrence { lu, polys, bw, .. } => {
                 let differentiate = matches!(
                     self.kind,
                     PlanKind::OwnedMultiTerm {
@@ -2006,79 +2054,32 @@ impl SimPlan {
                         ..
                     }
                 );
-                // Carried state: the trailing `depth` solved columns (the
-                // recurrence's full memory) — the restarted sweep is
-                // column-for-column the unbroken one.
-                let mut tail: Vec<Vec<f64>> = Vec::new();
-                let mut endv = vec![0.0; n * k];
-                for w in 0..windows {
-                    opts.check_cancelled()?;
-                    let s = tail.len();
-                    let bounds = self.window_bounds(windows, w, s);
-                    // The stimulus columns matching the carried history
-                    // are re-projected from global time alongside the
-                    // window's own (`u̇` averages for second-order
-                    // input, plain interval averages otherwise).
-                    let us: Vec<Vec<Vec<f64>>> = ws
-                        .iter()
-                        .map(|set| {
-                            if differentiate {
-                                set.derivative_averages_on_grid(&bounds)
-                            } else {
-                                set.averages_on_grid(&bounds)
-                            }
-                        })
-                        .collect();
-                    let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                    let lc = LaneCoeffs::interleave(&refs, p, s + m);
-                    let outcome = sweep_mt_recurrence_window(mt, lu, polys, bw, &lc, tail.clone());
-                    let keep_old = depth.saturating_sub(outcome.columns.len());
-                    let mut new_tail: Vec<Vec<f64>> = Vec::with_capacity(*depth);
-                    new_tail.extend(
-                        tail[tail.len() - keep_old.min(tail.len())..]
-                            .iter()
-                            .cloned(),
-                    );
-                    new_tail.extend(
-                        outcome.columns[outcome.columns.len().saturating_sub(*depth)..]
-                            .iter()
-                            .cloned(),
-                    );
-                    tail = new_tail;
-                    let end = endpoint_state(&outcome.columns, &endv);
-                    on_window(w, outcome, &end);
-                    endv = end;
-                }
+                // The stimulus columns matching the carried tail are
+                // re-projected from global time alongside the window's
+                // own (`u̇` averages for second-order input, plain
+                // interval averages otherwise).
+                let bounds = self.window_bounds(windows, w, tail.len());
+                let us: Vec<Vec<Vec<f64>>> = ws
+                    .iter()
+                    .map(|set| {
+                        if differentiate {
+                            set.derivative_averages_on_grid(&bounds)
+                        } else {
+                            set.averages_on_grid(&bounds)
+                        }
+                    })
+                    .collect();
+                let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
+                let lc = LaneCoeffs::interleave(&refs, p, tail.len() + m);
+                sweep_mt_recurrence_window(self.mt_ref(), lu, polys, bw, &lc, tail.to_vec())
             }
             WindowKernel::Fractional { lu, rho } => {
                 let SimModel::Fractional(fsys) = self.model.as_ref() else {
                     unreachable!("fractional window kernels are built on fractional models");
                 };
-                let sys = fsys.system();
-                // Carried state: the Caputo/GL memory of every previous
-                // window — the retained solved columns, truncatable by
-                // the short-memory cap. With full history the restarted
-                // convolution is column-for-column the unbroken one.
-                let mut tail = HistoryTail::new(opts.history_cap());
-                let mut endv = vec![0.0; n * k];
-                let width = self.t_end / windows as f64;
-                for w in 0..windows {
-                    opts.check_cancelled()?;
-                    let us: Vec<Vec<Vec<f64>>> = ws
-                        .iter()
-                        .map(|set| set.bpf_matrix_window(m, w as f64 * width, width))
-                        .collect();
-                    let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                    let lc = LaneCoeffs::interleave(&refs, p, m);
-                    let outcome = sweep_fractional_block(sys, lu, rho, &lc, tail.columns());
-                    tail.extend(outcome.columns.iter().cloned());
-                    let end = endpoint_state(&outcome.columns, &endv);
-                    on_window(w, outcome, &end);
-                    endv = end;
-                }
+                sweep_fractional_block(fsys.system(), lu, rho, &window_coeffs(), tail)
             }
             WindowKernel::MtConvolution { lu, series } => {
-                let mt = self.mt_ref();
                 // Second-order conversions are integer-order and always
                 // take the Recurrence kernel, so every plan reaching
                 // this arm consumes plain (undifferentiated) averages.
@@ -2092,26 +2093,9 @@ impl SimPlan {
                     ),
                     "second-order plans window through the recurrence kernel"
                 );
-                let mut tail = HistoryTail::new(opts.history_cap());
-                let mut endv = vec![0.0; n * k];
-                let width = self.t_end / windows as f64;
-                for w in 0..windows {
-                    opts.check_cancelled()?;
-                    let us: Vec<Vec<Vec<f64>>> = ws
-                        .iter()
-                        .map(|set| set.bpf_matrix_window(m, w as f64 * width, width))
-                        .collect();
-                    let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                    let lc = LaneCoeffs::interleave(&refs, p, m);
-                    let outcome = sweep_mt_convolution_block(mt, lu, series, &lc, tail.columns());
-                    tail.extend(outcome.columns.iter().cloned());
-                    let end = endpoint_state(&outcome.columns, &endv);
-                    on_window(w, outcome, &end);
-                    endv = end;
-                }
+                sweep_mt_convolution_block(self.mt_ref(), lu, series, &window_coeffs(), tail)
             }
         }
-        Ok(())
     }
 
     /// Validates every scenario's channel count against the model.
@@ -2366,17 +2350,12 @@ fn sweep_fractional_block(
 ) -> BlockOutcome {
     let n = sys.order();
     let k = lc.lanes;
+    let carried = carried_block(rho, tail, n * k, lc.m);
     let mut conv = vec![0.0; n * k];
     BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
-        // conv = Σ_{t=1}^{j} ρ_t·x_{j−t} + carried history
-        conv.iter_mut().for_each(|v| *v = 0.0);
-        for t in 1..=j {
-            let r = rho[t];
-            if r != 0.0 {
-                axpy(&mut conv, &history[j - t], r);
-            }
-        }
-        history_convolution_into(rho, j, tail, &mut conv);
+        // conv = carried history + Σ_{t=1}^{j} ρ_t·x_{j−t}
+        start_column(&mut conv, carried.as_deref(), j);
+        history_convolution_into(rho, 0, history, &mut conv);
         sys.e().mul_block_into(&conv, work, k);
         apply_b_block(sys.b(), &lc.cols[j], k, 1.0, rhs);
         axpy(rhs, work, -1.0);
@@ -2471,25 +2450,58 @@ fn sweep_mt_convolution_block(
 ) -> BlockOutcome {
     let n = mt.order();
     let k = lc.lanes;
+    let carried: Vec<Option<Vec<Vec<f64>>>> = mt
+        .terms()
+        .iter()
+        .zip(series)
+        .map(|(term, rho)| {
+            if term.alpha == 0.0 {
+                None
+            } else {
+                carried_block(rho, tail, n * k, lc.m)
+            }
+        })
+        .collect();
     let mut acc = vec![0.0; n * k];
     BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
         apply_b_block(mt.b(), &lc.cols[j], k, 1.0, rhs);
-        for (term, rho) in mt.terms().iter().zip(series) {
+        for ((term, rho), carried) in mt.terms().iter().zip(series).zip(&carried) {
             if term.alpha == 0.0 {
                 continue; // ρ = e₀: no history contribution
             }
-            acc.iter_mut().for_each(|v| *v = 0.0);
-            for t in 1..=j {
-                let r = rho[t];
-                if r != 0.0 {
-                    axpy(&mut acc, &history[j - t], r);
-                }
-            }
-            history_convolution_into(rho, j, tail, &mut acc);
+            start_column(&mut acc, carried.as_deref(), j);
+            history_convolution_into(rho, 0, history, &mut acc);
             term.matrix.mul_block_into(&acc, work, k);
             axpy(rhs, work, -1.0);
         }
     })
+}
+
+/// The carried memory term of every column of a window — the Toeplitz
+/// block of `weights` against the tail, in one pass
+/// ([`history_block_into`]) — or `None` for an empty tail (the
+/// whole-horizon solve and the first window carry nothing).
+fn carried_block(
+    weights: &[f64],
+    tail: &[Vec<f64>],
+    len: usize,
+    m: usize,
+) -> Option<Vec<Vec<f64>>> {
+    if tail.is_empty() {
+        return None;
+    }
+    let mut block = vec![vec![0.0; len]; m];
+    history_block_into(weights, tail, &mut block);
+    Some(block)
+}
+
+/// Starts column `j`'s memory accumulator from its carried term (zero
+/// when nothing is carried); the window-local terms are added after.
+fn start_column(acc: &mut [f64], carried: Option<&[Vec<f64>]>, j: usize) {
+    match carried {
+        Some(block) => acc.copy_from_slice(&block[j]),
+        None => acc.fill(0.0),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -3196,6 +3208,18 @@ mod tests {
         // One numeric refactorization per kernel build: W = 1..=20, plus
         // the rebuild of W = 1.
         assert_eq!((plan.num_symbolic(), plan.num_numeric()), (1, 21));
+    }
+
+    #[test]
+    fn worker_lane_chunk_rounds_to_panels_without_idling_a_worker() {
+        // Small batches split evenly across the workers ...
+        assert_eq!(worker_lane_chunk(8, 2), 4);
+        assert_eq!(worker_lane_chunk(20, 4), 5);
+        assert_eq!(worker_lane_chunk(3, 2), 2);
+        // ... large ones on panel boundaries; one worker takes it all.
+        assert_eq!(worker_lane_chunk(100, 2), 56);
+        assert_eq!(worker_lane_chunk(100, 4), 32);
+        assert_eq!(worker_lane_chunk(8, 1), 8);
     }
 
     #[test]

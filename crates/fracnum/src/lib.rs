@@ -37,5 +37,5 @@ pub mod rl;
 pub use binomial::binomial_alpha;
 pub use gamma::{erf, erfc, gamma_fn, ln_gamma};
 pub use grunwald::GrunwaldCoefficients;
-pub use history::{history_convolution_into, HistoryTail};
+pub use history::{history_block_into, history_convolution_into, HistoryTail};
 pub use mittag_leffler::mittag_leffler;

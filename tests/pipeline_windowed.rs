@@ -352,6 +352,62 @@ fn fractional_streaming_and_batch_match_windowed() {
     }
 }
 
+/// An 8-scenario R–CPE ladder batch is bit-identical for every thread
+/// count (small batches split evenly across workers) and to the
+/// per-scenario loop, with full and with truncated history.
+#[test]
+fn fractional_ladder_batch_is_bit_identical_across_threads() {
+    let (m, windows, t_end) = (16, 6, 2e-6);
+    let sections = 6;
+    let mut netlist = String::from("V1 n0 0 DC 1\n");
+    for s in 1..=sections {
+        netlist.push_str(&format!(
+            "R{s} n{} n{s} 50\nP{s} n{s} 0 CPE 1u 0.5\n",
+            s - 1
+        ));
+    }
+    netlist.push_str(".end");
+    let probe = format!("n{sections}");
+    let sim = Simulation::from_netlist(&netlist, &[probe.as_str()])
+        .unwrap()
+        .horizon(t_end);
+    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
+    let sets: Vec<InputSet> = (0..8)
+        .map(|i| {
+            InputSet::new(vec![Waveform::step(
+                0.1e-6 * i as f64,
+                1.0 + 0.25 * i as f64,
+            )])
+        })
+        .collect();
+    let bits = |r: &opm::OpmResult| -> Vec<u64> {
+        r.columns.iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    for opts in [
+        WindowedOptions::new(windows),
+        WindowedOptions::new(windows).history_len(3 * m),
+    ] {
+        let looped: Vec<Vec<u64>> = sets
+            .iter()
+            .map(|set| bits(&plan.solve_windowed_opts(set, &opts).unwrap()))
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let batch = plan
+                .solve_windowed_batch_opts(&sets, &opts, threads)
+                .unwrap();
+            let got: Vec<Vec<u64>> = batch.iter().map(bits).collect();
+            assert_eq!(
+                got,
+                looped,
+                "threads = {threads}, history_len = {:?}",
+                opts.history_cap()
+            );
+        }
+    }
+    let p = plan.factor_profile();
+    assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
+}
+
 /// Short-memory property (fixed-seed randomized): over random fractional
 /// one-ports, the windowed-vs-whole error is monotonically non-increasing
 /// as `history_len` grows through a ladder of tails, and a tail covering
