@@ -5,7 +5,7 @@ use opm_bench::criterion::{criterion_group, criterion_main, Criterion};
 use opm_circuits::ladder::rc_ladder;
 use opm_circuits::mna::{assemble_mna, Output};
 use opm_core::adaptive::AdaptiveOpmOptions;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_waveform::Waveform;
 use std::hint::black_box;
 
@@ -23,11 +23,12 @@ fn bench(c: &mut Criterion) {
     g.bench_function("fixed_m32768", |b| {
         b.iter(|| {
             black_box(
-                Problem::linear(&model.system)
-                    .coeffs(&u)
+                Simulation::from_system(model.system.clone())
                     .horizon(t_end)
-                    .initial_state(&x0)
-                    .solve(&SolveOptions::new())
+                    .initial_state(x0.clone())
+                    .plan(&SolveOptions::new().resolution(m))
+                    .unwrap()
+                    .solve_coeffs(&u)
                     .unwrap(),
             )
         })
@@ -35,16 +36,17 @@ fn bench(c: &mut Criterion) {
     g.bench_function("adaptive_tol1e-6", |b| {
         b.iter(|| {
             black_box(
-                Problem::linear(&model.system)
-                    .waveforms(&model.inputs)
+                Simulation::from_system(model.system.clone())
                     .horizon(t_end)
-                    .initial_state(&x0)
-                    .solve(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
+                    .initial_state(x0.clone())
+                    .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
                         tol: 1e-6,
                         h0: 1e-6,
                         h_min: 1e-9,
                         h_max: 1e-4,
                     }))
+                    .unwrap()
+                    .solve(&model.inputs)
                     .unwrap(),
             )
         })

@@ -1,11 +1,11 @@
 //! Criterion bench for the plan layer: one `SimPlan` factorization
-//! amortized over a scenario batch vs independent `Problem::solve`
-//! calls, on an RC-ladder MNA system.
+//! amortized over a scenario batch vs an independent plan + solve per
+//! scenario, on an RC-ladder MNA system.
 
 use opm_bench::criterion::{criterion_group, criterion_main, Criterion};
 use opm_circuits::ladder::rc_ladder;
 use opm_circuits::mna::{assemble_mna, Output};
-use opm_core::{Problem, Simulation, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_waveform::{InputSet, Waveform};
 use std::hint::black_box;
 
@@ -37,10 +37,11 @@ fn bench(c: &mut Criterion) {
         b.iter(|| {
             for ws in &sets {
                 black_box(
-                    Problem::linear(&model.system)
-                        .waveforms(ws)
+                    Simulation::from_system(model.system.clone())
                         .horizon(t_end)
-                        .solve(&opts)
+                        .plan(&opts)
+                        .unwrap()
+                        .solve(ws)
                         .unwrap(),
                 );
             }

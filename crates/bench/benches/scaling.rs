@@ -2,7 +2,7 @@
 //! fractional paths) and vs system size n.
 
 use opm_bench::criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
@@ -34,10 +34,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("linear", m), &m, |b, _| {
             b.iter(|| {
                 black_box(
-                    Problem::linear(&sys)
-                        .coeffs(&u)
+                    Simulation::from_system(sys.clone())
                         .horizon(4.0)
-                        .solve(&SolveOptions::new())
+                        .plan(&SolveOptions::new().resolution(u[0].len()))
+                        .unwrap()
+                        .solve_coeffs(&u)
                         .unwrap(),
                 )
             })
@@ -45,10 +46,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("fractional", m), &m, |b, _| {
             b.iter(|| {
                 black_box(
-                    Problem::fractional(&fsys)
-                        .coeffs(&u)
+                    Simulation::from_fractional(fsys.clone())
                         .horizon(4.0)
-                        .solve(&SolveOptions::new())
+                        .plan(&SolveOptions::new().resolution(u[0].len()))
+                        .unwrap()
+                        .solve_coeffs(&u)
                         .unwrap(),
                 )
             })
@@ -64,10 +66,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("linear", n), &n, |b, _| {
             b.iter(|| {
                 black_box(
-                    Problem::linear(&sys)
-                        .coeffs(&u)
+                    Simulation::from_system(sys.clone())
                         .horizon(4.0)
-                        .solve(&SolveOptions::new())
+                        .plan(&SolveOptions::new().resolution(u[0].len()))
+                        .unwrap()
+                        .solve_coeffs(&u)
                         .unwrap(),
                 )
             })

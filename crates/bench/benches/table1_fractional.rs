@@ -3,7 +3,7 @@
 
 use opm_bench::criterion::{criterion_group, criterion_main, Criterion};
 use opm_circuits::tline::FractionalLineSpec;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_fft::FftSimulator;
 use std::hint::black_box;
 
@@ -17,10 +17,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("opm_m8", |b| {
         b.iter(|| {
             black_box(
-                Problem::fractional(&model.system)
-                    .coeffs(black_box(&u))
+                Simulation::from_fractional(model.system.clone())
                     .horizon(t_end)
-                    .solve(&SolveOptions::new())
+                    .plan(&SolveOptions::new().resolution(u[0].len()))
+                    .unwrap()
+                    .solve_coeffs(black_box(&u))
                     .unwrap(),
             )
         })

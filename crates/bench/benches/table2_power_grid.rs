@@ -5,7 +5,7 @@ use opm_bench::criterion::{criterion_group, criterion_main, Criterion};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
 use opm_circuits::na::assemble_na;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_transient::{backward_euler, bdf, trapezoidal};
 use std::hint::black_box;
 
@@ -47,10 +47,11 @@ fn bench(c: &mut Criterion) {
     g.bench_function("opm_na_h10ps", |b| {
         b.iter(|| {
             black_box(
-                Problem::multiterm(&mt)
-                    .coeffs(black_box(&u_dot))
+                Simulation::from_multiterm(mt.clone())
                     .horizon(t_end)
-                    .solve(&SolveOptions::new())
+                    .plan(&SolveOptions::new().resolution(u_dot[0].len()))
+                    .unwrap()
+                    .solve_coeffs(black_box(&u_dot))
                     .unwrap(),
             )
         })

@@ -12,7 +12,7 @@ use opm_bench::{fmt_time, row, rule, timed};
 use opm_circuits::ladder::rc_ladder;
 use opm_circuits::mna::{assemble_mna, Output};
 use opm_core::adaptive::AdaptiveOpmOptions;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_waveform::Waveform;
 
 fn main() {
@@ -25,11 +25,13 @@ fn main() {
     // Accuracy yardstick: a very fine uniform run.
     let m_ref = 1 << 18;
     let u_ref = model.inputs.bpf_matrix(m_ref, t_end);
-    let reference = Problem::linear(&model.system)
-        .coeffs(&u_ref)
+    let sim = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .initial_state(&x0)
-        .solve(&SolveOptions::new())
+        .initial_state(x0.clone());
+    let reference = sim
+        .plan(&SolveOptions::new().resolution(u_ref[0].len()))
+        .unwrap()
+        .solve_coeffs(&u_ref)
         .unwrap();
     let ref_avg = |a: f64, b: f64| -> f64 {
         let k0 = ((a / t_end) * m_ref as f64).round() as usize;
@@ -67,11 +69,10 @@ fn main() {
     for &m in &[2048usize, 16384, 131072] {
         let u = model.inputs.bpf_matrix(m, t_end);
         let (r, secs) = timed(|| {
-            Problem::linear(&model.system)
-                .coeffs(&u)
-                .horizon(t_end)
-                .initial_state(&x0)
-                .solve(&SolveOptions::new())
+            sim.clone()
+                .plan(&SolveOptions::new().resolution(u[0].len()))
+                .unwrap()
+                .solve_coeffs(&u)
                 .unwrap()
         });
         let err = err_of(&r.bounds, r.output_row(0));
@@ -88,16 +89,15 @@ fn main() {
     }
 
     let (ada, secs) = timed(|| {
-        Problem::linear(&model.system)
-            .waveforms(&model.inputs)
-            .horizon(t_end)
-            .initial_state(&x0)
-            .solve(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
+        sim.clone()
+            .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
                 tol: 1e-5,
                 h0: 1e-7,
                 h_min: 2e-8,
                 h_max: 1e-4,
             }))
+            .unwrap()
+            .solve(&model.inputs)
             .unwrap()
     });
     let err = err_of(&ada.bounds, ada.output_row(0));

@@ -12,7 +12,7 @@
 use opm_bench::{fmt_time, row, rule, timed};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
@@ -53,17 +53,19 @@ fn main() {
     for &m in &[128usize, 256, 512, 1024, 2048] {
         let u = inputs.bpf_matrix(m, 4.0);
         let (_, t_lin) = timed(|| {
-            Problem::linear(&sys)
-                .coeffs(&u)
+            Simulation::from_system(sys.clone())
                 .horizon(4.0)
-                .solve(&SolveOptions::new())
+                .plan(&SolveOptions::new().resolution(u[0].len()))
+                .unwrap()
+                .solve_coeffs(&u)
                 .unwrap()
         });
         let (_, t_frac) = timed(|| {
-            Problem::fractional(&fsys)
-                .coeffs(&u)
+            Simulation::from_fractional(fsys.clone())
                 .horizon(4.0)
-                .solve(&SolveOptions::new())
+                .plan(&SolveOptions::new().resolution(u[0].len()))
+                .unwrap()
+                .solve_coeffs(&u)
                 .unwrap()
         });
         row(
@@ -115,11 +117,12 @@ fn main() {
         let u = model.inputs.bpf_matrix(m, 10e-9);
         let x0 = vec![0.0; n];
         let (_, secs) = timed(|| {
-            Problem::linear(&model.system)
-                .coeffs(&u)
+            Simulation::from_system(model.system.clone())
                 .horizon(10e-9)
-                .initial_state(&x0)
-                .solve(&SolveOptions::new())
+                .initial_state(x0.clone())
+                .plan(&SolveOptions::new().resolution(u[0].len()))
+                .unwrap()
+                .solve_coeffs(&u)
                 .unwrap()
         });
         row(

@@ -8,7 +8,7 @@
 //! `cargo run --release -p opm-bench --bin convergence`
 
 use opm_bench::{row, rule};
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_fracnum::mittag_leffler::ml_kernel;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
@@ -45,10 +45,11 @@ fn main() {
     let mut rates = [0.0f64; 4];
     for &m in &[32usize, 64, 128, 256, 512] {
         let u = inputs.bpf_matrix(m, 1.0);
-        let opm = Problem::linear(&sys)
-            .coeffs(&u)
+        let opm = Simulation::from_system(sys.clone())
             .horizon(1.0)
-            .solve(&SolveOptions::new())
+            .plan(&SolveOptions::new().resolution(u[0].len()))
+            .unwrap()
+            .solve_coeffs(&u)
             .unwrap();
         // Endpoint recovery for a like-for-like endpoint comparison.
         let opm_end = opm.endpoint_series(0, 0.0)[m - 1];
@@ -104,10 +105,11 @@ fn main() {
     for &m in &[64usize, 128, 256, 512] {
         let t_end = 2.0;
         let u = inputs.bpf_matrix(m, t_end);
-        let opm = Problem::fractional(&fsys)
-            .coeffs(&u)
+        let opm = Simulation::from_fractional(fsys.clone())
             .horizon(t_end)
-            .solve(&SolveOptions::new())
+            .plan(&SolveOptions::new().resolution(u[0].len()))
+            .unwrap()
+            .solve_coeffs(&u)
             .unwrap();
         let gl = gl_fractional(&fsys, &inputs, t_end, m, false).unwrap();
         let h = t_end / m as f64;

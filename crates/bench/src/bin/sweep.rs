@@ -1,7 +1,7 @@
 //! **Plan-reuse sweep benchmark** — the `SimPlan` session economy on the
 //! Table II power-grid circuit: 100 load-current scenarios solved (a)
-//! naively, one `Problem::solve` each (re-validate, re-order, re-factor
-//! per scenario), and (b) through one `Simulation::plan` whose single
+//! naively, a fresh `Simulation::plan` + solve each (re-validate,
+//! re-order, re-factor per scenario), and (b) through one plan whose single
 //! factorization serves the whole batch in one interleaved pass.
 //!
 //! On top of the plan-reuse record, two hot-path records for the
@@ -27,7 +27,11 @@
 //!   symbolic analysis).
 //!
 //! Emits `BENCH_sweep.json` (path override: `OPM_SWEEP_JSON`) with all
-//! timings, the factorization counts and the speedups.
+//! timings, the factorization counts and the speedups. Every speedup
+//! floor and every invariant (factor counts, bit-identity, agreement
+//! bounds) is checked, but the file is written first: a run that misses
+//! a check still records everything, then exits non-zero listing each
+//! failed check.
 //!
 //! `cargo run --release -p opm-bench --bin sweep`
 
@@ -39,7 +43,7 @@ use opm_circuits::mna::{assemble_mna, Output};
 use opm_circuits::na::assemble_na;
 use opm_core::engine::{factor_pencil, PencilFamily};
 use opm_core::json::Json;
-use opm_core::{NewtonOptions, Problem, Simulation, SolveOptions, WindowedOptions};
+use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
 use opm_waveform::{InputSet, Waveform};
 
 const SCENARIOS: usize = 100;
@@ -52,6 +56,22 @@ fn min_speedup(var: &str, default: f64) -> f64 {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .unwrap_or(default)
+}
+
+/// The run's checks: each floor or invariant that fails is reported at
+/// once and remembered, so the records are still written before the
+/// run exits non-zero.
+#[derive(Default)]
+struct Checks(Vec<String>);
+
+impl Checks {
+    fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
+        if !ok {
+            let what = what();
+            eprintln!("check failed: {what}");
+            self.0.push(what);
+        }
+    }
 }
 
 /// Elementwise `max |a − b|` over two equal-length blocks.
@@ -109,16 +129,20 @@ fn main() {
         na.system.order()
     );
 
-    // (a) Naive: independent Problem::solve per scenario. Same rep count
-    //     as the planned path below — a lopsided best-of-N would bias
-    //     the min-estimator toward whichever side gets more chances.
+    let mut checks = Checks::default();
+
+    // (a) Naive: a fresh plan per scenario (model clone, validation,
+    //     ordering and factorization every time). Same rep count as the
+    //     planned path below — a lopsided best-of-N would bias the
+    //     min-estimator toward whichever side gets more chances.
     let (naive, naive_s) = timed_best(3, || {
         sets.iter()
             .map(|ws| {
-                Problem::second_order(&na.system)
-                    .waveforms(ws)
+                Simulation::from_second_order(na.system.clone())
                     .horizon(t_end)
-                    .solve(&opts)
+                    .plan(&opts)
+                    .unwrap()
+                    .solve(ws)
                     .unwrap()
             })
             .collect::<Vec<_>>()
@@ -157,22 +181,21 @@ fn main() {
     );
     println!("speedup    : {speedup:.2}×   max |Δ| = {worst:.2e}");
 
-    assert_eq!(
-        plan_factorizations, 1,
-        "the plan must factor the pencil exactly once"
-    );
-    assert!(
-        worst < 1e-12,
-        "batch and naive results must agree to 1e-12 (got {worst:.2e})"
-    );
+    checks.check(plan_factorizations == 1, || {
+        "the plan must factor the pencil exactly once".into()
+    });
+    checks.check(worst < 1e-12, || {
+        format!("batch and naive results must agree to 1e-12 (got {worst:.2e})")
+    });
     // Quiet machines comfortably clear 3×; shared CI runners get a
     // relaxed floor via OPM_SWEEP_MIN_SPEEDUP so noisy neighbors cannot
     // flake the build (factor count and Δ stay hard either way).
     let plan_floor = min_speedup("OPM_SWEEP_MIN_SPEEDUP", 3.0);
-    assert!(
-        speedup >= plan_floor,
-        "plan reuse must be ≥ {plan_floor}× faster than naive re-solving (got {speedup:.2}×)"
-    );
+    checks.check(speedup >= plan_floor, || {
+        format!(
+            "plan reuse must be ≥ {plan_floor}× faster than naive re-solving (got {speedup:.2}×)"
+        )
+    });
 
     // -- refactor_vs_factor: symbolic/numeric split on the grid's MNA
     //    pencils over a 64-shift step grid ----------------------------------
@@ -224,22 +247,23 @@ fn main() {
         fam_profile.num_numeric,
         refac_delta / scale
     );
-    assert_eq!(
-        (fam_profile.num_symbolic, fam_profile.num_numeric),
-        (1, SHIFTS - 1),
-        "the family must analyze once and refactor the rest"
+    checks.check(
+        (fam_profile.num_symbolic, fam_profile.num_numeric) == (1, SHIFTS - 1),
+        || "the family must analyze once and refactor the rest".into(),
     );
-    assert!(
-        refac_delta <= 1e-9 * scale,
-        "refactored and fresh factors must solve identically (rel Δ = {:.2e})",
-        refac_delta / scale
-    );
+    checks.check(refac_delta <= 1e-9 * scale, || {
+        format!(
+            "refactored and fresh factors must solve identically (rel Δ = {:.2e})",
+            refac_delta / scale
+        )
+    });
     let refac_floor = min_speedup("OPM_REFACTOR_MIN_SPEEDUP", 2.0);
-    assert!(
-        refac_speedup >= refac_floor,
-        "numeric refactorization must be ≥ {refac_floor}× faster than fresh \
+    checks.check(refac_speedup >= refac_floor, || {
+        format!(
+            "numeric refactorization must be ≥ {refac_floor}× faster than fresh \
          factorization (got {refac_speedup:.2}×)"
-    );
+        )
+    });
 
     // -- batch_threads_{1,4}: the parallel batch runtime -------------------
     let (t1_runs, t1_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 1).unwrap());
@@ -259,10 +283,9 @@ fn main() {
         fmt_time(t1_s),
         fmt_time(t4_s),
     );
-    assert_eq!(
-        thread_delta, 0.0,
-        "the parallel batch must be bit-identical to the serial path"
-    );
+    checks.check(thread_delta == 0.0, || {
+        "the parallel batch must be bit-identical to the serial path".into()
+    });
     // The thread-scaling floor depends on the hardware this runs on: a
     // single-core box cannot speed anything up, so the default floor
     // only bites where parallel wins are physically possible.
@@ -276,11 +299,12 @@ fn main() {
             0.0
         },
     );
-    assert!(
-        thread_speedup >= thread_floor,
-        "4 workers must be ≥ {thread_floor}× faster than 1 on this {cores}-core \
+    checks.check(thread_speedup >= thread_floor, || {
+        format!(
+            "4 workers must be ≥ {thread_floor}× faster than 1 on this {cores}-core \
          machine (got {thread_speedup:.2}×)"
-    );
+        )
+    });
     // On a single core a "speedup" ratio is pure scheduler noise: the
     // JSON records `null` (plus `cores_available` so the reader can see
     // why) instead of publishing a sub-1.0 ratio as if it were a
@@ -306,10 +330,9 @@ fn main() {
             }
         }
     }
-    assert_eq!(
-        scaling_delta, 0.0,
-        "the 2-worker batch must be bit-identical to the serial path"
-    );
+    checks.check(scaling_delta == 0.0, || {
+        "the 2-worker batch must be bit-identical to the serial path".into()
+    });
     let (scale2, scale4) = (t1_s / t2_s, t1_s / t4_s);
     println!(
         "scaling    : 1w {} | 2w {} ({scale2:.2}×) | 4w {} ({scale4:.2}×) on {cores} core(s)",
@@ -324,11 +347,12 @@ fn main() {
     };
     if cores >= 2 {
         let scaling_floor = min_speedup("OPM_SCALING_MIN_SPEEDUP", 1.5);
-        assert!(
-            scale2 >= scaling_floor,
-            "2 workers must be ≥ {scaling_floor}× faster than 1 on this {cores}-core \
+        checks.check(scale2 >= scaling_floor, || {
+            format!(
+                "2 workers must be ≥ {scaling_floor}× faster than 1 on this {cores}-core \
              machine (got {scale2:.2}×)"
-        );
+            )
+        });
     }
 
     // -- kernel/*: single-thread panel vs scalar microkernels --------------
@@ -414,18 +438,20 @@ fn main() {
         fmt_time(kblock_scalar_s),
         fmt_time(kblock_panel_s),
     );
-    assert_eq!(
-        kdelta, 0.0,
-        "panel kernels must be bit-identical to their scalar references \
+    checks.check(kdelta == 0.0, || {
+        format!(
+            "panel kernels must be bit-identical to their scalar references \
          (max |Δ| = {kdelta:e})"
-    );
+        )
+    });
     if panels_enabled {
         let kernel_floor = min_speedup("OPM_KERNEL_MIN_SPEEDUP", 1.5);
-        assert!(
-            ksolve_speedup >= kernel_floor,
-            "the panel block triangular solve must be ≥ {kernel_floor}× the scalar \
+        checks.check(ksolve_speedup >= kernel_floor, || {
+            format!(
+                "the panel block triangular solve must be ≥ {kernel_floor}× the scalar \
              reference at {klanes} lanes (got {ksolve_speedup:.2}×)"
-        );
+            )
+        });
     }
 
     // -- windowed_vs_whole: long-horizon windowed solving ------------------
@@ -461,15 +487,13 @@ fn main() {
         wprofile.num_symbolic,
         wprofile.num_numeric,
     );
-    assert_eq!(
-        (wprofile.num_symbolic, wprofile.num_numeric),
-        (1, 1),
-        "W windows must cost exactly 1 symbolic + 1 numeric factorization"
+    checks.check(
+        (wprofile.num_symbolic, wprofile.num_numeric) == (1, 1),
+        || "W windows must cost exactly 1 symbolic + 1 numeric factorization".into(),
     );
-    assert!(
-        win_delta <= 1e-9,
-        "windowed and whole-horizon solutions must agree to 1e-9 (got {win_delta:.2e})"
-    );
+    checks.check(win_delta <= 1e-9, || {
+        format!("windowed and whole-horizon solutions must agree to 1e-9 (got {win_delta:.2e})")
+    });
     // Streaming far past the whole-horizon regime: 512 windows
     // (131072 columns) at per-window resident memory.
     let w_long = 512;
@@ -485,7 +509,9 @@ fn main() {
         wm * w_long,
         fmt_time(long_s)
     );
-    assert_eq!(long_windows, w_long);
+    checks.check(long_windows == w_long, || {
+        format!("the streaming run must emit all {w_long} windows (got {long_windows})")
+    });
 
     // -- windowed_fractional: Caputo/GL history carried across windows -----
     // An RC + constant-phase-element netlist (fractional MNA, α = ½)
@@ -547,19 +573,16 @@ fn main() {
         fprofile.num_numeric,
         fmt_time(ftrunc_s),
     );
-    assert_eq!(
-        (fprofile.num_symbolic, fprofile.num_numeric),
-        (1, 1),
-        "W fractional windows must cost exactly 1 symbolic + 1 numeric factorization"
+    checks.check(
+        (fprofile.num_symbolic, fprofile.num_numeric) == (1, 1),
+        || "W fractional windows must cost exactly 1 symbolic + 1 numeric factorization".into(),
     );
-    assert!(
-        ffull_delta <= 1e-9,
-        "full-history windowed fractional must match whole-horizon to 1e-9 (got {ffull_delta:.2e})"
-    );
-    assert!(
-        ftrunc_delta <= 1e-6,
-        "truncated-history windowed fractional must stay within 1e-6 (got {ftrunc_delta:.2e})"
-    );
+    checks.check(ffull_delta <= 1e-9, || format!("full-history windowed fractional must match whole-horizon to 1e-9 (got {ffull_delta:.2e})"));
+    checks.check(ftrunc_delta <= 1e-6, || {
+        format!(
+            "truncated-history windowed fractional must stay within 1e-6 (got {ftrunc_delta:.2e})"
+        )
+    });
 
     // Nightly-only long-horizon fractional run (OPM_SWEEP_LONG=1): a
     // 100-window horizon that is deliberately too slow for per-PR CI.
@@ -583,7 +606,9 @@ fn main() {
             fm * wlong,
             fmt_time(lsec)
         );
-        assert!(lrun.output_row(0).iter().all(|v| v.is_finite()));
+        checks.check(lrun.output_row(0).iter().all(|v| v.is_finite()), || {
+            "the long fractional run must stay finite".into()
+        });
         Some((
             format!("windowed_fractional/long_{wlong}x{fm}"),
             lsec,
@@ -614,19 +639,18 @@ fn main() {
     // the per-solve iteration/refactorization counts undiluted.
     let nrun = nplan.solve_newton_windowed(nstim, nw, &nopts).unwrap();
     let nprofile = nplan.factor_profile();
-    assert!(nrun.output_row(0).iter().all(|v| v.is_finite()));
-    assert_eq!(
-        nprofile.num_symbolic, 1,
-        "a W-window Newton solve must cost exactly 1 symbolic factorization"
-    );
-    assert_eq!(
-        nprofile.newton_fresh_fallbacks, 0,
-        "the rectifier must never abandon the recorded symbolic pattern"
-    );
-    assert_eq!(
-        nprofile.newton_refactors, nprofile.newton_iters,
-        "every Newton iteration is exactly one numeric refactorization"
-    );
+    checks.check(nrun.output_row(0).iter().all(|v| v.is_finite()), || {
+        "the rectifier solution must stay finite".into()
+    });
+    checks.check(nprofile.num_symbolic == 1, || {
+        "a W-window Newton solve must cost exactly 1 symbolic factorization".into()
+    });
+    checks.check(nprofile.newton_fresh_fallbacks == 0, || {
+        "the rectifier must never abandon the recorded symbolic pattern".into()
+    });
+    checks.check(nprofile.newton_refactors == nprofile.newton_iters, || {
+        "every Newton iteration is exactly one numeric refactorization".into()
+    });
     let (_, newton_s) = timed_best(3, || {
         nplan.solve_newton_windowed(nstim, nw, &nopts).unwrap()
     });
@@ -642,7 +666,7 @@ fn main() {
     let path = std::env::var("OPM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
     let note = format!(
         "Table II power grid (NA model, n = {n}, m = {m}). sweep/*: 100-scenario load sweep, \
-         independent Problem::solve per scenario vs one Simulation::plan + SimPlan::solve_batch. \
+         a fresh Simulation::plan + solve per scenario vs one plan + SimPlan::solve_batch. \
          refactor/*: {SHIFTS} step-grid pencils of the grid's MNA form (n = {nn}), fresh per-pencil \
          factorization vs pure numeric refactorization against a prerecorded PencilFamily analysis. \
          batch_threads_*/scaling/*: the same 100-scenario batch on 1/2/4 workers ({cores} core(s) \
@@ -966,4 +990,11 @@ fn main() {
     f.write_all(format!("{doc}\n").as_bytes())
         .expect("write BENCH_sweep.json");
     println!("wrote {path}");
+    if !checks.0.is_empty() {
+        eprintln!("{} check(s) failed:", checks.0.len());
+        for what in &checks.0 {
+            eprintln!("  - {what}");
+        }
+        std::process::exit(1);
+    }
 }

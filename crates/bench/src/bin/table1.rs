@@ -11,7 +11,7 @@
 use opm_bench::{emit_json_record, fmt_time, row, rule, timed};
 use opm_circuits::tline::FractionalLineSpec;
 use opm_core::metrics::relative_error_db_multi;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_fft::FftSimulator;
 
 fn main() {
@@ -43,10 +43,11 @@ fn main() {
         let mut last = None;
         for _ in 0..REPS {
             last = Some(
-                Problem::fractional(&model.system)
-                    .coeffs(&u)
+                Simulation::from_fractional(model.system.clone())
                     .horizon(t_end)
-                    .solve(&SolveOptions::new())
+                    .plan(&SolveOptions::new().resolution(u[0].len()))
+                    .unwrap()
+                    .solve_coeffs(&u)
                     .unwrap(),
             );
         }

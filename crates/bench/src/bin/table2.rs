@@ -15,7 +15,7 @@ use opm_bench::{emit_json_record, env_scale, fmt_time, row, rule, timed};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
 use opm_circuits::na::assemble_na;
-use opm_core::{Problem, SolveOptions};
+use opm_core::{Simulation, SolveOptions};
 use opm_transient::{backward_euler, bdf, fine_reference, trapezoidal};
 
 fn main() {
@@ -153,10 +153,11 @@ fn main() {
     let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
     let mt = na.system.to_multiterm();
     let (opm, secs_opm) = timed(|| {
-        Problem::multiterm(&mt)
-            .coeffs(&u_dot)
+        Simulation::from_multiterm(mt.clone())
             .horizon(t_end)
-            .solve(&SolveOptions::new())
+            .plan(&SolveOptions::new().resolution(u_dot[0].len()))
+            .unwrap()
+            .solve_coeffs(&u_dot)
             .unwrap()
     });
     // OPM columns are interval averages; compare against reference

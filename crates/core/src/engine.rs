@@ -20,20 +20,18 @@
 //!   right-hand side (single scenario or an interleaved lane block);
 //! - [`BlockColumnSweep`] — the cached-factorization column solve loop,
 //!   `lanes` scenarios wide, with read access to all previously solved
-//!   columns (the history term); [`ColumnSweep`] is its single-scenario
-//!   view;
+//!   columns (the history term);
 //! - [`reconstruct_outputs`] / [`SweepOutcome::uniform_result`] —
-//!   output projection through `C` and [`OpmResult`] assembly.
+//!   output projection through `C` and [`OpmResult`] assembly;
+//! - [`SolveOptions`] / [`Method`] — resolution, strategy and adaptivity.
 //!
 //! On top of the primitives sits the plan layer
-//! ([`crate::session`]): [`crate::Simulation`] → [`crate::SimPlan`]
-//! factors once and solves many scenarios. The declarative front door
-//! kept here — describe the task with a [`Problem`], pick
-//! resolution/method with [`SolveOptions`], call [`Problem::solve`] —
-//! is a thin one-shot wrapper over that layer:
+//! ([`crate::session`]), the one front door: [`crate::Simulation`] →
+//! [`crate::Simulation::plan`] → [`crate::SimPlan`] factors once and
+//! solves many scenarios:
 //!
 //! ```
-//! use opm_core::engine::{Problem, SolveOptions};
+//! use opm_core::{Simulation, SolveOptions};
 //! use opm_sparse::{CooMatrix, CsrMatrix};
 //! use opm_system::DescriptorSystem;
 //! use opm_waveform::{InputSet, Waveform};
@@ -45,10 +43,11 @@
 //! b.push(0, 0, 1.0);
 //! let sys = DescriptorSystem::new(CsrMatrix::identity(1), a.to_csr(), b.to_csr(), None).unwrap();
 //! let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-//! let r = Problem::linear(&sys)
-//!     .waveforms(&inputs)
+//! let r = Simulation::from_system(sys)
 //!     .horizon(1.0)
-//!     .solve(&SolveOptions::new().resolution(256))
+//!     .plan(&SolveOptions::new().resolution(256))
+//!     .unwrap()
+//!     .solve(&inputs)
 //!     .unwrap();
 //! let t = r.midpoints()[255];
 //! assert!((r.state_coeff(0, 255) - (1.0 - (-t).exp())).abs() < 1e-4);
@@ -62,8 +61,7 @@ use opm_sparse::lu::LuOptions;
 use opm_sparse::ordering::amd;
 use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CscMatrix, CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
-use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
-use opm_waveform::InputSet;
+use opm_system::{DescriptorSystem, MultiTermSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 // ---------------------------------------------------------------------------
@@ -640,8 +638,6 @@ fn apply_b_panel<const W: usize>(
 /// stimulus application ([`apply_b_block`]) and the triangular solves
 /// ([`SparseLu::solve_block_into`]) each traverse their structure once
 /// per column instead of once per scenario.
-///
-/// [`ColumnSweep`] is the `lanes == 1` special case.
 pub struct BlockColumnSweep {
     n: usize,
     m: usize,
@@ -654,7 +650,7 @@ pub struct BlockColumnSweep {
     rhs: Vec<f64>,
     /// Scratch block sized `n·lanes`, for matrix–block products inside
     /// RHS builders (avoids per-column allocation in every strategy).
-    pub work: Vec<f64>,
+    work: Vec<f64>,
     num_solves: usize,
 }
 
@@ -704,63 +700,38 @@ impl BlockColumnSweep {
         self.columns.reserve(self.m);
     }
 
-    /// Scenario width of the sweep.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Columns solved so far (interleaved blocks — the history the RHS
-    /// builder may read).
-    pub fn history(&self) -> &[Vec<f64>] {
-        &self.columns
-    }
-
-    /// Runs one column: zeroes the RHS block, lets `build` fill it
-    /// (reading the history), block-solves against `lu`, appends and
-    /// returns the new interleaved column.
-    pub fn step(
-        &mut self,
-        lu: &SparseLu,
-        build: impl FnOnce(&[Vec<f64>], &mut [f64], &mut [f64]),
-    ) -> &[f64] {
-        self.rhs.iter_mut().for_each(|v| *v = 0.0);
-        build(&self.columns, &mut self.rhs, &mut self.work);
-        let mut x = vec![0.0; self.n * self.lanes];
-        lu.solve_block_into(&self.rhs, &mut x, self.lanes);
-        self.num_solves += self.lanes;
-        self.columns.push(x);
-        self.columns.last().unwrap()
-    }
-
     /// Runs the full sweep: the `m` columns fixed at construction
-    /// against one factorization, the per-column RHS block built by
-    /// `build(j, history, rhs, work)`. `j` is the index into the
+    /// against one factorization. Each column zeroes the RHS block, lets
+    /// `build(j, history, rhs, work)` fill it, block-solves against `lu`
+    /// and appends the new interleaved column. `j` is the index into the
     /// history — it starts past any seeded columns, so seeded and
     /// unseeded sweeps present the same coordinates to the builder.
+    /// Seeded history columns are dropped: the outcome holds only the
+    /// columns this sweep solved.
     pub fn run(
         mut self,
         lu: &SparseLu,
         mut build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]),
     ) -> BlockOutcome {
         for _ in 0..self.m {
-            self.step(lu, |history, rhs, work| {
-                build(history.len(), history, rhs, work);
-            });
+            self.rhs.iter_mut().for_each(|v| *v = 0.0);
+            build(
+                self.columns.len(),
+                &self.columns,
+                &mut self.rhs,
+                &mut self.work,
+            );
+            let mut x = vec![0.0; self.n * self.lanes];
+            lu.solve_block_into(&self.rhs, &mut x, self.lanes);
+            self.num_solves += self.lanes;
+            self.columns.push(x);
         }
-        self.into_outcome(1)
-    }
-
-    /// Finishes a manually-stepped sweep. Seeded history columns are
-    /// dropped: the outcome holds only the columns this sweep solved.
-    pub fn into_outcome(mut self, num_factorizations: usize) -> BlockOutcome {
-        if self.seeded > 0 {
-            self.columns.drain(..self.seeded);
-        }
+        self.columns.drain(..self.seeded);
         BlockOutcome {
             columns: self.columns,
             lanes: self.lanes,
             num_solves: self.num_solves,
-            num_factorizations,
+            num_factorizations: 1,
         }
     }
 }
@@ -785,7 +756,7 @@ impl BlockOutcome {
         let lanes = self.lanes;
         if lanes == 1 {
             // The interleaved layout degenerates to plain columns: move
-            // them instead of element-copying (the one-shot solve path).
+            // them instead of element-copying (the single-scenario path).
             return vec![SweepOutcome {
                 columns: self.columns,
                 num_solves: self.num_solves,
@@ -812,63 +783,6 @@ impl BlockOutcome {
     }
 }
 
-/// The cached-factorization column sweep at the heart of every OPM
-/// solver: for `j = 0..m`, assemble a right-hand side (with read access
-/// to every previously solved column — the history/convolution term) and
-/// solve it against one shared factorization.
-///
-/// This is the single-scenario view of [`BlockColumnSweep`]; the engine
-/// itself always runs the block form.
-pub struct ColumnSweep {
-    inner: BlockColumnSweep,
-}
-
-impl ColumnSweep {
-    /// A sweep over `m` columns of an order-`n` system.
-    pub fn new(n: usize, m: usize) -> Self {
-        ColumnSweep {
-            inner: BlockColumnSweep::new(n, m, 1),
-        }
-    }
-
-    /// Columns solved so far (the history the RHS builder may read).
-    pub fn history(&self) -> &[Vec<f64>] {
-        self.inner.history()
-    }
-
-    /// Runs one column: zeroes the RHS, lets `build` fill it (reading
-    /// the history), solves against `lu`, appends and returns the new
-    /// column.
-    pub fn step(
-        &mut self,
-        lu: &SparseLu,
-        build: impl FnOnce(&[Vec<f64>], &mut [f64], &mut [f64]),
-    ) -> &[f64] {
-        self.inner.step(lu, build)
-    }
-
-    /// Runs the full sweep: the `m` columns fixed at construction
-    /// against one factorization, the per-column RHS built by
-    /// `build(j, history, rhs, work)`.
-    pub fn run(
-        self,
-        lu: &SparseLu,
-        build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]),
-    ) -> SweepOutcome {
-        let mut outcomes = self.inner.run(lu, build).into_lane_outcomes();
-        outcomes.pop().expect("one lane by construction")
-    }
-
-    /// Finishes a manually-stepped sweep.
-    pub fn into_outcome(self, num_factorizations: usize) -> SweepOutcome {
-        let mut outcomes = self
-            .inner
-            .into_outcome(num_factorizations)
-            .into_lane_outcomes();
-        outcomes.pop().expect("one lane by construction")
-    }
-}
-
 /// Raw sweep output: solved columns plus complexity counters.
 pub struct SweepOutcome {
     /// Solved coefficient columns, one per interval.
@@ -880,17 +794,6 @@ pub struct SweepOutcome {
 }
 
 impl SweepOutcome {
-    /// Adds `x0` to every column (undoes the `z = x − x₀` state shift).
-    #[must_use]
-    pub fn shifted_by(mut self, x0: &[f64]) -> Self {
-        for col in &mut self.columns {
-            for (c, v) in col.iter_mut().zip(x0) {
-                *c += v;
-            }
-        }
-        self
-    }
-
     /// Assembles an [`OpmResult`] on the uniform grid `m × h`.
     pub fn uniform_result(self, out: &impl OutputMap, t_end: f64) -> OpmResult {
         let m = self.columns.len();
@@ -964,169 +867,8 @@ pub fn reconstruct_outputs(out: &impl OutputMap, columns: &[Vec<f64>]) -> Vec<Ve
 }
 
 // ---------------------------------------------------------------------------
-// Problem / SolveOptions: the declarative front door
+// SolveOptions: resolution, strategy, adaptivity
 // ---------------------------------------------------------------------------
-
-/// The model being simulated (borrowed, cheap to construct).
-#[derive(Clone, Copy)]
-enum Model<'a> {
-    Linear(&'a DescriptorSystem),
-    Fractional(&'a FractionalSystem),
-    MultiTerm(&'a MultiTermSystem),
-    SecondOrder(&'a SecondOrderSystem),
-}
-
-/// How the stimulus is supplied.
-#[derive(Clone, Copy)]
-enum Inputs<'a> {
-    /// Nothing supplied yet (an error at solve time).
-    Missing,
-    /// Precomputed BPF coefficient matrix `u[ch][j]`.
-    Coeffs(&'a [Vec<f64>]),
-    /// Waveforms, projected by the engine at the chosen resolution.
-    Waveforms(&'a InputSet),
-}
-
-/// A complete OPM problem description: model + stimulus + horizon + ICs.
-///
-/// Build one with [`Problem::linear`] / [`Problem::fractional`] /
-/// [`Problem::multiterm`] / [`Problem::second_order`], chain the
-/// setters, then call [`Problem::solve`].
-#[derive(Clone, Copy)]
-pub struct Problem<'a> {
-    model: Model<'a>,
-    inputs: Inputs<'a>,
-    t_end: f64,
-    x0: Option<&'a [f64]>,
-}
-
-impl<'a> Problem<'a> {
-    fn new(model: Model<'a>) -> Self {
-        Problem {
-            model,
-            inputs: Inputs::Missing,
-            t_end: 0.0,
-            x0: None,
-        }
-    }
-
-    /// A linear descriptor problem `E ẋ = A x + B u`.
-    pub fn linear(sys: &'a DescriptorSystem) -> Self {
-        Problem::new(Model::Linear(sys))
-    }
-
-    /// A fractional problem `E d^α x = A x + B u`.
-    pub fn fractional(fsys: &'a FractionalSystem) -> Self {
-        Problem::new(Model::Fractional(fsys))
-    }
-
-    /// A multi-term problem `Σ_k A_k d^{α_k} x = B u`.
-    pub fn multiterm(mt: &'a MultiTermSystem) -> Self {
-        Problem::new(Model::MultiTerm(mt))
-    }
-
-    /// A second-order nodal problem `M₂ ẍ + M₁ ẋ + M₀ x = B u̇` (the
-    /// engine differentiates the supplied waveforms exactly).
-    pub fn second_order(so: &'a SecondOrderSystem) -> Self {
-        Problem::new(Model::SecondOrder(so))
-    }
-
-    /// Supplies the stimulus as a precomputed BPF coefficient matrix
-    /// (`u[ch][j]`, one row per input channel).
-    #[must_use]
-    pub fn coeffs(mut self, u: &'a [Vec<f64>]) -> Self {
-        self.inputs = Inputs::Coeffs(u);
-        self
-    }
-
-    /// Supplies the stimulus as waveforms; the engine projects them at
-    /// the resolution chosen in [`SolveOptions`].
-    #[must_use]
-    pub fn waveforms(mut self, u: &'a InputSet) -> Self {
-        self.inputs = Inputs::Waveforms(u);
-        self
-    }
-
-    /// Sets the simulation horizon `[0, t_end)`.
-    #[must_use]
-    pub fn horizon(mut self, t_end: f64) -> Self {
-        self.t_end = t_end;
-        self
-    }
-
-    /// Sets a nonzero initial state (linear problems only; fractional
-    /// and multi-term OPM assume zero Caputo initial conditions).
-    #[must_use]
-    pub fn initial_state(mut self, x0: &'a [f64]) -> Self {
-        self.x0 = Some(x0);
-        self
-    }
-
-    /// Solves the problem with the given options: builds a one-shot
-    /// [`crate::SimPlan`] (validate, order, factor) and runs the single
-    /// scenario through it. For many scenarios against one system, build
-    /// the plan yourself via [`crate::Simulation`] and amortize the
-    /// factorization.
-    ///
-    /// # Errors
-    /// [`OpmError::BadArguments`] for inconsistent descriptions (missing
-    /// inputs, nonzero ICs on fractional problems, waveform-only
-    /// strategies fed coefficients, options that do not apply to the
-    /// model, …) and any strategy error.
-    pub fn solve(&self, opts: &SolveOptions) -> Result<OpmResult, OpmError> {
-        let model = self.to_sim_model();
-        if matches!(self.inputs, Inputs::Missing) {
-            return Err(OpmError::BadArguments(
-                "no stimulus: call .coeffs(..) or .waveforms(..)".into(),
-            ));
-        }
-        // Coefficients carry their own column count; a contradicting
-        // `resolution` is a description error, not something to ignore.
-        if let (Some(r), Inputs::Coeffs(u)) = (opts.resolution, self.inputs) {
-            let mu = u.first().map_or(0, Vec::len);
-            if mu != r {
-                return Err(OpmError::BadArguments(format!(
-                    "option `resolution` ({r}) conflicts with the {mu}-column coefficient \
-                     stimulus on the `{}` strategy",
-                    model.strategy_name()
-                )));
-            }
-        }
-        let m = match crate::session::plan_resolution(&model, opts) {
-            Ok(m) => m,
-            // No explicit resolution: a coefficient stimulus carries its
-            // own column count; waveforms cannot.
-            Err(needs_resolution) => match self.inputs {
-                Inputs::Coeffs(u) => u.first().map_or(0, Vec::len),
-                _ => return Err(needs_resolution),
-            },
-        };
-        let plan = crate::session::SimPlan::prepare(
-            std::sync::Arc::new(model),
-            opts,
-            m,
-            self.t_end,
-            self.x0,
-            Vec::new(),
-        )?;
-        match self.inputs {
-            Inputs::Coeffs(u) => plan.solve_coeffs(u),
-            Inputs::Waveforms(ws) => plan.solve(ws),
-            Inputs::Missing => unreachable!("rejected above"),
-        }
-    }
-
-    /// The owned model the one-shot plan is built on (the clone is
-    /// O(nnz), dwarfed by the factorization `solve` performs).
-    fn to_sim_model(self) -> crate::session::SimModel {
-        match self.model {
-            Model::Linear(sys) => crate::session::SimModel::Linear(sys.clone()),
-            Model::Fractional(fsys) => crate::session::SimModel::Fractional(fsys.clone()),
-            Model::MultiTerm(mt) => crate::session::SimModel::MultiTerm(mt.clone()),
-            Model::SecondOrder(so) => crate::session::SimModel::SecondOrder(so.clone()),
-        }
-    }
-}
 
 /// Strategy selector for [`SolveOptions::method`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -1196,7 +938,8 @@ impl SolveOptions {
 mod tests {
     use super::*;
     use opm_sparse::CooMatrix;
-    use opm_waveform::Waveform;
+    use opm_system::FractionalSystem;
+    use opm_waveform::{InputSet, Waveform};
 
     fn scalar(a: f64) -> DescriptorSystem {
         let mut am = CooMatrix::new(1, 1);
@@ -1206,39 +949,44 @@ mod tests {
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
     }
 
+    /// A one-scenario waveform solve through a fresh plan.
+    fn solve_once(
+        sim: crate::Simulation,
+        inputs: &InputSet,
+        opts: &SolveOptions,
+    ) -> Result<OpmResult, OpmError> {
+        sim.plan(opts)?.solve(inputs)
+    }
+
     #[test]
-    fn problem_linear_equals_direct_call() {
+    fn waveform_solve_equals_coefficient_solve() {
         let sys = scalar(-1.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         let m = 64;
         let u = inputs.bpf_matrix(m, 2.0);
-        let direct = crate::Simulation::from_system(sys.clone())
+        let plan = crate::Simulation::from_system(sys)
             .horizon(2.0)
             .plan(&SolveOptions::new().resolution(m))
-            .unwrap()
-            .solve_coeffs(&u)
             .unwrap();
-        let via_problem = Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(2.0)
-            .solve(&SolveOptions::new().resolution(m))
-            .unwrap();
+        let via_coeffs = plan.solve_coeffs(&u).unwrap();
+        let via_waveforms = plan.solve(&inputs).unwrap();
         for j in 0..m {
-            assert_eq!(direct.state_coeff(0, j), via_problem.state_coeff(0, j));
+            assert_eq!(
+                via_coeffs.state_coeff(0, j),
+                via_waveforms.state_coeff(0, j)
+            );
         }
     }
 
     #[test]
     fn all_linear_methods_agree() {
-        let sys = scalar(-2.0);
+        let sim = crate::Simulation::from_system(scalar(-2.0)).horizon(1.0);
         let inputs = InputSet::new(vec![Waveform::sine(0.0, 1.0, 1.0, 0.0, 0.0)]);
         let m = 16;
-        let p = Problem::linear(&sys).waveforms(&inputs).horizon(1.0);
-        let base = p.solve(&SolveOptions::new().resolution(m)).unwrap();
+        let base = solve_once(sim.clone(), &inputs, &SolveOptions::new().resolution(m)).unwrap();
         for method in [Method::Accumulator, Method::Convolution, Method::Kronecker] {
-            let r = p
-                .solve(&SolveOptions::new().resolution(m).method(method))
-                .unwrap();
+            let opts = SolveOptions::new().resolution(m).method(method);
+            let r = solve_once(sim.clone(), &inputs, &opts).unwrap();
             for j in 0..m {
                 assert!(
                     (r.state_coeff(0, j) - base.state_coeff(0, j)).abs() < 1e-9,
@@ -1251,95 +999,72 @@ mod tests {
     #[test]
     fn fractional_dispatch_and_grid() {
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
+        let sim = crate::Simulation::from_fractional(fsys).horizon(1.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let p = Problem::fractional(&fsys).waveforms(&inputs).horizon(1.0);
-        let uniform = p.solve(&SolveOptions::new().resolution(32)).unwrap();
+        let uniform =
+            solve_once(sim.clone(), &inputs, &SolveOptions::new().resolution(32)).unwrap();
         assert_eq!(uniform.num_intervals(), 32);
         let steps = crate::adaptive::geometric_grid(1.0, 16, 1.2);
-        let graded = p.solve(&SolveOptions::new().step_grid(steps)).unwrap();
+        let graded = solve_once(sim, &inputs, &SolveOptions::new().step_grid(steps)).unwrap();
         assert_eq!(graded.num_intervals(), 16);
     }
 
     #[test]
     fn descriptive_errors() {
-        let sys = scalar(-1.0);
-        // Missing stimulus.
-        assert!(Problem::linear(&sys)
-            .horizon(1.0)
-            .solve(&SolveOptions::new().resolution(8))
-            .is_err());
         // Waveforms without resolution.
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        assert!(Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(1.0)
-            .solve(&SolveOptions::new())
-            .is_err());
+        let sim = crate::Simulation::from_system(scalar(-1.0)).horizon(1.0);
+        assert!(sim.plan(&SolveOptions::new()).is_err());
         // Nonzero ICs on a fractional problem.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
-        assert!(Problem::fractional(&fsys)
-            .waveforms(&inputs)
+        assert!(crate::Simulation::from_fractional(fsys)
             .horizon(1.0)
-            .initial_state(&[1.0])
-            .solve(&SolveOptions::new().resolution(8))
+            .initial_state(vec![1.0])
+            .plan(&SolveOptions::new().resolution(8))
             .is_err());
     }
 
     #[test]
     fn inapplicable_options_are_rejected_not_ignored() {
-        let sys = scalar(-1.0);
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
+        let sim = crate::Simulation::from_system(scalar(-1.0)).horizon(1.0);
+        let fsim =
+            crate::Simulation::from_fractional(FractionalSystem::new(0.5, scalar(-1.0)).unwrap())
+                .horizon(1.0);
         // Nonzero ICs cannot ride the zero-IC strategies.
         for method in [Method::Convolution, Method::Kronecker] {
             assert!(
-                Problem::linear(&sys)
-                    .waveforms(&inputs)
-                    .horizon(1.0)
-                    .initial_state(&[2.0])
-                    .solve(&SolveOptions::new().resolution(8).method(method))
+                sim.clone()
+                    .initial_state(vec![2.0])
+                    .plan(&SolveOptions::new().resolution(8).method(method))
                     .is_err(),
                 "{method:?} must reject nonzero x0"
             );
         }
         // Adaptive stepping is linear-only; step grids are fractional-only.
-        assert!(Problem::fractional(&fsys)
-            .waveforms(&inputs)
-            .horizon(1.0)
-            .solve(
+        assert!(fsim
+            .plan(
                 &SolveOptions::new()
                     .resolution(8)
                     .adaptive(AdaptiveOpmOptions::default())
             )
             .is_err());
-        assert!(Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(1.0)
-            .solve(&SolveOptions::new().step_grid(vec![0.5, 0.3, 0.2]))
+        assert!(sim
+            .plan(&SolveOptions::new().step_grid(vec![0.5, 0.3, 0.2]))
             .is_err());
         // Method overrides cannot combine with adaptive solving.
-        assert!(Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(1.0)
-            .solve(
+        assert!(sim
+            .plan(
                 &SolveOptions::new()
                     .adaptive(AdaptiveOpmOptions::default())
                     .method(Method::Kronecker)
             )
             .is_err());
-        // A resolution that contradicts the supplied coefficient matrix.
+        // A coefficient stimulus that contradicts the planned resolution.
         let u = vec![vec![1.0; 8]];
-        assert!(Problem::linear(&sys)
-            .coeffs(&u)
-            .horizon(1.0)
-            .solve(&SolveOptions::new().resolution(16))
-            .is_err());
-        // …but a matching or omitted resolution is fine.
-        assert!(Problem::linear(&sys)
-            .coeffs(&u)
-            .horizon(1.0)
-            .solve(&SolveOptions::new().resolution(8))
-            .is_ok());
+        let plan16 = sim.plan(&SolveOptions::new().resolution(16)).unwrap();
+        assert!(plan16.solve_coeffs(&u).is_err());
+        // …but a matching one is fine.
+        let plan8 = sim.plan(&SolveOptions::new().resolution(8)).unwrap();
+        assert!(plan8.solve_coeffs(&u).is_ok());
     }
 
     #[test]
@@ -1404,7 +1129,7 @@ mod tests {
     fn sweep_counts_and_history() {
         let sys = scalar(-1.0);
         let lu = factor_shifted_pencil(sys.e(), sys.a(), 2.0).unwrap();
-        let outcome = ColumnSweep::new(1, 4).run(&lu, |j, history, rhs, _| {
+        let outcome = BlockColumnSweep::new(1, 4, 1).run(&lu, |j, history, rhs, _| {
             assert_eq!(history.len(), j);
             rhs[0] = 1.0;
         });

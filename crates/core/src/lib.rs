@@ -7,14 +7,14 @@
 //! systems), turning `E ẋ = A x + B u` into the matrix equation
 //! `E X D = A X + B U` solved *column by column* with one sparse LU:
 //!
-//! - [`session`] — the two-phase session API: [`Simulation`] (owns a
-//!   model, or assembles one straight from a netlist) →
-//!   [`Simulation::plan`] → [`SimPlan`] (validated shape + factored
-//!   pencil), whose `solve` / `solve_batch` / `sweep` amortize **one
-//!   factorization over many scenarios** via the engine's multi-RHS
-//!   block sweep.
-//! - [`engine`] — the shared solver engine: [`engine::Problem`] /
-//!   [`engine::SolveOptions`] as the declarative one-shot front door,
+//! - [`session`] — the front door, a two-phase session API:
+//!   [`Simulation`] (owns a model, or assembles one straight from a
+//!   netlist) → [`Simulation::plan`] → [`SimPlan`] (validated shape +
+//!   factored pencil), whose `solve` / `solve_batch` / `sweep` amortize
+//!   **one factorization over many scenarios** via the engine's
+//!   multi-RHS block sweep. Whole-horizon and windowed solves share one
+//!   window loop; the whole horizon is its one-window case.
+//! - [`engine`] — the shared solver engine: [`engine::SolveOptions`]
 //!   plus the validation, pencil-factorization, cached-factorization
 //!   (block) column-sweep and output-reconstruction primitives every
 //!   strategy below builds on.
@@ -90,7 +90,7 @@ pub mod sync;
 
 pub use cache::{CacheStats, PlanCache};
 pub use cancel::CancelToken;
-pub use engine::{Method, Problem, SolveOptions};
+pub use engine::{Method, SolveOptions};
 pub use json::Json;
 pub use metrics::FactorProfile;
 pub use result::OpmResult;

@@ -38,14 +38,17 @@
 //! assert!(runs[2].output_row(0)[255] > runs[0].output_row(0)[255]);
 //! ```
 //!
-//! [`Problem::solve`](crate::Problem::solve) is a thin one-shot wrapper
-//! over this layer.
+//! Every uniform-grid solve — whole-horizon, windowed, streaming, and
+//! linear Newton — runs one window loop: the whole horizon is its
+//! one-window case, swept against the factorization the plan was built
+//! with.
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cancel::CancelToken;
 use crate::engine::{
-    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, BlockColumnSweep,
-    BlockOutcome, Method, OutputMap, PencilAnalysis, PencilFamily, SolveOptions, SweepOutcome,
+    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, weighted_pencil,
+    BlockColumnSweep, BlockOutcome, Method, OutputMap, PencilAnalysis, PencilFamily, SolveOptions,
+    SweepOutcome,
 };
 use crate::gate::GateCache;
 use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
@@ -57,7 +60,6 @@ use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
 use opm_basis::bpf::{endpoint_state, BpfBasis};
 use opm_basis::haar::HaarBasis;
-use opm_basis::series::tustin_frac_coeffs;
 use opm_basis::traits::Basis;
 use opm_circuits::mna::{
     assemble_fractional_mna, assemble_mna, assemble_nonlinear_mna, Output, Unknown,
@@ -67,7 +69,7 @@ use opm_circuits::nonlinear::DeviceModel;
 use opm_circuits::parser::parse_netlist;
 use opm_fracnum::binomial::binomial_series;
 use opm_fracnum::history::{history_block_into, history_convolution_into};
-use opm_sparse::SparseLu;
+use opm_sparse::{CsrMatrix, SparseLu};
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -325,42 +327,164 @@ impl Simulation {
     /// The plan `Arc`-shares the session's model: it is self-contained
     /// (`'static`), `Send + Sync`, free to outlive this session, and
     /// cacheable behind an `Arc` (see [`crate::cache::PlanCache`]).
-    /// Before this release a plan *borrowed* the session
-    /// (`SimPlan<'_>`); code that spelled the lifetime should simply
-    /// drop it.
     ///
     /// # Errors
     /// [`OpmError::BadArguments`] for option/model mismatches (the
     /// message names both the offending option and the chosen strategy),
     /// [`OpmError::SingularPencil`] when the pencil cannot be factored.
     pub fn plan(&self, opts: &SolveOptions) -> Result<SimPlan, OpmError> {
-        let m = plan_resolution(&self.model, opts)?;
-        SimPlan::prepare(
-            Arc::clone(&self.model),
-            opts,
-            m,
-            self.t_end,
-            self.x0.as_deref(),
-            self.devices.clone(),
-        )
-    }
-}
+        let (model, t_end) = (&self.model, self.t_end);
+        let grid_like = opts.adaptive.is_some() || opts.step_grid.is_some();
+        let m = match opts.resolution {
+            Some(m) => m,
+            // The step controller or the grid determines the column count.
+            None if grid_like => 0,
+            None => {
+                return Err(OpmError::BadArguments(format!(
+                    "the `{}` plan needs SolveOptions::resolution: the column count is \
+                     fixed when the pencil is factored",
+                    model.strategy_name()
+                )))
+            }
+        };
+        validate_options(model, t_end, opts)?;
+        let require_linear_kind = |kind: &str| -> Result<(), OpmError> {
+            if self.devices.is_empty() {
+                Ok(())
+            } else {
+                Err(OpmError::BadArguments(format!(
+                    "nonlinear devices solve through the linear-recurrence Newton path; \
+                     the `{kind}` plan kind cannot restamp the pencil per iteration"
+                )))
+            }
+        };
+        let n = model.order();
+        let x0 = match &self.x0 {
+            Some(v) => {
+                validate_x0(n, v)?;
+                v.clone()
+            }
+            None => vec![0.0; n],
+        };
+        let nonzero_x0 = x0.iter().any(|&v| v != 0.0);
+        if nonzero_x0 && !matches!(model.as_ref(), SimModel::Linear(_)) {
+            return Err(OpmError::BadArguments(format!(
+                "nonzero initial conditions are only supported for linear problems \
+                 (the `{}` strategy assumes zero Caputo initial conditions)",
+                model.strategy_name()
+            )));
+        }
 
-/// Resolves the column count a plan is built for.
-pub(crate) fn plan_resolution(model: &SimModel, opts: &SolveOptions) -> Result<usize, OpmError> {
-    if opts.adaptive.is_some() {
-        return Ok(0); // the step controller determines the column count
+        let plan = |m: usize, kind: PlanKind| SimPlan {
+            model: Arc::clone(model),
+            t_end,
+            m,
+            x0: x0.clone(),
+            kind,
+            devices: Arc::new(self.devices.clone()),
+            kernels: GateCache::new(WINDOW_KERNELS_RETAINED, || {
+                OpmError::BadArguments(
+                    "window-kernel build panicked; the panicking request reports it".into(),
+                )
+            }),
+            windows_solved: AtomicUsize::new(0),
+        };
+        if let Some(aopts) = opts.adaptive {
+            require_linear_kind("adaptive")?;
+            let SimModel::Linear(sys) = model.as_ref() else {
+                unreachable!("validate_options admits `adaptive` only on linear models");
+            };
+            let lattice = Box::new(StepLattice::new(sys, t_end, &aopts)?);
+            return Ok(plan(0, PlanKind::AdaptiveLinear { aopts, lattice }));
+        }
+        if let Some(steps) = &opts.step_grid {
+            require_linear_kind("step-grid")?;
+            let SimModel::Fractional(fsys) = model.as_ref() else {
+                unreachable!("validate_options admits `step_grid` only on fractional models");
+            };
+            let grid = AdaptiveBpf::new(steps.clone());
+            let factors = adaptive::prepare_step_grid(fsys, &grid)?;
+            let m = grid.dim();
+            return Ok(plan(m, PlanKind::StepGrid(StepGridPlan { grid, factors })));
+        }
+
+        if m == 0 {
+            return Err(OpmError::BadArguments("zero intervals".into()));
+        }
+        validate_horizon(t_end)?;
+        let require_zero_x0 = |method: &str| -> Result<(), OpmError> {
+            if nonzero_x0 {
+                Err(OpmError::BadArguments(format!(
+                    "nonzero initial conditions require the Recurrence or Accumulator \
+                     method on the `linear` strategy ({method} assumes x(0) = 0)"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        let uniform = |sweep: Sweep, mt: Option<MultiTermSystem>| {
+            UniformPlan::prepare(model, sweep, mt, m, t_end).map(PlanKind::Uniform)
+        };
+        let kron = |mt: MultiTermSystem| -> Result<PlanKind, OpmError> {
+            let factors = kron_prepare(&mt, m, t_end)?;
+            Ok(PlanKind::Kron {
+                factors,
+                mt: Some(mt),
+            })
+        };
+
+        let kind = match model.as_ref() {
+            SimModel::Linear(sys) => match opts.method {
+                Method::Auto | Method::Recurrence | Method::Accumulator => uniform(
+                    Sweep::Linear {
+                        accumulator: opts.method == Method::Accumulator,
+                    },
+                    None,
+                )?,
+                Method::Convolution => {
+                    require_zero_x0("Convolution")?;
+                    let mt = MultiTermSystem::from_descriptor(sys);
+                    uniform(mt_sweep(&mt, Method::Auto)?, Some(mt))?
+                }
+                Method::Kronecker => {
+                    require_zero_x0("Kronecker")?;
+                    kron(MultiTermSystem::from_descriptor(sys))?
+                }
+            },
+            SimModel::Fractional(fsys) => match opts.method {
+                Method::Kronecker => kron(fractional_as_multiterm(fsys))?,
+                _ => uniform(Sweep::Fractional, None)?,
+            },
+            SimModel::MultiTerm(mt) => match opts.method {
+                Method::Kronecker => PlanKind::Kron {
+                    factors: kron_prepare(mt, m, t_end)?,
+                    mt: None,
+                },
+                Method::Accumulator => {
+                    unreachable!("validate_options rejects Accumulator on multi-term models")
+                }
+                method => uniform(mt_sweep(mt, method)?, None)?,
+            },
+            // The nodal conversion has integer orders 0, 1, 2: always the
+            // finite recurrence, fed exact `u̇` averages.
+            SimModel::SecondOrder(so) => uniform(
+                Sweep::Recurrence {
+                    differentiate: true,
+                },
+                Some(so.to_multiterm()),
+            )?,
+        };
+        if !matches!(
+            kind,
+            PlanKind::Uniform(UniformPlan {
+                sweep: Sweep::Linear { .. },
+                ..
+            })
+        ) {
+            require_linear_kind(model.strategy_name())?;
+        }
+        Ok(plan(m, kind))
     }
-    if let Some(steps) = &opts.step_grid {
-        return Ok(steps.len());
-    }
-    opts.resolution.ok_or_else(|| {
-        OpmError::BadArguments(format!(
-            "the `{}` plan needs SolveOptions::resolution: the column count is \
-             fixed when the pencil is factored",
-            model.strategy_name()
-        ))
-    })
 }
 
 /// Rejects option combinations that no strategy honors — silently
@@ -474,65 +598,15 @@ pub(crate) fn validate_options(
 // SimPlan: validated shape + cached factorization
 // ---------------------------------------------------------------------------
 
-/// Multi-term execution path selector.
-enum MtSelect {
-    Auto,
-    Recurrence,
-    Convolution,
-}
-
-struct MtPlan {
-    lu: SparseLu,
-    /// Analysis of the pencil's union pattern — replayed numerically per
-    /// window width by windowed multi-term solving.
-    analysis: PencilAnalysis,
-    path: MtPath,
-}
-
-enum MtPath {
-    /// Integer orders: finite `(1+q)^K` recurrence, depth `K`.
-    Recurrence { polys: Vec<Vec<f64>>, bw: Vec<f64> },
-    /// Fractional mixtures: per-term nilpotent-series convolution.
-    Convolution { series: Vec<Vec<f64>> },
-}
-
 struct StepGridPlan {
     grid: AdaptiveBpf,
     factors: StepGridFactors,
 }
 
 enum PlanKind {
-    /// Linear recurrence / accumulator against `(2/h)E − A`.
-    Linear {
-        sigma: f64,
-        lu: SparseLu,
-        accumulator: bool,
-        /// The `σ·E − A` family behind `lu`: its pattern, ordering and
-        /// symbolic analysis are shared with every *window* pencil the
-        /// plan factors later, so a windowed solve costs one numeric
-        /// refactorization, never a second analysis.
-        family: PencilFamily,
-    },
-    /// Fractional series convolution against `ρ₀E − A`.
-    Fractional {
-        rho: Vec<f64>,
-        lu: SparseLu,
-        /// The `σ·E − A` family behind `lu` (`σ = ρ₀`): windowed solving
-        /// refactors the window pencil `ρ₀(h_w)·E − A` numerically
-        /// against the same recorded analysis.
-        family: PencilFamily,
-    },
-    /// Multi-term sweep over the model's own terms.
-    MultiTerm(MtPlan),
-    /// Multi-term sweep over a conversion the plan owns (linear
-    /// convolution method, second-order nodal form).
-    OwnedMultiTerm {
-        mt: MultiTermSystem,
-        plan: MtPlan,
-        /// Second-order: differentiate the stimulus exactly before the
-        /// sweep (`u̇` interval averages).
-        differentiate: bool,
-    },
+    /// A uniform-grid sweep (linear, fractional, multi-term, and the
+    /// multi-term conversions a plan owns).
+    Uniform(UniformPlan),
     /// Dense Kronecker oracle with the big LU cached.
     Kron {
         factors: KronFactors,
@@ -545,16 +619,63 @@ enum PlanKind {
     /// exponent).
     AdaptiveLinear {
         aopts: AdaptiveOpmOptions,
-        lattice: StepLattice,
+        lattice: Box<StepLattice>,
     },
     /// Fractional distinct-step grid with all per-column factorizations
     /// and the `D̃^α` columns precomputed.
     StepGrid(StepGridPlan),
 }
 
+/// The column recurrence a uniform plan sweeps. Its symbol data depend
+/// on the grid only through the step, so [`window_symbols`] derives
+/// them for any window count — the whole horizon is one window.
+#[derive(Clone, Copy)]
+enum Sweep {
+    /// Linear two-term recurrence, or the paper's literal alternating
+    /// accumulator, against `σ·E − A`.
+    Linear { accumulator: bool },
+    /// Fractional nilpotent-series convolution against `ρ₀·E − A`.
+    Fractional,
+    /// Integer multi-term finite `(1+q)^K` recurrence; `differentiate`
+    /// feeds it exact `u̇` averages (second-order nodal plans).
+    Recurrence { differentiate: bool },
+    /// Multi-term per-term series convolution (fractional mixtures).
+    Convolution,
+}
+
+/// A uniform plan: the recorded analysis of its pencil and the
+/// whole-horizon (`W = 1`) window kernel, factored when the plan is
+/// built. Every other window count refactors numerically against the
+/// same analysis.
+struct UniformPlan {
+    sweep: Sweep,
+    pencil: PencilRecord,
+    /// The multi-term conversion the plan sweeps when the model is not
+    /// itself multi-term (linear `Convolution` method, second-order
+    /// nodal form).
+    mt: Option<MultiTermSystem>,
+    whole: Arc<WindowKernel>,
+}
+
+/// A uniform plan's recorded pencil analysis.
+enum PencilRecord {
+    /// The `σ·E − A` family (linear and fractional sweeps).
+    Family(Box<PencilFamily>),
+    /// The weighted multi-term pencil `Σ_k w_k·A_k`.
+    Weighted(Box<PencilAnalysis>),
+}
+
+/// A window pencil before factorization, in the form its plan's
+/// [`PencilRecord`] replays.
+enum WindowPencil {
+    /// `σ·E − A`.
+    Shift(f64),
+    /// `Σ_k w_k·A_k`.
+    Weighted(CsrMatrix),
+}
+
 /// A reusable solving session: the validated problem shape, orderings
-/// and factorizations of one [`Simulation::plan`] (or one
-/// [`crate::Problem`]), amortized over every
+/// and factorizations of one [`Simulation::plan`], amortized over every
 /// [`solve`](SimPlan::solve) / [`solve_batch`](SimPlan::solve_batch) /
 /// [`sweep`](SimPlan::sweep) call.
 ///
@@ -602,34 +723,34 @@ const WINDOW_KERNELS_RETAINED: usize = 8;
 
 /// The per-window solving kernel: everything that depends on the window
 /// width `T/W` and resolution `m`, factored **once** and reused by all
-/// `W` windows and all batched scenarios.
-enum WindowKernel {
-    /// Linear strategy: the window pencil `σ_w·E − A` with
-    /// `σ_w = 2·m·W/T`, numerically refactored against the plan's own
-    /// symbolic analysis.
-    Linear { lu: SparseLu, sigma: f64 },
-    /// Integer multi-term recurrence (second-order nodal plans and plain
-    /// integer multi-term plans): the window pencil plus the
-    /// `h_w`-scaled recurrence polynomials. The carried state is the
-    /// trailing `depth` solved columns (and the matching stimulus
-    /// columns), which makes the restarted recurrence column-for-column
-    /// identical to the unbroken sweep.
+/// `W` windows and all batched scenarios. `W = 1` is the whole horizon.
+struct WindowKernel {
+    lu: SparseLu,
+    symbols: WindowSymbols,
+}
+
+/// A window kernel's symbol data (see [`window_symbols`]).
+enum WindowSymbols {
+    /// The linear recurrence or accumulator at `σ_w = 2·m·W/T`. The
+    /// carried state is the polyline endpoint.
+    Linear { sigma: f64, accumulator: bool },
+    /// Integer multi-term recurrence: the `h_w`-scaled polynomials. The
+    /// carried state is the trailing `depth` solved columns (and the
+    /// matching stimulus columns), which makes the restarted recurrence
+    /// column-for-column identical to the unbroken sweep.
     Recurrence {
-        lu: SparseLu,
         polys: Vec<Vec<f64>>,
         bw: Vec<f64>,
         depth: usize,
     },
-    /// Fractional strategy: the window pencil `ρ₀(h_w)·E − A`
-    /// (numerically refactored against the plan's pencil family) plus
-    /// the full-horizon weight vector `ρ` at the window step — entries
-    /// past the window resolution are the weights of the carried
-    /// Caputo/GL history tail.
-    Fractional { lu: SparseLu, rho: Vec<f64> },
-    /// Multi-term nilpotent-series convolution (fractional mixtures):
-    /// per-term full-horizon weight vectors at the window step, history
-    /// carried exactly like the fractional kernel, term by term.
-    MtConvolution { lu: SparseLu, series: Vec<Vec<f64>> },
+    /// Fractional: the full-horizon weight vector `ρ` at the window step
+    /// — entries past the window resolution are the weights of the
+    /// carried Caputo/GL history tail.
+    Fractional { rho: Vec<f64> },
+    /// Multi-term nilpotent-series convolution: per-term full-horizon
+    /// weight vectors at the window step, history carried exactly like
+    /// the fractional kernel, term by term.
+    Convolution { series: Vec<Vec<f64>> },
 }
 
 /// Windowed-solve configuration beyond the window count — today the
@@ -989,161 +1110,6 @@ impl OutputMap for OutRef<'_> {
 }
 
 impl SimPlan {
-    // -- construction -------------------------------------------------------
-
-    pub(crate) fn prepare(
-        model: Arc<SimModel>,
-        opts: &SolveOptions,
-        m: usize,
-        t_end: f64,
-        x0: Option<&[f64]>,
-        devices: Vec<DeviceModel>,
-    ) -> Result<Self, OpmError> {
-        validate_options(&model, t_end, opts)?;
-        let devices = Arc::new(devices);
-        let require_linear_kind = |kind: &str| -> Result<(), OpmError> {
-            if devices.is_empty() {
-                Ok(())
-            } else {
-                Err(OpmError::BadArguments(format!(
-                    "nonlinear devices solve through the linear-recurrence Newton path; \
-                     the `{kind}` plan kind cannot restamp the pencil per iteration"
-                )))
-            }
-        };
-        let n = model.order();
-        let x0 = match x0 {
-            Some(v) => {
-                validate_x0(n, v)?;
-                v.to_vec()
-            }
-            None => vec![0.0; n],
-        };
-        let nonzero_x0 = x0.iter().any(|&v| v != 0.0);
-        if nonzero_x0 && !matches!(model.as_ref(), SimModel::Linear(_)) {
-            return Err(OpmError::BadArguments(format!(
-                "nonzero initial conditions are only supported for linear problems \
-                 (the `{}` strategy assumes zero Caputo initial conditions)",
-                model.strategy_name()
-            )));
-        }
-
-        let plan = |m: usize, kind: PlanKind| SimPlan {
-            model: Arc::clone(&model),
-            t_end,
-            m,
-            x0: x0.clone(),
-            kind,
-            devices: Arc::clone(&devices),
-            kernels: GateCache::new(WINDOW_KERNELS_RETAINED, || {
-                OpmError::BadArguments(
-                    "window-kernel build panicked; the panicking request reports it".into(),
-                )
-            }),
-            windows_solved: AtomicUsize::new(0),
-        };
-        if let Some(aopts) = opts.adaptive {
-            require_linear_kind("adaptive")?;
-            let SimModel::Linear(sys) = model.as_ref() else {
-                unreachable!("validate_options admits `adaptive` only on linear models");
-            };
-            let lattice = StepLattice::new(sys, t_end, &aopts)?;
-            return Ok(plan(0, PlanKind::AdaptiveLinear { aopts, lattice }));
-        }
-        if let Some(steps) = &opts.step_grid {
-            require_linear_kind("step-grid")?;
-            let SimModel::Fractional(fsys) = model.as_ref() else {
-                unreachable!("validate_options admits `step_grid` only on fractional models");
-            };
-            let grid = AdaptiveBpf::new(steps.clone());
-            let factors = adaptive::prepare_step_grid(fsys, &grid)?;
-            let m = grid.dim();
-            return Ok(plan(m, PlanKind::StepGrid(StepGridPlan { grid, factors })));
-        }
-
-        if m == 0 {
-            return Err(OpmError::BadArguments("zero intervals".into()));
-        }
-        validate_horizon(t_end)?;
-        let require_zero_x0 = |method: &str| -> Result<(), OpmError> {
-            if nonzero_x0 {
-                Err(OpmError::BadArguments(format!(
-                    "nonzero initial conditions require the Recurrence or Accumulator \
-                     method on the `linear` strategy ({method} assumes x(0) = 0)"
-                )))
-            } else {
-                Ok(())
-            }
-        };
-
-        let kind = match model.as_ref() {
-            SimModel::Linear(sys) => match opts.method {
-                Method::Auto | Method::Recurrence | Method::Accumulator => {
-                    linear_plan_kind(sys, m, t_end, opts.method == Method::Accumulator)?
-                }
-                Method::Convolution => {
-                    require_zero_x0("Convolution")?;
-                    let mt = MultiTermSystem::from_descriptor(sys);
-                    let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
-                    PlanKind::OwnedMultiTerm {
-                        mt,
-                        plan,
-                        differentiate: false,
-                    }
-                }
-                Method::Kronecker => {
-                    require_zero_x0("Kronecker")?;
-                    let mt = MultiTermSystem::from_descriptor(sys);
-                    let factors = kron_prepare(&mt, m, t_end)?;
-                    PlanKind::Kron {
-                        factors,
-                        mt: Some(mt),
-                    }
-                }
-            },
-            SimModel::Fractional(fsys) => match opts.method {
-                Method::Kronecker => {
-                    let mt = fractional_as_multiterm(fsys);
-                    let factors = kron_prepare(&mt, m, t_end)?;
-                    PlanKind::Kron {
-                        factors,
-                        mt: Some(mt),
-                    }
-                }
-                _ => fractional_plan_kind(fsys, m, t_end)?,
-            },
-            SimModel::MultiTerm(mt) => match opts.method {
-                Method::Auto => PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Auto)?),
-                Method::Recurrence => {
-                    PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Recurrence)?)
-                }
-                Method::Convolution => {
-                    PlanKind::MultiTerm(mt_plan(mt, m, t_end, &MtSelect::Convolution)?)
-                }
-                Method::Kronecker => PlanKind::Kron {
-                    factors: kron_prepare(mt, m, t_end)?,
-                    mt: None,
-                },
-                Method::Accumulator => {
-                    unreachable!("validate_options rejects Accumulator on multi-term models")
-                }
-            },
-            SimModel::SecondOrder(so) => {
-                let mt = so.to_multiterm();
-                let plan = mt_plan(&mt, m, t_end, &MtSelect::Auto)?;
-                PlanKind::OwnedMultiTerm {
-                    mt,
-                    plan,
-                    differentiate: true,
-                }
-            }
-        };
-        if !matches!(kind, PlanKind::Linear { .. }) {
-            require_linear_kind(model.strategy_name())?;
-        }
-        Ok(plan(m, kind))
-    }
-
     // -- observability ------------------------------------------------------
 
     /// Sparse (or dense-oracle) factorizations performed on behalf of
@@ -1175,17 +1141,16 @@ impl SimPlan {
     /// cache hit/miss readout for adaptive plans (both counters are 0
     /// for plan kinds that do not run the lattice cache) and the window
     /// counters of windowed/streaming solves: a windowed linear solve
-    /// over any number of windows reports **1 symbolic + 1 numeric**
-    /// factorization — the plan's own analysis plus one numeric
-    /// refactorization at the window width.
+    /// over any number `W > 1` of windows reports **1 symbolic + 1
+    /// numeric** factorization — the plan's own analysis plus one
+    /// numeric refactorization at the window width. `W = 1` is the
+    /// whole-horizon solve and reuses the plan's own factorization.
     pub fn factor_profile(&self) -> FactorProfile {
         let p = match &self.kind {
-            PlanKind::Linear { family, .. } | PlanKind::Fractional { family, .. } => {
-                family.profile()
-            }
-            PlanKind::MultiTerm(plan) | PlanKind::OwnedMultiTerm { plan, .. } => {
-                plan.analysis.profile()
-            }
+            PlanKind::Uniform(u) => match &u.pencil {
+                PencilRecord::Family(family) => family.profile(),
+                PencilRecord::Weighted(analysis) => analysis.profile(),
+            },
             PlanKind::Kron { .. } => ONE_SYMBOLIC,
             PlanKind::AdaptiveLinear { lattice, .. } => lattice.profile(),
             PlanKind::StepGrid(sg) => sg.factors.profile(),
@@ -1319,15 +1284,22 @@ impl SimPlan {
                 .into_iter()
                 .collect()
             }
-            _ => {
-                validate_horizon(self.t_end)?;
+            PlanKind::Kron { .. } => {
                 let us: Vec<Vec<Vec<f64>>> = inputs
                     .iter()
-                    .map(|ws| self.project(ws))
-                    .collect::<Result<_, _>>()?;
+                    .map(|ws| ws.bpf_matrix(self.m, self.t_end))
+                    .collect();
                 let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                self.run_block(&refs, threads)
+                self.kron_batch(&refs, threads)
             }
+            // The whole horizon is the one-window case of the window loop.
+            PlanKind::Uniform(u) => self.drive_batch(
+                &u.whole,
+                inputs,
+                &WindowedOptions::new(1),
+                threads,
+                |c, w, seed| self.window_coeffs(c, 1, w, seed),
+            ),
         }
     }
 
@@ -1367,36 +1339,48 @@ impl SimPlan {
             return Ok(Vec::new());
         }
         self.reject_nonlinear("solve_coeffs")?;
-        match &self.kind {
-            PlanKind::AdaptiveLinear { .. } => Err(OpmError::BadArguments(
-                "adaptive stepping needs waveform inputs (exact interval averages)".into(),
-            )),
-            PlanKind::StepGrid(_) => Err(OpmError::BadArguments(
-                "step-grid solving needs waveform inputs".into(),
-            )),
-            PlanKind::OwnedMultiTerm {
-                differentiate: true,
-                ..
-            } => Err(OpmError::BadArguments(
-                "second-order problems need waveform inputs (the engine \
-                 differentiates them exactly)"
-                    .into(),
-            )),
-            _ => {
-                let p = self.model.num_inputs();
-                for &u in us {
-                    let mu = validate_coeff_inputs(p, u)?;
-                    if mu != self.m {
-                        return Err(OpmError::BadArguments(format!(
-                            "coefficient stimulus has {mu} columns but the `{}` plan \
-                             was built for resolution {}",
-                            self.model.strategy_name(),
-                            self.m
-                        )));
-                    }
-                }
-                self.run_block(us, opm_par::default_threads())
+        let needs_waveforms = match &self.kind {
+            PlanKind::AdaptiveLinear { .. } => {
+                Some("adaptive stepping needs waveform inputs (exact interval averages)")
             }
+            PlanKind::StepGrid(_) => Some("step-grid solving needs waveform inputs"),
+            PlanKind::Uniform(UniformPlan {
+                sweep:
+                    Sweep::Recurrence {
+                        differentiate: true,
+                    },
+                ..
+            }) => Some(
+                "second-order problems need waveform inputs (the engine \
+                 differentiates them exactly)",
+            ),
+            _ => None,
+        };
+        if let Some(why) = needs_waveforms {
+            return Err(OpmError::BadArguments(why.into()));
+        }
+        let p = self.model.num_inputs();
+        for &u in us {
+            let mu = validate_coeff_inputs(p, u)?;
+            if mu != self.m {
+                return Err(OpmError::BadArguments(format!(
+                    "coefficient stimulus has {mu} columns but the `{}` plan \
+                     was built for resolution {}",
+                    self.model.strategy_name(),
+                    self.m
+                )));
+            }
+        }
+        let threads = opm_par::default_threads();
+        match &self.kind {
+            PlanKind::Uniform(u) => self.drive_batch(
+                &u.whole,
+                us,
+                &WindowedOptions::new(1),
+                threads,
+                |c, _, _| LaneCoeffs::interleave(c, p, self.m),
+            ),
+            _ => self.kron_batch(us, threads),
         }
     }
 
@@ -1411,7 +1395,9 @@ impl SimPlan {
     /// factorization — a numeric-only refactorization against the plan's
     /// own symbolic analysis — serves all `W` windows (and every batched
     /// scenario): [`SimPlan::factor_profile`] reports 1 symbolic + 1
-    /// numeric no matter how large `W` grows.
+    /// numeric no matter how large `W` grows. `W = 1` is exactly
+    /// [`SimPlan::solve`]: the same window loop on the plan's own
+    /// factorization, bit for bit.
     ///
     /// On a horizon that splits evenly, the result matches a single
     /// whole-horizon plan at resolution `W·m` to roundoff (the BPF
@@ -1552,20 +1538,9 @@ impl SimPlan {
         self.reject_nonlinear("solve_windowed")?;
         self.check_channels(inputs)?;
         let kernel = self.window_kernel(windows)?;
-        let lanes_per_worker = worker_lane_chunk(inputs.len(), threads);
-        let results = if lanes_per_worker < inputs.len() {
-            let chunks: Vec<&[InputSet]> = inputs.chunks(lanes_per_worker).collect();
-            let per_chunk = opm_par::par_map(threads, &chunks, |chunk| {
-                self.windowed_chunk(&kernel, chunk, opts)
-            });
-            let mut out = Vec::with_capacity(inputs.len());
-            for res in per_chunk {
-                out.extend(res?);
-            }
-            out
-        } else {
-            self.windowed_chunk(&kernel, inputs, opts)?
-        };
+        let results = self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed| {
+            self.window_coeffs(c, windows, w, seed)
+        })?;
         self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(results)
     }
@@ -1612,8 +1587,10 @@ impl SimPlan {
         self.check_channels(std::slice::from_ref(inputs))?;
         let kernel = self.window_kernel(windows)?;
         let out = self.output_map();
+        let lane = std::slice::from_ref(inputs);
         let mut final_state = self.x0.clone();
-        self.windowed_drive(&kernel, &[inputs], opts, true, |w, columns, end| {
+        let coeffs = |w, seed| self.window_coeffs(lane, windows, w, seed);
+        self.windowed_drive(&kernel, 1, opts, true, coeffs, |w, columns, end| {
             // One lane: the interleaved columns are plain columns.
             let one = SweepOutcome {
                 columns: columns.to_vec(),
@@ -1639,8 +1616,8 @@ impl SimPlan {
     /// On a **linear** netlist (no devices) this is *bit-identical* to
     /// [`SimPlan::solve`] — the full-value Newton iterate of the
     /// endpoint recurrence reproduces the linear recurrence exactly, so
-    /// the call delegates to the linear sweep and merely books one
-    /// Newton iteration per column into the
+    /// the call delegates to the one-window linear sweep and merely books
+    /// one Newton iteration per column (and the one window) into the
     /// [`FactorProfile`].
     ///
     /// # Errors
@@ -1719,9 +1696,12 @@ impl SimPlan {
             // Linear netlist: one full-value iterate of the endpoint
             // recurrence *is* the linear recurrence, so Newton converges
             // in exactly one iteration per column — delegate to the
-            // linear sweep (bit-identical, zero added factorizations)
-            // and book the per-column iterations.
-            let result = if windows == 1 {
+            // linear window sweep (bit-identical, zero added
+            // factorizations; `W = 1` is the whole-horizon sweep) and
+            // book the per-column iterations.
+            let result = if windows == 1 && !matches!(self.kind, PlanKind::Uniform(_)) {
+                // Adaptive, step-grid and Kronecker plans are
+                // whole-horizon by construction.
                 opts.check_cancelled()?;
                 self.solve(inputs)?
             } else {
@@ -1731,12 +1711,12 @@ impl SimPlan {
                 }
                 self.solve_windowed_opts(inputs, &wopts)?
             };
-            if let PlanKind::Linear { family, .. } = &self.kind {
+            if let Some(family) = self.linear_family() {
                 family.note_newton_iters(result.num_intervals());
             }
             return Ok(result);
         }
-        let PlanKind::Linear { family, .. } = &self.kind else {
+        let Some(family) = self.linear_family() else {
             return Err(OpmError::BadArguments(format!(
                 "nonlinear Newton solving needs a linear-recurrence plan, not `{}`",
                 self.strategy_name()
@@ -1789,13 +1769,18 @@ impl SimPlan {
     }
 
     /// Resolves the window kernel for `windows` windows — the one
-    /// factorization all windows and scenarios share — building it on
-    /// the first request through the plan's single-flight kernel cache.
+    /// factorization all windows and scenarios share. A uniform plan's
+    /// `W = 1` kernel is the one it factored when it was built; any other
+    /// `W` is built on its first request through the plan's single-flight
+    /// kernel cache.
     fn window_kernel(&self, windows: usize) -> Result<Arc<WindowKernel>, OpmError> {
         if windows == 0 {
             return Err(OpmError::BadArguments(
                 "windowed solving needs at least one window".into(),
             ));
+        }
+        if let (1, PlanKind::Uniform(u)) = (windows, &self.kind) {
+            return Ok(Arc::clone(&u.whole));
         }
         validate_horizon(self.t_end)?;
         let (kernel, _) = self
@@ -1814,67 +1799,11 @@ impl SimPlan {
             )))
         };
         match &self.kind {
-            PlanKind::Linear { family, .. } => {
-                // Window width T/W at resolution m ⇒ σ_w = 2·m·W/T; the
-                // family replays its recorded analysis numerically.
-                let sigma = 2.0 * (self.m * windows) as f64 / self.t_end;
-                let lu = family.factor(sigma)?;
-                Ok(WindowKernel::Linear { lu, sigma })
-            }
-            PlanKind::Fractional { family, .. } => {
-                let SimModel::Fractional(fsys) = self.model.as_ref() else {
-                    unreachable!("fractional plans are built on fractional models");
-                };
-                // Window step h_w = T/(W·m): the window pencil is
-                // ρ₀(h_w)·E − A — same pattern family as the plan's own
-                // pencil, so it refactors numerically. The weight vector
-                // spans the WHOLE horizon (W·m entries): entries past
-                // the window resolution are exactly the history-tail
-                // weights of the carried Caputo/GL memory.
-                let wbasis = BpfBasis::new(self.m, self.t_end / windows as f64);
-                let rho = wbasis.frac_diff_coeffs_n(fsys.alpha(), self.m * windows);
-                let lu = family.factor(rho[0])?;
-                Ok(WindowKernel::Fractional { lu, rho })
-            }
-            PlanKind::MultiTerm(plan) | PlanKind::OwnedMultiTerm { plan, .. } => {
-                let mt = self.mt_ref();
-                // The window pencil re-weights the same terms, so it has
-                // the plan pencil's union pattern: refactor it against
-                // the recorded analysis.
-                let refactor = |pencil: opm_sparse::CsrMatrix| {
-                    let csc = pencil.to_csc();
-                    Ok::<_, OpmError>(plan.analysis.refactor(&csc, csc.values())?.0)
-                };
-                let h = self.t_end / (self.m * windows) as f64;
-                Ok(match &plan.path {
-                    MtPath::Recurrence { .. } => {
-                        let (polys, bw) = mt_recurrence_data(mt, h);
-                        let lu =
-                            refactor(crate::engine::weighted_pencil(mt.terms(), |k| polys[k][0])?)?;
-                        WindowKernel::Recurrence {
-                            lu,
-                            polys,
-                            bw,
-                            depth: mt.max_order() as usize,
-                        }
-                    }
-                    MtPath::Convolution { .. } => {
-                        // Per-term ρ^{(k)} over the whole W·m-column
-                        // horizon at the window step (α = 0 ⇒ e₀) — the
-                        // same generator the plan and the fractional
-                        // kernel use, so the formulas cannot drift.
-                        let wbasis = BpfBasis::new(self.m, self.t_end / windows as f64);
-                        let series: Vec<Vec<f64>> = mt
-                            .terms()
-                            .iter()
-                            .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, self.m * windows))
-                            .collect();
-                        let lu = refactor(crate::engine::weighted_pencil(mt.terms(), |k| {
-                            series[k][0]
-                        })?)?;
-                        WindowKernel::MtConvolution { lu, series }
-                    }
-                })
+            PlanKind::Uniform(u) => {
+                let (symbols, pencil) =
+                    window_symbols(u.sweep, &self.model, self.mt(), self.m, self.t_end, windows)?;
+                let lu = u.pencil.refactor(pencil)?;
+                Ok(WindowKernel { lu, symbols })
             }
             PlanKind::Kron { .. } => unsupported(
                 &format!("{} (Kronecker plan)", self.model.strategy_name()),
@@ -1892,14 +1821,28 @@ impl SimPlan {
         }
     }
 
-    /// The multi-term system a multi-term-backed plan sweeps — the
-    /// model's own for [`PlanKind::MultiTerm`], the owned conversion for
-    /// [`PlanKind::OwnedMultiTerm`].
-    fn mt_ref(&self) -> &MultiTermSystem {
-        match (&self.kind, self.model.as_ref()) {
-            (PlanKind::OwnedMultiTerm { mt, .. }, _) => mt,
-            (_, SimModel::MultiTerm(mt)) => mt,
-            _ => unreachable!("mt_ref on a non-multi-term plan kind"),
+    /// The multi-term system the plan sweeps or projects outputs
+    /// through: its owned conversion, else the model's own multi-term
+    /// form (`None` for linear and fractional sweeps).
+    fn mt(&self) -> Option<&MultiTermSystem> {
+        let owned = match &self.kind {
+            PlanKind::Uniform(u) => u.mt.as_ref(),
+            PlanKind::Kron { mt, .. } => mt.as_ref(),
+            _ => None,
+        };
+        swept_mt(owned, &self.model)
+    }
+
+    /// The `σ·E − A` family of a linear-recurrence plan — the pencil the
+    /// Newton path restamps.
+    fn linear_family(&self) -> Option<&PencilFamily> {
+        match &self.kind {
+            PlanKind::Uniform(UniformPlan {
+                sweep: Sweep::Linear { .. },
+                pencil: PencilRecord::Family(family),
+                ..
+            }) => Some(family),
+            _ => None,
         }
     }
 
@@ -1914,36 +1857,97 @@ impl SimPlan {
             .collect()
     }
 
-    /// One worker's share of a windowed batch: runs the full window loop
-    /// over a contiguous chunk of scenario lanes and assembles whole-
-    /// horizon results straight from the loop's column store. Lanes never
-    /// mix arithmetically, so chunked parallel runs are bit-identical to
-    /// the serial run.
-    fn windowed_chunk(
+    /// Projects the lanes' waveforms onto window `w` (of `windows`),
+    /// reaching `seed` columns back for the stimulus a recurrence
+    /// re-reads with its carried columns. The window grid is shifted, the
+    /// waveforms are sampled at global time: `u̇` averages for
+    /// second-order input, plain interval averages otherwise. This is
+    /// the one projection of every uniform waveform solve — the whole
+    /// horizon is `W = 1`.
+    fn window_coeffs(
         &self,
-        kernel: &WindowKernel,
-        chunk: &[InputSet],
-        opts: &WindowedOptions,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        let refs: Vec<&InputSet> = chunk.iter().collect();
-        let store = self.windowed_drive(kernel, &refs, opts, false, |_, _, _| {})?;
-        let out = self.output_map();
-        Ok(store
-            .into_lane_outcomes()
-            .into_iter()
-            .map(|o| o.uniform_result(&out, self.t_end))
-            .collect())
+        sets: &[InputSet],
+        windows: usize,
+        w: usize,
+        seed: usize,
+    ) -> LaneCoeffs {
+        let us: Vec<Vec<Vec<f64>>> = match &self.kind {
+            PlanKind::Uniform(UniformPlan {
+                sweep: Sweep::Recurrence { differentiate },
+                ..
+            }) => {
+                let bounds = self.window_bounds(windows, w, seed);
+                sets.iter()
+                    .map(|set| {
+                        if *differentiate {
+                            set.derivative_averages_on_grid(&bounds)
+                        } else {
+                            set.averages_on_grid(&bounds)
+                        }
+                    })
+                    .collect()
+            }
+            _ => {
+                let width = self.t_end / windows as f64;
+                sets.iter()
+                    .map(|set| set.bpf_matrix_window(self.m, w as f64 * width, width))
+                    .collect()
+            }
+        };
+        let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
+        LaneCoeffs::interleave(&refs, self.model.num_inputs(), seed + self.m)
     }
 
-    /// The window loop: sweeps `ws` through the configured windows
-    /// against the shared kernel, keeping every solved column (global
-    /// state coordinates, lane-interleaved) once, in one store. Each
-    /// window reads the state it carries from the store's newest columns
-    /// — none for the polyline endpoint, the trailing `depth` for an
-    /// integer recurrence, the Caputo/GL history tail (all, or the
-    /// short-memory cap) for fractional kernels. `on_window` then sees the
-    /// window's columns and end-of-window state block; with `trim`, the
-    /// store afterwards keeps only what the kernel still reads (bounded
+    /// Runs `lanes` through the window loop against `kernel`, split
+    /// across up to `threads` workers in contiguous chunks, and assembles
+    /// one whole-horizon result per lane straight from the loop's column
+    /// store. `coeffs(chunk, w, seed)` supplies a chunk's interleaved
+    /// stimulus for window `w` (see [`SimPlan::windowed_drive`]). Lanes
+    /// never mix arithmetically (every kernel is elementwise across the
+    /// lane dimension), so chunked parallel runs are bit-identical to the
+    /// serial run.
+    fn drive_batch<L: Sync>(
+        &self,
+        kernel: &WindowKernel,
+        lanes: &[L],
+        opts: &WindowedOptions,
+        threads: usize,
+        coeffs: impl Fn(&[L], usize, usize) -> LaneCoeffs + Sync,
+    ) -> Result<Vec<OpmResult>, OpmError> {
+        let out = self.output_map();
+        let run = |chunk: &[L]| -> Result<Vec<OpmResult>, OpmError> {
+            let chunk_coeffs = |w, seed| coeffs(chunk, w, seed);
+            let store =
+                self.windowed_drive(kernel, chunk.len(), opts, false, chunk_coeffs, |_, _, _| {})?;
+            Ok(store
+                .into_lane_outcomes()
+                .into_iter()
+                .map(|o| o.uniform_result(&out, self.t_end))
+                .collect())
+        };
+        let per_worker = worker_lane_chunk(lanes.len(), threads);
+        if per_worker >= lanes.len() {
+            return run(lanes);
+        }
+        let chunks: Vec<&[L]> = lanes.chunks(per_worker).collect();
+        let mut results = Vec::with_capacity(lanes.len());
+        for res in opm_par::par_map(threads, &chunks, |chunk| run(chunk)) {
+            results.extend(res?);
+        }
+        Ok(results)
+    }
+
+    /// The window loop: sweeps `lanes` scenarios through the configured
+    /// windows against the shared kernel, keeping every solved column
+    /// (global state coordinates, lane-interleaved) once, in one store.
+    /// `coeffs(w, seed)` supplies window `w`'s interleaved stimulus,
+    /// preceded by the `seed` columns a recurrence re-reads. Each window
+    /// reads the state it carries from the store's newest columns — none
+    /// for the polyline endpoint, the trailing `depth` for an integer
+    /// recurrence, the Caputo/GL history tail (all, or the short-memory
+    /// cap) for fractional kernels. `on_window` then sees the window's
+    /// columns and end-of-window state block; with `trim`, the store
+    /// afterwards keeps only what the kernel still reads (bounded
     /// streaming memory). Returns the store as one block outcome.
     ///
     /// Polls the [`WindowedOptions`] cancel token at every window
@@ -1952,25 +1956,25 @@ impl SimPlan {
     fn windowed_drive(
         &self,
         kernel: &WindowKernel,
-        ws: &[&InputSet],
+        lanes: usize,
         opts: &WindowedOptions,
         trim: bool,
+        coeffs: impl Fn(usize, usize) -> LaneCoeffs,
         mut on_window: impl FnMut(usize, &[Vec<f64>], &[f64]),
     ) -> Result<BlockOutcome, OpmError> {
         let windows = opts.windows();
-        let n = self.model.order();
-        let k = ws.len();
-        let carried = match kernel {
-            WindowKernel::Linear { .. } => 0,
-            WindowKernel::Recurrence { depth, .. } => *depth,
-            WindowKernel::Fractional { .. } | WindowKernel::MtConvolution { .. } => {
-                opts.history_cap().unwrap_or(usize::MAX)
+        let k = lanes;
+        let (carried, recurrence) = match &kernel.symbols {
+            WindowSymbols::Linear { .. } => (0, false),
+            WindowSymbols::Recurrence { depth, .. } => (*depth, true),
+            WindowSymbols::Fractional { .. } | WindowSymbols::Convolution { .. } => {
+                (opts.history_cap().unwrap_or(usize::MAX), false)
             }
         };
         // Linear windows restart from the plan's x0 interleaved across
         // the lanes; thereafter each lane carries its own end state.
-        let mut end = vec![0.0; n * k];
-        if matches!(kernel, WindowKernel::Linear { .. }) {
+        let mut end = vec![0.0; self.model.order() * k];
+        if let WindowSymbols::Linear { .. } = kernel.symbols {
             for (i, &v) in self.x0.iter().enumerate() {
                 end[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
             }
@@ -1980,7 +1984,8 @@ impl SimPlan {
         for w in 0..windows {
             opts.check_cancelled()?;
             let tail = &store[store.len() - carried.min(store.len())..];
-            let outcome = self.sweep_window(kernel, ws, windows, w, tail, &end);
+            let seed = if recurrence { tail.len() } else { 0 };
+            let outcome = self.sweep_window(kernel, &coeffs(w, seed), tail, &end);
             end = endpoint_state(&outcome.columns, &end);
             num_solves += outcome.num_solves;
             let fresh = outcome.columns.len();
@@ -1998,46 +2003,29 @@ impl SimPlan {
         })
     }
 
-    /// Solves window `w` (of `windows`) for the lanes `ws` against the
-    /// shared kernel, given the columns carried from earlier windows
-    /// (`tail`, oldest → newest) and the previous end-of-window state
-    /// block `start`. With the full carried state the restarted sweep is
+    /// Solves one window for the lanes of `lc` against the shared
+    /// kernel, given the columns carried from earlier windows (`tail`,
+    /// oldest → newest) and the previous end-of-window state block
+    /// `start`. With the full carried state the restarted sweep is
     /// column-for-column the unbroken one.
     fn sweep_window(
         &self,
         kernel: &WindowKernel,
-        ws: &[&InputSet],
-        windows: usize,
-        w: usize,
+        lc: &LaneCoeffs,
         tail: &[Vec<f64>],
         start: &[f64],
     ) -> BlockOutcome {
-        let (m, p, k) = (self.m, self.model.num_inputs(), ws.len());
-        // Offset projection: the window grid is shifted, the waveforms
-        // are sampled at global time.
-        let window_coeffs = || {
-            let width = self.t_end / windows as f64;
-            let us: Vec<Vec<Vec<f64>>> = ws
-                .iter()
-                .map(|set| set.bpf_matrix_window(m, w as f64 * width, width))
-                .collect();
-            let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-            LaneCoeffs::interleave(&refs, p, m)
-        };
-        match kernel {
-            WindowKernel::Linear { lu, sigma } => {
+        let lu = &kernel.lu;
+        match &kernel.symbols {
+            WindowSymbols::Linear { sigma, accumulator } => {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
                     unreachable!("linear window kernels are built on linear models");
                 };
-                let PlanKind::Linear { accumulator, .. } = &self.kind else {
-                    unreachable!("linear window kernels are built on linear plans");
-                };
                 // Window-local shift z = x − x(T_w): constant forcing
                 // c = A·x(T_w), per lane.
-                let mut c_force = vec![0.0; sys.order() * k];
-                sys.a().mul_block_into(start, &mut c_force, k);
-                let mut outcome =
-                    sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, &window_coeffs());
+                let mut c_force = vec![0.0; sys.order() * lc.lanes];
+                sys.a().mul_block_into(start, &mut c_force, lc.lanes);
+                let mut outcome = sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, lc);
                 // z → x: add the window's start state back.
                 for col in &mut outcome.columns {
                     for (c, &v) in col.iter_mut().zip(start) {
@@ -2046,54 +2034,23 @@ impl SimPlan {
                 }
                 outcome
             }
-            WindowKernel::Recurrence { lu, polys, bw, .. } => {
-                let differentiate = matches!(
-                    self.kind,
-                    PlanKind::OwnedMultiTerm {
-                        differentiate: true,
-                        ..
-                    }
-                );
-                // The stimulus columns matching the carried tail are
-                // re-projected from global time alongside the window's
-                // own (`u̇` averages for second-order input, plain
-                // interval averages otherwise).
-                let bounds = self.window_bounds(windows, w, tail.len());
-                let us: Vec<Vec<Vec<f64>>> = ws
-                    .iter()
-                    .map(|set| {
-                        if differentiate {
-                            set.derivative_averages_on_grid(&bounds)
-                        } else {
-                            set.averages_on_grid(&bounds)
-                        }
-                    })
-                    .collect();
-                let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                let lc = LaneCoeffs::interleave(&refs, p, tail.len() + m);
-                sweep_mt_recurrence_window(self.mt_ref(), lu, polys, bw, &lc, tail.to_vec())
+            WindowSymbols::Recurrence { polys, bw, .. } => {
+                let mt = self
+                    .mt()
+                    .expect("recurrence kernels sweep a multi-term system");
+                sweep_mt_recurrence_block(mt, lu, polys, bw, lc, tail.to_vec())
             }
-            WindowKernel::Fractional { lu, rho } => {
+            WindowSymbols::Fractional { rho } => {
                 let SimModel::Fractional(fsys) = self.model.as_ref() else {
                     unreachable!("fractional window kernels are built on fractional models");
                 };
-                sweep_fractional_block(fsys.system(), lu, rho, &window_coeffs(), tail)
+                sweep_fractional_block(fsys.system(), lu, rho, lc, tail)
             }
-            WindowKernel::MtConvolution { lu, series } => {
-                // Second-order conversions are integer-order and always
-                // take the Recurrence kernel, so every plan reaching
-                // this arm consumes plain (undifferentiated) averages.
-                debug_assert!(
-                    !matches!(
-                        self.kind,
-                        PlanKind::OwnedMultiTerm {
-                            differentiate: true,
-                            ..
-                        }
-                    ),
-                    "second-order plans window through the recurrence kernel"
-                );
-                sweep_mt_convolution_block(self.mt_ref(), lu, series, &window_coeffs(), tail)
+            WindowSymbols::Convolution { series } => {
+                let mt = self
+                    .mt()
+                    .expect("convolution kernels sweep a multi-term system");
+                sweep_mt_convolution_block(mt, lu, series, lc, tail)
             }
         }
     }
@@ -2113,135 +2070,26 @@ impl SimPlan {
         Ok(())
     }
 
-    // -- internals ----------------------------------------------------------
-
-    /// Projects waveforms onto the plan's uniform grid (derivative
-    /// averages for second-order plans).
-    fn project(&self, ws: &InputSet) -> Result<Vec<Vec<f64>>, OpmError> {
-        if matches!(
-            self.kind,
-            PlanKind::OwnedMultiTerm {
-                differentiate: true,
-                ..
-            }
-        ) {
-            let bounds: Vec<f64> = (0..=self.m)
-                .map(|k| k as f64 * self.t_end / self.m as f64)
-                .collect();
-            Ok(ws.derivative_averages_on_grid(&bounds))
-        } else {
-            Ok(ws.bpf_matrix(self.m, self.t_end))
-        }
-    }
-
-    /// Runs the interleaved block sweep for the uniform plan kinds,
-    /// splitting the scenario lanes across up to `threads` workers.
-    ///
-    /// Each worker sweeps a contiguous chunk of lanes through its own
-    /// [`BlockColumnSweep`]; lanes never mix arithmetically (every
-    /// kernel is elementwise across the lane dimension), so the chunked
-    /// parallel run is bit-identical to the one-big-sweep serial run.
-    fn run_block(&self, us: &[&[Vec<f64>]], threads: usize) -> Result<Vec<OpmResult>, OpmError> {
-        // The dense oracle consumes the raw coefficient matrices; only
-        // the sweeping kinds need the lane interleave.
-        if let PlanKind::Kron { factors, mt } = &self.kind {
-            let mt = match (mt, self.model.as_ref()) {
-                (Some(owned), _) => owned,
-                (None, SimModel::MultiTerm(m)) => m,
-                _ => unreachable!("kron plans carry or reference a multi-term form"),
-            };
-            return opm_par::par_map(threads, us, |u| {
-                kron_solve_prepared(mt, factors, u, self.t_end)
-            })
-            .into_iter()
-            .collect();
-        }
-        let lanes_per_worker = worker_lane_chunk(us.len(), threads);
-        if lanes_per_worker < us.len() {
-            let chunks: Vec<&[&[Vec<f64>]]> = us.chunks(lanes_per_worker).collect();
-            let per_chunk = opm_par::par_map(threads, &chunks, |chunk| self.run_chunk(chunk));
-            let mut out = Vec::with_capacity(us.len());
-            for res in per_chunk {
-                out.extend(res?);
-            }
-            return Ok(out);
-        }
-        self.run_chunk(us)
-    }
-
-    /// One worker's share of [`SimPlan::run_block`]: interleaves its
-    /// lanes and sweeps them through the cached factorization.
-    fn run_chunk(&self, us: &[&[Vec<f64>]]) -> Result<Vec<OpmResult>, OpmError> {
-        let lc = LaneCoeffs::interleave(us, self.model.num_inputs(), self.m);
-        let outcome = match &self.kind {
-            PlanKind::Linear {
-                sigma,
-                lu,
-                accumulator,
-                ..
-            } => {
-                let SimModel::Linear(sys) = self.model.as_ref() else {
-                    unreachable!("linear plan on a linear model");
-                };
-                // Whole-horizon solves are the one-window special case:
-                // the constant forcing block is the plan's own x0
-                // replicated across the lanes (all zero for zero ICs).
-                let (n, k) = (sys.order(), lc.lanes);
-                let mut c_force = vec![0.0; n * k];
-                if self.x0.iter().any(|&v| v != 0.0) {
-                    let mut x0b = vec![0.0; n * k];
-                    for (i, &v) in self.x0.iter().enumerate() {
-                        x0b[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
-                    }
-                    sys.a().mul_block_into(&x0b, &mut c_force, k);
-                }
-                sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, &lc)
-            }
-            PlanKind::Fractional { rho, lu, .. } => {
-                let SimModel::Fractional(fsys) = self.model.as_ref() else {
-                    unreachable!("fractional plan on a fractional model");
-                };
-                sweep_fractional_block(fsys.system(), lu, rho, &lc, &[])
-            }
-            PlanKind::MultiTerm(plan) => {
-                let SimModel::MultiTerm(mt) = self.model.as_ref() else {
-                    unreachable!("multi-term plan on a multi-term model");
-                };
-                sweep_multiterm_block(mt, plan, &lc)
-            }
-            PlanKind::OwnedMultiTerm { mt, plan, .. } => sweep_multiterm_block(mt, plan, &lc),
-            PlanKind::Kron { .. } | PlanKind::AdaptiveLinear { .. } | PlanKind::StepGrid(_) => {
-                unreachable!("kron and grid-like kinds are dispatched before the interleave")
-            }
+    /// The dense Kronecker oracle over raw coefficient matrices, one
+    /// scenario per worker task.
+    fn kron_batch(&self, us: &[&[Vec<f64>]], threads: usize) -> Result<Vec<OpmResult>, OpmError> {
+        let (PlanKind::Kron { factors, .. }, Some(mt)) = (&self.kind, self.mt()) else {
+            unreachable!("kron plans carry or reference a multi-term form");
         };
-        Ok(self.finish_block(outcome))
+        opm_par::par_map(threads, us, |u| {
+            kron_solve_prepared(mt, factors, u, self.t_end)
+        })
+        .into_iter()
+        .collect()
     }
 
     fn output_map(&self) -> OutRef<'_> {
-        match (&self.kind, self.model.as_ref()) {
-            (PlanKind::OwnedMultiTerm { mt, .. }, _) => OutRef::Mt(mt),
-            (PlanKind::Kron { mt: Some(mt), .. }, _) => OutRef::Mt(mt),
-            (_, SimModel::Linear(sys)) => OutRef::Sys(sys),
-            (_, SimModel::Fractional(f)) => OutRef::Sys(f.system()),
-            (_, SimModel::MultiTerm(mt)) => OutRef::Mt(mt),
-            (_, SimModel::SecondOrder(_)) => {
-                unreachable!("second-order plans own their multi-term conversion")
-            }
+        match (self.mt(), self.model.as_ref()) {
+            (Some(mt), _) => OutRef::Mt(mt),
+            (None, SimModel::Linear(sys)) => OutRef::Sys(sys),
+            (None, SimModel::Fractional(f)) => OutRef::Sys(f.system()),
+            _ => unreachable!("second-order plans own their multi-term conversion"),
         }
-    }
-
-    fn finish_block(&self, outcome: BlockOutcome) -> Vec<OpmResult> {
-        let out = self.output_map();
-        let shift = matches!(self.kind, PlanKind::Linear { .. }) // z = x − x₀ sweeps only
-            && self.x0.iter().any(|&v| v != 0.0);
-        outcome
-            .into_lane_outcomes()
-            .into_iter()
-            .map(|o| {
-                let o = if shift { o.shifted_by(&self.x0) } else { o };
-                o.uniform_result(&out, self.t_end)
-            })
-            .collect()
     }
 }
 
@@ -2285,10 +2133,8 @@ fn axpy(y: &mut [f64], x: &[f64], a: f64) {
 /// Linear two-term recurrence or the paper's literal alternating
 /// accumulator, K lanes wide (paper §III; see [`crate::linear`] for the
 /// derivation), against a **per-lane** constant forcing block
-/// `c_force = A·x₀` (all zeros for zero initial conditions). Serves
-/// both whole-horizon solves (x₀ replicated across the lanes) and
-/// windowed solves (each lane restarts from its own carried
-/// end-of-window state) — one body, so the two paths cannot diverge.
+/// `c_force = A·x_w` from each lane's window start state `x_w` (`x₀` for
+/// the first window).
 fn sweep_linear_block(
     sys: &DescriptorSystem,
     lu: &SparseLu,
@@ -2339,8 +2185,7 @@ fn sweep_linear_block(
 /// with an optional carried history tail: the memory term of column `j`
 /// splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus the
 /// carried part `Σ_{d} ρ_{j+d}·tail[end−d]` over previous windows'
-/// retained columns (empty `tail` ⇒ the whole-horizon solve, so the two
-/// paths share one body and cannot diverge).
+/// retained columns (an empty `tail` starts the horizon).
 fn sweep_fractional_block(
     sys: &DescriptorSystem,
     lu: &SparseLu,
@@ -2362,12 +2207,11 @@ fn sweep_fractional_block(
     })
 }
 
-/// One window of a windowed second-order solve, K lanes wide: the
-/// integer multi-term recurrence seeded with the trailing `seed`
-/// columns of the previous window (`lc` holds the matching stimulus
-/// columns first), so the restart is column-for-column the unbroken
-/// sweep.
-fn sweep_mt_recurrence_window(
+/// Integer multi-term finite recurrence, K lanes wide, seeded with the
+/// trailing `seed` columns of the previous window (`lc` holds the
+/// matching stimulus columns first), so the restart is column-for-column
+/// the unbroken sweep (an empty seed starts the horizon).
+fn sweep_mt_recurrence_block(
     mt: &MultiTermSystem,
     lu: &SparseLu,
     polys: &[Vec<f64>],
@@ -2404,43 +2248,9 @@ fn sweep_mt_recurrence_window(
     })
 }
 
-/// Multi-term sweep (finite recurrence or per-term convolution), K lanes
-/// wide.
-fn sweep_multiterm_block(mt: &MultiTermSystem, plan: &MtPlan, lc: &LaneCoeffs) -> BlockOutcome {
-    let n = mt.order();
-    let k = lc.lanes;
-    let mut acc = vec![0.0; n * k];
-    match &plan.path {
-        MtPath::Recurrence { polys, bw } => {
-            BlockColumnSweep::new(n, lc.m, k).run(&plan.lu, |j, history, rhs, work| {
-                for (i, &w) in bw.iter().enumerate() {
-                    if i <= j {
-                        apply_b_block(mt.b(), &lc.cols[j - i], k, w, rhs);
-                    }
-                }
-                for (term, p) in mt.terms().iter().zip(polys) {
-                    acc.iter_mut().for_each(|v| *v = 0.0);
-                    let mut any = false;
-                    for (i, &pi) in p.iter().enumerate().skip(1) {
-                        if pi != 0.0 && i <= j {
-                            any = true;
-                            axpy(&mut acc, &history[j - i], pi);
-                        }
-                    }
-                    if any {
-                        term.matrix.mul_block_into(&acc, work, k);
-                        axpy(rhs, work, -1.0);
-                    }
-                }
-            })
-        }
-        MtPath::Convolution { series } => sweep_mt_convolution_block(mt, &plan.lu, series, lc, &[]),
-    }
-}
-
 /// Multi-term nilpotent-series convolution, K lanes wide, with an
-/// optional carried history tail per term (the windowed restart; empty
-/// `tail` ⇒ the whole-horizon solve).
+/// optional carried history tail per term (the windowed restart; an
+/// empty `tail` starts the horizon).
 fn sweep_mt_convolution_block(
     mt: &MultiTermSystem,
     lu: &SparseLu,
@@ -2479,8 +2289,8 @@ fn sweep_mt_convolution_block(
 
 /// The carried memory term of every column of a window — the Toeplitz
 /// block of `weights` against the tail, in one pass
-/// ([`history_block_into`]) — or `None` for an empty tail (the
-/// whole-horizon solve and the first window carry nothing).
+/// ([`history_block_into`]) — or `None` for an empty tail (the first
+/// window carries nothing).
 fn carried_block(
     weights: &[f64],
     tail: &[Vec<f64>],
@@ -2505,7 +2315,7 @@ fn start_column(acc: &mut [f64], carried: Option<&[Vec<f64>]>, j: usize) {
 }
 
 // ---------------------------------------------------------------------------
-// Multi-term plan-time precomputation
+// Plan-time precomputation: one derivation of every window's symbol data
 // ---------------------------------------------------------------------------
 
 fn mt_all_integer(mt: &MultiTermSystem) -> bool {
@@ -2514,42 +2324,57 @@ fn mt_all_integer(mt: &MultiTermSystem) -> bool {
         .all(|t| t.alpha.fract() == 0.0 && t.alpha <= 16.0)
 }
 
-/// The fractional plan kind: pencil family + factored `ρ₀·E − A` + the
-/// nilpotent-series weights at the plan's own resolution.
-fn fractional_plan_kind(
-    fsys: &FractionalSystem,
-    m: usize,
-    t_end: f64,
-) -> Result<PlanKind, OpmError> {
-    let sys = fsys.system();
-    let basis = BpfBasis::new(m, t_end);
-    let rho = basis.frac_diff_coeffs(fsys.alpha());
-    let (family, lu) = PencilFamily::new(sys.e(), sys.a(), rho[0])?;
-    Ok(PlanKind::Fractional { rho, lu, family })
+/// The multi-term sweep `method` selects: the finite recurrence for
+/// integer orders (forced by `Recurrence`), the convolution for
+/// fractional mixtures (forced by `Convolution`).
+fn mt_sweep(mt: &MultiTermSystem, method: Method) -> Result<Sweep, OpmError> {
+    let recurrence = match method {
+        Method::Recurrence => {
+            if let Some(t) = mt.terms().iter().find(|t| t.alpha.fract() != 0.0) {
+                return Err(OpmError::BadArguments(format!(
+                    "non-integer order {} in recurrence path",
+                    t.alpha
+                )));
+            }
+            true
+        }
+        Method::Convolution => false,
+        _ => mt_all_integer(mt),
+    };
+    Ok(if recurrence {
+        Sweep::Recurrence {
+            differentiate: false,
+        }
+    } else {
+        Sweep::Convolution
+    })
 }
 
-/// The linear plan kind: pencil family + factored `σ·E − A`.
-fn linear_plan_kind(
-    sys: &DescriptorSystem,
-    m: usize,
-    t_end: f64,
-    accumulator: bool,
-) -> Result<PlanKind, OpmError> {
-    let sigma = 2.0 * m as f64 / t_end;
-    let (family, lu) = PencilFamily::new(sys.e(), sys.a(), sigma)?;
-    Ok(PlanKind::Linear {
-        sigma,
-        lu,
-        accumulator,
-        family,
+/// The owned conversion when there is one, else the model's own
+/// multi-term form.
+fn swept_mt<'a>(
+    owned: Option<&'a MultiTermSystem>,
+    model: &'a SimModel,
+) -> Option<&'a MultiTermSystem> {
+    owned.or(match model {
+        SimModel::MultiTerm(mt) => Some(mt),
+        _ => None,
     })
+}
+
+/// The `E`, `A` pair of a shifted-pencil sweep.
+fn shifted_system(model: &SimModel) -> &DescriptorSystem {
+    match model {
+        SimModel::Linear(sys) => sys,
+        SimModel::Fractional(fsys) => fsys.system(),
+        _ => unreachable!("shifted pencils belong to linear and fractional sweeps"),
+    }
 }
 
 /// Per-term finite recurrence polynomials `p^{(k)}` of degree `K` and
 /// the RHS binomial weights `(1+q)^K` for step width `h` — the symbol
 /// data of the integer-order recurrence path, which depends on the grid
-/// only through `h` (so windowed solving re-derives it per window
-/// width).
+/// only through `h`.
 fn mt_recurrence_data(mt: &MultiTermSystem, h: f64) -> (Vec<Vec<f64>>, Vec<f64>) {
     let kmax = mt.max_order() as usize;
     let mut polys: Vec<Vec<f64>> = Vec::with_capacity(mt.terms().len());
@@ -2575,67 +2400,114 @@ fn mt_recurrence_data(mt: &MultiTermSystem, h: f64) -> (Vec<Vec<f64>>, Vec<f64>)
     (polys, bw)
 }
 
-/// Precomputes the multi-term pencil + per-term symbol data and factors
-/// once (recording the symbolic analysis for window refactorization).
-fn mt_plan(
-    mt: &MultiTermSystem,
+/// The symbol data of `sweep`'s kernel for `windows` windows of `m`
+/// columns over `[0, t_end)`, and the pencil that kernel factors — the
+/// one derivation for every window count, the whole horizon (`W = 1`)
+/// included. The window step is `h_w = T/(W·m)`; the fractional weight
+/// vectors span all `W·m` columns, so entries past the window
+/// resolution weight the carried history.
+fn window_symbols(
+    sweep: Sweep,
+    model: &SimModel,
+    mt: Option<&MultiTermSystem>,
     m: usize,
     t_end: f64,
-    select: &MtSelect,
-) -> Result<MtPlan, OpmError> {
-    let h = t_end / m as f64;
-    let recurrence = match select {
-        MtSelect::Auto => mt_all_integer(mt),
-        MtSelect::Recurrence => {
-            for t in mt.terms() {
-                if t.alpha.fract() != 0.0 {
-                    return Err(OpmError::BadArguments(format!(
-                        "non-integer order {} in recurrence path",
-                        t.alpha
-                    )));
-                }
-            }
-            true
+    windows: usize,
+) -> Result<(WindowSymbols, WindowPencil), OpmError> {
+    let wbasis = || BpfBasis::new(m, t_end / windows as f64);
+    let mt = || mt.expect("multi-term sweeps carry their system");
+    Ok(match sweep {
+        Sweep::Linear { accumulator } => {
+            let sigma = 2.0 * (m * windows) as f64 / t_end;
+            let symbols = WindowSymbols::Linear { sigma, accumulator };
+            (symbols, WindowPencil::Shift(sigma))
         }
-        MtSelect::Convolution => false,
-    };
-    if recurrence {
-        let (polys, bw) = mt_recurrence_data(mt, h);
-        let pencil = crate::engine::weighted_pencil(mt.terms(), |k| polys[k][0])?;
-        let (analysis, lu) = PencilAnalysis::of_pencil(&pencil)?;
-        Ok(MtPlan {
-            lu,
-            analysis,
-            path: MtPath::Recurrence { polys, bw },
+        Sweep::Fractional => {
+            let SimModel::Fractional(fsys) = model else {
+                unreachable!("fractional sweeps are built on fractional models");
+            };
+            let rho = wbasis().frac_diff_coeffs_n(fsys.alpha(), m * windows);
+            let shift = WindowPencil::Shift(rho[0]);
+            (WindowSymbols::Fractional { rho }, shift)
+        }
+        Sweep::Recurrence { .. } => {
+            let mt = mt();
+            let (polys, bw) = mt_recurrence_data(mt, t_end / (m * windows) as f64);
+            let pencil = weighted_pencil(mt.terms(), |k| polys[k][0])?;
+            let depth = mt.max_order() as usize;
+            let symbols = WindowSymbols::Recurrence { polys, bw, depth };
+            (symbols, WindowPencil::Weighted(pencil))
+        }
+        Sweep::Convolution => {
+            // Per-term ρ^{(k)} (α = 0 ⇒ e₀), from the same generator
+            // the fractional sweep uses, so the formulas cannot drift.
+            let (mt, wbasis) = (mt(), wbasis());
+            let series: Vec<Vec<f64>> = mt
+                .terms()
+                .iter()
+                .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, m * windows))
+                .collect();
+            let pencil = weighted_pencil(mt.terms(), |k| series[k][0])?;
+            (
+                WindowSymbols::Convolution { series },
+                WindowPencil::Weighted(pencil),
+            )
+        }
+    })
+}
+
+impl UniformPlan {
+    /// Derives the whole-horizon kernel, factors its pencil and records
+    /// the analysis every other window count replays.
+    fn prepare(
+        model: &SimModel,
+        sweep: Sweep,
+        mt: Option<MultiTermSystem>,
+        m: usize,
+        t_end: f64,
+    ) -> Result<Self, OpmError> {
+        let (symbols, pencil) =
+            window_symbols(sweep, model, swept_mt(mt.as_ref(), model), m, t_end, 1)?;
+        let (pencil, lu) = match pencil {
+            WindowPencil::Shift(sigma) => {
+                let sys = shifted_system(model);
+                let (family, lu) = PencilFamily::new(sys.e(), sys.a(), sigma)?;
+                (PencilRecord::Family(Box::new(family)), lu)
+            }
+            WindowPencil::Weighted(p) => {
+                let (analysis, lu) = PencilAnalysis::of_pencil(&p)?;
+                (PencilRecord::Weighted(Box::new(analysis)), lu)
+            }
+        };
+        Ok(UniformPlan {
+            sweep,
+            pencil,
+            mt,
+            whole: Arc::new(WindowKernel { lu, symbols }),
         })
-    } else {
-        // ρ^{(k)} series for every term (α = 0 ⇒ [1, 0, 0, …]).
-        let series: Vec<Vec<f64>> = mt
-            .terms()
-            .iter()
-            .map(|term| {
-                let scale = (2.0 / h).powf(term.alpha);
-                tustin_frac_coeffs(term.alpha, m)
-                    .into_iter()
-                    .map(|c| scale * c)
-                    .collect()
-            })
-            .collect();
-        let pencil = crate::engine::weighted_pencil(mt.terms(), |k| series[k][0])?;
-        let (analysis, lu) = PencilAnalysis::of_pencil(&pencil)?;
-        Ok(MtPlan {
-            lu,
-            analysis,
-            path: MtPath::Convolution { series },
-        })
+    }
+}
+
+impl PencilRecord {
+    /// Numeric-only refactorization of a window pencil against the
+    /// recorded analysis (fresh pivoted factor on pivot degradation).
+    fn refactor(&self, pencil: WindowPencil) -> Result<SparseLu, OpmError> {
+        match (self, pencil) {
+            (PencilRecord::Family(family), WindowPencil::Shift(sigma)) => family.factor(sigma),
+            (PencilRecord::Weighted(analysis), WindowPencil::Weighted(p)) => {
+                let csc = p.to_csc();
+                Ok(analysis.refactor(&csc, csc.values())?.0)
+            }
+            _ => unreachable!("a plan's window pencils share its pencil's form"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Problem, SolveOptions};
-    use opm_sparse::{CooMatrix, CsrMatrix};
+    use crate::engine::SolveOptions;
+    use opm_sparse::CooMatrix;
     use opm_waveform::Waveform;
 
     fn scalar(a: f64) -> DescriptorSystem {
@@ -2647,21 +2519,18 @@ mod tests {
     }
 
     #[test]
-    fn plan_solve_matches_problem_solve() {
+    fn fresh_plan_per_solve_matches_reused_plan() {
         let sys = scalar(-1.0);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         let opts = SolveOptions::new().resolution(64);
-        let via_problem = Problem::linear(&sys)
-            .waveforms(&inputs)
-            .horizon(2.0)
-            .solve(&opts)
-            .unwrap();
         let sim = Simulation::from_system(sys).horizon(2.0);
+        let one_shot = sim.plan(&opts).unwrap().solve(&inputs).unwrap();
         let plan = sim.plan(&opts).unwrap();
+        plan.solve(&InputSet::new(vec![Waveform::Dc(3.0)])).unwrap();
         let via_plan = plan.solve(&inputs).unwrap();
         for j in 0..64 {
             assert_eq!(
-                via_problem.state_coeff(0, j),
+                one_shot.state_coeff(0, j),
                 via_plan.state_coeff(0, j),
                 "column {j}"
             );
@@ -2850,15 +2719,21 @@ mod tests {
         };
         let na = assemble_na(&spec.build(), &[]).unwrap();
         let (m, t_end) = (32, 5e-9);
-        // The one-shot front door runs this very plan.
-        let direct = Problem::second_order(&na.system)
-            .waveforms(&na.inputs)
-            .horizon(t_end)
-            .solve(&SolveOptions::new().resolution(m))
-            .unwrap();
         let sim = Simulation::from_second_order(na.system).horizon(t_end);
         let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
         let via_plan = plan.solve(&na.inputs).unwrap();
+        // The plan feeds its recurrence exact `u̇` interval averages.
+        let bounds: Vec<f64> = (0..=m).map(|k| k as f64 * t_end / m as f64).collect();
+        let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
+        let SimModel::SecondOrder(so) = sim.model() else {
+            unreachable!("built from a second-order system");
+        };
+        let direct = Simulation::from_multiterm(so.to_multiterm())
+            .horizon(t_end)
+            .plan(&SolveOptions::new().resolution(m))
+            .unwrap()
+            .solve_coeffs(&u_dot)
+            .unwrap();
         for j in 0..m {
             for i in 0..via_plan.order() {
                 assert_eq!(direct.state_coeff(i, j), via_plan.state_coeff(i, j));
@@ -3186,27 +3061,29 @@ mod tests {
 
     #[test]
     fn window_kernel_retention_is_bounded() {
+        // W = 1 is the kernel the plan was built with, never cached:
+        // exercise the cache from W = 2.
         let sim = Simulation::from_fractional(FractionalSystem::new(0.5, scalar(-1.0)).unwrap())
             .horizon(2.0);
         let plan = sim.plan(&SolveOptions::new().resolution(4)).unwrap();
         let inputs = InputSet::new(vec![Waveform::step(0.3, 1.0)]);
-        let first = plan.solve_windowed(&inputs, 1).unwrap();
-        for windows in 1..=20 {
+        let first = plan.solve_windowed(&inputs, 2).unwrap();
+        for windows in 2..=21 {
             plan.solve_windowed(&inputs, windows).unwrap();
             assert!(plan.kernels.len() <= WINDOW_KERNELS_RETAINED);
         }
-        // The least recently used kernels — W = 1 among them — are gone.
+        // The least recently used kernels — W = 2 among them — are gone.
         let retained: Vec<usize> = plan.kernels.values().into_iter().map(|(w, _)| w).collect();
         assert_eq!(retained.len(), WINDOW_KERNELS_RETAINED);
-        assert!(!retained.contains(&1), "{retained:?}");
+        assert!(!retained.contains(&2), "{retained:?}");
         // An evicted W refactors and solves bit-identically.
-        let again = plan.solve_windowed(&inputs, 1).unwrap();
+        let again = plan.solve_windowed(&inputs, 2).unwrap();
         let bits = |r: &OpmResult| -> Vec<u64> {
             r.columns.iter().flatten().map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(&again), bits(&first));
-        // One numeric refactorization per kernel build: W = 1..=20, plus
-        // the rebuild of W = 1.
+        // One numeric refactorization per kernel build: W = 2..=21, plus
+        // the rebuild of W = 2.
         assert_eq!((plan.num_symbolic(), plan.num_numeric()), (1, 21));
     }
 

@@ -6,22 +6,35 @@
 //! run exercises the identical sample set — failures reproduce exactly.
 
 use opm_core::kron_solve::{kron_solve_fractional, kron_solve_linear};
-use opm_core::{Method, OpmResult, Problem, SolveOptions};
+use opm_core::{Method, OpmResult, Simulation, SolveOptions};
 use opm_rng::StdRng;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 
 const CASES: usize = 24;
 
-/// One-shot linear solve through the engine front door (the randomized
-/// properties below target the strategy the plan layer dispatches to).
-fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
-    Problem::linear(sys)
-        .coeffs(u)
+/// One-shot linear solve through a fresh plan on `method`'s path (the
+/// randomized properties below target the strategy the plan layer
+/// dispatches to).
+fn solve_linear_with(
+    sys: &DescriptorSystem,
+    u: &[Vec<f64>],
+    t_end: f64,
+    x0: &[f64],
+    method: Method,
+) -> OpmResult {
+    Simulation::from_system(sys.clone())
         .horizon(t_end)
-        .initial_state(x0)
-        .solve(&SolveOptions::new())
+        .initial_state(x0.to_vec())
+        .plan(&SolveOptions::new().resolution(u[0].len()).method(method))
         .unwrap()
+        .solve_coeffs(u)
+        .unwrap()
+}
+
+/// One-shot linear solve on the default recurrence path.
+fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
+    solve_linear_with(sys, u, t_end, x0, Method::Auto)
 }
 
 /// As [`solve_linear`], forced onto the paper's literal accumulator path.
@@ -31,20 +44,16 @@ fn solve_linear_accumulator(
     t_end: f64,
     x0: &[f64],
 ) -> OpmResult {
-    Problem::linear(sys)
-        .coeffs(u)
-        .horizon(t_end)
-        .initial_state(x0)
-        .solve(&SolveOptions::new().method(Method::Accumulator))
-        .unwrap()
+    solve_linear_with(sys, u, t_end, x0, Method::Accumulator)
 }
 
-/// One-shot fractional solve through the engine front door.
+/// One-shot fractional solve through a fresh plan.
 fn solve_fractional(fsys: &FractionalSystem, u: &[Vec<f64>], t_end: f64) -> OpmResult {
-    Problem::fractional(fsys)
-        .coeffs(u)
+    Simulation::from_fractional(fsys.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(u)
         .unwrap()
 }
 

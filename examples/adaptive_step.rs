@@ -6,7 +6,7 @@
 use opm::circuits::ladder::rc_ladder;
 use opm::circuits::mna::{assemble_mna, Output};
 use opm::core::adaptive::AdaptiveOpmOptions;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::waveform::Waveform;
 
 fn main() {
@@ -18,17 +18,17 @@ fn main() {
     let t_end = 2e-3;
     let x0 = vec![0.0; model.system.order()];
 
-    let problem = Problem::linear(&model.system)
-        .waveforms(&model.inputs)
+    let sim = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .initial_state(&x0);
-    let adaptive = problem
-        .solve(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
+        .initial_state(x0);
+    let adaptive = sim
+        .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
             tol: 1e-6,
             h0: 1e-6,
             h_min: 1e-9,
             h_max: 1e-4,
         }))
+        .and_then(|plan| plan.solve(&model.inputs))
         .expect("adaptive solves");
 
     // Uniform run with the same *smallest* step the pulse required.
@@ -51,8 +51,9 @@ fn main() {
     // Sanity: the adaptive run still matches a (moderately) fine uniform
     // run at the probe output.
     let m_check = 4000;
-    let uniform = problem
-        .solve(&SolveOptions::new().resolution(m_check))
+    let uniform = sim
+        .plan(&SolveOptions::new().resolution(m_check))
+        .and_then(|plan| plan.solve(&model.inputs))
         .expect("uniform solves");
     // Compare interval averages against interval averages: average the
     // uniform cells covered by each adaptive interval.

@@ -6,7 +6,7 @@
 
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::metrics::relative_error_db_multi;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::fft::FftSimulator;
 
 fn ascii_plot(series: &[f64], label: &str) {
@@ -38,12 +38,11 @@ fn main() {
 
     // The paper's window: [0, 2.7 ns), m = 8 — plus a finer rerun.
     let t_end = 2.7e-9;
-    let problem = Problem::fractional(&model.system)
-        .waveforms(&model.inputs)
-        .horizon(t_end);
+    let sim = Simulation::from_fractional(model.system.clone()).horizon(t_end);
     for m in [8usize, 64] {
-        let r = problem
-            .solve(&SolveOptions::new().resolution(m))
+        let r = sim
+            .plan(&SolveOptions::new().resolution(m))
+            .and_then(|plan| plan.solve(&model.inputs))
             .expect("solves");
         println!("\nOPM with m = {m}: port-1 current waveform");
         if m == 8 {
@@ -57,8 +56,9 @@ fn main() {
     // FFT baseline at 8 and 100 sampling points (the paper's FFT-1/FFT-2),
     // compared on the m = 8 OPM grid per Eq. (30).
     let m = 8;
-    let opm = problem
-        .solve(&SolveOptions::new().resolution(m))
+    let opm = sim
+        .plan(&SolveOptions::new().resolution(m))
+        .and_then(|plan| plan.solve(&model.inputs))
         .expect("solves");
     let opm_outputs: Vec<Vec<f64>> = (0..2).map(|o| opm.output_row(o).to_vec()).collect();
     for n_samples in [8usize, 100] {

@@ -7,7 +7,7 @@
 use opm::circuits::grid::PowerGridSpec;
 use opm::circuits::mna::assemble_mna;
 use opm::circuits::na::assemble_na;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::transient::trapezoidal;
 
 fn main() {
@@ -36,10 +36,10 @@ fn main() {
     // OPM on the second-order model: C v̈ + G v̇ + Γ v = B·J̇ (the engine
     // differentiates the load waveforms exactly).
     let t0 = std::time::Instant::now();
-    let opm = Problem::second_order(&na.system)
-        .waveforms(&na.inputs)
+    let opm = Simulation::from_second_order(na.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .and_then(|plan| plan.solve(&na.inputs))
         .expect("OPM solves");
     let opm_time = t0.elapsed();
 

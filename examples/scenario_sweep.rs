@@ -9,7 +9,6 @@ use std::time::Instant;
 use opm::circuits::ladder::rc_ladder;
 use opm::circuits::mna::{assemble_mna, Output};
 use opm::prelude::*;
-use opm::Problem;
 
 fn main() {
     // A 40-section RC ladder: large enough that factoring dominates a
@@ -25,17 +24,17 @@ fn main() {
     let stimulus =
         |&rise: &f64| InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.0, rise, 1e-5, 1e-7, 0.0)]);
 
-    // Naive: Problem::solve re-validates, re-orders and re-factors per
-    // scenario.
+    // Naive: a fresh plan per scenario re-validates, re-orders and
+    // re-factors every time.
     let t0 = Instant::now();
     let naive: Vec<_> = rises
         .iter()
         .map(|r| {
             let inputs = stimulus(r);
-            Problem::linear(&model.system)
-                .waveforms(&inputs)
+            Simulation::from_system(model.system.clone())
                 .horizon(t_end)
-                .solve(&opts)
+                .plan(&opts)
+                .and_then(|plan| plan.solve(&inputs))
                 .expect("solves")
         })
         .collect();

@@ -8,7 +8,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `opm-core` | the OPM solver engine: the [`Simulation`]/[`SimPlan`] session API, the one-shot [`core::Problem`] front door, and the strategies (linear, fractional, multi-term, adaptive, general-basis) |
+//! | [`core`] | `opm-core` | the OPM solver engine: the [`Simulation`] → [`SimPlan`] session API (the one front door) and the strategies (linear, fractional, multi-term, adaptive, general-basis) |
 //! | [`basis`] | `opm-basis` | block-pulse / Walsh / Haar / Legendre operational matrices |
 //! | [`circuits`] | `opm-circuits` | netlists, SPICE-ish parser, MNA/NA, power-grid & fractional-line generators |
 //! | [`system`] | `opm-system` | descriptor / fractional / multi-term / second-order models |
@@ -60,9 +60,8 @@
 //!
 //! The same session front door covers fractional
 //! ([`Simulation::from_fractional`], or a netlist with CPE elements),
-//! multi-term, second-order nodal and adaptive solves; [`core::Problem`]
-//! remains as the thin one-shot wrapper when only a single solve is
-//! needed.
+//! multi-term, second-order nodal and adaptive solves; a single solve is
+//! a plan used once.
 //!
 //! # Errors
 //!
@@ -89,8 +88,8 @@ pub use opm_transient as transient;
 pub use opm_waveform as waveform;
 
 pub use opm_core::{
-    CacheStats, FactorProfile, Json, Method, NewtonOptions, OpmResult, PlanCache, Problem,
-    SimModel, SimPlan, Simulation, SolveOptions, WindowBlock, WindowedOptions,
+    CacheStats, FactorProfile, Json, Method, NewtonOptions, OpmResult, PlanCache, SimModel,
+    SimPlan, Simulation, SolveOptions, WindowBlock, WindowedOptions,
 };
 
 /// The stabilized v1 session surface in one import.

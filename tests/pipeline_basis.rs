@@ -10,7 +10,7 @@ use opm::circuits::na::assemble_na;
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::adaptive::geometric_grid;
 use opm::core::general_basis::GeneralBasisPlan;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::waveform::Waveform;
 
 /// The Walsh-basis solve of an assembled circuit equals the BPF solve of
@@ -31,11 +31,12 @@ fn walsh_and_bpf_agree_on_assembled_circuit() {
         .unwrap();
 
     let u = model.inputs.bpf_matrix(m, t_end);
-    let bpf = Problem::linear(&model.system)
-        .coeffs(&u)
+    let bpf = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .initial_state(&x0)
-        .solve(&SolveOptions::new())
+        .initial_state(x0.clone())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
 
     let out_state = 3; // node 4 voltage
@@ -59,18 +60,20 @@ fn adaptive_fractional_on_tline_consistent_with_uniform() {
 
     let steps = geometric_grid(t_end, 24, 1.12);
     let grid = AdaptiveBpf::new(steps.clone());
-    let adaptive = Problem::fractional(&model.system)
-        .waveforms(&model.inputs)
+    let adaptive = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().step_grid(steps))
+        .plan(&SolveOptions::new().step_grid(steps))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
 
     let m = 256;
     let u = model.inputs.bpf_matrix(m, t_end);
-    let uniform = Problem::fractional(&model.system)
-        .coeffs(&u)
+    let uniform = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
 
     let peak = uniform
@@ -111,10 +114,11 @@ fn second_order_frontend_end_to_end() {
     let t_end = 6e-9;
     let m = 192;
 
-    let opm_run = Problem::second_order(&na.system)
-        .waveforms(&na.inputs)
+    let opm_run = Simulation::from_second_order(na.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&na.inputs)
         .unwrap();
     let x0 = vec![0.0; mna.system.order()];
     let trap = opm::transient::trapezoidal(&mna.system, &mna.inputs, t_end, m, &x0, false).unwrap();

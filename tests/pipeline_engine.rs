@@ -1,7 +1,7 @@
-//! Integration: the engine front door ([`Problem`] / [`SolveOptions`])
-//! must dispatch every model class to the same numbers as an explicit
-//! session plan ([`opm::core::Simulation`]), end to end through the
-//! facade crate.
+//! Integration: a [`Simulation`] plan fed waveforms must dispatch every
+//! model class to the same numbers as the same plan fed the equivalent
+//! BPF coefficients (or, for second-order models, as the hand-converted
+//! multi-term plan), end to end through the facade crate.
 
 use opm::circuits::grid::PowerGridSpec;
 use opm::circuits::ladder::rc_ladder;
@@ -9,7 +9,7 @@ use opm::circuits::mna::{assemble_mna, Output};
 use opm::circuits::na::assemble_na;
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::adaptive::AdaptiveOpmOptions;
-use opm::core::{Method, Problem, SolveOptions};
+use opm::core::{Method, Simulation, SolveOptions};
 use opm::waveform::Waveform;
 
 #[test]
@@ -18,16 +18,17 @@ fn linear_problem_matches_direct_strategy_on_rc_ladder() {
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(5)]).unwrap();
     let (m, t_end) = (128, 2e-6);
     let u = model.inputs.bpf_matrix(m, t_end);
-    let direct = opm::core::Simulation::from_system(model.system.clone())
+    let direct = Simulation::from_system(model.system.clone())
         .horizon(t_end)
         .plan(&SolveOptions::new().resolution(m))
         .unwrap()
         .solve_coeffs(&u)
         .unwrap();
-    let engine = Problem::linear(&model.system)
-        .waveforms(&model.inputs)
+    let engine = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
     for j in 0..m {
         assert_eq!(
@@ -43,13 +44,10 @@ fn method_override_routes_to_the_kron_oracle() {
     let ckt = rc_ladder(2, 1e3, 1e-9, Waveform::step(0.0, 1.0));
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(3)]).unwrap();
     let (m, t_end) = (16, 1e-6);
-    let p = Problem::linear(&model.system)
-        .waveforms(&model.inputs)
-        .horizon(t_end);
-    let fast = p.solve(&SolveOptions::new().resolution(m)).unwrap();
-    let oracle = p
-        .solve(&SolveOptions::new().resolution(m).method(Method::Kronecker))
-        .unwrap();
+    let sim = Simulation::from_system(model.system.clone()).horizon(t_end);
+    let solve = |opts: &SolveOptions| sim.plan(opts).unwrap().solve(&model.inputs).unwrap();
+    let fast = solve(&SolveOptions::new().resolution(m));
+    let oracle = solve(&SolveOptions::new().resolution(m).method(Method::Kronecker));
     assert_eq!(oracle.num_solves, 1);
     for j in 0..m {
         assert!(
@@ -64,16 +62,17 @@ fn fractional_problem_solves_the_table1_line() {
     let model = FractionalLineSpec::default().assemble();
     let (m, t_end) = (64, 2.7e-9);
     let u = model.inputs.bpf_matrix(m, t_end);
-    let direct = opm::core::Simulation::from_fractional(model.system.clone())
+    let direct = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
         .plan(&SolveOptions::new().resolution(m))
         .unwrap()
         .solve_coeffs(&u)
         .unwrap();
-    let engine = Problem::fractional(&model.system)
-        .waveforms(&model.inputs)
+    let engine = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
     for j in 0..m {
         for o in 0..2 {
@@ -97,16 +96,21 @@ fn second_order_problem_solves_the_power_grid() {
     };
     let na = assemble_na(&spec.build(), &[]).unwrap();
     let (m, t_end) = (64, 5e-9);
-    let direct = opm::core::Simulation::from_second_order(na.system.clone())
+    // The nodal form by hand: multi-term conversion fed exact `u̇`
+    // interval averages.
+    let bounds: Vec<f64> = (0..=m).map(|k| k as f64 * t_end / m as f64).collect();
+    let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
+    let direct = Simulation::from_multiterm(na.system.to_multiterm())
+        .horizon(t_end)
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve_coeffs(&u_dot)
+        .unwrap();
+    let engine = Simulation::from_second_order(na.system.clone())
         .horizon(t_end)
         .plan(&SolveOptions::new().resolution(m))
         .unwrap()
         .solve(&na.inputs)
-        .unwrap();
-    let engine = Problem::second_order(&na.system)
-        .waveforms(&na.inputs)
-        .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
         .unwrap();
     for j in 0..m {
         for i in 0..na.system.order() {
@@ -124,15 +128,16 @@ fn adaptive_option_reuses_factorizations() {
         Waveform::pulse(0.0, 1.0, 1e-5, 1e-6, 2e-5, 1e-6, 0.0),
     );
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(4)]).unwrap();
-    let r = Problem::linear(&model.system)
-        .waveforms(&model.inputs)
+    let r = Simulation::from_system(model.system.clone())
         .horizon(2e-3)
-        .solve(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
+        .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
             tol: 1e-5,
             h0: 1e-6,
             h_min: 1e-9,
             h_max: 1e-4,
         }))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
     // The power-of-two step lattice bounds the factorization count far
     // below the column count.

@@ -3,7 +3,7 @@
 
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::metrics::{max_abs_diff, relative_error_db_multi};
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::fft::FftSimulator;
 use opm::fracnum::mittag_leffler::ml_kernel;
 use opm::sparse::{CooMatrix, CsrMatrix};
@@ -34,10 +34,11 @@ fn three_way_agreement_on_fractional_relaxation() {
     let m = 300;
 
     let u = inputs.bpf_matrix(m, t_end);
-    let opm = Problem::fractional(&fsys)
-        .coeffs(&u)
+    let opm = Simulation::from_fractional(fsys.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
     let gl = gl_fractional(&fsys, &inputs, t_end, m, false).unwrap();
 
@@ -71,10 +72,11 @@ fn table1_shape_holds_at_test_scale() {
     // OPM at the paper's m = 8 plus a denser reference run.
     let m = 8;
     let u = model.inputs.bpf_matrix(m, t_end);
-    let opm = Problem::fractional(&model.system)
-        .coeffs(&u)
+    let opm = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
     let opm_out: Vec<Vec<f64>> = (0..2).map(|o| opm.output_row(o).to_vec()).collect();
 
@@ -100,10 +102,11 @@ fn table1_shape_holds_at_test_scale() {
     // Independent time-domain check: GL on the same DAE.
     let m_fine = 128;
     let u_fine = model.inputs.bpf_matrix(m_fine, t_end);
-    let opm_fine = Problem::fractional(&model.system)
-        .coeffs(&u_fine)
+    let opm_fine = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u_fine[0].len()))
+        .unwrap()
+        .solve_coeffs(&u_fine)
         .unwrap();
     let gl = gl_fractional(&model.system, &model.inputs, t_end, m_fine, false).unwrap();
     let mut gl_mid = vec![0.0; m_fine];
@@ -134,10 +137,11 @@ fn integer_alpha_equals_multiterm_path() {
     let m = 64;
     let t_end = 3.0;
     let u = InputSet::new(vec![Waveform::sine(0.0, 1.0, 0.5, 0.0, 0.0)]).bpf_matrix(m, t_end);
-    let frac = Problem::fractional(&fsys)
-        .coeffs(&u)
+    let frac = Simulation::from_fractional(fsys.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
     let mt = MultiTermSystem::new(
         vec![
@@ -154,10 +158,11 @@ fn integer_alpha_equals_multiterm_path() {
         None,
     )
     .unwrap();
-    let fast = Problem::multiterm(&mt)
-        .coeffs(&u)
+    let fast = Simulation::from_multiterm(mt.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
     for j in 0..m {
         assert!(

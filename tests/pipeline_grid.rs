@@ -4,7 +4,7 @@
 use opm::circuits::grid::PowerGridSpec;
 use opm::circuits::mna::assemble_mna;
 use opm::circuits::na::assemble_na;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::transient::{backward_euler, bdf, fine_reference, trapezoidal};
 
 fn small_grid() -> PowerGridSpec {
@@ -31,10 +31,11 @@ fn na_opm_matches_mna_trapezoidal_exactly_in_class() {
     let bounds: Vec<f64> = (0..=m).map(|k| k as f64 * t_end / m as f64).collect();
     let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
     let mt = na.system.to_multiterm();
-    let opm = Problem::multiterm(&mt)
-        .coeffs(&u_dot)
+    let opm = Simulation::from_multiterm(mt.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new())
+        .plan(&SolveOptions::new().resolution(u_dot[0].len()))
+        .unwrap()
+        .solve_coeffs(&u_dot)
         .unwrap();
 
     let x0 = vec![0.0; mna.system.order()];

@@ -5,7 +5,7 @@ use opm::circuits::ladder::{rc_ladder, rlc_ladder};
 use opm::circuits::mna::{assemble_mna, Output};
 use opm::circuits::parser::parse_netlist;
 use opm::core::metrics::max_abs_diff;
-use opm::core::{Problem, SolveOptions};
+use opm::core::{Simulation, SolveOptions};
 use opm::transient::{backward_euler, bdf, fine_reference, trapezoidal};
 use opm::waveform::Waveform;
 
@@ -25,11 +25,12 @@ fn opm_is_algebraically_trapezoidal_on_rc_ladder() {
     let m = 256;
     let x0 = vec![0.0; model.system.order()];
     let u = model.inputs.bpf_matrix(m, t_end);
-    let opm = Problem::linear(&model.system)
-        .coeffs(&u)
+    let opm = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .initial_state(&x0)
-        .solve(&SolveOptions::new())
+        .initial_state(x0.clone())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
 
     // Trapezoidal driven by the *same* interval-average inputs: emulate by
@@ -63,11 +64,12 @@ fn all_methods_converge_to_the_same_waveform() {
 
     let reference = fine_reference(&model.system, &model.inputs, t_end, m, 32, &x0).unwrap();
     let u = model.inputs.bpf_matrix(m, t_end);
-    let opm = Problem::linear(&model.system)
-        .coeffs(&u)
+    let opm = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .initial_state(&x0)
-        .solve(&SolveOptions::new())
+        .initial_state(x0.clone())
+        .plan(&SolveOptions::new().resolution(u[0].len()))
+        .unwrap()
+        .solve_coeffs(&u)
         .unwrap();
     let be = backward_euler(&model.system, &model.inputs, t_end, m, &x0, false).unwrap();
     let gear = bdf(&model.system, &model.inputs, t_end, m, 2, &x0, false).unwrap();
@@ -113,15 +115,17 @@ C2 n2 0 2n
     let t_end = 1e-6;
     let m = 128;
     let opts = SolveOptions::new().resolution(m);
-    let r1 = Problem::linear(&via_parser.system)
-        .waveforms(&via_parser.inputs)
+    let r1 = Simulation::from_system(via_parser.system.clone())
         .horizon(t_end)
-        .solve(&opts)
+        .plan(&opts)
+        .unwrap()
+        .solve(&via_parser.inputs)
         .unwrap();
-    let r2 = Problem::linear(&via_builder.system)
-        .waveforms(&via_builder.inputs)
+    let r2 = Simulation::from_system(via_builder.system.clone())
         .horizon(t_end)
-        .solve(&opts)
+        .plan(&opts)
+        .unwrap()
+        .solve(&via_builder.inputs)
         .unwrap();
     let dev = max_abs_diff(r1.output_row(0), r2.output_row(0));
     assert!(

@@ -123,7 +123,8 @@ fn windowed_rectifier_costs_one_symbolic_factorization() {
 fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
     // Fixed-seed randomized RC meshes: `solve_newton` on a device-free
     // plan must *delegate* to the linear recurrence — bit-identical
-    // columns, one booked iteration per column, no extra factorization.
+    // columns, one booked iteration per column, one booked window, no
+    // extra factorization.
     let mut rng = opm_rng::StdRng::seed_from_u64(0x0DE5_1A7E);
     for case in 0..8 {
         let n = 2 + (case % 3);
@@ -171,5 +172,8 @@ fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
         );
         assert_eq!(after.newton_fresh_fallbacks, 0, "case {case}");
         assert_eq!(before.newton_iters, 0, "case {case}");
+        // `solve_newton` is the one-window Newton solve, and books it.
+        assert_eq!(mid.num_windows, 0, "case {case}");
+        assert_eq!(after.num_windows, 1, "case {case}");
     }
 }

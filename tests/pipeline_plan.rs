@@ -6,7 +6,7 @@ use opm::circuits::ladder::rc_ladder;
 use opm::circuits::mna::{assemble_fractional_mna, assemble_mna, Output};
 use opm::circuits::parser::parse_netlist;
 use opm::waveform::{InputSet, Waveform};
-use opm::{Problem, SimModel, Simulation, SolveOptions};
+use opm::{SimModel, Simulation, SolveOptions};
 
 /// Factor-reuse observability: a 50-scenario batch factors the pencil
 /// exactly once, where the naive loop factors 50 times.
@@ -41,10 +41,11 @@ fn batch_of_fifty_factors_once() {
     let naive_factorizations: usize = sets
         .iter()
         .map(|ws| {
-            Problem::linear(&model.system)
-                .waveforms(ws)
+            Simulation::from_system(model.system.clone())
                 .horizon(t_end)
-                .solve(&SolveOptions::new().resolution(m))
+                .plan(&SolveOptions::new().resolution(m))
+                .unwrap()
+                .solve(ws)
                 .unwrap()
                 .num_factorizations
         })
@@ -188,7 +189,7 @@ fn batch_threads_1_and_4_are_bit_identical() {
 }
 
 /// `Simulation::from_netlist` must produce the same trajectories as the
-/// hand-built parse → MNA → Problem pipeline.
+/// hand-built parse → MNA → plan pipeline.
 #[test]
 fn netlist_entry_matches_hand_built_mna() {
     const NETLIST: &str = "\
@@ -202,14 +203,15 @@ C2 out 0 1n
 ";
     let (m, t_end) = (200, 2e-5);
 
-    // Hand-built: parse, assemble, Problem::solve.
+    // Hand-built: parse, assemble, plan, solve.
     let parsed = parse_netlist(NETLIST).unwrap();
     let out_node = parsed.node("out").unwrap();
     let model = assemble_mna(&parsed.circuit, &[Output::NodeVoltage(out_node)]).unwrap();
-    let by_hand = Problem::linear(&model.system)
-        .waveforms(&model.inputs)
+    let by_hand = Simulation::from_system(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
 
     // Session entry: one call.
@@ -246,10 +248,11 @@ P1 top 0 CPE 1u 0.5
     let parsed = parse_netlist(NETLIST).unwrap();
     let top = parsed.node("top").unwrap();
     let model = assemble_fractional_mna(&parsed.circuit, 0.5, &[Output::NodeVoltage(top)]).unwrap();
-    let by_hand = Problem::fractional(&model.system)
-        .waveforms(&model.inputs)
+    let by_hand = Simulation::from_fractional(model.system.clone())
         .horizon(t_end)
-        .solve(&SolveOptions::new().resolution(m))
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
 
     let sim = Simulation::from_netlist(NETLIST, &["top"])

@@ -530,12 +530,188 @@ fn windowed_solves_compose_with_sweeps_on_one_plan() {
     let windowed = plan.solve_windowed(sim.inputs().unwrap(), 4).unwrap();
     assert_eq!(whole.num_intervals(), 16);
     assert_eq!(windowed.num_intervals(), 64);
-    // W = 1 windowing degenerates to the plan's own grid.
+    // W = 1 windowing is the plain solve, bit for bit.
     let one = plan.solve_windowed(sim.inputs().unwrap(), 1).unwrap();
     assert_eq!(one.num_intervals(), 16);
     let delta = max_abs_output_delta(&one, &whole);
-    assert!(
-        delta <= 1e-9,
-        "W = 1 must match the plain solve: {delta:.3e}"
-    );
+    assert_eq!(delta, 0.0, "W = 1 must match the plain solve: {delta:.3e}");
+    assert_eq!(bits(&one), bits(&whole));
+}
+
+/// Every solved coefficient and output of a result, as bits.
+fn bits(r: &opm::OpmResult) -> Vec<u64> {
+    r.columns
+        .iter()
+        .chain(&r.outputs)
+        .flatten()
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// A two-state linear ODE `ẋ = A x + B u` with two inputs.
+fn two_state() -> opm::system::DescriptorSystem {
+    use opm::sparse::{CooMatrix, CsrMatrix};
+    let mut a = CooMatrix::new(2, 2);
+    for (i, j, v) in [(0, 0, -2.0), (0, 1, 1.0), (1, 0, 0.5), (1, 1, -1.0)] {
+        a.push(i, j, v);
+    }
+    let mut b = CooMatrix::new(2, 2);
+    b.push(0, 0, 1.0);
+    b.push(1, 1, 0.5);
+    opm::system::DescriptorSystem::new(CsrMatrix::identity(2), a.to_csr(), b.to_csr(), None)
+        .unwrap()
+}
+
+/// The whole horizon is the one-window case of the window loop: on every
+/// uniform plan kind, `solve`/`solve_batch`/`solve_coeffs` equal
+/// `solve_windowed(…, 1)` bit for bit, and neither costs more than the
+/// plan's own symbolic analysis (1 symbolic + 0 numeric).
+#[test]
+fn whole_horizon_is_the_one_window_solve() {
+    use opm::core::Method;
+    use opm::system::{MultiTermSystem, Term};
+    let (m, t_end) = (32, 3.0);
+    let two = |s: usize| {
+        InputSet::new(vec![
+            Waveform::sine(0.1 * s as f64, 1.0, 0.7, 0.0, 0.2),
+            Waveform::pulse(0.0, 1.0 + s as f64, 0.4, 0.1, 1.0, 0.1, 0.0),
+        ])
+    };
+    let one = |s: usize| InputSet::new(vec![Waveform::step(0.3 + 0.1 * s as f64, 1.0)]);
+    let scalar = |v: f64| {
+        let mut c = opm::sparse::CooMatrix::new(1, 1);
+        c.push(0, 0, v);
+        c.to_csr()
+    };
+    let term = |alpha: f64, v: f64| Term {
+        alpha,
+        matrix: scalar(v),
+    };
+    let mixture = MultiTermSystem::new(
+        vec![term(0.0, 1.0), term(0.5, 0.5), term(1.0, 1.0)],
+        scalar(1.0),
+        None,
+    )
+    .unwrap();
+    let integer = MultiTermSystem::new(
+        vec![term(0.0, 1.0), term(1.0, 0.3), term(2.0, 0.05)],
+        scalar(1.0),
+        None,
+    )
+    .unwrap();
+    let grid = PowerGridSpec {
+        layers: 2,
+        rows: 3,
+        cols: 3,
+        num_loads: 2,
+        ..Default::default()
+    };
+    let na = assemble_na(&grid.build(), &[]).unwrap();
+    let linear = Simulation::from_system(two_state()).horizon(t_end);
+    let with_x0 = linear.clone().initial_state(vec![1.5, -0.5]);
+    let opts = SolveOptions::new().resolution(m);
+    // (case, session, options, stimulus per scenario, projection is
+    // the plain BPF matrix so `solve_coeffs` can stand in for `solve`)
+    type Stimulus = Box<dyn Fn(usize) -> InputSet>;
+    let cases: Vec<(&str, Simulation, SolveOptions, Stimulus, bool)> = vec![
+        (
+            "linear, x0 != 0",
+            with_x0.clone(),
+            opts.clone(),
+            Box::new(two),
+            true,
+        ),
+        (
+            "linear accumulator, x0 != 0",
+            with_x0,
+            opts.clone().method(Method::Accumulator),
+            Box::new(two),
+            true,
+        ),
+        (
+            "linear via Convolution",
+            linear,
+            opts.clone().method(Method::Convolution),
+            Box::new(two),
+            false,
+        ),
+        (
+            "fractional",
+            Simulation::from_netlist(RC_CPE, &["top"])
+                .unwrap()
+                .horizon(1e-6),
+            opts.clone(),
+            Box::new(one),
+            true,
+        ),
+        (
+            "multi-term convolution",
+            Simulation::from_multiterm(mixture).horizon(t_end),
+            opts.clone(),
+            Box::new(one),
+            true,
+        ),
+        (
+            "integer multi-term",
+            Simulation::from_multiterm(integer).horizon(t_end),
+            opts.clone(),
+            Box::new(one),
+            false,
+        ),
+        (
+            "second-order",
+            Simulation::from_second_order(na.system).horizon(5e-9),
+            opts.clone(),
+            Box::new(move |s| {
+                InputSet::new(
+                    (0..na.inputs.len())
+                        .map(|ch| {
+                            Waveform::pulse(
+                                0.0,
+                                1e-3 * (1 + s + ch) as f64,
+                                1e-9,
+                                0.2e-9,
+                                1e-9,
+                                0.2e-9,
+                                0.0,
+                            )
+                        })
+                        .collect(),
+                )
+            }),
+            false,
+        ),
+    ];
+    for (name, sim, opts, stimulus, bpf) in &cases {
+        let sets: Vec<InputSet> = (0..6).map(stimulus).collect();
+        let plan = sim.plan(opts).unwrap();
+        let whole = plan.solve(&sets[0]).unwrap();
+        let windowed = plan.solve_windowed(&sets[0], 1).unwrap();
+        assert_eq!(bits(&whole), bits(&windowed), "{name}: solve vs W = 1");
+        for threads in [1, 4] {
+            let batch = plan.solve_batch_with_threads(&sets, threads).unwrap();
+            let wbatch = plan
+                .solve_windowed_batch_with_threads(&sets, 1, threads)
+                .unwrap();
+            for (s, (b, w)) in batch.iter().zip(&wbatch).enumerate() {
+                assert_eq!(
+                    bits(b),
+                    bits(w),
+                    "{name}: batch lane {s}, {threads} threads"
+                );
+            }
+            assert_eq!(bits(&batch[0]), bits(&whole), "{name}: batch vs single");
+        }
+        if *bpf {
+            let u = sets[0].bpf_matrix(m, plan.horizon());
+            let coeffs = plan.solve_coeffs(&u).unwrap();
+            assert_eq!(bits(&coeffs), bits(&whole), "{name}: solve_coeffs vs solve");
+        }
+        let p = plan.factor_profile();
+        assert_eq!(
+            (p.num_symbolic, p.num_numeric),
+            (1, 0),
+            "{name}: the whole horizon reuses the plan's own factorization"
+        );
+    }
 }
