@@ -12,18 +12,14 @@
 //!   is a cache hit: assembly + pure solve against the interned
 //!   `Arc<SimPlan>`, shared concurrently across client threads.
 //!
-//! Hard gates at generation time:
-//!
-//! - warm-vs-cold results bit-identical (`max_abs_delta == 0` — a hit
-//!   reuses the *same* factorization);
-//! - the pinned plan's profile reads exactly 1 symbolic + 1 numeric
-//!   factorization after all N warm requests (windowed solves);
-//! - warm throughput ≥ `OPM_SERVE_MIN_SPEEDUP`× cold (default 2.0);
-//! - `/metrics` hit rate ≥ `OPM_SERVE_MIN_HIT_RATE` (default 0.75).
-//!
 //! Emits `BENCH_serve.json` (path override: `OPM_SERVE_JSON`) through
-//! the shared `opm_core::json` serializer, gated in CI by
-//! `ci/compare_bench.py` exactly like the sweep.
+//! the shared `opm_core::json` serializer and exits 0 once it could
+//! measure. Each record carries its own bound: warm-vs-cold results
+//! bit-identical, no warm miss, warm throughput ≥ 2× cold (1.3× on
+//! shared CI runners), hit rate ≥ 0.75, the pinned plan's profile at
+//! exactly 1 symbolic + 1 numeric factorization (count drift against the
+//! committed run) and its fill at most the committed fill.
+//! `ci/compare_bench.py --profile {local,pr}` judges the run.
 //!
 //! `cargo run --release -p opm-bench --bin serve_bench`
 
@@ -39,11 +35,11 @@ const MESH: usize = 48; // MESH×MESH RC mesh → fill-heavy 2D factorization
 const RESOLUTION: usize = 8;
 const WINDOWS: usize = 4;
 
-fn floor_env(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(default)
+/// One bench record: its id, then its fields in order.
+fn rec(id: impl Into<String>, fields: Vec<(&str, Json)>) -> Json {
+    let mut entries = vec![("id".to_string(), Json::str(id))];
+    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Json::Obj(entries)
 }
 
 /// An `MESH×MESH` resistor mesh with a capacitor at every node — 2D
@@ -142,24 +138,26 @@ fn main() {
         let r = client::post(addr, "/solve", b).expect("warm request");
         assert_eq!(r.status, 200, "{}", r.body);
         let doc = Json::parse(&r.body).expect("warm response JSON");
-        assert_eq!(
-            doc.get("cache").and_then(Json::as_str),
-            Some("hit"),
-            "warm requests must hit"
-        );
-        outputs_of(&r.body)
+        let hit = doc.get("cache").and_then(Json::as_str) == Some("hit");
+        (outputs_of(&r.body), hit)
     });
     let warm_s = warm_started.elapsed().as_secs_f64();
     let warm_sps = WARM_REQUESTS as f64 / warm_s;
-
-    // -- gates -------------------------------------------------------------
-    let mut max_abs_delta = 0.0f64;
-    for w in &warm_replies {
-        assert_eq!(w.len(), cold_outputs.len());
-        for (a, b) in w.iter().zip(&cold_outputs) {
-            max_abs_delta = max_abs_delta.max((a - b).abs());
-        }
-    }
+    let warm_misses = warm_replies.iter().filter(|(_, hit)| !hit).count();
+    // A reply of the wrong shape cannot match: its delta is infinite
+    // (written as `null`, which fails the record's bound).
+    let max_abs_delta = warm_replies
+        .iter()
+        .map(|(w, _)| {
+            if w.len() != cold_outputs.len() {
+                return f64::INFINITY;
+            }
+            w.iter()
+                .zip(&cold_outputs)
+                .map(|(a, b)| (a - b).abs())
+                .fold(0.0, f64::max)
+        })
+        .fold(0.0, f64::max);
 
     let metrics = client::get(addr, "/metrics").expect("metrics");
     let mdoc = metrics.json().expect("metrics JSON");
@@ -180,29 +178,8 @@ fn main() {
     println!("cold : {COLD_REQUESTS} misses in {cold_s:.3}s  ({cold_sps:.1} scenarios/s)");
     println!("warm : {WARM_REQUESTS} hits   in {warm_s:.3}s  ({warm_sps:.1} scenarios/s)");
     println!(
-        "warm/cold {speedup:.2}×   hit rate {hit_rate:.3}   max |Δ| = {max_abs_delta:e}   \
-         profile {num_symbolic} symbolic + {num_numeric} numeric, nnz(L+U) {factor_nnz}"
-    );
-
-    assert_eq!(
-        max_abs_delta, 0.0,
-        "a cache hit must reproduce the cold result bit-for-bit"
-    );
-    assert_eq!(
-        (num_symbolic, num_numeric),
-        (1, 1),
-        "{} requests on the pinned plan must cost exactly 1 symbolic + 1 numeric",
-        WARM_REQUESTS + 1
-    );
-    let min_speedup = floor_env("OPM_SERVE_MIN_SPEEDUP", 2.0);
-    assert!(
-        speedup >= min_speedup,
-        "warm-cache throughput must be ≥ {min_speedup}× cold (got {speedup:.2}×)"
-    );
-    let min_hit_rate = floor_env("OPM_SERVE_MIN_HIT_RATE", 0.75);
-    assert!(
-        hit_rate >= min_hit_rate,
-        "hit rate must be ≥ {min_hit_rate} (got {hit_rate:.3})"
+        "warm/cold {speedup:.2}×   hit rate {hit_rate:.3}   warm misses {warm_misses}   \
+         max |Δ| = {max_abs_delta:e}   profile {num_symbolic} symbolic + {num_numeric} numeric, nnz(L+U) {factor_nnz}"
     );
 
     server.shutdown();
@@ -215,66 +192,76 @@ fn main() {
          structurally distinct variants, every request a plan-cache miss (assembly + \
          symbolic + numeric factorization + solve). serve/warm_*: {WARM_REQUESTS} repeats \
          of one pinned request, every one a hit (the interned Arc<SimPlan>, zero \
-         factorizations — the per-plan profile reads 1 symbolic + 1 numeric total, \
-         asserted). serve/lu_nnz is the pinned plan's nnz(L+U), gated as a ceiling: \
-         the fill may only shrink. warm_vs_cold_max_abs_delta == 0 is a hard \
-         bit-identity gate; the \
-         hit-rate floor and speedup floor are asserted at generation time \
-         (OPM_SERVE_MIN_SPEEDUP / OPM_SERVE_MIN_HIT_RATE). CI gate: ci/compare_bench.py \
-         diffs a regenerated run against this committed file. Regenerate: \
-         cargo run --release -p opm-bench --bin serve_bench"
+         factorizations — the per-plan profile reads 1 symbolic + 1 numeric total). \
+         serve/lu_nnz is the pinned plan's nnz(L+U). Each record carries its own bound; \
+         ci/compare_bench.py --profile local|pr judges a regenerated run against this file. \
+         Regenerate: cargo run --release -p opm-bench --bin serve_bench"
     );
-    let rec = |pairs: Vec<(String, Json)>| Json::Obj(pairs);
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("opm-bench-serve/v1")),
-        ("note".into(), Json::str(note)),
-        (
-            "records".into(),
-            Json::Arr(vec![
-                rec(vec![
-                    (
-                        "id".into(),
-                        Json::str(format!("serve/cold_requests_{COLD_REQUESTS}")),
-                    ),
-                    ("seconds".into(), Json::Num(cold_s)),
-                    ("scenarios_per_sec".into(), Json::Num(cold_sps)),
-                ]),
-                rec(vec![
-                    (
-                        "id".into(),
-                        Json::str(format!("serve/warm_requests_{WARM_REQUESTS}")),
-                    ),
-                    ("seconds".into(), Json::Num(warm_s)),
-                    ("scenarios_per_sec".into(), Json::Num(warm_sps)),
-                ]),
-                rec(vec![
-                    ("id".into(), Json::str("serve/warm_vs_cold_speedup")),
-                    ("value".into(), Json::Num(speedup)),
-                ]),
-                rec(vec![
-                    ("id".into(), Json::str("serve/warm_vs_cold_max_abs_delta")),
-                    ("value".into(), Json::Num(max_abs_delta)),
-                ]),
-                rec(vec![
-                    ("id".into(), Json::str("serve/hit_rate")),
-                    ("value".into(), Json::Num(hit_rate)),
-                    ("hits".into(), Json::Num(hits)),
-                    ("misses".into(), Json::Num(misses)),
-                ]),
-                rec(vec![
-                    ("id".into(), Json::str("serve/plan_profile")),
-                    ("num_symbolic".into(), Json::Int(num_symbolic as i64)),
-                    ("num_numeric".into(), Json::Int(num_numeric as i64)),
-                    ("windows".into(), Json::Int(WINDOWS as i64)),
-                    ("profile".into(), profile),
-                ]),
-                rec(vec![
-                    ("id".into(), Json::str("serve/lu_nnz")),
-                    ("value".into(), Json::Int(factor_nnz as i64)),
-                    ("class".into(), Json::str("ceiling")),
-                ]),
-            ]),
+    let speedup_floor = Json::Obj(vec![
+        ("local".into(), Json::Num(2.0)),
+        ("pr".into(), Json::Num(1.3)),
+    ]);
+    let records = vec![
+        rec(
+            format!("serve/cold_requests_{COLD_REQUESTS}"),
+            vec![
+                ("seconds", Json::Num(cold_s)),
+                ("scenarios_per_sec", Json::Num(cold_sps)),
+            ],
         ),
+        rec(
+            format!("serve/warm_requests_{WARM_REQUESTS}"),
+            vec![
+                ("seconds", Json::Num(warm_s)),
+                ("scenarios_per_sec", Json::Num(warm_sps)),
+            ],
+        ),
+        rec(
+            "serve/warm_vs_cold_speedup",
+            vec![("value", Json::Num(speedup)), ("min", speedup_floor)],
+        ),
+        rec(
+            "serve/warm_vs_cold_max_abs_delta",
+            vec![("value", Json::Num(max_abs_delta)), ("max", Json::Num(0.0))],
+        ),
+        rec(
+            "serve/warm_misses",
+            vec![
+                ("value", Json::Int(warm_misses as i64)),
+                ("max", Json::Int(0)),
+            ],
+        ),
+        rec(
+            "serve/hit_rate",
+            vec![
+                ("value", Json::Num(hit_rate)),
+                ("min", Json::Num(0.75)),
+                ("hits", Json::Num(hits)),
+                ("misses", Json::Num(misses)),
+            ],
+        ),
+        rec(
+            "serve/plan_profile",
+            vec![
+                ("num_symbolic", Json::Int(num_symbolic as i64)),
+                ("num_numeric", Json::Int(num_numeric as i64)),
+                ("windows", Json::Int(WINDOWS as i64)),
+                ("profile", profile),
+            ],
+        ),
+        // The fill may only shrink.
+        rec(
+            "serve/lu_nnz",
+            vec![
+                ("value", Json::Int(factor_nnz as i64)),
+                ("class", Json::str("ceiling")),
+            ],
+        ),
+    ];
+    let doc = Json::Obj(vec![
+        ("schema".into(), Json::str("opm-bench-serve/v2")),
+        ("note".into(), Json::str(note)),
+        ("records".into(), Json::Arr(records)),
     ]);
 
     let path = std::env::var("OPM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());

@@ -4,38 +4,34 @@
 //! re-order, re-factor per scenario), and (b) through one plan whose single
 //! factorization serves the whole batch in one interleaved pass.
 //!
-//! On top of the plan-reuse record, two hot-path records for the
-//! symbolic/numeric split and the parallel batch runtime:
+//! On top of the plan-reuse record, hot-path records for the
+//! symbolic/numeric split, the parallel batch runtime and the long-horizon
+//! paths:
 //!
 //! - `refactor_vs_factor` — the Table II grid's MNA pencils over a
 //!   64-shift step grid: fresh per-pencil factorization (pattern
 //!   rebuild + AMD + pivoted LU, the pre-split hot path) vs one
 //!   `PencilFamily` (pattern/ordering/symbolic analysis paid once,
 //!   numeric-only refactorization per shift).
-//! - `batch_threads_{1,4}` — the 100-scenario batch swept on 1 vs 4
-//!   workers (`SimPlan::solve_batch_with_threads`), with the hard
-//!   requirement that the results are bit-identical.
-//! - `windowed_vs_whole` — a 100τ-horizon RC ladder: one whole-horizon
-//!   plan at `W·m` columns vs `SimPlan::solve_windowed` over `W`
-//!   windows of `m` columns, asserting the 1-symbolic + 1-numeric
-//!   factorization invariant and ≤ 1e-9 agreement, plus a 512-window
-//!   streaming record at per-window resident memory.
+//! - `batch_threads_*` and `scaling/*` — the 100-scenario batch swept on
+//!   1, 2 and 4 workers (`SimPlan::solve_batch_with_threads`), with the
+//!   max |Δ| against the serial path.
+//! - `kernel/*` — the lane-panel kernels against their scalar references.
+//! - `windowed*` — a 100τ-horizon RC ladder and an RC + CPE netlist: one
+//!   whole-horizon plan at `W·m` columns vs `SimPlan::solve_windowed`
+//!   over `W` windows of `m` columns, plus a 512-window streaming run.
 //! - `newton/*` — the diode half-wave rectifier solved through the
 //!   windowed Newton path: iteration count, numeric refactorizations
-//!   per time step, and the fresh-pivoted-factor fallback count (which
-//!   must be exactly 0 — every Newton iteration reuses the one recorded
-//!   symbolic analysis).
+//!   per time step, and the fresh-pivoted-factor fallback count.
 //!
-//! Emits `BENCH_sweep.json` (path override: `OPM_SWEEP_JSON`) with all
-//! timings, the factorization counts and the speedups. Every speedup
-//! floor and every invariant (factor counts, bit-identity, agreement
-//! bounds) is checked, but the file is written first: a run that misses
-//! a check still records everything, then exits non-zero listing each
-//! failed check.
+//! Emits `BENCH_sweep.json` (path override: `OPM_SWEEP_JSON`;
+//! `OPM_SWEEP_LONG=1` adds the 100-window fractional run). The binary
+//! only measures: it writes every record, each with the bound it must
+//! meet (`min`/`max`, one value per profile where contexts differ, or a
+//! `class` against the committed run), and exits 0.
+//! `ci/compare_bench.py --profile {local,pr,nightly}` judges the run.
 //!
 //! `cargo run --release -p opm-bench --bin sweep`
-
-use std::io::Write as _;
 
 use opm_bench::{fmt_time, timed_best};
 use opm_circuits::grid::PowerGridSpec;
@@ -43,35 +39,36 @@ use opm_circuits::mna::{assemble_mna, Output};
 use opm_circuits::na::assemble_na;
 use opm_core::engine::{factor_pencil, PencilFamily};
 use opm_core::json::Json;
-use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
+use opm_core::{NewtonOptions, OpmResult, Simulation, SolveOptions, WindowedOptions};
 use opm_waveform::{InputSet, Waveform};
 
 const SCENARIOS: usize = 100;
 const SHIFTS: usize = 64;
 
-/// Speedup floor from the environment, with a default for quiet
-/// machines; shared CI runners relax it without touching correctness.
-fn min_speedup(var: &str, default: f64) -> f64 {
-    std::env::var(var)
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(default)
+/// One bench record: its id, then its fields in order.
+fn rec(id: impl Into<String>, fields: Vec<(&str, Json)>) -> Json {
+    let mut entries = vec![("id".to_string(), Json::str(id))];
+    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Json::Obj(entries)
 }
 
-/// The run's checks: each floor or invariant that fails is reported at
-/// once and remembered, so the records are still written before the
-/// run exits non-zero.
-#[derive(Default)]
-struct Checks(Vec<String>);
+/// A bound that differs by gate profile; a profile left out is
+/// unbounded there.
+fn per_profile(bounds: &[(&str, f64)]) -> Json {
+    Json::Obj(
+        bounds
+            .iter()
+            .map(|&(p, v)| (p.to_string(), Json::Num(v)))
+            .collect(),
+    )
+}
 
-impl Checks {
-    fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
-        if !ok {
-            let what = what();
-            eprintln!("check failed: {what}");
-            self.0.push(what);
-        }
-    }
+fn int(v: usize) -> Json {
+    Json::Int(v as i64)
+}
+
+fn flag(b: bool) -> Json {
+    Json::Int(i64::from(b))
 }
 
 /// Elementwise `max |a − b|` over two equal-length blocks.
@@ -79,6 +76,23 @@ fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
     a.iter()
         .zip(b)
         .map(|(x, y)| (x - y).abs())
+        .fold(0.0, f64::max)
+}
+
+/// `max |Δ|` over every output row of two runs.
+fn run_delta(a: &OpmResult, b: &OpmResult) -> f64 {
+    a.outputs
+        .iter()
+        .zip(&b.outputs)
+        .map(|(x, y)| max_abs_delta(x, y))
+        .fold(0.0, f64::max)
+}
+
+/// `max |Δ|` over two batches of runs, scenario by scenario.
+fn batch_delta(a: &[OpmResult], b: &[OpmResult]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| run_delta(x, y))
         .fold(0.0, f64::max)
 }
 
@@ -129,8 +143,6 @@ fn main() {
         na.system.order()
     );
 
-    let mut checks = Checks::default();
-
     // (a) Naive: a fresh plan per scenario (model clone, validation,
     //     ordering and factorization every time). Same rep count as the
     //     planned path below — a lopsided best-of-N would bias the
@@ -159,16 +171,8 @@ fn main() {
         (plan, runs)
     });
     let plan_factorizations = plan.num_factorizations();
-
-    // The batch must reproduce the naive loop to roundoff.
-    let mut worst = 0.0f64;
-    for (a, b) in naive.iter().zip(&planned) {
-        for (ra, rb) in a.outputs.iter().zip(&b.outputs) {
-            for (va, vb) in ra.iter().zip(rb) {
-                worst = worst.max((va - vb).abs());
-            }
-        }
-    }
+    // The batch must reproduce the naive loop bit for bit.
+    let worst = batch_delta(&naive, &planned);
     let speedup = naive_s / plan_s;
 
     println!(
@@ -180,22 +184,37 @@ fn main() {
         fmt_time(plan_s)
     );
     println!("speedup    : {speedup:.2}×   max |Δ| = {worst:.2e}");
-
-    checks.check(plan_factorizations == 1, || {
-        "the plan must factor the pencil exactly once".into()
-    });
-    checks.check(worst < 1e-12, || {
-        format!("batch and naive results must agree to 1e-12 (got {worst:.2e})")
-    });
-    // Quiet machines comfortably clear 3×; shared CI runners get a
-    // relaxed floor via OPM_SWEEP_MIN_SPEEDUP so noisy neighbors cannot
-    // flake the build (factor count and Δ stay hard either way).
-    let plan_floor = min_speedup("OPM_SWEEP_MIN_SPEEDUP", 3.0);
-    checks.check(speedup >= plan_floor, || {
-        format!(
-            "plan reuse must be ≥ {plan_floor}× faster than naive re-solving (got {speedup:.2}×)"
-        )
-    });
+    let mut records = vec![
+        rec(
+            "sweep/naive_loop_100",
+            vec![
+                ("seconds", Json::Num(naive_s)),
+                ("num_factorizations", int(naive_factorizations)),
+            ],
+        ),
+        rec(
+            "sweep/plan_batch_100",
+            vec![
+                ("seconds", Json::Num(plan_s)),
+                ("num_factorizations", int(plan_factorizations)),
+            ],
+        ),
+        // Quiet machines clear 3×; shared runners get a relaxed floor.
+        rec(
+            "sweep/speedup",
+            vec![
+                ("value", Json::Num(speedup)),
+                (
+                    "min",
+                    per_profile(&[("local", 3.0), ("pr", 1.5), ("nightly", 1.5)]),
+                ),
+            ],
+        ),
+        rec(
+            "sweep/max_abs_delta",
+            vec![("value", Json::Num(worst)), ("max", Json::Num(0.0))],
+        ),
+    ];
 
     // -- refactor_vs_factor: symbolic/numeric split on the grid's MNA
     //    pencils over a 64-shift step grid ----------------------------------
@@ -216,10 +235,10 @@ fn main() {
     });
     // (b) Family path. Building the family records the symbolic analysis
     //     on the first shift and the rest refactor against it (1 symbolic
-    //     + 63 numeric — asserted below); the *timed* passes
-    //     then refactor all 64 shifts numerically against it, so the
-    //     refactor record measures pure numeric-only work on a single
-    //     worker (the algorithmic split, not parallelism).
+    //     + 63 numeric, recorded below); the *timed* passes then refactor
+    //     all 64 shifts numerically against it, so the refactor record
+    //     measures pure numeric-only work on a single worker (the
+    //     algorithmic split, not parallelism).
     let (family, head) = PencilFamily::new(e, a, sigmas[0]).unwrap();
     let mut family_lus = vec![head];
     family_lus.extend(family.factor_all(&sigmas[1..], 1).unwrap());
@@ -232,137 +251,151 @@ fn main() {
     let mut scale = 0.0f64;
     for (lf, lr) in fresh_lus.iter().zip(&family_lus) {
         let xf = lf.solve(&probe);
-        let xr = lr.solve(&probe);
-        for (va, vb) in xf.iter().zip(&xr) {
-            refac_delta = refac_delta.max((va - vb).abs());
-            scale = scale.max(va.abs());
-        }
+        refac_delta = refac_delta.max(max_abs_delta(&xf, &lr.solve(&probe)));
+        scale = xf.iter().fold(scale, |s, v| s.max(v.abs()));
     }
+    let refac_rel_delta = refac_delta / scale;
     println!(
-        "refactor   : fresh {} vs numeric {}  ({:.2}×, {} symbolic + {} numeric, rel Δ = {:.2e})",
+        "refactor   : fresh {} vs numeric {}  ({:.2}×, {} symbolic + {} numeric, rel Δ = {refac_rel_delta:.2e})",
         fmt_time(fresh_s),
         fmt_time(refac_s),
         refac_speedup,
         fam_profile.num_symbolic,
         fam_profile.num_numeric,
-        refac_delta / scale
     );
-    checks.check(
-        (fam_profile.num_symbolic, fam_profile.num_numeric) == (1, SHIFTS - 1),
-        || "the family must analyze once and refactor the rest".into(),
-    );
-    checks.check(refac_delta <= 1e-9 * scale, || {
-        format!(
-            "refactored and fresh factors must solve identically (rel Δ = {:.2e})",
-            refac_delta / scale
-        )
-    });
-    let refac_floor = min_speedup("OPM_REFACTOR_MIN_SPEEDUP", 2.0);
-    checks.check(refac_speedup >= refac_floor, || {
-        format!(
-            "numeric refactorization must be ≥ {refac_floor}× faster than fresh \
-         factorization (got {refac_speedup:.2}×)"
-        )
-    });
+    records.extend([
+        rec(
+            format!("refactor/fresh_factor_{SHIFTS}"),
+            vec![
+                ("seconds", Json::Num(fresh_s)),
+                ("num_factorizations", int(fresh_lus.len())),
+            ],
+        ),
+        // Counts: the family build's profile (analyze once, refactor the rest).
+        rec(
+            format!("refactor/numeric_refactor_{SHIFTS}"),
+            vec![
+                ("seconds", Json::Num(refac_s)),
+                ("num_symbolic", int(fam_profile.num_symbolic)),
+                ("num_numeric", int(fam_profile.num_numeric)),
+            ],
+        ),
+        rec(
+            "refactor_vs_factor",
+            vec![
+                ("value", Json::Num(refac_speedup)),
+                (
+                    "min",
+                    per_profile(&[("local", 2.0), ("pr", 1.3), ("nightly", 1.3)]),
+                ),
+            ],
+        ),
+        rec(
+            "refactor/max_rel_delta",
+            vec![
+                ("value", Json::Num(refac_rel_delta)),
+                ("max", Json::Num(1e-9)),
+            ],
+        ),
+    ]);
 
-    // -- batch_threads_{1,4}: the parallel batch runtime -------------------
+    // -- batch_threads_{1,4} and scaling/workers_{1,2,4}: the parallel
+    //    batch runtime and its multi-core scaling curve ---------------------
+    // Per-worker lane chunks are panel-aligned (56/44 lanes at width 2), so
+    // the 2-worker ceiling on this batch is 100/56 ≈ 1.79×.
     let (t1_runs, t1_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 1).unwrap());
+    let (t2_runs, t2_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 2).unwrap());
     let (t4_runs, t4_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 4).unwrap());
-    let mut thread_delta = 0.0f64;
-    for (ra, rb) in t1_runs.iter().zip(&t4_runs) {
-        for (oa, ob) in ra.outputs.iter().zip(&rb.outputs) {
-            for (va, vb) in oa.iter().zip(ob) {
-                thread_delta = thread_delta.max((va - vb).abs());
-            }
-        }
-    }
-    let thread_speedup = t1_s / t4_s;
+    let thread_delta = batch_delta(&t1_runs, &t4_runs);
+    let scaling_delta = batch_delta(&t1_runs, &t2_runs);
+    let (scale2, scale4) = (t1_s / t2_s, t1_s / t4_s);
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
-        "threads    : 1 worker {} vs 4 workers {}  ({thread_speedup:.2}× on {cores} core(s), max |Δ| = {thread_delta:.2e})",
-        fmt_time(t1_s),
-        fmt_time(t4_s),
-    );
-    checks.check(thread_delta == 0.0, || {
-        "the parallel batch must be bit-identical to the serial path".into()
-    });
-    // The thread-scaling floor depends on the hardware this runs on: a
-    // single-core box cannot speed anything up, so the default floor
-    // only bites where parallel wins are physically possible.
-    let thread_floor = min_speedup(
-        "OPM_THREADS_MIN_SPEEDUP",
-        if cores >= 4 {
-            1.5
-        } else if cores >= 2 {
-            1.05
-        } else {
-            0.0
-        },
-    );
-    checks.check(thread_speedup >= thread_floor, || {
-        format!(
-            "4 workers must be ≥ {thread_floor}× faster than 1 on this {cores}-core \
-         machine (got {thread_speedup:.2}×)"
-        )
-    });
-    // On a single core a "speedup" ratio is pure scheduler noise: the
-    // JSON records `null` (plus `cores_available` so the reader can see
-    // why) instead of publishing a sub-1.0 ratio as if it were a
-    // regression. Multi-core machines record the real ratio.
-    let thread_speedup_json = if cores >= 2 {
-        Json::Num(thread_speedup)
-    } else {
-        Json::Null
-    };
-
-    // -- scaling/workers_{1,2,4}: the multi-core scaling curve -------------
-    // Reuses the 1- and 4-worker batch timings above and adds the 2-worker
-    // point; per-worker lane chunks are panel-aligned (56/44 lanes at
-    // width 2), so the 2-worker ceiling on this batch is 100/56 ≈ 1.79×.
-    // The in-binary floor (default 1.5× at ≥ 2 cores; OPM_SCALING_MIN_SPEEDUP
-    // overrides) is the nightly ≥2-core scaling gate.
-    let (t2_runs, t2_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 2).unwrap());
-    let mut scaling_delta = 0.0f64;
-    for (ra, rb) in t1_runs.iter().zip(&t2_runs) {
-        for (oa, ob) in ra.outputs.iter().zip(&rb.outputs) {
-            for (va, vb) in oa.iter().zip(ob) {
-                scaling_delta = scaling_delta.max((va - vb).abs());
-            }
-        }
-    }
-    checks.check(scaling_delta == 0.0, || {
-        "the 2-worker batch must be bit-identical to the serial path".into()
-    });
-    let (scale2, scale4) = (t1_s / t2_s, t1_s / t4_s);
-    println!(
-        "scaling    : 1w {} | 2w {} ({scale2:.2}×) | 4w {} ({scale4:.2}×) on {cores} core(s)",
+        "threads    : 1w {} | 2w {} ({scale2:.2}×) | 4w {} ({scale4:.2}×) on {cores} core(s), \
+         max |Δ| = {thread_delta:.2e} / {scaling_delta:.2e}",
         fmt_time(t1_s),
         fmt_time(t2_s),
         fmt_time(t4_s),
     );
-    let (scale2_json, scale4_json) = if cores >= 2 {
-        (Json::Num(scale2), Json::Num(scale4))
-    } else {
-        (Json::Null, Json::Null)
+    // On a single core a "speedup" ratio is pure scheduler noise: the
+    // JSON records `null` (plus `cores_available` so the reader can see
+    // why) instead of publishing a sub-1.0 ratio as if it were a
+    // regression. The floors follow the host: a single core cannot speed
+    // anything up, so locally they only bite where parallel wins are
+    // physically possible, while the nightly run exists to measure the
+    // curve and fails on a single core.
+    let ratio = |r: f64| if cores >= 2 { Json::Num(r) } else { Json::Null };
+    let thread_floor = match cores {
+        1 => per_profile(&[("pr", 1.05), ("nightly", 1.05)]),
+        2 | 3 => per_profile(&[("local", 1.05), ("pr", 1.05), ("nightly", 1.05)]),
+        _ => per_profile(&[("local", 1.5), ("pr", 1.05), ("nightly", 1.05)]),
     };
-    if cores >= 2 {
-        let scaling_floor = min_speedup("OPM_SCALING_MIN_SPEEDUP", 1.5);
-        checks.check(scale2 >= scaling_floor, || {
-            format!(
-                "2 workers must be ≥ {scaling_floor}× faster than 1 on this {cores}-core \
-             machine (got {scale2:.2}×)"
-            )
-        });
+    let scaling_floor = if cores >= 2 {
+        per_profile(&[("local", 1.5), ("pr", 1.1), ("nightly", 1.5)])
+    } else {
+        per_profile(&[("nightly", 1.5)])
+    };
+    records.extend([
+        rec(
+            "batch_threads_1",
+            vec![("seconds", Json::Num(t1_s)), ("threads", int(1))],
+        ),
+        rec(
+            "batch_threads_4",
+            vec![
+                ("seconds", Json::Num(t4_s)),
+                ("threads", int(4)),
+                ("cores_available", int(cores)),
+            ],
+        ),
+        rec(
+            "batch_threads_speedup",
+            vec![
+                ("value", ratio(scale4)),
+                ("min", thread_floor),
+                ("cores_available", int(cores)),
+            ],
+        ),
+        rec(
+            "batch_threads_max_abs_delta",
+            vec![("value", Json::Num(thread_delta)), ("max", Json::Num(0.0))],
+        ),
+    ]);
+    for (w, s) in [(1, t1_s), (2, t2_s), (4, t4_s)] {
+        records.push(rec(
+            format!("scaling/workers_{w}"),
+            vec![
+                ("seconds", Json::Num(s)),
+                ("workers", int(w)),
+                ("cores_available", int(cores)),
+            ],
+        ));
     }
+    records.extend([
+        rec(
+            "scaling/speedup_2",
+            vec![
+                ("value", ratio(scale2)),
+                ("min", scaling_floor),
+                ("cores_available", int(cores)),
+            ],
+        ),
+        rec(
+            "scaling/speedup_4",
+            vec![("value", ratio(scale4)), ("cores_available", int(cores))],
+        ),
+        rec(
+            "scaling/max_abs_delta",
+            vec![("value", Json::Num(scaling_delta)), ("max", Json::Num(0.0))],
+        ),
+    ]);
 
     // -- kernel/*: single-thread panel vs scalar microkernels --------------
     // In-process best-of-N A/B of every lane-elementwise hot kernel
     // against its public scalar reference, on the Table II grid pencil at
     // the plan batch's lane count (the `sweep/plan_batch_100` hot path).
-    // Bit-identity (max |Δ| == 0, not a tolerance) is a hard gate; the
-    // triangular-solve speedup carries the acceptance floor (default
-    // 1.5×, OPM_KERNEL_MIN_SPEEDUP overrides), skipped when
-    // OPM_NO_PANEL=1 routes both sides to the same scalar code.
+    // Bit-identity is exact (max |Δ| == 0, not a tolerance); the
+    // triangular-solve speedup carries the acceptance floor.
     let klanes = SCENARIOS;
     let kpencil = e.lin_comb(sigmas[0], -1.0, a);
     let klu = factor_pencil(&kpencil).unwrap();
@@ -420,44 +453,63 @@ fn main() {
     for (cs, cp) in kbs.iter().zip(&kbp) {
         kdelta = kdelta.max(max_abs_delta(cs, cp));
     }
-    let kblock_speedup = kblock_scalar_s / kblock_panel_s;
-    let ksolve_speedup = ksolve_scalar_s / ksolve_panel_s;
-    let kspmm_speedup = kspmm_scalar_s / kspmm_panel_s;
-    let khist_speedup = khist_scalar_s / khist_panel_s;
-    let panels_enabled = opm_linalg::panel::lane_panels_enabled();
-    println!(
-        "kernels    : solve {} / {} ({ksolve_speedup:.2}×) | spmm {} / {} ({kspmm_speedup:.2}×) | \
-         history {} / {} ({khist_speedup:.2}×) | history block {} / {} ({kblock_speedup:.2}×)  \
-         scalar/panel, max |Δ| = {kdelta:.2e}",
-        fmt_time(ksolve_scalar_s),
-        fmt_time(ksolve_panel_s),
-        fmt_time(kspmm_scalar_s),
-        fmt_time(kspmm_panel_s),
-        fmt_time(khist_scalar_s),
-        fmt_time(khist_panel_s),
-        fmt_time(kblock_scalar_s),
-        fmt_time(kblock_panel_s),
-    );
-    checks.check(kdelta == 0.0, || {
-        format!(
-            "panel kernels must be bit-identical to their scalar references \
-         (max |Δ| = {kdelta:e})"
-        )
-    });
-    if panels_enabled {
-        let kernel_floor = min_speedup("OPM_KERNEL_MIN_SPEEDUP", 1.5);
-        checks.check(ksolve_speedup >= kernel_floor, || {
+    let lanes = || vec![("lanes", int(klanes))];
+    let deep = || vec![("lanes", int(klanes)), ("depth", int(kdepth))];
+    let mut block = deep();
+    block.push(("columns", int(kwindow)));
+    let solve_floor = per_profile(&[("local", 1.5), ("pr", 1.2), ("nightly", 1.5)]);
+    let kernels = [
+        (
+            "solve_block",
+            ksolve_scalar_s,
+            ksolve_panel_s,
+            lanes(),
+            Some(solve_floor),
+        ),
+        ("spmm", kspmm_scalar_s, kspmm_panel_s, lanes(), None),
+        ("history", khist_scalar_s, khist_panel_s, deep(), None),
+        (
+            "history_block",
+            kblock_scalar_s,
+            kblock_panel_s,
+            block,
+            None,
+        ),
+    ];
+    let summary: Vec<String> = kernels
+        .iter()
+        .map(|(name, ss, ps, ..)| {
             format!(
-                "the panel block triangular solve must be ≥ {kernel_floor}× the scalar \
-             reference at {klanes} lanes (got {ksolve_speedup:.2}×)"
+                "{name} {} / {} ({:.2}×)",
+                fmt_time(*ss),
+                fmt_time(*ps),
+                ss / ps
             )
-        });
+        })
+        .collect();
+    println!(
+        "kernels    : {}  scalar/panel, max |Δ| = {kdelta:.2e}",
+        summary.join(" | ")
+    );
+    for (name, scalar_s, panel_s, shape, floor) in kernels {
+        for (side, s) in [("scalar", scalar_s), ("panel", panel_s)] {
+            let mut fields = vec![("seconds", Json::Num(s))];
+            fields.extend(shape.iter().cloned());
+            records.push(rec(format!("kernel/{name}_{side}"), fields));
+        }
+        let mut speedup = vec![("value", Json::Num(scalar_s / panel_s))];
+        speedup.extend(floor.map(|f| ("min", f)));
+        records.push(rec(format!("kernel/{name}_speedup"), speedup));
     }
+    records.push(rec(
+        "kernel/panel_vs_scalar_max_abs_delta",
+        vec![("value", Json::Num(kdelta)), ("max", Json::Num(0.0))],
+    ));
 
     // -- windowed_vs_whole: long-horizon windowed solving ------------------
     // A 100τ horizon on an RC ladder: one whole-horizon plan at W·m
     // columns vs W windows of m columns through ONE window
-    // refactorization (the PR's long-horizon invariant).
+    // refactorization (1 symbolic + 1 numeric factorization).
     let (wm, ww) = (256, 64);
     let lad = opm_circuits::ladder::rc_ladder(8, 1e3, 1e-9, Waveform::step(0.0, 1.0));
     let lmodel = assemble_mna(&lad, &[Output::NodeVoltage(9)]).unwrap();
@@ -472,12 +524,7 @@ fn main() {
     wplan.solve_windowed(&lmodel.inputs, ww).unwrap(); // warm the window kernel
     let wprofile = wplan.factor_profile();
     let (win_run, win_s) = timed_best(3, || wplan.solve_windowed(&lmodel.inputs, ww).unwrap());
-    let mut win_delta = 0.0f64;
-    for (ra, rb) in whole_run.outputs.iter().zip(&win_run.outputs) {
-        for (va, vb) in ra.iter().zip(rb) {
-            win_delta = win_delta.max((va - vb).abs());
-        }
-    }
+    let win_delta = run_delta(&whole_run, &win_run);
     let win_speedup = whole_s / win_s;
     println!(
         "windowed   : whole {} ({} cols) vs {ww} windows {}  ({win_speedup:.2}×, {} symbolic + {} numeric, max |Δ| = {win_delta:.2e})",
@@ -487,13 +534,6 @@ fn main() {
         wprofile.num_symbolic,
         wprofile.num_numeric,
     );
-    checks.check(
-        (wprofile.num_symbolic, wprofile.num_numeric) == (1, 1),
-        || "W windows must cost exactly 1 symbolic + 1 numeric factorization".into(),
-    );
-    checks.check(win_delta <= 1e-9, || {
-        format!("windowed and whole-horizon solutions must agree to 1e-9 (got {win_delta:.2e})")
-    });
     // Streaming far past the whole-horizon regime: 512 windows
     // (131072 columns) at per-window resident memory.
     let w_long = 512;
@@ -506,12 +546,37 @@ fn main() {
     });
     println!(
         "streaming  : {long_windows} windows ({} cols) in {}  (per-window resident memory)",
-        wm * w_long,
+        wm * long_windows,
         fmt_time(long_s)
     );
-    checks.check(long_windows == w_long, || {
-        format!("the streaming run must emit all {w_long} windows (got {long_windows})")
-    });
+    records.extend([
+        rec(
+            "windowed/whole_horizon",
+            vec![("seconds", Json::Num(whole_s)), ("columns", int(wm * ww))],
+        ),
+        rec(
+            format!("windowed/windows_{ww}x{wm}"),
+            vec![
+                ("seconds", Json::Num(win_s)),
+                ("windows", int(ww)),
+                ("num_symbolic", int(wprofile.num_symbolic)),
+                ("num_numeric", int(wprofile.num_numeric)),
+            ],
+        ),
+        rec("windowed_vs_whole", vec![("value", Json::Num(win_speedup))]),
+        rec(
+            "windowed_max_abs_delta",
+            vec![("value", Json::Num(win_delta)), ("max", Json::Num(1e-9))],
+        ),
+        rec(
+            format!("windowed/stream_{w_long}x{wm}"),
+            vec![
+                ("seconds", Json::Num(long_s)),
+                ("windows", int(long_windows)),
+                ("columns", int(wm * long_windows)),
+            ],
+        ),
+    ]);
 
     // -- windowed_fractional: Caputo/GL history carried across windows -----
     // An RC + constant-phase-element netlist (fractional MNA, α = ½)
@@ -546,24 +611,14 @@ fn main() {
     fplan.solve_windowed(&fstim, fw).unwrap(); // warm the window kernel
     let fprofile = fplan.factor_profile();
     let (ffull_run, ffull_s) = timed_best(3, || fplan.solve_windowed(&fstim, fw).unwrap());
-    let mut ffull_delta = 0.0f64;
-    for (ra, rb) in fwhole_run.outputs.iter().zip(&ffull_run.outputs) {
-        for (va, vb) in ra.iter().zip(rb) {
-            ffull_delta = ffull_delta.max((va - vb).abs());
-        }
-    }
+    let ffull_delta = run_delta(&fwhole_run, &ffull_run);
     let ffull_speedup = fwhole_s / ffull_s;
     // Short memory: an 8-window (512-column) tail covering the active
     // late history, dropping the quiescent early windows.
     let fopts = WindowedOptions::new(fw).history_len(8 * fm);
     let (ftrunc_run, ftrunc_s) =
         timed_best(3, || fplan.solve_windowed_opts(&fstim, &fopts).unwrap());
-    let mut ftrunc_delta = 0.0f64;
-    for (ra, rb) in fwhole_run.outputs.iter().zip(&ftrunc_run.outputs) {
-        for (va, vb) in ra.iter().zip(rb) {
-            ftrunc_delta = ftrunc_delta.max((va - vb).abs());
-        }
-    }
+    let ftrunc_delta = run_delta(&fwhole_run, &ftrunc_run);
     println!(
         "frac wins  : whole {} ({} cols) vs {fw} windows {} ({ffull_speedup:.2}×, {} symbolic + {} numeric, max |Δ| = {ffull_delta:.2e}); truncated tail {} (max |Δ| = {ftrunc_delta:.2e})",
         fmt_time(fwhole_s),
@@ -573,20 +628,45 @@ fn main() {
         fprofile.num_numeric,
         fmt_time(ftrunc_s),
     );
-    checks.check(
-        (fprofile.num_symbolic, fprofile.num_numeric) == (1, 1),
-        || "W fractional windows must cost exactly 1 symbolic + 1 numeric factorization".into(),
-    );
-    checks.check(ffull_delta <= 1e-9, || format!("full-history windowed fractional must match whole-horizon to 1e-9 (got {ffull_delta:.2e})"));
-    checks.check(ftrunc_delta <= 1e-6, || {
-        format!(
-            "truncated-history windowed fractional must stay within 1e-6 (got {ftrunc_delta:.2e})"
-        )
-    });
+    records.extend([
+        rec(
+            "windowed_fractional/whole_horizon",
+            vec![("seconds", Json::Num(fwhole_s)), ("columns", int(fm * fw))],
+        ),
+        rec(
+            format!("windowed_fractional/windows_{fw}x{fm}"),
+            vec![
+                ("seconds", Json::Num(ffull_s)),
+                ("windows", int(fw)),
+                ("num_symbolic", int(fprofile.num_symbolic)),
+                ("num_numeric", int(fprofile.num_numeric)),
+            ],
+        ),
+        rec(
+            "windowed_fractional_vs_whole",
+            vec![("value", Json::Num(ffull_speedup))],
+        ),
+        rec(
+            "windowed_fractional_max_abs_delta",
+            vec![("value", Json::Num(ffull_delta)), ("max", Json::Num(1e-9))],
+        ),
+        rec(
+            format!("windowed_fractional/truncated_hist{}", 8 * fm),
+            vec![
+                ("seconds", Json::Num(ftrunc_s)),
+                ("windows", int(fw)),
+                ("history_len", int(8 * fm)),
+            ],
+        ),
+        rec(
+            "windowed_fractional_truncated_max_abs_delta",
+            vec![("value", Json::Num(ftrunc_delta)), ("max", Json::Num(1e-6))],
+        ),
+    ]);
 
     // Nightly-only long-horizon fractional run (OPM_SWEEP_LONG=1): a
     // 100-window horizon that is deliberately too slow for per-PR CI.
-    let long_frac = if std::env::var("OPM_SWEEP_LONG").is_ok_and(|v| v == "1") {
+    if std::env::var("OPM_SWEEP_LONG").is_ok_and(|v| v == "1") {
         let wlong = 100;
         let lsim = Simulation::from_netlist(
             "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end",
@@ -606,18 +686,27 @@ fn main() {
             fm * wlong,
             fmt_time(lsec)
         );
-        checks.check(lrun.output_row(0).iter().all(|v| v.is_finite()), || {
-            "the long fractional run must stay finite".into()
-        });
-        Some((
-            format!("windowed_fractional/long_{wlong}x{fm}"),
-            lsec,
-            wlong,
-            fm * wlong,
-        ))
-    } else {
-        None
-    };
+        records.extend([
+            rec(
+                format!("windowed_fractional/long_{wlong}x{fm}"),
+                vec![
+                    ("seconds", Json::Num(lsec)),
+                    ("windows", int(wlong)),
+                    ("columns", int(fm * wlong)),
+                ],
+            ),
+            rec(
+                "windowed_fractional/long_finite",
+                vec![
+                    (
+                        "value",
+                        flag(lrun.output_row(0).iter().all(|v| v.is_finite())),
+                    ),
+                    ("min", Json::Int(1)),
+                ],
+            ),
+        ]);
+    }
 
     // -- newton: nonlinear rectifier on the Newton-over-refactor path ------
     // The diode half-wave rectifier from the pipeline acceptance tests,
@@ -639,18 +728,6 @@ fn main() {
     // the per-solve iteration/refactorization counts undiluted.
     let nrun = nplan.solve_newton_windowed(nstim, nw, &nopts).unwrap();
     let nprofile = nplan.factor_profile();
-    checks.check(nrun.output_row(0).iter().all(|v| v.is_finite()), || {
-        "the rectifier solution must stay finite".into()
-    });
-    checks.check(nprofile.num_symbolic == 1, || {
-        "a W-window Newton solve must cost exactly 1 symbolic factorization".into()
-    });
-    checks.check(nprofile.newton_fresh_fallbacks == 0, || {
-        "the rectifier must never abandon the recorded symbolic pattern".into()
-    });
-    checks.check(nprofile.newton_refactors == nprofile.newton_iters, || {
-        "every Newton iteration is exactly one numeric refactorization".into()
-    });
     let (_, newton_s) = timed_best(3, || {
         nplan.solve_newton_windowed(nstim, nw, &nopts).unwrap()
     });
@@ -662,293 +739,10 @@ fn main() {
         nprofile.num_symbolic,
         nprofile.newton_fresh_fallbacks,
     );
-
-    let path = std::env::var("OPM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
-    let note = format!(
-        "Table II power grid (NA model, n = {n}, m = {m}). sweep/*: 100-scenario load sweep, \
-         a fresh Simulation::plan + solve per scenario vs one plan + SimPlan::solve_batch. \
-         refactor/*: {SHIFTS} step-grid pencils of the grid's MNA form (n = {nn}), fresh per-pencil \
-         factorization vs pure numeric refactorization against a prerecorded PencilFamily analysis. \
-         batch_threads_*/scaling/*: the same 100-scenario batch on 1/2/4 workers ({cores} core(s) \
-         available; bit-identical results enforced; speedup ratios are null on single-core machines \
-         where they would be scheduler noise). kernel/*: best-of-N panel-vs-scalar A/B of the \
-         lane-elementwise hot kernels (block triangular solve, SpMM, history convolution and its \
-         {kwindow}-column windowed block) on the \
-         grid pencil at the plan batch's {SCENARIOS}-lane width; panel_vs_scalar_max_abs_delta == 0 \
-         is a hard bit-identity gate. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan \
-         vs SimPlan::solve_windowed over {ww} windows (1 symbolic + 1 numeric factorization, \
-         <= 1e-9 delta asserted) plus a {w_long}-window streaming run at per-window memory. \
-         windowed_fractional/*: RC+CPE netlist (fractional MNA, alpha = 0.5), whole-horizon vs \
-         {fw} windows with carried Caputo/GL history (full history <= 1e-9, 1 symbolic + 1 numeric) \
-         and an 8-window short-memory tail (<= 1e-6 on quiescent-early-history stimulus). \
-         newton/*: diode half-wave rectifier through SimPlan::solve_newton_windowed over 8 windows \
-         of 256 columns — total Newton iterations (ceiling-classed: a regenerated run may not need \
-         more), numeric refactorizations per time step (ceiling-classed), and the fresh-pivoted- \
-         factor fallback count, hard-gated at exactly 0 (every iteration must reuse the single \
-         recorded symbolic analysis). \
-         CI gate: ci/compare_bench.py diffs a regenerated run against this committed file. \
-         Regenerate: cargo run --release -p opm-bench --bin sweep",
-        n = na.system.order(),
-    );
-    let int = |v: usize| Json::Int(v as i64);
-    let rec = |id: String, fields: Vec<(&str, Json)>| {
-        let mut entries = vec![("id".to_string(), Json::str(id))];
-        entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-        Json::Obj(entries)
-    };
-    let mut records = vec![
+    records.extend([
+        // Ceiling-classed: a regenerated run may not need more iterations.
         rec(
-            "sweep/naive_loop_100".into(),
-            vec![
-                ("seconds", Json::Num(naive_s)),
-                ("num_factorizations", int(naive_factorizations)),
-            ],
-        ),
-        rec(
-            "sweep/plan_batch_100".into(),
-            vec![
-                ("seconds", Json::Num(plan_s)),
-                ("num_factorizations", int(plan_factorizations)),
-            ],
-        ),
-        rec("sweep/speedup".into(), vec![("value", Json::Num(speedup))]),
-        rec(
-            "sweep/max_abs_delta".into(),
-            vec![("value", Json::Num(worst))],
-        ),
-        rec(
-            format!("refactor/fresh_factor_{SHIFTS}"),
-            vec![
-                ("seconds", Json::Num(fresh_s)),
-                ("num_symbolic", int(SHIFTS)),
-                ("num_numeric", int(0)),
-            ],
-        ),
-        rec(
-            format!("refactor/numeric_refactor_{SHIFTS}"),
-            vec![
-                ("seconds", Json::Num(refac_s)),
-                ("num_symbolic", int(0)),
-                ("num_numeric", int(SHIFTS)),
-            ],
-        ),
-        rec(
-            "refactor_vs_factor".into(),
-            vec![("value", Json::Num(refac_speedup))],
-        ),
-        rec(
-            "batch_threads_1".into(),
-            vec![("seconds", Json::Num(t1_s)), ("threads", int(1))],
-        ),
-        rec(
-            "batch_threads_4".into(),
-            vec![
-                ("seconds", Json::Num(t4_s)),
-                ("threads", int(4)),
-                ("cores_available", int(cores)),
-            ],
-        ),
-        rec(
-            "batch_threads_speedup".into(),
-            vec![
-                ("value", thread_speedup_json),
-                ("cores_available", int(cores)),
-            ],
-        ),
-        rec(
-            "batch_threads_max_abs_delta".into(),
-            vec![("value", Json::Num(thread_delta))],
-        ),
-        rec(
-            "scaling/workers_1".into(),
-            vec![
-                ("seconds", Json::Num(t1_s)),
-                ("workers", int(1)),
-                ("cores_available", int(cores)),
-            ],
-        ),
-        rec(
-            "scaling/workers_2".into(),
-            vec![
-                ("seconds", Json::Num(t2_s)),
-                ("workers", int(2)),
-                ("cores_available", int(cores)),
-            ],
-        ),
-        rec(
-            "scaling/workers_4".into(),
-            vec![
-                ("seconds", Json::Num(t4_s)),
-                ("workers", int(4)),
-                ("cores_available", int(cores)),
-            ],
-        ),
-        rec(
-            "scaling/speedup_2".into(),
-            vec![("value", scale2_json), ("cores_available", int(cores))],
-        ),
-        rec(
-            "scaling/speedup_4".into(),
-            vec![("value", scale4_json), ("cores_available", int(cores))],
-        ),
-        rec(
-            "kernel/solve_block_scalar".into(),
-            vec![
-                ("seconds", Json::Num(ksolve_scalar_s)),
-                ("lanes", int(klanes)),
-            ],
-        ),
-        rec(
-            "kernel/solve_block_panel".into(),
-            vec![
-                ("seconds", Json::Num(ksolve_panel_s)),
-                ("lanes", int(klanes)),
-            ],
-        ),
-        rec(
-            "kernel/solve_block_speedup".into(),
-            vec![
-                ("value", Json::Num(ksolve_speedup)),
-                ("panels_enabled", Json::Bool(panels_enabled)),
-            ],
-        ),
-        rec(
-            "kernel/spmm_scalar".into(),
-            vec![
-                ("seconds", Json::Num(kspmm_scalar_s)),
-                ("lanes", int(klanes)),
-            ],
-        ),
-        rec(
-            "kernel/spmm_panel".into(),
-            vec![
-                ("seconds", Json::Num(kspmm_panel_s)),
-                ("lanes", int(klanes)),
-            ],
-        ),
-        rec(
-            "kernel/spmm_speedup".into(),
-            vec![
-                ("value", Json::Num(kspmm_speedup)),
-                ("panels_enabled", Json::Bool(panels_enabled)),
-            ],
-        ),
-        rec(
-            "kernel/history_scalar".into(),
-            vec![
-                ("seconds", Json::Num(khist_scalar_s)),
-                ("lanes", int(klanes)),
-                ("depth", int(kdepth)),
-            ],
-        ),
-        rec(
-            "kernel/history_panel".into(),
-            vec![
-                ("seconds", Json::Num(khist_panel_s)),
-                ("lanes", int(klanes)),
-                ("depth", int(kdepth)),
-            ],
-        ),
-        rec(
-            "kernel/history_speedup".into(),
-            vec![
-                ("value", Json::Num(khist_speedup)),
-                ("panels_enabled", Json::Bool(panels_enabled)),
-            ],
-        ),
-        rec(
-            "kernel/history_block_scalar".into(),
-            vec![
-                ("seconds", Json::Num(kblock_scalar_s)),
-                ("lanes", int(klanes)),
-                ("depth", int(kdepth)),
-                ("columns", int(kwindow)),
-            ],
-        ),
-        rec(
-            "kernel/history_block_panel".into(),
-            vec![
-                ("seconds", Json::Num(kblock_panel_s)),
-                ("lanes", int(klanes)),
-                ("depth", int(kdepth)),
-                ("columns", int(kwindow)),
-            ],
-        ),
-        rec(
-            "kernel/history_block_speedup".into(),
-            vec![
-                ("value", Json::Num(kblock_speedup)),
-                ("panels_enabled", Json::Bool(panels_enabled)),
-            ],
-        ),
-        rec(
-            "kernel/panel_vs_scalar_max_abs_delta".into(),
-            vec![("value", Json::Num(kdelta))],
-        ),
-        rec(
-            "windowed/whole_horizon".into(),
-            vec![("seconds", Json::Num(whole_s)), ("columns", int(wm * ww))],
-        ),
-        rec(
-            format!("windowed/windows_{ww}x{wm}"),
-            vec![
-                ("seconds", Json::Num(win_s)),
-                ("windows", int(ww)),
-                ("num_symbolic", int(wprofile.num_symbolic)),
-                ("num_numeric", int(wprofile.num_numeric)),
-            ],
-        ),
-        rec(
-            "windowed_vs_whole".into(),
-            vec![("value", Json::Num(win_speedup))],
-        ),
-        rec(
-            "windowed_max_abs_delta".into(),
-            vec![("value", Json::Num(win_delta))],
-        ),
-        rec(
-            format!("windowed/stream_{w_long}x{wm}"),
-            vec![
-                ("seconds", Json::Num(long_s)),
-                ("windows", int(w_long)),
-                ("columns", int(wm * w_long)),
-            ],
-        ),
-        rec(
-            "windowed_fractional/whole_horizon".into(),
-            vec![("seconds", Json::Num(fwhole_s)), ("columns", int(fm * fw))],
-        ),
-        rec(
-            format!("windowed_fractional/windows_{fw}x{fm}"),
-            vec![
-                ("seconds", Json::Num(ffull_s)),
-                ("windows", int(fw)),
-                ("num_symbolic", int(fprofile.num_symbolic)),
-                ("num_numeric", int(fprofile.num_numeric)),
-            ],
-        ),
-        rec(
-            "windowed_fractional_vs_whole".into(),
-            vec![("value", Json::Num(ffull_speedup))],
-        ),
-        rec(
-            "windowed_fractional_max_abs_delta".into(),
-            vec![("value", Json::Num(ffull_delta))],
-        ),
-        rec(
-            format!("windowed_fractional/truncated_hist{}", 8 * fm),
-            vec![
-                ("seconds", Json::Num(ftrunc_s)),
-                ("windows", int(fw)),
-                ("history_len", int(8 * fm)),
-            ],
-        ),
-        rec(
-            "windowed_fractional_truncated_max_abs_delta".into(),
-            vec![("value", Json::Num(ftrunc_delta))],
-        ),
-        rec(
-            "newton/rectifier_iters".into(),
+            "newton/rectifier_iters",
             vec![
                 ("value", int(nprofile.newton_iters)),
                 ("class", Json::str("ceiling")),
@@ -959,42 +753,71 @@ fn main() {
             ],
         ),
         rec(
-            "newton/refactors_per_step".into(),
+            "newton/refactors_per_step",
             vec![
                 ("value", Json::Num(newton_refactors_per_step)),
                 ("class", Json::str("ceiling")),
                 ("columns", int(nm * nw)),
             ],
         ),
+        // Every Newton iteration is exactly one numeric refactorization.
         rec(
-            "newton/fresh_factor_fallbacks".into(),
-            vec![("value", int(nprofile.newton_fresh_fallbacks))],
-        ),
-    ];
-    if let Some((id, lsec, lwindows, lcols)) = long_frac {
-        records.push(rec(
-            id,
+            "newton/refactors_minus_iters",
             vec![
-                ("seconds", Json::Num(lsec)),
-                ("windows", int(lwindows)),
-                ("columns", int(lcols)),
+                (
+                    "value",
+                    Json::Int(nprofile.newton_refactors as i64 - nprofile.newton_iters as i64),
+                ),
+                ("min", Json::Int(0)),
+                ("max", Json::Int(0)),
             ],
-        ));
-    }
+        ),
+        rec(
+            "newton/fresh_factor_fallbacks",
+            vec![
+                ("value", int(nprofile.newton_fresh_fallbacks)),
+                ("max", Json::Int(0)),
+            ],
+        ),
+        rec(
+            "newton/rectifier_finite",
+            vec![
+                (
+                    "value",
+                    flag(nrun.output_row(0).iter().all(|v| v.is_finite())),
+                ),
+                ("min", Json::Int(1)),
+            ],
+        ),
+    ]);
+
+    let path = std::env::var("OPM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
+    let note = format!(
+        "Table II power grid (NA model, n = {n}, m = {m}). sweep/*: 100-scenario load sweep, \
+         a fresh Simulation::plan + solve per scenario vs one plan + SimPlan::solve_batch. \
+         refactor/*: {SHIFTS} step-grid pencils of the grid's MNA form (n = {nn}), fresh per-pencil \
+         factorization vs pure numeric refactorization against a prerecorded PencilFamily analysis \
+         (counts: the family build's profile). batch_threads_*/scaling/*: the same 100-scenario \
+         batch on 1/2/4 workers ({cores} core(s) available; speedup ratios are null on single-core \
+         machines where they would be scheduler noise). kernel/*: best-of-N panel-vs-scalar A/B of \
+         the lane-elementwise hot kernels (block triangular solve, SpMM, history convolution and \
+         its {kwindow}-column windowed block) on the grid pencil at the plan batch's \
+         {SCENARIOS}-lane width. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan vs \
+         SimPlan::solve_windowed over {ww} windows plus a {w_long}-window streaming run at \
+         per-window memory. windowed_fractional/*: RC+CPE netlist (fractional MNA, alpha = 0.5), \
+         whole-horizon vs {fw} windows with carried Caputo/GL history and an 8-window short-memory \
+         tail (quiescent-early-history stimulus). newton/*: diode half-wave rectifier through \
+         SimPlan::solve_newton_windowed over {nw} windows of {nm} columns. Each record carries its \
+         own bound (min/max per profile, or a class against the committed run); \
+         ci/compare_bench.py --profile local|pr|nightly judges a regenerated run against this \
+         file. Regenerate: cargo run --release -p opm-bench --bin sweep",
+        n = na.system.order(),
+    );
     let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("opm-bench-sweep/v6")),
+        ("schema".into(), Json::str("opm-bench-sweep/v7")),
         ("note".into(), Json::str(note)),
         ("records".into(), Json::Arr(records)),
     ]);
-    let mut f = std::fs::File::create(&path).expect("create BENCH_sweep.json");
-    f.write_all(format!("{doc}\n").as_bytes())
-        .expect("write BENCH_sweep.json");
+    std::fs::write(&path, format!("{doc}\n")).expect("write BENCH_sweep.json");
     println!("wrote {path}");
-    if !checks.0.is_empty() {
-        eprintln!("{} check(s) failed:", checks.0.len());
-        for what in &checks.0 {
-            eprintln!("  - {what}");
-        }
-        std::process::exit(1);
-    }
 }

@@ -515,11 +515,8 @@ pub fn apply_b_column(b: &CsrMatrix, u: &[f64], scale: f64, out: &mut [f64]) {
 /// Lanes are processed in fixed-width register panels
 /// ([`opm_linalg::panel::LANE_PANEL_WIDTH`]); per lane the accumulation
 /// order matches [`apply_b_block_scalar`] exactly, so results are
-/// bit-identical. `OPM_NO_PANEL=1` routes to the scalar reference.
+/// bit-identical.
 pub fn apply_b_block(b: &CsrMatrix, u_block: &[f64], lanes: usize, scale: f64, out: &mut [f64]) {
-    if !opm_linalg::panel::lane_panels_enabled() {
-        return apply_b_block_scalar(b, u_block, lanes, scale, out);
-    }
     #[cfg(target_arch = "x86_64")]
     if opm_linalg::panel::avx_available() {
         // SAFETY: the `avx` target feature was detected on this CPU.

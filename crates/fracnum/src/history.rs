@@ -46,7 +46,6 @@
 /// count bounded so the memory streams stay prefetchable); per element
 /// the terms are added in the exact depth order of
 /// [`history_convolution_into_scalar`], so results are bit-identical.
-/// `OPM_NO_PANEL=1` routes to the scalar reference.
 ///
 /// # Panics
 /// Panics when some tail column is shorter than `out`.
@@ -56,9 +55,6 @@ pub fn history_convolution_into(
     tail: &[Vec<f64>],
     out: &mut [f64],
 ) {
-    if !opm_linalg::panel::lane_panels_enabled() {
-        return history_convolution_into_scalar(weights, offset, tail, out);
-    }
     let len = tail.len();
     // Resolve the (weight, column) terms once, with the scalar path's
     // exact break/skip semantics, so the panel loops below are pure
@@ -203,18 +199,11 @@ pub fn history_convolution_into_scalar(
 /// per column. Per element the terms are added in the exact depth order
 /// of [`history_convolution_into_scalar`], with the same exhausted- and
 /// zero-weight skips, so `out[j]` is bit-identical to a per-column call.
-/// `OPM_NO_PANEL=1` routes to that per-column scalar reference.
 ///
 /// # Panics
 /// Panics when the columns of `out` differ in length, or when a tail
 /// column within reach of the weights is shorter than them.
 pub fn history_block_into(weights: &[f64], tail: &[Vec<f64>], out: &mut [Vec<f64>]) {
-    if !opm_linalg::panel::lane_panels_enabled() {
-        for (j, col) in out.iter_mut().enumerate() {
-            history_convolution_into_scalar(weights, j, tail, col);
-        }
-        return;
-    }
     let Some(n) = out.first().map(Vec::len) else {
         return;
     };

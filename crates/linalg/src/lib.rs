@@ -50,7 +50,7 @@ pub mod zmatrix;
 pub use complex::Complex64;
 pub use dense::{DMatrix, DVector};
 pub use lu::LuFactors;
-pub use panel::{avx_available, lane_panels_enabled, LANE_PANEL_WIDTH};
+pub use panel::{avx_available, LANE_PANEL_WIDTH};
 pub use zmatrix::{ZLuFactors, ZMatrix, ZVector};
 
 /// Relative machine tolerance used across the workspace for "equals up to

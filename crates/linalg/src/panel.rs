@@ -30,11 +30,9 @@
 //! IEEE-754 operations and the per-lane arithmetic sequence (and thus
 //! the bits) is identical across the portable and AVX copies.
 //!
-//! The escape hatch [`lane_panels_enabled`] (`OPM_NO_PANEL=1`) routes
-//! every dispatching kernel back to its scalar reference — the
-//! bisection/debugging knob the CI matrix exercises.
-
-use std::sync::OnceLock;
+//! Every dispatching kernel keeps a public `*_scalar` reference; the
+//! proptests and the `kernel/*` bench records compare the panel path
+//! against it bit for bit.
 
 /// Width of the main lane panel, in `f64` lanes: every panelized kernel
 /// processes lanes in `[f64; LANE_PANEL_WIDTH]` chunks (one AVX-512
@@ -43,35 +41,19 @@ use std::sync::OnceLock;
 /// to this width so workers split on panel boundaries.
 pub const LANE_PANEL_WIDTH: usize = 8;
 
-/// Whether the lane-panel kernels are enabled (the default), or the
-/// `OPM_NO_PANEL=1` escape hatch has routed every dispatching kernel to
-/// its scalar reference implementation.
-///
-/// The variable is read once per process: flipping it mid-run is not a
-/// supported configuration (results are identical either way — the knob
-/// exists for performance bisection, not correctness).
-pub fn lane_panels_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("OPM_NO_PANEL") {
-        Ok(v) => {
-            let v = v.trim();
-            v.is_empty() || v == "0"
-        }
-        Err(_) => true,
-    })
-}
-
 /// Whether the running CPU supports AVX, i.e. whether the panel
 /// drivers' runtime-dispatched AVX copies may be called. Always `false`
-/// off `x86_64`. The detection result is cached by the standard library;
-/// this is cheap enough for per-kernel-call dispatch.
+/// off `x86_64` and under Miri, which cannot model the feature detection,
+/// so there the portable panel bodies run. The detection result is cached
+/// by the standard library; this is cheap enough for per-kernel-call
+/// dispatch.
 #[inline]
 pub fn avx_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
+    #[cfg(all(target_arch = "x86_64", not(miri)))]
     {
         std::arch::is_x86_feature_detected!("avx")
     }
-    #[cfg(not(target_arch = "x86_64"))]
+    #[cfg(any(not(target_arch = "x86_64"), miri))]
     {
         false
     }

@@ -169,15 +169,11 @@ impl CsrMatrix {
     /// Lanes are processed in fixed-width register panels
     /// ([`opm_linalg::panel::LANE_PANEL_WIDTH`]); per lane the
     /// accumulation order is exactly [`CsrMatrix::mul_block_into_scalar`]'s
-    /// (CSR entry order), so results are bit-identical. `OPM_NO_PANEL=1`
-    /// routes to the scalar reference.
+    /// (CSR entry order), so results are bit-identical.
     ///
     /// # Panics
     /// Panics when `lanes == 0` or on dimension mismatch.
     pub fn mul_block_into(&self, x: &[f64], y: &mut [f64], lanes: usize) {
-        if !opm_linalg::panel::lane_panels_enabled() {
-            return self.mul_block_into_scalar(x, y, lanes);
-        }
         assert!(lanes > 0, "mul_block: zero lanes");
         assert_eq!(x.len(), self.ncols * lanes, "mul_block: x size mismatch");
         assert_eq!(y.len(), self.nrows * lanes, "mul_block: y size mismatch");

@@ -28,9 +28,7 @@
 use crate::csc::CscMatrix;
 use crate::perm::Permutation;
 use crate::SparseError;
-use opm_linalg::panel::{
-    backward_upper_panels, forward_unit_lower_panels, lane_panels_enabled, LANE_PANEL_WIDTH,
-};
+use opm_linalg::panel::{backward_upper_panels, forward_unit_lower_panels, LANE_PANEL_WIDTH};
 
 /// Minimum width for a supernodal dense tail: trailing column blocks
 /// narrower than this stay in sparse form (the dense kernels cannot
@@ -558,18 +556,23 @@ impl SparseLu {
     /// kernels; both are pure blocking changes — lanes are independent,
     /// so the per-lane arithmetic sequence is exactly that of
     /// [`SparseLu::solve_block_into_scalar`] and results agree bit-for-bit (up to
-    /// the sign of zero). `OPM_NO_PANEL=1` routes here to the scalar
-    /// reference instead.
+    /// the sign of zero). The panel body runs as its AVX codegen copy
+    /// where the CPU supports it and as the portable build elsewhere.
     ///
     /// # Panics
     /// Panics when `lanes == 0` or slice lengths differ from
     /// `self.dim() * lanes`.
     pub fn solve_block_into(&self, b: &[f64], out: &mut [f64], lanes: usize) {
-        if lane_panels_enabled() {
-            self.solve_block_into_panels(b, out, lanes);
-        } else {
-            self.solve_block_into_scalar(b, out, lanes);
+        assert!(lanes > 0, "solve_block: zero lanes");
+        assert_eq!(b.len(), self.n * lanes, "solve_block: rhs size mismatch");
+        assert_eq!(out.len(), self.n * lanes, "solve_block: out size mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if opm_linalg::panel::avx_available() {
+            // SAFETY: the `avx` target feature was detected on this CPU.
+            unsafe { self.solve_block_panels_avx(b, out, lanes) };
+            return;
         }
+        self.solve_block_panels_body(b, out, lanes);
     }
 
     /// The scalar reference implementation of
@@ -625,22 +628,6 @@ impl SparseLu {
             let dst = self.col_perm.old_of(k) * lanes;
             out[dst..dst + lanes].copy_from_slice(&y[k * lanes..(k + 1) * lanes]);
         }
-    }
-
-    /// Panel driver: dispatches to the runtime-selected codegen copy of
-    /// [`solve_block_panels_body`](Self::solve_block_panels_body) — the
-    /// AVX clone where the CPU supports it, the portable build elsewhere.
-    fn solve_block_into_panels(&self, b: &[f64], out: &mut [f64], lanes: usize) {
-        assert!(lanes > 0, "solve_block: zero lanes");
-        assert_eq!(b.len(), self.n * lanes, "solve_block: rhs size mismatch");
-        assert_eq!(out.len(), self.n * lanes, "solve_block: out size mismatch");
-        #[cfg(target_arch = "x86_64")]
-        if opm_linalg::panel::avx_available() {
-            // SAFETY: the `avx` target feature was detected on this CPU.
-            unsafe { self.solve_block_panels_avx(b, out, lanes) };
-            return;
-        }
-        self.solve_block_panels_body(b, out, lanes);
     }
 
     /// The AVX codegen copy of the panel driver: same Rust body, compiled
