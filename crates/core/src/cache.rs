@@ -16,15 +16,39 @@
 //!
 //! - the model **pattern** (variant, dimensions, row structure, column
 //!   indices) and its **values** (every `f64` hashed by bit pattern),
+//! - the nonlinear **devices** (kind, terminals and every parameter by
+//!   bit pattern — a diode's `Is` is as much the plan as a resistor),
 //! - the [`SolveOptions`] (resolution, method, adaptive parameters,
 //!   step grid),
 //! - the horizon `t_end` and initial state `x0`.
 //!
 //! Hashing values (not just the sparsity pattern) means a value-only
 //! edit — say, bumping one resistor — is a **miss** by construction:
-//! the factorization it would reuse is numerically wrong for the new
-//! matrix. Two requests collide only if every bit above agrees, in
-//! which case sharing the factorization is exactly right.
+//! the plan's factors are the factors of other numbers. Two requests
+//! collide only if every bit above agrees, in which case sharing the
+//! plan is exactly right.
+//!
+//! # The pattern tier
+//!
+//! A value-only miss still shares most of its work with plans already
+//! built: the AMD ordering and the symbolic LU depend on the pencil's
+//! sparsity pattern alone. Under the plans sits a second, values-free
+//! tier, the pattern cache, keyed by the factored pencil's CSC pattern
+//! (`colptr`/`rowind` hashed word by word, confirmed by comparing the
+//! arrays on a hit) and mapping to one shared analysis — ordering plus
+//! [`opm_sparse::SymbolicLu`]. A plan build that finds its pattern
+//! there skips AMD and the symbolic factorization and replays the
+//! numeric half with [`opm_sparse::SparseLu::refactor_exact`], whose
+//! pivot rule accepts only where a fresh factorization would pivot the
+//! same way. The contract is **bit-identity**: a plan built through the
+//! tier equals [`Simulation::plan`] bit for bit — the replay's factors
+//! are the fresh factors, and where the replay refuses, the build
+//! factors fresh under the cached ordering (AMD is a pure function of
+//! the pattern), exactly as a fresh plan would. A replayed plan's
+//! profile books 0 symbolic + 1 numeric factorizations for its build; a
+//! refused one books 1 symbolic, like a fresh plan. Plan hits never
+//! compute the pattern key, and the tier holds as many patterns as the
+//! plan tier holds plans. Its counters are [`PatternStats`].
 //!
 //! # Concurrency & the single-factorization invariant
 //!
@@ -59,12 +83,15 @@
 //! `capacity` entries while builds race; it settles back under the cap
 //! as they publish).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::engine::SolveOptions;
+use crate::engine::{PatternAnalysis, SolveOptions};
+use crate::json::Json;
 use crate::session::{SimModel, SimPlan, Simulation};
 use crate::OpmError;
-use opm_sparse::CsrMatrix;
+use opm_circuits::nonlinear::DeviceModel;
+use opm_sparse::{CscMatrix, CsrMatrix, SparseLu};
 use opm_system::DescriptorSystem;
 
 /// The 128-bit structural hash a plan is interned under.
@@ -77,6 +104,7 @@ pub type PlanKey = (u64, u64);
 pub fn plan_key(sim: &Simulation, opts: &SolveOptions) -> PlanKey {
     let mut h = PairHash::new();
     hash_model(&mut h, sim.model());
+    hash_devices(&mut h, sim.devices());
     hash_options(&mut h, opts);
     h.f64(sim.t_end());
     match sim.x0() {
@@ -205,6 +233,29 @@ fn hash_model(h: &mut PairHash, model: &SimModel) {
     }
 }
 
+fn hash_devices(h: &mut PairHash, devices: &[DeviceModel]) {
+    h.usize(devices.len());
+    for device in devices {
+        match device {
+            DeviceModel::Diode(d) => {
+                h.tag(1);
+                h.usize(d.anode);
+                h.usize(d.cathode);
+                h.f64(d.is_sat);
+                h.f64(d.vt);
+            }
+            DeviceModel::Mosfet(m) => {
+                h.tag(2);
+                h.usize(m.drain);
+                h.usize(m.gate);
+                h.usize(m.source);
+                h.f64(m.kp);
+                h.f64(m.vth);
+            }
+        }
+    }
+}
+
 fn hash_options(h: &mut PairHash, opts: &SolveOptions) {
     match opts.resolution {
         Some(m) => {
@@ -244,7 +295,117 @@ pub use crate::gate::CacheStats;
 use crate::gate::GateCache;
 use crate::sync::StdSync;
 
-/// An LRU cache of factored plans keyed by [`plan_key`].
+/// The 128-bit hash a pattern analysis is interned under.
+type PatternKey = (u64, u64);
+
+/// Hashes a CSC pattern word by word: dimensions, `colptr`, `rowind`.
+/// Collisions cost nothing but a miss — a hit is confirmed against the
+/// stored arrays — so one multiply per word and stream is enough.
+fn pattern_key(csc: &CscMatrix) -> PatternKey {
+    let (mut a, mut b) = (0xcbf29ce484222325u64, 0x9e3779b97f4a7c15u64);
+    let words = [csc.nrows(), csc.ncols()];
+    for &w in words.iter().chain(csc.colptr()).chain(csc.rowind()) {
+        a = (a ^ w as u64).wrapping_mul(0x100000001b3);
+        b = (b.rotate_left(23) ^ w as u64).wrapping_mul(0xff51afd7ed558ccd);
+    }
+    (a, b)
+}
+
+/// Counters of the pattern tier, snapshotted by
+/// [`PlanCache::pattern_stats`]. Every analysis a plan build asks the
+/// tier for is exactly one of the three.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PatternStats {
+    /// Builds that replayed an interned analysis exactly (0 symbolic +
+    /// 1 numeric factorizations).
+    pub hits: u64,
+    /// Builds that recorded a fresh analysis: AMD + symbolic LU.
+    pub misses: u64,
+    /// Builds whose pattern was interned but whose values a fresh
+    /// factorization would pivot differently: a fresh symbolic LU under
+    /// the interned ordering.
+    pub fallbacks: u64,
+}
+
+/// The values-free tier under [`PlanCache`]: one shared
+/// [`PatternAnalysis`] per sparsity pattern, built on the same
+/// single-flight [`GateCache`] as the plans (see the module docs).
+pub(crate) struct PatternCache {
+    gate: GateCache<PatternKey, Arc<PatternAnalysis>, OpmError, StdSync>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    fallbacks: AtomicU64,
+}
+
+impl PatternCache {
+    fn new(capacity: usize) -> Self {
+        PatternCache {
+            gate: GateCache::new(capacity, || {
+                OpmError::BadArguments("pattern analysis panicked in another request".into())
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
+        }
+    }
+
+    /// Factors `csc` against its pattern's interned analysis, recording
+    /// (and interning) one on a miss. Returns the analysis the factor
+    /// belongs to, the factor — bit-identical to a fresh
+    /// [`PatternAnalysis::record`] of `csc` — and whether it was an
+    /// exact replay (no symbolic work).
+    ///
+    /// # Errors
+    /// [`OpmError::SingularPencil`] exactly when a fresh factorization
+    /// of `csc` fails.
+    pub(crate) fn factor(
+        &self,
+        csc: &CscMatrix,
+    ) -> Result<(Arc<PatternAnalysis>, SparseLu, bool), OpmError> {
+        let mut built_here = false;
+        let looked_up = self.gate.get_or_build_with(pattern_key(csc), || {
+            built_here = true;
+            PatternAnalysis::record(csc).map(|(analysis, lu)| (Arc::new(analysis), lu))
+        });
+        let entry = match looked_up {
+            Ok((entry, Some(lu))) => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                return Ok((entry, lu, false));
+            }
+            Ok((entry, None)) if entry.has_pattern(csc) => entry,
+            Err(e) if built_here => return Err(e),
+            // A hash collision, or a build this request waited on that
+            // failed on *its* values: analyse these values, uninterned.
+            _ => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                let (analysis, lu) = PatternAnalysis::record(csc)?;
+                return Ok((Arc::new(analysis), lu, false));
+            }
+        };
+        match SparseLu::refactor_exact(entry.symbolic(), csc.values()) {
+            Ok(lu) => {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Ok((entry, lu, true))
+            }
+            Err(_) => {
+                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                let (analysis, lu) = PatternAnalysis::record_with(csc, entry.order().clone())?;
+                Ok((Arc::new(analysis), lu, false))
+            }
+        }
+    }
+
+    fn stats(&self) -> PatternStats {
+        PatternStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            fallbacks: self.fallbacks.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// An LRU cache of factored plans keyed by [`plan_key`], over a
+/// values-free tier of pattern analyses (see the module docs).
 ///
 /// The claim / build / publish / latch protocol lives in the generic
 /// [`GateCache`] (shared with `opm-verify`, which model-checks it under
@@ -252,6 +413,7 @@ use crate::sync::StdSync;
 /// `PlanKey -> Arc<SimPlan>` and owns the plan-specific keying.
 pub struct PlanCache {
     gate: GateCache<PlanKey, Arc<SimPlan>, OpmError, StdSync>,
+    patterns: PatternCache,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -262,12 +424,14 @@ impl std::fmt::Debug for PlanCache {
             .field("capacity", &s.capacity)
             .field("hits", &s.hits)
             .field("misses", &s.misses)
+            .field("patterns", &self.pattern_stats())
             .finish()
     }
 }
 
 impl PlanCache {
-    /// A cache that interns at most `capacity` plans (minimum 1).
+    /// A cache that interns at most `capacity` plans (minimum 1), and
+    /// as many pattern analyses.
     pub fn new(capacity: usize) -> Self {
         PlanCache {
             gate: GateCache::new(capacity, || {
@@ -275,6 +439,7 @@ impl PlanCache {
                     "plan build panicked; the panicking request reports it".into(),
                 )
             }),
+            patterns: PatternCache::new(capacity),
         }
     }
 
@@ -307,7 +472,19 @@ impl PlanCache {
         sim: &Simulation,
         opts: &SolveOptions,
     ) -> Result<(Arc<SimPlan>, bool), OpmError> {
-        self.get_or_intern(plan_key(sim, opts), || sim.plan(opts))
+        self.get_or_intern(plan_key(sim, opts), || self.plan(sim, opts))
+    }
+
+    /// Builds a plan for `(sim, opts)` through the pattern tier, without
+    /// interning it — the build a [`PlanCache::get_or_intern`] closure
+    /// runs on a miss. The plan equals [`Simulation::plan`] bit for bit;
+    /// on a pattern the tier has analysed it skips AMD and the symbolic
+    /// factorization.
+    ///
+    /// # Errors
+    /// As [`Simulation::plan`].
+    pub fn plan(&self, sim: &Simulation, opts: &SolveOptions) -> Result<SimPlan, OpmError> {
+        sim.plan_in(opts, Some(&self.patterns))
     }
 
     /// The interned plan for `key`, running `build` on a miss — the
@@ -337,6 +514,26 @@ impl PlanCache {
         self.gate.stats()
     }
 
+    /// Pattern-tier counter snapshot.
+    pub fn pattern_stats(&self) -> PatternStats {
+        self.patterns.stats()
+    }
+
+    /// The `/metrics` representation: the plan tier's [`CacheStats`]
+    /// plus `pattern_hits`, `pattern_misses` and `pattern_fallbacks`.
+    pub fn stats_json(&self) -> Json {
+        let p = self.pattern_stats();
+        let mut doc = self.stats().to_json();
+        if let Json::Obj(fields) = &mut doc {
+            fields.extend([
+                ("pattern_hits".into(), Json::Int(p.hits as i64)),
+                ("pattern_misses".into(), Json::Int(p.misses as i64)),
+                ("pattern_fallbacks".into(), Json::Int(p.fallbacks as i64)),
+            ]);
+        }
+        doc
+    }
+
     /// Number of interned (finished) plans.
     pub fn len(&self) -> usize {
         self.gate.len()
@@ -347,10 +544,12 @@ impl PlanCache {
         self.gate.is_empty()
     }
 
-    /// Drops every interned plan (counters are kept; in-flight builds
-    /// complete and hand their plan to their waiters, uncached).
+    /// Drops every interned plan and pattern analysis (counters are
+    /// kept; in-flight builds complete and hand their plan to their
+    /// waiters, uncached).
     pub fn clear(&self) {
         self.gate.clear();
+        self.patterns.gate.clear();
     }
 
     /// The interned plans, most recently used first — what a `/metrics`
@@ -489,6 +688,69 @@ mod tests {
         );
         slow.join().unwrap();
         assert_eq!(cache.stats().misses, 2);
+    }
+
+    /// A half-wave rectifier whose diode has saturation current `is`.
+    fn rectifier(is: &str) -> Simulation {
+        let netlist = format!(
+            "* rectifier\nV1 in 0 SIN(0 1 1)\nR1 in a 0.1\nD1 a out {is}\nR2 out 0 10\n\
+             C1 out 0 0.2\n.end\n"
+        );
+        Simulation::from_netlist(&netlist, &["out"])
+            .unwrap()
+            .horizon(1.0)
+    }
+
+    /// Netlists that differ only in a device parameter key different
+    /// plans: each carries its own diode, never the other's.
+    #[test]
+    fn device_parameters_are_part_of_the_key() {
+        let opts = SolveOptions::new().resolution(32);
+        let (weak, strong) = (rectifier("1e-14"), rectifier("1e-9"));
+        assert_ne!(plan_key(&weak, &opts), plan_key(&strong, &opts));
+        assert_eq!(plan_key(&weak, &opts), plan_key(&rectifier("1e-14"), &opts));
+
+        let cache = PlanCache::new(4);
+        let a = cache.get_or_plan(&weak, &opts).unwrap();
+        let b = cache.get_or_plan(&strong, &opts).unwrap();
+        assert_eq!(cache.stats().misses, 2);
+        assert_eq!(a.devices(), weak.devices());
+        assert_eq!(b.devices(), strong.devices());
+    }
+
+    /// Racing misses of two plans on one pencil pattern record exactly
+    /// one analysis, whichever build gets there first: one records it,
+    /// the other replays it (the model checker's `pattern_tier` model
+    /// covers every interleaving of the two gates).
+    #[test]
+    fn racing_value_misses_record_one_analysis() {
+        let cache = PlanCache::new(4);
+        let opts = SolveOptions::new().resolution(32);
+        let start = std::sync::Barrier::new(2);
+        let mut profiles: Vec<(usize, usize)> = std::thread::scope(|s| {
+            let handles: Vec<_> = ["1e-14", "2e-14"]
+                .map(|is| {
+                    let (cache, opts, start) = (&cache, &opts, &start);
+                    s.spawn(move || {
+                        let sim = rectifier(is);
+                        start.wait();
+                        let p = cache.get_or_plan(&sim, opts).unwrap();
+                        let p = p.factor_profile();
+                        (p.num_symbolic, p.num_numeric)
+                    })
+                })
+                .into_iter()
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        profiles.sort_unstable();
+        assert_eq!(profiles, vec![(0, 1), (1, 0)]);
+        let want = PatternStats {
+            hits: 1,
+            misses: 1,
+            fallbacks: 0,
+        };
+        assert_eq!(cache.pattern_stats(), want);
     }
 
     /// Eviction only considers finished plans and keeps the cache at

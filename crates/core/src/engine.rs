@@ -13,9 +13,11 @@
 //! - [`factor_pencil`] — AMD-ordered sparse LU with error mapping;
 //! - [`PencilFamily`] — the many-pencil hot path: one union pattern, one
 //!   AMD ordering and one symbolic analysis — recorded when the family
-//!   is built — shared by every shift `σ·E − A`, with numeric-only
-//!   refactorization per shift ([`PencilFamily::factor`]) and a parallel
-//!   batch form ([`PencilFamily::factor_all`]);
+//!   is built, or replayed from another plan on the same pattern through
+//!   the plan cache's pattern tier ([`crate::cache`]) — shared by every
+//!   shift `σ·E − A`, with numeric-only refactorization per shift
+//!   ([`PencilFamily::factor`]) and a parallel batch form
+//!   ([`PencilFamily::factor_all`]);
 //! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
 //!   right-hand side (single scenario or an interleaved lane block);
 //! - [`BlockColumnSweep`] — the cached-factorization column solve loop,
@@ -54,6 +56,7 @@
 //! ```
 
 use crate::adaptive::AdaptiveOpmOptions;
+use crate::cache::PatternCache;
 use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
 use crate::OpmError;
@@ -63,6 +66,7 @@ use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CscMatrix, CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
 use opm_system::{DescriptorSystem, MultiTermSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Validation
@@ -169,37 +173,107 @@ fn singular(e: SparseError) -> OpmError {
     OpmError::SingularPencil(format!("{e}"))
 }
 
-/// One pencil pattern's recorded analysis — its AMD ordering and
-/// [`SymbolicLu`] — plus relaxed counters of the factorizations replayed
-/// against it. Immutable once recorded, so any number of threads can
-/// refactor through it at once.
-pub(crate) struct PencilAnalysis {
+/// The values-free half of a pencil analysis: the CSC pattern it was
+/// recorded on, the pattern's AMD ordering and the [`SymbolicLu`] of
+/// the factorization that recorded it. Immutable and shared by `Arc`
+/// between the plans replaying it and, when built through a
+/// [`crate::PlanCache`], the cache's pattern tier.
+pub(crate) struct PatternAnalysis {
+    colptr: Vec<usize>,
+    rowind: Vec<usize>,
     order: Permutation,
     symbolic: SymbolicLu,
-    /// Fresh pivoted factorizations forced by pivot degradation.
-    fallbacks: AtomicUsize,
-    /// Numeric-only refactorizations.
-    numeric: AtomicUsize,
 }
 
-impl PencilAnalysis {
-    /// Factors `csc` under `order` and records the analysis.
-    fn record(csc: &CscMatrix, order: Permutation) -> Result<(Self, SparseLu), OpmError> {
+impl PatternAnalysis {
+    /// Orders `csc`'s pattern with AMD, factors it and records the
+    /// analysis — what a fresh plan pays.
+    pub(crate) fn record(csc: &CscMatrix) -> Result<(Self, SparseLu), OpmError> {
+        Self::record_with(csc, pencil_order(&csc.to_csr()))
+    }
+
+    /// Factors `csc` under a known `order` (AMD of this very pattern)
+    /// and records the analysis.
+    pub(crate) fn record_with(
+        csc: &CscMatrix,
+        order: Permutation,
+    ) -> Result<(Self, SparseLu), OpmError> {
         let (symbolic, lu) =
             SymbolicLu::factor_with(csc, Some(&order), LuOptions::default()).map_err(singular)?;
-        let analysis = PencilAnalysis {
+        let analysis = PatternAnalysis {
+            colptr: csc.colptr().to_vec(),
+            rowind: csc.rowind().to_vec(),
             order,
             symbolic,
-            fallbacks: AtomicUsize::new(0),
-            numeric: AtomicUsize::new(0),
         };
         Ok((analysis, lu))
     }
 
-    /// Factors a CSR pencil with the AMD ordering and records the
-    /// analysis — the multi-term plans' entry point.
-    pub(crate) fn of_pencil(pencil: &CsrMatrix) -> Result<(Self, SparseLu), OpmError> {
-        Self::record(&pencil.to_csc(), pencil_order(pencil))
+    /// Whether `csc` has the pattern this analysis was recorded on.
+    pub(crate) fn has_pattern(&self, csc: &CscMatrix) -> bool {
+        self.colptr == csc.colptr() && self.rowind == csc.rowind()
+    }
+
+    /// The recorded AMD ordering.
+    pub(crate) fn order(&self) -> &Permutation {
+        &self.order
+    }
+
+    /// The recorded symbolic analysis.
+    pub(crate) fn symbolic(&self) -> &SymbolicLu {
+        &self.symbolic
+    }
+}
+
+/// One pencil's recorded analysis — its [`PatternAnalysis`], recorded
+/// for this pencil or replayed from another pencil on the same pattern
+/// — plus relaxed counters of the factorizations replayed against it.
+/// Immutable once recorded, so any number of threads can refactor
+/// through it at once.
+pub(crate) struct PencilAnalysis {
+    shared: Arc<PatternAnalysis>,
+    /// Symbolic analyses the recording itself paid: 1, or 0 when the
+    /// pattern tier's exact replay stood in for it.
+    recorded: usize,
+    /// Fresh pivoted factorizations forced by pivot degradation.
+    fallbacks: AtomicUsize,
+    /// Numeric-only refactorizations (the exact replay included).
+    numeric: AtomicUsize,
+}
+
+impl PencilAnalysis {
+    /// Factors `csc` and records its analysis: through `patterns` when
+    /// given — an exact numeric replay of an analysis already recorded
+    /// on this pattern, bit-identical to the fresh factorization it
+    /// replaces (see [`crate::cache`]) — else AMD + a fresh symbolic
+    /// factorization.
+    fn record(
+        csc: &CscMatrix,
+        patterns: Option<&PatternCache>,
+    ) -> Result<(Self, SparseLu), OpmError> {
+        let (shared, lu, replayed) = match patterns {
+            Some(tier) => tier.factor(csc)?,
+            None => {
+                let (analysis, lu) = PatternAnalysis::record(csc)?;
+                (Arc::new(analysis), lu, false)
+            }
+        };
+        let analysis = PencilAnalysis {
+            shared,
+            recorded: usize::from(!replayed),
+            fallbacks: AtomicUsize::new(0),
+            numeric: AtomicUsize::new(usize::from(replayed)),
+        };
+        Ok((analysis, lu))
+    }
+
+    /// Factors a CSR pencil and records its analysis — the multi-term
+    /// plans' entry point.
+    pub(crate) fn of_pencil(
+        pencil: &CsrMatrix,
+        patterns: Option<&PatternCache>,
+    ) -> Result<(Self, SparseLu), OpmError> {
+        Self::record(&pencil.to_csc(), patterns)
     }
 
     /// The one refactor-with-fallback path: a numeric-only
@@ -217,7 +291,7 @@ impl PencilAnalysis {
         pattern: &CscMatrix,
         values: &[f64],
     ) -> Result<(SparseLu, bool), OpmError> {
-        match SparseLu::refactor(&self.symbolic, values) {
+        match SparseLu::refactor(&self.shared.symbolic, values) {
             Ok(lu) => {
                 self.numeric.fetch_add(1, Ordering::Relaxed);
                 Ok((lu, false))
@@ -225,7 +299,7 @@ impl PencilAnalysis {
             Err(SparseError::PivotDegraded(_)) => {
                 let mut csc = pattern.clone();
                 csc.values_mut().copy_from_slice(values);
-                let lu = SparseLu::factor(&csc, Some(&self.order)).map_err(singular)?;
+                let lu = SparseLu::factor(&csc, Some(&self.shared.order)).map_err(singular)?;
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 Ok((lu, true))
             }
@@ -233,11 +307,11 @@ impl PencilAnalysis {
         }
     }
 
-    /// Counter snapshot: the recorded analysis and every fallback are
-    /// symbolic, the rest numeric.
+    /// Counter snapshot: the recording (unless replayed) and every
+    /// fallback are symbolic, the rest numeric.
     pub(crate) fn profile(&self) -> FactorProfile {
         FactorProfile {
-            num_symbolic: 1 + self.fallbacks.load(Ordering::Relaxed),
+            num_symbolic: self.recorded + self.fallbacks.load(Ordering::Relaxed),
             num_numeric: self.numeric.load(Ordering::Relaxed),
             ..FactorProfile::default()
         }
@@ -248,7 +322,11 @@ impl PencilAnalysis {
 /// shift-independent paid **once**, when the family is built: the union
 /// CSC pattern ([`ShiftedPencil`]), the AMD fill-reducing ordering, and
 /// the symbolic analysis ([`SymbolicLu`]: fill pattern, pivot order,
-/// elimination reach) recorded by factoring the reference shift. Every
+/// elimination reach) recorded by factoring the reference shift. A
+/// family built through a [`crate::PlanCache`] takes the ordering and
+/// analysis from the cache's pattern tier when another plan already
+/// recorded them on this pattern, and pays only an exact numeric replay
+/// of the reference shift — bit-identical to recording it afresh. Every
 /// further shift is a numeric-only [`SparseLu::refactor`], with an
 /// automatic fall back to a fresh pivoted factorization when a fixed
 /// pivot degrades past [`LuOptions::refactor_threshold`]. Fallbacks do
@@ -286,9 +364,21 @@ impl PencilFamily {
     /// # Errors
     /// [`OpmError::SingularPencil`] when `σ₀·E − A` is singular.
     pub fn new(e: &CsrMatrix, a: &CsrMatrix, sigma0: f64) -> Result<(Self, SparseLu), OpmError> {
+        Self::recorded_in(e, a, sigma0, None)
+    }
+
+    /// [`PencilFamily::new`], recording the analysis through the plan
+    /// cache's pattern tier when `patterns` is given: a pattern the tier
+    /// has analysed skips AMD and the symbolic factorization, and the
+    /// reference factor is bit-identical either way.
+    pub(crate) fn recorded_in(
+        e: &CsrMatrix,
+        a: &CsrMatrix,
+        sigma0: f64,
+        patterns: Option<&PatternCache>,
+    ) -> Result<(Self, SparseLu), OpmError> {
         let mut pencil = ShiftedPencil::new(e, a);
-        let order = pencil_order(&pencil.pattern().to_csr());
-        let (analysis, lu) = PencilAnalysis::record(pencil.shifted(sigma0), order)?;
+        let (analysis, lu) = PencilAnalysis::record(pencil.shifted(sigma0), patterns)?;
         let stats = lu.supernode_stats();
         let reference = FactorProfile {
             num_supernodes: stats.num_supernodes,
@@ -457,7 +547,8 @@ impl PencilFamily {
 /// # Errors
 /// As [`factor_pencil`].
 pub fn factor_pencil_symbolic(pencil: &CsrMatrix) -> Result<(SymbolicLu, SparseLu), OpmError> {
-    PencilAnalysis::of_pencil(pencil).map(|(analysis, lu)| (analysis.symbolic, lu))
+    let order = pencil_order(pencil);
+    SymbolicLu::factor_with(&pencil.to_csc(), Some(&order), LuOptions::default()).map_err(singular)
 }
 
 /// Builds the multi-term pencil `Σ_k w_k·A_k` from per-term leading

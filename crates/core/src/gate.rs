@@ -166,6 +166,24 @@ where
         key: K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
+        self.get_or_build_with(key, || build().map(|v| (v, ())))
+            .map(|(v, built)| (v, built.is_none()))
+    }
+
+    /// [`GateCache::get_or_build`] for a build that also produces
+    /// something only its own caller needs: on a miss `build` returns
+    /// the value to intern plus that by-product, and this call returns
+    /// `Some(by-product)`; hits and same-key waiters get `None`. A
+    /// two-level cache uses it to hand the builder the work it did on
+    /// the way to the shared value.
+    ///
+    /// # Errors
+    /// As [`GateCache::get_or_build`].
+    pub fn get_or_build_with<T>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<(V, T), E>,
+    ) -> Result<(V, Option<T>), E> {
         enum Claim<V, E, F>
         where
             V: Clone + Send + 'static,
@@ -203,25 +221,25 @@ where
             }
         });
         match claim {
-            Claim::Hit(v) => Ok((v, true)),
+            Claim::Hit(v) => Ok((v, None)),
             Claim::Wait(latch) => {
                 let v = latch.wait()?;
                 self.inner.with(|inner| inner.hits += 1);
-                Ok((v, true))
+                Ok((v, None))
             }
             Claim::Build(latch) => {
                 let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
-                let (outcome, panic_payload) = match built {
-                    Ok(Ok(v)) => (Ok(v), None),
-                    Ok(Err(e)) => (Err(e), None),
-                    Err(payload) => (Err((self.panic_error)()), Some(payload)),
+                let (outcome, extra, panic_payload) = match built {
+                    Ok(Ok((v, t))) => (Ok(v), Some(t), None),
+                    Ok(Err(e)) => (Err(e), None, None),
+                    Err(payload) => (Err((self.panic_error)()), None, Some(payload)),
                 };
                 self.publish(key, &outcome);
                 latch.resolve(outcome.clone());
                 if let Some(payload) = panic_payload {
                     std::panic::resume_unwind(payload);
                 }
-                outcome.map(|v| (v, false))
+                outcome.map(|v| (v, extra))
             }
         }
     }

@@ -88,7 +88,7 @@ pub mod second_order;
 pub mod session;
 pub mod sync;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{CacheStats, PatternStats, PlanCache};
 pub use cancel::CancelToken;
 pub use engine::{Method, SolveOptions};
 pub use json::Json;

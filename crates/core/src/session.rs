@@ -44,6 +44,7 @@
 //! with.
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
+use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
     apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, weighted_pencil,
@@ -333,6 +334,18 @@ impl Simulation {
     /// message names both the offending option and the chosen strategy),
     /// [`OpmError::SingularPencil`] when the pencil cannot be factored.
     pub fn plan(&self, opts: &SolveOptions) -> Result<SimPlan, OpmError> {
+        self.plan_in(opts, None)
+    }
+
+    /// [`Simulation::plan`], recording uniform plans' pencil analyses
+    /// through a plan cache's pattern tier when `patterns` is given
+    /// ([`crate::PlanCache::plan`]); the plan is bit-identical either
+    /// way.
+    pub(crate) fn plan_in(
+        &self,
+        opts: &SolveOptions,
+        patterns: Option<&PatternCache>,
+    ) -> Result<SimPlan, OpmError> {
         let (model, t_end) = (&self.model, self.t_end);
         let grid_like = opts.adaptive.is_some() || opts.step_grid.is_some();
         let m = match opts.resolution {
@@ -423,7 +436,7 @@ impl Simulation {
             }
         };
         let uniform = |sweep: Sweep, mt: Option<MultiTermSystem>| {
-            UniformPlan::prepare(model, sweep, mt, m, t_end).map(PlanKind::Uniform)
+            UniformPlan::prepare(model, sweep, mt, m, t_end, patterns).map(PlanKind::Uniform)
         };
         let kron = |mt: MultiTermSystem| -> Result<PlanKind, OpmError> {
             let factors = kron_prepare(&mt, m, t_end)?;
@@ -2458,24 +2471,26 @@ fn window_symbols(
 
 impl UniformPlan {
     /// Derives the whole-horizon kernel, factors its pencil and records
-    /// the analysis every other window count replays.
+    /// the analysis every other window count replays (through
+    /// `patterns`, the plan cache's pattern tier, when given).
     fn prepare(
         model: &SimModel,
         sweep: Sweep,
         mt: Option<MultiTermSystem>,
         m: usize,
         t_end: f64,
+        patterns: Option<&PatternCache>,
     ) -> Result<Self, OpmError> {
         let (symbols, pencil) =
             window_symbols(sweep, model, swept_mt(mt.as_ref(), model), m, t_end, 1)?;
         let (pencil, lu) = match pencil {
             WindowPencil::Shift(sigma) => {
                 let sys = shifted_system(model);
-                let (family, lu) = PencilFamily::new(sys.e(), sys.a(), sigma)?;
+                let (family, lu) = PencilFamily::recorded_in(sys.e(), sys.a(), sigma, patterns)?;
                 (PencilRecord::Family(Box::new(family)), lu)
             }
             WindowPencil::Weighted(p) => {
-                let (analysis, lu) = PencilAnalysis::of_pencil(&p)?;
+                let (analysis, lu) = PencilAnalysis::of_pencil(&p, patterns)?;
                 (PencilRecord::Weighted(Box::new(analysis)), lu)
             }
         };

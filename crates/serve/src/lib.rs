@@ -20,7 +20,11 @@
 //! `Sync`; batch solves fan out over `opm-par` worker threads
 //! internally). `/metrics` exposes the per-plan
 //! [`opm_core::FactorProfile`], so N identical solve requests visibly
-//! cost 1 symbolic + 1 numeric factorization total.
+//! cost 1 symbolic + 1 numeric factorization total. A miss that only
+//! changes values on a pattern the cache has analysed — one resistor
+//! edited — still answers `"cache": "miss"`, but its build replays the
+//! interned analysis (0 symbolic + 1 numeric) and is bit-identical to a
+//! fresh plan; `/metrics` counts those under `plan_cache.pattern_hits`.
 //!
 //! # Fault tolerance
 //!
@@ -493,7 +497,7 @@ impl RequestCtx<'_> {
                     .fetch_add(1, Ordering::Relaxed);
                 panic!("injected plan-build panic (X-Fault: build-panic)");
             }
-            parsed.sim.plan(&parsed.opts)
+            self.state.cache.plan(&parsed.sim, &parsed.opts)
         })
     }
 
@@ -854,7 +858,7 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState) -> Result<(), Rep
         })
         .collect();
     let doc = Json::Obj(vec![
-        ("plan_cache".into(), state.cache.stats().to_json()),
+        ("plan_cache".into(), state.cache.stats_json()),
         ("plans".into(), Json::Arr(plans)),
         (
             "requests".into(),

@@ -292,3 +292,80 @@ fn solve_panic_leaves_the_cached_plan_serving() {
         assert!(drain.drained && drain.abandoned == 0);
     }
 }
+
+/// An injected build panic on a request that would have been a pattern
+/// hit fails only that request: the pattern entry keeps serving, and
+/// the next one-resistor variant is a pattern hit whose results are
+/// bit-identical to a fresh in-process plan's.
+#[test]
+fn build_panic_leaves_the_pattern_entry_serving() {
+    let server = spawn(ServerConfig {
+        fault_injection: true,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let body = |ohms: &str| {
+        let netlist = format!("* RC low-pass\nV1 in 0 DC 5\nR1 in out {ohms}\nC1 out 0 1u\n.end");
+        format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 128}}, "windows": 4,
+                "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#
+        )
+    };
+    let primer = client::post(server.addr(), "/solve", &body("1k")).unwrap();
+    assert_eq!(primer.status, 200, "{}", primer.body);
+
+    let r = one_shot(server.addr()).request(
+        "POST",
+        "/solve",
+        Some(&body("1.5k")),
+        &[("X-Fault", "build-panic")],
+    );
+    assert!(matches!(&r, Ok(resp) if resp.status == 500), "{r:?}");
+
+    let variant = body("2.2k");
+    let got = client::post(server.addr(), "/solve", &variant).unwrap();
+    assert_eq!(got.status, 200, "{}", got.body);
+    let doc = got.json().unwrap();
+    assert_eq!(doc.get("cache").unwrap().as_str(), Some("miss"));
+    let sim = Simulation::from_netlist(
+        "* RC low-pass\nV1 in 0 DC 5\nR1 in out 2.2k\nC1 out 0 1u\n.end",
+        &["out"],
+    )
+    .unwrap()
+    .horizon(5e-3);
+    let want = sim
+        .plan(&SolveOptions::new().resolution(128))
+        .unwrap()
+        .solve_windowed(
+            &opm_waveform::InputSet::new(vec![opm_waveform::Waveform::step(0.0, 5.0)]),
+            4,
+        )
+        .unwrap();
+    let got = outputs_of(&doc.get("results").unwrap().as_array().unwrap()[0]);
+    assert_eq!(got.len(), want.output_row(0).len());
+    for (g, w) in got.iter().zip(want.output_row(0)) {
+        assert_eq!(g.to_bits(), w.to_bits(), "pattern-hit reply drifted");
+    }
+
+    let doc = client::get(server.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let cache = doc.get("plan_cache").unwrap();
+    let count = |k: &str| cache.get(k).unwrap().as_usize().unwrap();
+    assert_eq!(
+        (
+            count("pattern_hits"),
+            count("pattern_misses"),
+            count("pattern_fallbacks")
+        ),
+        (1, 1, 0)
+    );
+    let robustness = doc.get("robustness").unwrap();
+    assert_eq!(robustness.get("panics").unwrap().as_usize(), Some(1));
+    let faults = robustness.get("faults").unwrap();
+    assert_eq!(faults.get("build_panics").unwrap().as_usize(), Some(1));
+    let drain = server.shutdown();
+    assert!(drain.drained && drain.abandoned == 0);
+}

@@ -7,7 +7,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use opm_core::json::Json;
-use opm_core::{Simulation, SolveOptions};
+use opm_core::{NewtonOptions, Simulation, SolveOptions};
+use opm_serve::api::{self, SimRequest};
 use opm_serve::client::{Client, ClientConfig};
 use opm_serve::{client, spawn, ServerConfig};
 
@@ -22,6 +23,48 @@ fn solve_body() -> String {
             "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#,
         netlist = NETLIST
     )
+}
+
+/// The `"results": [...]` member a fresh in-process plan gives for a
+/// `/solve` body, solved the way the daemon solves it — the reply must
+/// end with exactly this text.
+fn fresh_results_member(body: &str) -> String {
+    let parsed = SimRequest::parse(body.as_bytes()).unwrap();
+    let stimuli = parsed.stimuli().unwrap();
+    let plan = parsed.sim.plan(&parsed.opts).unwrap();
+    let windows = parsed.windows.unwrap_or(1);
+    let results: Vec<_> = if plan.has_nonlinear() {
+        stimuli
+            .iter()
+            .map(|ws| {
+                plan.solve_newton_windowed(ws, windows, &NewtonOptions::new())
+                    .unwrap()
+            })
+            .collect()
+    } else {
+        plan.solve_windowed_batch(&stimuli, windows).unwrap()
+    };
+    let doc = Json::Obj(vec![(
+        "results".into(),
+        Json::Arr(results.iter().map(api::result_json).collect()),
+    )])
+    .to_string();
+    doc[1..doc.len() - 1].to_string()
+}
+
+/// Posts `body` and checks the reply is a plan-cache miss whose results
+/// are byte-identical to a fresh in-process plan's; returns the reply.
+fn post_fresh_miss(addr: std::net::SocketAddr, body: &str) -> Json {
+    let r = client::post(addr, "/solve", body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(
+        r.body
+            .ends_with(&format!("{}}}", fresh_results_member(body))),
+        "reply results differ from a fresh in-process plan"
+    );
+    let doc = r.json().unwrap();
+    assert_eq!(doc.get("cache").unwrap().as_str(), Some("miss"));
+    doc
 }
 
 fn outputs_of(result: &Json) -> Vec<f64> {
@@ -419,5 +462,80 @@ fn raw_model_entry() {
     .unwrap();
     assert_eq!(r.status, 400);
     assert!(r.body.contains("scenarios"), "{}", r.body);
+    server.shutdown();
+}
+
+/// Two rectifier netlists that differ only in the diode's `Is` are two
+/// plans: both requests miss, and each reply is its own netlist's fresh
+/// solve — never the other diode's.
+#[test]
+fn device_parameters_key_their_own_plans() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let body = |is: &str| {
+        let netlist = format!(
+            "* rectifier\nV1 in 0 SIN(0 1 1)\nR1 in a 0.1\nD1 a out {is}\nR2 out 0 10\n\
+             C1 out 0 0.2\n.end\n"
+        );
+        format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 1.0,
+                "options": {{"resolution": 64}}, "windows": 2}}"#
+        )
+    };
+    let (weak, strong) = (body("1e-14"), body("1e-9"));
+    let a = post_fresh_miss(server.addr(), &weak);
+    let b = post_fresh_miss(server.addr(), &strong);
+    assert_ne!(
+        a.get("results").unwrap().to_string(),
+        b.get("results").unwrap().to_string(),
+        "the diodes differ, so must the waveforms"
+    );
+    let doc = client::get(server.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let cache = doc.get("plan_cache").unwrap();
+    assert_eq!(cache.get("misses").unwrap().as_usize(), Some(2));
+    assert_eq!(cache.get("hits").unwrap().as_usize(), Some(0));
+    server.shutdown();
+}
+
+/// A one-resistor variant of a primed netlist misses the plan tier but
+/// hits the pattern tier: its build books 0 symbolic + 1 numeric
+/// factorizations, its results are byte-identical to a fresh plan's, and
+/// `/metrics` counts one pattern hit.
+#[test]
+fn value_variant_is_a_pattern_hit() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let body = |ohms: &str| {
+        let netlist = format!("* RC low-pass\nV1 in 0 DC 5\nR1 in out {ohms}\nC1 out 0 1u\n.end");
+        format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 128}},
+                "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#
+        )
+    };
+    let primer = post_fresh_miss(server.addr(), &body("1k"));
+    let p = primer.get("profile").unwrap();
+    assert_eq!(p.get("num_symbolic").unwrap().as_usize(), Some(1));
+    let variant = post_fresh_miss(server.addr(), &body("2.2k"));
+    let p = variant.get("profile").unwrap();
+    assert_eq!(p.get("num_symbolic").unwrap().as_usize(), Some(0));
+    assert_eq!(p.get("num_numeric").unwrap().as_usize(), Some(1));
+
+    let doc = client::get(server.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let cache = doc.get("plan_cache").unwrap();
+    let count = |k: &str| cache.get(k).unwrap().as_usize().unwrap();
+    assert_eq!((count("misses"), count("hits")), (2, 0));
+    assert_eq!(
+        (
+            count("pattern_hits"),
+            count("pattern_misses"),
+            count("pattern_fallbacks")
+        ),
+        (1, 1, 0)
+    );
     server.shutdown();
 }

@@ -75,6 +75,19 @@ impl CscMatrix {
             .map(|(&r, &v)| (r, v))
     }
 
+    /// Column pointers: column `j` stores entries
+    /// `colptr()[j]..colptr()[j + 1]` of [`CscMatrix::rowind`] and
+    /// [`CscMatrix::values`].
+    pub fn colptr(&self) -> &[usize] {
+        &self.colptr
+    }
+
+    /// Row index of every stored entry, column by column (rows ascending
+    /// within a column) — with [`CscMatrix::colptr`], the whole pattern.
+    pub fn rowind(&self) -> &[usize] {
+        &self.rowind
+    }
+
     /// Row indices of column `j` (pattern only).
     pub fn col_pattern(&self, j: usize) -> &[usize] {
         &self.rowind[self.colptr[j]..self.colptr[j + 1]]

@@ -65,6 +65,10 @@ pub enum SparseError {
     /// [`lu::LuOptions::refactor_threshold`]; the caller should fall
     /// back to a fresh pivoted factorization.
     PivotDegraded(usize),
+    /// An exact replay ([`lu::SparseLu::refactor_exact`]) found that a
+    /// fresh factorization would not pivot on the recorded row of this
+    /// column; the caller should factor fresh.
+    PivotMismatch(usize),
     /// Cholesky encountered a non-positive pivot; the matrix is not
     /// positive definite.
     NotPositiveDefinite(usize),
@@ -85,6 +89,10 @@ impl std::fmt::Display for SparseError {
                 f,
                 "refactorization pivot degraded at column {k}; a fresh pivoted \
                  factorization is required"
+            ),
+            SparseError::PivotMismatch(k) => write!(
+                f,
+                "a fresh factorization would pivot differently at column {k}"
             ),
             SparseError::NotPositiveDefinite(k) => {
                 write!(f, "matrix is not positive definite (pivot {k})")

@@ -24,6 +24,13 @@
 //! [`LuOptions::refactor_threshold`] aborts with
 //! [`SparseError::PivotDegraded`] so the caller can fall back to a fresh
 //! pivoted factorization.
+//!
+//! [`SparseLu::refactor_exact`] is the same replay under a stricter
+//! pivot rule: it accepts a column only when a fresh factorization of
+//! the new values would pick the recorded pivot row there, so an
+//! accepted replay is bit-identical to [`SymbolicLu::factor_with`] under
+//! the same ordering — the contract a pattern-keyed analysis cache
+//! needs to stand in for a fresh analysis.
 
 use crate::csc::CscMatrix;
 use crate::perm::Permutation;
@@ -38,6 +45,22 @@ const MIN_DENSE_TAIL: usize = 8;
 /// Maximum width for a supernodal dense tail: caps the redundant dense
 /// mirror at `512² × 8 B = 2 MiB` per factorization.
 const MAX_DENSE_TAIL: usize = 512;
+
+/// [`SymbolicLu`]'s marker for a column whose diagonal row was not a
+/// pivot candidate.
+const NO_SLOT: usize = usize::MAX;
+
+/// Which pivot a numeric replay accepts in each column.
+#[derive(Clone, Copy)]
+enum PivotRule {
+    /// The recorded pivot, unless it falls below
+    /// [`LuOptions::refactor_threshold`] times the column's largest
+    /// candidate ([`SparseLu::refactor`]).
+    Guarded,
+    /// The recorded pivot, only where a fresh factorization would pick
+    /// the same row ([`SparseLu::refactor_exact`]).
+    Exact,
+}
 
 /// Factorization options.
 #[derive(Clone, Copy, Debug)]
@@ -221,7 +244,7 @@ fn build_dense_tail(
 /// assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] - 1.0).abs() < 1e-12);
 /// assert_eq!(lu0.dim(), lu1.dim());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SymbolicLu {
     n: usize,
     /// Column ordering shared with every refactorization.
@@ -241,6 +264,17 @@ pub struct SymbolicLu {
     /// L pattern per column (pivotal positions `> k`), flattened.
     l_ptr: Vec<usize>,
     l_idx: Vec<usize>,
+    /// Per pivotal column `k`: the pivot's slot among the column's
+    /// pivot candidates (the rows still unpivoted when column `k` was
+    /// eliminated) in the order the analysis scanned them — the L
+    /// pattern `l_idx[l_ptr[k]..l_ptr[k + 1]]` with the pivot inserted
+    /// at this slot.
+    piv_slot: Vec<usize>,
+    /// Per pivotal column: the diagonal row's slot in the same candidate
+    /// list, [`NO_SLOT`] when the diagonal was not a candidate.
+    diag_slot: Vec<usize>,
+    /// Diagonal-preference threshold inherited from the analysis options.
+    pivot_threshold: f64,
     /// Pivot-degradation guard inherited from the analysis options.
     refactor_threshold: f64,
     /// First column of the supernodal dense tail detected on the
@@ -380,6 +414,36 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
+        Self::replay(sym, values, PivotRule::Guarded)
+    }
+
+    /// Exact replay: [`SparseLu::refactor`] under a pivot rule that
+    /// accepts column `k` only when a fresh [`SymbolicLu::factor_with`]
+    /// of `values` under the analysis's column order and options would
+    /// pick the recorded pivot row there — diagonal preference at
+    /// [`LuOptions::pivot_threshold`], else the first strict maximum in
+    /// the analysis's scan order, ties decided by the recorded candidate
+    /// slots. The arithmetic of the replay is the fresh factorization's,
+    /// update for update, so an accepted replay returns factors (and a
+    /// dense tail) bit-identical to that fresh factorization, whose
+    /// symbolic analysis in turn equals `sym`.
+    ///
+    /// # Errors
+    /// [`SparseError::PivotMismatch`] at the first column where the
+    /// fresh factorization would pivot differently (or fail), and
+    /// [`SparseError::Singular`] on a non-finite input value: either way
+    /// the caller factors fresh under the same ordering to get exactly
+    /// what a fresh factorization returns.
+    ///
+    /// # Panics
+    /// Panics when `values.len() != sym.pattern_nnz()`.
+    pub fn refactor_exact(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
+        Self::replay(sym, values, PivotRule::Exact)
+    }
+
+    /// The numeric replay behind [`SparseLu::refactor`] and
+    /// [`SparseLu::refactor_exact`]: one loop, two pivot rules.
+    fn replay(sym: &SymbolicLu, values: &[f64], rule: PivotRule) -> Result<Self, SparseError> {
         assert_eq!(
             values.len(),
             sym.pattern_nnz(),
@@ -424,30 +488,39 @@ impl SparseLu {
                 }
             }
 
-            // Fixed pivot with degradation guard.
+            // The recorded pivot, checked against the rule.
             let pivot = x[k];
-            let mut max_cand = pivot.abs();
-            for &i in lpat {
-                max_cand = max_cand.max(x[i].abs());
-            }
-            if !pivot.is_finite() || (pivot == 0.0 && max_cand == 0.0) {
+            let refused = match rule {
+                PivotRule::Guarded => {
+                    let mut max_cand = pivot.abs();
+                    for &i in lpat {
+                        max_cand = max_cand.max(x[i].abs());
+                    }
+                    if !pivot.is_finite() || (pivot == 0.0 && max_cand == 0.0) {
+                        Some(SparseError::Singular(k))
+                    } else if pivot.abs() < sym.refactor_threshold * max_cand {
+                        Some(SparseError::PivotDegraded(k))
+                    } else {
+                        None
+                    }
+                }
+                PivotRule::Exact => (fresh_pivot_slot(sym, k, &x, lpat) != Some(sym.piv_slot[k]))
+                    .then_some(SparseError::PivotMismatch(k)),
+            };
+            if let Some(err) = refused {
                 for &i in upat.iter().chain(lpat) {
                     x[i] = 0.0;
                 }
                 x[k] = 0.0;
-                return Err(SparseError::Singular(k));
-            }
-            if pivot.abs() < sym.refactor_threshold * max_cand {
-                for &i in upat.iter().chain(lpat) {
-                    x[i] = 0.0;
-                }
-                x[k] = 0.0;
-                return Err(SparseError::PivotDegraded(k));
+                return Err(err);
             }
 
-            // Gather into the fixed factor pattern; reset workspace.
+            // Gather into the fixed factor pattern; reset workspace. U is
+            // gathered in the analysis's emission order (the reverse of
+            // the update order), so the stored factors match a fresh
+            // factorization entry for entry.
             let mut ucol = Vec::with_capacity(upat.len());
-            for &i in upat {
+            for &i in upat.iter().rev() {
                 ucol.push((i, x[i]));
                 x[i] = 0.0;
             }
@@ -817,6 +890,39 @@ impl SparseLu {
     }
 }
 
+/// The candidate slot a fresh factorization would pivot on in column
+/// `k` of `sym`, given the column's values after the triangular solve
+/// (pivotal coordinates in `x`, candidates `lpat` plus the recorded
+/// pivot `k`), or `None` where it would report the column singular.
+/// Mirrors [`factor_impl`]'s selection: the first strict maximum in
+/// scan order, overridden by the diagonal when that is nonzero and
+/// within `pivot_threshold` of the maximum.
+fn fresh_pivot_slot(sym: &SymbolicLu, k: usize, x: &[f64], lpat: &[usize]) -> Option<usize> {
+    let s = sym.piv_slot[k];
+    let cand = |c: usize| match c.cmp(&s) {
+        std::cmp::Ordering::Less => x[lpat[c]],
+        std::cmp::Ordering::Equal => x[k],
+        std::cmp::Ordering::Greater => x[lpat[c - 1]],
+    };
+    let mut max_abs = 0.0f64;
+    let mut arg = None;
+    for c in 0..=lpat.len() {
+        let v = cand(c).abs();
+        if v > max_abs {
+            max_abs = v;
+            arg = Some(c);
+        }
+    }
+    let d = sym.diag_slot[k];
+    if d != NO_SLOT {
+        let xd = cand(d);
+        if xd.abs() >= sym.pivot_threshold * max_abs && xd != 0.0 {
+            arg = Some(d);
+        }
+    }
+    arg.filter(|&c| cand(c).is_finite())
+}
+
 /// Shared left-looking factorization. With `record` set, the elimination
 /// reach, pivot order and scatter map are captured into a [`SymbolicLu`],
 /// and reached-but-numerically-zero entries are kept in the factors so
@@ -856,6 +962,8 @@ fn factor_impl(
     let mut u_idx: Vec<usize> = Vec::new();
     let mut l_ptr = vec![0usize];
     let mut l_orig: Vec<usize> = Vec::new();
+    let mut piv_slot: Vec<usize> = Vec::new();
+    let mut diag_slot: Vec<usize> = Vec::new();
 
     for k in 0..n {
         let jcol = col_perm.old_of(k);
@@ -940,6 +1048,10 @@ fn factor_impl(
         // --- Emit U column k and L column k; reset workspace. ---
         let mut ucol = Vec::new();
         let mut lcol = Vec::new();
+        // Slots in the candidate scan order (the pivot search's `xi`
+        // walk over unpivoted rows), for the exact replay's tie-breaks.
+        let mut slot = 0usize;
+        let (mut pslot, mut dslot) = (NO_SLOT, NO_SLOT);
         for &r in &xi {
             let v = x[r];
             match pinv[r] {
@@ -949,6 +1061,13 @@ fn factor_impl(
                     }
                 }
                 None => {
+                    if r == piv_row {
+                        pslot = slot;
+                    }
+                    if r == jcol {
+                        dslot = slot;
+                    }
+                    slot += 1;
                     if r != piv_row && (record || v != 0.0) {
                         lcol.push((r, v / pivot));
                         if record {
@@ -963,6 +1082,8 @@ fn factor_impl(
         if record {
             u_ptr.push(u_idx.len());
             l_ptr.push(l_orig.len());
+            piv_slot.push(pslot);
+            diag_slot.push(dslot);
         }
         u_diag[k] = pivot;
         pinv[piv_row] = Some(k);
@@ -1014,6 +1135,9 @@ fn factor_impl(
             u_idx,
             l_ptr,
             l_idx: l_orig,
+            piv_slot,
+            diag_slot,
+            pivot_threshold: opts.pivot_threshold,
             refactor_threshold: opts.refactor_threshold,
             tail_start,
         })
@@ -1496,6 +1620,239 @@ mod tests {
         lu0.solve_block_into(&b, &mut x0, lanes);
         lu1.solve_block_into(&b, &mut x1, lanes);
         assert_eq!(x0, x1);
+    }
+
+    // -- exact replay -------------------------------------------------------
+
+    /// Asserts two factorizations are the same bit for bit: pivots,
+    /// both permutations, every stored L/U entry in stored order, the
+    /// dense tail, and the single- and multi-lane solves.
+    fn assert_same_factors(got: &SparseLu, want: &SparseLu) {
+        let bits = |col: &[(usize, f64)]| -> Vec<(usize, u64)> {
+            col.iter().map(|&(i, v)| (i, v.to_bits())).collect()
+        };
+        assert_eq!(got.row_perm, want.row_perm, "row permutation");
+        assert_eq!(got.col_perm, want.col_perm, "column permutation");
+        let diag = |lu: &SparseLu| lu.u_diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(diag(got), diag(want), "U diagonal");
+        for k in 0..want.n {
+            assert_eq!(bits(&got.l_cols[k]), bits(&want.l_cols[k]), "L column {k}");
+            assert_eq!(bits(&got.u_cols[k]), bits(&want.u_cols[k]), "U column {k}");
+        }
+        match (&got.tail, &want.tail) {
+            (None, None) => {}
+            (Some(g), Some(w)) => {
+                assert_eq!((g.start, g.dim), (w.start, w.dim), "tail shape");
+                let lu = |t: &DenseTail| t.lu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(lu(g), lu(w), "tail panel");
+                for (gu, wu) in g.u_above.iter().zip(&w.u_above) {
+                    assert_eq!(bits(gu), bits(wu), "tail border");
+                }
+            }
+            _ => panic!("one factorization has a dense tail, the other not"),
+        }
+        let n = want.n;
+        let lanes = 5;
+        let b: Vec<f64> = (0..n * lanes).map(|i| (i as f64 * 0.37).sin()).collect();
+        let solve_bits = |lu: &SparseLu| -> Vec<u64> {
+            let mut out = vec![0.0; n * lanes];
+            lu.solve_block_into(&b, &mut out, lanes);
+            out.extend(lu.solve(&b[..n]));
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(solve_bits(got), solve_bits(want), "solves");
+    }
+
+    /// Exact replay of `values` against `sym` versus a fresh recorded
+    /// factorization under the same ordering: the replay accepts exactly
+    /// when the fresh row permutation equals the recorded one, and an
+    /// accepted replay equals the fresh factors (and the fresh analysis
+    /// equals `sym`). Returns whether it accepted.
+    fn check_exact_replay(sym: &SymbolicLu, pattern: &CscMatrix, values: &[f64]) -> bool {
+        let mut csc = pattern.clone();
+        csc.values_mut().copy_from_slice(values);
+        let fresh = SymbolicLu::factor_with(&csc, Some(&sym.col_perm), LuOptions::default());
+        let replay = SparseLu::refactor_exact(sym, values);
+        match (fresh, replay) {
+            (Ok((fsym, flu)), Ok(lu)) => {
+                assert_eq!(flu.row_perm, sym.row_perm, "false accept");
+                assert!(
+                    fsym == *sym,
+                    "an accepted replay's analysis must equal the fresh one"
+                );
+                assert_same_factors(&lu, &flu);
+                true
+            }
+            (Ok((_, flu)), Err(e)) => {
+                assert_ne!(flu.row_perm, sym.row_perm, "false reject: {e:?}");
+                false
+            }
+            (Err(_), replay) => {
+                assert!(replay.is_err(), "accepted where the fresh factor fails");
+                false
+            }
+        }
+    }
+
+    /// A `g×g` conductance grid with a small shunt at every node, plus
+    /// voltage sources: one from node 0 to ground and one floating
+    /// between the grid's last two nodes. Source columns hold ±1 stamps
+    /// and a structurally zero diagonal, so their pivots are off the
+    /// diagonal and start as exact-magnitude ties. `gscale` scales the
+    /// edge conductances (one factor per edge, in stamping order).
+    fn mna_with_sources(g: usize, gscale: &[f64]) -> CsrMatrix {
+        let nodes = g * g;
+        let n = nodes + 2;
+        let mut c = CooMatrix::new(n, n);
+        let mut e = 0;
+        let mut edge = |c: &mut CooMatrix, a: usize, b: usize| {
+            let w = gscale[e];
+            e += 1;
+            c.push(a, a, w);
+            c.push(b, b, w);
+            c.push(a, b, -w);
+            c.push(b, a, -w);
+        };
+        for r in 0..g {
+            for s in 0..g {
+                let i = r * g + s;
+                c.push(i, i, 1e-3);
+                if s + 1 < g {
+                    edge(&mut c, i, i + 1);
+                }
+                if r + 1 < g {
+                    edge(&mut c, i, i + g);
+                }
+            }
+        }
+        let (v0, v1) = (nodes, nodes + 1);
+        c.push(0, v0, 1.0);
+        c.push(v0, 0, 1.0);
+        let (a, b) = (nodes - 2, nodes - 1);
+        c.push(a, v1, 1.0);
+        c.push(b, v1, -1.0);
+        c.push(v1, a, 1.0);
+        c.push(v1, b, -1.0);
+        c.to_csr()
+    }
+
+    /// Random value sets on three patterns — a 2D grid, an MNA matrix
+    /// with voltage-source rows, the arrow matrix with a dense tail —
+    /// mild and wild: every accepted exact replay is the fresh
+    /// factorization bit for bit, and it accepts exactly when the fresh
+    /// pivots equal the recorded ones.
+    #[test]
+    fn exact_replay_accepts_exactly_when_fresh_pivots_match() {
+        let mut rng = opm_rng::StdRng::seed_from_u64(17);
+        let g = 6;
+        let edges = 2 * g * (g - 1);
+        let mna = |rng: &mut opm_rng::StdRng, lo: f64, hi: f64| {
+            let scale: Vec<f64> = (0..edges).map(|_| rng.random_range(lo..hi)).collect();
+            mna_with_sources(g, &scale)
+        };
+        let base_mna = mna_with_sources(g, &vec![1.0; edges]);
+        let cases: Vec<(&str, CsrMatrix)> = vec![
+            ("grid", grid_matrix(7)),
+            ("mna", base_mna),
+            ("arrow", arrow_matrix(20, 16)),
+        ];
+        let (mut accepted, mut refused) = (0, 0);
+        for (name, a) in cases {
+            let csc = a.to_csc();
+            let (sym, lu) =
+                SymbolicLu::factor_with(&csc, Some(&amd(&a)), LuOptions::default()).unwrap();
+            if name == "arrow" {
+                assert!(
+                    lu.supernode_stats().dense_tail_cols > 0,
+                    "arrow fixture has no tail"
+                );
+            }
+            for trial in 0..40 {
+                let wild = trial % 2 == 1;
+                let values: Vec<f64> = if name == "mna" {
+                    // Conductances vary; the ±1 source stamps never do.
+                    let (lo, hi) = if wild { (1e-4, 1e2) } else { (0.5, 1.5) };
+                    let m = mna(&mut rng, lo, hi).to_csc();
+                    assert_eq!((m.colptr(), m.rowind()), (csc.colptr(), csc.rowind()));
+                    m.values().to_vec()
+                } else if wild {
+                    csc.values()
+                        .iter()
+                        .map(|&v| {
+                            let sign = if rng.random() < 0.3 { -1.0 } else { 1.0 };
+                            sign * v * 10f64.powf(rng.random_range(-3.0..3.0))
+                        })
+                        .collect()
+                } else {
+                    csc.values()
+                        .iter()
+                        .map(|&v| v * rng.random_range(0.5..1.5))
+                        .collect()
+                };
+                if check_exact_replay(&sym, &csc, &values) {
+                    accepted += 1;
+                } else {
+                    refused += 1;
+                }
+            }
+        }
+        assert!(
+            accepted > 0 && refused > 0,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
+
+    /// An equal-magnitude tie is decided as the fresh factorization
+    /// decides it — the first candidate in its scan order — so a replay
+    /// recorded on that candidate accepts the tie and one recorded on
+    /// the other candidate refuses it.
+    #[test]
+    fn exact_replay_decides_ties_like_the_fresh_factor() {
+        // Column 0 holds a negligible diagonal and two off-diagonal
+        // candidates, rows 1 and 2; columns 1 and 2 leave a single
+        // candidate each whichever row column 0 takes.
+        let pattern = |v1: f64, v2: f64| {
+            let mut c = CooMatrix::new(3, 3);
+            c.push(0, 0, 1e-9);
+            c.push(1, 0, v1);
+            c.push(2, 0, v2);
+            c.push(0, 1, 10.0);
+            c.push(1, 2, 1.0);
+            c.push(2, 2, 1.0);
+            c.to_csc()
+        };
+        let tie = pattern(1.0, -1.0);
+        let fresh = SparseLu::factor(&tie, None).unwrap();
+        assert_eq!(
+            fresh.row_perm[0], 1,
+            "the fresh factor takes the first of a tie"
+        );
+        for (v1, v2, accepts) in [(2.0, 1.0, true), (1.0, 2.0, false)] {
+            let csc = pattern(v1, v2);
+            let (sym, _) = SymbolicLu::factor(&csc, None).unwrap();
+            assert_eq!(check_exact_replay(&sym, &csc, tie.values()), accepts);
+        }
+    }
+
+    /// The guarded refactor keeps its contract: it takes a recorded
+    /// pivot the exact replay refuses, as long as it is not degraded.
+    #[test]
+    fn guarded_refactor_still_accepts_non_fresh_pivots() {
+        let mut c = CooMatrix::new(2, 2);
+        c.push(0, 0, 1.0);
+        c.push(1, 0, 3.0);
+        c.push(0, 1, 2.0);
+        c.push(1, 1, 4.0);
+        let (sym, _) = SymbolicLu::factor(&c.to_csc(), None).unwrap();
+        // Diagonal 1e-4 is below pivot_threshold × 3 but above the
+        // degradation guard: a fresh factor swaps rows, the guarded
+        // refactor keeps the recorded diagonal.
+        let vals = [1e-4, 3.0, 2.0, 4.0];
+        assert!(SparseLu::refactor(&sym, &vals).is_ok());
+        assert!(matches!(
+            SparseLu::refactor_exact(&sym, &vals),
+            Err(SparseError::PivotMismatch(0))
+        ));
     }
 
     #[test]

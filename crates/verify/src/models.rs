@@ -1,11 +1,12 @@
 //! The concurrency models `opm-verify -- model-check` explores.
 //!
-//! Three of the four models instantiate *production* protocol code —
-//! [`opm_core::gate::GateCache`], [`opm_par::claim_indices`],
+//! Four of the five models instantiate *production* protocol code —
+//! [`opm_core::gate::GateCache`] (alone, and nested two levels deep as
+//! the plan cache's pattern tier nests it), [`opm_par::claim_indices`],
 //! [`opm_core::cancel::CancelCore`] — on the shim primitives in
 //! [`crate::sync`], so the checked code is byte-for-byte the code the
 //! engine runs (the generic-over-[`MonitorFamily`] refactor exists for
-//! exactly this). The fourth, [`BuggyLatch`], carries a deliberately
+//! exactly this). The fifth, [`BuggyLatch`], carries a deliberately
 //! seeded lost-wakeup and exists to prove the checker *can* catch the
 //! bug class the real latch is claimed to be free of: its exploration
 //! must fail, replay deterministically, and shrink to a short trace.
@@ -107,6 +108,151 @@ pub fn cache_panicking_build_model() -> impl Fn() + Send + Sync + 'static {
             .get_or_build(7, || Ok(1))
             .expect("cache unusable after a panicked build");
         assert_eq!((v, hit), (1, false), "the failed build must not be cached");
+    }
+}
+
+/// The plan cache's two tiers: plans keyed by value, pattern analyses
+/// keyed by sparsity pattern, both on the production [`GateCache`].
+type ShimTier = GateCache<u64, Arc<u64>, String, ShimSync>;
+
+/// The pattern key both plan builds share.
+const PATTERN: u64 = 7;
+
+/// Counts the racers that have reached their plan build, so an
+/// analysis can hold off until the other racer is on its way to the
+/// same pattern key — the interleaving a latch waiter needs. Without
+/// it, partial-order reduction would see no conflict between an
+/// analysis in flight and the other racer's plan-key claim, and never
+/// schedule a pattern-level waiter.
+struct Arrivals {
+    count: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl Arrivals {
+    /// Registers its shims with the running exploration (`Default`
+    /// would leave them unscheduled).
+    fn new() -> Self {
+        Arrivals {
+            count: Mutex::new(0),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn arrive(&self) {
+        *self.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        self.cv.notify_all();
+    }
+
+    fn await_both(&self) {
+        let mut g = self.count.lock().unwrap_or_else(PoisonError::into_inner);
+        while *g < 2 {
+            g = self.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One plan build's pattern lookup, as `opm_core`'s pattern tier makes
+/// it: the builder records (and interns) the analysis; a hit shares the
+/// interned one; a waiter whose builder failed records its own,
+/// uninterned. `fail_first` makes the first analysis panic.
+fn analyse(
+    patterns: &ShimTier,
+    analyses: &AtomicUsize,
+    fail_first: &AtomicUsize,
+    arrivals: &Arrivals,
+) -> Result<Arc<u64>, String> {
+    let mut built_here = false;
+    let looked_up = patterns.get_or_build_with(PATTERN, || {
+        built_here = true;
+        arrivals.await_both();
+        if fail_first.fetch_add(1, Ordering::SeqCst) == 0 {
+            panic!("injected analysis failure");
+        }
+        analyses.fetch_add(1, Ordering::SeqCst);
+        Ok((Arc::new(40), ()))
+    });
+    match looked_up {
+        Ok((analysis, _)) => Ok(analysis),
+        Err(e) if built_here => Err(e),
+        Err(_) => {
+            analyses.fetch_add(1, Ordering::SeqCst);
+            Ok(Arc::new(40))
+        }
+    }
+}
+
+/// Nested single flight: two plan builds on *different* plan keys race
+/// on one pattern key, each running its pattern lookup inside its
+/// plan-key build. With `panicking`, the first pattern analysis panics.
+/// The checker proves, in every schedule: no deadlock across the two
+/// levels of latches; without the panic exactly one analysis is
+/// recorded and both plans hold the same `Arc`; with it, the panicking
+/// build fails only its own plan, the other plan still gets an
+/// analysis, and both the pattern entry and the failed plan key are
+/// rebuildable afterwards.
+pub fn pattern_tier_model(panicking: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let plans: Arc<ShimTier> = Arc::new(GateCache::new(4, || PANIC_ERROR.to_string()));
+        let patterns: Arc<ShimTier> = Arc::new(GateCache::new(4, || PANIC_ERROR.to_string()));
+        let analyses = Arc::new(AtomicUsize::new(0));
+        let fail_first = Arc::new(AtomicUsize::new(usize::from(!panicking)));
+        let arrivals = Arc::new(Arrivals::new());
+        let racers: Vec<_> = [1u64, 2]
+            .into_iter()
+            .map(|plan_key| {
+                let plans = Arc::clone(&plans);
+                let patterns = Arc::clone(&patterns);
+                let analyses = Arc::clone(&analyses);
+                let fail_first = Arc::clone(&fail_first);
+                let arrivals = Arc::clone(&arrivals);
+                thread::spawn(move || {
+                    arrivals.arrive();
+                    std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        plans.get_or_build(plan_key, || {
+                            analyse(&patterns, &analyses, &fail_first, &arrivals)
+                        })
+                    }))
+                    .ok()
+                    .map(|built| built.expect("a plan build only fails by panicking").0)
+                })
+            })
+            .collect();
+        let built: Vec<Option<Arc<u64>>> = racers
+            .into_iter()
+            .map(|h| h.join().expect("racer panicked outside the injected path"))
+            .collect();
+        assert_eq!(plans.stats().misses, 2, "distinct plan keys both miss");
+        if !panicking {
+            assert_eq!(
+                analyses.load(Ordering::SeqCst),
+                1,
+                "two builds on one pattern must record one analysis"
+            );
+            let (a, b) = (built[0].as_ref().unwrap(), built[1].as_ref().unwrap());
+            assert!(Arc::ptr_eq(a, b), "both plans must share the analysis");
+            return;
+        }
+        assert_eq!(
+            built.iter().filter(|b| b.is_none()).count(),
+            1,
+            "the panic fails exactly its own plan build"
+        );
+        // The pattern entry is rebuildable (or was rebuilt by the other
+        // racer) and then interned.
+        let again =
+            analyse(&patterns, &analyses, &fail_first, &arrivals).expect("pattern entry unusable");
+        let (interned, built_now) = patterns
+            .get_or_build_with(PATTERN, || -> Result<(Arc<u64>, ()), String> {
+                unreachable!("the entry must be interned by now")
+            })
+            .expect("pattern entry unusable");
+        assert!(built_now.is_none() && Arc::ptr_eq(&again, &interned));
+        let failed = if built[0].is_none() { 1 } else { 2 };
+        let (_, hit) = plans
+            .get_or_build(failed, || Ok(again))
+            .expect("the failed plan key must rebuild");
+        assert!(!hit, "a panicked plan build must not be cached");
     }
 }
 
@@ -312,6 +458,30 @@ pub fn check_cache_latch(max_schedules: usize) -> Report {
     }
 }
 
+/// Explores the nested-gate pattern-tier model, plain and with a
+/// panicking analysis, folded into one report.
+pub fn check_pattern_tier(max_schedules: usize) -> Report {
+    let a = explore(
+        "pattern_tier/shared_analysis",
+        &protocol_opts(max_schedules / 2),
+        pattern_tier_model(false),
+    );
+    if a.violation.is_some() {
+        return a;
+    }
+    let b = explore(
+        "pattern_tier/panicking_analysis",
+        &protocol_opts(max_schedules - a.schedules),
+        pattern_tier_model(true),
+    );
+    Report {
+        name: "pattern_tier".into(),
+        schedules: a.schedules + b.schedules,
+        complete: a.complete && b.complete,
+        violation: b.violation,
+    }
+}
+
 /// Explores the work-index model.
 pub fn check_work_index(max_schedules: usize) -> Report {
     explore(
@@ -357,6 +527,8 @@ mod tests {
     fn models_pass_through_outside_the_checker() {
         cache_single_flight_model()();
         cache_panicking_build_model()();
+        pattern_tier_model(false)();
+        pattern_tier_model(true)();
         work_index_model()();
         cancel_model()();
     }

@@ -31,6 +31,11 @@ fn gate_cache_protocols_hold_under_exploration() {
 }
 
 #[test]
+fn nested_pattern_tier_holds_under_exploration() {
+    assert_clean(&models::check_pattern_tier(BUDGET));
+}
+
+#[test]
 fn work_index_claims_hold_under_exploration() {
     assert_clean(&models::check_work_index(BUDGET));
 }

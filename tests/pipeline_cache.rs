@@ -87,8 +87,9 @@ fn lru_eviction_order() {
 }
 
 /// A value-only edit (same sparsity pattern, one resistor bumped) must
-/// change the key and miss: reusing the old factorization would be
-/// numerically wrong.
+/// change the key and miss: the old plan's factors are the factors of
+/// other numbers. Only the values-free pattern tier under the plans
+/// serves it — an exact replay of the old plan's analysis.
 #[test]
 fn value_edit_misses() {
     let opts = SolveOptions::new().resolution(64);
@@ -101,6 +102,7 @@ fn value_edit_misses() {
     cache.get_or_plan(&sim_b, &opts).unwrap();
     let s = cache.stats();
     assert_eq!((s.hits, s.misses), (0, 2), "value edit must not hit");
+    assert_eq!(cache.pattern_stats().hits, 1, "…but shares the analysis");
 
     // Option edits miss too.
     cache
