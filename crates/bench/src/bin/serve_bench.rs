@@ -8,9 +8,10 @@
 //!   RC-mesh netlist (one extra bridging resistor per variant, at its
 //!   own position), so each misses both cache tiers and pays netlist
 //!   assembly + AMD + symbolic + numeric factorization + solve.
-//! - **warm phase** — every request repeats one pinned netlist, so each
-//!   is a cache hit: assembly + pure solve against the interned
-//!   `Arc<SimPlan>`, shared concurrently across client threads.
+//! - **warm phase** — every request repeats one pinned request, so each
+//!   is a pre-key hit and a plan hit: JSON parse + pure solve against the
+//!   interned `Arc<SimPlan>`, shared concurrently across client threads,
+//!   with no netlist parse, MNA assembly or structural hash.
 //! - **pattern phase** — one client alternates a fresh structurally
 //!   distinct miss with a value-only variant of the pinned netlist (one
 //!   segment resistance perturbed). The variant misses the plan tier
@@ -23,8 +24,9 @@
 //! Emits `BENCH_serve.json` (path override: `OPM_SERVE_JSON`) through
 //! the shared `opm_core::json` serializer and exits 0 once it could
 //! measure. Each record carries its own bound: warm-vs-cold results
-//! bit-identical, no warm miss, warm throughput ≥ 2× cold (1.3× on
-//! shared CI runners), hit rate ≥ 0.75, the pinned plan's profile at
+//! bit-identical, every warm request a pre-key hit, no warm miss, warm
+//! throughput ≥ 2× cold (1.3× on shared CI runners), hit rate ≥ 0.75,
+//! the pinned plan's profile at
 //! exactly 1 symbolic + 1 numeric factorization (count drift against the
 //! committed run) and its fill at most the committed fill; every pattern
 //! request a pattern hit, bit-identical to a fresh plan, with no
@@ -208,6 +210,8 @@ fn main() {
     let stats = mdoc.get("plan_cache").expect("plan_cache");
     let hits = stats.get("hits").unwrap().as_f64().unwrap();
     let misses = stats.get("misses").unwrap().as_f64().unwrap();
+    // Every cold-phase body is new, so these are the warm phase's.
+    let warm_prekey_hits = stats.get("prekey_hits").unwrap().as_usize().unwrap();
     let hit_rate = hits / (hits + misses);
 
     // The pinned plan is the most recently used: N requests, 1 symbolic
@@ -281,6 +285,7 @@ fn main() {
     );
     println!(
         "warm/cold {speedup:.2}×   hit rate {hit_rate:.3}   warm misses {warm_misses}   \
+         warm pre-key hits {warm_prekey_hits}   \
          max |Δ| = {warm_delta:e}   profile {num_symbolic} symbolic + {num_numeric} numeric, nnz(L+U) {factor_nnz}"
     );
     println!(
@@ -298,8 +303,10 @@ fn main() {
          structurally distinct variants (one extra bridging resistor each), every request \
          a miss at both cache tiers (assembly + AMD + symbolic + numeric factorization + \
          solve). serve/warm_*: {WARM_REQUESTS} repeats of one pinned request, every one a \
-         hit (the interned Arc<SimPlan>, zero factorizations — the per-plan profile reads 1 \
-         symbolic + 1 numeric total). serve/hit_rate and serve/plan_profile are read before \
+         pre-key hit and a plan hit (JSON parse + solve against the interned Arc<SimPlan>: \
+         no netlist parse, assembly or structural hash, zero factorizations — the per-plan \
+         profile reads 1 symbolic + 1 numeric total). serve/hit_rate, \
+         serve/warm_prekey_hits and serve/plan_profile are read before \
          the pattern phase. serve/pattern_*: one client alternates {PATTERN_REQUESTS} more \
          structurally distinct misses with {PATTERN_REQUESTS} value-only variants of the \
          pinned request (one resistance perturbed), each a plan miss and a pattern hit whose \
@@ -357,6 +364,13 @@ fn main() {
             vec![
                 ("value", Json::Int(warm_misses as i64)),
                 ("max", Json::Int(0)),
+            ],
+        ),
+        rec(
+            "serve/warm_prekey_hits",
+            vec![
+                ("value", Json::Int(warm_prekey_hits as i64)),
+                ("min", Json::Int(WARM_REQUESTS as i64)),
             ],
         ),
         rec(

@@ -50,6 +50,19 @@
 //! compute the pattern key, and the tier holds as many patterns as the
 //! plan tier holds plans. Its counters are [`PatternStats`].
 //!
+//! # The request pre-key (in `opm-serve`)
+//!
+//! [`plan_key`] needs an assembled [`Simulation`], so a server that
+//! computed it per request would pay netlist parse, MNA assembly and
+//! this byte-wise hash on every hit. The `opm-serve` daemon puts a
+//! request-level tier in front of this cache: a [`WordHash`] of the
+//! posted plan-input members maps to the [`PlanKey`] they built, a hit
+//! is confirmed by bit-exact equality of the members and goes straight
+//! to [`PlanCache::get_or_intern`] under the stored key, whose build
+//! closure — the full parse and [`PlanCache::plan`] — then runs only if
+//! the plan was evicted. The structural key stays the source of truth:
+//! every request is still exactly one plan hit or miss here.
+//!
 //! # Concurrency & the single-factorization invariant
 //!
 //! Lookups and insertions go through one short-lived mutex; **plans are
@@ -298,17 +311,63 @@ use crate::sync::StdSync;
 /// The 128-bit hash a pattern analysis is interned under.
 type PatternKey = (u64, u64);
 
+/// A 128-bit hash fed a whole word at a time: two multiplicative
+/// streams, one multiply per word each. It is for keys whose hits are
+/// confirmed against the stored value, where a collision costs nothing
+/// but a miss — the pattern tier's, and `opm-serve`'s request pre-key.
+#[derive(Clone, Copy, Debug)]
+pub struct WordHash {
+    a: u64,
+    b: u64,
+}
+
+impl Default for WordHash {
+    fn default() -> Self {
+        WordHash {
+            a: 0xcbf29ce484222325,
+            b: 0x9e3779b97f4a7c15,
+        }
+    }
+}
+
+impl WordHash {
+    /// Feeds one word.
+    pub fn word(&mut self, w: u64) {
+        self.a = (self.a ^ w).wrapping_mul(0x100000001b3);
+        self.b = (self.b.rotate_left(23) ^ w).wrapping_mul(0xff51afd7ed558ccd);
+    }
+
+    /// Feeds a byte string: its length, then its bytes eight to a word
+    /// (little-endian, the last word zero-padded).
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    /// The two streams' states.
+    pub fn finish(self) -> (u64, u64) {
+        (self.a, self.b)
+    }
+}
+
 /// Hashes a CSC pattern word by word: dimensions, `colptr`, `rowind`.
-/// Collisions cost nothing but a miss — a hit is confirmed against the
-/// stored arrays — so one multiply per word and stream is enough.
+/// A hit is confirmed against the stored arrays.
 fn pattern_key(csc: &CscMatrix) -> PatternKey {
-    let (mut a, mut b) = (0xcbf29ce484222325u64, 0x9e3779b97f4a7c15u64);
+    let mut h = WordHash::default();
     let words = [csc.nrows(), csc.ncols()];
     for &w in words.iter().chain(csc.colptr()).chain(csc.rowind()) {
-        a = (a ^ w as u64).wrapping_mul(0x100000001b3);
-        b = (b.rotate_left(23) ^ w as u64).wrapping_mul(0xff51afd7ed558ccd);
+        h.word(w as u64);
     }
-    (a, b)
+    h.finish()
 }
 
 /// Counters of the pattern tier, snapshotted by

@@ -130,6 +130,7 @@ impl Json {
     /// [`JsonError`] with the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -216,6 +217,7 @@ impl std::error::Error for JsonError {}
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'s> {
+    text: &'s str,
     bytes: &'s [u8],
     pos: usize,
     depth: usize,
@@ -336,6 +338,15 @@ impl Parser<'_> {
             .map_err(|_| self.err("expected a string"))?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one piece. Those bytes are ASCII, so both ends of
+            // the run are char boundaries of the input.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&c| c == b'"' || c == b'\\' || c < 0x20);
+            self.pos = run.map_or(self.bytes.len(), |n| start + n);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -382,19 +393,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 passes through verbatim (the
-                    // input is a &str, so it is already valid).
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && self.bytes[self.pos] & 0xC0 == 0x80 {
-                        self.pos += 1;
-                    }
-                    out.push_str(std::str::from_utf8(&self.bytes[start..self.pos]).unwrap());
-                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
             }
         }
     }
@@ -492,6 +491,62 @@ mod tests {
         assert!(Json::parse("nul").is_err());
         assert!(Json::parse("1 2").is_err());
         assert!(Json::parse("\"\u{1}\"").is_err());
+    }
+
+    /// Seeded strings over every escape form, surrogate pairs,
+    /// multibyte UTF-8 and control characters parse back exactly, both
+    /// as `Display` writes them and as hand-written `\\u` escapes; a
+    /// raw control byte fails at its own offset and a missing close
+    /// quote at the end of the input.
+    #[test]
+    fn seeded_strings_round_trip() {
+        use opm_rng::StdRng;
+        use std::fmt::Write as _;
+        const CHARS: [char; 20] = [
+            'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{8}', '\u{c}', '\u{0}',
+            '\u{1f}', '\u{7f}', 'é', 'π', '€', '\u{ffff}', '😀',
+        ];
+        let mut rng = StdRng::seed_from_u64(0x15);
+        for _ in 0..400 {
+            let s: String = (0..rng.random_range(0..48usize))
+                .map(|_| CHARS[rng.random_range(0..CHARS.len())])
+                .collect();
+            let written = Json::str(s.clone()).to_string();
+            assert_eq!(Json::parse(&written), Ok(Json::Str(s.clone())), "{written}");
+
+            // One piece per char: verbatim where JSON allows it, else
+            // (and at random) as `\\u` escapes, UTF-16 pairs above the BMP.
+            let mut pieces = vec!["\"".to_string()];
+            for c in s.chars() {
+                let verbatim = c >= ' ' && c != '"' && c != '\\';
+                if verbatim && rng.random_range(0..2usize) == 0 {
+                    pieces.push(c.to_string());
+                } else {
+                    let mut piece = String::new();
+                    for unit in c.encode_utf16(&mut [0; 2]) {
+                        let _ = write!(piece, "\\u{unit:04X}");
+                    }
+                    pieces.push(piece);
+                }
+            }
+            pieces.push("\"".to_string());
+            let text = pieces.concat();
+            assert_eq!(Json::parse(&text), Ok(Json::Str(s.clone())), "{text}");
+
+            let cut = rng.random_range(1..pieces.len());
+            let at: usize = pieces[..cut].iter().map(String::len).sum();
+            let mut raw = text.clone();
+            raw.insert(at, char::from(rng.random_range(0..0x20usize) as u8));
+            let e = Json::parse(&raw).unwrap_err();
+            assert_eq!(
+                (e.at, e.msg.as_str()),
+                (at, "unescaped control character in string")
+            );
+
+            let open = &text[..text.len() - 1];
+            let e = Json::parse(open).unwrap_err();
+            assert_eq!((e.at, e.msg.as_str()), (open.len(), "unterminated string"));
+        }
     }
 
     #[test]

@@ -1741,11 +1741,15 @@ impl SimPlan {
         validate_horizon(self.t_end)?;
         let m = self.m;
         // Window width T/W at resolution m ⇒ σ_w = 2·m·W/T.
-        let sigma = 2.0 * (m * windows) as f64 / self.t_end;
+        let sigma = 2.0 * (m as f64 * windows as f64) / self.t_end;
         let width = self.t_end / windows as f64;
+        let too_large = || unallocatable(windows, m);
+        let mut columns = Vec::new();
+        columns
+            .try_reserve_exact(windows.checked_mul(m).ok_or_else(too_large)?)
+            .map_err(|_| too_large())?;
         let mut sweep = NewtonSweep::new(sys, &self.devices, family)?;
         let mut e = self.x0.clone();
-        let mut columns = Vec::with_capacity(m * windows);
         for w in 0..windows {
             let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
             let mut win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
@@ -1966,6 +1970,7 @@ impl SimPlan {
     /// Polls the [`WindowedOptions`] cancel token at every window
     /// boundary — the cooperative cancellation point that bounds how
     /// long past a deadline a windowed solve can run to one window.
+    /// A store the allocator refuses is [`OpmError::BadArguments`].
     fn windowed_drive(
         &self,
         kernel: &WindowKernel,
@@ -1992,7 +1997,15 @@ impl SimPlan {
                 end[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
             }
         }
-        let mut store: Vec<Vec<f64>> = Vec::with_capacity(if trim { 0 } else { windows * self.m });
+        // Sized by the request alone, so reserved fallibly.
+        let too_large = || unallocatable(windows, self.m);
+        let columns = if trim {
+            self.m
+        } else {
+            windows.checked_mul(self.m).ok_or_else(too_large)?
+        };
+        let mut store: Vec<Vec<f64>> = Vec::new();
+        store.try_reserve_exact(columns).map_err(|_| too_large())?;
         let mut num_solves = 0;
         for w in 0..windows {
             opts.check_cancelled()?;
@@ -2413,6 +2426,22 @@ fn mt_recurrence_data(mt: &MultiTermSystem, h: f64) -> (Vec<Vec<f64>>, Vec<f64>)
     (polys, bw)
 }
 
+/// The error for a request whose `windows × m` columns no allocator can
+/// hold: a bad request, not an abort of the process.
+fn unallocatable(windows: usize, m: usize) -> OpmError {
+    OpmError::BadArguments(format!(
+        "{windows} window(s) of {m} columns cannot be allocated"
+    ))
+}
+
+/// `m·windows`, the length of a memory kernel's coefficient series, once
+/// the allocator has shown it can hold one (see [`unallocatable`]).
+fn series_len(m: usize, windows: usize) -> Result<usize, OpmError> {
+    m.checked_mul(windows)
+        .filter(|&n| Vec::<f64>::new().try_reserve_exact(n).is_ok())
+        .ok_or_else(|| unallocatable(windows, m))
+}
+
 /// The symbol data of `sweep`'s kernel for `windows` windows of `m`
 /// columns over `[0, t_end)`, and the pencil that kernel factors — the
 /// one derivation for every window count, the whole horizon (`W = 1`)
@@ -2431,7 +2460,7 @@ fn window_symbols(
     let mt = || mt.expect("multi-term sweeps carry their system");
     Ok(match sweep {
         Sweep::Linear { accumulator } => {
-            let sigma = 2.0 * (m * windows) as f64 / t_end;
+            let sigma = 2.0 * (m as f64 * windows as f64) / t_end;
             let symbols = WindowSymbols::Linear { sigma, accumulator };
             (symbols, WindowPencil::Shift(sigma))
         }
@@ -2439,13 +2468,13 @@ fn window_symbols(
             let SimModel::Fractional(fsys) = model else {
                 unreachable!("fractional sweeps are built on fractional models");
             };
-            let rho = wbasis().frac_diff_coeffs_n(fsys.alpha(), m * windows);
+            let rho = wbasis().frac_diff_coeffs_n(fsys.alpha(), series_len(m, windows)?);
             let shift = WindowPencil::Shift(rho[0]);
             (WindowSymbols::Fractional { rho }, shift)
         }
         Sweep::Recurrence { .. } => {
             let mt = mt();
-            let (polys, bw) = mt_recurrence_data(mt, t_end / (m * windows) as f64);
+            let (polys, bw) = mt_recurrence_data(mt, t_end / (m as f64 * windows as f64));
             let pencil = weighted_pencil(mt.terms(), |k| polys[k][0])?;
             let depth = mt.max_order() as usize;
             let symbols = WindowSymbols::Recurrence { polys, bw, depth };
@@ -2454,11 +2483,11 @@ fn window_symbols(
         Sweep::Convolution => {
             // Per-term ρ^{(k)} (α = 0 ⇒ e₀), from the same generator
             // the fractional sweep uses, so the formulas cannot drift.
-            let (mt, wbasis) = (mt(), wbasis());
+            let (mt, wbasis, len) = (mt(), wbasis(), series_len(m, windows)?);
             let series: Vec<Vec<f64>> = mt
                 .terms()
                 .iter()
-                .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, m * windows))
+                .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, len))
                 .collect();
             let pencil = weighted_pencil(mt.terms(), |k| series[k][0])?;
             (

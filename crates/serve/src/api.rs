@@ -67,82 +67,24 @@ impl SimRequest {
     /// # Errors
     /// [`ApiError`] (status 400) naming the offending field.
     pub fn parse(body: &[u8]) -> Result<SimRequest, ApiError> {
-        let text =
-            std::str::from_utf8(body).map_err(|_| ApiError::bad("request body is not UTF-8"))?;
-        let doc = Json::parse(text).map_err(|e| ApiError::bad(e.to_string()))?;
+        SimRequest::from_doc(&parse_doc(body)?)
+    }
 
-        let horizon = doc
-            .get("horizon")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| ApiError::bad("`horizon` (a number) is required"))?;
-
-        let mut sim = match (doc.get("netlist"), doc.get("model")) {
-            (Some(netlist), None) => {
-                let text = netlist
-                    .as_str()
-                    .ok_or_else(|| ApiError::bad("`netlist` must be a string"))?;
-                let probes: Vec<&str> = match doc.get("probes") {
-                    Some(p) => p
-                        .as_array()
-                        .ok_or_else(|| ApiError::bad("`probes` must be an array"))?
-                        .iter()
-                        .map(|v| {
-                            v.as_str()
-                                .ok_or_else(|| ApiError::bad("`probes` entries must be strings"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    None => Vec::new(),
-                };
-                Simulation::from_netlist(text, &probes).map_err(|e| ApiError::bad(e.to_string()))?
-            }
-            (None, Some(model)) => parse_model(model)?,
-            _ => {
-                return Err(ApiError::bad(
-                    "exactly one of `netlist` or `model` is required",
-                ))
-            }
-        };
-        sim = sim.horizon(horizon);
-
-        if let Some(x0) = doc.get("x0") {
-            sim = sim.initial_state(parse_f64_array(x0, "x0")?);
-        }
-
-        let opts = match doc.get("options") {
-            Some(o) => parse_options(o)?,
-            None => SolveOptions::new(),
-        };
-
-        let scenarios = match doc.get("scenarios") {
-            Some(s) => {
-                let list = s
-                    .as_array()
-                    .ok_or_else(|| ApiError::bad("`scenarios` must be an array"))?;
-                list.iter().map(parse_scenario).collect::<Result<_, _>>()?
-            }
-            None => Vec::new(),
-        };
-
-        let windows = match doc.get("windows") {
-            Some(w) => Some(
-                w.as_usize()
-                    .filter(|&w| w > 0)
-                    .ok_or_else(|| ApiError::bad("`windows` must be a positive integer"))?,
-            ),
-            None => None,
-        };
-
-        let levels = match doc.get("levels") {
-            Some(l) => Some(parse_f64_array(l, "levels")?),
-            None => None,
-        };
-
+    /// The request a parsed document describes: the plan inputs
+    /// (`horizon`, `netlist` with `probes` or `model`, `x0`, `options`),
+    /// then `scenarios`, `windows` and `levels`, failing on the first bad
+    /// member in that order.
+    ///
+    /// # Errors
+    /// [`ApiError`] (status 400) naming the offending field.
+    pub fn from_doc(doc: &Json) -> Result<SimRequest, ApiError> {
+        let (sim, opts) = plan_inputs(doc)?;
         Ok(SimRequest {
             sim,
             opts,
-            scenarios,
-            windows,
-            levels,
+            scenarios: scenarios(doc)?,
+            windows: windows(doc)?,
+            levels: levels(doc)?,
         })
     }
 
@@ -152,15 +94,132 @@ impl SimRequest {
     /// # Errors
     /// 400 when neither is available.
     pub fn stimuli(&self) -> Result<Vec<InputSet>, ApiError> {
-        if !self.scenarios.is_empty() {
-            return Ok(self.scenarios.clone());
+        stimuli(self.scenarios.clone(), self.sim.inputs())
+    }
+}
+
+/// The document members [`plan_inputs`] reads: everything the
+/// [`Simulation`] and its [`SolveOptions`] are built from.
+pub(crate) const PLAN_MEMBERS: [&str; 6] =
+    ["netlist", "model", "probes", "horizon", "x0", "options"];
+
+/// Parses a request body into its JSON document.
+///
+/// # Errors
+/// 400 when the body is not UTF-8 or not JSON.
+pub(crate) fn parse_doc(body: &[u8]) -> Result<Json, ApiError> {
+    let text = std::str::from_utf8(body).map_err(|_| ApiError::bad("request body is not UTF-8"))?;
+    Json::parse(text).map_err(|e| ApiError::bad(e.to_string()))
+}
+
+/// The session and plan options a document's [`PLAN_MEMBERS`] describe:
+/// `horizon`, then `netlist` (with `probes`) or `model`, then `x0` and
+/// `options`, failing on the first bad member in that order.
+///
+/// # Errors
+/// [`ApiError`] (status 400) naming the offending field.
+pub(crate) fn plan_inputs(doc: &Json) -> Result<(Simulation, SolveOptions), ApiError> {
+    let horizon = doc
+        .get("horizon")
+        .and_then(Json::as_f64)
+        .ok_or_else(|| ApiError::bad("`horizon` (a number) is required"))?;
+
+    let mut sim = match (doc.get("netlist"), doc.get("model")) {
+        (Some(netlist), None) => {
+            let text = netlist
+                .as_str()
+                .ok_or_else(|| ApiError::bad("`netlist` must be a string"))?;
+            let probes: Vec<&str> = match doc.get("probes") {
+                Some(p) => p
+                    .as_array()
+                    .ok_or_else(|| ApiError::bad("`probes` must be an array"))?
+                    .iter()
+                    .map(|v| {
+                        v.as_str()
+                            .ok_or_else(|| ApiError::bad("`probes` entries must be strings"))
+                    })
+                    .collect::<Result<_, _>>()?,
+                None => Vec::new(),
+            };
+            Simulation::from_netlist(text, &probes).map_err(|e| ApiError::bad(e.to_string()))?
         }
-        match self.sim.inputs() {
-            Some(u) => Ok(vec![u.clone()]),
-            None => Err(ApiError::bad(
-                "`scenarios` is required when the model is not a netlist",
-            )),
+        (None, Some(model)) => parse_model(model)?,
+        _ => {
+            return Err(ApiError::bad(
+                "exactly one of `netlist` or `model` is required",
+            ))
         }
+    };
+    sim = sim.horizon(horizon);
+
+    if let Some(x0) = doc.get("x0") {
+        sim = sim.initial_state(parse_f64_array(x0, "x0")?);
+    }
+
+    let opts = match doc.get("options") {
+        Some(o) => parse_options(o)?,
+        None => SolveOptions::new(),
+    };
+    Ok((sim, opts))
+}
+
+/// The document's explicit stimuli (`scenarios`; empty when absent).
+///
+/// # Errors
+/// 400 naming the bad scenario or waveform field.
+pub(crate) fn scenarios(doc: &Json) -> Result<Vec<InputSet>, ApiError> {
+    match doc.get("scenarios") {
+        Some(s) => s
+            .as_array()
+            .ok_or_else(|| ApiError::bad("`scenarios` must be an array"))?
+            .iter()
+            .map(parse_scenario)
+            .collect(),
+        None => Ok(Vec::new()),
+    }
+}
+
+/// The document's window count (`windows`), if any.
+///
+/// # Errors
+/// 400 unless it is a positive integer.
+pub(crate) fn windows(doc: &Json) -> Result<Option<usize>, ApiError> {
+    doc.get("windows")
+        .map(|w| {
+            w.as_usize()
+                .filter(|&w| w > 0)
+                .ok_or_else(|| ApiError::bad("`windows` must be a positive integer"))
+        })
+        .transpose()
+}
+
+/// The document's drive levels (`levels`), if any.
+///
+/// # Errors
+/// 400 unless it is an array of numbers.
+pub(crate) fn levels(doc: &Json) -> Result<Option<Vec<f64>>, ApiError> {
+    doc.get("levels")
+        .map(|l| parse_f64_array(l, "levels"))
+        .transpose()
+}
+
+/// The stimuli to run: `scenarios`, or the netlist's `own` sources when
+/// none were posted.
+///
+/// # Errors
+/// 400 when neither is available.
+pub(crate) fn stimuli(
+    scenarios: Vec<InputSet>,
+    own: Option<&InputSet>,
+) -> Result<Vec<InputSet>, ApiError> {
+    if !scenarios.is_empty() {
+        return Ok(scenarios);
+    }
+    match own {
+        Some(u) => Ok(vec![u.clone()]),
+        None => Err(ApiError::bad(
+            "`scenarios` is required when the model is not a netlist",
+        )),
     }
 }
 

@@ -18,7 +18,16 @@
 //! identical request is a **hit** — pure solve work against the interned
 //! `Arc<SimPlan>`, concurrently with every other connection (plans are
 //! `Sync`; batch solves fan out over `opm-par` worker threads
-//! internally). `/metrics` exposes the per-plan
+//! internally). In front of it sits a request-level **pre-key** tier
+//! keyed by the posted plan-input members themselves (`netlist` or
+//! `model`, `probes`, `horizon`, `x0`, `options`), so a request that
+//! repeats them skips netlist parse, MNA assembly and the structural
+//! hash too: its hit, confirmed bit for bit, goes straight to the plan
+//! under the stored key (see the `prekey` module; `/metrics` counts it
+//! in `plan_cache.prekey_hits`/`prekey_misses`). The `"cache"` field
+//! and `plan_cache.hits`/`misses` still describe the plan tier: every
+//! request that reaches it is exactly one plan hit or miss. `/metrics`
+//! exposes the per-plan
 //! [`opm_core::FactorProfile`], so N identical solve requests visibly
 //! cost 1 symbolic + 1 numeric factorization total. A miss that only
 //! changes values on a pattern the cache has analysed — one resistor
@@ -71,6 +80,7 @@ pub mod api;
 pub mod client;
 pub mod fault;
 pub mod http;
+mod prekey;
 
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -79,13 +89,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use opm_core::cache::plan_key;
+use opm_core::cache::{plan_key, PlanKey};
 use opm_core::json::Json;
 use opm_core::{CancelToken, NewtonOptions, OpmError, PlanCache, SimPlan, WindowedOptions};
+use opm_waveform::InputSet;
 
 use api::{error_json, ApiError, SimRequest};
 use fault::{FaultSpec, FaultStats};
 use http::{ChunkedWriter, Limits, Request};
+use prekey::{Lookup, PreEntry, PreKeyTier};
 
 /// Server tunables.
 #[derive(Clone, Debug)]
@@ -187,6 +199,7 @@ impl Latency {
 /// State shared by every connection thread.
 struct ServerState {
     cache: PlanCache,
+    prekeys: PreKeyTier,
     limits: Limits,
     compute_deadline: Option<Duration>,
     fault_injection: bool,
@@ -268,6 +281,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<Server> {
     let stop = Arc::new(AtomicBool::new(false));
     let state = Arc::new(ServerState {
         cache: PlanCache::new(config.cache_capacity),
+        prekeys: PreKeyTier::new(config.cache_capacity),
         limits: Limits {
             max_body: config.max_body,
             max_headers: config.max_headers,
@@ -482,12 +496,81 @@ impl RequestCtx<'_> {
         }
     }
 
-    /// Cache lookup with the build-panic injection point: the panic
+    /// The plan for a request body, through the pre-key tier: a
+    /// confirmed pre-key hit reads only the stimulus members and looks
+    /// the plan up under the entry's key; anything else runs the full
+    /// path. `check` sees the request's [`Drive`] before any plan is
+    /// looked up, so error replies take precedence as they always did.
+    fn plan<T>(
+        &self,
+        body: &[u8],
+        check: impl Fn(Drive<'_>) -> Result<T, ApiError>,
+    ) -> Result<Planned<T>, Reply> {
+        let mut doc = api::parse_doc(body)?;
+        match self
+            .state
+            .prekeys
+            .lookup(&mut doc, |doc| self.plan_parsed(doc, &check))?
+        {
+            Lookup::Built(planned) => Ok(planned),
+            Lookup::Hit(entry) => {
+                let checked = check(Drive {
+                    scenarios: api::scenarios(&doc)?,
+                    windows: api::windows(&doc)?,
+                    levels: api::levels(&doc)?,
+                    own: entry.inputs.as_ref(),
+                    num_inputs: entry.num_inputs,
+                })?;
+                // Evicted under a live entry: rebuilt under the same key.
+                let (plan, hit) = self.intern(entry.plan_key, || {
+                    let (sim, opts) =
+                        api::plan_inputs(&doc).map_err(|e| OpmError::BadArguments(e.msg))?;
+                    self.state.cache.plan(&sim, &opts)
+                })?;
+                Ok((plan, hit, checked))
+            }
+            Lookup::Slow => self.plan_parsed(&doc, &check).map(|(_, planned)| planned),
+        }
+    }
+
+    /// The full path: parse every member, `check` the drive, then the
+    /// plan by its structural key. Also returns the pre-key entry the
+    /// document's plan inputs map to.
+    fn plan_parsed<T>(
+        &self,
+        doc: &Json,
+        check: impl Fn(Drive<'_>) -> Result<T, ApiError>,
+    ) -> Result<(PreEntry, Planned<T>), Reply> {
+        let SimRequest {
+            sim,
+            opts,
+            scenarios,
+            windows,
+            levels,
+        } = SimRequest::from_doc(doc)?;
+        let num_inputs = sim.model().num_inputs();
+        let checked = check(Drive {
+            scenarios,
+            windows,
+            levels,
+            own: sim.inputs(),
+            num_inputs,
+        })?;
+        let key = plan_key(&sim, &opts);
+        let (plan, hit) = self.intern(key, || self.state.cache.plan(&sim, &opts))?;
+        let entry = PreEntry::new(key, sim.inputs().cloned(), num_inputs);
+        Ok((entry, (plan, hit, checked)))
+    }
+
+    /// Plan-cache lookup with the build-panic injection point: the panic
     /// fires *inside* the build closure, exactly where a real
-    /// factorization bug would, so it exercises the cache's latch
+    /// factorization bug would, so it exercises both tiers' latch
     /// resolution and poison recovery — not a mock of them.
-    fn plan(&self, parsed: &SimRequest) -> Result<(Arc<SimPlan>, bool), OpmError> {
-        let key = plan_key(&parsed.sim, &parsed.opts);
+    fn intern(
+        &self,
+        key: PlanKey,
+        build: impl FnOnce() -> Result<SimPlan, OpmError>,
+    ) -> Result<(Arc<SimPlan>, bool), OpmError> {
         let inject = matches!(self.fault, Some(FaultSpec::BuildPanic));
         self.state.cache.get_or_intern(key, || {
             if inject {
@@ -497,7 +580,7 @@ impl RequestCtx<'_> {
                     .fetch_add(1, Ordering::Relaxed);
                 panic!("injected plan-build panic (X-Fault: build-panic)");
             }
-            self.state.cache.plan(&parsed.sim, &parsed.opts)
+            build()
         })
     }
 
@@ -509,6 +592,28 @@ impl RequestCtx<'_> {
                 .fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(d);
         }
+    }
+}
+
+/// A request's plan, whether it was a plan-cache hit, and what its
+/// handler's check returned.
+type Planned<T> = (Arc<SimPlan>, bool, T);
+
+/// The stimulus side of a request: what a handler checks before its
+/// plan is looked up.
+struct Drive<'a> {
+    scenarios: Vec<InputSet>,
+    windows: Option<usize>,
+    levels: Option<Vec<f64>>,
+    /// The netlist's own sources.
+    own: Option<&'a InputSet>,
+    /// The model's input count.
+    num_inputs: usize,
+}
+
+impl Drive<'_> {
+    fn stimuli(self) -> Result<Vec<InputSet>, ApiError> {
+        api::stimuli(self.scenarios, self.own)
     }
 }
 
@@ -574,6 +679,7 @@ fn handle_connection(stream: &mut TcpStream, state: &ServerState) {
 }
 
 /// An error reply yet to be written.
+#[derive(Clone)]
 struct Reply {
     status: u16,
     body: String,
@@ -683,22 +789,23 @@ fn plan_header(cache_hit: bool, plan: &SimPlan) -> Vec<(String, Json)> {
 
 fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.solve);
-    let parsed = SimRequest::parse(&req.body)?;
-    let stimuli = parsed.stimuli()?;
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let (plan, hit, (stimuli, windows)) = ctx.plan(&req.body, |d| {
+        let windows = d.windows;
+        Ok((d.stimuli()?, windows))
+    })?;
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
     let results = if plan.has_nonlinear() {
         // Nonlinear netlists solve per-column Newton over the same plan;
         // the linear batch entry points reject them by design.
         let nopts = ctx.newton_opts();
-        let windows = parsed.windows.unwrap_or(1);
+        let windows = windows.unwrap_or(1);
         stimuli
             .iter()
             .map(|ws| plan.solve_newton_windowed(ws, windows, &nopts))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        match parsed.windows {
+        match windows {
             Some(w) => plan.solve_windowed_batch_opts(
                 &stimuli,
                 &ctx.windowed_opts(w),
@@ -720,15 +827,14 @@ fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
 
 fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.sweep);
-    let parsed = SimRequest::parse(&req.body)?;
-    let levels = parsed
-        .levels
-        .clone()
-        .ok_or_else(|| ApiError::bad("`levels` (an array of numbers) is required for /sweep"))?;
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let (plan, hit, (levels, p)) = ctx.plan(&req.body, |d| {
+        let levels = d.levels.ok_or_else(|| {
+            ApiError::bad("`levels` (an array of numbers) is required for /sweep")
+        })?;
+        Ok((levels, d.num_inputs))
+    })?;
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
-    let p = parsed.sim.model().num_inputs();
     let results = plan.sweep(&levels, |&v| {
         opm_waveform::InputSet::new(vec![opm_waveform::Waveform::Dc(v); p])
     })?;
@@ -746,18 +852,15 @@ fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
 
 fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.stream);
-    let parsed = SimRequest::parse(&req.body)?;
-    let windows = parsed
-        .windows
-        .ok_or_else(|| ApiError::bad("`windows` (a positive integer) is required for /stream"))?;
-    let stimuli = parsed.stimuli()?;
-    let Some(inputs) = stimuli.first() else {
-        return Err(ApiError::bad("/stream takes exactly one scenario").into());
-    };
-    if stimuli.len() > 1 {
-        return Err(ApiError::bad("/stream takes exactly one scenario").into());
-    }
-    let (plan, hit) = ctx.plan(&parsed)?;
+    let (plan, hit, (windows, inputs)) = ctx.plan(&req.body, |d| {
+        let windows = d.windows.ok_or_else(|| {
+            ApiError::bad("`windows` (a positive integer) is required for /stream")
+        })?;
+        match <[InputSet; 1]>::try_from(d.stimuli()?) {
+            Ok([inputs]) => Ok((windows, inputs)),
+            Err(_) => Err(ApiError::bad("/stream takes exactly one scenario")),
+        }
+    })?;
     ctx.apply_slow_solve();
     // Check before headers commit the status line: a blown deadline
     // here still gets a clean 503.
@@ -781,7 +884,7 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
     let mut chunks_sent = 0usize;
     let mut dropped = false;
     let solve_panic = hit && matches!(ctx.fault, Some(FaultSpec::SolvePanic));
-    let streamed = plan.solve_streaming_opts(inputs, &ctx.windowed_opts(windows), |block| {
+    let streamed = plan.solve_streaming_opts(&inputs, &ctx.windowed_opts(windows), |block| {
         if sink_err.is_some() || dropped {
             return;
         }
@@ -857,8 +960,16 @@ fn handle_metrics(stream: &mut TcpStream, state: &ServerState) -> Result<(), Rep
             ])
         })
         .collect();
+    let mut plan_cache = state.cache.stats_json();
+    if let Json::Obj(fields) = &mut plan_cache {
+        let (hits, misses) = state.prekeys.counts();
+        fields.extend([
+            ("prekey_hits".into(), Json::Int(hits as i64)),
+            ("prekey_misses".into(), Json::Int(misses as i64)),
+        ]);
+    }
     let doc = Json::Obj(vec![
-        ("plan_cache".into(), state.cache.stats_json()),
+        ("plan_cache".into(), plan_cache),
         ("plans".into(), Json::Arr(plans)),
         (
             "requests".into(),

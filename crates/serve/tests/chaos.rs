@@ -369,3 +369,69 @@ fn build_panic_leaves_the_pattern_entry_serving() {
     let drain = server.shutdown();
     assert!(drain.drained && drain.abandoned == 0);
 }
+
+/// An injected build panic on a pre-key miss unwinds through both tiers
+/// and fails only its own request: the primed pre-key keeps hitting,
+/// and the panicked plan inputs build cleanly next time, then hit.
+#[test]
+fn build_panic_on_a_prekey_miss_leaves_both_tiers_serving() {
+    let server = spawn(ServerConfig {
+        fault_injection: true,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let (primed, fresh) = (healthy_body(), unique_key_body(0));
+    let cache_of = |r: &client::Response| {
+        assert_eq!(r.status, 200, "{}", r.body);
+        r.json()
+            .unwrap()
+            .get("cache")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+    assert_eq!(
+        cache_of(&client::post(addr, "/solve", &primed).unwrap()),
+        "miss"
+    );
+
+    let r = one_shot(addr).request(
+        "POST",
+        "/solve",
+        Some(&fresh),
+        &[("X-Fault", "build-panic")],
+    );
+    assert!(matches!(&r, Ok(resp) if resp.status == 500), "{r:?}");
+
+    assert_eq!(
+        cache_of(&client::post(addr, "/solve", &primed).unwrap()),
+        "hit"
+    );
+    let rebuilt = client::post(addr, "/solve", &fresh).unwrap();
+    assert_eq!(cache_of(&rebuilt), "miss");
+    let again = client::post(addr, "/solve", &fresh).unwrap();
+    assert_eq!(cache_of(&again), "hit");
+    // `{:e}` floats round-trip, so equal text is equal bits.
+    let results = |r: &client::Response| r.json().unwrap().get("results").unwrap().to_string();
+    assert_eq!(
+        results(&again),
+        results(&rebuilt),
+        "the hit drifted from its build"
+    );
+
+    let doc = client::get(addr, "/metrics").unwrap().json().unwrap();
+    let cache = doc.get("plan_cache").unwrap();
+    let count = |k: &str| cache.get(k).unwrap().as_usize().unwrap();
+    // The panicked request is one miss at each tier; nothing of it was
+    // interned.
+    assert_eq!((count("misses"), count("hits")), (3, 2));
+    assert_eq!((count("prekey_misses"), count("prekey_hits")), (3, 2));
+    let robustness = doc.get("robustness").unwrap();
+    assert_eq!(robustness.get("panics").unwrap().as_usize(), Some(1));
+    let faults = robustness.get("faults").unwrap();
+    assert_eq!(faults.get("build_panics").unwrap().as_usize(), Some(1));
+    let drain = server.shutdown();
+    assert!(drain.drained && drain.abandoned == 0);
+}

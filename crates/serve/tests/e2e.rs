@@ -539,3 +539,195 @@ fn value_variant_is_a_pattern_hit() {
     );
     server.shutdown();
 }
+
+/// The `plan_cache` counters of a `/metrics` snapshot.
+fn cache_counts(addr: std::net::SocketAddr, names: &[&str]) -> Vec<usize> {
+    let doc = client::get(addr, "/metrics").unwrap().json().unwrap();
+    let cache = doc.get("plan_cache").unwrap();
+    names
+        .iter()
+        .map(|k| cache.get(k).and_then(Json::as_usize).unwrap())
+        .collect()
+}
+
+/// Posts `body` and checks the reply's `"cache"` field and that its
+/// results are byte-identical to a fresh in-process plan's.
+fn post_fresh(addr: std::net::SocketAddr, body: &str, cache: &str) {
+    let r = client::post(addr, "/solve", body).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    assert!(
+        r.body.starts_with(&format!(r#"{{"cache": "{cache}""#)),
+        "expected a plan {cache}: {}",
+        &r.body[..40]
+    );
+    assert!(
+        r.body
+            .ends_with(&format!("{}}}", fresh_results_member(body))),
+        "reply results differ from a fresh in-process plan"
+    );
+}
+
+/// Two netlists that differ only in whitespace are two pre-keys but one
+/// plan: the second is a pre-key miss and a plan hit. Repeating either
+/// is a pre-key hit.
+#[test]
+fn whitespace_variants_are_two_prekeys_one_plan() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let body = |netlist: &str| {
+        format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 128}},
+                "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#
+        )
+    };
+    let (tight, loose) = (
+        body(NETLIST),
+        body("* RC low-pass\nV1 in 0 DC 5\nR1  in out   1k\n\nC1 out 0 1u\n.end\n"),
+    );
+    post_fresh(server.addr(), &tight, "miss");
+    post_fresh(server.addr(), &loose, "hit");
+    post_fresh(server.addr(), &loose, "hit");
+    let names = ["misses", "hits", "prekey_misses", "prekey_hits"];
+    assert_eq!(cache_counts(server.addr(), &names), [1, 2, 2, 1]);
+    server.shutdown();
+}
+
+/// `x0: [-0.0]` and `x0: [0.0]` are equal as JSON values but distinct
+/// plan inputs: two pre-keys, two plans, each reply its own fresh solve.
+#[test]
+fn signed_zero_x0_keys_distinct_prekeys() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let body = |x0: &str| {
+        format!(
+            r#"{{"model": {{"n": 1, "inputs": 1, "e": [[0, 0, 1.0]], "a": [[0, 0, -1.0]],
+                            "b": [[0, 0, 1.0]]}},
+                "horizon": 1.0, "x0": [{x0}], "options": {{"resolution": 32}},
+                "scenarios": [[{{"kind": "dc", "value": 1.0}}]]}}"#
+        )
+    };
+    post_fresh(server.addr(), &body("0.0"), "miss");
+    post_fresh(server.addr(), &body("-0.0"), "miss");
+    post_fresh(server.addr(), &body("-0.0"), "hit");
+    let names = ["misses", "hits", "prekey_misses", "prekey_hits"];
+    assert_eq!(cache_counts(server.addr(), &names), [2, 1, 2, 1]);
+    server.shutdown();
+}
+
+/// Rectifier bodies that differ only in their `SIN` source share one
+/// plan, and without `scenarios` each reply is driven by its own
+/// netlist's source — on a pre-key miss and on a pre-key hit alike.
+#[test]
+fn diode_bodies_answer_from_their_own_sources() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let bodies: Vec<String> = ["0.8", "1", "1.2"]
+        .iter()
+        .map(|ampl| {
+            let netlist = format!(
+                "* rectifier\nV1 in 0 SIN(0 {ampl} 1)\nR1 in a 0.1\nD1 a out 1e-14\n\
+                 R2 out 0 10\nC1 out 0 0.2\n.end\n"
+            );
+            format!(
+                r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 1.0,
+                    "options": {{"resolution": 64}}, "windows": 2}}"#
+            )
+        })
+        .collect();
+    post_fresh(server.addr(), &bodies[0], "miss");
+    for body in bodies[1..].iter().chain(&bodies) {
+        post_fresh(server.addr(), body, "hit");
+    }
+    let names = ["misses", "hits", "prekey_misses", "prekey_hits"];
+    assert_eq!(cache_counts(server.addr(), &names), [1, 5, 3, 3]);
+    server.shutdown();
+}
+
+/// A plan evicted while its pre-key entry lives is rebuilt under the
+/// same key, once for racing requests, and answers bit-identically.
+///
+/// With capacity 2: A and B fill both tiers; a `/sweep` of A without
+/// `levels` touches A's pre-key entry but fails before its plan, so C
+/// evicts pre-key B and plan A.
+#[test]
+fn evicted_plan_under_live_prekey_rebuilds_once() {
+    let server = spawn(ServerConfig {
+        cache_capacity: 2,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let body = |horizon: &str| {
+        format!(
+            r#"{{"netlist": {NETLIST:?}, "probes": ["out"], "horizon": {horizon},
+                "options": {{"resolution": 64}}, "windows": 2,
+                "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#
+        )
+    };
+    let (a, b, c) = (body("5e-3"), body("6e-3"), body("7e-3"));
+    post_fresh(addr, &a, "miss");
+    post_fresh(addr, &b, "miss");
+    let r = client::post(addr, "/sweep", &a).unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    post_fresh(addr, &c, "miss");
+    let names = [
+        "misses",
+        "hits",
+        "evictions",
+        "prekey_misses",
+        "prekey_hits",
+    ];
+    assert_eq!(cache_counts(addr, &names), [3, 0, 1, 3, 1]);
+
+    let want = format!("{}}}", fresh_results_member(&a));
+    let replies: Vec<String> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| client::post(addr, "/solve", &a).unwrap()))
+            .collect();
+        racers
+            .into_iter()
+            .map(|h| {
+                let r = h.join().unwrap();
+                assert_eq!(r.status, 200, "{}", r.body);
+                assert!(r.body.ends_with(&want), "rebuilt plan drifted");
+                r.body
+            })
+            .collect()
+    });
+    let rebuilt = replies
+        .iter()
+        .filter(|r| r.starts_with(r#"{"cache": "miss""#))
+        .count();
+    assert_eq!(rebuilt, 1, "racers on an evicted plan rebuild it once");
+    assert_eq!(cache_counts(addr, &names), [4, 3, 2, 3, 5]);
+    post_fresh(addr, &a, "hit");
+    server.shutdown();
+}
+
+/// A request that would abort the process on allocation — a resolution
+/// or window count whose columns or memory kernel no allocator can meet
+/// — is a 400, on linear, fractional and Newton plans alike, and the
+/// daemon serves the next request.
+#[test]
+fn oversized_solves_are_refused_not_fatal() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let rc = "V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1u\n.end";
+    let cpe = "V1 in 0 DC 1\nR1 in out 1k\nP1 out 0 CPE 1e-6 0.5\n.end";
+    let diode = "V1 in 0 SIN(0 1 1)\nR1 in a 0.1\nD1 a out 1e-14\nR2 out 0 10\nC1 out 0 0.2\n.end";
+    let huge = 10_000_000_000u64;
+    for (netlist, resolution, windows) in [
+        (rc, huge, 1),
+        (rc, 64, huge),
+        (cpe, huge, 1),
+        (cpe, 64, huge),
+        (diode, huge, 1),
+    ] {
+        let body = format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 1e-3,
+                "options": {{"resolution": {resolution}}}, "windows": {windows}}}"#
+        );
+        let r = client::post(server.addr(), "/solve", &body).unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains("cannot be allocated"), "{}", r.body);
+    }
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}

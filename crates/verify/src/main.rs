@@ -5,7 +5,7 @@
 //! opm-verify lint [--root PATH]
 //! ```
 //!
-//! `model-check` explores the four production sync protocols under the
+//! `model-check` explores the five production sync protocols under the
 //! deterministic scheduler (plus the seeded buggy-latch canary, which
 //! must *fail* and replay), prints a per-model table, and optionally
 //! writes a BENCH-style JSON artifact that `ci/compare_bench.py` gates:
@@ -24,7 +24,7 @@ use opm_verify::models;
 use opm_verify::sched::{replay, shrink, Report};
 use opm_verify::{lint, sched};
 
-/// Default per-model schedule budget: four protocol models at this
+/// Default per-model schedule budget: five protocol models at this
 /// budget clear the 10k explored-schedules CI floor with headroom.
 const DEFAULT_BUDGET: usize = 4096;
 
@@ -88,11 +88,13 @@ fn model_check(args: &[String]) -> ExitCode {
     print_report(&cache);
     let pattern = models::check_pattern_tier(budget);
     print_report(&pattern);
+    let prekey = models::check_prekey_tier(budget);
+    print_report(&prekey);
     let work = models::check_work_index(budget);
     print_report(&work);
     let cancel = models::check_cancel(budget);
     print_report(&cancel);
-    let protocols_ok = [&cache, &pattern, &work, &cancel]
+    let protocols_ok = [&cache, &pattern, &prekey, &work, &cancel]
         .iter()
         .all(|r| r.violation.is_none());
 
@@ -135,7 +137,8 @@ fn model_check(args: &[String]) -> ExitCode {
         );
     }
 
-    let total = cache.schedules + pattern.schedules + work.schedules + cancel.schedules;
+    let total =
+        cache.schedules + pattern.schedules + prekey.schedules + work.schedules + cancel.schedules;
     println!("total protocol schedules explored: {total}");
 
     if let Some(path) = flag_value(args, "--json") {
@@ -158,10 +161,12 @@ fn model_check(args: &[String]) -> ExitCode {
             (
                 "note".into(),
                 Json::str(
-                    "opm-verify model-check artifact: explored-schedule counts for the four \
+                    "opm-verify model-check artifact: explored-schedule counts for the five \
                      production sync-protocol models (GateCache single-flight + panic \
                      containment, the plan cache's nested pattern tier on GateCache at both \
-                     levels, opm-par work-index claims, CancelCore monotonicity) and \
+                     levels, opm-serve's pre-key tier over the plan gate with the plan \
+                     evicted between them, opm-par work-index claims, CancelCore \
+                     monotonicity) and \
                      must-hold booleans for the seeded buggy-latch canary. `class: floor` \
                      records gate the candidate at >= the committed reference; `min: 1` \
                      verdicts must hold. ci/compare_bench.py judges a regenerated run against \
@@ -174,11 +179,13 @@ fn model_check(args: &[String]) -> ExitCode {
                 Json::Arr(vec![
                     floor("verify/cache_latch_schedules", cache.schedules),
                     floor("verify/pattern_tier_schedules", pattern.schedules),
+                    floor("verify/prekey_tier_schedules", prekey.schedules),
                     floor("verify/work_index_schedules", work.schedules),
                     floor("verify/cancel_schedules", cancel.schedules),
                     floor("verify/total_schedules", total),
                     must_hold("verify/model_check_passed", protocols_ok),
                     must_hold("verify/pattern_tier_passed", pattern.violation.is_none()),
+                    must_hold("verify/prekey_tier_passed", prekey.violation.is_none()),
                     must_hold("verify/buggy_latch_caught", caught),
                     must_hold("verify/buggy_latch_replayed", replayed),
                 ]),

@@ -1,12 +1,13 @@
 //! The concurrency models `opm-verify -- model-check` explores.
 //!
-//! Four of the five models instantiate *production* protocol code —
+//! Five of the six models instantiate *production* protocol code —
 //! [`opm_core::gate::GateCache`] (alone, and nested two levels deep as
-//! the plan cache's pattern tier nests it), [`opm_par::claim_indices`],
+//! the plan cache's pattern tier and `opm-serve`'s pre-key tier nest
+//! it), [`opm_par::claim_indices`],
 //! [`opm_core::cancel::CancelCore`] — on the shim primitives in
 //! [`crate::sync`], so the checked code is byte-for-byte the code the
 //! engine runs (the generic-over-[`MonitorFamily`] refactor exists for
-//! exactly this). The fifth, [`BuggyLatch`], carries a deliberately
+//! exactly this). The sixth, [`BuggyLatch`], carries a deliberately
 //! seeded lost-wakeup and exists to prove the checker *can* catch the
 //! bug class the real latch is claimed to be free of: its exploration
 //! must fail, replay deterministically, and shrink to a short trace.
@@ -256,6 +257,83 @@ pub fn pattern_tier_model(panicking: bool) -> impl Fn() + Send + Sync + 'static 
     }
 }
 
+/// The plan key both pre-keys of [`prekey_tier_model`] map to.
+const PLAN: u64 = 7;
+
+/// `opm-serve`'s pre-key tier over the plan cache, both on the
+/// production [`GateCache`], with the plan evicted between the two
+/// tiers: pre-key 1 is interned and maps to plan `PLAN`, which a later
+/// plan pushed out of the capacity-1 plan tier. One racer hits pre-key
+/// 1 and looks the plan up under the entry's key; the other misses on
+/// pre-key 2 (the same plan inputs, spelled differently) and looks the
+/// plan up inside its pre-key build. The checker proves, in every
+/// schedule: no deadlock across the two levels of latches, exactly one
+/// rebuild of the evicted plan, and both racers holding the same `Arc`.
+pub fn prekey_tier_model() -> impl Fn() + Send + Sync + 'static {
+    || {
+        let plans: Arc<ShimTier> = Arc::new(GateCache::new(1, || PANIC_ERROR.to_string()));
+        let prekeys: Arc<ShimTier> = Arc::new(GateCache::new(4, || PANIC_ERROR.to_string()));
+        let _ = prekeys.get_or_build(1, || {
+            plans.get_or_build(PLAN, || Ok(Arc::new(40)))?;
+            Ok(Arc::new(PLAN))
+        });
+        let _ = plans.get_or_build(PLAN + 1, || Ok(Arc::new(41)));
+        assert!(
+            plans.values().iter().all(|(k, _)| *k != PLAN),
+            "the set-up must evict the plan under the live pre-key"
+        );
+        let rebuilds = Arc::new(AtomicUsize::new(0));
+        let arrivals = Arc::new(Arrivals::new());
+        let racers: Vec<_> = [1u64, 2]
+            .into_iter()
+            .map(|pre_key| {
+                let (plans, prekeys) = (Arc::clone(&plans), Arc::clone(&prekeys));
+                let (rebuilds, arrivals) = (Arc::clone(&rebuilds), Arc::clone(&arrivals));
+                thread::spawn(move || {
+                    // The rebuild holds off until both racers are on
+                    // their way to the plan key (see [`Arrivals`]).
+                    let plan = |key: u64| {
+                        arrivals.arrive();
+                        plans.get_or_build(key, || {
+                            arrivals.await_both();
+                            rebuilds.fetch_add(1, Ordering::SeqCst);
+                            Ok(Arc::new(40))
+                        })
+                    };
+                    let (entry, built) = prekeys
+                        .get_or_build_with(pre_key, || {
+                            let (built, _) = plan(PLAN)?;
+                            Ok((Arc::new(PLAN), built))
+                        })
+                        .expect("the builds are infallible");
+                    match built {
+                        Some(built) => built,
+                        None => plan(*entry).expect("the builds are infallible").0,
+                    }
+                })
+            })
+            .collect();
+        let got: Vec<Arc<u64>> = racers
+            .into_iter()
+            .map(|h| h.join().expect("racer panicked"))
+            .collect();
+        assert_eq!(
+            rebuilds.load(Ordering::SeqCst),
+            1,
+            "an evicted plan is rebuilt exactly once"
+        );
+        assert!(
+            Arc::ptr_eq(&got[0], &got[1]),
+            "racers must share the rebuilt plan"
+        );
+        assert_eq!(
+            prekeys.stats().misses,
+            2,
+            "pre-key 2 is interned on its miss"
+        );
+    }
+}
+
 /// Work distribution: three workers run the production
 /// [`opm_par::claim_indices`] loop over a shared shim counter. The
 /// checker proves every index in `0..len` is claimed exactly once
@@ -482,6 +560,15 @@ pub fn check_pattern_tier(max_schedules: usize) -> Report {
     }
 }
 
+/// Explores the pre-key tier model.
+pub fn check_prekey_tier(max_schedules: usize) -> Report {
+    explore(
+        "prekey_tier",
+        &protocol_opts(max_schedules),
+        prekey_tier_model(),
+    )
+}
+
 /// Explores the work-index model.
 pub fn check_work_index(max_schedules: usize) -> Report {
     explore(
@@ -529,6 +616,7 @@ mod tests {
         cache_panicking_build_model()();
         pattern_tier_model(false)();
         pattern_tier_model(true)();
+        prekey_tier_model()();
         work_index_model()();
         cancel_model()();
     }
