@@ -39,6 +39,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use opm_core::json::Json;
+use opm_core::WindowedOptions;
 use opm_serve::api::SimRequest;
 use opm_serve::{client, spawn, ServerConfig};
 
@@ -116,7 +117,7 @@ fn fresh_outputs(body: &str) -> Vec<f64> {
     let stimuli = parsed.stimuli().expect("bench body has scenarios");
     let plan = parsed.sim.plan(&parsed.opts).expect("fresh plan");
     let results = plan
-        .solve_windowed_batch(&stimuli, WINDOWS)
+        .solve_windowed_batch_opts(&stimuli, &WindowedOptions::new(WINDOWS), 1)
         .expect("fresh solve");
     results[0].output_row(0).to_vec()
 }

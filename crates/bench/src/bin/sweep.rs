@@ -14,8 +14,8 @@
 //!   `PencilFamily` (pattern/ordering/symbolic analysis paid once,
 //!   numeric-only refactorization per shift).
 //! - `batch_threads_*` and `scaling/*` — the 100-scenario batch swept on
-//!   1, 2 and 4 workers (`SimPlan::solve_batch_with_threads`), with the
-//!   max |Δ| against the serial path.
+//!   1, 2 and 4 workers (`SimPlan::solve_windowed_batch_opts` at one
+//!   window), with the max |Δ| against the serial path.
 //! - `kernel/*` — the lane-panel kernels against their scalar references.
 //! - `windowed*` — a 100τ-horizon RC ladder and an RC + CPE netlist: one
 //!   whole-horizon plan at `W·m` columns vs `SimPlan::solve_windowed`
@@ -165,12 +165,13 @@ fn main() {
     //     sweep/speedup isolates the *reuse* economy — the threading win
     //     is measured separately by the batch_threads records below.
     let sim = Simulation::from_second_order(na.system.clone()).horizon(t_end);
+    let whole = WindowedOptions::new(1);
     let ((plan, planned), plan_s) = timed_best(3, || {
         let plan = sim.plan(&opts).unwrap();
-        let runs = plan.solve_batch_with_threads(&sets, 1).unwrap();
+        let runs = plan.solve_windowed_batch_opts(&sets, &whole, 1).unwrap();
         (plan, runs)
     });
-    let plan_factorizations = plan.num_factorizations();
+    let plan_factorizations = plan.factor_profile().num_factorizations();
     // The batch must reproduce the naive loop bit for bit.
     let worst = batch_delta(&naive, &planned);
     let speedup = naive_s / plan_s;
@@ -303,9 +304,10 @@ fn main() {
     //    batch runtime and its multi-core scaling curve ---------------------
     // Per-worker lane chunks are panel-aligned (56/44 lanes at width 2), so
     // the 2-worker ceiling on this batch is 100/56 ≈ 1.79×.
-    let (t1_runs, t1_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 1).unwrap());
-    let (t2_runs, t2_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 2).unwrap());
-    let (t4_runs, t4_s) = timed_best(3, || plan.solve_batch_with_threads(&sets, 4).unwrap());
+    let threaded = |t| plan.solve_windowed_batch_opts(&sets, &whole, t).unwrap();
+    let (t1_runs, t1_s) = timed_best(3, || threaded(1));
+    let (t2_runs, t2_s) = timed_best(3, || threaded(2));
+    let (t4_runs, t4_s) = timed_best(3, || threaded(4));
     let thread_delta = batch_delta(&t1_runs, &t4_runs);
     let scaling_delta = batch_delta(&t1_runs, &t2_runs);
     let (scale2, scale4) = (t1_s / t2_s, t1_s / t4_s);
@@ -537,10 +539,11 @@ fn main() {
     // Streaming far past the whole-horizon regime: 512 windows
     // (131072 columns) at per-window resident memory.
     let w_long = 512;
+    let long_opts = WindowedOptions::new(w_long);
     let (long_windows, long_s) = timed_best(1, || {
         let mut count = 0usize;
         wplan
-            .solve_streaming(&lmodel.inputs, w_long, |_| count += 1)
+            .solve_streaming(&lmodel.inputs, &long_opts, |_| count += 1)
             .unwrap();
         count
     });
@@ -616,8 +619,13 @@ fn main() {
     // Short memory: an 8-window (512-column) tail covering the active
     // late history, dropping the quiescent early windows.
     let fopts = WindowedOptions::new(fw).history_len(8 * fm);
-    let (ftrunc_run, ftrunc_s) =
-        timed_best(3, || fplan.solve_windowed_opts(&fstim, &fopts).unwrap());
+    let fstims = std::slice::from_ref(&fstim);
+    let (ftrunc_run, ftrunc_s) = timed_best(3, || {
+        fplan
+            .solve_windowed_batch_opts(fstims, &fopts, 1)
+            .unwrap()
+            .remove(0)
+    });
     let ftrunc_delta = run_delta(&fwhole_run, &ftrunc_run);
     println!(
         "frac wins  : whole {} ({} cols) vs {fw} windows {} ({ffull_speedup:.2}×, {} symbolic + {} numeric, max |Δ| = {ffull_delta:.2e}); truncated tail {} (max |Δ| = {ftrunc_delta:.2e})",
@@ -677,9 +685,11 @@ fn main() {
         let lplan = lsim.plan(&SolveOptions::new().resolution(fm)).unwrap();
         let lopts = WindowedOptions::new(wlong).history_len(8 * fm);
         let (lrun, lsec) = timed_best(1, || {
+            let stims = std::slice::from_ref(lsim.inputs().unwrap());
             lplan
-                .solve_windowed_opts(lsim.inputs().unwrap(), &lopts)
+                .solve_windowed_batch_opts(stims, &lopts, 1)
                 .unwrap()
+                .remove(0)
         });
         println!(
             "frac long  : {wlong} windows ({} cols) in {} (truncated 8-window tail)",

@@ -505,7 +505,7 @@ impl PlanCache {
     /// The interned plan for `(sim, opts)`, factoring one on a miss.
     ///
     /// On a hit no factorization work happens at all — the returned
-    /// `Arc` is ready to `solve`/`sweep`/`solve_streaming` concurrently
+    /// `Arc` is ready to `solve`/`solve_batch`/`solve_streaming` concurrently
     /// with every other holder. Cold builds run on a per-key latch so
     /// racing identical requests factor exactly once without blocking
     /// requests for other keys (see the module docs).

@@ -540,17 +540,6 @@ impl PencilFamily {
     }
 }
 
-/// [`factor_pencil`] with the symbolic analysis recorded: the analysis
-/// can later be replayed against any pencil sharing the same pattern via
-/// [`SparseLu::refactor`].
-///
-/// # Errors
-/// As [`factor_pencil`].
-pub fn factor_pencil_symbolic(pencil: &CsrMatrix) -> Result<(SymbolicLu, SparseLu), OpmError> {
-    let order = pencil_order(pencil);
-    SymbolicLu::factor_with(&pencil.to_csc(), Some(&order), LuOptions::default()).map_err(singular)
-}
-
 /// Builds the multi-term pencil `Σ_k w_k·A_k` from per-term leading
 /// weights.
 ///

@@ -20,11 +20,11 @@ pub struct FactorProfile {
     pub cache_hits: usize,
     /// Step-lattice cache lookups that had to factor (adaptive plans).
     pub cache_misses: usize,
-    /// Windows swept by the session layer's windowed/streaming solves
-    /// (0 for whole-horizon plans). Each window reuses the same window
-    /// pencil factorization, so this counter growing while
-    /// `num_symbolic + num_numeric` stays flat *is* the long-horizon
-    /// reuse invariant.
+    /// Windows swept by the session layer's windowed, streaming and
+    /// Newton solves (`solve`/`solve_batch` book none). Each window
+    /// reuses the same window pencil factorization, so this counter
+    /// growing while `num_symbolic + num_numeric` stays flat *is* the
+    /// long-horizon reuse invariant.
     pub num_windows: usize,
     /// Supernodes (runs of ≥ 2 consecutive columns with identical
     /// elimination reach) in the plan's reference factorization — the
@@ -37,17 +37,17 @@ pub struct FactorProfile {
     /// Width of the supernodal dense tail the block solves use (0: none
     /// qualified under [`opm_sparse::lu::LuOptions::supernode_threshold`]).
     pub dense_tail_cols: usize,
-    /// Total pivotal columns of the reference factorization (the
-    /// denominator for the coverage ratios; 0 when not captured).
+    /// Total pivotal columns of the reference factorization (0 when not
+    /// captured).
     pub factor_cols: usize,
     /// Stored entries of the reference factorization, nnz(L+U) with the
     /// diagonal — the fill the ordering left, which sets the cost of
     /// every column solve (0 when not captured). Deterministic, so a
     /// fill regression shows up without timing noise.
     pub factor_nnz: usize,
-    /// Newton iterations performed by `solve_newton` /
-    /// `solve_newton_windowed` (one per column on linear netlists —
-    /// those converge in a single iteration by construction).
+    /// Newton iterations performed by `solve_newton_windowed` (one per
+    /// column on linear netlists — those converge in a single iteration
+    /// by construction).
     pub newton_iters: usize,
     /// Numeric-only refactorizations performed *inside* Newton
     /// iterations (each also counts in [`FactorProfile::num_numeric`]).
@@ -64,26 +64,6 @@ impl FactorProfile {
     /// Total factorizations performed (symbolic + numeric).
     pub fn num_factorizations(&self) -> usize {
         self.num_symbolic + self.num_numeric
-    }
-
-    /// Fraction of factor columns covered by supernodes (0.0 when no
-    /// factor statistics were captured).
-    pub fn supernode_coverage(&self) -> f64 {
-        if self.factor_cols == 0 {
-            0.0
-        } else {
-            self.supernode_cols as f64 / self.factor_cols as f64
-        }
-    }
-
-    /// Fraction of factor columns solved through the supernodal dense
-    /// tail (0.0 when no factor statistics were captured).
-    pub fn dense_tail_coverage(&self) -> f64 {
-        if self.factor_cols == 0 {
-            0.0
-        } else {
-            self.dense_tail_cols as f64 / self.factor_cols as f64
-        }
     }
 
     /// The JSON shape shared by `opm-serve`'s `/metrics` endpoint and

@@ -14,7 +14,7 @@
 //! ```
 //!
 //! (`σ = 2m/T_w`). With `f ≡ 0` this reproduces the linear two-term
-//! recurrence exactly — which is why `solve_newton` on a linear netlist
+//! recurrence exactly — which is why `solve_newton_windowed` on a linear netlist
 //! can delegate to the linear sweep bit-identically.
 //!
 //! # SPICE-style full-value iteration
@@ -160,7 +160,7 @@ impl<'a> NewtonSweep<'a> {
         window: usize,
     ) -> Result<NewtonWindow, OpmError> {
         let n = self.sys.order();
-        let max_step = opts.step_limit();
+        let max_step = opts.max_step;
         let mut e = e0.to_vec();
         let mut x = e0.to_vec();
         let mut columns = Vec::with_capacity(m);
@@ -172,12 +172,14 @@ impl<'a> NewtonSweep<'a> {
                 self.rhs_base[i] = sigma * self.work[i];
             }
             apply_b(self.sys.b(), u, j, 1.0, &mut self.rhs_base);
-            let tol = opts.abs_tol() + opts.rel_tol() * inf_norm(&self.rhs_base);
+            let tol = opts.abs_tol + opts.rel_tol * inf_norm(&self.rhs_base);
             let mut converged = false;
             let mut res = f64::INFINITY;
             let mut iters = 0;
-            while iters < opts.iteration_budget() {
-                opts.check_cancelled()?;
+            while iters < opts.max_iters {
+                if let Some(token) = &opts.cancel {
+                    token.check()?;
+                }
                 iters += 1;
                 self.newton_iters += 1;
                 self.stamps.clear();

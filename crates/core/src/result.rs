@@ -19,7 +19,7 @@ pub struct OpmResult {
     /// Sparse LU factorizations *backing* this result. Results produced
     /// by one reusable plan share the plan's factorizations, so summing
     /// this field across a batch over-counts — use
-    /// `SimPlan::num_factorizations()` for the true total. (Adaptive
+    /// `SimPlan::factor_profile()` for the true total. (Adaptive
     /// solves through a shared step-lattice cache instead report only
     /// the factorizations newly performed for this result.)
     pub num_factorizations: usize,

@@ -10,12 +10,16 @@
 //! only the cheap part for each scenario:
 //!
 //! - [`SimPlan::solve`] — one stimulus through the cached factorization;
-//! - [`SimPlan::solve_batch`] — K stimuli swept through the factorization
-//!   in a **single pass**: the engine's [`BlockColumnSweep`] interleaves
-//!   the scenarios so every sparse traversal (pencil solve, `E`/`A`
+//! - [`SimPlan::solve_batch`] — K stimuli (a parameter study maps each
+//!   parameter to its stimulus) swept through the factorization in a
+//!   **single pass**: the engine's [`BlockColumnSweep`] interleaves the
+//!   scenarios so every sparse traversal (pencil solve, `E`/`A`
 //!   products, `B` application) is amortized K-fold;
-//! - [`SimPlan::sweep`] — parameter studies: build a stimulus per
-//!   parameter, then batch-solve.
+//! - [`SimPlan::solve_windowed`] / [`SimPlan::solve_windowed_batch_opts`]
+//!   / [`SimPlan::solve_streaming`] — long horizons as `W` windows
+//!   through one window factorization;
+//! - [`SimPlan::solve_newton_windowed`] — nonlinear netlists;
+//! - [`SimPlan::solve_coeffs`] — a precomputed BPF coefficient stimulus.
 //!
 //! ```
 //! use opm_core::{SolveOptions, Simulation};
@@ -30,18 +34,21 @@
 //! let plan = sim.plan(&SolveOptions::new().resolution(256)).unwrap();
 //!
 //! // Sweep the drive level with ONE factorization.
-//! let levels = [1.0, 2.0, 5.0];
-//! let runs = plan
-//!     .sweep(&levels, |&v| InputSet::new(vec![Waveform::Dc(v)]))
-//!     .unwrap();
-//! assert_eq!(plan.num_factorizations(), 1);
+//! let levels: Vec<InputSet> = [1.0, 2.0, 5.0]
+//!     .iter()
+//!     .map(|&v| InputSet::new(vec![Waveform::Dc(v)]))
+//!     .collect();
+//! let runs = plan.solve_batch(&levels).unwrap();
+//! assert_eq!(plan.factor_profile().num_factorizations(), 1);
 //! assert!(runs[2].output_row(0)[255] > runs[0].output_row(0)[255]);
 //! ```
 //!
-//! Every uniform-grid solve — whole-horizon, windowed, streaming, and
-//! linear Newton — runs one window loop: the whole horizon is its
-//! one-window case, swept against the factorization the plan was built
-//! with.
+//! A windowed solve at `W = 1` is the whole horizon on every plan kind,
+//! bit for bit [`SimPlan::solve`]. Every uniform-grid solve — whole-horizon,
+//! windowed, streaming, and linear Newton — runs one window loop: the
+//! whole horizon is its one-window case, swept against the factorization
+//! the plan was built with. Adaptive, step-grid and Kronecker plans run
+//! their own whole-horizon solve at `W = 1` and reject `W > 1`.
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cache::PatternCache;
@@ -148,7 +155,7 @@ pub struct Simulation {
     /// Nonlinear companion devices riding on a linear model (populated
     /// by [`Simulation::from_circuit`] when the netlist carries diodes
     /// or MOSFETs); plans built from this session solve through
-    /// [`SimPlan::solve_newton`].
+    /// [`SimPlan::solve_newton_windowed`].
     devices: Vec<DeviceModel>,
 }
 
@@ -275,12 +282,6 @@ impl Simulation {
         &self.model
     }
 
-    /// The shared handle to the model — what plans built from this
-    /// session hold.
-    pub fn model_arc(&self) -> Arc<SimModel> {
-        Arc::clone(&self.model)
-    }
-
     /// The simulation horizon.
     pub fn t_end(&self) -> f64 {
         self.t_end
@@ -314,7 +315,7 @@ impl Simulation {
     }
 
     /// Whether plans built from this session need the Newton path
-    /// ([`SimPlan::solve_newton`]).
+    /// ([`SimPlan::solve_newton_windowed`]).
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
     }
@@ -690,7 +691,7 @@ enum WindowPencil {
 /// A reusable solving session: the validated problem shape, orderings
 /// and factorizations of one [`Simulation::plan`], amortized over every
 /// [`solve`](SimPlan::solve) / [`solve_batch`](SimPlan::solve_batch) /
-/// [`sweep`](SimPlan::sweep) call.
+/// [`solve_windowed`](SimPlan::solve_windowed) call.
 ///
 /// A plan **owns** its model state (`Arc`-shared with the
 /// [`Simulation`] that built it): it is `'static` and `Send + Sync`, so
@@ -717,7 +718,8 @@ pub struct SimPlan {
     x0: Vec<f64>,
     kind: PlanKind,
     /// Nonlinear companion devices (empty for purely linear plans).
-    /// Plans carrying devices solve through [`SimPlan::solve_newton`];
+    /// Plans carrying devices solve through
+    /// [`SimPlan::solve_newton_windowed`];
     /// the linear entry points reject them so a caller can never
     /// silently drop the nonlinearities.
     devices: Arc<Vec<DeviceModel>>,
@@ -843,11 +845,6 @@ impl WindowedOptions {
         self
     }
 
-    /// The attached cancel token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// Polls the attached token (no token ⇒ never cancelled).
     ///
     /// # Errors
@@ -861,22 +858,21 @@ impl WindowedOptions {
     }
 }
 
-/// Newton-iteration configuration for [`SimPlan::solve_newton`] /
+/// Newton-iteration configuration for
 /// [`SimPlan::solve_newton_windowed`].
 ///
 /// ```
 /// use opm_core::session::NewtonOptions;
 /// let opts = NewtonOptions::new().max_iters(30).tolerances(1e-10, 1e-10);
-/// assert_eq!(opts.iteration_budget(), 30);
 /// ```
 #[derive(Clone, Debug)]
 pub struct NewtonOptions {
-    max_iters: usize,
-    abs_tol: f64,
-    rel_tol: f64,
-    max_step: f64,
-    refine: Option<f64>,
-    cancel: Option<CancelToken>,
+    pub(crate) max_iters: usize,
+    pub(crate) abs_tol: f64,
+    pub(crate) rel_tol: f64,
+    pub(crate) max_step: f64,
+    pub(crate) refine: Option<f64>,
+    pub(crate) cancel: Option<CancelToken>,
 }
 
 impl Default for NewtonOptions {
@@ -949,51 +945,6 @@ impl NewtonOptions {
     }
 }
 
-/// Read-side accessors (what the Newton driver consumes).
-impl NewtonOptions {
-    /// The per-column iteration budget.
-    pub fn iteration_budget(&self) -> usize {
-        self.max_iters
-    }
-
-    /// The absolute residual tolerance.
-    pub fn abs_tol(&self) -> f64 {
-        self.abs_tol
-    }
-
-    /// The relative residual tolerance.
-    pub fn rel_tol(&self) -> f64 {
-        self.rel_tol
-    }
-
-    /// The per-iteration step clamp (infinite when unset).
-    pub fn step_limit(&self) -> f64 {
-        self.max_step
-    }
-
-    /// The refinement detail threshold, if refinement is enabled.
-    pub fn refinement(&self) -> Option<f64> {
-        self.refine
-    }
-
-    /// The attached cancel token, if any.
-    pub fn cancel(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Polls the attached token (no token ⇒ never cancelled).
-    ///
-    /// # Errors
-    /// [`OpmError::Cancelled`] once the token is cancelled or past its
-    /// deadline.
-    pub fn check_cancelled(&self) -> Result<(), OpmError> {
-        match &self.cancel {
-            Some(t) => t.check(),
-            None => Ok(()),
-        }
-    }
-}
-
 /// One window's worth of a streaming solve
 /// ([`SimPlan::solve_streaming`]).
 #[derive(Clone, Debug)]
@@ -1014,7 +965,10 @@ impl std::fmt::Debug for SimPlan {
             .field("strategy", &self.model.strategy_name())
             .field("resolution", &self.m)
             .field("horizon", &self.t_end)
-            .field("num_factorizations", &self.num_factorizations())
+            .field(
+                "num_factorizations",
+                &self.factor_profile().num_factorizations(),
+            )
             .finish_non_exhaustive()
     }
 }
@@ -1125,39 +1079,18 @@ impl OutputMap for OutRef<'_> {
 impl SimPlan {
     // -- observability ------------------------------------------------------
 
-    /// Sparse (or dense-oracle) factorizations performed on behalf of
-    /// this plan so far — the reuse observable: a 100-scenario batch on a
-    /// uniform plan reports **1**. Equals
-    /// [`num_symbolic`](SimPlan::num_symbolic) `+`
-    /// [`num_numeric`](SimPlan::num_numeric).
-    pub fn num_factorizations(&self) -> usize {
-        self.factor_profile().num_factorizations()
-    }
-
-    /// Full symbolic analyses (pattern DFS, pivot search) performed on
-    /// behalf of this plan — the expensive kind. Step-grid and adaptive
-    /// plans report **1** here no matter how many pencils they factor:
-    /// every pencil after the first shares the analysis and shows up in
-    /// [`num_numeric`](SimPlan::num_numeric) instead.
-    pub fn num_symbolic(&self) -> usize {
-        self.factor_profile().num_symbolic
-    }
-
-    /// Numeric-only refactorizations (fixed pivots and fill, no reach
-    /// discovery) performed on behalf of this plan — the cheap kind the
-    /// symbolic/numeric split buys.
-    pub fn num_numeric(&self) -> usize {
-        self.factor_profile().num_numeric
-    }
-
-    /// The full factorization-cost profile, including the step-lattice
-    /// cache hit/miss readout for adaptive plans (both counters are 0
-    /// for plan kinds that do not run the lattice cache) and the window
-    /// counters of windowed/streaming solves: a windowed linear solve
-    /// over any number `W > 1` of windows reports **1 symbolic + 1
-    /// numeric** factorization — the plan's own analysis plus one
-    /// numeric refactorization at the window width. `W = 1` is the
-    /// whole-horizon solve and reuses the plan's own factorization.
+    /// The full factorization-cost profile — the reuse observable: a
+    /// 100-scenario batch on a uniform plan reports **1** factorization.
+    /// It includes the step-lattice cache hit/miss readout for adaptive
+    /// plans (both counters are 0 for plan kinds that do not run the
+    /// lattice cache) and the window counters of windowed/streaming
+    /// solves: a windowed linear solve over any number `W > 1` of
+    /// windows reports **1 symbolic + 1 numeric** factorization — the
+    /// plan's own analysis plus one numeric refactorization at the
+    /// window width. `W = 1` is the whole-horizon solve and reuses the
+    /// plan's own factorization. Step-grid and adaptive plans report
+    /// **1** symbolic analysis no matter how many pencils they factor:
+    /// every pencil after the first is a numeric-only refactorization.
     pub fn factor_profile(&self) -> FactorProfile {
         let p = match &self.kind {
             PlanKind::Uniform(u) => match &u.pencil {
@@ -1203,9 +1136,8 @@ impl SimPlan {
     }
 
     /// Whether the plan carries nonlinear devices. Such plans solve only
-    /// through [`SimPlan::solve_newton`] /
-    /// [`SimPlan::solve_newton_windowed`]; every linear entry point
-    /// rejects them.
+    /// through [`SimPlan::solve_newton_windowed`]; every linear entry
+    /// point rejects them.
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
     }
@@ -1213,13 +1145,13 @@ impl SimPlan {
     /// Linear entry points refuse plans carrying nonlinear devices —
     /// solving the linear recurrence would silently drop the device
     /// currents.
-    fn reject_nonlinear(&self, entry: &str) -> Result<(), OpmError> {
+    fn reject_nonlinear(&self) -> Result<(), OpmError> {
         if self.devices.is_empty() {
             Ok(())
         } else {
             Err(OpmError::BadArguments(format!(
-                "this plan carries {} nonlinear device(s) and `{entry}` would drop them; \
-                 use SimPlan::solve_newton / SimPlan::solve_newton_windowed",
+                "this plan carries {} nonlinear device(s) that a linear solve would drop; \
+                 use SimPlan::solve_newton_windowed",
                 self.devices.len()
             )))
         }
@@ -1243,92 +1175,16 @@ impl SimPlan {
     /// sweep — so the sparse solves and matrix products are amortized
     /// across the batch *and* the cores. Results are in input order and
     /// bit-identical to `K` independent [`SimPlan::solve`] calls, for
-    /// every thread count.
+    /// every thread count. For a parameter study, map each parameter to
+    /// its stimulus and batch them.
+    ///
+    /// This is [`SimPlan::solve_windowed_batch_opts`] at `W = 1`, except
+    /// that it books no window into the [`FactorProfile`].
     ///
     /// # Errors
     /// [`OpmError::BadArguments`] on channel mismatches.
     pub fn solve_batch(&self, inputs: &[InputSet]) -> Result<Vec<OpmResult>, OpmError> {
-        self.solve_batch_with_threads(inputs, opm_par::default_threads())
-    }
-
-    /// [`SimPlan::solve_batch`] with an explicit worker count — for
-    /// servers that manage their own concurrency budget, and for pinning
-    /// down the thread-count-invariance guarantee in tests. `threads`
-    /// only sets how lanes are distributed; the per-lane arithmetic is
-    /// identical for every value, so so is every result bit.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_batch`].
-    pub fn solve_batch_with_threads(
-        &self,
-        inputs: &[InputSet],
-        threads: usize,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        if inputs.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.reject_nonlinear("solve")?;
-        self.check_channels(inputs)?;
-        match &self.kind {
-            PlanKind::AdaptiveLinear { aopts, lattice } => {
-                let SimModel::Linear(sys) = self.model.as_ref() else {
-                    unreachable!("adaptive plans are linear by construction");
-                };
-                // Serial by design: the lattice fills on the fly, and
-                // every scenario should see (and extend) it in order.
-                inputs
-                    .iter()
-                    .map(|ws| {
-                        adaptive::linear_adaptive_with(
-                            sys, ws, self.t_end, &self.x0, *aopts, lattice,
-                        )
-                    })
-                    .collect()
-            }
-            PlanKind::StepGrid(sg) => {
-                let SimModel::Fractional(fsys) = self.model.as_ref() else {
-                    unreachable!("step-grid plans are fractional by construction");
-                };
-                // Scenarios are independent sweeps over the shared
-                // prefactored columns — run them on the workers.
-                opm_par::par_map(threads, inputs, |ws| {
-                    adaptive::sweep_step_grid(fsys, &sg.grid, &sg.factors, ws)
-                })
-                .into_iter()
-                .collect()
-            }
-            PlanKind::Kron { .. } => {
-                let us: Vec<Vec<Vec<f64>>> = inputs
-                    .iter()
-                    .map(|ws| ws.bpf_matrix(self.m, self.t_end))
-                    .collect();
-                let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-                self.kron_batch(&refs, threads)
-            }
-            // The whole horizon is the one-window case of the window loop.
-            PlanKind::Uniform(u) => self.drive_batch(
-                &u.whole,
-                inputs,
-                &WindowedOptions::new(1),
-                threads,
-                |c, w, seed| self.window_coeffs(c, 1, w, seed),
-            ),
-        }
-    }
-
-    /// Parameter study: builds one stimulus per parameter with
-    /// `stimulus`, then [`SimPlan::solve_batch`]es them all through the
-    /// cached factorization. Results are in parameter order.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_batch`].
-    pub fn sweep<P>(
-        &self,
-        params: &[P],
-        mut stimulus: impl FnMut(&P) -> InputSet,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        let sets: Vec<InputSet> = params.iter().map(&mut stimulus).collect();
-        self.solve_batch(&sets)
+        self.batch(inputs, &WindowedOptions::new(1), opm_par::default_threads())
     }
 
     /// Solves a precomputed BPF coefficient stimulus (`u[ch][j]`).
@@ -1338,20 +1194,7 @@ impl SimPlan {
     /// with the planned resolution, or the plan kind needs waveforms
     /// (second-order, adaptive, step-grid).
     pub fn solve_coeffs(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
-        let mut out = self.solve_coeffs_batch(&[u])?;
-        Ok(out.pop().expect("one lane in, one result out"))
-    }
-
-    /// Batch form of [`SimPlan::solve_coeffs`]: `K` coefficient matrices
-    /// through one factorization in a single interleaved pass.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_coeffs`].
-    pub fn solve_coeffs_batch(&self, us: &[&[Vec<f64>]]) -> Result<Vec<OpmResult>, OpmError> {
-        if us.is_empty() {
-            return Ok(Vec::new());
-        }
-        self.reject_nonlinear("solve_coeffs")?;
+        self.reject_nonlinear()?;
         let needs_waveforms = match &self.kind {
             PlanKind::AdaptiveLinear { .. } => {
                 Some("adaptive stepping needs waveform inputs (exact interval averages)")
@@ -1373,28 +1216,26 @@ impl SimPlan {
             return Err(OpmError::BadArguments(why.into()));
         }
         let p = self.model.num_inputs();
-        for &u in us {
-            let mu = validate_coeff_inputs(p, u)?;
-            if mu != self.m {
-                return Err(OpmError::BadArguments(format!(
-                    "coefficient stimulus has {mu} columns but the `{}` plan \
-                     was built for resolution {}",
-                    self.model.strategy_name(),
-                    self.m
-                )));
-            }
+        let mu = validate_coeff_inputs(p, u)?;
+        if mu != self.m {
+            return Err(OpmError::BadArguments(format!(
+                "coefficient stimulus has {mu} columns but the `{}` plan \
+                 was built for resolution {}",
+                self.model.strategy_name(),
+                self.m
+            )));
         }
-        let threads = opm_par::default_threads();
-        match &self.kind {
-            PlanKind::Uniform(u) => self.drive_batch(
-                &u.whole,
-                us,
-                &WindowedOptions::new(1),
-                threads,
-                |c, _, _| LaneCoeffs::interleave(c, p, self.m),
-            ),
-            _ => self.kron_batch(us, threads),
-        }
+        let PlanKind::Uniform(plan) = &self.kind else {
+            return self.kron_solve(u);
+        };
+        let mut out = self.drive_batch(
+            &plan.whole,
+            &[u],
+            &WindowedOptions::new(1),
+            opm_par::default_threads(),
+            |c, _, _| LaneCoeffs::interleave(c, p, self.m),
+        )?;
+        Ok(out.pop().expect("one lane in, one result out"))
     }
 
     // -- windowed / streaming solving ----------------------------------------
@@ -1409,26 +1250,25 @@ impl SimPlan {
     /// own symbolic analysis — serves all `W` windows (and every batched
     /// scenario): [`SimPlan::factor_profile`] reports 1 symbolic + 1
     /// numeric no matter how large `W` grows. `W = 1` is exactly
-    /// [`SimPlan::solve`]: the same window loop on the plan's own
-    /// factorization, bit for bit.
+    /// [`SimPlan::solve`], bit for bit, on every plan kind.
     ///
     /// On a horizon that splits evenly, the result matches a single
     /// whole-horizon plan at resolution `W·m` to roundoff (the BPF
     /// recurrence is the trapezoidal rule in disguise, and the polyline
     /// endpoint handoff is its exact restart).
     ///
-    /// Supported for linear/descriptor (Recurrence/Accumulator),
-    /// second-order, fractional and multi-term plans. Linear and
-    /// integer-recurrence plans carry *exact* finite state (polyline
-    /// endpoint / trailing recurrence columns); fractional and
-    /// fractional-mixture multi-term plans carry the Caputo/GL memory
-    /// of all previous windows as an extra per-lane forcing built from
-    /// the history convolution over their solved columns — exact with
-    /// full history, truncatable via
+    /// `W > 1` is supported for linear/descriptor
+    /// (Recurrence/Accumulator), second-order, fractional and multi-term
+    /// plans. Linear and integer-recurrence plans carry *exact* finite
+    /// state (polyline endpoint / trailing recurrence columns);
+    /// fractional and fractional-mixture multi-term plans carry the
+    /// Caputo/GL memory of all previous windows as an extra per-lane
+    /// forcing built from the history convolution over their solved
+    /// columns — exact with full history, truncatable via
     /// [`WindowedOptions::history_len`] (see
-    /// [`SimPlan::solve_windowed_opts`]). Adaptive, step-grid and
-    /// Kronecker plans are whole-horizon by construction and are
-    /// rejected with an error naming the plan kind.
+    /// [`SimPlan::solve_windowed_batch_opts`]). Adaptive, step-grid and
+    /// Kronecker plans are whole-horizon by construction and reject
+    /// `W > 1` with an error naming the plan kind.
     ///
     /// ```
     /// use opm_core::{Simulation, SolveOptions};
@@ -1453,18 +1293,29 @@ impl SimPlan {
     /// [`OpmError::BadArguments`] on channel mismatches, zero windows,
     /// or an unsupported strategy/method (the message names both).
     pub fn solve_windowed(&self, inputs: &InputSet, windows: usize) -> Result<OpmResult, OpmError> {
-        self.solve_windowed_opts(inputs, &WindowedOptions::new(windows))
+        let mut out = self.solve_windowed_batch_opts(
+            std::slice::from_ref(inputs),
+            &WindowedOptions::new(windows),
+            opm_par::default_threads(),
+        )?;
+        Ok(out.pop().expect("one lane in, one result out"))
     }
 
-    /// [`SimPlan::solve_windowed`] with explicit [`WindowedOptions`] —
-    /// in particular the fractional short-memory truncation
-    /// [`WindowedOptions::history_len`].
+    /// The batch form of [`SimPlan::solve_windowed`], with explicit
+    /// [`WindowedOptions`] — in particular the fractional short-memory
+    /// truncation [`WindowedOptions::history_len`] — and worker count.
+    /// `K` scenarios sweep through the same single window factorization,
+    /// window by window, with the scenario lanes split across `threads`
+    /// workers exactly like [`SimPlan::solve_batch`]: results are in
+    /// input order and bit-identical to a per-scenario
+    /// [`SimPlan::solve_windowed`] loop, for every thread count
+    /// (`threads` only sets how lanes are distributed).
     ///
     /// Note on memory: every solved column is stored once — the history
     /// tail a fractional window reads is the newest part of the column
     /// store that becomes the result, so a full-history solve holds the
     /// same columns as the whole-horizon solve. For bounded memory,
-    /// stream via [`SimPlan::solve_streaming_opts`] with
+    /// stream via [`SimPlan::solve_streaming`] with
     /// [`WindowedOptions::history_len`] set: the store is then trimmed
     /// to the capped tail after every window.
     ///
@@ -1482,59 +1333,13 @@ impl SimPlan {
     ///
     /// // 8 windows × 64 columns, keeping a 256-column memory tail.
     /// let opts = WindowedOptions::new(8).history_len(256);
-    /// let r = plan.solve_windowed_opts(sim.inputs().unwrap(), &opts).unwrap();
-    /// assert_eq!(r.num_intervals(), 512);
+    /// let r = plan
+    ///     .solve_windowed_batch_opts(std::slice::from_ref(sim.inputs().unwrap()), &opts, 1)
+    ///     .unwrap();
+    /// assert_eq!(r[0].num_intervals(), 512);
     /// let p = plan.factor_profile();
     /// assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
     /// ```
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_windowed_opts(
-        &self,
-        inputs: &InputSet,
-        opts: &WindowedOptions,
-    ) -> Result<OpmResult, OpmError> {
-        let mut out = self.solve_windowed_batch_opts(
-            std::slice::from_ref(inputs),
-            opts,
-            opm_par::default_threads(),
-        )?;
-        Ok(out.pop().expect("one lane in, one result out"))
-    }
-
-    /// Batch form of [`SimPlan::solve_windowed`]: `K` scenarios swept
-    /// through the same single window factorization, window by window,
-    /// with the scenario lanes split across the worker threads exactly
-    /// like [`SimPlan::solve_batch`] (results are in input order and
-    /// bit-identical to a per-scenario [`SimPlan::solve_windowed`]
-    /// loop, for every thread count).
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_windowed_batch(
-        &self,
-        inputs: &[InputSet],
-        windows: usize,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        self.solve_windowed_batch_with_threads(inputs, windows, opm_par::default_threads())
-    }
-
-    /// [`SimPlan::solve_windowed_batch`] with an explicit worker count.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_windowed_batch_with_threads(
-        &self,
-        inputs: &[InputSet],
-        windows: usize,
-        threads: usize,
-    ) -> Result<Vec<OpmResult>, OpmError> {
-        self.solve_windowed_batch_opts(inputs, &WindowedOptions::new(windows), threads)
-    }
-
-    /// [`SimPlan::solve_windowed_batch_with_threads`] with explicit
-    /// [`WindowedOptions`].
     ///
     /// # Errors
     /// As [`SimPlan::solve_windowed`].
@@ -1544,17 +1349,11 @@ impl SimPlan {
         opts: &WindowedOptions,
         threads: usize,
     ) -> Result<Vec<OpmResult>, OpmError> {
-        let windows = opts.windows();
-        if inputs.is_empty() {
-            return Ok(Vec::new());
+        let results = self.batch(inputs, opts, threads)?;
+        if !results.is_empty() {
+            self.windows_solved
+                .fetch_add(opts.windows(), Ordering::Relaxed);
         }
-        self.reject_nonlinear("solve_windowed")?;
-        self.check_channels(inputs)?;
-        let kernel = self.window_kernel(windows)?;
-        let results = self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed| {
-            self.window_coeffs(c, windows, w, seed)
-        })?;
-        self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(results)
     }
 
@@ -1564,9 +1363,12 @@ impl SimPlan {
     /// window, independent of how many windows the horizon spans (plus,
     /// on fractional/multi-term plans, the retained Caputo history tail:
     /// all past columns with full history, at most
-    /// [`WindowedOptions::history_len`] columns when truncated). The
-    /// [`WindowBlock`]s carry global-time bounds, so concatenating their
-    /// results reproduces [`SimPlan::solve_windowed`] exactly.
+    /// [`WindowedOptions::history_len`] columns when truncated, which
+    /// bounds the whole solve's memory). The [`WindowBlock`]s carry
+    /// global-time bounds, so concatenating their results reproduces
+    /// [`SimPlan::solve_windowed`] exactly. Uniform-grid plans only:
+    /// adaptive, step-grid and Kronecker plans have no window blocks to
+    /// hand out.
     ///
     /// Returns the final state `x(T)` (the last window's
     /// [`WindowBlock::end_state`]).
@@ -1576,27 +1378,11 @@ impl SimPlan {
     pub fn solve_streaming(
         &self,
         inputs: &InputSet,
-        windows: usize,
-        sink: impl FnMut(WindowBlock),
-    ) -> Result<Vec<f64>, OpmError> {
-        self.solve_streaming_opts(inputs, &WindowedOptions::new(windows), sink)
-    }
-
-    /// [`SimPlan::solve_streaming`] with explicit [`WindowedOptions`] —
-    /// with [`WindowedOptions::history_len`] set, a fractional streaming
-    /// solve runs at truly bounded memory: one window of columns plus
-    /// the capped history tail.
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_windowed`].
-    pub fn solve_streaming_opts(
-        &self,
-        inputs: &InputSet,
         opts: &WindowedOptions,
         mut sink: impl FnMut(WindowBlock),
     ) -> Result<Vec<f64>, OpmError> {
         let windows = opts.windows();
-        self.reject_nonlinear("solve_streaming")?;
+        self.reject_nonlinear()?;
         self.check_channels(std::slice::from_ref(inputs))?;
         let kernel = self.window_kernel(windows)?;
         let out = self.output_map();
@@ -1622,31 +1408,11 @@ impl SimPlan {
         Ok(final_state)
     }
 
-    /// Newton solve of a (possibly nonlinear) plan over the whole
-    /// horizon as one window: [`SimPlan::solve_newton_windowed`] with
-    /// `windows = 1`.
-    ///
-    /// On a **linear** netlist (no devices) this is *bit-identical* to
-    /// [`SimPlan::solve`] — the full-value Newton iterate of the
-    /// endpoint recurrence reproduces the linear recurrence exactly, so
-    /// the call delegates to the one-window linear sweep and merely books
-    /// one Newton iteration per column (and the one window) into the
-    /// [`FactorProfile`].
-    ///
-    /// # Errors
-    /// As [`SimPlan::solve_newton_windowed`].
-    pub fn solve_newton(
-        &self,
-        inputs: &InputSet,
-        opts: &NewtonOptions,
-    ) -> Result<OpmResult, OpmError> {
-        self.solve_newton_windowed(inputs, 1, opts)
-    }
-
     /// Windowed Newton solve: the horizon split into `windows` windows
     /// of `m` columns each, every column solved by SPICE-style
     /// full-value Newton iteration over the endpoint recurrence
     /// `(σE − A)·x_j − f(x_j) = σE·e_j + B·u_j`, `e_{j+1} = 2x_j − e_j`.
+    /// `windows = 1` is the whole horizon as one window.
     ///
     /// Cost shape: **one** symbolic analysis for the whole solve (the
     /// plan's recorded [`opm_sparse::SymbolicLu`]); every Newton
@@ -1656,6 +1422,13 @@ impl SimPlan {
     /// paths are counted in the plan's
     /// [`factor_profile`](SimPlan::factor_profile) (`newton_iters`,
     /// `newton_refactors`, `newton_fresh_fallbacks`).
+    ///
+    /// On a **linear** netlist (no devices) this is *bit-identical* to
+    /// [`SimPlan::solve_windowed`] — the full-value Newton iterate of the
+    /// endpoint recurrence reproduces the linear recurrence exactly, so
+    /// the call delegates to the linear window sweep (on every plan
+    /// kind) and books the `W` windows, plus one Newton iteration per
+    /// column on linear-recurrence plans, into the [`FactorProfile`].
     ///
     /// With [`NewtonOptions::refine_threshold`] set, a window whose
     /// iteration history indicates a sharp transient (some column needed
@@ -1710,20 +1483,17 @@ impl SimPlan {
             // recurrence *is* the linear recurrence, so Newton converges
             // in exactly one iteration per column — delegate to the
             // linear window sweep (bit-identical, zero added
-            // factorizations; `W = 1` is the whole-horizon sweep) and
-            // book the per-column iterations.
-            let result = if windows == 1 && !matches!(self.kind, PlanKind::Uniform(_)) {
-                // Adaptive, step-grid and Kronecker plans are
-                // whole-horizon by construction.
-                opts.check_cancelled()?;
-                self.solve(inputs)?
-            } else {
-                let mut wopts = WindowedOptions::new(windows);
-                if let Some(tok) = opts.cancel() {
-                    wopts = wopts.cancel_token(tok.clone());
-                }
-                self.solve_windowed_opts(inputs, &wopts)?
-            };
+            // factorizations) and book the per-column iterations.
+            let mut wopts = WindowedOptions::new(windows);
+            if let Some(tok) = &opts.cancel {
+                wopts = wopts.cancel_token(tok.clone());
+            }
+            let mut out = self.solve_windowed_batch_opts(
+                std::slice::from_ref(inputs),
+                &wopts,
+                opm_par::default_threads(),
+            )?;
+            let result = out.pop().expect("one lane in, one result out");
             if let Some(family) = self.linear_family() {
                 family.note_newton_iters(result.num_intervals());
             }
@@ -1753,7 +1523,7 @@ impl SimPlan {
         for w in 0..windows {
             let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
             let mut win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
-            if let Some(threshold) = opts.refinement() {
+            if let Some(threshold) = opts.refine {
                 if win.worst_iters >= 3 && m >= 2 && m.is_power_of_two() {
                     let frac = haar_detail_fraction(&win.columns, m, width);
                     if frac > threshold {
@@ -1785,57 +1555,120 @@ impl SimPlan {
         Ok(result)
     }
 
+    /// The one waveform-batch dispatch behind [`SimPlan::solve_batch`]
+    /// and [`SimPlan::solve_windowed_batch_opts`]. Uniform plans run the
+    /// window loop for any `W` (the whole horizon is `W = 1`, swept
+    /// against the factorization the plan was built with); adaptive,
+    /// step-grid and Kronecker plans run their whole-horizon solve at
+    /// `W = 1` and reject any other window count.
+    fn batch(
+        &self,
+        inputs: &[InputSet],
+        opts: &WindowedOptions,
+        threads: usize,
+    ) -> Result<Vec<OpmResult>, OpmError> {
+        if inputs.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.reject_nonlinear()?;
+        self.check_channels(inputs)?;
+        let windows = opts.windows();
+        let whole = windows == 1;
+        // The whole-horizon kinds have no window boundary to poll the
+        // token at (the window loop polls it at every one).
+        opts.check_cancelled()?;
+        match &self.kind {
+            PlanKind::AdaptiveLinear { aopts, lattice } if whole => {
+                let SimModel::Linear(sys) = self.model.as_ref() else {
+                    unreachable!("adaptive plans are linear by construction");
+                };
+                // Serial by design: the lattice fills on the fly, and
+                // every scenario should see (and extend) it in order.
+                inputs
+                    .iter()
+                    .map(|ws| {
+                        adaptive::linear_adaptive_with(
+                            sys, ws, self.t_end, &self.x0, *aopts, lattice,
+                        )
+                    })
+                    .collect()
+            }
+            PlanKind::StepGrid(sg) if whole => {
+                let SimModel::Fractional(fsys) = self.model.as_ref() else {
+                    unreachable!("step-grid plans are fractional by construction");
+                };
+                // Scenarios are independent sweeps over the shared
+                // prefactored columns — run them on the workers.
+                opm_par::par_map(threads, inputs, |ws| {
+                    adaptive::sweep_step_grid(fsys, &sg.grid, &sg.factors, ws)
+                })
+                .into_iter()
+                .collect()
+            }
+            PlanKind::Kron { .. } if whole => opm_par::par_map(threads, inputs, |ws| {
+                self.kron_solve(&ws.bpf_matrix(self.m, self.t_end))
+            })
+            .into_iter()
+            .collect(),
+            // The window loop, or the named rejection of `W ≠ 1` on the
+            // whole-horizon kinds.
+            _ => {
+                let kernel = self.window_kernel(windows)?;
+                self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed| {
+                    self.window_coeffs(c, windows, w, seed)
+                })
+            }
+        }
+    }
+
     /// Resolves the window kernel for `windows` windows — the one
     /// factorization all windows and scenarios share. A uniform plan's
     /// `W = 1` kernel is the one it factored when it was built; any other
     /// `W` is built on its first request through the plan's single-flight
-    /// kernel cache.
+    /// kernel cache: the window pencil refactored numerically against the
+    /// plan's recorded analysis, plus the kernel's window-step symbol
+    /// data. The other plan kinds have no window kernel.
     fn window_kernel(&self, windows: usize) -> Result<Arc<WindowKernel>, OpmError> {
         if windows == 0 {
             return Err(OpmError::BadArguments(
                 "windowed solving needs at least one window".into(),
             ));
         }
-        if let (1, PlanKind::Uniform(u)) = (windows, &self.kind) {
-            return Ok(Arc::clone(&u.whole));
-        }
-        validate_horizon(self.t_end)?;
-        let (kernel, _) = self
-            .kernels
-            .get_or_build(windows, || self.build_window_kernel(windows).map(Arc::new))?;
-        Ok(kernel)
-    }
-
-    /// Factors the window kernel for `windows` windows: the window
-    /// pencil refactored numerically against the plan's recorded
-    /// analysis, plus the kernel's window-step symbol data.
-    fn build_window_kernel(&self, windows: usize) -> Result<WindowKernel, OpmError> {
-        let unsupported = |strategy: &str, why: &str| {
-            Err(OpmError::BadArguments(format!(
-                "windowed solving is not available for the `{strategy}` strategy: {why}"
-            )))
-        };
-        match &self.kind {
+        let (strategy, why) = match &self.kind {
+            PlanKind::Uniform(u) if windows == 1 => return Ok(Arc::clone(&u.whole)),
             PlanKind::Uniform(u) => {
-                let (symbols, pencil) =
-                    window_symbols(u.sweep, &self.model, self.mt(), self.m, self.t_end, windows)?;
-                let lu = u.pencil.refactor(pencil)?;
-                Ok(WindowKernel { lu, symbols })
+                validate_horizon(self.t_end)?;
+                let (kernel, _) = self.kernels.get_or_build(windows, || {
+                    let (symbols, pencil) = window_symbols(
+                        u.sweep,
+                        &self.model,
+                        self.mt(),
+                        self.m,
+                        self.t_end,
+                        windows,
+                    )?;
+                    let lu = u.pencil.refactor(pencil)?;
+                    Ok(Arc::new(WindowKernel { lu, symbols }))
+                })?;
+                return Ok(kernel);
             }
-            PlanKind::Kron { .. } => unsupported(
-                &format!("{} (Kronecker plan)", self.model.strategy_name()),
+            PlanKind::Kron { .. } => (
+                format!("{} (Kronecker plan)", self.model.strategy_name()),
                 "the Kronecker oracle materializes the whole horizon as one dense system",
             ),
-            PlanKind::AdaptiveLinear { .. } => unsupported(
-                "linear (adaptive plan)",
+            PlanKind::AdaptiveLinear { .. } => (
+                "linear (adaptive plan)".into(),
                 "`adaptive` plans let the step controller pace the horizon; \
                  windowed solving applies to fixed-resolution plans",
             ),
-            PlanKind::StepGrid(_) => unsupported(
-                "fractional (step-grid plan)",
+            PlanKind::StepGrid(_) => (
+                "fractional (step-grid plan)".into(),
                 "step-grid plans resolve the whole horizon on their explicit grid",
             ),
-        }
+        };
+        Err(OpmError::BadArguments(format!(
+            "windowed solving is not available for the `{strategy}` strategy: {why}"
+        )))
     }
 
     /// The multi-term system the plan sweeps or projects outputs
@@ -2096,17 +1929,12 @@ impl SimPlan {
         Ok(())
     }
 
-    /// The dense Kronecker oracle over raw coefficient matrices, one
-    /// scenario per worker task.
-    fn kron_batch(&self, us: &[&[Vec<f64>]], threads: usize) -> Result<Vec<OpmResult>, OpmError> {
+    /// One coefficient stimulus through the dense Kronecker oracle.
+    fn kron_solve(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
         let (PlanKind::Kron { factors, .. }, Some(mt)) = (&self.kind, self.mt()) else {
             unreachable!("kron plans carry or reference a multi-term form");
         };
-        opm_par::par_map(threads, us, |u| {
-            kron_solve_prepared(mt, factors, u, self.t_end)
-        })
-        .into_iter()
-        .collect()
+        kron_solve_prepared(mt, factors, u, self.t_end)
     }
 
     fn output_map(&self) -> OutRef<'_> {
@@ -2579,7 +2407,7 @@ mod tests {
                 "column {j}"
             );
         }
-        assert_eq!(plan.num_factorizations(), 1);
+        assert_eq!(plan.factor_profile().num_factorizations(), 1);
     }
 
     #[test]
@@ -2605,7 +2433,7 @@ mod tests {
                 assert_eq!(single.state_coeff(0, j), b.state_coeff(0, j));
             }
         }
-        assert_eq!(plan.num_factorizations(), 1);
+        assert_eq!(plan.factor_profile().num_factorizations(), 1);
     }
 
     #[test]
@@ -2619,11 +2447,13 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let opts = WindowedOptions::new(8).cancel_token(token);
-        let err = plan.solve_windowed_opts(&u, &opts).unwrap_err();
+        let err = plan
+            .solve_windowed_batch_opts(std::slice::from_ref(&u), &opts, 1)
+            .unwrap_err();
         assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
         let mut blocks = 0;
         let err = plan
-            .solve_streaming_opts(&u, &opts, |_| blocks += 1)
+            .solve_streaming(&u, &opts, |_| blocks += 1)
             .unwrap_err();
         assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
         assert_eq!(blocks, 0, "no window may be emitted after cancellation");
@@ -2641,22 +2471,6 @@ mod tests {
                 ok.state_coeff(0, j).to_bits(),
                 fresh.state_coeff(0, j).to_bits()
             );
-        }
-    }
-
-    #[test]
-    fn sweep_orders_results_by_parameter() {
-        let sys = scalar(-1.0);
-        let sim = Simulation::from_system(sys).horizon(1.0);
-        let plan = sim.plan(&SolveOptions::new().resolution(32)).unwrap();
-        let amplitudes = [1.0, 2.0, 3.0];
-        let runs = plan
-            .sweep(&amplitudes, |&a| InputSet::new(vec![Waveform::Dc(a)]))
-            .unwrap();
-        // Linearity: doubling the drive doubles the response.
-        for j in 0..32 {
-            assert!((runs[1].state_coeff(0, j) - 2.0 * runs[0].state_coeff(0, j)).abs() < 1e-12);
-            assert!((runs[2].state_coeff(0, j) - 3.0 * runs[0].state_coeff(0, j)).abs() < 1e-12);
         }
     }
 
@@ -2799,11 +2613,11 @@ mod tests {
             }))
             .unwrap();
         let a = plan.solve(&InputSet::new(vec![Waveform::Dc(1.0)])).unwrap();
-        let first = plan.num_factorizations();
+        let first = plan.factor_profile().num_factorizations();
         assert!(first >= 1);
         let b = plan.solve(&InputSet::new(vec![Waveform::Dc(2.0)])).unwrap();
         // Same step lattice ⇒ the second scenario reuses every factor.
-        assert_eq!(plan.num_factorizations(), first);
+        assert_eq!(plan.factor_profile().num_factorizations(), first);
         assert!(a.num_solves > 0 && b.num_solves > 0);
     }
 
@@ -2823,9 +2637,12 @@ mod tests {
                 }
             })
             .collect();
-        let serial = plan.solve_batch_with_threads(&sets, 1).unwrap();
+        let whole = WindowedOptions::new(1);
+        let serial = plan.solve_windowed_batch_opts(&sets, &whole, 1).unwrap();
         for threads in [2, 3, 4, 16] {
-            let par = plan.solve_batch_with_threads(&sets, threads).unwrap();
+            let par = plan
+                .solve_windowed_batch_opts(&sets, &whole, threads)
+                .unwrap();
             for (s, p) in serial.iter().zip(&par) {
                 for j in 0..64 {
                     assert_eq!(
@@ -2843,16 +2660,18 @@ mod tests {
         // Uniform plan: one symbolic analysis, nothing numeric.
         let sim = Simulation::from_system(scalar(-1.0)).horizon(1.0);
         let plan = sim.plan(&SolveOptions::new().resolution(16)).unwrap();
-        assert_eq!((plan.num_symbolic(), plan.num_numeric()), (1, 0));
-        assert_eq!(plan.num_factorizations(), 1);
+        let p = plan.factor_profile();
+        assert_eq!((p.num_symbolic, p.num_numeric), (1, 0));
+        assert_eq!(p.num_factorizations(), 1);
 
         // Step grid: 12 pencils = 1 analysis + 11 refactorizations.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
         let steps = crate::adaptive::geometric_grid(1.0, 12, 1.2);
         let simf = Simulation::from_fractional(fsys).horizon(1.0);
         let planf = simf.plan(&SolveOptions::new().step_grid(steps)).unwrap();
-        assert_eq!((planf.num_symbolic(), planf.num_numeric()), (1, 11));
-        assert_eq!(planf.num_factorizations(), 12);
+        let p = planf.factor_profile();
+        assert_eq!((p.num_symbolic, p.num_numeric), (1, 11));
+        assert_eq!(p.num_factorizations(), 12);
 
         // Adaptive lattice: the cache readout counts hits across
         // scenarios, and only the first miss is symbolic.
@@ -2888,14 +2707,14 @@ mod tests {
         let steps = crate::adaptive::geometric_grid(1.0, 12, 1.2);
         let sim = Simulation::from_fractional(fsys).horizon(1.0);
         let plan = sim.plan(&SolveOptions::new().step_grid(steps)).unwrap();
-        assert_eq!(plan.num_factorizations(), 12);
+        assert_eq!(plan.factor_profile().num_factorizations(), 12);
         let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
         let r1 = plan.solve(&inputs).unwrap();
         let r2 = plan
             .solve(&InputSet::new(vec![Waveform::step(0.1, 2.0)]))
             .unwrap();
         // Solving more scenarios does not factor again.
-        assert_eq!(plan.num_factorizations(), 12);
+        assert_eq!(plan.factor_profile().num_factorizations(), 12);
         assert_eq!(r1.num_intervals(), 12);
         assert_eq!(r2.num_intervals(), 12);
     }
@@ -3015,7 +2834,10 @@ mod tests {
         let full = plan.solve_windowed(&inputs, windows).unwrap();
         let err_at = |cap: usize| {
             let opts = WindowedOptions::new(windows).history_len(cap);
-            let r = plan.solve_windowed_opts(&inputs, &opts).unwrap();
+            let r = plan
+                .solve_windowed_batch_opts(std::slice::from_ref(&inputs), &opts, 1)
+                .unwrap()
+                .remove(0);
             (0..m * windows)
                 .map(|j| (r.state_coeff(0, j) - full.state_coeff(0, j)).abs())
                 .fold(0.0f64, f64::max)
@@ -3029,7 +2851,10 @@ mod tests {
         );
         // A tail covering the horizon IS the full solve, bit for bit.
         let opts = WindowedOptions::new(windows).history_len(m * windows);
-        let covered = plan.solve_windowed_opts(&inputs, &opts).unwrap();
+        let covered = plan
+            .solve_windowed_batch_opts(std::slice::from_ref(&inputs), &opts, 1)
+            .unwrap()
+            .remove(0);
         assert_eq!(covered.columns, full.columns);
     }
 
@@ -3128,7 +2953,8 @@ mod tests {
         assert_eq!(bits(&again), bits(&first));
         // One numeric refactorization per kernel build: W = 2..=21, plus
         // the rebuild of W = 2.
-        assert_eq!((plan.num_symbolic(), plan.num_numeric()), (1, 21));
+        let p = plan.factor_profile();
+        assert_eq!((p.num_symbolic, p.num_numeric), (1, 21));
     }
 
     #[test]
@@ -3151,7 +2977,7 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::Dc(2.0)]);
         let mut seen = 0usize;
         let end = plan
-            .solve_streaming(&inputs, 32, |block| {
+            .solve_streaming(&inputs, &WindowedOptions::new(32), |block| {
                 assert_eq!(block.result.num_intervals(), 8);
                 assert_eq!(block.end_state.len(), 1);
                 seen += 1;
@@ -3180,6 +3006,6 @@ mod tests {
         for j in 0..16 {
             assert!((oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-10);
         }
-        assert_eq!(plan.num_factorizations(), 1);
+        assert_eq!(plan.factor_profile().num_factorizations(), 1);
     }
 }

@@ -34,7 +34,7 @@ pub enum FaultSpec {
     BuildPanic,
     /// Panic inside a `/stream` solve on a cached plan, in the window
     /// sink after the first window has gone out — mid-way through
-    /// `SimPlan::solve_streaming_opts`, where a real solver bug would
+    /// `SimPlan::solve_streaming`, where a real solver bug would
     /// unwind. Only fires on a cache hit, so the plan the panic unwinds
     /// through is the one the next request on that key is served from.
     SolvePanic,

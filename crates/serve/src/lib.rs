@@ -835,9 +835,11 @@ fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
     })?;
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
-    let results = plan.sweep(&levels, |&v| {
-        opm_waveform::InputSet::new(vec![opm_waveform::Waveform::Dc(v); p])
-    })?;
+    let stimuli: Vec<InputSet> = levels
+        .iter()
+        .map(|&v| InputSet::new(vec![opm_waveform::Waveform::Dc(v); p]))
+        .collect();
+    let results = plan.solve_batch(&stimuli)?;
     let mut doc = plan_header(hit, &plan);
     doc.push(("levels".into(), Json::num_arr(&levels)));
     doc.push((
@@ -861,9 +863,13 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
             Err(_) => Err(ApiError::bad("/stream takes exactly one scenario")),
         }
     })?;
+    if plan.has_nonlinear() {
+        return Err(ApiError::bad(
+            "/stream serves linear netlists only; post netlists with D/M cards to /solve",
+        )
+        .into());
+    }
     ctx.apply_slow_solve();
-    // Check before headers commit the status line: a blown deadline
-    // here still gets a clean 503.
     ctx.check_deadline()?;
 
     let drop_after = match ctx.fault {
@@ -877,14 +883,17 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
         None => None,
     };
 
-    // Headers go out before the solve starts; each window block is
-    // flushed as its chunk the moment it is solved.
-    let mut writer = ChunkedWriter::start(stream, 200, "application/x-ndjson").map_err(io_reply)?;
+    // The status line goes out with the first window block, once the
+    // plan has accepted the request: a rejection before it is a plain
+    // error reply. Each block is flushed as its chunk the moment it is
+    // solved.
+    let mut socket = Some(stream);
+    let mut writer: Option<ChunkedWriter<'_>> = None;
     let mut sink_err: Option<std::io::Error> = None;
     let mut chunks_sent = 0usize;
     let mut dropped = false;
     let solve_panic = hit && matches!(ctx.fault, Some(FaultSpec::SolvePanic));
-    let streamed = plan.solve_streaming_opts(&inputs, &ctx.windowed_opts(windows), |block| {
+    let streamed = plan.solve_streaming(&inputs, &ctx.windowed_opts(windows), |block| {
         if sink_err.is_some() || dropped {
             return;
         }
@@ -913,22 +922,38 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
         ])
         .to_string();
         line.push('\n');
-        match writer.chunk(line.as_bytes()) {
+        let sent = match writer.as_mut() {
+            Some(w) => w.chunk(line.as_bytes()),
+            None => {
+                let socket = socket
+                    .take()
+                    .expect("only the first block starts the writer");
+                ChunkedWriter::start(socket, 200, "application/x-ndjson")
+                    .and_then(|w| writer.insert(w).chunk(line.as_bytes()))
+            }
+        };
+        match sent {
             Ok(()) => chunks_sent += 1,
             Err(e) => sink_err = Some(e),
         }
     });
-    let final_state = match streamed {
-        Ok(s) => s,
-        Err(OpmError::Cancelled(_)) => {
-            // Deadline hit mid-stream: the 200 status line is already
-            // on the wire, so the only honest signal is a truncated
-            // chunked body. Count it and close.
-            ctx.state.timeouts.fetch_add(1, Ordering::Relaxed);
+    let final_state = match (streamed, writer.is_some()) {
+        (Ok(s), _) => s,
+        // Nothing on the wire yet: a plain error reply.
+        (Err(e), false) => return Err(e.into()),
+        (Err(e), true) => {
+            // The 200 status line is already on the wire, so the only
+            // honest signal is a truncated chunked body. Count it and
+            // close.
+            if matches!(e, OpmError::Cancelled(_)) {
+                ctx.state.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
             ctx.state.errors.fetch_add(1, Ordering::Relaxed);
             return Ok(());
         }
-        Err(e) => return Err(e.into()),
+    };
+    let Some(mut writer) = writer else {
+        return Ok(()); // cut before the first block went out
     };
     if dropped || sink_err.is_some() {
         return Ok(()); // stream was cut (by fault or peer); nothing left to say

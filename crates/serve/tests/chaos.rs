@@ -259,8 +259,8 @@ fn solve_panic_leaves_the_cached_plan_serving() {
     );
 
     // The next request on the same key is served from the same plan: a
-    // complete stream (the status line goes out before the solve, so
-    // completeness is the final `done` line after all four windows),
+    // complete stream (the status line goes out with the first window,
+    // so completeness is the final `done` line after all four windows),
     // bit-identical to the clean server's.
     let got = client::post(chaos.addr(), "/stream", &body).unwrap();
     let want = client::post(clean.addr(), "/stream", &body).unwrap();

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use opm_core::json::Json;
-use opm_core::{NewtonOptions, Simulation, SolveOptions};
+use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
 use opm_serve::api::{self, SimRequest};
 use opm_serve::client::{Client, ClientConfig};
 use opm_serve::{client, spawn, ServerConfig};
@@ -42,7 +42,8 @@ fn fresh_results_member(body: &str) -> String {
             })
             .collect()
     } else {
-        plan.solve_windowed_batch(&stimuli, windows).unwrap()
+        plan.solve_windowed_batch_opts(&stimuli, &WindowedOptions::new(windows), 1)
+            .unwrap()
     };
     let doc = Json::Obj(vec![(
         "results".into(),
@@ -215,6 +216,48 @@ fn streaming_concat_equals_whole_solve() {
     assert_eq!(concat.len(), whole_out.len());
     for (c, w) in concat.iter().zip(&whole_out) {
         assert_eq!(c.to_bits(), w.to_bits(), "stream concat ≡ whole solve");
+    }
+    server.shutdown();
+}
+
+/// A `/stream` request the plan refuses is a plain 400 with a JSON
+/// `error` that speaks HTTP, not library API: the chunked 200 goes out
+/// only with the first window block. The daemon keeps serving.
+#[test]
+fn stream_rejections_are_plain_400s() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let step = r#"[{"kind": "step", "level": 1.0}]"#;
+    let two_steps = r#"[{"kind": "step", "level": 1.0}, {"kind": "step", "level": 2.0}]"#;
+    let body = |netlist: &str, probe: &str, horizon: f64, options: &str, scenario: &str| {
+        format!(
+            r#"{{"netlist": {netlist:?}, "probes": [{probe:?}], "horizon": {horizon:e},
+                "options": {options}, "windows": 4, "scenarios": [{scenario}]}}"#
+        )
+    };
+    let diode = "V1 in 0 SIN(0 1 50)\nR1 in out 1k\nD1 out 0 1e-14\n.end";
+    let cpe = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
+    let (m32, kron) = (
+        r#"{"resolution": 32}"#,
+        r#"{"resolution": 32, "method": "kronecker"}"#,
+    );
+    let cases = [
+        // Nonlinear netlists (a `D` card) solve through /solve.
+        body(diode, "out", 0.04, m32, step),
+        // The dense Kronecker oracle has no window blocks to stream …
+        body(NETLIST, "out", 5e-3, kron, step),
+        // … and neither does a fractional step grid.
+        body(cpe, "top", 1e-6, r#"{"step_grid": [4e-7, 6e-7]}"#, step),
+        // Two channels for a one-source netlist.
+        body(NETLIST, "out", 5e-3, m32, two_steps),
+    ];
+    for stream_body in &cases {
+        let r = client::post(server.addr(), "/stream", stream_body).unwrap();
+        assert_eq!(r.status, 400, "{stream_body}\n→ {}", r.body);
+        let doc = r.json().unwrap();
+        let error = doc.get("error").and_then(Json::as_str).unwrap();
+        assert!(!error.contains("SimPlan"), "{error}");
+        let r = client::post(server.addr(), "/solve", &solve_body()).unwrap();
+        assert_eq!(r.status, 200, "{}", r.body);
     }
     server.shutdown();
 }

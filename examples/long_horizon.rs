@@ -49,8 +49,9 @@ fn main() {
 
     // Streaming: watch the charge curve go by, one window at a time.
     println!("streaming: first 5 window endpoints");
+    let wopts = WindowedOptions::new(windows);
     let final_state = plan
-        .solve_streaming(sim.inputs().unwrap(), windows, |block| {
+        .solve_streaming(sim.inputs().unwrap(), &wopts, |block| {
             if block.window < 5 {
                 let t = block.result.bounds.last().unwrap() / tau;
                 println!(
@@ -68,11 +69,11 @@ fn main() {
     );
 
     // The same plan still serves ordinary whole-horizon sweeps.
-    let runs = plan
-        .sweep(&[1.0, 5.0], |&v| {
-            opm::waveform::InputSet::new(vec![Waveform::Dc(v)])
-        })
-        .unwrap();
+    let levels: Vec<_> = [1.0, 5.0]
+        .iter()
+        .map(|&v| opm::waveform::InputSet::new(vec![Waveform::Dc(v)]))
+        .collect();
+    let runs = plan.solve_batch(&levels).unwrap();
     assert!(runs[1].output_row(0)[m - 1] > runs[0].output_row(0)[m - 1]);
 
     // Fractional models window too: the Caputo/GL memory of every
@@ -91,8 +92,9 @@ fn main() {
     let fplan = fsim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let fopts = WindowedOptions::new(100).history_len(8 * m);
     let fr = fplan
-        .solve_windowed_opts(fsim.inputs().unwrap(), &fopts)
-        .unwrap();
+        .solve_windowed_batch_opts(std::slice::from_ref(fsim.inputs().unwrap()), &fopts, 1)
+        .unwrap()
+        .remove(0);
     let fp = fplan.factor_profile();
     println!(
         "fractional: {} windows × {m} columns (8-window memory tail), \

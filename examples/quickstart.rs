@@ -56,9 +56,11 @@ fn main() {
     // A drive-level study through the SAME factorization: the plan was
     // factored once, the batch is swept through it in a single pass.
     let levels = [1.0, 2.0, 3.0, 4.0, 5.0];
-    let runs = plan
-        .sweep(&levels, |&v| InputSet::new(vec![Waveform::Dc(v)]))
-        .expect("sweeps");
+    let sets: Vec<InputSet> = levels
+        .iter()
+        .map(|&v| InputSet::new(vec![Waveform::Dc(v)]))
+        .collect();
+    let runs = plan.solve_batch(&sets).expect("sweeps");
     println!(
         "\ndrive-level sweep (one factorization, {} scenarios):",
         levels.len()
@@ -69,10 +71,8 @@ fn main() {
             run.output_row(0)[m - 1]
         );
     }
-    assert_eq!(plan.num_factorizations(), 1);
-    println!(
-        "factorizations performed by the plan: {}",
-        plan.num_factorizations()
-    );
+    let factorizations = plan.factor_profile().num_factorizations();
+    assert_eq!(factorizations, 1);
+    println!("factorizations performed by the plan: {factorizations}");
     println!("OK — OPM matches the analytic charge curve.");
 }

@@ -46,7 +46,8 @@ fn main() {
     let sim = Simulation::from_system(model.system.clone()).horizon(t_end);
     let plan = sim.plan(&opts).expect("plans");
     let t0 = Instant::now();
-    let planned = plan.sweep(&rises, stimulus).expect("sweeps");
+    let sets: Vec<InputSet> = rises.iter().map(stimulus).collect();
+    let planned = plan.solve_batch(&sets).expect("sweeps");
     let plan_s = t0.elapsed().as_secs_f64();
 
     // Same numbers, different cost.
@@ -64,12 +65,12 @@ fn main() {
     println!("naive loop : {naive_s:.3} s  ({naive_factorizations} factorizations)");
     println!(
         "plan sweep : {plan_s:.3} s  ({} factorization)",
-        plan.num_factorizations()
+        plan.factor_profile().num_factorizations()
     );
     println!(
         "speedup    : {:.1}×   max |Δ| = {worst:.2e}",
         naive_s / plan_s
     );
-    assert_eq!(plan.num_factorizations(), 1);
+    assert_eq!(plan.factor_profile().num_factorizations(), 1);
     assert!(worst < 1e-12, "batch must reproduce the loop exactly");
 }

@@ -50,11 +50,12 @@
 //!
 //! // …and a whole drive-level study reuses the same factorization,
 //! // swept through the pencil in a single multi-RHS pass.
-//! let levels = [1.0, 2.0, 3.0, 4.0];
-//! let runs = plan
-//!     .sweep(&levels, |&v| InputSet::new(vec![Waveform::Dc(v)]))
-//!     .unwrap();
-//! assert_eq!(plan.num_factorizations(), 1);
+//! let levels: Vec<InputSet> = [1.0, 2.0, 3.0, 4.0]
+//!     .iter()
+//!     .map(|&v| InputSet::new(vec![Waveform::Dc(v)]))
+//!     .collect();
+//! let runs = plan.solve_batch(&levels).unwrap();
+//! assert_eq!(plan.factor_profile().num_factorizations(), 1);
 //! assert!(runs[3].output_row(0)[511] > runs[0].output_row(0)[511]);
 //! ```
 //!

@@ -51,8 +51,8 @@ fn hit_equals_miss_bit_identity() {
     let s = cache.stats();
     assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
     // One plan, factored once, for both solves.
-    assert_eq!(warm.num_symbolic(), 1);
-    assert_eq!(warm.num_factorizations(), 1);
+    assert_eq!(warm.factor_profile().num_symbolic, 1);
+    assert_eq!(warm.factor_profile().num_factorizations(), 1);
 }
 
 /// Eviction is least-recently-used: touching an old entry saves it and
@@ -150,6 +150,6 @@ fn concurrent_hits_share_one_factorization() {
     // The shared plan factored once, total, across all four requests.
     let sim = ladder_sim(6, 1e3, 1e-9);
     let plan = cache.get_or_plan(&sim, &opts).unwrap();
-    assert_eq!(plan.num_symbolic(), 1);
-    assert_eq!(plan.num_factorizations(), 1);
+    assert_eq!(plan.factor_profile().num_symbolic, 1);
+    assert_eq!(plan.factor_profile().num_factorizations(), 1);
 }

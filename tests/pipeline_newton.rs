@@ -1,5 +1,5 @@
 //! Integration: the nonlinear Newton solve path end to end — netlist
-//! with `D`/`M` cards → [`Simulation`] → [`SimPlan::solve_newton`] —
+//! with `D`/`M` cards → [`Simulation`] → [`SimPlan::solve_newton_windowed`] —
 //! pinned against the dense Newton–backward-Euler reference in
 //! `opm::transient::newton`, plus the factorization-economy and
 //! linear-degeneration contracts of the ISSUE acceptance criteria.
@@ -121,7 +121,7 @@ fn windowed_rectifier_costs_one_symbolic_factorization() {
 
 #[test]
 fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
-    // Fixed-seed randomized RC meshes: `solve_newton` on a device-free
+    // Fixed-seed randomized RC meshes: one-window Newton on a device-free
     // plan must *delegate* to the linear recurrence — bit-identical
     // columns, one booked iteration per column, one booked window, no
     // extra factorization.
@@ -150,7 +150,9 @@ fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
         let before = plan.factor_profile();
         let linear = plan.solve(inputs).unwrap();
         let mid = plan.factor_profile();
-        let newton = plan.solve_newton(inputs, &NewtonOptions::new()).unwrap();
+        let newton = plan
+            .solve_newton_windowed(inputs, 1, &NewtonOptions::new())
+            .unwrap();
         let after = plan.factor_profile();
 
         for j in 0..m {
@@ -172,7 +174,7 @@ fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
         );
         assert_eq!(after.newton_fresh_fallbacks, 0, "case {case}");
         assert_eq!(before.newton_iters, 0, "case {case}");
-        // `solve_newton` is the one-window Newton solve, and books it.
+        // The one-window Newton solve books its window.
         assert_eq!(mid.num_windows, 0, "case {case}");
         assert_eq!(after.num_windows, 1, "case {case}");
     }

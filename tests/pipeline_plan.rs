@@ -6,7 +6,7 @@ use opm::circuits::ladder::rc_ladder;
 use opm::circuits::mna::{assemble_fractional_mna, assemble_mna, Output};
 use opm::circuits::parser::parse_netlist;
 use opm::waveform::{InputSet, Waveform};
-use opm::{SimModel, Simulation, SolveOptions};
+use opm::{SimModel, Simulation, SolveOptions, WindowedOptions};
 
 /// Factor-reuse observability: a 50-scenario batch factors the pencil
 /// exactly once, where the naive loop factors 50 times.
@@ -32,7 +32,7 @@ fn batch_of_fifty_factors_once() {
     let runs = plan.solve_batch(&sets).unwrap();
     assert_eq!(runs.len(), 50);
     assert_eq!(
-        plan.num_factorizations(),
+        plan.factor_profile().num_factorizations(),
         1,
         "one factorization for 50 scenarios"
     );
@@ -108,7 +108,7 @@ fn batch_equals_loop_to_1e12() {
             );
         }
     }
-    assert_eq!(fplan.num_factorizations(), 1);
+    assert_eq!(fplan.factor_profile().num_factorizations(), 1);
 }
 
 /// The parallel batch runtime must be *bit-identical* to the serial
@@ -143,8 +143,9 @@ fn batch_threads_1_and_4_are_bit_identical() {
         .collect();
     let sim = Simulation::from_second_order(na.system).horizon(5e-9);
     let plan = sim.plan(&SolveOptions::new().resolution(64)).unwrap();
-    let t1 = plan.solve_batch_with_threads(&sets, 1).unwrap();
-    let t4 = plan.solve_batch_with_threads(&sets, 4).unwrap();
+    let whole = WindowedOptions::new(1);
+    let t1 = plan.solve_windowed_batch_opts(&sets, &whole, 1).unwrap();
+    let t4 = plan.solve_windowed_batch_opts(&sets, &whole, 4).unwrap();
     let mut max_abs_delta = 0.0f64;
     for (a, b) in t1.iter().zip(&t4) {
         for (ra, rb) in a.outputs.iter().zip(&b.outputs) {
@@ -177,8 +178,8 @@ fn batch_threads_1_and_4_are_bit_identical() {
     let fsets: Vec<InputSet> = (0..6)
         .map(|s| InputSet::new(vec![Waveform::Dc(0.5 + s as f64)]))
         .collect();
-    let f1 = fplan.solve_batch_with_threads(&fsets, 1).unwrap();
-    let f4 = fplan.solve_batch_with_threads(&fsets, 4).unwrap();
+    let f1 = fplan.solve_windowed_batch_opts(&fsets, &whole, 1).unwrap();
+    let f4 = fplan.solve_windowed_batch_opts(&fsets, &whole, 4).unwrap();
     for (a, b) in f1.iter().zip(&f4) {
         for (ra, rb) in a.outputs.iter().zip(&b.outputs) {
             for (va, vb) in ra.iter().zip(rb) {
@@ -308,16 +309,18 @@ fn power_grid_sweep_reuses_factorization() {
     let sim = Simulation::from_second_order(na.system).horizon(t_end);
     let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let peaks = [1e-3, 2e-3, 4e-3];
-    let runs = plan
-        .sweep(&peaks, |&peak| {
+    let sets: Vec<InputSet> = peaks
+        .iter()
+        .map(|&peak| {
             InputSet::new(
                 (0..num_loads)
                     .map(|_| Waveform::pulse(0.0, peak, 1e-9, 0.2e-9, 1e-9, 0.2e-9, 0.0))
                     .collect(),
             )
         })
-        .unwrap();
-    assert_eq!(plan.num_factorizations(), 1);
+        .collect();
+    let runs = plan.solve_batch(&sets).unwrap();
+    assert_eq!(plan.factor_profile().num_factorizations(), 1);
     // Linear scaling in the load peak (the grid model is linear).
     for j in 8..m {
         let a = runs[0].output_row(0)[j];
@@ -360,7 +363,7 @@ fn streaming_job(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
     let opts = opm::WindowedOptions::new(8).history_len(64);
     let mut bits = Vec::new();
     let end = plan
-        .solve_streaming_opts(inputs, &opts, |block| {
+        .solve_streaming(inputs, &opts, |block| {
             bits.extend(result_bits(&block.result));
             bits.extend(block.end_state.iter().map(|v| v.to_bits()));
         })

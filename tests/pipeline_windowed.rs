@@ -26,6 +26,14 @@ L1 mid out 10mH
 C1 out 0 1uF
 .end";
 
+/// One scenario through [`SimPlan::solve_windowed_batch_opts`].
+fn windowed_opts(plan: &SimPlan, inputs: &InputSet, opts: &WindowedOptions) -> opm::OpmResult {
+    let mut out = plan
+        .solve_windowed_batch_opts(std::slice::from_ref(inputs), opts, 1)
+        .unwrap();
+    out.pop().unwrap()
+}
+
 fn max_abs_output_delta(a: &opm::OpmResult, b: &opm::OpmResult) -> f64 {
     assert_eq!(a.outputs.len(), b.outputs.len());
     let mut worst = 0.0f64;
@@ -115,7 +123,9 @@ fn streaming_concatenation_equals_windowed() {
 
     let mut blocks = Vec::new();
     let final_state = plan
-        .solve_streaming(inputs, windows, |block| blocks.push(block))
+        .solve_streaming(inputs, &WindowedOptions::new(windows), |block| {
+            blocks.push(block)
+        })
         .unwrap();
 
     assert_eq!(blocks.len(), windows);
@@ -173,7 +183,9 @@ fn windowed_batch_equals_loop_bitwise() {
         })
         .collect();
 
-    let batch = plan.solve_windowed_batch(&sets, windows).unwrap();
+    let batch = plan
+        .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), 1)
+        .unwrap();
     assert_eq!(batch.len(), sets.len());
     for (set, b) in sets.iter().zip(&batch) {
         let single = plan.solve_windowed(set, windows).unwrap();
@@ -181,7 +193,7 @@ fn windowed_batch_equals_loop_bitwise() {
     }
     for threads in [1, 2, 4, 16] {
         let par = plan
-            .solve_windowed_batch_with_threads(&sets, windows, threads)
+            .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), threads)
             .unwrap();
         for (a, b) in batch.iter().zip(&par) {
             assert_eq!(a.columns, b.columns, "threads={threads}");
@@ -299,7 +311,7 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
         .solve(&stim)
         .unwrap();
     let opts = WindowedOptions::new(windows).history_len(3 * m);
-    let truncated = plan.solve_windowed_opts(&stim, &opts).unwrap();
+    let truncated = windowed_opts(&plan, &stim, &opts);
     let full_b = plan.solve_windowed(&stim, windows).unwrap();
     let tdelta = max_abs_output_delta(&truncated, &whole_b);
     assert!(
@@ -327,7 +339,7 @@ fn fractional_streaming_and_batch_match_windowed() {
 
     let windowed = plan.solve_windowed(inputs, windows).unwrap();
     let mut concat_cols: Vec<Vec<f64>> = Vec::new();
-    plan.solve_streaming(inputs, windows, |block| {
+    plan.solve_streaming(inputs, &WindowedOptions::new(windows), |block| {
         assert_eq!(block.result.num_intervals(), m);
         concat_cols.extend(block.result.columns.iter().cloned());
     })
@@ -337,14 +349,16 @@ fn fractional_streaming_and_batch_match_windowed() {
     let sets: Vec<InputSet> = (0..5)
         .map(|i| InputSet::new(vec![Waveform::step(0.2e-6, 1.0 + 0.4 * i as f64)]))
         .collect();
-    let batch = plan.solve_windowed_batch(&sets, windows).unwrap();
+    let batch = plan
+        .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), 1)
+        .unwrap();
     for (set, b) in sets.iter().zip(&batch) {
         let single = plan.solve_windowed(set, windows).unwrap();
         assert_eq!(single.columns, b.columns, "batch must equal the loop");
     }
     for threads in [1, 2, 4, 16] {
         let par = plan
-            .solve_windowed_batch_with_threads(&sets, windows, threads)
+            .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), threads)
             .unwrap();
         for (a, b) in batch.iter().zip(&par) {
             assert_eq!(a.columns, b.columns, "threads={threads}");
@@ -389,7 +403,7 @@ fn fractional_ladder_batch_is_bit_identical_across_threads() {
     ] {
         let looped: Vec<Vec<u64>> = sets
             .iter()
-            .map(|set| bits(&plan.solve_windowed_opts(set, &opts).unwrap()))
+            .map(|set| bits(&windowed_opts(&plan, set, &opts)))
             .collect();
         for threads in [1, 2, 3, 8] {
             let batch = plan
@@ -432,7 +446,7 @@ fn short_memory_error_decreases_monotonically() {
 
         let err_at = |cap: usize| {
             let opts = WindowedOptions::new(windows).history_len(cap);
-            let r = plan.solve_windowed_opts(inputs, &opts).unwrap();
+            let r = windowed_opts(&plan, inputs, &opts);
             max_abs_output_delta(&r, &full)
         };
         // Ladder of tails: 1, 2, 4 windows' worth of memory.
@@ -450,7 +464,7 @@ fn short_memory_error_decreases_monotonically() {
         );
         // A tail covering the horizon IS the full solve.
         let opts = WindowedOptions::new(windows).history_len(m * windows);
-        let covered = plan.solve_windowed_opts(inputs, &opts).unwrap();
+        let covered = windowed_opts(&plan, inputs, &opts);
         assert_eq!(covered.columns, full.columns, "case {case}");
     }
 }
@@ -562,13 +576,21 @@ fn two_state() -> opm::system::DescriptorSystem {
         .unwrap()
 }
 
-/// The whole horizon is the one-window case of the window loop: on every
-/// uniform plan kind, `solve`/`solve_batch`/`solve_coeffs` equal
-/// `solve_windowed(…, 1)` bit for bit, and neither costs more than the
-/// plan's own symbolic analysis (1 symbolic + 0 numeric).
+/// `W = 1` is the whole horizon on every plan kind: the uniform ones,
+/// and the Kronecker, adaptive and step-grid plans that cannot window
+/// further. `solve` ≡ `solve_batch(..)[0]` ≡ `solve_windowed(.., 1)` ≡
+/// `solve_windowed_batch_opts(.., W = 1, threads)` ≡ linear
+/// `solve_newton_windowed(.., 1, ..)` ≡ `solve_coeffs` (where the
+/// projection is the plain BPF matrix), bit for bit, and the uniform
+/// kinds' streamed blocks concatenate to `solve_windowed`. Uniform plans
+/// never cost more than their own symbolic analysis (1 symbolic + 0
+/// numeric); no kind factors anything for a repeated whole-horizon
+/// solve. `solve`/`solve_batch` book no window; every windowed and
+/// Newton call books its `W`.
 #[test]
 fn whole_horizon_is_the_one_window_solve() {
-    use opm::core::Method;
+    use opm::core::adaptive::{geometric_grid, AdaptiveOpmOptions};
+    use opm::core::{Method, NewtonOptions};
     use opm::system::{MultiTermSystem, Term};
     let (m, t_end) = (32, 3.0);
     let two = |s: usize| {
@@ -609,6 +631,9 @@ fn whole_horizon_is_the_one_window_solve() {
     let na = assemble_na(&grid.build(), &[]).unwrap();
     let linear = Simulation::from_system(two_state()).horizon(t_end);
     let with_x0 = linear.clone().initial_state(vec![1.5, -0.5]);
+    let cpe = Simulation::from_netlist(RC_CPE, &["top"])
+        .unwrap()
+        .horizon(1e-6);
     let opts = SolveOptions::new().resolution(m);
     // (case, session, options, stimulus per scenario, projection is
     // the plain BPF matrix so `solve_coeffs` can stand in for `solve`)
@@ -630,20 +655,12 @@ fn whole_horizon_is_the_one_window_solve() {
         ),
         (
             "linear via Convolution",
-            linear,
+            linear.clone(),
             opts.clone().method(Method::Convolution),
             Box::new(two),
             false,
         ),
-        (
-            "fractional",
-            Simulation::from_netlist(RC_CPE, &["top"])
-                .unwrap()
-                .horizon(1e-6),
-            opts.clone(),
-            Box::new(one),
-            true,
-        ),
+        ("fractional", cpe.clone(), opts.clone(), Box::new(one), true),
         (
             "multi-term convolution",
             Simulation::from_multiterm(mixture).horizon(t_end),
@@ -681,17 +698,51 @@ fn whole_horizon_is_the_one_window_solve() {
             }),
             false,
         ),
+        (
+            "Kronecker",
+            linear.clone(),
+            opts.clone().method(Method::Kronecker),
+            Box::new(two),
+            true,
+        ),
+        (
+            "adaptive",
+            linear,
+            SolveOptions::new().adaptive(AdaptiveOpmOptions {
+                tol: 1e-3,
+                h0: 1.0 / 64.0,
+                ..Default::default()
+            }),
+            Box::new(two),
+            false,
+        ),
+        (
+            "step-grid",
+            cpe,
+            SolveOptions::new().step_grid(geometric_grid(1e-6, m, 1.2)),
+            Box::new(one),
+            false,
+        ),
     ];
+    let whole_horizon_kinds = ["Kronecker", "adaptive", "step-grid"];
     for (name, sim, opts, stimulus, bpf) in &cases {
         let sets: Vec<InputSet> = (0..6).map(stimulus).collect();
         let plan = sim.plan(opts).unwrap();
+        let windows_booked = || plan.factor_profile().num_windows;
         let whole = plan.solve(&sets[0]).unwrap();
+        let first = plan.factor_profile();
+        let batch = plan.solve_batch(&sets).unwrap();
+        assert_eq!(bits(&batch[0]), bits(&whole), "{name}: batch vs single");
+        assert_eq!(
+            windows_booked(),
+            0,
+            "{name}: solve/solve_batch book no window"
+        );
         let windowed = plan.solve_windowed(&sets[0], 1).unwrap();
         assert_eq!(bits(&whole), bits(&windowed), "{name}: solve vs W = 1");
-        for threads in [1, 4] {
-            let batch = plan.solve_batch_with_threads(&sets, threads).unwrap();
+        for threads in [1, 2, 4] {
             let wbatch = plan
-                .solve_windowed_batch_with_threads(&sets, 1, threads)
+                .solve_windowed_batch_opts(&sets, &WindowedOptions::new(1), threads)
                 .unwrap();
             for (s, (b, w)) in batch.iter().zip(&wbatch).enumerate() {
                 assert_eq!(
@@ -700,8 +751,20 @@ fn whole_horizon_is_the_one_window_solve() {
                     "{name}: batch lane {s}, {threads} threads"
                 );
             }
-            assert_eq!(bits(&batch[0]), bits(&whole), "{name}: batch vs single");
         }
+        let newton = plan
+            .solve_newton_windowed(&sets[0], 1, &NewtonOptions::new())
+            .unwrap();
+        assert_eq!(
+            bits(&newton),
+            bits(&whole),
+            "{name}: linear Newton at W = 1"
+        );
+        assert_eq!(
+            windows_booked(),
+            5,
+            "{name}: windowed and Newton calls book W"
+        );
         if *bpf {
             let u = sets[0].bpf_matrix(m, plan.horizon());
             let coeffs = plan.solve_coeffs(&u).unwrap();
@@ -710,8 +773,25 @@ fn whole_horizon_is_the_one_window_solve() {
         let p = plan.factor_profile();
         assert_eq!(
             (p.num_symbolic, p.num_numeric),
-            (1, 0),
-            "{name}: the whole horizon reuses the plan's own factorization"
+            (first.num_symbolic, first.num_numeric),
+            "{name}: a repeated whole-horizon solve factors nothing"
         );
+        if !whole_horizon_kinds.contains(name) {
+            assert_eq!(
+                (p.num_symbolic, p.num_numeric),
+                (1, 0),
+                "{name}: the whole horizon reuses the plan's own factorization"
+            );
+            for windows in [1, 3] {
+                let windowed = plan.solve_windowed(&sets[0], windows).unwrap();
+                let mut columns = Vec::new();
+                let wopts = WindowedOptions::new(windows);
+                plan.solve_streaming(&sets[0], &wopts, |block| {
+                    columns.extend(block.result.columns)
+                })
+                .unwrap();
+                assert_eq!(columns, windowed.columns, "{name}: {windows} window(s)");
+            }
+        }
     }
 }
