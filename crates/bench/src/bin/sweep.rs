@@ -240,11 +240,12 @@ fn main() {
     //     all 64 shifts numerically against it, so the refactor record
     //     measures pure numeric-only work on a single worker (the
     //     algorithmic split, not parallelism).
-    let (family, head) = PencilFamily::new(e, a, sigmas[0]).unwrap();
+    let weights: Vec<[f64; 2]> = sigmas.iter().map(|&s| [s, -1.0]).collect();
+    let (family, head) = PencilFamily::new(&[e, a], &weights[0]).unwrap();
     let mut family_lus = vec![head];
-    family_lus.extend(family.factor_all(&sigmas[1..], 1).unwrap());
+    family_lus.extend(family.factor_all(&weights[1..], 1).unwrap());
     let fam_profile = family.profile();
-    let (_, refac_s) = timed_best(3, || family.factor_all(&sigmas, 1).unwrap());
+    let (_, refac_s) = timed_best(3, || family.factor_all(&weights, 1).unwrap());
     let refac_speedup = fresh_s / refac_s;
     let nn = mna.system.order();
     let probe: Vec<f64> = (0..nn).map(|i| ((i * 7 % 23) as f64) - 11.0).collect();

@@ -15,6 +15,7 @@
 //! diagonal `(2/h_j)^α`, hence its own factorization — the
 //! eigendecomposition route of the paper has the same property.
 
+use crate::cache::PatternCache;
 use crate::engine::{apply_b, apply_b_column, reconstruct_outputs, PencilFamily};
 use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
@@ -73,6 +74,12 @@ fn clamp_step(h: f64, t: f64, t_end: f64, opts: &AdaptiveOpmOptions) -> f64 {
     h
 }
 
+/// The pencil weights `(2/h, −1)` on `(E, A)` of lattice exponent `exp`
+/// (step `h = 2^exp`).
+fn lattice_weights(exp: i32) -> [f64; 2] {
+    [2.0 / 2.0f64.powi(exp), -1.0]
+}
+
 /// An adaptive plan's step lattice: one pencil `(2/h)·E − A` per
 /// power-of-two exponent, factored on first use through the
 /// single-flight [`GateCache`] and shared by every scenario — and every
@@ -89,7 +96,8 @@ pub(crate) struct StepLattice {
 
 impl StepLattice {
     /// Validates the step options and records the family's analysis at
-    /// the first step the controller will take on `[0, t_end)`.
+    /// the first step the controller will take on `[0, t_end)` — through
+    /// the plan cache's pattern tier when `patterns` is given.
     ///
     /// # Errors
     /// [`OpmError::BadArguments`] on inconsistent step options,
@@ -98,12 +106,14 @@ impl StepLattice {
         sys: &DescriptorSystem,
         t_end: f64,
         opts: &AdaptiveOpmOptions,
+        patterns: Option<&PatternCache>,
     ) -> Result<Self, OpmError> {
         if !(opts.h0 > 0.0 && opts.h_min > 0.0 && opts.h_max >= opts.h0 && t_end > 0.0) {
             return Err(OpmError::BadArguments("inconsistent step options".into()));
         }
         let exp = lattice_exp(clamp_step(quantize(opts.h0), 0.0, t_end, opts));
-        let (family, lu) = PencilFamily::new(sys.e(), sys.a(), 2.0 / 2.0f64.powi(exp))?;
+        let (family, lu) =
+            PencilFamily::recorded_in(&[sys.e(), sys.a()], &lattice_weights(exp), patterns)?;
         // Every exponent the controller can reach: the quantized range,
         // plus one below it (the end-of-horizon halving may step under
         // `quantize(h_min)`), so nothing is ever evicted.
@@ -128,7 +138,7 @@ impl StepLattice {
             if exp == self.first.0 {
                 return Ok(Arc::clone(&self.first.1));
             }
-            self.family.factor(2.0 / 2.0f64.powi(exp)).map(Arc::new)
+            self.family.factor(&lattice_weights(exp)).map(Arc::new)
         })?;
         Ok((lu, !hit))
     }
@@ -306,8 +316,10 @@ impl StepGridFactors {
 
 /// Builds and factors every per-column pencil of a distinct-step grid —
 /// the expensive half of a step-grid solve
-/// ([`crate::SolveOptions::step_grid`]), independent of the stimulus. All columns share one [`PencilFamily`] (pattern,
-/// ordering and symbolic analysis paid once), and the per-column numeric
+/// ([`crate::SolveOptions::step_grid`]), independent of the stimulus.
+/// All columns share one [`PencilFamily`] (pattern, ordering and
+/// symbolic analysis paid once, or replayed from the plan cache's
+/// pattern tier when `patterns` is given), and the per-column numeric
 /// refactorizations — independent of each other — run in parallel on the
 /// [`opm_par::default_threads`] workers. Note this *prepare-time*
 /// parallelism is governed solely by `OPM_THREADS` (it happens inside
@@ -321,6 +333,7 @@ impl StepGridFactors {
 pub(crate) fn prepare_step_grid(
     fsys: &FractionalSystem,
     grid: &AdaptiveBpf,
+    patterns: Option<&PatternCache>,
 ) -> Result<StepGridFactors, OpmError> {
     let sys = fsys.system();
     let m = grid.dim();
@@ -334,7 +347,7 @@ pub(crate) fn prepare_step_grid(
 
     let mut inc = AdaptiveBpf::incremental_frac_diff(fsys.alpha(), m);
     let mut f_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
-    let mut diags: Vec<f64> = Vec::with_capacity(m);
+    let mut weights: Vec<[f64; 2]> = Vec::with_capacity(m);
     for j in 0..m {
         inc.append_column(&grid.diff_column(j))
             .map_err(|e| OpmError::ConfluentSteps(format!("{e}")))?;
@@ -351,7 +364,7 @@ pub(crate) fn prepare_step_grid(
             }
         }
         f_cols.push((0..=j).map(|i| inc.value(i, j)).collect());
-        diags.push(inc.value(j, j));
+        weights.push([inc.value(j, j), -1.0]);
     }
 
     // (F[j,j]·E − A)·x_j = B·u_j − E·Σ_{i<j} F[i,j]·x_i — one pencil per
@@ -360,12 +373,12 @@ pub(crate) fn prepare_step_grid(
         OpmError::SingularPencil(s) => OpmError::SingularPencil(format!("column {j}: {s}")),
         other => other,
     };
-    let (family, head) =
-        PencilFamily::new(sys.e(), sys.a(), diags[0]).map_err(|e| at_column(0, e))?;
+    let (family, head) = PencilFamily::recorded_in(&[sys.e(), sys.a()], &weights[0], patterns)
+        .map_err(|e| at_column(0, e))?;
     let mut lus = vec![head];
     lus.extend(
         family
-            .factor_all(&diags[1..], opm_par::default_threads())
+            .factor_all(&weights[1..], opm_par::default_threads())
             .map_err(|(j, e)| at_column(j + 1, e))?,
     );
     Ok(StepGridFactors {
@@ -466,7 +479,7 @@ mod tests {
             h0: 1.0 / 8.0,
             ..Default::default()
         };
-        let lattice = StepLattice::new(&sys, 1.0, &opts).unwrap();
+        let lattice = StepLattice::new(&sys, 1.0, &opts, None).unwrap();
         lattice.get(-3).unwrap();
         lattice.get(-3).unwrap();
         lattice.get(-4).unwrap();

@@ -11,13 +11,14 @@
 //!
 //! - [`validate_coeff_inputs`] / [`validate_horizon`] — argument checks;
 //! - [`factor_pencil`] — AMD-ordered sparse LU with error mapping;
-//! - [`PencilFamily`] — the many-pencil hot path: one union pattern, one
-//!   AMD ordering and one symbolic analysis — recorded when the family
-//!   is built, or replayed from another plan on the same pattern through
-//!   the plan cache's pattern tier ([`crate::cache`]) — shared by every
-//!   shift `σ·E − A`, with numeric-only refactorization per shift
-//!   ([`PencilFamily::factor`]) and a parallel batch form
-//!   ([`PencilFamily::factor_all`]);
+//! - [`PencilFamily`] — every pencil a plan factors: the weighted sum
+//!   `Σ_k w_k·A_k` over one union pattern, one AMD ordering and one
+//!   symbolic analysis — recorded when the family is built, or replayed
+//!   from another plan on the same pattern through the plan cache's
+//!   pattern tier ([`crate::cache`]) — with numeric-only refactorization
+//!   per weight vector ([`PencilFamily::factor`]) and a parallel batch
+//!   form ([`PencilFamily::factor_all`]). A shift `σ·E − A` is the
+//!   two-term case with weights `(σ, −1)`;
 //! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
 //!   right-hand side (single scenario or an interleaved lane block);
 //! - [`BlockColumnSweep`] — the cached-factorization column solve loop,
@@ -145,26 +146,6 @@ pub fn factor_pencil(pencil: &CsrMatrix) -> Result<SparseLu, OpmError> {
     SparseLu::factor(&pencil.to_csc(), Some(&order)).map_err(singular)
 }
 
-/// Builds and factors the two-matrix pencil `σ·E − A`.
-///
-/// This is the **one-shot** form, deliberately kept free of any
-/// symbolic-reuse machinery: a single factorization cannot amortize an
-/// analysis, so it pays exactly one pattern union and one pivoted
-/// factor. Call sites that factor *many* shifts of one `(E, A)` pair —
-/// step grids, the adaptive lattice — go through [`PencilFamily`],
-/// which shares the CSC pattern, AMD ordering and symbolic analysis
-/// across all of them.
-///
-/// # Errors
-/// As [`factor_pencil`].
-pub fn factor_shifted_pencil(
-    e: &CsrMatrix,
-    a: &CsrMatrix,
-    sigma: f64,
-) -> Result<SparseLu, OpmError> {
-    factor_pencil(&e.lin_comb(sigma, -1.0, a))
-}
-
 // ---------------------------------------------------------------------------
 // Recorded analyses: one symbolic LU replayed against many value sets
 // ---------------------------------------------------------------------------
@@ -225,114 +206,25 @@ impl PatternAnalysis {
     }
 }
 
-/// One pencil's recorded analysis — its [`PatternAnalysis`], recorded
-/// for this pencil or replayed from another pencil on the same pattern
-/// — plus relaxed counters of the factorizations replayed against it.
-/// Immutable once recorded, so any number of threads can refactor
-/// through it at once.
-pub(crate) struct PencilAnalysis {
-    shared: Arc<PatternAnalysis>,
-    /// Symbolic analyses the recording itself paid: 1, or 0 when the
-    /// pattern tier's exact replay stood in for it.
-    recorded: usize,
-    /// Fresh pivoted factorizations forced by pivot degradation.
-    fallbacks: AtomicUsize,
-    /// Numeric-only refactorizations (the exact replay included).
-    numeric: AtomicUsize,
-}
-
-impl PencilAnalysis {
-    /// Factors `csc` and records its analysis: through `patterns` when
-    /// given — an exact numeric replay of an analysis already recorded
-    /// on this pattern, bit-identical to the fresh factorization it
-    /// replaces (see [`crate::cache`]) — else AMD + a fresh symbolic
-    /// factorization.
-    fn record(
-        csc: &CscMatrix,
-        patterns: Option<&PatternCache>,
-    ) -> Result<(Self, SparseLu), OpmError> {
-        let (shared, lu, replayed) = match patterns {
-            Some(tier) => tier.factor(csc)?,
-            None => {
-                let (analysis, lu) = PatternAnalysis::record(csc)?;
-                (Arc::new(analysis), lu, false)
-            }
-        };
-        let analysis = PencilAnalysis {
-            shared,
-            recorded: usize::from(!replayed),
-            fallbacks: AtomicUsize::new(0),
-            numeric: AtomicUsize::new(usize::from(replayed)),
-        };
-        Ok((analysis, lu))
-    }
-
-    /// Factors a CSR pencil and records its analysis — the multi-term
-    /// plans' entry point.
-    pub(crate) fn of_pencil(
-        pencil: &CsrMatrix,
-        patterns: Option<&PatternCache>,
-    ) -> Result<(Self, SparseLu), OpmError> {
-        Self::record(&pencil.to_csc(), patterns)
-    }
-
-    /// The one refactor-with-fallback path: a numeric-only
-    /// [`SparseLu::refactor`] of `values` (laid out on `pattern`, the
-    /// recorded pattern), and on [`SparseError::PivotDegraded`] a fresh
-    /// pivoted factorization of the same values under the recorded
-    /// ordering. The recorded analysis itself never changes, so the
-    /// factor for a value set does not depend on which thread asks or
-    /// when. Returns the factor and whether it fell back.
-    ///
-    /// # Errors
-    /// [`OpmError::SingularPencil`] when the values are singular.
-    pub(crate) fn refactor(
-        &self,
-        pattern: &CscMatrix,
-        values: &[f64],
-    ) -> Result<(SparseLu, bool), OpmError> {
-        match SparseLu::refactor(&self.shared.symbolic, values) {
-            Ok(lu) => {
-                self.numeric.fetch_add(1, Ordering::Relaxed);
-                Ok((lu, false))
-            }
-            Err(SparseError::PivotDegraded(_)) => {
-                let mut csc = pattern.clone();
-                csc.values_mut().copy_from_slice(values);
-                let lu = SparseLu::factor(&csc, Some(&self.shared.order)).map_err(singular)?;
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                Ok((lu, true))
-            }
-            Err(e) => Err(singular(e)),
-        }
-    }
-
-    /// Counter snapshot: the recording (unless replayed) and every
-    /// fallback are symbolic, the rest numeric.
-    pub(crate) fn profile(&self) -> FactorProfile {
-        FactorProfile {
-            num_symbolic: self.recorded + self.fallbacks.load(Ordering::Relaxed),
-            num_numeric: self.numeric.load(Ordering::Relaxed),
-            ..FactorProfile::default()
-        }
-    }
-}
-
-/// The shifted-pencil family `σ·E − A` over all shifts, with everything
-/// shift-independent paid **once**, when the family is built: the union
-/// CSC pattern ([`ShiftedPencil`]), the AMD fill-reducing ordering, and
-/// the symbolic analysis ([`SymbolicLu`]: fill pattern, pivot order,
-/// elimination reach) recorded by factoring the reference shift. A
-/// family built through a [`crate::PlanCache`] takes the ordering and
-/// analysis from the cache's pattern tier when another plan already
-/// recorded them on this pattern, and pays only an exact numeric replay
-/// of the reference shift — bit-identical to recording it afresh. Every
-/// further shift is a numeric-only [`SparseLu::refactor`], with an
-/// automatic fall back to a fresh pivoted factorization when a fixed
-/// pivot degrades past [`LuOptions::refactor_threshold`]. Fallbacks do
-/// not replace the recorded analysis, so the factors produced for a
-/// given shift are independent of the order — or the thread — in which
-/// shifts are requested.
+/// The weighted pencil family `Σ_k w_k·A_k` over all weight vectors —
+/// every pencil a plan factors: a window count, a lattice step, a
+/// step-grid column or a Newton iterate is just a weight vector, and a
+/// shift `σ·E − A` is the two-term case with weights `(σ, −1)`.
+/// Everything weight-independent is paid **once**, when the family is
+/// built: the union CSC pattern ([`ShiftedPencil`]), the AMD
+/// fill-reducing ordering, and the symbolic analysis ([`SymbolicLu`]:
+/// fill pattern, pivot order, elimination reach) recorded by factoring
+/// the reference weights. A family built through a [`crate::PlanCache`]
+/// takes the ordering and analysis from the cache's pattern tier when
+/// another plan already recorded them on this pattern, and pays only an
+/// exact numeric replay of the reference weights — bit-identical to
+/// recording it afresh. Every further weight vector is a numeric-only
+/// [`SparseLu::refactor`], with an automatic fall back to a fresh
+/// pivoted factorization when a fixed pivot degrades past
+/// [`LuOptions::refactor_threshold`]. Fallbacks do not replace the
+/// recorded analysis, so the factors produced for given weights are
+/// independent of the order — or the thread — in which they are
+/// requested.
 ///
 /// # Thread safety
 ///
@@ -345,26 +237,38 @@ impl PencilAnalysis {
 /// yet); once they finish it is exact.
 pub struct PencilFamily {
     pencil: ShiftedPencil,
-    analysis: PencilAnalysis,
+    /// The recorded analysis, shared by `Arc` with the pattern tier when
+    /// the family was built through one.
+    shared: Arc<PatternAnalysis>,
     /// Statistics of the reference factorization, set once: every
     /// refactorization shares its pattern, so they hold for the whole
-    /// family.
+    /// family. `num_symbolic` is what the recording itself paid: 1, or
+    /// 0 when the pattern tier's exact replay stood in for it.
     reference: FactorProfile,
+    /// Numeric-only refactorizations (the exact replay included).
+    numeric: AtomicUsize,
+    /// Fresh pivoted factorizations forced by pivot degradation.
+    fallbacks: AtomicUsize,
     newton_iters: AtomicUsize,
     newton_refactors: AtomicUsize,
     newton_fresh_fallbacks: AtomicUsize,
 }
 
 impl PencilFamily {
-    /// Assembles the union pattern of `E` and `A`, computes the AMD
-    /// ordering and factors the reference shift `σ₀·E − A`, recording
-    /// the analysis every later shift replays. Returns the family and
-    /// the reference factor.
+    /// Assembles the union pattern of `terms`, computes the AMD ordering
+    /// and factors the reference pencil `Σ_k weights[k]·terms[k]`,
+    /// recording the analysis every later weight vector replays. Returns
+    /// the family and the reference factor.
     ///
     /// # Errors
-    /// [`OpmError::SingularPencil`] when `σ₀·E − A` is singular.
-    pub fn new(e: &CsrMatrix, a: &CsrMatrix, sigma0: f64) -> Result<(Self, SparseLu), OpmError> {
-        Self::recorded_in(e, a, sigma0, None)
+    /// [`OpmError::SingularPencil`] when the reference pencil is
+    /// singular.
+    ///
+    /// # Panics
+    /// Panics when `terms` is empty, the terms differ in dimensions, or
+    /// there is not one weight per term.
+    pub fn new(terms: &[&CsrMatrix], weights: &[f64]) -> Result<(Self, SparseLu), OpmError> {
+        Self::recorded_in(terms, weights, None)
     }
 
     /// [`PencilFamily::new`], recording the analysis through the plan
@@ -372,15 +276,22 @@ impl PencilFamily {
     /// has analysed skips AMD and the symbolic factorization, and the
     /// reference factor is bit-identical either way.
     pub(crate) fn recorded_in(
-        e: &CsrMatrix,
-        a: &CsrMatrix,
-        sigma0: f64,
+        terms: &[&CsrMatrix],
+        weights: &[f64],
         patterns: Option<&PatternCache>,
     ) -> Result<(Self, SparseLu), OpmError> {
-        let mut pencil = ShiftedPencil::new(e, a);
-        let (analysis, lu) = PencilAnalysis::record(pencil.shifted(sigma0), patterns)?;
+        let mut pencil = ShiftedPencil::of_terms(terms);
+        let csc = pencil.combined(weights);
+        let (shared, lu, replayed) = match patterns {
+            Some(tier) => tier.factor(csc)?,
+            None => {
+                let (analysis, lu) = PatternAnalysis::record(csc)?;
+                (Arc::new(analysis), lu, false)
+            }
+        };
         let stats = lu.supernode_stats();
         let reference = FactorProfile {
+            num_symbolic: usize::from(!replayed),
             num_supernodes: stats.num_supernodes,
             supernode_cols: stats.supernode_cols,
             dense_tail_cols: stats.dense_tail_cols,
@@ -390,8 +301,10 @@ impl PencilFamily {
         };
         let family = PencilFamily {
             pencil,
-            analysis,
+            shared,
             reference,
+            numeric: AtomicUsize::new(usize::from(replayed)),
+            fallbacks: AtomicUsize::new(0),
             newton_iters: AtomicUsize::new(0),
             newton_refactors: AtomicUsize::new(0),
             newton_fresh_fallbacks: AtomicUsize::new(0),
@@ -399,46 +312,71 @@ impl PencilFamily {
         Ok((family, lu))
     }
 
-    /// Factors `σ·E − A` against the recorded analysis (numeric-only,
-    /// or a fresh pivoted factorization on pivot degradation).
+    /// Factors `Σ_k weights[k]·A_k` against the recorded analysis
+    /// (numeric-only, or a fresh pivoted factorization on pivot
+    /// degradation).
     ///
     /// # Errors
     /// [`OpmError::SingularPencil`] when the pencil is singular.
-    pub fn factor(&self, sigma: f64) -> Result<SparseLu, OpmError> {
-        self.factor_into(sigma, &mut Vec::new())
+    pub fn factor(&self, weights: &[f64]) -> Result<SparseLu, OpmError> {
+        self.factor_into(weights, &mut Vec::new())
     }
 
     /// [`PencilFamily::factor`] with a caller-owned value buffer.
-    fn factor_into(&self, sigma: f64, vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
-        self.pencil.shift_values(sigma, vals);
-        Ok(self.analysis.refactor(self.pencil.pattern(), vals)?.0)
+    fn factor_into(&self, weights: &[f64], vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
+        self.pencil.combined_values(weights, vals);
+        Ok(self.refactor(vals)?.0)
     }
 
-    /// Factors every shift in `sigmas`, numerically refactoring the
-    /// independent pencils **in parallel** on up to `threads` workers
+    /// The one refactor-with-fallback path: a numeric-only
+    /// [`SparseLu::refactor`] of `values` (laid out on the union
+    /// pattern), and on [`SparseError::PivotDegraded`] a fresh pivoted
+    /// factorization of the same values under the recorded ordering.
+    /// The recorded analysis itself never changes, so the factor for a
+    /// value set does not depend on which thread asks or when. Returns
+    /// the factor and whether it fell back.
+    fn refactor(&self, values: &[f64]) -> Result<(SparseLu, bool), OpmError> {
+        match SparseLu::refactor(self.shared.symbolic(), values) {
+            Ok(lu) => {
+                self.numeric.fetch_add(1, Ordering::Relaxed);
+                Ok((lu, false))
+            }
+            Err(SparseError::PivotDegraded(_)) => {
+                let mut csc = self.pencil.pattern().clone();
+                csc.values_mut().copy_from_slice(values);
+                let lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
+                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                Ok((lu, true))
+            }
+            Err(e) => Err(singular(e)),
+        }
+    }
+
+    /// Factors every weight vector in `weights`, numerically refactoring
+    /// the independent pencils **in parallel** on up to `threads` workers
     /// (see [`opm_par::par_map`]), each worker carrying only a private
-    /// value buffer. Per-shift pivot degradation falls back to a fresh
-    /// pivoted factorization of that shift alone, so the result for each
-    /// shift — and the whole output — is identical for every `threads`
-    /// value.
+    /// value buffer. Per-pencil pivot degradation falls back to a fresh
+    /// pivoted factorization of that pencil alone, so the result for each
+    /// weight vector — and the whole output — is identical for every
+    /// `threads` value.
     ///
     /// # Errors
-    /// The index of the first offending shift plus
+    /// The index of the first offending weight vector plus
     /// [`OpmError::SingularPencil`] when some pencil is singular.
-    pub fn factor_all(
+    pub fn factor_all<W: AsRef<[f64]> + Sync>(
         &self,
-        sigmas: &[f64],
+        weights: &[W],
         threads: usize,
     ) -> Result<Vec<SparseLu>, (usize, OpmError)> {
         // Contiguous chunks, one per worker task, so every task reuses a
-        // single value buffer instead of allocating per shift.
-        let chunk_len = sigmas.len().div_ceil(threads.max(1)).max(1);
-        let chunks: Vec<&[f64]> = sigmas.chunks(chunk_len).collect();
+        // single value buffer instead of allocating per pencil.
+        let chunk_len = weights.len().div_ceil(threads.max(1)).max(1);
+        let chunks: Vec<&[W]> = weights.chunks(chunk_len).collect();
         opm_par::par_map(threads, &chunks, |chunk| {
             let mut vals = Vec::new();
             chunk
                 .iter()
-                .map(|&sigma| self.factor_into(sigma, &mut vals))
+                .map(|w| self.factor_into(w.as_ref(), &mut vals))
                 .collect::<Vec<_>>()
         })
         .into_iter()
@@ -448,12 +386,13 @@ impl PencilFamily {
         .collect()
     }
 
-    /// Factorization-cost profile of this family so far.
+    /// Factorization-cost profile of this family so far: the recording
+    /// (unless replayed) and every fallback are symbolic, the rest
+    /// numeric.
     pub fn profile(&self) -> FactorProfile {
-        let counts = self.analysis.profile();
         FactorProfile {
-            num_symbolic: counts.num_symbolic,
-            num_numeric: counts.num_numeric,
+            num_symbolic: self.reference.num_symbolic + self.fallbacks.load(Ordering::Relaxed),
+            num_numeric: self.numeric.load(Ordering::Relaxed),
             newton_iters: self.newton_iters.load(Ordering::Relaxed),
             newton_refactors: self.newton_refactors.load(Ordering::Relaxed),
             newton_fresh_fallbacks: self.newton_fresh_fallbacks.load(Ordering::Relaxed),
@@ -470,15 +409,15 @@ impl PencilFamily {
     }
 
     /// Resolves matrix coordinates into value indices of the family's
-    /// union CSC pattern — the positions [`ShiftedPencil::shift_values`]
+    /// union CSC pattern — the positions [`ShiftedPencil::combined_values`]
     /// writes and [`PencilFamily::factor_stamped`]'s stamp closure
     /// mutates. Computed once per plan so the per-iteration Newton
     /// stamping is pure index arithmetic.
     ///
     /// # Errors
     /// [`OpmError::BadArguments`] when a coordinate lies outside the
-    /// union pattern (a device touching a position neither `E` nor `A`
-    /// stores — GMIN planting at assembly is what rules this out).
+    /// union pattern (a device touching a position no term stores —
+    /// GMIN planting at assembly is what rules this out).
     pub fn value_indices(&self, coords: &[(usize, usize)]) -> Result<Vec<usize>, OpmError> {
         let pat = self.pencil.pattern();
         let mut bases = Vec::with_capacity(pat.ncols() + 1);
@@ -509,8 +448,8 @@ impl PencilFamily {
             .collect()
     }
 
-    /// Factors `σ·E − A − J` where `J` is applied by `stamp` directly on
-    /// the shifted value buffer (indices from
+    /// Factors `Σ_k weights[k]·A_k − J` where `J` is applied by `stamp`
+    /// directly on the combined value buffer (indices from
     /// [`PencilFamily::value_indices`]) — the Newton iteration matrix.
     /// Numeric-only refactorization against the family's recorded
     /// analysis (the pattern is iteration-invariant because GMIN keeps
@@ -523,13 +462,13 @@ impl PencilFamily {
     /// [`OpmError::SingularPencil`] when the stamped pencil is singular.
     pub fn factor_stamped(
         &self,
-        sigma: f64,
+        weights: &[f64],
         stamp: impl FnOnce(&mut [f64]),
     ) -> Result<SparseLu, OpmError> {
         let mut vals = Vec::new();
-        self.pencil.shift_values(sigma, &mut vals);
+        self.pencil.combined_values(weights, &mut vals);
         stamp(&mut vals);
-        let (lu, fell_back) = self.analysis.refactor(self.pencil.pattern(), &vals)?;
+        let (lu, fell_back) = self.refactor(&vals)?;
         let counter = if fell_back {
             &self.newton_fresh_fallbacks
         } else {
@@ -538,26 +477,6 @@ impl PencilFamily {
         counter.fetch_add(1, Ordering::Relaxed);
         Ok(lu)
     }
-}
-
-/// Builds the multi-term pencil `Σ_k w_k·A_k` from per-term leading
-/// weights.
-///
-/// # Errors
-/// [`OpmError::BadArguments`] when `terms` is empty.
-pub fn weighted_pencil(
-    terms: &[opm_system::Term],
-    weights: impl Fn(usize) -> f64,
-) -> Result<CsrMatrix, OpmError> {
-    let mut pencil: Option<CsrMatrix> = None;
-    for (k, term) in terms.iter().enumerate() {
-        let w = weights(k);
-        pencil = Some(match pencil {
-            None => term.matrix.scale(w),
-            Some(acc) => acc.lin_comb(1.0, w, &term.matrix),
-        });
-    }
-    pencil.ok_or(OpmError::BadArguments("no terms".into()))
 }
 
 // ---------------------------------------------------------------------------
@@ -1169,9 +1088,9 @@ mod tests {
         }
         let (e, a) = (e.to_csr(), a.to_csr());
         let sigmas = [2.0, 5.0, 17.0, 130.0];
-        let (family, _) = PencilFamily::new(&e, &a, sigmas[0]).unwrap();
+        let (family, _) = PencilFamily::new(&[&e, &a], &[sigmas[0], -1.0]).unwrap();
         for &s in &sigmas[1..] {
-            family.factor(s).unwrap();
+            family.factor(&[s, -1.0]).unwrap();
         }
         let p = family.profile();
         assert_eq!((p.num_symbolic, p.num_numeric), (1, 3));
@@ -1179,8 +1098,8 @@ mod tests {
         // Each factorization must agree with the one-shot path.
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
         for &s in &sigmas {
-            let via_family = family.factor(s).unwrap().solve(&b);
-            let one_shot = factor_shifted_pencil(&e, &a, s).unwrap().solve(&b);
+            let via_family = family.factor(&[s, -1.0]).unwrap().solve(&b);
+            let one_shot = factor_pencil(&e.lin_comb(s, -1.0, &a)).unwrap().solve(&b);
             for i in 0..n {
                 assert!(
                     (via_family[i] - one_shot[i]).abs() < 1e-12,
@@ -1193,10 +1112,10 @@ mod tests {
     #[test]
     fn pencil_family_factor_all_is_thread_invariant() {
         let sys = scalar(-3.0);
-        let sigmas: Vec<f64> = (1..20).map(|k| 1.5 * k as f64).collect();
-        let (family, _) = PencilFamily::new(sys.e(), sys.a(), 0.5).unwrap();
-        let lus_1 = family.factor_all(&sigmas, 1).unwrap();
-        let lus_4 = family.factor_all(&sigmas, 4).unwrap();
+        let weights: Vec<[f64; 2]> = (1..20).map(|k| [1.5 * k as f64, -1.0]).collect();
+        let (family, _) = PencilFamily::new(&[sys.e(), sys.a()], &[0.5, -1.0]).unwrap();
+        let lus_1 = family.factor_all(&weights, 1).unwrap();
+        let lus_4 = family.factor_all(&weights, 4).unwrap();
         for (l1, l4) in lus_1.iter().zip(&lus_4) {
             assert_eq!(l1.solve(&[1.0]), l4.solve(&[1.0]));
         }
@@ -1205,7 +1124,7 @@ mod tests {
     #[test]
     fn sweep_counts_and_history() {
         let sys = scalar(-1.0);
-        let lu = factor_shifted_pencil(sys.e(), sys.a(), 2.0).unwrap();
+        let lu = factor_pencil(&sys.e().lin_comb(2.0, -1.0, sys.a())).unwrap();
         let outcome = BlockColumnSweep::new(1, 4, 1).run(&lu, |j, history, rhs, _| {
             assert_eq!(history.len(), j);
             rhs[0] = 1.0;

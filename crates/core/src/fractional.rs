@@ -15,8 +15,11 @@
 //!
 //! The strategy runs in the plan layer ([`crate::session`]): build a
 //! [`crate::Simulation::from_fractional`] plan and reuse its
-//! factorization for every scenario; this module holds the strategy's
-//! derivation and its tests.
+//! factorization for every scenario. The plan sweeps the equation as its
+//! two-term conversion `[(α, E), (0, −A)]` through the multi-term
+//! convolution ([`crate::multiterm`]), whose pencil `ρ₀·E + 1·(−A)` is
+//! `ρ₀·E − A` bit for bit; this module holds the strategy's derivation
+//! and its tests.
 
 #[cfg(test)]
 mod tests {

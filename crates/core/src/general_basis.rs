@@ -44,14 +44,6 @@ impl GeneralBasisResult {
             .collect();
         basis.reconstruct(&row, t)
     }
-
-    /// Reconstructs output `o` at time `t`.
-    pub fn reconstruct_output(&self, basis: &dyn Basis, o: usize, t: f64) -> f64 {
-        let row: Vec<f64> = (0..self.output_coeffs.ncols())
-            .map(|j| self.output_coeffs.get(o, j))
-            .collect();
-        basis.reconstruct(&row, t)
-    }
 }
 
 /// A reusable general-basis session: the factored integral-form matrix

@@ -10,7 +10,8 @@
 //! - [`session`] — the front door, a two-phase session API:
 //!   [`Simulation`] (owns a model, or assembles one straight from a
 //!   netlist) → [`Simulation::plan`] → [`SimPlan`] (validated shape +
-//!   factored pencil), whose `solve` / `solve_batch` / `sweep` amortize
+//!   factored pencil), whose `solve` / `solve_batch` /
+//!   `solve_windowed_batch_opts` amortize
 //!   **one factorization over many scenarios** via the engine's
 //!   multi-RHS block sweep. Whole-horizon and windowed solves share one
 //!   window loop; the whole horizon is its one-window case.
@@ -116,11 +117,11 @@ pub enum OpmError {
     /// A cooperative solve was cancelled (explicitly, or by an elapsed
     /// [`crate::cancel::CancelToken`] deadline) before completing.
     Cancelled(String),
-    /// Newton iteration failed to converge within
-    /// [`session::NewtonOptions::max_iters`]. Carries the iteration
-    /// count, the final residual norm, and where in the sweep it
-    /// happened. A *request*-level problem (tighten the tolerances, add
-    /// iterations, or refine the window), not a server fault.
+    /// Newton iteration failed to converge within its per-column budget
+    /// (see [`session::NewtonOptions`]). Carries the iteration count,
+    /// the final residual norm, and where in the sweep it happened. A
+    /// *request*-level problem (refine the resolution or the windows),
+    /// not a server fault.
     Nonconvergence {
         /// Iterations performed before giving up.
         iterations: usize,

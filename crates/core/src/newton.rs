@@ -32,7 +32,7 @@
 //! [`SparseLu::refactor`](opm_sparse::SparseLu::refactor) replayed
 //! against the plan's one recorded symbolic analysis — see
 //! [`PencilFamily::factor_stamped`]. Convergence is residual-based:
-//! `‖(σE − A)x − f(x) − rhs‖_∞ ≤ abs_tol + rel_tol·‖rhs‖_∞`, evaluated
+//! `‖(σE − A)x − f(x) − rhs‖_∞ ≤ ABS_TOL + REL_TOL·‖rhs‖_∞`, evaluated
 //! with the *exact* (not linearized) device currents.
 
 use crate::engine::{apply_b, PencilFamily};
@@ -42,15 +42,19 @@ use opm_circuits::nonlinear::{DeviceModel, MnaStamps, NonlinearDevice};
 use opm_system::DescriptorSystem;
 use std::collections::HashMap;
 
+/// Iteration budget per column before [`OpmError::Nonconvergence`].
+const MAX_ITERS: usize = 50;
+/// A column converges when `‖F(x)‖_∞ ≤ ABS_TOL + REL_TOL·‖rhs‖_∞`.
+const ABS_TOL: f64 = 1e-9;
+/// See [`ABS_TOL`].
+const REL_TOL: f64 = 1e-9;
+
 /// One solved window of a Newton sweep.
 pub(crate) struct NewtonWindow {
     /// Solved state columns, absolute coordinates.
     pub columns: Vec<Vec<f64>>,
     /// Polyline endpoint `x(T_w)` — the next window's seed.
     pub end: Vec<f64>,
-    /// Worst per-column iteration count in this window (the residual
-    /// history signal the refinement hook reads).
-    pub worst_iters: usize,
 }
 
 /// Reusable per-plan Newton machinery: the device list plus the
@@ -145,9 +149,9 @@ impl<'a> NewtonSweep<'a> {
     /// iteration.
     ///
     /// # Errors
-    /// [`OpmError::Nonconvergence`] when a column exhausts the
-    /// [`NewtonOptions`] iteration budget; [`OpmError::Cancelled`] on a
-    /// tripped token; [`OpmError::SingularPencil`] from factorization.
+    /// [`OpmError::Nonconvergence`] when a column exhausts
+    /// [`MAX_ITERS`]; [`OpmError::Cancelled`] on a tripped token;
+    /// [`OpmError::SingularPencil`] from factorization.
     #[allow(clippy::too_many_arguments)]
     pub fn window(
         &mut self,
@@ -160,11 +164,10 @@ impl<'a> NewtonSweep<'a> {
         window: usize,
     ) -> Result<NewtonWindow, OpmError> {
         let n = self.sys.order();
-        let max_step = opts.max_step;
+        let weights = [sigma, -1.0];
         let mut e = e0.to_vec();
         let mut x = e0.to_vec();
         let mut columns = Vec::with_capacity(m);
-        let mut worst_iters = 0;
         for j in 0..m {
             // rhs_base = σ·E·e_j + B·u_j.
             self.sys.e().mul_block_into(&e, &mut self.work, 1);
@@ -172,11 +175,11 @@ impl<'a> NewtonSweep<'a> {
                 self.rhs_base[i] = sigma * self.work[i];
             }
             apply_b(self.sys.b(), u, j, 1.0, &mut self.rhs_base);
-            let tol = opts.abs_tol + opts.rel_tol * inf_norm(&self.rhs_base);
+            let tol = ABS_TOL + REL_TOL * inf_norm(&self.rhs_base);
             let mut converged = false;
             let mut res = f64::INFINITY;
             let mut iters = 0;
-            while iters < opts.max_iters {
+            while iters < MAX_ITERS {
                 if let Some(token) = &opts.cancel {
                     token.check()?;
                 }
@@ -189,7 +192,7 @@ impl<'a> NewtonSweep<'a> {
                 let lu = {
                     let stamps = &self.stamps;
                     let idx = &self.idx;
-                    family.factor_stamped(sigma, |vals| {
+                    family.factor_stamped(&weights, |vals| {
                         for &(r, c, g) in stamps.entries() {
                             vals[idx[&(r, c)]] += g;
                         }
@@ -199,16 +202,8 @@ impl<'a> NewtonSweep<'a> {
                 for &(row, amps) in self.stamps.currents() {
                     self.rhs[row] += amps;
                 }
-                let mut x_new = lu.solve(&self.rhs);
+                let x_new = lu.solve(&self.rhs);
                 self.num_solves += 1;
-                if max_step.is_finite() {
-                    // Step limiting: clamp each entry's move — the
-                    // damping knob that tames wild early iterates on
-                    // stiff exponentials.
-                    for (xn, &xo) in x_new.iter_mut().zip(&x) {
-                        *xn = xo + (*xn - xo).clamp(-max_step, max_step);
-                    }
-                }
                 self.residual(sigma, &x_new);
                 res = inf_norm(&self.resid);
                 x = x_new;
@@ -217,7 +212,6 @@ impl<'a> NewtonSweep<'a> {
                     break;
                 }
             }
-            worst_iters = worst_iters.max(iters);
             if !converged {
                 return Err(OpmError::Nonconvergence {
                     iterations: iters,
@@ -230,10 +224,6 @@ impl<'a> NewtonSweep<'a> {
             }
             columns.push(x.clone());
         }
-        Ok(NewtonWindow {
-            columns,
-            end: e,
-            worst_iters,
-        })
+        Ok(NewtonWindow { columns, end: e })
     }
 }

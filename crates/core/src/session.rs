@@ -49,25 +49,33 @@
 //! whole horizon is its one-window case, swept against the factorization
 //! the plan was built with. Adaptive, step-grid and Kronecker plans run
 //! their own whole-horizon solve at `W = 1` and reject `W > 1`.
+//!
+//! A uniform plan sweeps one of three column recurrences: the linear
+//! two-term recurrence, the integer multi-term finite recurrence, or the
+//! nilpotent-series convolution. A fractional model sweeps as its
+//! two-term conversion `[(α, E), (0, −A)]`, exactly like a
+//! fractional-mixture multi-term model. Every pencil a plan factors — a
+//! window count, an adaptive lattice step, a step-grid column, a Newton
+//! iterate — is one weight vector of the plan's [`PencilFamily`], and
+//! every plan kind built through a [`crate::PlanCache`] records that
+//! family's analysis through the cache's pattern tier.
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
-    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, weighted_pencil,
-    BlockColumnSweep, BlockOutcome, Method, OutputMap, PencilAnalysis, PencilFamily, SolveOptions,
-    SweepOutcome,
+    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, BlockColumnSweep,
+    BlockOutcome, Method, OutputMap, PencilFamily, SolveOptions, SweepOutcome,
 };
 use crate::gate::GateCache;
 use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
 use crate::metrics::FactorProfile;
-use crate::newton::{NewtonSweep, NewtonWindow};
+use crate::newton::NewtonSweep;
 use crate::result::OpmResult;
 use crate::sync::StdSync;
 use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
 use opm_basis::bpf::{endpoint_state, BpfBasis};
-use opm_basis::haar::HaarBasis;
 use opm_basis::traits::Basis;
 use opm_circuits::mna::{
     assemble_fractional_mna, assemble_mna, assemble_nonlinear_mna, Output, Unknown,
@@ -338,8 +346,9 @@ impl Simulation {
         self.plan_in(opts, None)
     }
 
-    /// [`Simulation::plan`], recording uniform plans' pencil analyses
-    /// through a plan cache's pattern tier when `patterns` is given
+    /// [`Simulation::plan`], recording the plan's pencil analysis —
+    /// uniform, adaptive and step-grid plans alike — through a plan
+    /// cache's pattern tier when `patterns` is given
     /// ([`crate::PlanCache::plan`]); the plan is bit-identical either
     /// way.
     pub(crate) fn plan_in(
@@ -408,7 +417,7 @@ impl Simulation {
             let SimModel::Linear(sys) = model.as_ref() else {
                 unreachable!("validate_options admits `adaptive` only on linear models");
             };
-            let lattice = Box::new(StepLattice::new(sys, t_end, &aopts)?);
+            let lattice = Box::new(StepLattice::new(sys, t_end, &aopts, patterns)?);
             return Ok(plan(0, PlanKind::AdaptiveLinear { aopts, lattice }));
         }
         if let Some(steps) = &opts.step_grid {
@@ -417,7 +426,7 @@ impl Simulation {
                 unreachable!("validate_options admits `step_grid` only on fractional models");
             };
             let grid = AdaptiveBpf::new(steps.clone());
-            let factors = adaptive::prepare_step_grid(fsys, &grid)?;
+            let factors = adaptive::prepare_step_grid(fsys, &grid, patterns)?;
             let m = grid.dim();
             return Ok(plan(m, PlanKind::StepGrid(StepGridPlan { grid, factors })));
         }
@@ -465,9 +474,11 @@ impl Simulation {
                     kron(MultiTermSystem::from_descriptor(sys))?
                 }
             },
+            // `E·d^α x = A x + B u` is the two-term system
+            // `[(α, E), (0, −A)]`: one convolution sweep serves both.
             SimModel::Fractional(fsys) => match opts.method {
                 Method::Kronecker => kron(fractional_as_multiterm(fsys))?,
-                _ => uniform(Sweep::Fractional, None)?,
+                _ => uniform(Sweep::Convolution, Some(fractional_as_multiterm(fsys)))?,
             },
             SimModel::MultiTerm(mt) => match opts.method {
                 Method::Kronecker => PlanKind::Kron {
@@ -648,44 +659,27 @@ enum Sweep {
     /// Linear two-term recurrence, or the paper's literal alternating
     /// accumulator, against `σ·E − A`.
     Linear { accumulator: bool },
-    /// Fractional nilpotent-series convolution against `ρ₀·E − A`.
-    Fractional,
     /// Integer multi-term finite `(1+q)^K` recurrence; `differentiate`
     /// feeds it exact `u̇` averages (second-order nodal plans).
     Recurrence { differentiate: bool },
-    /// Multi-term per-term series convolution (fractional mixtures).
+    /// Multi-term per-term nilpotent-series convolution (fractional
+    /// systems as their two-term conversion, fractional mixtures).
     Convolution,
 }
 
-/// A uniform plan: the recorded analysis of its pencil and the
-/// whole-horizon (`W = 1`) window kernel, factored when the plan is
-/// built. Every other window count refactors numerically against the
-/// same analysis.
+/// A uniform plan: its pencil family and the whole-horizon (`W = 1`)
+/// window kernel, factored when the plan is built. Every other window
+/// count refactors numerically against the family's analysis.
 struct UniformPlan {
     sweep: Sweep,
-    pencil: PencilRecord,
+    /// `σ·E − A` over `(E, A)` for linear sweeps, else `Σ_k w_k·A_k`
+    /// over the swept multi-term system's terms.
+    pencil: PencilFamily,
     /// The multi-term conversion the plan sweeps when the model is not
-    /// itself multi-term (linear `Convolution` method, second-order
-    /// nodal form).
+    /// itself multi-term (fractional models, linear `Convolution`
+    /// method, second-order nodal form).
     mt: Option<MultiTermSystem>,
     whole: Arc<WindowKernel>,
-}
-
-/// A uniform plan's recorded pencil analysis.
-enum PencilRecord {
-    /// The `σ·E − A` family (linear and fractional sweeps).
-    Family(Box<PencilFamily>),
-    /// The weighted multi-term pencil `Σ_k w_k·A_k`.
-    Weighted(Box<PencilAnalysis>),
-}
-
-/// A window pencil before factorization, in the form its plan's
-/// [`PencilRecord`] replays.
-enum WindowPencil {
-    /// `σ·E − A`.
-    Shift(f64),
-    /// `Σ_k w_k·A_k`.
-    Weighted(CsrMatrix),
 }
 
 /// A reusable solving session: the validated problem shape, orderings
@@ -758,13 +752,10 @@ enum WindowSymbols {
         bw: Vec<f64>,
         depth: usize,
     },
-    /// Fractional: the full-horizon weight vector `ρ` at the window step
-    /// — entries past the window resolution are the weights of the
-    /// carried Caputo/GL history tail.
-    Fractional { rho: Vec<f64> },
     /// Multi-term nilpotent-series convolution: per-term full-horizon
-    /// weight vectors at the window step, history carried exactly like
-    /// the fractional kernel, term by term.
+    /// weight vectors `ρ^{(k)}` at the window step — entries past the
+    /// window resolution are the weights of the carried Caputo/GL
+    /// history tail, term by term.
     Convolution { series: Vec<Vec<f64>> },
 }
 
@@ -859,81 +850,24 @@ impl WindowedOptions {
 }
 
 /// Newton-iteration configuration for
-/// [`SimPlan::solve_newton_windowed`].
+/// [`SimPlan::solve_newton_windowed`]. The iteration itself is fixed:
+/// each column iterates at most 50 times and converges when
+/// `‖F(x)‖_∞ ≤ 1e-9 + 1e-9·‖rhs‖_∞`, with the *exact* device currents
+/// in `F`.
 ///
 /// ```
-/// use opm_core::session::NewtonOptions;
-/// let opts = NewtonOptions::new().max_iters(30).tolerances(1e-10, 1e-10);
+/// use opm_core::{CancelToken, NewtonOptions};
+/// let opts = NewtonOptions::new().cancel_token(CancelToken::new());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct NewtonOptions {
-    pub(crate) max_iters: usize,
-    pub(crate) abs_tol: f64,
-    pub(crate) rel_tol: f64,
-    pub(crate) max_step: f64,
-    pub(crate) refine: Option<f64>,
     pub(crate) cancel: Option<CancelToken>,
 }
 
-impl Default for NewtonOptions {
-    fn default() -> Self {
-        NewtonOptions::new()
-    }
-}
-
 impl NewtonOptions {
-    /// Defaults: 50 iterations, `abs_tol = 1e-9`, `rel_tol = 1e-9`, no
-    /// step limit, no refinement, no cancel token.
+    /// Defaults: no cancel token.
     pub fn new() -> Self {
-        NewtonOptions {
-            max_iters: 50,
-            abs_tol: 1e-9,
-            rel_tol: 1e-9,
-            max_step: f64::INFINITY,
-            refine: None,
-            cancel: None,
-        }
-    }
-
-    /// Iteration budget per column before
-    /// [`OpmError::Nonconvergence`].
-    #[must_use]
-    pub fn max_iters(mut self, iters: usize) -> Self {
-        self.max_iters = iters.max(1);
-        self
-    }
-
-    /// Residual tolerances: a column converges when
-    /// `‖F(x)‖_∞ ≤ abs_tol + rel_tol·‖rhs‖_∞` with the *exact* device
-    /// currents in `F`.
-    #[must_use]
-    pub fn tolerances(mut self, abs_tol: f64, rel_tol: f64) -> Self {
-        self.abs_tol = abs_tol;
-        self.rel_tol = rel_tol;
-        self
-    }
-
-    /// Damping / step-limit knob: clamps each unknown's per-iteration
-    /// move to `±volts` (junction limiting already tames the diode
-    /// exponential; this bounds everything else). Default: unlimited.
-    #[must_use]
-    pub fn max_step(mut self, volts: f64) -> Self {
-        self.max_step = volts;
-        self
-    }
-
-    /// Opt-in per-window refinement: when a window's Newton iteration
-    /// history spikes (≥ 3 iterations on some column) *and* the Haar
-    /// detail fraction of its solved columns exceeds `threshold`
-    /// (finest-scale energy over total detail energy, requires a
-    /// power-of-two resolution), the window is re-solved at double
-    /// resolution — a numeric-only refactorization, the pattern is
-    /// unchanged — and coarsened back onto the plan's grid. Default:
-    /// off, keeping factorization counts deterministic.
-    #[must_use]
-    pub fn refine_threshold(mut self, threshold: f64) -> Self {
-        self.refine = Some(threshold);
-        self
+        NewtonOptions::default()
     }
 
     /// Attaches a cooperative [`CancelToken`], polled every Newton
@@ -1012,49 +946,6 @@ fn worker_lane_chunk(lanes: usize, threads: usize) -> usize {
     }
 }
 
-/// Pair-averages a `2m`-column fine window back onto the plan's
-/// `m`-column grid, keeping the fine endpoint. BPF coefficients are
-/// interval means, so the mean over a merged interval is the mean of its
-/// halves — the coarsened columns are exactly the projection of the fine
-/// solve onto the coarse basis.
-fn coarsen_pairs(fine: NewtonWindow, m: usize) -> NewtonWindow {
-    let mut columns = Vec::with_capacity(m);
-    for j in 0..m {
-        let a = &fine.columns[2 * j];
-        let b = &fine.columns[2 * j + 1];
-        columns.push(a.iter().zip(b).map(|(x, y)| 0.5 * (x + y)).collect());
-    }
-    NewtonWindow {
-        columns,
-        end: fine.end,
-        worst_iters: fine.worst_iters,
-    }
-}
-
-/// Fraction of a window's non-DC Haar energy concentrated in the finest
-/// detail level, maximized over states — the sharp-transient signal the
-/// Newton refinement hook reads. Requires `m = 2^k` (callers gate on
-/// `m.is_power_of_two()`).
-fn haar_detail_fraction(columns: &[Vec<f64>], m: usize, width: f64) -> f64 {
-    let n = columns.first().map_or(0, Vec::len);
-    let basis = HaarBasis::new(m, width);
-    let mut worst = 0.0f64;
-    let mut series = vec![0.0; m];
-    for i in 0..n {
-        for (j, col) in columns.iter().enumerate() {
-            series[j] = col[i];
-        }
-        let haar = basis.from_bpf_coeffs(&series);
-        let total: f64 = haar[1..].iter().map(|c| c * c).sum();
-        if total <= 0.0 {
-            continue;
-        }
-        let detail: f64 = haar[m / 2..].iter().map(|c| c * c).sum();
-        worst = worst.max(detail / total);
-    }
-    worst
-}
-
 /// Output projection dispatch without cloning the selector.
 enum OutRef<'o> {
     Sys(&'o DescriptorSystem),
@@ -1091,12 +982,11 @@ impl SimPlan {
     /// plan's own factorization. Step-grid and adaptive plans report
     /// **1** symbolic analysis no matter how many pencils they factor:
     /// every pencil after the first is a numeric-only refactorization.
+    /// A plan built through a [`crate::PlanCache`] whose pattern tier
+    /// replayed its analysis reports 0 symbolic + 1 more numeric.
     pub fn factor_profile(&self) -> FactorProfile {
         let p = match &self.kind {
-            PlanKind::Uniform(u) => match &u.pencil {
-                PencilRecord::Family(family) => family.profile(),
-                PencilRecord::Weighted(analysis) => analysis.profile(),
-            },
+            PlanKind::Uniform(u) => u.pencil.profile(),
             PlanKind::Kron { .. } => ONE_SYMBOLIC,
             PlanKind::AdaptiveLinear { lattice, .. } => lattice.profile(),
             PlanKind::StepGrid(sg) => sg.factors.profile(),
@@ -1430,14 +1320,6 @@ impl SimPlan {
     /// kind) and books the `W` windows, plus one Newton iteration per
     /// column on linear-recurrence plans, into the [`FactorProfile`].
     ///
-    /// With [`NewtonOptions::refine_threshold`] set, a window whose
-    /// iteration history indicates a sharp transient (some column needed
-    /// ≥ 3 iterations **and** the finest-level Haar detail energy of the
-    /// solved window exceeds the threshold) is re-swept at twice the
-    /// column resolution — still numeric-only refactors, at the doubled
-    /// shift `2σ` — and pair-averaged back onto the plan's grid, keeping
-    /// the fine endpoint.
-    ///
     /// ```
     /// use opm_core::{NewtonOptions, Simulation, SolveOptions};
     ///
@@ -1522,21 +1404,7 @@ impl SimPlan {
         let mut e = self.x0.clone();
         for w in 0..windows {
             let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
-            let mut win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
-            if let Some(threshold) = opts.refine {
-                if win.worst_iters >= 3 && m >= 2 && m.is_power_of_two() {
-                    let frac = haar_detail_fraction(&win.columns, m, width);
-                    if frac > threshold {
-                        // Sharp transient: re-sweep the window at twice
-                        // the resolution (numeric-only refactors at the
-                        // doubled shift) and pair-average back onto the
-                        // plan's grid, keeping the fine endpoint.
-                        let u2 = inputs.bpf_matrix_window(2 * m, w as f64 * width, width);
-                        let fine = sweep.window(family, 2.0 * sigma, 2 * m, &u2, &e, opts, w)?;
-                        win = coarsen_pairs(fine, m);
-                    }
-                }
-            }
+            let win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
             e = win.end;
             columns.extend(win.columns);
         }
@@ -1639,15 +1507,9 @@ impl SimPlan {
             PlanKind::Uniform(u) => {
                 validate_horizon(self.t_end)?;
                 let (kernel, _) = self.kernels.get_or_build(windows, || {
-                    let (symbols, pencil) = window_symbols(
-                        u.sweep,
-                        &self.model,
-                        self.mt(),
-                        self.m,
-                        self.t_end,
-                        windows,
-                    )?;
-                    let lu = u.pencil.refactor(pencil)?;
+                    let (symbols, weights) =
+                        window_symbols(u.sweep, self.mt(), self.m, self.t_end, windows)?;
+                    let lu = u.pencil.factor(&weights)?;
                     Ok(Arc::new(WindowKernel { lu, symbols }))
                 })?;
                 return Ok(kernel);
@@ -1689,9 +1551,9 @@ impl SimPlan {
         match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep: Sweep::Linear { .. },
-                pencil: PencilRecord::Family(family),
+                pencil,
                 ..
-            }) => Some(family),
+            }) => Some(pencil),
             _ => None,
         }
     }
@@ -1818,9 +1680,7 @@ impl SimPlan {
         let (carried, recurrence) = match &kernel.symbols {
             WindowSymbols::Linear { .. } => (0, false),
             WindowSymbols::Recurrence { depth, .. } => (*depth, true),
-            WindowSymbols::Fractional { .. } | WindowSymbols::Convolution { .. } => {
-                (opts.history_cap().unwrap_or(usize::MAX), false)
-            }
+            WindowSymbols::Convolution { .. } => (opts.history_cap().unwrap_or(usize::MAX), false),
         };
         // Linear windows restart from the plan's x0 interleaved across
         // the lanes; thereafter each lane carries its own end state.
@@ -1899,12 +1759,6 @@ impl SimPlan {
                     .expect("recurrence kernels sweep a multi-term system");
                 sweep_mt_recurrence_block(mt, lu, polys, bw, lc, tail.to_vec())
             }
-            WindowSymbols::Fractional { rho } => {
-                let SimModel::Fractional(fsys) = self.model.as_ref() else {
-                    unreachable!("fractional window kernels are built on fractional models");
-                };
-                sweep_fractional_block(fsys.system(), lu, rho, lc, tail)
-            }
             WindowSymbols::Convolution { series } => {
                 let mt = self
                     .mt()
@@ -1941,8 +1795,7 @@ impl SimPlan {
         match (self.mt(), self.model.as_ref()) {
             (Some(mt), _) => OutRef::Mt(mt),
             (None, SimModel::Linear(sys)) => OutRef::Sys(sys),
-            (None, SimModel::Fractional(f)) => OutRef::Sys(f.system()),
-            _ => unreachable!("second-order plans own their multi-term conversion"),
+            _ => unreachable!("fractional and second-order plans own their multi-term conversion"),
         }
     }
 }
@@ -2035,32 +1888,6 @@ fn sweep_linear_block(
     })
 }
 
-/// Fractional nilpotent-series convolution, K lanes wide (paper §IV),
-/// with an optional carried history tail: the memory term of column `j`
-/// splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus the
-/// carried part `Σ_{d} ρ_{j+d}·tail[end−d]` over previous windows'
-/// retained columns (an empty `tail` starts the horizon).
-fn sweep_fractional_block(
-    sys: &DescriptorSystem,
-    lu: &SparseLu,
-    rho: &[f64],
-    lc: &LaneCoeffs,
-    tail: &[Vec<f64>],
-) -> BlockOutcome {
-    let n = sys.order();
-    let k = lc.lanes;
-    let carried = carried_block(rho, tail, n * k, lc.m);
-    let mut conv = vec![0.0; n * k];
-    BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
-        // conv = carried history + Σ_{t=1}^{j} ρ_t·x_{j−t}
-        start_column(&mut conv, carried.as_deref(), j);
-        history_convolution_into(rho, 0, history, &mut conv);
-        sys.e().mul_block_into(&conv, work, k);
-        apply_b_block(sys.b(), &lc.cols[j], k, 1.0, rhs);
-        axpy(rhs, work, -1.0);
-    })
-}
-
 /// Integer multi-term finite recurrence, K lanes wide, seeded with the
 /// trailing `seed` columns of the previous window (`lc` holds the
 /// matching stimulus columns first), so the restart is column-for-column
@@ -2102,9 +1929,12 @@ fn sweep_mt_recurrence_block(
     })
 }
 
-/// Multi-term nilpotent-series convolution, K lanes wide, with an
-/// optional carried history tail per term (the windowed restart; an
-/// empty `tail` starts the horizon).
+/// Multi-term nilpotent-series convolution, K lanes wide (paper §IV;
+/// a fractional system sweeps as its two-term conversion), with an
+/// optional carried history tail per term: the memory term of column
+/// `j` splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus
+/// the carried part `Σ_{d} ρ_{j+d}·tail[end−d]` over previous windows'
+/// retained columns (an empty `tail` starts the horizon).
 fn sweep_mt_convolution_block(
     mt: &MultiTermSystem,
     lu: &SparseLu,
@@ -2216,15 +2046,6 @@ fn swept_mt<'a>(
     })
 }
 
-/// The `E`, `A` pair of a shifted-pencil sweep.
-fn shifted_system(model: &SimModel) -> &DescriptorSystem {
-    match model {
-        SimModel::Linear(sys) => sys,
-        SimModel::Fractional(fsys) => fsys.system(),
-        _ => unreachable!("shifted pencils belong to linear and fractional sweeps"),
-    }
-}
-
 /// Per-term finite recurrence polynomials `p^{(k)}` of degree `K` and
 /// the RHS binomial weights `(1+q)^K` for step width `h` — the symbol
 /// data of the integer-order recurrence path, which depends on the grid
@@ -2271,64 +2092,52 @@ fn series_len(m: usize, windows: usize) -> Result<usize, OpmError> {
 }
 
 /// The symbol data of `sweep`'s kernel for `windows` windows of `m`
-/// columns over `[0, t_end)`, and the pencil that kernel factors — the
-/// one derivation for every window count, the whole horizon (`W = 1`)
-/// included. The window step is `h_w = T/(W·m)`; the fractional weight
-/// vectors span all `W·m` columns, so entries past the window
-/// resolution weight the carried history.
+/// columns over `[0, t_end)`, and the weights of the pencil that kernel
+/// factors — `(σ, −1)` on `(E, A)` for linear sweeps, the leading
+/// symbol coefficient per multi-term term otherwise. The one derivation
+/// for every window count, the whole horizon (`W = 1`) included. The
+/// window step is `h_w = T/(W·m)`; the convolution weight vectors span
+/// all `W·m` columns, so entries past the window resolution weight the
+/// carried history.
 fn window_symbols(
     sweep: Sweep,
-    model: &SimModel,
     mt: Option<&MultiTermSystem>,
     m: usize,
     t_end: f64,
     windows: usize,
-) -> Result<(WindowSymbols, WindowPencil), OpmError> {
-    let wbasis = || BpfBasis::new(m, t_end / windows as f64);
+) -> Result<(WindowSymbols, Vec<f64>), OpmError> {
     let mt = || mt.expect("multi-term sweeps carry their system");
     Ok(match sweep {
         Sweep::Linear { accumulator } => {
             let sigma = 2.0 * (m as f64 * windows as f64) / t_end;
             let symbols = WindowSymbols::Linear { sigma, accumulator };
-            (symbols, WindowPencil::Shift(sigma))
-        }
-        Sweep::Fractional => {
-            let SimModel::Fractional(fsys) = model else {
-                unreachable!("fractional sweeps are built on fractional models");
-            };
-            let rho = wbasis().frac_diff_coeffs_n(fsys.alpha(), series_len(m, windows)?);
-            let shift = WindowPencil::Shift(rho[0]);
-            (WindowSymbols::Fractional { rho }, shift)
+            (symbols, vec![sigma, -1.0])
         }
         Sweep::Recurrence { .. } => {
             let mt = mt();
             let (polys, bw) = mt_recurrence_data(mt, t_end / (m as f64 * windows as f64));
-            let pencil = weighted_pencil(mt.terms(), |k| polys[k][0])?;
+            let weights = polys.iter().map(|p| p[0]).collect();
             let depth = mt.max_order() as usize;
-            let symbols = WindowSymbols::Recurrence { polys, bw, depth };
-            (symbols, WindowPencil::Weighted(pencil))
+            (WindowSymbols::Recurrence { polys, bw, depth }, weights)
         }
         Sweep::Convolution => {
-            // Per-term ρ^{(k)} (α = 0 ⇒ e₀), from the same generator
-            // the fractional sweep uses, so the formulas cannot drift.
-            let (mt, wbasis, len) = (mt(), wbasis(), series_len(m, windows)?);
-            let series: Vec<Vec<f64>> = mt
+            // Per-term ρ^{(k)} (α = 0 ⇒ e₀).
+            let wbasis = BpfBasis::new(m, t_end / windows as f64);
+            let len = series_len(m, windows)?;
+            let series: Vec<Vec<f64>> = mt()
                 .terms()
                 .iter()
                 .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, len))
                 .collect();
-            let pencil = weighted_pencil(mt.terms(), |k| series[k][0])?;
-            (
-                WindowSymbols::Convolution { series },
-                WindowPencil::Weighted(pencil),
-            )
+            let weights = series.iter().map(|rho| rho[0]).collect();
+            (WindowSymbols::Convolution { series }, weights)
         }
     })
 }
 
 impl UniformPlan {
     /// Derives the whole-horizon kernel, factors its pencil and records
-    /// the analysis every other window count replays (through
+    /// the family's analysis every other window count replays (through
     /// `patterns`, the plan cache's pattern tier, when given).
     fn prepare(
         model: &SimModel,
@@ -2338,40 +2147,20 @@ impl UniformPlan {
         t_end: f64,
         patterns: Option<&PatternCache>,
     ) -> Result<Self, OpmError> {
-        let (symbols, pencil) =
-            window_symbols(sweep, model, swept_mt(mt.as_ref(), model), m, t_end, 1)?;
-        let (pencil, lu) = match pencil {
-            WindowPencil::Shift(sigma) => {
-                let sys = shifted_system(model);
-                let (family, lu) = PencilFamily::recorded_in(sys.e(), sys.a(), sigma, patterns)?;
-                (PencilRecord::Family(Box::new(family)), lu)
-            }
-            WindowPencil::Weighted(p) => {
-                let (analysis, lu) = PencilAnalysis::of_pencil(&p, patterns)?;
-                (PencilRecord::Weighted(Box::new(analysis)), lu)
-            }
+        let swept = swept_mt(mt.as_ref(), model);
+        let (symbols, weights) = window_symbols(sweep, swept, m, t_end, 1)?;
+        let terms: Vec<&CsrMatrix> = match (swept, model) {
+            (Some(mt), _) => mt.terms().iter().map(|t| &t.matrix).collect(),
+            (None, SimModel::Linear(sys)) => vec![sys.e(), sys.a()],
+            _ => unreachable!("only linear sweeps factor the model's own (E, A)"),
         };
+        let (pencil, lu) = PencilFamily::recorded_in(&terms, &weights, patterns)?;
         Ok(UniformPlan {
             sweep,
             pencil,
             mt,
             whole: Arc::new(WindowKernel { lu, symbols }),
         })
-    }
-}
-
-impl PencilRecord {
-    /// Numeric-only refactorization of a window pencil against the
-    /// recorded analysis (fresh pivoted factor on pivot degradation).
-    fn refactor(&self, pencil: WindowPencil) -> Result<SparseLu, OpmError> {
-        match (self, pencil) {
-            (PencilRecord::Family(family), WindowPencil::Shift(sigma)) => family.factor(sigma),
-            (PencilRecord::Weighted(analysis), WindowPencil::Weighted(p)) => {
-                let csc = p.to_csc();
-                Ok(analysis.refactor(&csc, csc.values())?.0)
-            }
-            _ => unreachable!("a plan's window pencils share its pencil's form"),
-        }
     }
 }
 

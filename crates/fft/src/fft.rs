@@ -62,14 +62,6 @@ pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
     data
 }
 
-/// FFT of a real signal (convenience wrapper).
-pub fn fft_real(input: &[f64]) -> Vec<Complex64> {
-    fft(&input
-        .iter()
-        .map(|&x| Complex64::from_real(x))
-        .collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -113,11 +113,6 @@ impl DVector {
         }
     }
 
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Iterates over entries.
     pub fn iter(&self) -> std::slice::Iter<'_, f64> {
         self.data.iter()

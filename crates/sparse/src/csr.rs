@@ -5,7 +5,7 @@
 //! integrator are CSR mat-vecs.
 
 use crate::csc::CscMatrix;
-use opm_linalg::{DMatrix, DVector};
+use opm_linalg::DMatrix;
 
 /// An immutable sparse matrix in compressed sparse row layout.
 #[derive(Clone, Debug, PartialEq)]
@@ -274,11 +274,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Matrix–vector product with [`DVector`].
-    pub fn mul_dvec(&self, x: &DVector) -> DVector {
-        DVector::from(self.mul_vec(x.as_slice()))
-    }
-
     /// Returns `k·self` with the same pattern.
     pub fn scale(&self, k: f64) -> CsrMatrix {
         let mut out = self.clone();
@@ -443,6 +438,7 @@ impl CsrMatrix {
 mod tests {
     use super::*;
     use crate::coo::CooMatrix;
+    use opm_linalg::DVector;
 
     fn sample() -> CsrMatrix {
         // [1 0 2]

@@ -14,8 +14,9 @@
 //!   reusable symbolic analysis ([`lu::SymbolicLu`]) and numeric-only
 //!   refactorization ([`lu::SparseLu::refactor`]) for many-matrix,
 //!   one-pattern workloads.
-//! - [`pencil::ShiftedPencil`] — the `σ·E − A` pencil family: union CSC
-//!   pattern assembled once, values rewritten per shift.
+//! - [`pencil::ShiftedPencil`] — the weighted pencil family `Σ_k w_k·A_k`
+//!   (`σ·E − A` is its two-term case): union CSC pattern assembled once,
+//!   values rewritten per weight vector.
 //! - [`cholesky::SparseCholesky`] — left-looking simplicial Cholesky for the
 //!   SPD matrices of the second-order nodal formulation.
 //! - [`ordering`] — approximate minimum degree (the pencil ordering) and

@@ -563,11 +563,6 @@ impl SparseLu {
             + self.n
     }
 
-    /// Fill factor: factor nnz relative to the input nnz.
-    pub fn fill_factor(&self, input_nnz: usize) -> f64 {
-        self.nnz() as f64 / input_nnz.max(1) as f64
-    }
-
     /// Solves `A·x = b`.
     ///
     /// # Panics

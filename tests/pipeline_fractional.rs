@@ -171,3 +171,83 @@ fn integer_alpha_equals_multiterm_path() {
         );
     }
 }
+
+/// The paper's §IV system `E·d^α x = A x + B u` and its two-term
+/// conversion `[(α, E), (0, −A)]` are one equation swept by one
+/// nilpotent-series convolution: on R–CPE ladders a fractional plan and
+/// a multi-term plan of the conversion agree bit for bit — whole
+/// horizon, windowed, with full and truncated history, on 2 lanes × 2
+/// threads — and report the same (nonzero) factor statistics.
+#[test]
+fn fractional_plan_equals_its_two_term_conversion() {
+    use opm::core::{SimModel, WindowedOptions};
+    use opm::system::{MultiTermSystem, Term};
+    use std::fmt::Write as _;
+    let ladder = |alpha: f64| {
+        let mut s = String::from("* R-CPE ladder\nV1 in 0 DC 1\n");
+        let mut prev = "in".to_string();
+        for k in 1..=16 {
+            let _ = writeln!(s, "R{k} {prev} n{k} 1e3");
+            let _ = writeln!(s, "P{k} n{k} 0 CPE 1e-6 {alpha}");
+            prev = format!("n{k}");
+        }
+        s.push_str(".end\n");
+        Simulation::from_netlist(&s, &["n4", "n16"])
+            .unwrap()
+            .horizon(1e-3)
+    };
+    let lanes = [
+        InputSet::new(vec![Waveform::step(1e-4, 1.0)]),
+        InputSet::new(vec![Waveform::sine(0.2, 1.0, 3e3, 0.0, 0.0)]),
+    ];
+    let bits = |r: &opm::core::OpmResult| -> Vec<u64> {
+        let cols = r.columns.iter().flatten();
+        let outs = (0..2).flat_map(|o| r.output_row(o).to_vec());
+        cols.copied().chain(outs).map(f64::to_bits).collect()
+    };
+    for alpha in [0.3, 0.5, 0.8] {
+        let frac = ladder(alpha);
+        let SimModel::Fractional(fsys) = frac.model() else {
+            panic!("a CPE netlist assembles a fractional model");
+        };
+        let sys = fsys.system();
+        let terms = vec![
+            Term {
+                alpha,
+                matrix: sys.e().clone(),
+            },
+            Term {
+                alpha: 0.0,
+                matrix: sys.a().scale(-1.0),
+            },
+        ];
+        let mt = MultiTermSystem::new(terms, sys.b().clone(), sys.c().cloned()).unwrap();
+        let two_term = Simulation::from_multiterm(mt).horizon(frac.t_end());
+        for m in [16, 64] {
+            let opts = SolveOptions::new().resolution(m);
+            let (pf, pm) = (frac.plan(&opts).unwrap(), two_term.plan(&opts).unwrap());
+            let (nnz_f, nnz_m) = (
+                pf.factor_profile().factor_nnz,
+                pm.factor_profile().factor_nnz,
+            );
+            assert!(nnz_f > 0, "α = {alpha}, m = {m}: factor stats reported");
+            assert_eq!(nnz_f, nnz_m, "α = {alpha}, m = {m}: factor_nnz");
+            for windows in [1, 4, 16] {
+                for cap in [None, Some(3 * m)] {
+                    let mut wopts = WindowedOptions::new(windows);
+                    if let Some(cap) = cap {
+                        wopts = wopts.history_len(cap);
+                    }
+                    let rf = pf.solve_windowed_batch_opts(&lanes, &wopts, 2).unwrap();
+                    let rm = pm.solve_windowed_batch_opts(&lanes, &wopts, 2).unwrap();
+                    for (l, (a, b)) in rf.iter().zip(&rm).enumerate() {
+                        assert!(
+                            bits(a) == bits(b),
+                            "α = {alpha}, m = {m}, W = {windows}, cap {cap:?}, lane {l}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

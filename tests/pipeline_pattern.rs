@@ -2,7 +2,8 @@
 //! pattern the cache has analysed replays the interned AMD ordering and
 //! symbolic LU numerically, and the plan it builds equals a fresh
 //! `Simulation::plan` bit for bit — on the 48×48 RC mesh, the Table II
-//! power grid, the R–CPE ladder and the diode + RC ladder.
+//! power grid, the R–CPE ladder and the diode + RC ladder, and for
+//! adaptive and step-grid plans as for uniform ones.
 
 use std::fmt::Write as _;
 
@@ -244,4 +245,80 @@ fn pivot_mismatch_falls_back_to_a_fresh_factorization() {
         solve_bits(&plan, &variant, &stimulus),
         solve_bits(&fresh, &variant, &stimulus)
     );
+}
+
+/// An RC ladder with a settable first resistor (a linear model for the
+/// adaptive plan kind).
+fn rc_ladder_sim(r_first: f64) -> Simulation {
+    let mut s = String::from("* RC ladder\nV1 in 0 DC 1\n");
+    let mut prev = "in".to_string();
+    for k in 1..=16 {
+        let r = if k == 1 { r_first } else { 1e3 };
+        let _ = writeln!(s, "R{k} {prev} n{k} {r:e}");
+        let _ = writeln!(s, "C{k} n{k} 0 1e-6");
+        prev = format!("n{k}");
+    }
+    s.push_str(".end\n");
+    Simulation::from_netlist(&s, &["n16"])
+        .unwrap()
+        .horizon(5e-3)
+}
+
+/// Adaptive and step-grid plans record their pencil family's analysis
+/// through the pattern tier like uniform plans: the second of two
+/// value-perturbed plans of each kind is a pattern hit whose build
+/// books 0 symbolic factorizations, and every solve on either equals a
+/// fresh plan's bit for bit.
+#[test]
+fn adaptive_and_step_grid_plans_hit_the_pattern_tier() {
+    use opm::core::adaptive::{geometric_grid, AdaptiveOpmOptions};
+    let adaptive = SolveOptions::new().adaptive(AdaptiveOpmOptions {
+        tol: 1e-4,
+        h0: 1e-5,
+        h_min: 1e-7,
+        h_max: 2.5e-4,
+    });
+    let step_grid = SolveOptions::new().step_grid(geometric_grid(1e-3, 16, 1.15));
+    let stimulus = InputSet::new(vec![Waveform::step(0.0, 1.0)]);
+    let cache = PlanCache::new(8);
+    let kinds = [
+        (
+            "adaptive",
+            &adaptive,
+            rc_ladder_sim(1e3),
+            rc_ladder_sim(1.3e3),
+        ),
+        ("step-grid", &step_grid, cpe_sim(1e3), cpe_sim(1.3e3)),
+    ];
+    for (round, (name, opts, primer, variant)) in kinds.iter().enumerate() {
+        for (k, sim) in [primer, variant].into_iter().enumerate() {
+            let plan = cache.plan(sim, opts).unwrap();
+            let p = plan.factor_profile();
+            assert_eq!(
+                p.num_symbolic,
+                usize::from(k == 0),
+                "{name} #{k}: build profile"
+            );
+            let fresh = sim.plan(opts).unwrap();
+            for _ in 0..2 {
+                let (a, b) = (
+                    plan.solve(&stimulus).unwrap(),
+                    fresh.solve(&stimulus).unwrap(),
+                );
+                assert_eq!(
+                    bits(&a),
+                    bits(&b),
+                    "{name} #{k}: solves must equal a fresh plan's"
+                );
+                assert_eq!(a.bounds, b.bounds, "{name} #{k}: the step sequence");
+            }
+        }
+        let hits = round as u64 + 1;
+        let want = PatternStats {
+            hits,
+            misses: hits,
+            fallbacks: 0,
+        };
+        assert_eq!(cache.pattern_stats(), want, "{name}");
+    }
 }
