@@ -88,24 +88,25 @@ fn main() {
         );
     }
 
-    let (ada, secs) = timed(|| {
-        sim.clone()
+    let ((ada, ada_profile), secs) = timed(|| {
+        let plan = sim
+            .clone()
             .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
                 tol: 1e-5,
                 h0: 1e-7,
                 h_min: 2e-8,
                 h_max: 1e-4,
             }))
-            .unwrap()
-            .solve(&model.inputs)
-            .unwrap()
+            .unwrap();
+        let run = plan.solve(&model.inputs).unwrap();
+        (run, plan.factor_profile())
     });
     let err = err_of(&ada.bounds, ada.output_row(0));
     row(
         &[
             "adaptive (tol 1e-5)".into(),
             format!("{}", ada.num_intervals()),
-            format!("{}", ada.num_factorizations),
+            format!("{}", ada_profile.num_factorizations()),
             fmt_time(secs),
             format!("{err:.2e}"),
         ],

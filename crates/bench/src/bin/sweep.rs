@@ -147,19 +147,23 @@ fn main() {
     //     ordering and factorization every time). Same rep count as the
     //     planned path below — a lopsided best-of-N would bias the
     //     min-estimator toward whichever side gets more chances.
-    let (naive, naive_s) = timed_best(3, || {
-        sets.iter()
+    //     The loop's cost is the sum of its fresh plans' profiles.
+    let ((naive, naive_factorizations), naive_s) = timed_best(3, || {
+        let mut factorizations = 0;
+        let runs = sets
+            .iter()
             .map(|ws| {
-                Simulation::from_second_order(na.system.clone())
+                let plan = Simulation::from_second_order(na.system.clone())
                     .horizon(t_end)
                     .plan(&opts)
-                    .unwrap()
-                    .solve(ws)
-                    .unwrap()
+                    .unwrap();
+                let run = plan.solve(ws).unwrap();
+                factorizations += plan.factor_profile().num_factorizations();
+                run
             })
-            .collect::<Vec<_>>()
+            .collect::<Vec<_>>();
+        (runs, factorizations)
     });
-    let naive_factorizations: usize = naive.iter().map(|r| r.num_factorizations).sum();
 
     // (b) Planned: factor once, sweep the batch. Pinned to one worker so
     //     sweep/speedup isolates the *reuse* economy — the threading win

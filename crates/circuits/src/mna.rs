@@ -124,7 +124,7 @@ fn stamp_pair(m: &mut CooMatrix, n1: usize, n2: usize, g: f64) {
 /// [`assemble_nonlinear_mna`]) and [`CircuitError::BadNode`] on dangling
 /// output references.
 pub fn assemble_mna(ckt: &Circuit, outputs: &[Output]) -> Result<MnaModel, CircuitError> {
-    assemble_mna_inner(ckt, outputs, None)
+    assemble_mna_inner(ckt, outputs, Formulation::Integer)
 }
 
 /// Assembles the MNA system of a circuit with nonlinear devices.
@@ -142,16 +142,70 @@ pub fn assemble_nonlinear_mna(
     outputs: &[Output],
 ) -> Result<NonlinearMnaModel, CircuitError> {
     let mut devices = Vec::new();
-    let model = assemble_mna_inner(ckt, outputs, Some(&mut devices))?;
+    let model = assemble_mna_inner(ckt, outputs, Formulation::Nonlinear(&mut devices))?;
     Ok(NonlinearMnaModel { model, devices })
+}
+
+/// Assembles the fractional MNA system `E·d^α x = A x + B u` for circuits
+/// whose only dynamic elements are CPEs of common order `α`.
+///
+/// # Errors
+/// [`CircuitError::Unsupported`] when capacitors/inductors are present or
+/// a CPE has a different order.
+pub fn assemble_fractional_mna(
+    ckt: &Circuit,
+    alpha: f64,
+    outputs: &[Output],
+) -> Result<FractionalMnaModel, CircuitError> {
+    let model = assemble_mna_inner(ckt, outputs, Formulation::Fractional(alpha))?;
+    let system =
+        FractionalSystem::new(alpha, model.system).expect("alpha validated by circuit elements");
+    Ok(FractionalMnaModel {
+        system,
+        inputs: model.inputs,
+        unknowns: model.unknowns,
+    })
+}
+
+/// What the one element walk assembles.
+enum Formulation<'d> {
+    /// `E ẋ = A x + B u`: capacitors and inductors stamp `E`.
+    Integer,
+    /// The integer system, with the circuit's diodes and MOSFETs
+    /// collected into a device list and GMIN planted on their pairs.
+    Nonlinear(&'d mut Vec<DeviceModel>),
+    /// `E·d^α x = A x + B u`: CPEs of order `α` stamp `E` the way
+    /// capacitors do; every other dynamic element is rejected.
+    Fractional(f64),
+}
+
+impl Formulation<'_> {
+    /// The device list a nonlinear `what` joins, or the formulation's
+    /// rejection of it.
+    fn devices(&mut self, what: &str) -> Result<&mut Vec<DeviceModel>, CircuitError> {
+        match self {
+            Formulation::Nonlinear(devices) => Ok(devices),
+            Formulation::Integer => Err(CircuitError::Unsupported(format!(
+                "{what} in linear MNA; use assemble_nonlinear_mna"
+            ))),
+            Formulation::Fractional(_) => Err(CircuitError::Unsupported(
+                "nonlinear device in fractional MNA".into(),
+            )),
+        }
+    }
 }
 
 fn assemble_mna_inner(
     ckt: &Circuit,
     outputs: &[Output],
-    mut devices: Option<&mut Vec<DeviceModel>>,
+    mut form: Formulation<'_>,
 ) -> Result<MnaModel, CircuitError> {
     let lay = layout(ckt);
+    if matches!(form, Formulation::Fractional(_)) && !lay.inductors.is_empty() {
+        return Err(CircuitError::Unsupported(
+            "inductors in fractional MNA".into(),
+        ));
+    }
     let n = lay.n_nodes + lay.inductors.len() + lay.vsrcs.len();
     let p = lay.vsrcs.len() + lay.isrcs.len();
     let mut e = CooMatrix::new(n, n);
@@ -172,12 +226,30 @@ fn assemble_mna_inner(
                 stamp_pair(&mut a, *n1, *n2, -1.0 / ohms);
             }
             Element::Capacitor { n1, n2, farads } => {
+                if let Formulation::Fractional(_) = form {
+                    return Err(CircuitError::Unsupported(
+                        "capacitor in fractional MNA (model it as a CPE with α)".into(),
+                    ));
+                }
                 stamp_pair(&mut e, *n1, *n2, *farads);
             }
-            Element::Cpe { .. } => {
-                return Err(CircuitError::Unsupported(
-                    "CPE in integer-order MNA; use assemble_fractional_mna".into(),
-                ));
+            Element::Cpe {
+                n1,
+                n2,
+                q,
+                alpha: a_el,
+            } => {
+                let Formulation::Fractional(alpha) = form else {
+                    return Err(CircuitError::Unsupported(
+                        "CPE in integer-order MNA; use assemble_fractional_mna".into(),
+                    ));
+                };
+                if (a_el - alpha).abs() > 1e-12 {
+                    return Err(CircuitError::Unsupported(format!(
+                        "CPE order {a_el} differs from system order {alpha}"
+                    )));
+                }
+                stamp_pair(&mut e, *n1, *n2, *q);
             }
             Element::Inductor { n1, n2, henries } => {
                 let r = ind_row(ind_count);
@@ -222,12 +294,7 @@ fn assemble_mna_inner(
                 is_count += 1;
             }
             Element::Diode { n1, n2, is_sat, vt } => {
-                let Some(devices) = devices.as_deref_mut() else {
-                    return Err(CircuitError::Unsupported(
-                        "diode in linear MNA; use assemble_nonlinear_mna".into(),
-                    ));
-                };
-                devices.push(DeviceModel::Diode(Diode {
+                form.devices("diode")?.push(DeviceModel::Diode(Diode {
                     anode: *n1,
                     cathode: *n2,
                     is_sat: *is_sat,
@@ -235,12 +302,7 @@ fn assemble_mna_inner(
                 }));
             }
             Element::Mosfet { d, g, s, kp, vth } => {
-                let Some(devices) = devices.as_deref_mut() else {
-                    return Err(CircuitError::Unsupported(
-                        "MOSFET in linear MNA; use assemble_nonlinear_mna".into(),
-                    ));
-                };
-                devices.push(DeviceModel::Mosfet(Mosfet {
+                form.devices("MOSFET")?.push(DeviceModel::Mosfet(Mosfet {
                     drain: *d,
                     gate: *g,
                     source: *s,
@@ -253,7 +315,7 @@ fn assemble_mna_inner(
 
     // Plant GMIN on every coupling pair so the Newton matrix pattern is
     // fixed across iterates (A holds −G, matching the resistor stamp).
-    if let Some(devices) = devices {
+    if let Formulation::Nonlinear(devices) = form {
         for dev in devices.iter() {
             for (p, q) in dev.coupling_pairs() {
                 stamp_pair(&mut a, p, q, -GMIN);
@@ -266,110 +328,6 @@ fn assemble_mna_inner(
     let system = DescriptorSystem::new(e.to_csr(), a.to_csr(), b.to_csr(), c)
         .expect("MNA assembly produces consistent dimensions");
     Ok(MnaModel {
-        system,
-        inputs: InputSet::new(waveforms),
-        unknowns,
-    })
-}
-
-/// Assembles the fractional MNA system `E·d^α x = A x + B u` for circuits
-/// whose only dynamic elements are CPEs of common order `α`.
-///
-/// # Errors
-/// [`CircuitError::Unsupported`] when capacitors/inductors are present or
-/// a CPE has a different order.
-pub fn assemble_fractional_mna(
-    ckt: &Circuit,
-    alpha: f64,
-    outputs: &[Output],
-) -> Result<FractionalMnaModel, CircuitError> {
-    let lay = layout(ckt);
-    if !lay.inductors.is_empty() {
-        return Err(CircuitError::Unsupported(
-            "inductors in fractional MNA".into(),
-        ));
-    }
-    let n = lay.n_nodes + lay.vsrcs.len();
-    let p = lay.vsrcs.len() + lay.isrcs.len();
-    let mut e = CooMatrix::new(n, n);
-    let mut a = CooMatrix::new(n, n);
-    let mut b = CooMatrix::new(n, p);
-    let vs_row = |k: usize| lay.n_nodes + k;
-
-    let mut vs_count = 0usize;
-    let mut is_count = 0usize;
-    let mut waveforms: Vec<Waveform> = vec![Waveform::Dc(0.0); p];
-
-    for el in ckt.elements() {
-        match el {
-            Element::Resistor { n1, n2, ohms } => {
-                stamp_pair(&mut a, *n1, *n2, -1.0 / ohms);
-            }
-            Element::Capacitor { .. } => {
-                return Err(CircuitError::Unsupported(
-                    "capacitor in fractional MNA (model it as a CPE with α)".into(),
-                ));
-            }
-            Element::Inductor { .. } => unreachable!("checked above"),
-            Element::Cpe {
-                n1,
-                n2,
-                q,
-                alpha: a_el,
-            } => {
-                if (a_el - alpha).abs() > 1e-12 {
-                    return Err(CircuitError::Unsupported(format!(
-                        "CPE order {a_el} differs from system order {alpha}"
-                    )));
-                }
-                stamp_pair(&mut e, *n1, *n2, *q);
-            }
-            Element::VoltageSource { n1, n2, waveform } => {
-                let r = vs_row(vs_count);
-                if *n1 > 0 {
-                    a.push(n1 - 1, r, -1.0);
-                    a.push(r, n1 - 1, -1.0);
-                }
-                if *n2 > 0 {
-                    a.push(n2 - 1, r, 1.0);
-                    a.push(r, n2 - 1, 1.0);
-                }
-                b.push(r, vs_count, 1.0);
-                waveforms[vs_count] = waveform.clone();
-                vs_count += 1;
-            }
-            Element::CurrentSource { n1, n2, waveform } => {
-                let chan = lay.vsrcs.len() + is_count;
-                if *n1 > 0 {
-                    b.push(n1 - 1, chan, -1.0);
-                }
-                if *n2 > 0 {
-                    b.push(n2 - 1, chan, 1.0);
-                }
-                waveforms[chan] = waveform.clone();
-                is_count += 1;
-            }
-            Element::Diode { .. } | Element::Mosfet { .. } => {
-                return Err(CircuitError::Unsupported(
-                    "nonlinear device in fractional MNA".into(),
-                ));
-            }
-        }
-    }
-
-    // Unknowns: nodes then vsrc currents (no inductors by construction).
-    let mut unknowns = Vec::with_capacity(n);
-    for node in 1..=lay.n_nodes {
-        unknowns.push(Unknown::NodeVoltage(node));
-    }
-    for k in 0..lay.vsrcs.len() {
-        unknowns.push(Unknown::SourceCurrent(k));
-    }
-    let c = build_outputs(&lay, outputs, n)?;
-    let system = DescriptorSystem::new(e.to_csr(), a.to_csr(), b.to_csr(), c)
-        .expect("fractional MNA assembly produces consistent dimensions");
-    let system = FractionalSystem::new(alpha, system).expect("alpha validated by circuit elements");
-    Ok(FractionalMnaModel {
         system,
         inputs: InputSet::new(waveforms),
         unknowns,

@@ -16,7 +16,7 @@
 //! eigendecomposition route of the paper has the same property.
 
 use crate::cache::PatternCache;
-use crate::engine::{apply_b, apply_b_column, reconstruct_outputs, PencilFamily};
+use crate::engine::{apply_b, apply_b_column, PencilFamily};
 use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
@@ -132,15 +132,15 @@ impl StepLattice {
     }
 
     /// The factorization for exponent `exp` (step `h = 2^exp`), computed
-    /// at most once; the flag reports a miss.
-    fn get(&self, exp: i32) -> Result<(Arc<SparseLu>, bool), OpmError> {
-        let (lu, hit) = self.factors.get_or_build(exp, || {
+    /// at most once.
+    fn get(&self, exp: i32) -> Result<Arc<SparseLu>, OpmError> {
+        let (lu, _) = self.factors.get_or_build(exp, || {
             if exp == self.first.0 {
                 return Ok(Arc::clone(&self.first.1));
             }
             self.family.factor(&lattice_weights(exp)).map(Arc::new)
         })?;
-        Ok((lu, !hit))
+        Ok(lu)
     }
 
     /// The family's symbolic/numeric split plus the lattice's hit/miss
@@ -157,8 +157,8 @@ impl StepLattice {
 
 /// Adaptive-step OPM for linear descriptor systems — the session
 /// layer's adaptive plan kind — against the plan's shared step lattice.
-/// Channels and `x0` are validated by the plan. The returned result
-/// counts the lattice misses *this* call took.
+/// Channels and `x0` are validated by the plan; the lattice's hit/miss
+/// readout is the plan's [`crate::SimPlan::factor_profile`].
 ///
 /// # Errors
 /// [`OpmError::SingularPencil`] when a lattice pencil is singular.
@@ -171,8 +171,6 @@ pub(crate) fn linear_adaptive_with(
     lattice: &StepLattice,
 ) -> Result<OpmResult, OpmError> {
     let n = sys.order();
-    let mut num_solves = 0usize;
-    let mut num_factorizations = 0usize;
     let shift = x0.iter().any(|&v| v != 0.0);
     let c_force = if shift {
         sys.a().mul_vec(x0)
@@ -180,10 +178,9 @@ pub(crate) fn linear_adaptive_with(
         vec![0.0; n]
     };
 
-    let mut solve_column = |h: f64, t0: f64, g: &[f64]| -> Result<Vec<f64>, OpmError> {
+    let solve_column = |h: f64, t0: f64, g: &[f64]| -> Result<Vec<f64>, OpmError> {
         let exp = lattice_exp(h);
-        let (lu, missed) = lattice.get(exp)?;
-        num_factorizations += usize::from(missed);
+        let lu = lattice.get(exp)?;
         let hq = 2.0f64.powi(exp);
         let mut rhs = vec![0.0; n];
         // B·ū over [t0, t0+h] + c − (4/h)·E·g.
@@ -203,7 +200,6 @@ pub(crate) fn linear_adaptive_with(
         for (r, w) in rhs.iter_mut().zip(&eg) {
             *r -= 4.0 / hq * w;
         }
-        num_solves += 1;
         Ok(lu.solve(&rhs))
     };
 
@@ -267,14 +263,7 @@ pub(crate) fn linear_adaptive_with(
         }
     }
 
-    let outputs = reconstruct_outputs(sys, &columns);
-    Ok(OpmResult {
-        bounds,
-        columns,
-        outputs,
-        num_solves,
-        num_factorizations,
-    })
+    Ok(OpmResult::new(bounds, columns, sys.c()))
 }
 
 /// A strictly geometric step profile: `h_{j+1} = ratio·h_j`, scaled so the
@@ -305,10 +294,6 @@ pub(crate) struct StepGridFactors {
 }
 
 impl StepGridFactors {
-    pub(crate) fn num_factorizations(&self) -> usize {
-        self.lus.len()
-    }
-
     pub(crate) fn profile(&self) -> FactorProfile {
         self.profile
     }
@@ -429,14 +414,7 @@ pub(crate) fn sweep_step_grid(
         columns.push(factors.lus[j].solve(&rhs));
     }
 
-    let outputs = reconstruct_outputs(sys, &columns);
-    Ok(OpmResult {
-        bounds: grid.bounds().to_vec(),
-        columns,
-        outputs,
-        num_solves: m,
-        num_factorizations: factors.num_factorizations(),
-    })
+    Ok(OpmResult::new(grid.bounds().to_vec(), columns, sys.c()))
 }
 
 #[cfg(test)]
@@ -523,7 +501,7 @@ mod tests {
         let inputs = InputSet::new(vec![Waveform::pulse(
             0.0, 1.0, 0.01, 0.005, 0.05, 0.005, 0.0,
         )]);
-        let r = adaptive_plan(
+        let plan = adaptive_plan(
             sys,
             4.0,
             AdaptiveOpmOptions {
@@ -533,9 +511,8 @@ mod tests {
                 h_max: 0.5,
             },
         )
-        .unwrap()
-        .solve(&inputs)
         .unwrap();
+        let r = plan.solve(&inputs).unwrap();
         let early = r.bounds.iter().filter(|&&t| t <= 0.4).count();
         let late = r.bounds.iter().filter(|&&t| t > 2.0).count();
         assert!(
@@ -543,7 +520,7 @@ mod tests {
             "early {early} vs late {late}: no adaptation"
         );
         // And fewer factorizations than columns (lattice reuse).
-        assert!(r.num_factorizations < r.num_intervals() / 2);
+        assert!(plan.factor_profile().cache_misses < r.num_intervals() / 2);
     }
 
     #[test]

@@ -21,12 +21,15 @@
 //!   two-term case with weights `(σ, −1)`;
 //! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
 //!   right-hand side (single scenario or an interleaved lane block);
-//! - [`BlockColumnSweep`] — the cached-factorization column solve loop,
+//! - `BlockColumnSweep` — the cached-factorization column solve loop,
 //!   `lanes` scenarios wide, with read access to all previously solved
-//!   columns (the history term);
-//! - [`reconstruct_outputs`] / [`SweepOutcome::uniform_result`] —
-//!   output projection through `C` and [`OpmResult`] assembly;
+//!   columns (the history term); it returns its plain column store, and
+//!   `deinterleave` splits a multi-lane store into per-lane columns;
 //! - [`SolveOptions`] / [`Method`] — resolution, strategy and adaptivity.
+//!
+//! Every solve ends in [`crate::OpmResult`]'s one constructor, which
+//! projects the columns through the model's output selector `C`; what a
+//! solve cost is read from the plan ([`crate::SimPlan::factor_profile`]).
 //!
 //! On top of the primitives sits the plan layer
 //! ([`crate::session`]), the one front door: [`crate::Simulation`] →
@@ -59,13 +62,11 @@
 use crate::adaptive::AdaptiveOpmOptions;
 use crate::cache::PatternCache;
 use crate::metrics::FactorProfile;
-use crate::result::OpmResult;
 use crate::OpmError;
 use opm_sparse::lu::LuOptions;
 use opm_sparse::ordering::amd;
 use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CscMatrix, CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
-use opm_system::{DescriptorSystem, MultiTermSystem};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -634,20 +635,19 @@ fn apply_b_panel<const W: usize>(
 /// stimulus application ([`apply_b_block`]) and the triangular solves
 /// ([`SparseLu::solve_block_into`]) each traverse their structure once
 /// per column instead of once per scenario.
-pub struct BlockColumnSweep {
+pub(crate) struct BlockColumnSweep {
     n: usize,
     m: usize,
     lanes: usize,
     columns: Vec<Vec<f64>>,
     /// Leading columns of `columns` that were seeded, not solved
     /// ([`BlockColumnSweep::seed_history`]) — visible to RHS builders,
-    /// excluded from the outcome.
+    /// excluded from the returned store.
     seeded: usize,
     rhs: Vec<f64>,
     /// Scratch block sized `n·lanes`, for matrix–block products inside
     /// RHS builders (avoids per-column allocation in every strategy).
     work: Vec<f64>,
-    num_solves: usize,
 }
 
 impl BlockColumnSweep {
@@ -656,7 +656,7 @@ impl BlockColumnSweep {
     ///
     /// # Panics
     /// Panics when `lanes == 0`.
-    pub fn new(n: usize, m: usize, lanes: usize) -> Self {
+    pub(crate) fn new(n: usize, m: usize, lanes: usize) -> Self {
         assert!(lanes > 0, "block sweep needs at least one lane");
         BlockColumnSweep {
             n,
@@ -666,14 +666,13 @@ impl BlockColumnSweep {
             seeded: 0,
             rhs: vec![0.0; n * lanes],
             work: vec![0.0; n * lanes],
-            num_solves: 0,
         }
     }
 
     /// Seeds the sweep with already-solved history columns — the state
     /// carry of a windowed solve: the RHS builders read them at indices
     /// `0..cols.len()` exactly as if this sweep had solved them, but
-    /// they are excluded from the outcome and from `num_solves`. The
+    /// they are excluded from the returned store. The
     /// builder's column index `j` keeps counting from the seed
     /// (`history.len()` at each step), so a time-invariant recurrence
     /// continued across a window boundary is column-for-column identical
@@ -682,7 +681,7 @@ impl BlockColumnSweep {
     /// # Panics
     /// Panics when called after stepping, or twice, or with a column of
     /// the wrong block size.
-    pub fn seed_history(&mut self, cols: Vec<Vec<f64>>) {
+    pub(crate) fn seed_history(&mut self, cols: Vec<Vec<f64>>) {
         assert!(
             self.columns.is_empty() && self.seeded == 0,
             "seed_history must precede the first step"
@@ -702,13 +701,13 @@ impl BlockColumnSweep {
     /// and appends the new interleaved column. `j` is the index into the
     /// history — it starts past any seeded columns, so seeded and
     /// unseeded sweeps present the same coordinates to the builder.
-    /// Seeded history columns are dropped: the outcome holds only the
-    /// columns this sweep solved.
-    pub fn run(
+    /// Seeded history columns are dropped: the returned store holds only
+    /// the interleaved columns this sweep solved.
+    pub(crate) fn run(
         mut self,
         lu: &SparseLu,
         mut build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]),
-    ) -> BlockOutcome {
+    ) -> Vec<Vec<f64>> {
         for _ in 0..self.m {
             self.rhs.iter_mut().for_each(|v| *v = 0.0);
             build(
@@ -719,147 +718,31 @@ impl BlockColumnSweep {
             );
             let mut x = vec![0.0; self.n * self.lanes];
             lu.solve_block_into(&self.rhs, &mut x, self.lanes);
-            self.num_solves += self.lanes;
             self.columns.push(x);
         }
         self.columns.drain(..self.seeded);
-        BlockOutcome {
-            columns: self.columns,
-            lanes: self.lanes,
-            num_solves: self.num_solves,
-            num_factorizations: 1,
+        self.columns
+    }
+}
+
+/// Splits a store of lane-interleaved `n × lanes` columns into one plain
+/// column list per lane, consuming the store as it goes (peak storage
+/// stays one copy plus one block). One lane is already plain: its
+/// columns move instead of being copied.
+pub(crate) fn deinterleave(columns: Vec<Vec<f64>>, lanes: usize) -> Vec<Vec<Vec<f64>>> {
+    if lanes == 1 {
+        return vec![columns];
+    }
+    let n = columns.first().map_or(0, |c| c.len() / lanes);
+    let mut per_lane: Vec<Vec<Vec<f64>>> = (0..lanes)
+        .map(|_| Vec::with_capacity(columns.len()))
+        .collect();
+    for blk in columns {
+        for (l, cols) in per_lane.iter_mut().enumerate() {
+            cols.push((0..n).map(|i| blk[i * lanes + l]).collect());
         }
     }
-}
-
-/// Raw multi-lane sweep output: interleaved columns plus counters.
-pub struct BlockOutcome {
-    /// Solved columns, one interleaved `n × lanes` block per interval.
-    pub columns: Vec<Vec<f64>>,
-    /// Scenario width.
-    pub lanes: usize,
-    /// Sparse solves performed (one per lane per column).
-    pub num_solves: usize,
-    /// Sparse factorizations performed.
-    pub num_factorizations: usize,
-}
-
-impl BlockOutcome {
-    /// De-interleaves into one [`SweepOutcome`] per lane, consuming the
-    /// interleaved columns as it goes (peak storage stays one copy plus
-    /// one block).
-    pub fn into_lane_outcomes(self) -> Vec<SweepOutcome> {
-        let lanes = self.lanes;
-        if lanes == 1 {
-            // The interleaved layout degenerates to plain columns: move
-            // them instead of element-copying (the single-scenario path).
-            return vec![SweepOutcome {
-                columns: self.columns,
-                num_solves: self.num_solves,
-                num_factorizations: self.num_factorizations,
-            }];
-        }
-        let n = self.columns.first().map_or(0, |c| c.len() / lanes);
-        let mut per_lane: Vec<Vec<Vec<f64>>> = (0..lanes)
-            .map(|_| Vec::with_capacity(self.columns.len()))
-            .collect();
-        for blk in self.columns {
-            for (l, cols) in per_lane.iter_mut().enumerate() {
-                cols.push((0..n).map(|i| blk[i * lanes + l]).collect());
-            }
-        }
-        per_lane
-            .into_iter()
-            .map(|columns| SweepOutcome {
-                columns,
-                num_solves: self.num_solves / lanes,
-                num_factorizations: self.num_factorizations,
-            })
-            .collect()
-    }
-}
-
-/// Raw sweep output: solved columns plus complexity counters.
-pub struct SweepOutcome {
-    /// Solved coefficient columns, one per interval.
-    pub columns: Vec<Vec<f64>>,
-    /// Sparse solves performed.
-    pub num_solves: usize,
-    /// Sparse factorizations performed.
-    pub num_factorizations: usize,
-}
-
-impl SweepOutcome {
-    /// Assembles an [`OpmResult`] on the uniform grid `m × h`.
-    pub fn uniform_result(self, out: &impl OutputMap, t_end: f64) -> OpmResult {
-        let m = self.columns.len();
-        let h = if m == 0 { 0.0 } else { t_end / m as f64 };
-        let outputs = reconstruct_outputs(out, &self.columns);
-        OpmResult {
-            bounds: (0..=m).map(|k| k as f64 * h).collect(),
-            columns: self.columns,
-            outputs,
-            num_solves: self.num_solves,
-            num_factorizations: self.num_factorizations,
-        }
-    }
-
-    /// Assembles an [`OpmResult`] on an explicit boundary grid.
-    pub fn grid_result(self, out: &impl OutputMap, bounds: Vec<f64>) -> OpmResult {
-        let outputs = reconstruct_outputs(out, &self.columns);
-        OpmResult {
-            bounds,
-            columns: self.columns,
-            outputs,
-            num_solves: self.num_solves,
-            num_factorizations: self.num_factorizations,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Output reconstruction
-// ---------------------------------------------------------------------------
-
-/// A system that can project a state column onto output channels —
-/// implemented by every model type the engine solves.
-pub trait OutputMap {
-    /// Number of output channels.
-    fn num_outputs(&self) -> usize;
-    /// Projects one state column through the output selector `C` (or the
-    /// identity when the model has none).
-    fn output(&self, x: &[f64]) -> Vec<f64>;
-}
-
-impl OutputMap for DescriptorSystem {
-    fn num_outputs(&self) -> usize {
-        DescriptorSystem::num_outputs(self)
-    }
-    fn output(&self, x: &[f64]) -> Vec<f64> {
-        DescriptorSystem::output(self, x)
-    }
-}
-
-impl OutputMap for MultiTermSystem {
-    fn num_outputs(&self) -> usize {
-        MultiTermSystem::num_outputs(self)
-    }
-    fn output(&self, x: &[f64]) -> Vec<f64> {
-        MultiTermSystem::output(self, x)
-    }
-}
-
-/// Projects every solved column onto the output channels:
-/// `outputs[o][j]`.
-pub fn reconstruct_outputs(out: &impl OutputMap, columns: &[Vec<f64>]) -> Vec<Vec<f64>> {
-    let q = out.num_outputs();
-    let mut outputs = vec![Vec::with_capacity(columns.len()); q];
-    for col in columns {
-        for (o, val) in out.output(col).into_iter().enumerate() {
-            outputs[o].push(val);
-        }
-    }
-    outputs
+    per_lane
 }
 
 // ---------------------------------------------------------------------------
@@ -933,8 +816,9 @@ impl SolveOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OpmResult;
     use opm_sparse::CooMatrix;
-    use opm_system::FractionalSystem;
+    use opm_system::{DescriptorSystem, FractionalSystem};
     use opm_waveform::{InputSet, Waveform};
 
     fn scalar(a: f64) -> DescriptorSystem {
@@ -1125,11 +1009,24 @@ mod tests {
     fn sweep_counts_and_history() {
         let sys = scalar(-1.0);
         let lu = factor_pencil(&sys.e().lin_comb(2.0, -1.0, sys.a())).unwrap();
-        let outcome = BlockColumnSweep::new(1, 4, 1).run(&lu, |j, history, rhs, _| {
+        let columns = BlockColumnSweep::new(1, 4, 1).run(&lu, |j, history, rhs, _| {
             assert_eq!(history.len(), j);
             rhs[0] = 1.0;
         });
-        assert_eq!(outcome.columns.len(), 4);
-        assert_eq!(outcome.num_solves, 4);
+        assert_eq!(columns.len(), 4);
+    }
+
+    #[test]
+    fn deinterleave_splits_lanes_and_moves_one() {
+        // Two columns of an n = 2, 3-lane store: block[i*3 + l].
+        let store = vec![
+            vec![0.0, 1.0, 2.0, 10.0, 11.0, 12.0],
+            vec![3.0, 4.0, 5.0, 13.0, 14.0, 15.0],
+        ];
+        let lanes = deinterleave(store, 3);
+        assert_eq!(lanes[1], vec![vec![1.0, 11.0], vec![4.0, 14.0]]);
+        let one = vec![vec![7.0, 8.0]];
+        let ptr = one[0].as_ptr();
+        assert_eq!(deinterleave(one, 1)[0][0].as_ptr(), ptr);
     }
 }

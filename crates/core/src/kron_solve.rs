@@ -5,8 +5,7 @@
 //! — strictly an *oracle*: every fast path in this crate is tested for
 //! exact (roundoff-level) agreement against it on small systems.
 
-use crate::engine::{reconstruct_outputs, OutputMap};
-use crate::result::OpmResult;
+use crate::result::{uniform_bounds, OpmResult};
 use crate::OpmError;
 use opm_basis::bpf::BpfBasis;
 use opm_linalg::kron::{kron, unvec, vec_of};
@@ -17,23 +16,6 @@ const MAX_DENSE: usize = 4096;
 
 fn u_matrix(u_coeffs: &[Vec<f64>], m: usize) -> DMatrix {
     DMatrix::from_fn(u_coeffs.len(), m, |i, j| u_coeffs[i][j])
-}
-
-fn finish(columns_mat: DMatrix, out: &impl OutputMap, t_end: f64) -> OpmResult {
-    let m = columns_mat.ncols();
-    let n = columns_mat.nrows();
-    let h = t_end / m as f64;
-    let columns: Vec<Vec<f64>> = (0..m)
-        .map(|j| (0..n).map(|i| columns_mat.get(i, j)).collect())
-        .collect();
-    let outputs = reconstruct_outputs(out, &columns);
-    OpmResult {
-        bounds: (0..=m).map(|k| k as f64 * h).collect(),
-        columns,
-        outputs,
-        num_solves: 1,
-        num_factorizations: 1,
-    }
 }
 
 /// The dense oracle's stimulus-independent half: the factored Kronecker
@@ -58,11 +40,14 @@ pub(crate) fn kron_prepare(
     if m == 0 {
         return Err(OpmError::BadArguments("input shape mismatch".into()));
     }
-    if n * m > MAX_DENSE {
-        return Err(OpmError::BadArguments(format!(
-            "n·m = {} exceeds the dense oracle guard",
-            n * m
-        )));
+    // `n·m` is request-sized: an overflowing product is too big as well.
+    let too_big =
+        |nm: String| OpmError::BadArguments(format!("n·m = {nm} exceeds the dense oracle guard"));
+    let nm = n
+        .checked_mul(m)
+        .ok_or_else(|| too_big(format!("{n}·{m}")))?;
+    if nm > MAX_DENSE {
+        return Err(too_big(nm.to_string()));
     }
     let basis = BpfBasis::new(m, t_end);
     // Big matrix: Σ_k (D^{α_k})ᵀ ⊗ A_k.
@@ -97,7 +82,10 @@ pub(crate) fn kron_solve_prepared(
     let rhs = vec_of(&bu);
     let x = factors.lu.solve(&DVector::from(rhs.as_slice().to_vec()));
     let xm = unvec(&x, n, m);
-    Ok(finish(xm, mt, t_end))
+    let columns = (0..m)
+        .map(|j| (0..n).map(|i| xm.get(i, j)).collect())
+        .collect();
+    Ok(OpmResult::new(uniform_bounds(m, t_end), columns, mt.c()))
 }
 
 /// The fractional equation as a two-term system (shared by the oracle
@@ -270,6 +258,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn guard_rejects_an_overflowing_size() {
+        // 4 states × 2^62 columns wraps to 0 in unchecked arithmetic.
+        let mut a = CooMatrix::new(4, 4);
+        for i in 0..4 {
+            a.push(i, i, -1.0);
+        }
+        let sys = DescriptorSystem::new(
+            CsrMatrix::identity(4),
+            a.to_csr(),
+            CsrMatrix::identity(4),
+            None,
+        )
+        .unwrap();
+        let err = crate::Simulation::from_system(sys)
+            .horizon(1.0)
+            .plan(
+                &crate::SolveOptions::new()
+                    .resolution(1 << 62)
+                    .method(Method::Kronecker),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, OpmError::BadArguments(msg) if msg.contains("dense oracle guard")),
+            "{err}"
+        );
     }
 
     #[test]

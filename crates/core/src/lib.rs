@@ -16,9 +16,8 @@
 //!   multi-RHS block sweep. Whole-horizon and windowed solves share one
 //!   window loop; the whole horizon is its one-window case.
 //! - [`engine`] — the shared solver engine: [`engine::SolveOptions`]
-//!   plus the validation, pencil-factorization, cached-factorization
-//!   (block) column-sweep and output-reconstruction primitives every
-//!   strategy below builds on.
+//!   plus the validation, pencil-factorization and cached-factorization
+//!   (block) column-sweep primitives every strategy below builds on.
 //!
 //! The strategy modules document (and test) the algorithms a plan runs:
 //!
@@ -41,8 +40,9 @@
 //!   basis-generality claim.
 //! - [`kron_solve`] — the explicit `(Dᵀ⊗E − I⊗A)·vec X` formulation
 //!   (paper Eqs. 15/18/27), kept as a brute-force oracle.
-//! - [`result`], [`metrics`] — coefficient containers, reconstruction,
-//!   and the paper's Eq. (30) dB error metric.
+//! - [`result`], [`metrics`] — the solution container ([`OpmResult`]:
+//!   bounds, coefficient columns, outputs), the plan's cost record
+//!   ([`FactorProfile`]) and the paper's Eq. (30) dB error metric.
 //!
 //! # Quickstart
 //!

@@ -71,8 +71,6 @@ pub(crate) struct NewtonSweep<'a> {
     resid: Vec<f64>,
     work: Vec<f64>,
     f_dev: Vec<f64>,
-    /// Sparse triangular solves performed.
-    pub num_solves: usize,
     /// Newton iterations performed (across all windows driven so far).
     pub newton_iters: usize,
 }
@@ -116,7 +114,6 @@ impl<'a> NewtonSweep<'a> {
             resid: vec![0.0; n],
             work: vec![0.0; n],
             f_dev: vec![0.0; n],
-            num_solves: 0,
             newton_iters: 0,
         })
     }
@@ -203,7 +200,6 @@ impl<'a> NewtonSweep<'a> {
                     self.rhs[row] += amps;
                 }
                 let x_new = lu.solve(&self.rhs);
-                self.num_solves += 1;
                 self.residual(sigma, &x_new);
                 res = inf_norm(&self.resid);
                 x = x_new;

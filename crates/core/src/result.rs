@@ -1,31 +1,53 @@
 //! OPM solution containers: coefficient matrices with reconstruction.
 
-/// An OPM solution `x(t) ≈ X·φ(t)` on a (possibly non-uniform) grid.
+use opm_sparse::CsrMatrix;
+
+/// An OPM solution `x(t) ≈ X·φ(t)` on a (possibly non-uniform) grid,
+/// with its outputs `Y = C·X`.
 ///
 /// `columns[j]` is the coefficient vector `x_j ∈ Rⁿ` of interval `j` —
 /// the interval *average* of the state (paper Eq. 2), which is also a
-/// second-order-accurate midpoint sample.
+/// second-order-accurate midpoint sample. A result is only the
+/// solution: what it cost lives with the plan that produced it
+/// ([`crate::SimPlan::factor_profile`]), since one factorization serves
+/// every column and every scenario of the plan.
 #[derive(Clone, Debug)]
 pub struct OpmResult {
-    /// Interval boundaries, length `m + 1` (`bounds[0] = 0`).
+    /// Interval boundaries, length `m + 1`.
     pub bounds: Vec<f64>,
     /// Coefficient columns, `columns[j].len() == n`.
     pub columns: Vec<Vec<f64>>,
     /// Output coefficients: `outputs[o][j]` (computed through `C` when the
     /// system has one, otherwise equal to the state rows).
     pub outputs: Vec<Vec<f64>>,
-    /// Sparse solves performed (complexity accounting).
-    pub num_solves: usize,
-    /// Sparse LU factorizations *backing* this result. Results produced
-    /// by one reusable plan share the plan's factorizations, so summing
-    /// this field across a batch over-counts — use
-    /// `SimPlan::factor_profile()` for the true total. (Adaptive
-    /// solves through a shared step-lattice cache instead report only
-    /// the factorizations newly performed for this result.)
-    pub num_factorizations: usize,
+}
+
+/// The bounds of `m` uniform intervals over `[0, t_end)`.
+pub(crate) fn uniform_bounds(m: usize, t_end: f64) -> Vec<f64> {
+    let h = if m == 0 { 0.0 } else { t_end / m as f64 };
+    (0..=m).map(|k| k as f64 * h).collect()
 }
 
 impl OpmResult {
+    /// The one way a solve builds its result: projects every column
+    /// through the model's output selector `c` (the identity when the
+    /// model has none) into `outputs[o][j]`.
+    pub(crate) fn new(bounds: Vec<f64>, columns: Vec<Vec<f64>>, c: Option<&CsrMatrix>) -> Self {
+        let q = c.map_or_else(|| columns.first().map_or(0, Vec::len), CsrMatrix::nrows);
+        let mut outputs = vec![Vec::with_capacity(columns.len()); q];
+        for col in &columns {
+            let y = c.map_or_else(|| col.clone(), |c| c.mul_vec(col));
+            for (row, v) in outputs.iter_mut().zip(y) {
+                row.push(v);
+            }
+        }
+        OpmResult {
+            bounds,
+            columns,
+            outputs,
+        }
+    }
+
     /// Number of intervals `m`.
     pub fn num_intervals(&self) -> usize {
         self.columns.len()
@@ -109,9 +131,18 @@ mod tests {
             bounds: vec![0.0, 0.5, 1.0, 2.0],
             columns: vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]],
             outputs: vec![vec![1.0, 2.0, 3.0]],
-            num_solves: 3,
-            num_factorizations: 1,
         }
+    }
+
+    #[test]
+    fn new_projects_through_c_or_copies_the_state() {
+        let columns = vec![vec![1.0, 10.0], vec![2.0, 20.0]];
+        let mut c = opm_sparse::CooMatrix::new(1, 2);
+        c.push(0, 1, 0.5);
+        let r = OpmResult::new(vec![0.0, 1.0, 2.0], columns.clone(), Some(&c.to_csr()));
+        assert_eq!(r.outputs, vec![vec![5.0, 10.0]]);
+        let r = OpmResult::new(vec![0.0, 1.0, 2.0], columns, None);
+        assert_eq!(r.outputs, vec![vec![1.0, 2.0], vec![10.0, 20.0]]);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! - [`SimPlan::solve`] — one stimulus through the cached factorization;
 //! - [`SimPlan::solve_batch`] — K stimuli (a parameter study maps each
 //!   parameter to its stimulus) swept through the factorization in a
-//!   **single pass**: the engine's [`BlockColumnSweep`] interleaves the
+//!   **single pass**: the engine's `BlockColumnSweep` interleaves the
 //!   scenarios so every sparse traversal (pencil solve, `E`/`A`
 //!   products, `B` application) is amortized K-fold;
 //! - [`SimPlan::solve_windowed`] / [`SimPlan::solve_windowed_batch_opts`]
@@ -64,14 +64,14 @@ use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
-    apply_b_block, validate_coeff_inputs, validate_horizon, validate_x0, BlockColumnSweep,
-    BlockOutcome, Method, OutputMap, PencilFamily, SolveOptions, SweepOutcome,
+    apply_b_block, deinterleave, validate_coeff_inputs, validate_horizon, validate_x0,
+    BlockColumnSweep, Method, PencilFamily, SolveOptions,
 };
 use crate::gate::GateCache;
 use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
 use crate::metrics::FactorProfile;
 use crate::newton::NewtonSweep;
-use crate::result::OpmResult;
+use crate::result::{uniform_bounds, OpmResult};
 use crate::sync::StdSync;
 use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
@@ -138,6 +138,17 @@ impl SimModel {
             SimModel::Fractional(_) => "fractional",
             SimModel::MultiTerm(_) => "multi-term",
             SimModel::SecondOrder(_) => "second-order",
+        }
+    }
+
+    /// The output selector `C` every result of the model projects
+    /// through (`None`: the outputs are the state).
+    pub(crate) fn c(&self) -> Option<&CsrMatrix> {
+        match self {
+            SimModel::Linear(s) => s.c(),
+            SimModel::Fractional(f) => f.system().c(),
+            SimModel::MultiTerm(mt) => mt.c(),
+            SimModel::SecondOrder(so) => so.c(),
         }
     }
 }
@@ -946,27 +957,6 @@ fn worker_lane_chunk(lanes: usize, threads: usize) -> usize {
     }
 }
 
-/// Output projection dispatch without cloning the selector.
-enum OutRef<'o> {
-    Sys(&'o DescriptorSystem),
-    Mt(&'o MultiTermSystem),
-}
-
-impl OutputMap for OutRef<'_> {
-    fn num_outputs(&self) -> usize {
-        match self {
-            OutRef::Sys(s) => s.num_outputs(),
-            OutRef::Mt(mt) => mt.num_outputs(),
-        }
-    }
-    fn output(&self, x: &[f64]) -> Vec<f64> {
-        match self {
-            OutRef::Sys(s) => s.output(x),
-            OutRef::Mt(mt) => mt.output(x),
-        }
-    }
-}
-
 impl SimPlan {
     // -- observability ------------------------------------------------------
 
@@ -1275,20 +1265,15 @@ impl SimPlan {
         self.reject_nonlinear()?;
         self.check_channels(std::slice::from_ref(inputs))?;
         let kernel = self.window_kernel(windows)?;
-        let out = self.output_map();
         let lane = std::slice::from_ref(inputs);
         let mut final_state = self.x0.clone();
         let coeffs = |w, seed| self.window_coeffs(lane, windows, w, seed);
         self.windowed_drive(&kernel, 1, opts, true, coeffs, |w, columns, end| {
             // One lane: the interleaved columns are plain columns.
-            let one = SweepOutcome {
-                columns: columns.to_vec(),
-                num_solves: columns.len(),
-                num_factorizations: 1,
-            };
+            let bounds = self.window_bounds(windows, w, 0);
             sink(WindowBlock {
                 window: w,
-                result: one.grid_result(&out, self.window_bounds(windows, w, 0)),
+                result: OpmResult::new(bounds, columns.to_vec(), self.model.c()),
                 end_state: end.to_vec(),
             });
             final_state.clear();
@@ -1409,16 +1394,8 @@ impl SimPlan {
             columns.extend(win.columns);
         }
         family.note_newton_iters(sweep.newton_iters);
-        // One factorization per Newton iteration (stamped values change
-        // every iterate), all numeric-only against the one analysis.
-        let num_factorizations = sweep.newton_iters;
-        let num_solves = sweep.num_solves;
-        let result = SweepOutcome {
-            columns,
-            num_solves,
-            num_factorizations,
-        }
-        .uniform_result(&self.output_map(), self.t_end);
+        let bounds = uniform_bounds(columns.len(), self.t_end);
+        let result = OpmResult::new(bounds, columns, self.model.c());
         self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(result)
     }
@@ -1533,9 +1510,9 @@ impl SimPlan {
         )))
     }
 
-    /// The multi-term system the plan sweeps or projects outputs
-    /// through: its owned conversion, else the model's own multi-term
-    /// form (`None` for linear and fractional sweeps).
+    /// The multi-term system the plan sweeps: its owned conversion,
+    /// else the model's own multi-term form (`None` for linear,
+    /// adaptive and step-grid plans).
     fn mt(&self) -> Option<&MultiTermSystem> {
         let owned = match &self.kind {
             PlanKind::Uniform(u) => u.mt.as_ref(),
@@ -1626,15 +1603,16 @@ impl SimPlan {
         threads: usize,
         coeffs: impl Fn(&[L], usize, usize) -> LaneCoeffs + Sync,
     ) -> Result<Vec<OpmResult>, OpmError> {
-        let out = self.output_map();
         let run = |chunk: &[L]| -> Result<Vec<OpmResult>, OpmError> {
             let chunk_coeffs = |w, seed| coeffs(chunk, w, seed);
             let store =
                 self.windowed_drive(kernel, chunk.len(), opts, false, chunk_coeffs, |_, _, _| {})?;
-            Ok(store
-                .into_lane_outcomes()
+            Ok(deinterleave(store, chunk.len())
                 .into_iter()
-                .map(|o| o.uniform_result(&out, self.t_end))
+                .map(|columns| {
+                    let bounds = uniform_bounds(columns.len(), self.t_end);
+                    OpmResult::new(bounds, columns, self.model.c())
+                })
                 .collect())
         };
         let per_worker = worker_lane_chunk(lanes.len(), threads);
@@ -1660,7 +1638,7 @@ impl SimPlan {
     /// cap) for fractional kernels. `on_window` then sees the window's
     /// columns and end-of-window state block; with `trim`, the store
     /// afterwards keeps only what the kernel still reads (bounded
-    /// streaming memory). Returns the store as one block outcome.
+    /// streaming memory). Returns the store.
     ///
     /// Polls the [`WindowedOptions`] cancel token at every window
     /// boundary — the cooperative cancellation point that bounds how
@@ -1674,7 +1652,7 @@ impl SimPlan {
         trim: bool,
         coeffs: impl Fn(usize, usize) -> LaneCoeffs,
         mut on_window: impl FnMut(usize, &[Vec<f64>], &[f64]),
-    ) -> Result<BlockOutcome, OpmError> {
+    ) -> Result<Vec<Vec<f64>>, OpmError> {
         let windows = opts.windows();
         let k = lanes;
         let (carried, recurrence) = match &kernel.symbols {
@@ -1699,27 +1677,20 @@ impl SimPlan {
         };
         let mut store: Vec<Vec<f64>> = Vec::new();
         store.try_reserve_exact(columns).map_err(|_| too_large())?;
-        let mut num_solves = 0;
         for w in 0..windows {
             opts.check_cancelled()?;
             let tail = &store[store.len() - carried.min(store.len())..];
             let seed = if recurrence { tail.len() } else { 0 };
-            let outcome = self.sweep_window(kernel, &coeffs(w, seed), tail, &end);
-            end = endpoint_state(&outcome.columns, &end);
-            num_solves += outcome.num_solves;
-            let fresh = outcome.columns.len();
-            store.extend(outcome.columns);
+            let solved = self.sweep_window(kernel, &coeffs(w, seed), tail, &end);
+            end = endpoint_state(&solved, &end);
+            let fresh = solved.len();
+            store.extend(solved);
             on_window(w, &store[store.len() - fresh..], &end);
             if trim {
                 store.drain(..store.len().saturating_sub(carried));
             }
         }
-        Ok(BlockOutcome {
-            columns: store,
-            lanes: k,
-            num_solves,
-            num_factorizations: 1,
-        })
+        Ok(store)
     }
 
     /// Solves one window for the lanes of `lc` against the shared
@@ -1733,7 +1704,7 @@ impl SimPlan {
         lc: &LaneCoeffs,
         tail: &[Vec<f64>],
         start: &[f64],
-    ) -> BlockOutcome {
+    ) -> Vec<Vec<f64>> {
         let lu = &kernel.lu;
         match &kernel.symbols {
             WindowSymbols::Linear { sigma, accumulator } => {
@@ -1744,14 +1715,14 @@ impl SimPlan {
                 // c = A·x(T_w), per lane.
                 let mut c_force = vec![0.0; sys.order() * lc.lanes];
                 sys.a().mul_block_into(start, &mut c_force, lc.lanes);
-                let mut outcome = sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, lc);
+                let mut columns = sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, lc);
                 // z → x: add the window's start state back.
-                for col in &mut outcome.columns {
+                for col in &mut columns {
                     for (c, &v) in col.iter_mut().zip(start) {
                         *c += v;
                     }
                 }
-                outcome
+                columns
             }
             WindowSymbols::Recurrence { polys, bw, .. } => {
                 let mt = self
@@ -1789,14 +1760,6 @@ impl SimPlan {
             unreachable!("kron plans carry or reference a multi-term form");
         };
         kron_solve_prepared(mt, factors, u, self.t_end)
-    }
-
-    fn output_map(&self) -> OutRef<'_> {
-        match (self.mt(), self.model.as_ref()) {
-            (Some(mt), _) => OutRef::Mt(mt),
-            (None, SimModel::Linear(sys)) => OutRef::Sys(sys),
-            _ => unreachable!("fractional and second-order plans own their multi-term conversion"),
-        }
     }
 }
 
@@ -1849,7 +1812,7 @@ fn sweep_linear_block(
     c_force: &[f64],
     accumulator: bool,
     lc: &LaneCoeffs,
-) -> BlockOutcome {
+) -> Vec<Vec<f64>> {
     let n = sys.order();
     let k = lc.lanes;
     if accumulator {
@@ -1899,7 +1862,7 @@ fn sweep_mt_recurrence_block(
     bw: &[f64],
     lc: &LaneCoeffs,
     seed: Vec<Vec<f64>>,
-) -> BlockOutcome {
+) -> Vec<Vec<f64>> {
     let n = mt.order();
     let k = lc.lanes;
     let m_solve = lc.m - seed.len();
@@ -1941,7 +1904,7 @@ fn sweep_mt_convolution_block(
     series: &[Vec<f64>],
     lc: &LaneCoeffs,
     tail: &[Vec<f64>],
-) -> BlockOutcome {
+) -> Vec<Vec<f64>> {
     let n = mt.order();
     let k = lc.lanes;
     let carried: Vec<Option<Vec<Vec<f64>>>> = mt
@@ -2407,7 +2370,7 @@ mod tests {
         let b = plan.solve(&InputSet::new(vec![Waveform::Dc(2.0)])).unwrap();
         // Same step lattice ⇒ the second scenario reuses every factor.
         assert_eq!(plan.factor_profile().num_factorizations(), first);
-        assert!(a.num_solves > 0 && b.num_solves > 0);
+        assert!(a.num_intervals() > 0 && b.num_intervals() > 0);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //! - [`history`] — the shared history-convolution kernel (and the
 //!   short-memory [`history::HistoryTail`]) behind every memory-carrying
 //!   fractional recurrence in the workspace.
-//! - [`rl`] — Riemann–Liouville fractional integrals by product-trapezoid
-//!   quadrature (Diethelm), an independent oracle.
 //!
 //! # Example: fractional relaxation oracle
 //!
@@ -32,7 +30,6 @@ pub mod gamma;
 pub mod grunwald;
 pub mod history;
 pub mod mittag_leffler;
-pub mod rl;
 
 pub use binomial::binomial_alpha;
 pub use gamma::{erf, erfc, gamma_fn, ln_gamma};

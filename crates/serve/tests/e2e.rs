@@ -774,3 +774,32 @@ fn oversized_solves_are_refused_not_fatal() {
     post_fresh(server.addr(), &solve_body(), "miss");
     server.shutdown();
 }
+
+/// A Kronecker plan whose `n·m` overflows `usize` is refused by the
+/// dense-oracle guard with a 400, not a capacity-overflow panic, and the
+/// daemon serves the next request.
+#[test]
+fn overflowing_kronecker_size_is_a_400() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    // 4 states × 2^62 columns: the product wraps to 0 unchecked.
+    let body = r#"{
+        "model": {"n": 4, "inputs": 1,
+                  "e": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
+                  "a": [[0, 0, -1.0], [1, 1, -1.0], [2, 2, -1.0], [3, 3, -1.0]],
+                  "b": [[0, 0, 1.0]]},
+        "horizon": 1.0,
+        "options": {"resolution": 4611686018427387904, "method": "kronecker"},
+        "scenarios": [[{"kind": "dc", "value": 1.0}]]
+    }"#;
+    let r = client::post(server.addr(), "/solve", body).unwrap();
+    assert_eq!(r.status, 400, "{}", r.body);
+    assert!(r.body.contains("dense oracle guard"), "{}", r.body);
+    let doc = client::get(server.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let robustness = doc.get("robustness").unwrap();
+    assert_eq!(robustness.get("panics").unwrap().as_usize(), Some(0));
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}

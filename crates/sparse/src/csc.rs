@@ -1,7 +1,7 @@
 //! Compressed sparse column format — the factorization-side layout.
 //!
-//! Left-looking LU and Cholesky consume matrices column by column, so both
-//! factor from CSC. Conversion from CSR is a transpose-shaped pass.
+//! Left-looking LU consumes matrices column by column, so it factors from
+//! CSC. Conversion from CSR is a transpose-shaped pass.
 
 use crate::csr::CsrMatrix;
 

@@ -17,8 +17,6 @@
 //! - [`pencil::ShiftedPencil`] — the weighted pencil family `Σ_k w_k·A_k`
 //!   (`σ·E − A` is its two-term case): union CSC pattern assembled once,
 //!   values rewritten per weight vector.
-//! - [`cholesky::SparseCholesky`] — left-looking simplicial Cholesky for the
-//!   SPD matrices of the second-order nodal formulation.
 //! - [`ordering`] — approximate minimum degree (the pencil ordering) and
 //!   reverse Cuthill–McKee fill-reducing orderings; [`perm::Permutation`].
 //!
@@ -38,7 +36,6 @@
 //! assert!((x[0] - 20.0 / 11.0).abs() < 1e-12);
 //! ```
 
-pub mod cholesky;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -47,7 +44,6 @@ pub mod ordering;
 pub mod pencil;
 pub mod perm;
 
-pub use cholesky::SparseCholesky;
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
@@ -70,9 +66,6 @@ pub enum SparseError {
     /// fresh factorization would not pivot on the recorded row of this
     /// column; the caller should factor fresh.
     PivotMismatch(usize),
-    /// Cholesky encountered a non-positive pivot; the matrix is not
-    /// positive definite.
-    NotPositiveDefinite(usize),
     /// Dimensions are inconsistent for the requested operation.
     DimensionMismatch {
         /// What the operation expected.
@@ -95,9 +88,6 @@ impl std::fmt::Display for SparseError {
                 f,
                 "a fresh factorization would pivot differently at column {k}"
             ),
-            SparseError::NotPositiveDefinite(k) => {
-                write!(f, "matrix is not positive definite (pivot {k})")
-            }
             SparseError::DimensionMismatch { expected, found } => write!(
                 f,
                 "dimension mismatch: expected {}x{}, found {}x{}",

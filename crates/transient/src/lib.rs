@@ -7,7 +7,6 @@
 //!
 //! - [`gl`] — a Grünwald–Letnikov fractional stepper, the classical
 //!   time-domain FDE method OPM's fractional solver is measured against.
-//! - [`adaptive`] — LTE-controlled adaptive trapezoidal integration.
 //! - [`mod@reference`] — high-accuracy references: exact matrix-exponential
 //!   stepping for regular ODEs and Richardson-refined trapezoidal for
 //!   DAEs.
@@ -25,7 +24,6 @@
 
 mod util;
 
-pub mod adaptive;
 pub mod bdf;
 pub mod be;
 pub mod gl;
@@ -34,7 +32,6 @@ pub mod reference;
 pub mod result;
 pub mod trap;
 
-pub use adaptive::adaptive_trapezoidal;
 pub use bdf::bdf;
 pub use be::backward_euler;
 pub use gl::gl_fractional;

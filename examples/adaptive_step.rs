@@ -21,15 +21,15 @@ fn main() {
     let sim = Simulation::from_system(model.system.clone())
         .horizon(t_end)
         .initial_state(x0);
-    let adaptive = sim
+    let adaptive_plan = sim
         .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
             tol: 1e-6,
             h0: 1e-6,
             h_min: 1e-9,
             h_max: 1e-4,
         }))
-        .and_then(|plan| plan.solve(&model.inputs))
-        .expect("adaptive solves");
+        .expect("adaptive plans");
+    let adaptive = adaptive_plan.solve(&model.inputs).expect("adaptive solves");
 
     // Uniform run with the same *smallest* step the pulse required.
     let h_min_used = adaptive
@@ -42,7 +42,7 @@ fn main() {
     println!(
         "adaptive OPM: {} columns, {} factorizations",
         adaptive.num_intervals(),
-        adaptive.num_factorizations
+        adaptive_plan.factor_profile().num_factorizations()
     );
     println!("uniform OPM at the same finest step would need {m_uniform} columns");
     let ratio = m_uniform as f64 / adaptive.num_intervals() as f64;

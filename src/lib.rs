@@ -13,10 +13,10 @@
 //! | [`circuits`] | `opm-circuits` | netlists, SPICE-ish parser, MNA/NA, power-grid & fractional-line generators |
 //! | [`system`] | `opm-system` | descriptor / fractional / multi-term / second-order models |
 //! | [`waveform`] | `opm-waveform` | stimuli with exact interval averages |
-//! | [`transient`] | `opm-transient` | backward Euler, trapezoidal, Gear/BDF, GL, adaptive, references |
+//! | [`transient`] | `opm-transient` | backward Euler, trapezoidal, Gear/BDF, GL, Newton–BE, references |
 //! | [`fft`] | `opm-fft` | radix-2 + Bluestein FFT and the frequency-domain FDE baseline |
-//! | [`fracnum`] | `opm-fracnum` | Γ, Mittag-Leffler, Grünwald–Letnikov, Riemann–Liouville |
-//! | [`sparse`] | `opm-sparse` | CSR/CSC, sparse LU (Gilbert–Peierls, symbolic/numeric refactorization split), Cholesky, orderings |
+//! | [`fracnum`] | `opm-fracnum` | Γ, Mittag-Leffler, Grünwald–Letnikov, history convolution |
+//! | [`sparse`] | `opm-sparse` | CSR/CSC, sparse LU (Gilbert–Peierls, symbolic/numeric refactorization split), weighted pencils, orderings |
 //! | [`par`] | `opm-par` | hermetic std-only scoped thread pool (`OPM_THREADS`) behind the parallel batch runtime |
 //! | [`linalg`] | `opm-linalg` | dense real/complex kernels, expm, Kronecker, Parlett |
 //!

@@ -47,8 +47,13 @@ fn method_override_routes_to_the_kron_oracle() {
     let sim = Simulation::from_system(model.system.clone()).horizon(t_end);
     let solve = |opts: &SolveOptions| sim.plan(opts).unwrap().solve(&model.inputs).unwrap();
     let fast = solve(&SolveOptions::new().resolution(m));
-    let oracle = solve(&SolveOptions::new().resolution(m).method(Method::Kronecker));
-    assert_eq!(oracle.num_solves, 1);
+    let kron = sim
+        .plan(&SolveOptions::new().resolution(m).method(Method::Kronecker))
+        .unwrap();
+    // Only the Kronecker plan rejects windows by its own name.
+    let err = kron.solve_windowed(&model.inputs, 2).unwrap_err();
+    assert!(format!("{err}").contains("Kronecker plan"), "{err}");
+    let oracle = kron.solve(&model.inputs).unwrap();
     for j in 0..m {
         assert!(
             (fast.output_row(0)[j] - oracle.output_row(0)[j]).abs() < 1e-9,
@@ -128,7 +133,7 @@ fn adaptive_option_reuses_factorizations() {
         Waveform::pulse(0.0, 1.0, 1e-5, 1e-6, 2e-5, 1e-6, 0.0),
     );
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(4)]).unwrap();
-    let r = Simulation::from_system(model.system.clone())
+    let plan = Simulation::from_system(model.system.clone())
         .horizon(2e-3)
         .plan(&SolveOptions::new().adaptive(AdaptiveOpmOptions {
             tol: 1e-5,
@@ -136,12 +141,11 @@ fn adaptive_option_reuses_factorizations() {
             h_min: 1e-9,
             h_max: 1e-4,
         }))
-        .unwrap()
-        .solve(&model.inputs)
         .unwrap();
+    let r = plan.solve(&model.inputs).unwrap();
     // The power-of-two step lattice bounds the factorization count far
     // below the column count.
-    assert!(r.num_factorizations < r.num_intervals() / 2);
+    assert!(plan.factor_profile().cache_misses < r.num_intervals() / 2);
     // The power-of-two lattice reaches t_end to within one minimum step.
     assert!((r.bounds.last().unwrap() - 2e-3).abs() < 2e-9);
 }
