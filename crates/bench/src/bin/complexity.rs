@@ -6,13 +6,18 @@
 //!    convolution).
 //! 2. n-sweep at fixed m — both scale with the sparse-solve cost `n^β`,
 //!    `1 < β < 2`.
+//! 3. W-sweep at fixed m with full history — a windowed fractional solve
+//!    over `N = W·m` columns. One direct carried block per window costs
+//!    `O(W²m²)` history work (slope ≈ 2 in `W`); the dyadic FFT squares
+//!    cost `O(N log² N)` (slope toward 1). The direct path is what a
+//!    history cap one column short of full history runs.
 //!
 //! `cargo run --release -p opm-bench --bin complexity`
 
-use opm_bench::{fmt_time, row, rule, timed};
+use opm_bench::{fmt_time, row, rule, timed, timed_best};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
-use opm_core::{Simulation, SolveOptions};
+use opm_core::{Simulation, SolveOptions, WindowedOptions};
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
@@ -138,4 +143,52 @@ fn main() {
     }
     let beta = (pts[pts.len() - 1].1 / pts[1].1).ln() / (pts[pts.len() - 1].0 / pts[1].0).ln();
     println!("\nfitted exponent in n: runtime ≈ n^{beta:.2} (paper: 1 < β < 2)");
+
+    let m = 64;
+    println!("\nE2c — W-sweep at m = {m}, n = 100 (fractional chain), full history\n");
+    let widths = [6usize, 8, 14, 14, 10];
+    row(
+        &[
+            "W".into(),
+            "columns".into(),
+            "direct".into(),
+            "squares".into(),
+            "dir/sq".into(),
+        ],
+        &widths,
+    );
+    rule(&widths);
+    let sim =
+        Simulation::from_fractional(FractionalSystem::new(0.5, chain(100)).unwrap()).horizon(4.0);
+    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
+    let solve = |opts: &WindowedOptions| {
+        plan.solve_windowed_batch_opts(std::slice::from_ref(&inputs), opts, 1)
+            .unwrap()
+    };
+    let mut wpts = Vec::new();
+    for &w in &[4usize, 8, 16, 32, 64] {
+        let full = WindowedOptions::new(w);
+        let direct = WindowedOptions::new(w).history_len((w - 1) * m - 1);
+        solve(&full); // factor the window kernel outside the timings
+        let (_, t_direct) = timed_best(3, || solve(&direct));
+        let (_, t_squares) = timed_best(3, || solve(&full));
+        row(
+            &[
+                format!("{w}"),
+                format!("{}", w * m),
+                fmt_time(t_direct),
+                fmt_time(t_squares),
+                format!("{:.1}×", t_direct / t_squares),
+            ],
+            &widths,
+        );
+        wpts.push((w as f64, t_direct, t_squares));
+    }
+    let (lo, hi) = (wpts[1], wpts[wpts.len() - 1]);
+    let slope = |a: f64, b: f64| (b / a).ln() / (hi.0 / lo.0).ln();
+    println!(
+        "\nfitted exponents in W: direct ≈ W^{:.2}, squares ≈ W^{:.2}",
+        slope(lo.1, hi.1),
+        slope(lo.2, hi.2)
+    );
 }

@@ -16,7 +16,10 @@
 //! - `batch_threads_*` and `scaling/*` — the 100-scenario batch swept on
 //!   1, 2 and 4 workers (`SimPlan::solve_windowed_batch_opts` at one
 //!   window), with the max |Δ| against the serial path.
-//! - `kernel/*` — the lane-panel kernels against their scalar references.
+//! - `kernel/*` — the lane-panel kernels against their scalar references,
+//!   and the full-history carried memory of the `cpe_history` shape as
+//!   dyadic FFT squares against one direct block per window
+//!   (`kernel/history_fft*`).
 //! - `windowed*` — a 100τ-horizon RC ladder and an RC + CPE netlist: one
 //!   whole-horizon plan at `W·m` columns vs `SimPlan::solve_windowed`
 //!   over `W` windows of `m` columns, plus a 512-window streaming run.
@@ -33,13 +36,15 @@
 //!
 //! `cargo run --release -p opm-bench --bin sweep`
 
-use opm_bench::{fmt_time, timed_best};
+use opm_basis::bpf::BpfBasis;
+use opm_bench::{fmt_time, timed, timed_best};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::{assemble_mna, Output};
 use opm_circuits::na::assemble_na;
 use opm_core::engine::{factor_pencil, PencilFamily};
 use opm_core::json::Json;
 use opm_core::{NewtonOptions, OpmResult, Simulation, SolveOptions, WindowedOptions};
+use opm_fracnum::history::{history_block_into, HistorySquares};
 use opm_waveform::{InputSet, Waveform};
 
 const SCENARIOS: usize = 100;
@@ -449,14 +454,12 @@ fn main() {
         .collect();
     let mut kbs = vec![kb.clone(); kwindow];
     let mut kbp = kbs.clone();
-    let (_, kblock_scalar_s) = timed_best(3, || {
+    let (_, kblock_scalar_s) = timed_best(12, || {
         for (j, col) in kbs.iter_mut().enumerate() {
             opm_fracnum::history::history_convolution_into_scalar(&kbweights, j, &ktail, col);
         }
     });
-    let (_, kblock_panel_s) = timed_best(3, || {
-        opm_fracnum::history::history_block_into(&kbweights, &ktail, &mut kbp)
-    });
+    let (_, kblock_panel_s) = timed_best(12, || history_block_into(&kbweights, &ktail, &mut kbp));
     for (cs, cp) in kbs.iter().zip(&kbp) {
         kdelta = kdelta.max(max_abs_delta(cs, cp));
     }
@@ -512,6 +515,101 @@ fn main() {
         "kernel/panel_vs_scalar_max_abs_delta",
         vec![("value", Json::Num(kdelta)), ("max", Json::Num(0.0))],
     ));
+
+    // -- kernel/history_fft: full-history carried memory as dyadic FFT
+    //    squares vs one direct Toeplitz block per window ------------------
+    // The `cpe_history` shape one worker sweeps: a 66-state ladder × 4
+    // lanes, α = ½, 16 windows of 64 columns; all 15 carried blocks.
+    let (hm, hw, hlanes, hrows) = (64, 16, 4, 66);
+    let hlen = hlanes * hrows;
+    let hrho = BpfBasis::new(hm, 1e-6 / hw as f64).frac_diff_coeffs_n(0.5, hm * hw);
+    let hstore: Vec<Vec<f64>> = (0..hm * hw)
+        .map(|c| {
+            (0..hlen)
+                .map(|e| {
+                    let (row, lane) = (e / hlanes, e % hlanes);
+                    (c as f64 * 0.003 * (1.0 + 0.1 * lane as f64) + row as f64 * 0.05).sin()
+                })
+                .collect()
+        })
+        .collect();
+    let hsquares = HistorySquares::new(&hrho, hm, hw);
+    // The direct blocks stream the whole store per window, so their time
+    // swings by up to 1.5× with memory traffic on a shared host, in
+    // phases of 0.5–2 s: 40 interleaved pairs (about 1 s) give both
+    // paths the same phases and reach past one.
+    let direct = || {
+        (1..hw)
+            .map(|w| {
+                let mut block = vec![vec![0.0; hlen]; hm];
+                history_block_into(&hrho, &hstore[..w * hm], &mut block);
+                block
+            })
+            .collect::<Vec<_>>()
+    };
+    let squares = || {
+        let mut pending = Vec::new();
+        (1..hw)
+            .map(|w| {
+                hsquares.add_boundary(&hrho, w, &hstore, &mut pending, hlanes);
+                pending.drain(..hm).collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>()
+    };
+    let (mut hdirect, mut hdirect_s) = timed(direct);
+    let (mut hfft, mut hfft_s) = timed(squares);
+    for _ in 1..40 {
+        let (d, ds) = timed(direct);
+        let (f, fs) = timed(squares);
+        (hdirect, hdirect_s) = (d, hdirect_s.min(ds));
+        (hfft, hfft_s) = (f, hfft_s.min(fs));
+    }
+    // Relative to each carried column's largest entry.
+    let hrel = hfft
+        .iter()
+        .flatten()
+        .zip(hdirect.iter().flatten())
+        .map(|(f, d)| max_abs_delta(f, d) / d.iter().fold(0.0f64, |a, v| a.max(v.abs())))
+        .fold(0.0, f64::max);
+    let hspeedup = hdirect_s / hfft_s;
+    println!(
+        "history    : {} carried blocks ({hw}×{hm}, {hlanes} lanes × {hrows}) direct {} vs FFT squares {} ({hspeedup:.2}×, max rel Δ = {hrel:.2e})",
+        hw - 1,
+        fmt_time(hdirect_s),
+        fmt_time(hfft_s),
+    );
+    for (id, secs) in [
+        ("kernel/history_fft_direct", hdirect_s),
+        ("kernel/history_fft", hfft_s),
+    ] {
+        records.push(rec(
+            id,
+            vec![
+                ("seconds", Json::Num(secs)),
+                ("lanes", int(hlanes)),
+                ("windows", int(hw)),
+                ("columns", int(hm * hw)),
+            ],
+        ));
+    }
+    records.extend([
+        rec(
+            "kernel/history_fft_speedup",
+            vec![
+                ("value", Json::Num(hspeedup)),
+                (
+                    "min",
+                    // Below the lowest of 13 runs on a 2-vCPU host (1.84×;
+                    // the median read 2.9×).
+                    per_profile(&[("local", 1.5), ("pr", 1.3), ("nightly", 1.5)]),
+                ),
+            ],
+        ),
+        rec(
+            "kernel/history_fft_max_rel_delta",
+            vec![("value", Json::Num(hrel)), ("max", Json::Num(1e-12))],
+        ),
+    ]);
 
     // -- windowed_vs_whole: long-horizon windowed solving ------------------
     // A 100τ horizon on an RC ladder: one whole-horizon plan at W·m
@@ -817,7 +915,9 @@ fn main() {
          machines where they would be scheduler noise). kernel/*: best-of-N panel-vs-scalar A/B of \
          the lane-elementwise hot kernels (block triangular solve, SpMM, history convolution and \
          its {kwindow}-column windowed block) on the grid pencil at the plan batch's \
-         {SCENARIOS}-lane width. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan vs \
+         {SCENARIOS}-lane width; kernel/history_fft*: the 15 carried blocks of a 16x64 full-history \
+         windowed solve at the cpe_history worker shape (66 states x 4 lanes, alpha = 0.5), dyadic \
+         FFT squares vs one direct Toeplitz block per window. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan vs \
          SimPlan::solve_windowed over {ww} windows plus a {w_long}-window streaming run at \
          per-window memory. windowed_fractional/*: RC+CPE netlist (fractional MNA, alpha = 0.5), \
          whole-horizon vs {fw} windows with carried Caputo/GL history and an 8-window short-memory \

@@ -84,12 +84,12 @@ use opm_circuits::netlist::{Circuit, Element};
 use opm_circuits::nonlinear::DeviceModel;
 use opm_circuits::parser::parse_netlist;
 use opm_fracnum::binomial::binomial_series;
-use opm_fracnum::history::{history_block_into, history_convolution_into};
+use opm_fracnum::history::{history_block_into, history_convolution_into, HistorySquares};
 use opm_sparse::{CsrMatrix, SparseLu};
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------------
 // Simulation: the owning session front door
@@ -766,8 +766,14 @@ enum WindowSymbols {
     /// Multi-term nilpotent-series convolution: per-term full-horizon
     /// weight vectors `ρ^{(k)}` at the window step — entries past the
     /// window resolution are the weights of the carried Caputo/GL
-    /// history tail, term by term.
-    Convolution { series: Vec<Vec<f64>> },
+    /// history tail, term by term — and, built by the first
+    /// full-history solve that crosses a window boundary, each
+    /// fractional term's dyadic carried-memory squares (`None` for
+    /// `α = 0` terms).
+    Convolution {
+        series: Vec<Vec<f64>>,
+        squares: OnceLock<Vec<Option<HistorySquares>>>,
+    },
 }
 
 /// Windowed-solve configuration beyond the window count — today the
@@ -790,14 +796,25 @@ enum WindowSymbols {
 /// `|ρ_k| = O(k^{−1−α})`, the dropped forcing is bounded by
 /// `‖E‖·sup‖x‖·Σ_{k>L}|ρ_k| = O(L^{−α})` — halving the error of a
 /// half-order (`α = ½`) element takes 4× the tail, and the error
-/// vanishes (the solve becomes bit-identical to full history) once `L`
-/// covers the whole horizon. Unset (the default) means full history:
-/// exact, with `O(total columns)` retained state.
+/// vanishes once `L` covers every earlier window: any `L ≥ (W − 1)·m`
+/// *is* full history, bit for bit. Unset (the default) means full
+/// history: exact, with `O(total columns)` retained state.
+///
+/// Cost: full history computes the carried memory as dyadic FFT
+/// squares ([`opm_fracnum::history::HistorySquares`]), `O(N log² N)`
+/// per series for `N = W·m` columns; a truncating `L` runs one direct
+/// Toeplitz block per window over the `L`-column tail, `O(W·m·L)`.
 ///
 /// Memory: a windowed solve keeps each solved column once. The tail
 /// the history kernels read is the newest `L` (or, with full history,
 /// all) of the same column store that becomes the result; a streaming
-/// solve trims that store to the tail after every window.
+/// solve trims that store to the tail after every window. Full history
+/// adds the pending carried memory of the windows not yet solved, one
+/// block per fractional term: with one fractional term (every
+/// fractional model) store plus pending never exceed the final store,
+/// but they come close to it from about the middle window on (the
+/// square at boundary `W/2`, for a power-of-two `W`, fills the pending
+/// memory of every later window), where direct blocks hold about half.
 #[derive(Clone, Debug)]
 pub struct WindowedOptions {
     windows: usize,
@@ -1635,10 +1652,13 @@ impl SimPlan {
     /// reads the state it carries from the store's newest columns — none
     /// for the polyline endpoint, the trailing `depth` for an integer
     /// recurrence, the Caputo/GL history tail (all, or the short-memory
-    /// cap) for fractional kernels. `on_window` then sees the window's
-    /// columns and end-of-window state block; with `trim`, the store
-    /// afterwards keeps only what the kernel still reads (bounded
-    /// streaming memory). Returns the store.
+    /// cap) for fractional kernels. A fractional history the cap does
+    /// not truncate (`cap ≥ (W − 1)·m`) is full history: its carried
+    /// memory comes from the dyadic squares of [`carried_squares`].
+    /// `on_window` then sees the window's columns and end-of-window
+    /// state block; with `trim`, the store afterwards keeps only what
+    /// the kernel still reads (bounded streaming memory). Returns the
+    /// store.
     ///
     /// Polls the [`WindowedOptions`] cancel token at every window
     /// boundary — the cooperative cancellation point that bounds how
@@ -1659,6 +1679,15 @@ impl SimPlan {
             WindowSymbols::Linear { .. } => (0, false),
             WindowSymbols::Recurrence { depth, .. } => (*depth, true),
             WindowSymbols::Convolution { .. } => (opts.history_cap().unwrap_or(usize::MAX), false),
+        };
+        // Full history: every window's carried memory, pending per term.
+        let mut pending = match &kernel.symbols {
+            WindowSymbols::Convolution { series, .. }
+                if carried >= (windows - 1).saturating_mul(self.m) =>
+            {
+                Some(vec![Vec::new(); series.len()])
+            }
+            _ => None,
         };
         // Linear windows restart from the plan's x0 interleaved across
         // the lanes; thereafter each lane carries its own end state.
@@ -1681,7 +1710,23 @@ impl SimPlan {
             opts.check_cancelled()?;
             let tail = &store[store.len() - carried.min(store.len())..];
             let seed = if recurrence { tail.len() } else { 0 };
-            let solved = self.sweep_window(kernel, &coeffs(w, seed), tail, &end);
+            let memory = match &kernel.symbols {
+                WindowSymbols::Convolution { series, squares } => {
+                    let mt = self
+                        .mt()
+                        .expect("convolution kernels sweep a multi-term system");
+                    match pending.as_mut().filter(|_| w > 0) {
+                        Some(p) => {
+                            let sq =
+                                squares.get_or_init(|| series_squares(mt, series, self.m, windows));
+                            carried_squares(sq, series, p, &store, w, self.m, k)
+                        }
+                        None => carried_blocks(mt, series, tail, self.m),
+                    }
+                }
+                _ => Vec::new(),
+            };
+            let solved = self.sweep_window(kernel, &coeffs(w, seed), tail, memory, &end);
             end = endpoint_state(&solved, &end);
             let fresh = solved.len();
             store.extend(solved);
@@ -1695,14 +1740,16 @@ impl SimPlan {
 
     /// Solves one window for the lanes of `lc` against the shared
     /// kernel, given the columns carried from earlier windows (`tail`,
-    /// oldest → newest) and the previous end-of-window state block
-    /// `start`. With the full carried state the restarted sweep is
-    /// column-for-column the unbroken one.
+    /// oldest → newest), a convolution kernel's carried memory per term
+    /// (`memory`, see [`carried_squares`] and [`carried_blocks`]) and the
+    /// previous end-of-window state block `start`. With the full carried
+    /// state the restarted sweep is column-for-column the unbroken one.
     fn sweep_window(
         &self,
         kernel: &WindowKernel,
         lc: &LaneCoeffs,
         tail: &[Vec<f64>],
+        memory: Carried,
         start: &[f64],
     ) -> Vec<Vec<f64>> {
         let lu = &kernel.lu;
@@ -1730,11 +1777,11 @@ impl SimPlan {
                     .expect("recurrence kernels sweep a multi-term system");
                 sweep_mt_recurrence_block(mt, lu, polys, bw, lc, tail.to_vec())
             }
-            WindowSymbols::Convolution { series } => {
+            WindowSymbols::Convolution { series, .. } => {
                 let mt = self
                     .mt()
                     .expect("convolution kernels sweep a multi-term system");
-                sweep_mt_convolution_block(mt, lu, series, lc, tail)
+                sweep_mt_convolution_block(mt, lu, series, lc, memory)
             }
         }
     }
@@ -1894,31 +1941,20 @@ fn sweep_mt_recurrence_block(
 
 /// Multi-term nilpotent-series convolution, K lanes wide (paper §IV;
 /// a fractional system sweeps as its two-term conversion), with an
-/// optional carried history tail per term: the memory term of column
+/// optional carried memory block per term: the memory term of column
 /// `j` splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus
 /// the carried part `Σ_{d} ρ_{j+d}·tail[end−d]` over previous windows'
-/// retained columns (an empty `tail` starts the horizon).
+/// retained columns (`carried[k]`, see [`carried_squares`] and
+/// [`carried_blocks`]; all `None` in the first window).
 fn sweep_mt_convolution_block(
     mt: &MultiTermSystem,
     lu: &SparseLu,
     series: &[Vec<f64>],
     lc: &LaneCoeffs,
-    tail: &[Vec<f64>],
+    carried: Carried,
 ) -> Vec<Vec<f64>> {
     let n = mt.order();
     let k = lc.lanes;
-    let carried: Vec<Option<Vec<Vec<f64>>>> = mt
-        .terms()
-        .iter()
-        .zip(series)
-        .map(|(term, rho)| {
-            if term.alpha == 0.0 {
-                None
-            } else {
-                carried_block(rho, tail, n * k, lc.m)
-            }
-        })
-        .collect();
     let mut acc = vec![0.0; n * k];
     BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
         apply_b_block(mt.b(), &lc.cols[j], k, 1.0, rhs);
@@ -1934,22 +1970,73 @@ fn sweep_mt_convolution_block(
     })
 }
 
-/// The carried memory term of every column of a window — the Toeplitz
-/// block of `weights` against the tail, in one pass
-/// ([`history_block_into`]) — or `None` for an empty tail (the first
-/// window carries nothing).
-fn carried_block(
-    weights: &[f64],
-    tail: &[Vec<f64>],
-    len: usize,
+/// A convolution window's carried memory, one block per term (`None`
+/// for `α = 0` terms and when nothing is carried yet).
+type Carried = Vec<Option<Vec<Vec<f64>>>>;
+
+/// Window `w`'s carried memory from the dyadic squares of a history no
+/// cap truncates (`w ≥ 1`): boundary `w`'s square over `store` is added
+/// to each fractional term's `pending` columns (the windows not yet
+/// solved), and window `w`'s `m` columns are taken from their front
+/// ([`HistorySquares::add_boundary`]). Pending plus store never hold
+/// more columns per term than the final store.
+fn carried_squares(
+    squares: &[Option<HistorySquares>],
+    series: &[Vec<f64>],
+    pending: &mut [Vec<Vec<f64>>],
+    store: &[Vec<f64>],
+    w: usize,
     m: usize,
-) -> Option<Vec<Vec<f64>>> {
-    if tail.is_empty() {
-        return None;
-    }
-    let mut block = vec![vec![0.0; len]; m];
-    history_block_into(weights, tail, &mut block);
-    Some(block)
+    lanes: usize,
+) -> Carried {
+    squares
+        .iter()
+        .zip(series)
+        .zip(pending)
+        .map(|((sq, rho), p)| {
+            sq.as_ref()?.add_boundary(rho, w, store, p, lanes);
+            Some(p.drain(..m).collect())
+        })
+        .collect()
+}
+
+/// A window's `m`-column carried memory as each fractional term's
+/// Toeplitz block against the retained `tail`, in one pass
+/// ([`history_block_into`]) — the path of a truncating history cap and
+/// of the first window.
+fn carried_blocks(
+    mt: &MultiTermSystem,
+    series: &[Vec<f64>],
+    tail: &[Vec<f64>],
+    m: usize,
+) -> Carried {
+    mt.terms()
+        .iter()
+        .zip(series)
+        .map(|(term, rho)| {
+            if term.alpha == 0.0 || tail.is_empty() {
+                return None;
+            }
+            let mut block = vec![vec![0.0; tail[0].len()]; m];
+            history_block_into(rho, tail, &mut block);
+            Some(block)
+        })
+        .collect()
+}
+
+/// Each fractional term's carried-memory squares for `windows` windows
+/// of `m` columns (`None` for `α = 0` terms, which carry nothing).
+fn series_squares(
+    mt: &MultiTermSystem,
+    series: &[Vec<f64>],
+    m: usize,
+    windows: usize,
+) -> Vec<Option<HistorySquares>> {
+    mt.terms()
+        .iter()
+        .zip(series)
+        .map(|(t, rho)| (t.alpha != 0.0).then(|| HistorySquares::new(rho, m, windows)))
+        .collect()
 }
 
 /// Starts column `j`'s memory accumulator from its carried term (zero
@@ -2093,7 +2180,8 @@ fn window_symbols(
                 .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, len))
                 .collect();
             let weights = series.iter().map(|rho| rho[0]).collect();
-            (WindowSymbols::Convolution { series }, weights)
+            let squares = OnceLock::new();
+            (WindowSymbols::Convolution { series, squares }, weights)
         }
     })
 }
@@ -2655,6 +2743,70 @@ mod tests {
         }
         let p = plan.factor_profile();
         assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
+    }
+
+    #[test]
+    fn carried_squares_match_blocks_on_two_fractional_terms() {
+        // A 2-state mixture with two fractional terms (α = 0.3, 0.7) next
+        // to an α = 0 term: window by window, the full-history squares
+        // give each fractional term the carried block of the direct
+        // Toeplitz pass over the whole store, to 1e-12 of each column's
+        // largest entry; the α = 0 term carries nothing either way.
+        use opm_system::Term;
+        let diag = |a: f64, b: f64| {
+            let mut c = CooMatrix::new(2, 2);
+            c.push(0, 0, a);
+            c.push(1, 1, b);
+            c.to_csr()
+        };
+        let term = |alpha, a, b| Term {
+            alpha,
+            matrix: diag(a, b),
+        };
+        let terms = vec![
+            term(0.0, 1.0, 2.0),
+            term(0.3, 0.5, 1.0),
+            term(0.7, 1.0, 0.25),
+        ];
+        let mt = MultiTermSystem::new(terms, diag(1.0, 1.0), None).unwrap();
+        let (m, windows, lanes) = (64, 6, 3);
+        let (symbols, _) = window_symbols(Sweep::Convolution, Some(&mt), m, 1.0, windows).unwrap();
+        let WindowSymbols::Convolution { series, .. } = &symbols else {
+            unreachable!("a convolution sweep has convolution symbols");
+        };
+        let squares = series_squares(&mt, series, m, windows);
+        let store: Vec<Vec<f64>> = (0..m * windows)
+            .map(|c| {
+                (0..2 * lanes)
+                    .map(|e| (c as f64 * 0.02 + e as f64).sin() + 0.1 * ((c * e) as f64).cos())
+                    .collect()
+            })
+            .collect();
+        let mut pending = vec![Vec::new(); series.len()];
+        for w in 1..windows {
+            let fast = carried_squares(&squares, series, &mut pending, &store, w, m, lanes);
+            let direct = carried_blocks(&mt, series, &store[..w * m], m);
+            for (k, (f, d)) in fast.iter().zip(&direct).enumerate() {
+                if mt.terms()[k].alpha == 0.0 {
+                    assert!(f.is_none() && d.is_none(), "w = {w}, term {k}");
+                    continue;
+                }
+                let (f, d) = (f.as_ref().unwrap(), d.as_ref().unwrap());
+                assert_eq!(f.len(), m);
+                for (fc, dc) in f.iter().zip(d) {
+                    let scale = dc.iter().fold(0.0f64, |a, v| a.max(v.abs()));
+                    let dev = fc
+                        .iter()
+                        .zip(dc)
+                        .fold(0.0f64, |a, (x, y)| a.max((x - y).abs()));
+                    assert!(
+                        dev <= 1e-12 * scale,
+                        "w = {w}, term {k}: {dev:e} of {scale:e}"
+                    );
+                }
+            }
+        }
+        assert!(pending.iter().all(Vec::is_empty), "memory left pending");
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!
 //! and evaluates the convolution with zero-padded radix-2 FFTs.
 
-use crate::fft::{fft_in_place, ifft};
+use crate::fft::{fft_in_place, fft_with, ifft_with};
+use opm_linalg::fft::FftPlan;
 use opm_linalg::Complex64;
 
 /// Forward DFT of arbitrary length (`O(N log N)`).
@@ -48,12 +49,14 @@ pub fn bluestein_fft(input: &[Complex64]) -> Vec<Complex64> {
         b[j] = v;
         b[m - j] = v;
     }
-    fft_in_place(&mut a);
-    fft_in_place(&mut b);
+    // One twiddle table serves all three length-`m` transforms.
+    let plan = FftPlan::new(m);
+    fft_with(&plan, &mut a);
+    fft_with(&plan, &mut b);
     for (x, y) in a.iter_mut().zip(&b) {
         *x *= *y;
     }
-    let conv = ifft(&a);
+    let conv = ifft_with(&plan, &a);
     (0..n).map(|k| conv[k] * chirp[k]).collect()
 }
 

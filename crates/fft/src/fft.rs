@@ -1,5 +1,7 @@
-//! Iterative radix-2 Cooley–Tukey FFT.
+//! Radix-2 FFT on `Complex64` slices: the workspace's one radix-2
+//! transform ([`opm_linalg::fft::FftPlan`]) run on a width-1 panel.
 
+use opm_linalg::fft::FftPlan;
 use opm_linalg::Complex64;
 
 /// In-place forward FFT (`X_k = Σ_n x_n·e^{−2πikn/N}`).
@@ -8,40 +10,7 @@ use opm_linalg::Complex64;
 /// Panics when the length is not a power of two (use
 /// [`bluestein`](crate::bluestein) for arbitrary lengths).
 pub fn fft_in_place(data: &mut [Complex64]) {
-    let n = data.len();
-    assert!(
-        n.is_power_of_two(),
-        "radix-2 FFT needs a power-of-two length"
-    );
-    if n <= 1 {
-        return;
-    }
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let mut len = 2;
-    while len <= n {
-        let ang = -2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::from_polar(1.0, ang);
-        for chunk in data.chunks_mut(len) {
-            let mut w = Complex64::ONE;
-            let half = len / 2;
-            for i in 0..half {
-                let u = chunk[i];
-                let v = chunk[i + half] * w;
-                chunk[i] = u + v;
-                chunk[i + half] = u - v;
-                w *= wlen;
-            }
-        }
-        len <<= 1;
-    }
+    fft_with(&FftPlan::new(data.len()), data);
 }
 
 /// Forward FFT returning a new vector.
@@ -54,9 +23,25 @@ pub fn fft(input: &[Complex64]) -> Vec<Complex64> {
 /// Inverse FFT (`x_n = (1/N) Σ_k X_k·e^{+2πikn/N}`), via the conjugation
 /// identity.
 pub fn ifft(input: &[Complex64]) -> Vec<Complex64> {
+    ifft_with(&FftPlan::new(input.len()), input)
+}
+
+/// [`fft_in_place`] with a plan built for `data.len()`, so callers that
+/// transform several series of one length build its twiddles once.
+pub(crate) fn fft_with(plan: &FftPlan, data: &mut [Complex64]) {
+    let (mut re, mut im): (Vec<[f64; 1]>, Vec<[f64; 1]>) =
+        data.iter().map(|z| ([z.re], [z.im])).unzip();
+    plan.forward(&mut re, &mut im);
+    for (z, (r, i)) in data.iter_mut().zip(re.iter().zip(&im)) {
+        *z = Complex64::new(r[0], i[0]);
+    }
+}
+
+/// [`ifft`] with a plan built for `input.len()`.
+pub(crate) fn ifft_with(plan: &FftPlan, input: &[Complex64]) -> Vec<Complex64> {
     let n = input.len();
     let mut data: Vec<Complex64> = input.iter().map(|z| z.conj()).collect();
-    fft_in_place(&mut data);
+    fft_with(plan, &mut data);
     data.iter_mut()
         .for_each(|z| *z = z.conj().scale(1.0 / n as f64));
     data
@@ -84,6 +69,26 @@ mod tests {
                 .collect();
             let err = max_err(&fft(&x), &dft(&x));
             assert!(err < 1e-9 * (n as f64), "n={n}: err {err}");
+        }
+    }
+
+    #[test]
+    fn matches_dft_to_1e12_relative_up_to_4096() {
+        use opm_rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xFF7);
+        let mut n = 2;
+        while n <= 4096 {
+            let x: Vec<Complex64> = (0..n)
+                .map(|_| Complex64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0)))
+                .collect();
+            let want = dft(&x);
+            let scale = want.iter().map(|z| z.abs()).fold(0.0, f64::max);
+            let err = max_err(&fft(&x), &want);
+            assert!(
+                err <= 1e-12 * scale,
+                "n={n}: err {err:e} vs scale {scale:e}"
+            );
+            n *= 2;
         }
     }
 

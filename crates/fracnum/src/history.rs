@@ -21,7 +21,13 @@
 //! form an upper-triangular Toeplitz block, so the window's whole
 //! carried memory is one Toeplitz-block × tail product, known before
 //! the window starts. [`history_block_into`] computes it in one
-//! register-tiled pass over the tail instead of one pass per column.
+//! register-tiled pass over the tail instead of one pass per column —
+//! `O(N²)` work per series over a full `N`-column history.
+//! [`HistorySquares`] computes the same full-history memory as dyadic
+//! squares, each one FFT convolution against a cached kernel spectrum
+//! (the transform is [`opm_linalg::fft`]), in `O(N log² N)`; squares
+//! below [`FFT_SQUARE_MIN_COLUMNS`] a side use [`history_block_into`],
+//! which stays the oracle the squares are tested against.
 //!
 //! [`HistoryTail`] adds the *short-memory principle* on top: a
 //! bounded-length tail of retained columns. Dropping columns older than
@@ -29,6 +35,8 @@
 //! since the weights of a fractional difference decay like
 //! `|w_k| = O(k^{−1−α})`, the neglected forcing is bounded by the tail
 //! sum `Σ_{k>cap}|w_k| = O(cap^{−α})` times the solution's sup-norm.
+
+use opm_linalg::fft::FftPlan;
 
 /// Accumulates the history convolution
 /// `out[i] += Σ_{d=1}^{tail.len()} weights[offset + d] · tail[len − d][i]`
@@ -376,6 +384,267 @@ fn block_tile<const J: usize, const W: usize>(
     }
 }
 
+/// The cyclic convolution of one panel with a level's kernel: forward
+/// transform, spectral product, inverse transform. Kept out of line in
+/// both dispatch copies — inlined into the square's load/store loop the
+/// transform compiles to code several times slower.
+#[inline(always)]
+fn convolve_body(
+    spec: &SquareSpectrum,
+    re: &mut [[f64; SQUARE_PANEL_WIDTH]],
+    im: &mut [[f64; SQUARE_PANEL_WIDTH]],
+) {
+    spec.plan.forward_bitrev(re, im);
+    for (((r, i), &kr), &ki) in re.iter_mut().zip(im.iter_mut()).zip(&spec.re).zip(&spec.im) {
+        for p in 0..SQUARE_PANEL_WIDTH {
+            let (a, b) = (r[p], i[p]);
+            r[p] = a * kr - b * ki;
+            i[p] = a * ki + b * kr;
+        }
+    }
+    spec.plan.inverse_bitrev(re, im);
+}
+
+/// The portable copy of [`convolve_body`].
+#[inline(never)]
+fn convolve_portable(
+    spec: &SquareSpectrum,
+    re: &mut [[f64; SQUARE_PANEL_WIDTH]],
+    im: &mut [[f64; SQUARE_PANEL_WIDTH]],
+) {
+    convolve_body(spec, re, im);
+}
+
+/// The AVX codegen copy of [`convolve_body`] (`avx` only — no `fma`, so
+/// the per-element arithmetic stays bit-identical to the portable copy).
+///
+/// # Safety
+/// The caller must have verified that the running CPU supports the
+/// `avx` target feature (this crate gates every call behind
+/// [`opm_linalg::panel::avx_available`]). The body is ordinary safe
+/// Rust — the only obligation is the feature check.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline(never)]
+unsafe fn convolve_avx(
+    spec: &SquareSpectrum,
+    re: &mut [[f64; SQUARE_PANEL_WIDTH]],
+    im: &mut [[f64; SQUARE_PANEL_WIDTH]],
+) {
+    convolve_body(spec, re, im);
+}
+
+/// Columns per side a carried-memory square must reach before
+/// [`HistorySquares`] evaluates it by FFT instead of by
+/// [`history_block_into`]. Measured on a 2-vCPU AVX Xeon with α = ½
+/// weights, one square at a time (best of 50): at 64 columns a side the
+/// FFT square takes 1.2× the direct block's time (100–528 elements); at
+/// 128 it is 1.2–1.6× faster and at 256 2.0–2.7× faster (2–528
+/// elements). The `kernel/history_fft*` records of the `sweep` bench
+/// measure the combined effect on a whole full-history solve.
+pub const FFT_SQUARE_MIN_COLUMNS: usize = 128;
+
+/// The carried memory of a full-history windowed convolution, computed
+/// as dyadic squares (Hairer, Lubich & Schlichte, *SIAM J. Sci. Stat.
+/// Comput.* 6 (1985) 532–541) instead of one Toeplitz block per window.
+///
+/// Window `o` of a `W`-window solve with `m`-column windows carries, in
+/// column `j`, `Σ_{c < o·m} ρ_{o·m + j − c}·x_c` over every earlier
+/// column `c`. At window boundary `w` (`1 ≤ w < W`), let
+/// `s = lowbit(w)`: the square of boundary `w` adds the terms whose
+/// inputs lie in windows `[w − s, w)` to the outputs in windows
+/// `[w, min(w + s, W))`. Every strictly lower (output, input) window
+/// pair is covered by exactly one boundary, each square is one linear
+/// convolution against `ρ[1 .. 2sm)` — the same kernel for every
+/// boundary of a level — and all of a boundary's inputs are solved when
+/// it is reached, so the carried part of a window is complete before the
+/// window starts. Work per series is `O(N log² N)` for `N = W·m`
+/// columns, against `O(N²)` for per-window blocks.
+///
+/// A square of at least [`FFT_SQUARE_MIN_COLUMNS`] columns per side is
+/// a cyclic convolution of length `next_pow2(2sm)` (long enough that
+/// nothing wraps into the outputs) against a kernel spectrum computed
+/// once here; a smaller one is [`history_block_into`] on the square.
+/// Transforms run one element panel at a time. Two series of the same
+/// lane — rows `q` and `q + ⌈rows/2⌉` of a `rows × lanes` column — share
+/// one complex series (a real kernel keeps them apart exactly); values
+/// of different lanes never meet, so a lane's bits do not depend on
+/// which other lanes share its block. Against the direct block a
+/// carried column agrees to about `5e-16` of its magnitude scale
+/// `Σ_d |ρ_{j+d}|·‖x_d‖_∞`; its own entries can cancel far below that
+/// scale (one 1-entry column of the property test is off by `3.5e-11`
+/// of itself), while on the `cpe_history` shape the deviation is about
+/// `1e-13` of each column's largest entry. The scale is per lane, not
+/// per row: the FFT's rounding scales with the whole complex series,
+/// so a row much smaller than its partner (a µA branch current beside
+/// a 1 V node) carries an error of the partner's size — measured about
+/// `1e-15` of the lane and `1e-9` of the row itself with rows `1e6`
+/// apart — where the direct block's error scales with the row alone.
+#[derive(Clone, Debug)]
+pub struct HistorySquares {
+    m: usize,
+    windows: usize,
+    /// Per level `ℓ` (`s = 2^ℓ`, every `s < W`): the kernel spectrum of
+    /// an FFT-sized square, `None` for a direct one.
+    levels: Vec<Option<SquareSpectrum>>,
+}
+
+/// The spectrum of one level's kernel `ρ[1 .. 2sm)`, in the
+/// bit-reversed order of [`FftPlan::forward_bitrev`] and scaled by
+/// `1/N` (exact: `N` is a power of two).
+#[derive(Clone, Debug)]
+struct SquareSpectrum {
+    plan: FftPlan,
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl HistorySquares {
+    /// The squares of a `windows`-window solve with `m`-column windows
+    /// and memory weights `weights` (`ρ_d` weighs a column `d` steps
+    /// back; entries past the end weigh zero).
+    pub fn new(weights: &[f64], m: usize, windows: usize) -> Self {
+        let levels = (0..usize::BITS)
+            .map(|l| 1usize << l)
+            .take_while(|&s| s < windows)
+            .map(|s| {
+                let side = s * m;
+                (side >= FFT_SQUARE_MIN_COLUMNS).then(|| {
+                    let n = (2 * side).next_power_of_two();
+                    let plan = FftPlan::new(n);
+                    let scale = 1.0 / n as f64;
+                    let mut re: Vec<[f64; 1]> = vec![[0.0]; n];
+                    for (d, r) in re.iter_mut().enumerate().take(2 * side).skip(1) {
+                        r[0] = weights.get(d).copied().unwrap_or(0.0);
+                    }
+                    let mut im = vec![[0.0]; n];
+                    plan.forward_bitrev(&mut re, &mut im);
+                    SquareSpectrum {
+                        plan,
+                        re: re.iter().map(|v| v[0] * scale).collect(),
+                        im: im.iter().map(|v| v[0] * scale).collect(),
+                    }
+                })
+            })
+            .collect();
+        HistorySquares { m, windows, levels }
+    }
+
+    /// Adds the square of window boundary `w` (`1 ≤ w < W`) to the
+    /// pending carried memory. `store` holds the solved columns of
+    /// windows `0..w` (at least); `pending` holds the carried columns
+    /// accumulated so far for windows `w, w + 1, …` (its first column is
+    /// column 0 of window `w`) and is extended with zero columns to cover
+    /// the square's output windows. Every column is `rows × lanes`
+    /// row-major (`lanes` = 1 for a plain column).
+    ///
+    /// # Panics
+    /// Panics when `w` is not a boundary of the solve, when `store` is
+    /// short of window `w`, or when the column length is not a multiple
+    /// of `lanes`.
+    pub fn add_boundary(
+        &self,
+        weights: &[f64],
+        w: usize,
+        store: &[Vec<f64>],
+        pending: &mut Vec<Vec<f64>>,
+        lanes: usize,
+    ) {
+        assert!(
+            (1..self.windows).contains(&w),
+            "boundary {w} of a {}-window solve",
+            self.windows
+        );
+        let s = w & w.wrapping_neg();
+        let m = self.m;
+        let inputs = &store[(w - s) * m..w * m];
+        let len = inputs[0].len();
+        assert!(
+            lanes > 0 && len % lanes == 0,
+            "{len}-entry columns of {lanes} lanes"
+        );
+        let span = s.min(self.windows - w) * m;
+        if pending.len() < span {
+            pending.resize(span, vec![0.0; len]);
+        }
+        let out = &mut pending[..span];
+        let Some(spec) = &self.levels[s.trailing_zeros() as usize] else {
+            history_block_into(weights, inputs, out);
+            return;
+        };
+        // Rows `q` and `q + half/lanes` share a complex series: the paired
+        // elements `e < len − half` (imaginary partner `e + half`), then
+        // the unpaired middle row of an odd row count. Every panel is
+        // `SQUARE_PANEL_WIDTH` wide, the last of a range zero-padded, and
+        // all of them reuse one scratch pair.
+        let half = (len / lanes).div_ceil(2) * lanes;
+        let n = spec.plan.len();
+        let mut re = vec![[0.0; SQUARE_PANEL_WIDTH]; n];
+        let mut im = vec![[0.0; SQUARE_PANEL_WIDTH]; n];
+        for (range, partner) in [(0..len - half, Some(half)), (len - half..half, None)] {
+            for e0 in range.clone().step_by(SQUARE_PANEL_WIDTH) {
+                let cols = e0..range.end.min(e0 + SQUARE_PANEL_WIDTH);
+                square_panel(spec, inputs, out, cols, partner, &mut re, &mut im);
+            }
+        }
+    }
+}
+
+/// Elements per FFT square panel: the series transformed together, one
+/// AVX register of each sample. A series' bits do not depend on the
+/// width (see [`opm_linalg::fft`]), only speed and the `2·N·width` f64
+/// scratch of a square do: on a 2-vCPU AVX Xeon, at the
+/// `kernel/history_fft` shape (15 squares of a 16 × 64 solve,
+/// 264-element columns), 4 runs as fast as 8 with half the scratch
+/// (64 KiB at `N` = 1024) and 2 about 1.4× slower.
+const SQUARE_PANEL_WIDTH: usize = 4;
+
+/// The square for the elements of `cols` (real parts) and, with a
+/// partner offset `h`, the elements `h` further on (imaginary parts):
+/// load the inputs zero-padded to `N` into the scratch `re`/`im`,
+/// transform, multiply by the kernel spectrum, transform back, and add
+/// the outputs' part (samples `sm..sm + span`) to `out`.
+fn square_panel(
+    spec: &SquareSpectrum,
+    inputs: &[Vec<f64>],
+    out: &mut [Vec<f64>],
+    cols: std::ops::Range<usize>,
+    partner: Option<usize>,
+    re: &mut [[f64; SQUARE_PANEL_WIDTH]],
+    im: &mut [[f64; SQUARE_PANEL_WIDTH]],
+) {
+    let side = inputs.len();
+    let width = cols.len();
+    re.fill([0.0; SQUARE_PANEL_WIDTH]);
+    im.fill([0.0; SQUARE_PANEL_WIDTH]);
+    for (t, c) in inputs.iter().enumerate() {
+        re[t][..width].copy_from_slice(&c[cols.clone()]);
+        if let Some(h) = partner {
+            im[t][..width].copy_from_slice(&c[cols.start + h..cols.end + h]);
+        }
+    }
+    #[cfg(target_arch = "x86_64")]
+    if opm_linalg::panel::avx_available() {
+        // SAFETY: the `avx` target feature was detected on this CPU.
+        unsafe { convolve_avx(spec, re, im) };
+    } else {
+        convolve_portable(spec, re, im);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    convolve_portable(spec, re, im);
+    for (j, col) in out.iter_mut().enumerate() {
+        let (r, i) = (&re[side + j], &im[side + j]);
+        for (o, v) in col[cols.clone()].iter_mut().zip(r) {
+            *o += v;
+        }
+        if let Some(h) = partner {
+            for (o, v) in col[cols.start + h..cols.end + h].iter_mut().zip(i) {
+                *o += v;
+            }
+        }
+    }
+}
+
 /// A bounded tail of retained history columns — the short-memory
 /// truncation state of a windowed fractional solve.
 ///
@@ -603,6 +872,172 @@ mod tests {
         };
         assert_eq!(bits(&scalar), bits(&block));
         assert!(block.iter().flatten().all(|v| !v.is_nan()));
+    }
+
+    /// The Tustin series of `((1 − q)/(1 + q))^α` — the BPF fractional
+    /// memory weights up to their `(2/h)^α` scale.
+    fn tustin(alpha: f64, len: usize) -> Vec<f64> {
+        let mut c = vec![1.0, -2.0 * alpha];
+        for k in 1..len - 1 {
+            c.push(((k as f64 - 1.0) * c[k - 1] - 2.0 * alpha * c[k]) / (k as f64 + 1.0));
+        }
+        c.truncate(len);
+        c
+    }
+
+    /// Every window's carried block by squares against
+    /// [`history_block_into`] over the whole tail, window by window: the
+    /// largest deviation relative to each carried column's magnitude
+    /// scale `Σ_d |ρ_{j+d}|·‖x_d‖_∞` — the size that rounding in any
+    /// evaluation order of the sum scales with, where the column's own
+    /// entries can cancel to far below it. Also checks that the pending
+    /// memory ends empty.
+    fn squares_vs_blocks(
+        weights: &[f64],
+        m: usize,
+        windows: usize,
+        store: &[Vec<f64>],
+        lanes: usize,
+    ) -> f64 {
+        let squares = HistorySquares::new(weights, m, windows);
+        let len = store[0].len();
+        let abs_weights: Vec<f64> = weights.iter().map(|v| v.abs()).collect();
+        let magnitudes: Vec<Vec<f64>> = store
+            .iter()
+            .map(|c| vec![c.iter().fold(0.0f64, |s, v| s.max(v.abs()))])
+            .collect();
+        let mut pending = Vec::new();
+        let mut worst = 0.0f64;
+        for w in 1..windows {
+            squares.add_boundary(weights, w, store, &mut pending, lanes);
+            let got: Vec<Vec<f64>> = pending.drain(..m).collect();
+            let mut want = vec![vec![0.0; len]; m];
+            history_block_into(weights, &store[..w * m], &mut want);
+            let mut scale = vec![vec![0.0]; m];
+            history_block_into(&abs_weights, &magnitudes[..w * m], &mut scale);
+            for ((g, d), sc) in got.iter().zip(&want).zip(&scale) {
+                let dev = g
+                    .iter()
+                    .zip(d)
+                    .fold(0.0f64, |s, (a, b)| s.max((a - b).abs()));
+                worst = worst.max(dev / sc[0]);
+            }
+        }
+        assert!(
+            pending.is_empty(),
+            "m = {m}, W = {windows}: memory left pending"
+        );
+        worst
+    }
+
+    #[test]
+    fn history_squares_match_blocks_window_by_window() {
+        // Fixed-seed property: every α, window width and window count,
+        // 1–9 lanes of 1–3 rows, smooth-plus-noise columns. m = 128
+        // puts the single square of W = 2 on the FFT path.
+        // Under Miri one FFT-sized and one direct-only case per α.
+        use opm_rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0x5C_A7E5);
+        let (ms, ws): (&[usize], &[usize]) = if cfg!(miri) {
+            (&[5, 64], &[3])
+        } else {
+            (&[5, 24, 64, 100, 128], &[2, 3, 5, 16, 17])
+        };
+        for alpha in [0.3, 0.5, 0.8, 1.5] {
+            for &m in ms {
+                for &windows in ws {
+                    let lanes = rng.random_range(1..10usize);
+                    let rows = rng.random_range(1..4usize);
+                    let weights = tustin(alpha, m * windows);
+                    let store: Vec<Vec<f64>> = (0..m * windows)
+                        .map(|c| {
+                            (0..rows * lanes)
+                                .map(|i| {
+                                    (c as f64 * 0.01 + i as f64).sin() + rng.random_range(-0.1..0.1)
+                                })
+                                .collect()
+                        })
+                        .collect();
+                    let dev = squares_vs_blocks(&weights, m, windows, &store, lanes);
+                    assert!(
+                        dev <= 1e-13,
+                        "α = {alpha}, m = {m}, W = {windows}, {rows}×{lanes}: {dev:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn history_squares_bound_small_rows_by_their_lane() {
+        // Rows 0 and 1 of a 2-row lane share one complex series, so the
+        // FFT's rounding in row 1 scales with row 0: with rows 1e6 apart
+        // in size, row 1 keeps 1e-12 of the lane's largest entry, not of
+        // its own.
+        let (m, windows) = (128, 4);
+        let weights = tustin(0.5, m * windows);
+        let store: Vec<Vec<f64>> = (0..m * windows)
+            .map(|c| {
+                let x = c as f64 * 0.02;
+                vec![x.sin() + 0.3 * (7.0 * x).cos(), 1e-6 * (3.0 * x).cos()]
+            })
+            .collect();
+        let squares = HistorySquares::new(&weights, m, windows);
+        let mut pending = Vec::new();
+        let (mut lane_rel, mut row_rel) = (0.0f64, 0.0f64);
+        for w in 1..windows {
+            squares.add_boundary(&weights, w, &store, &mut pending, 1);
+            let got: Vec<Vec<f64>> = pending.drain(..m).collect();
+            let mut want = vec![vec![0.0; 2]; m];
+            history_block_into(&weights, &store[..w * m], &mut want);
+            let lane = want.iter().flatten().fold(0.0f64, |s, v| s.max(v.abs()));
+            let row1 = want.iter().fold(0.0f64, |s, c| s.max(c[1].abs()));
+            let dev = got
+                .iter()
+                .zip(&want)
+                .fold(0.0f64, |s, (g, d)| s.max((g[1] - d[1]).abs()));
+            lane_rel = lane_rel.max(dev / lane);
+            row_rel = row_rel.max(dev / row1);
+        }
+        assert!(lane_rel <= 1e-12, "row 1 off by {lane_rel:e} of the lane");
+        // Measured: about 1e-15 of the lane, 1e-9 of row 1 itself.
+        assert!(row_rel <= 1e-12 * 1e6, "row 1 off by {row_rel:e} of itself");
+    }
+
+    #[test]
+    fn history_squares_keep_lanes_apart() {
+        // A lane's carried memory has the same bits alone as in lane 2 of
+        // a 3-lane block next to unrelated data: rows pair within a lane,
+        // never across lanes.
+        let (m, windows, rows) = (64, 5, 3);
+        let weights = tustin(0.5, m * windows);
+        let run = |lanes: usize, pick: usize| -> Vec<u64> {
+            let store: Vec<Vec<f64>> = (0..m * windows)
+                .map(|c| {
+                    (0..rows * lanes)
+                        .map(|e| {
+                            let (r, lane) = (e / lanes, e % lanes);
+                            if lane == pick {
+                                ((c * 7 + r * 3) as f64 * 0.05).cos()
+                            } else {
+                                1e3 * ((c * 13 + e) as f64).sin()
+                            }
+                        })
+                        .collect()
+                })
+                .collect();
+            let squares = HistorySquares::new(&weights, m, windows);
+            let mut pending = Vec::new();
+            let mut bits = Vec::new();
+            for w in 1..windows {
+                squares.add_boundary(&weights, w, &store, &mut pending, lanes);
+                for c in pending.drain(..m) {
+                    bits.extend((0..rows).map(|r| c[r * lanes + pick].to_bits()));
+                }
+            }
+            bits
+        };
+        assert_eq!(run(1, 0), run(3, 2));
     }
 
     #[test]

@@ -12,9 +12,11 @@
 //!   inversion — the very technique of the paper's references \[1,3,5\].
 //! - [`grunwald`] — Grünwald–Letnikov coefficients and pointwise fractional
 //!   derivatives (the classical time-domain FDE discretization).
-//! - [`history`] — the shared history-convolution kernel (and the
-//!   short-memory [`history::HistoryTail`]) behind every memory-carrying
-//!   fractional recurrence in the workspace.
+//! - [`history`] — the shared history-convolution kernels (per column,
+//!   per window block, and the full-history dyadic FFT squares of
+//!   [`history::HistorySquares`]) and the short-memory
+//!   [`history::HistoryTail`] behind every memory-carrying fractional
+//!   recurrence in the workspace.
 //!
 //! # Example: fractional relaxation oracle
 //!
@@ -34,5 +36,5 @@ pub mod mittag_leffler;
 pub use binomial::binomial_alpha;
 pub use gamma::{erf, erfc, gamma_fn, ln_gamma};
 pub use grunwald::GrunwaldCoefficients;
-pub use history::{history_block_into, history_convolution_into, HistoryTail};
+pub use history::{history_block_into, history_convolution_into, HistorySquares, HistoryTail};
 pub use mittag_leffler::mittag_leffler;

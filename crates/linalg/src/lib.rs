@@ -15,6 +15,8 @@
 //! - [`lu`] — dense LU with partial pivoting ([`LuFactors`]).
 //! - [`zmatrix`] — complex dense matrices and complex LU ([`ZMatrix`]).
 //! - [`expm`] — matrix exponential via Padé-13 scaling and squaring.
+//! - [`fft`] — the radix-2 FFT over lane panels ([`FftPlan`]), the one
+//!   power-of-two transform of the workspace.
 //! - [`kron`] — Kronecker products and the `vec` operator used by the
 //!   paper's Eq. (15)/(27).
 //! - [`triangular`] — functions of upper-triangular matrices via the
@@ -41,6 +43,7 @@
 pub mod complex;
 pub mod dense;
 pub mod expm;
+pub mod fft;
 pub mod kron;
 pub mod lu;
 pub mod panel;
@@ -49,6 +52,7 @@ pub mod zmatrix;
 
 pub use complex::Complex64;
 pub use dense::{DMatrix, DVector};
+pub use fft::FftPlan;
 pub use lu::LuFactors;
 pub use panel::{avx_available, LANE_PANEL_WIDTH};
 pub use zmatrix::{ZLuFactors, ZMatrix, ZVector};

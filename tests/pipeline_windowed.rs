@@ -469,6 +469,47 @@ fn short_memory_error_decreases_monotonically() {
     }
 }
 
+/// The full-history boundary of `history_len`: a cap of `(W − 1)·m`
+/// columns truncates nothing, so it is the full-history (dyadic-square)
+/// solve bit for bit; one column less takes the truncated per-window
+/// path, and along a ladder of caps ending there the windowed-vs-full
+/// error never grows.
+#[test]
+fn history_len_boundary_separates_full_and_truncated_memory() {
+    let (m, windows, t_end) = (64, 5, 1e-6);
+    let sim = Simulation::from_netlist(RC_CPE, &["top"])
+        .unwrap()
+        .horizon(t_end);
+    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
+    let inputs = sim.inputs().unwrap();
+    let full = plan.solve_windowed(inputs, windows).unwrap();
+    let capped = |cap: usize| {
+        windowed_opts(
+            &plan,
+            inputs,
+            &WindowedOptions::new(windows).history_len(cap),
+        )
+    };
+    let bits = |r: &opm::OpmResult| -> Vec<u64> {
+        r.columns.iter().flatten().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(&capped((windows - 1) * m)), bits(&full));
+    assert_eq!(bits(&capped(windows * m)), bits(&full));
+    let errs: Vec<f64> = [m, 2 * m, (windows - 1) * m - 1]
+        .iter()
+        .map(|&cap| max_abs_output_delta(&capped(cap), &full))
+        .collect();
+    for pair in errs.windows(2) {
+        assert!(
+            pair[1] <= pair[0] + 1e-15,
+            "error must not grow with history_len: {errs:?}"
+        );
+    }
+    assert!(errs[0] > 0.0, "a one-window tail must truncate: {errs:?}");
+    let p = plan.factor_profile();
+    assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
+}
+
 /// A 100×-horizon run cross-checked against the classical steppers:
 /// trapezoidal shares OPM's algebra, so the endpoint series must agree
 /// to roundoff; backward Euler is first-order and must agree to its
