@@ -59,7 +59,6 @@ COUNT_FIELDS = (
     "workers",
     "lanes",
     "depth",
-    "history_len",
 )
 
 # Allowed per-record slowdown beyond the median machine ratio.

@@ -6,18 +6,21 @@
 //!    convolution).
 //! 2. n-sweep at fixed m — both scale with the sparse-solve cost `n^β`,
 //!    `1 < β < 2`.
-//! 3. W-sweep at fixed m with full history — a windowed fractional solve
-//!    over `N = W·m` columns. One direct carried block per window costs
-//!    `O(W²m²)` history work (slope ≈ 2 in `W`); the dyadic FFT squares
-//!    cost `O(N log² N)` (slope toward 1). The direct path is what a
-//!    history cap one column short of full history runs.
+//! 3. W-sweep at fixed m of the carried fractional memory of a windowed
+//!    solve over `N = W·m` columns, kernel against kernel: one direct
+//!    Toeplitz block per window (`history_block_into` over the store)
+//!    costs `O(W²m²)` (slope ≈ 2 in `W`); the dyadic FFT squares
+//!    (`HistorySquares::add_boundary`) cost `O(N log² N)` (slope toward
+//!    1).
 //!
 //! `cargo run --release -p opm-bench --bin complexity`
 
+use opm_basis::bpf::BpfBasis;
 use opm_bench::{fmt_time, row, rule, timed, timed_best};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::assemble_mna;
-use opm_core::{Simulation, SolveOptions, WindowedOptions};
+use opm_core::{Simulation, SolveOptions};
+use opm_fracnum::history::{history_block_into, HistorySquares};
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
@@ -144,8 +147,8 @@ fn main() {
     let beta = (pts[pts.len() - 1].1 / pts[1].1).ln() / (pts[pts.len() - 1].0 / pts[1].0).ln();
     println!("\nfitted exponent in n: runtime ≈ n^{beta:.2} (paper: 1 < β < 2)");
 
-    let m = 64;
-    println!("\nE2c — W-sweep at m = {m}, n = 100 (fractional chain), full history\n");
+    let (m, rows) = (64, 100);
+    println!("\nE2c — W-sweep of the carried memory at m = {m}, n = {rows}, full history\n");
     let widths = [6usize, 8, 14, 14, 10];
     row(
         &[
@@ -158,20 +161,34 @@ fn main() {
         &widths,
     );
     rule(&widths);
-    let sim =
-        Simulation::from_fractional(FractionalSystem::new(0.5, chain(100)).unwrap()).horizon(4.0);
-    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let solve = |opts: &WindowedOptions| {
-        plan.solve_windowed_batch_opts(std::slice::from_ref(&inputs), opts, 1)
-            .unwrap()
-    };
     let mut wpts = Vec::new();
     for &w in &[4usize, 8, 16, 32, 64] {
-        let full = WindowedOptions::new(w);
-        let direct = WindowedOptions::new(w).history_len((w - 1) * m - 1);
-        solve(&full); // factor the window kernel outside the timings
-        let (_, t_direct) = timed_best(3, || solve(&direct));
-        let (_, t_squares) = timed_best(3, || solve(&full));
+        // Every carried block of a W-window solve of half-order memory
+        // over a one-lane store of `rows` states.
+        let rho = BpfBasis::new(m, 4.0 / w as f64).frac_diff_coeffs_n(0.5, w * m);
+        let store: Vec<Vec<f64>> = (0..w * m)
+            .map(|c| {
+                (0..rows)
+                    .map(|r| (c as f64 * 0.01 + r as f64 * 0.05).sin())
+                    .collect()
+            })
+            .collect();
+        let squares = HistorySquares::new(&rho, m, w);
+        let direct = || {
+            for b in 1..w {
+                let mut block = vec![vec![0.0; rows]; m];
+                history_block_into(&rho, &store[..b * m], &mut block);
+            }
+        };
+        let fft = || {
+            let mut pending = Vec::new();
+            for b in 1..w {
+                squares.add_boundary(&rho, b, &store, &mut pending, 1);
+                pending.drain(..m);
+            }
+        };
+        let (_, t_direct) = timed_best(3, direct);
+        let (_, t_squares) = timed_best(3, fft);
         row(
             &[
                 format!("{w}"),

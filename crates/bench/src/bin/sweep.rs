@@ -688,9 +688,7 @@ fn main() {
     // An RC + constant-phase-element netlist (fractional MNA, α = ½)
     // driven by a tiny early bump plus a late main step: the windowed
     // solve carries the fractional memory of every previous window, so
-    // full history matches the whole-horizon plan to roundoff, and the
-    // short-memory truncation (which drops the quiescent early history)
-    // stays within its documented bound.
+    // it matches the whole-horizon plan to roundoff.
     let (fm, fw) = (64, 16);
     let ft_end = 1e-6;
     let fsim = Simulation::from_netlist(
@@ -719,25 +717,13 @@ fn main() {
     let (ffull_run, ffull_s) = timed_best(3, || fplan.solve_windowed(&fstim, fw).unwrap());
     let ffull_delta = run_delta(&fwhole_run, &ffull_run);
     let ffull_speedup = fwhole_s / ffull_s;
-    // Short memory: an 8-window (512-column) tail covering the active
-    // late history, dropping the quiescent early windows.
-    let fopts = WindowedOptions::new(fw).history_len(8 * fm);
-    let fstims = std::slice::from_ref(&fstim);
-    let (ftrunc_run, ftrunc_s) = timed_best(3, || {
-        fplan
-            .solve_windowed_batch_opts(fstims, &fopts, 1)
-            .unwrap()
-            .remove(0)
-    });
-    let ftrunc_delta = run_delta(&fwhole_run, &ftrunc_run);
     println!(
-        "frac wins  : whole {} ({} cols) vs {fw} windows {} ({ffull_speedup:.2}×, {} symbolic + {} numeric, max |Δ| = {ffull_delta:.2e}); truncated tail {} (max |Δ| = {ftrunc_delta:.2e})",
+        "frac wins  : whole {} ({} cols) vs {fw} windows {} ({ffull_speedup:.2}×, {} symbolic + {} numeric, max |Δ| = {ffull_delta:.2e})",
         fmt_time(fwhole_s),
         fm * fw,
         fmt_time(ffull_s),
         fprofile.num_symbolic,
         fprofile.num_numeric,
-        fmt_time(ftrunc_s),
     );
     records.extend([
         rec(
@@ -761,18 +747,6 @@ fn main() {
             "windowed_fractional_max_abs_delta",
             vec![("value", Json::Num(ffull_delta)), ("max", Json::Num(1e-9))],
         ),
-        rec(
-            format!("windowed_fractional/truncated_hist{}", 8 * fm),
-            vec![
-                ("seconds", Json::Num(ftrunc_s)),
-                ("windows", int(fw)),
-                ("history_len", int(8 * fm)),
-            ],
-        ),
-        rec(
-            "windowed_fractional_truncated_max_abs_delta",
-            vec![("value", Json::Num(ftrunc_delta)), ("max", Json::Num(1e-6))],
-        ),
     ]);
 
     // Nightly-only long-horizon fractional run (OPM_SWEEP_LONG=1): a
@@ -786,16 +760,13 @@ fn main() {
         .unwrap()
         .horizon(100.0 * ft_end);
         let lplan = lsim.plan(&SolveOptions::new().resolution(fm)).unwrap();
-        let lopts = WindowedOptions::new(wlong).history_len(8 * fm);
         let (lrun, lsec) = timed_best(1, || {
-            let stims = std::slice::from_ref(lsim.inputs().unwrap());
             lplan
-                .solve_windowed_batch_opts(stims, &lopts, 1)
+                .solve_windowed(lsim.inputs().unwrap(), wlong)
                 .unwrap()
-                .remove(0)
         });
         println!(
-            "frac long  : {wlong} windows ({} cols) in {} (truncated 8-window tail)",
+            "frac long  : {wlong} windows ({} cols) in {} (full history)",
             fm * wlong,
             fmt_time(lsec)
         );
@@ -920,8 +891,8 @@ fn main() {
          FFT squares vs one direct Toeplitz block per window. windowed/*: 100-tau RC-ladder horizon, whole-horizon plan vs \
          SimPlan::solve_windowed over {ww} windows plus a {w_long}-window streaming run at \
          per-window memory. windowed_fractional/*: RC+CPE netlist (fractional MNA, alpha = 0.5), \
-         whole-horizon vs {fw} windows with carried Caputo/GL history and an 8-window short-memory \
-         tail (quiescent-early-history stimulus). newton/*: diode half-wave rectifier through \
+         whole-horizon vs {fw} windows carrying the whole Caputo/GL history (early bump plus late \
+         step stimulus). newton/*: diode half-wave rectifier through \
          SimPlan::solve_newton_windowed over {nw} windows of {nm} columns. Each record carries its \
          own bound (min/max per profile, or a class against the committed run); \
          ci/compare_bench.py --profile local|pr|nightly judges a regenerated run against this \

@@ -11,63 +11,113 @@
 //!
 //! and evaluates the convolution with zero-padded radix-2 FFTs.
 
-use crate::fft::{fft_in_place, fft_with, ifft_with};
+use crate::fft::{fft_with, ifft_with};
 use opm_linalg::fft::FftPlan;
 use opm_linalg::Complex64;
 
-/// Forward DFT of arbitrary length (`O(N log N)`).
-pub fn bluestein_fft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if n.is_power_of_two() {
-        let mut data = input.to_vec();
-        fft_in_place(&mut data);
-        return data;
-    }
-    // Chirp: c_j = e^{−iπ j²/N}. Use j² mod 2N to avoid precision loss on
-    // the angle for large j.
-    let chirp: Vec<Complex64> = (0..n)
-        .map(|j| {
-            let j2 = (j * j) % (2 * n);
-            Complex64::from_polar(1.0, -std::f64::consts::PI * j2 as f64 / n as f64)
-        })
-        .collect();
-
-    let m = (2 * n - 1).next_power_of_two();
-    // a = x·chirp, zero-padded.
-    let mut a = vec![Complex64::ZERO; m];
-    for j in 0..n {
-        a[j] = input[j] * chirp[j];
-    }
-    // b = conj(chirp) with wrap-around symmetry b[m−j] = b[j].
-    let mut b = vec![Complex64::ZERO; m];
-    b[0] = chirp[0].conj();
-    for j in 1..n {
-        let v = chirp[j].conj();
-        b[j] = v;
-        b[m - j] = v;
-    }
-    // One twiddle table serves all three length-`m` transforms.
-    let plan = FftPlan::new(m);
-    fft_with(&plan, &mut a);
-    fft_with(&plan, &mut b);
-    for (x, y) in a.iter_mut().zip(&b) {
-        *x *= *y;
-    }
-    let conv = ifft_with(&plan, &a);
-    (0..n).map(|k| conv[k] * chirp[k]).collect()
+/// A DFT of one arbitrary length, set up once and reused for every
+/// series of that length: the radix-2 [`FftPlan`] and, when the length
+/// is not a power of two, the chirp and the spectrum of its conjugate
+/// (the convolution kernel).
+#[derive(Clone, Debug)]
+pub struct Bluestein {
+    n: usize,
+    plan: FftPlan,
+    /// `c_j = e^{−iπ j²/N}`; empty for a power-of-two length, which
+    /// the plan transforms directly.
+    chirp: Vec<Complex64>,
+    /// The spectrum of `conj(c)`, wrapped to the plan's length.
+    kernel: Vec<Complex64>,
 }
 
-/// Inverse DFT of arbitrary length.
+impl Bluestein {
+    /// The transform of length `n`.
+    pub fn new(n: usize) -> Self {
+        if n == 0 || n.is_power_of_two() {
+            return Bluestein {
+                n,
+                plan: FftPlan::new(n.max(1)),
+                chirp: Vec::new(),
+                kernel: Vec::new(),
+            };
+        }
+        // Use j² mod 2N to avoid precision loss on the angle for large j.
+        let chirp: Vec<Complex64> = (0..n)
+            .map(|j| {
+                let j2 = (j * j) % (2 * n);
+                Complex64::from_polar(1.0, -std::f64::consts::PI * j2 as f64 / n as f64)
+            })
+            .collect();
+        let m = (2 * n - 1).next_power_of_two();
+        // b = conj(chirp) with wrap-around symmetry b[m−j] = b[j].
+        let mut kernel = vec![Complex64::ZERO; m];
+        kernel[0] = chirp[0].conj();
+        for j in 1..n {
+            let v = chirp[j].conj();
+            kernel[j] = v;
+            kernel[m - j] = v;
+        }
+        // One twiddle table serves every length-`m` transform.
+        let plan = FftPlan::new(m);
+        fft_with(&plan, &mut kernel);
+        Bluestein {
+            n,
+            plan,
+            chirp,
+            kernel,
+        }
+    }
+
+    /// Forward DFT (`X_k = Σ_n x_n·e^{−2πikn/N}`).
+    ///
+    /// # Panics
+    /// Panics when `input` is not of the transform's length.
+    pub fn forward(&self, input: &[Complex64]) -> Vec<Complex64> {
+        let n = self.n;
+        assert_eq!(input.len(), n, "input length must match the transform");
+        if n == 0 {
+            return Vec::new();
+        }
+        if self.chirp.is_empty() {
+            let mut data = input.to_vec();
+            fft_with(&self.plan, &mut data);
+            return data;
+        }
+        // a = x·chirp, zero-padded, convolved with the kernel.
+        let mut a = vec![Complex64::ZERO; self.kernel.len()];
+        for j in 0..n {
+            a[j] = input[j] * self.chirp[j];
+        }
+        fft_with(&self.plan, &mut a);
+        for (x, y) in a.iter_mut().zip(&self.kernel) {
+            *x *= *y;
+        }
+        let conv = ifft_with(&self.plan, &a);
+        (0..n).map(|k| conv[k] * self.chirp[k]).collect()
+    }
+
+    /// Inverse DFT (`x_n = (1/N) Σ_k X_k·e^{+2πikn/N}`), via the
+    /// conjugation identity.
+    ///
+    /// # Panics
+    /// As [`Bluestein::forward`].
+    pub fn inverse(&self, input: &[Complex64]) -> Vec<Complex64> {
+        let conj: Vec<Complex64> = input.iter().map(|z| z.conj()).collect();
+        self.forward(&conj)
+            .into_iter()
+            .map(|z| z.conj().scale(1.0 / self.n as f64))
+            .collect()
+    }
+}
+
+/// Forward DFT of arbitrary length (`O(N log N)`), set up for one call.
+pub fn bluestein_fft(input: &[Complex64]) -> Vec<Complex64> {
+    Bluestein::new(input.len()).forward(input)
+}
+
+/// Inverse DFT of arbitrary length, set up for one call.
 pub fn bluestein_ifft(input: &[Complex64]) -> Vec<Complex64> {
-    let n = input.len();
-    let conj: Vec<Complex64> = input.iter().map(|z| z.conj()).collect();
-    bluestein_fft(&conj)
-        .into_iter()
-        .map(|z| z.conj().scale(1.0 / n as f64))
-        .collect()
+    Bluestein::new(input.len()).inverse(input)
 }
 
 #[cfg(test)]
@@ -111,6 +161,27 @@ mod tests {
             .collect();
         let back = bluestein_ifft(&bluestein_fft(&x));
         assert!(max_err(&back, &x) < 1e-10);
+    }
+
+    #[test]
+    fn reused_transform_equals_one_shot_bit_for_bit() {
+        use opm_rng::prelude::*;
+        let mut rng = StdRng::seed_from_u64(0xB1E5);
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for n in [7usize, 8, 100] {
+            let dft = Bluestein::new(n);
+            for _ in 0..3 {
+                let x: Vec<Complex64> = (0..n)
+                    .map(|_| {
+                        Complex64::new(rng.random_range(-1.0..1.0), rng.random_range(-1.0..1.0))
+                    })
+                    .collect();
+                assert_eq!(bits(&dft.forward(&x)), bits(&bluestein_fft(&x)), "n = {n}");
+                assert_eq!(bits(&dft.inverse(&x)), bits(&bluestein_ifft(&x)), "n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! T-periodic) — the source of the accuracy gap vs OPM that Table I
 //! reports, shrinking as `N` grows (FFT-2 beats FFT-1).
 
-use crate::bluestein::{bluestein_fft, bluestein_ifft};
+use crate::bluestein::Bluestein;
 use opm_linalg::{Complex64, ZMatrix, ZVector};
 use opm_system::FractionalSystem;
 use opm_waveform::InputSet;
@@ -77,13 +77,16 @@ impl FftSimulator {
         let big_n = self.n_samples;
         let dt = t_end / big_n as f64;
 
+        // One transform serves every input channel and state row.
+        let dft = Bluestein::new(big_n);
+
         // Sample and transform each input channel.
         let mut u_hat: Vec<Vec<Complex64>> = Vec::with_capacity(p);
         for ch in inputs.channels() {
             let samples: Vec<Complex64> = (0..big_n)
                 .map(|k| Complex64::from_real(ch.eval(k as f64 * dt)))
                 .collect();
-            u_hat.push(bluestein_fft(&samples));
+            u_hat.push(dft.forward(&samples));
         }
 
         let (e_d, a_d, b_d) = sys.system().to_dense();
@@ -132,7 +135,7 @@ impl FftSimulator {
         let mut states = Vec::with_capacity(n);
         let mut max_imag = 0.0f64;
         for row in &x_hat {
-            let time = bluestein_ifft(row);
+            let time = dft.inverse(row);
             max_imag = max_imag.max(time.iter().fold(0.0f64, |m, z| m.max(z.im.abs())));
             states.push(time.iter().map(|z| z.re).collect::<Vec<f64>>());
         }

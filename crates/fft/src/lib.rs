@@ -9,7 +9,8 @@
 //! radix-2.
 //!
 //! - [`fft`] — iterative radix-2 Cooley–Tukey + inverse.
-//! - [`bluestein`] — arbitrary-N FFT via chirp-z.
+//! - [`bluestein`] — arbitrary-N FFT via chirp-z, set up once per
+//!   length ([`Bluestein`](bluestein::Bluestein)).
 //! - [`dft`] — the O(N²) definition, kept as a test oracle.
 //! - [`freq_solve`] — the frequency-domain simulator ([`FftSimulator`]).
 //!

@@ -29,12 +29,13 @@
 //! below [`FFT_SQUARE_MIN_COLUMNS`] a side use [`history_block_into`],
 //! which stays the oracle the squares are tested against.
 //!
-//! [`HistoryTail`] adds the *short-memory principle* on top: a
-//! bounded-length tail of retained columns. Dropping columns older than
-//! `cap` is exactly the Grünwald–Letnikov short-memory truncation —
-//! since the weights of a fractional difference decay like
-//! `|w_k| = O(k^{−1−α})`, the neglected forcing is bounded by the tail
-//! sum `Σ_{k>cap}|w_k| = O(cap^{−α})` times the solution's sup-norm.
+//! [`HistoryTail`] is a list of retained columns with an optional cap.
+//! Dropping columns older than `cap` is the Grünwald–Letnikov
+//! short-memory truncation: since the weights of a fractional difference
+//! decay like `|w_k| = O(k^{−1−α})`, the neglected forcing is bounded by
+//! the tail sum `Σ_{k>cap}|w_k| = O(cap^{−α})` times the solution's
+//! sup-norm. No solve in the workspace truncates: a windowed solve
+//! carries its whole memory through [`HistorySquares`].
 
 use opm_linalg::fft::FftPlan;
 
@@ -645,8 +646,8 @@ fn square_panel(
     }
 }
 
-/// A bounded tail of retained history columns — the short-memory
-/// truncation state of a windowed fractional solve.
+/// A tail of retained history columns, optionally bounded — the state
+/// of a per-column history replay.
 ///
 /// Push each window's solved columns with [`HistoryTail::extend`]; the
 /// tail keeps at most `cap` of the most recent ones (all of them when

@@ -12,11 +12,12 @@
 //!   inversion — the very technique of the paper's references \[1,3,5\].
 //! - [`grunwald`] — Grünwald–Letnikov coefficients and pointwise fractional
 //!   derivatives (the classical time-domain FDE discretization).
-//! - [`history`] — the shared history-convolution kernels (per column,
-//!   per window block, and the full-history dyadic FFT squares of
-//!   [`history::HistorySquares`]) and the short-memory
-//!   [`history::HistoryTail`] behind every memory-carrying fractional
-//!   recurrence in the workspace.
+//! - [`history`] — the shared history-convolution kernels behind every
+//!   memory-carrying fractional recurrence in the workspace: per column,
+//!   per window block, and the dyadic FFT squares of
+//!   [`history::HistorySquares`] through which a windowed solve carries
+//!   its whole memory. [`history::HistoryTail`] is a column list with an
+//!   optional retention cap; no solve in the workspace caps its memory.
 //!
 //! # Example: fractional relaxation oracle
 //!

@@ -76,9 +76,8 @@ fn main() {
     let runs = plan.solve_batch(&levels).unwrap();
     assert!(runs[1].output_row(0)[m - 1] > runs[0].output_row(0)[m - 1]);
 
-    // Fractional models window too: the Caputo/GL memory of every
-    // previous window rides along as a history forcing, optionally
-    // truncated to a short-memory tail (bounded state for streaming).
+    // Fractional models window too: the whole Caputo/GL memory of
+    // every previous window rides along as a history forcing.
     let fsim = Simulation::from_netlist(
         "* R into a half-order constant-phase element\n\
          V1 in 0 DC 1\n\
@@ -90,14 +89,10 @@ fn main() {
     .unwrap()
     .horizon(1e-4); // 100× the 1e-6 horizon a whole-horizon plan would use
     let fplan = fsim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let fopts = WindowedOptions::new(100).history_len(8 * m);
-    let fr = fplan
-        .solve_windowed_batch_opts(std::slice::from_ref(fsim.inputs().unwrap()), &fopts, 1)
-        .unwrap()
-        .remove(0);
+    let fr = fplan.solve_windowed(fsim.inputs().unwrap(), 100).unwrap();
     let fp = fplan.factor_profile();
     println!(
-        "fractional: {} windows × {m} columns (8-window memory tail), \
+        "fractional: {} windows × {m} columns (full memory), \
          {} symbolic + {} numeric factorization(s), v(top) at T = {:.4} V",
         fp.num_windows,
         fp.num_symbolic,

@@ -359,7 +359,7 @@ fn windowed_job(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
 }
 
 fn streaming_job(plan: &opm::SimPlan, inputs: &InputSet) -> Vec<u64> {
-    let opts = opm::WindowedOptions::new(8).history_len(64);
+    let opts = opm::WindowedOptions::new(8);
     let mut bits = Vec::new();
     let end = plan
         .solve_streaming(inputs, &opts, |block| {

@@ -2,8 +2,7 @@
 //! facade — windowed ≡ whole-horizon equivalence (linear, second-order,
 //! and fractional with carried Caputo/GL history), streaming-callback
 //! concatenation, batch-vs-loop bit-identity, the one-factorization
-//! invariant, classical-stepper cross-checks on a 100×-horizon run, and
-//! the fixed-seed short-memory truncation property.
+//! invariant, and classical-stepper cross-checks on a 100×-horizon run.
 
 use opm::circuits::grid::PowerGridSpec;
 use opm::circuits::na::assemble_na;
@@ -248,10 +247,9 @@ fn second_order_windowed_matches_whole_horizon() {
 const RC_CPE: &str = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
 
 /// Windowed fractional solving carries the Caputo/GL history of all
-/// previous windows: with full history the result matches the
-/// whole-horizon plan at `W·m` columns to ≤ 1e-9, through exactly
-/// 1 symbolic + 1 numeric factorization; with a short-memory
-/// truncation covering a fraction of the horizon it stays ≤ 1e-6.
+/// previous windows: the result matches the whole-horizon plan at `W·m`
+/// columns to ≤ 1e-9, through exactly 1 symbolic + 1 numeric
+/// factorization.
 #[test]
 fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
     let (m, windows, t_end) = (32, 8, 1e-6);
@@ -285,90 +283,55 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
         "W fractional windows must cost exactly 1 symbolic + 1 numeric"
     );
     assert_eq!(p.num_windows, windows);
-
-    // Short-memory truncation. Fractional memory is power-law — the
-    // documented bound is O(L^{−α}) *times the activity older than the
-    // tail* — so the knob's use-case is dropping quiescent history: a
-    // tiny early bump (1e-5) plus the main step late enough that a
-    // 3-window tail covers it. The truncated solve must stay within
-    // 1e-6 of the whole-horizon answer while actually differing.
-    let t_on = 0.55 * t_end;
-    let bump = Waveform::pwl(vec![
-        (0.0, 0.0),
-        (0.05 * t_end, 0.0),
-        (0.08 * t_end, 1e-5),
-        (0.12 * t_end, 1e-5),
-        (0.15 * t_end, 0.0),
-        (t_on, 0.0),
-        (t_on + 0.02 * t_end, 1.0),
-        (t_end, 1.0),
-    ])
-    .unwrap();
-    let stim = InputSet::new(vec![bump]);
-    let whole_b = sim
-        .plan(&SolveOptions::new().resolution(m * windows))
-        .unwrap()
-        .solve(&stim)
-        .unwrap();
-    let opts = WindowedOptions::new(windows).history_len(3 * m);
-    let truncated = windowed_opts(&plan, &stim, &opts);
-    let full_b = plan.solve_windowed(&stim, windows).unwrap();
-    let tdelta = max_abs_output_delta(&truncated, &whole_b);
-    assert!(
-        tdelta <= 1e-6,
-        "truncated-history windowed vs whole: max |Δ| = {tdelta:.3e}"
-    );
-    assert!(
-        max_abs_output_delta(&truncated, &full_b) > 0.0,
-        "the truncation must actually drop history"
-    );
-    let p2 = plan.factor_profile();
-    assert_eq!((p2.num_symbolic, p2.num_numeric), (1, 1));
 }
 
 /// Fractional streaming ≡ fractional windowed, block for block, and the
-/// batch is bit-identical to the loop for every thread count.
+/// batch is bit-identical to the loop for every thread count — on a
+/// shape whose carried-memory squares are all direct (m = 16) and on
+/// one where every square runs by FFT (m = 128).
 #[test]
 fn fractional_streaming_and_batch_match_windowed() {
-    let (m, windows, t_end) = (16, 6, 1e-6);
+    let t_end = 1e-6;
     let sim = Simulation::from_netlist(RC_CPE, &["top"])
         .unwrap()
         .horizon(t_end);
-    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
     let inputs = sim.inputs().unwrap();
-
-    let windowed = plan.solve_windowed(inputs, windows).unwrap();
-    let mut concat_cols: Vec<Vec<f64>> = Vec::new();
-    plan.solve_streaming(inputs, &WindowedOptions::new(windows), |block| {
-        assert_eq!(block.result.num_intervals(), m);
-        concat_cols.extend(block.result.columns.iter().cloned());
-    })
-    .unwrap();
-    assert_eq!(concat_cols, windowed.columns, "streaming ≡ windowed");
-
     let sets: Vec<InputSet> = (0..5)
         .map(|i| InputSet::new(vec![Waveform::step(0.2e-6, 1.0 + 0.4 * i as f64)]))
         .collect();
-    let batch = plan
-        .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), 1)
+    for (m, windows) in [(16, 6), (128, 4)] {
+        let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
+        let opts = WindowedOptions::new(windows);
+        let windowed = plan.solve_windowed(inputs, windows).unwrap();
+        let mut blocks = 0;
+        plan.solve_streaming(inputs, &opts, |block| {
+            assert_eq!(block.window, blocks);
+            assert_eq!(block.result.num_intervals(), m);
+            let want = &windowed.columns[blocks * m..(blocks + 1) * m];
+            assert_eq!(block.result.columns, want, "m = {m}, block {blocks}");
+            blocks += 1;
+        })
         .unwrap();
-    for (set, b) in sets.iter().zip(&batch) {
-        let single = plan.solve_windowed(set, windows).unwrap();
-        assert_eq!(single.columns, b.columns, "batch must equal the loop");
-    }
-    for threads in [1, 2, 4, 16] {
-        let par = plan
-            .solve_windowed_batch_opts(&sets, &WindowedOptions::new(windows), threads)
-            .unwrap();
-        for (a, b) in batch.iter().zip(&par) {
-            assert_eq!(a.columns, b.columns, "threads={threads}");
+        assert_eq!(blocks, windows, "m = {m}");
+
+        let looped: Vec<opm::OpmResult> = sets
+            .iter()
+            .map(|set| plan.solve_windowed(set, windows).unwrap())
+            .collect();
+        for threads in [1, 2, 4, 16] {
+            let batch = plan
+                .solve_windowed_batch_opts(&sets, &opts, threads)
+                .unwrap();
+            for (a, b) in looped.iter().zip(&batch) {
+                assert_eq!(a.columns, b.columns, "m = {m}, threads = {threads}");
+            }
         }
     }
 }
 
 /// An 8-scenario R–CPE ladder batch is bit-identical for every thread
 /// count (small batches split evenly across workers) and to the
-/// per-scenario loop, with full and with truncated history.
+/// per-scenario loop.
 #[test]
 fn fractional_ladder_batch_is_bit_identical_across_threads() {
     let (m, windows, t_end) = (16, 6, 2e-6);
@@ -397,115 +360,18 @@ fn fractional_ladder_batch_is_bit_identical_across_threads() {
     let bits = |r: &opm::OpmResult| -> Vec<u64> {
         r.columns.iter().flatten().map(|v| v.to_bits()).collect()
     };
-    for opts in [
-        WindowedOptions::new(windows),
-        WindowedOptions::new(windows).history_len(3 * m),
-    ] {
-        let looped: Vec<Vec<u64>> = sets
-            .iter()
-            .map(|set| bits(&windowed_opts(&plan, set, &opts)))
-            .collect();
-        for threads in [1, 2, 3, 8] {
-            let batch = plan
-                .solve_windowed_batch_opts(&sets, &opts, threads)
-                .unwrap();
-            let got: Vec<Vec<u64>> = batch.iter().map(bits).collect();
-            assert_eq!(
-                got,
-                looped,
-                "threads = {threads}, history_len = {:?}",
-                opts.history_cap()
-            );
-        }
-    }
-    let p = plan.factor_profile();
-    assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
-}
-
-/// Short-memory property (fixed-seed randomized): over random fractional
-/// one-ports, the windowed-vs-whole error is monotonically non-increasing
-/// as `history_len` grows through a ladder of tails, and a tail covering
-/// the whole horizon reproduces the full-history solve bit for bit.
-#[test]
-fn short_memory_error_decreases_monotonically() {
-    use opm_rng::StdRng;
-    let mut rng = StdRng::seed_from_u64(0x057A_B1E5);
-    let (m, windows) = (16, 8);
-    for case in 0..12 {
-        let alpha = rng.random_range(0.3..0.9);
-        let r = rng.random_range(50.0..500.0);
-        let q = rng.random_range(0.5e-6..2e-6);
-        let t_end = rng.random_range(0.5e-6..2e-6);
-        let netlist = format!("V1 in 0 DC 1\nR1 in top {r}\nP1 top 0 CPE {q} {alpha}\n.end");
-        let sim = Simulation::from_netlist(&netlist, &["top"])
-            .unwrap()
-            .horizon(t_end);
-        let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-        let inputs = sim.inputs().unwrap();
-        let full = plan.solve_windowed(inputs, windows).unwrap();
-
-        let err_at = |cap: usize| {
-            let opts = WindowedOptions::new(windows).history_len(cap);
-            let r = windowed_opts(&plan, inputs, &opts);
-            max_abs_output_delta(&r, &full)
-        };
-        // Ladder of tails: 1, 2, 4 windows' worth of memory.
-        let errs: Vec<f64> = [m, 2 * m, 4 * m].iter().map(|&c| err_at(c)).collect();
-        for pair in errs.windows(2) {
-            assert!(
-                pair[1] <= pair[0] + 1e-15,
-                "case {case} (α = {alpha:.3}): error must not grow with \
-                 history_len: {errs:?}"
-            );
-        }
-        assert!(
-            errs[0] > 0.0,
-            "case {case}: the 1-window tail must actually truncate"
-        );
-        // A tail covering the horizon IS the full solve.
-        let opts = WindowedOptions::new(windows).history_len(m * windows);
-        let covered = windowed_opts(&plan, inputs, &opts);
-        assert_eq!(covered.columns, full.columns, "case {case}");
-    }
-}
-
-/// The full-history boundary of `history_len`: a cap of `(W − 1)·m`
-/// columns truncates nothing, so it is the full-history (dyadic-square)
-/// solve bit for bit; one column less takes the truncated per-window
-/// path, and along a ladder of caps ending there the windowed-vs-full
-/// error never grows.
-#[test]
-fn history_len_boundary_separates_full_and_truncated_memory() {
-    let (m, windows, t_end) = (64, 5, 1e-6);
-    let sim = Simulation::from_netlist(RC_CPE, &["top"])
-        .unwrap()
-        .horizon(t_end);
-    let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
-    let inputs = sim.inputs().unwrap();
-    let full = plan.solve_windowed(inputs, windows).unwrap();
-    let capped = |cap: usize| {
-        windowed_opts(
-            &plan,
-            inputs,
-            &WindowedOptions::new(windows).history_len(cap),
-        )
-    };
-    let bits = |r: &opm::OpmResult| -> Vec<u64> {
-        r.columns.iter().flatten().map(|v| v.to_bits()).collect()
-    };
-    assert_eq!(bits(&capped((windows - 1) * m)), bits(&full));
-    assert_eq!(bits(&capped(windows * m)), bits(&full));
-    let errs: Vec<f64> = [m, 2 * m, (windows - 1) * m - 1]
+    let opts = WindowedOptions::new(windows);
+    let looped: Vec<Vec<u64>> = sets
         .iter()
-        .map(|&cap| max_abs_output_delta(&capped(cap), &full))
+        .map(|set| bits(&windowed_opts(&plan, set, &opts)))
         .collect();
-    for pair in errs.windows(2) {
-        assert!(
-            pair[1] <= pair[0] + 1e-15,
-            "error must not grow with history_len: {errs:?}"
-        );
+    for threads in [1, 2, 3, 8] {
+        let batch = plan
+            .solve_windowed_batch_opts(&sets, &opts, threads)
+            .unwrap();
+        let got: Vec<Vec<u64>> = batch.iter().map(bits).collect();
+        assert_eq!(got, looped, "threads = {threads}");
     }
-    assert!(errs[0] > 0.0, "a one-window tail must truncate: {errs:?}");
     let p = plan.factor_profile();
     assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
 }
