@@ -761,9 +761,7 @@ fn main() {
         .horizon(100.0 * ft_end);
         let lplan = lsim.plan(&SolveOptions::new().resolution(fm)).unwrap();
         let (lrun, lsec) = timed_best(1, || {
-            lplan
-                .solve_windowed(lsim.inputs().unwrap(), wlong)
-                .unwrap()
+            lplan.solve_windowed(lsim.inputs().unwrap(), wlong).unwrap()
         });
         println!(
             "frac long  : {wlong} windows ({} cols) in {} (full history)",

@@ -231,9 +231,10 @@ impl PatternAnalysis {
 ///
 /// A family is immutable once built: [`PencilFamily::factor`],
 /// [`PencilFamily::factor_all`] and [`PencilFamily::factor_stamped`]
-/// take `&self`, each call owns its value buffer, and the counters are
-/// relaxed atomics, so factorizations on one family never wait on each
-/// other. A [`PencilFamily::profile`] snapshot taken while other
+/// take `&self`, each call owns (or is handed) its value buffer and
+/// factor, and the counters are relaxed atomics, so factorizations on
+/// one family never wait on each other. A [`PencilFamily::profile`]
+/// snapshot taken while other
 /// threads factor may be mid-update (one counter bumped, the next not
 /// yet); once they finish it is exact.
 pub struct PencilFamily {
@@ -326,28 +327,31 @@ impl PencilFamily {
     /// [`PencilFamily::factor`] with a caller-owned value buffer.
     fn factor_into(&self, weights: &[f64], vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
         self.pencil.combined_values(weights, vals);
-        Ok(self.refactor(vals)?.0)
+        let mut lu = SparseLu::default();
+        self.refactor_into(vals, &mut lu)?;
+        Ok(lu)
     }
 
     /// The one refactor-with-fallback path: a numeric-only
-    /// [`SparseLu::refactor`] of `values` (laid out on the union
-    /// pattern), and on [`SparseError::PivotDegraded`] a fresh pivoted
-    /// factorization of the same values under the recorded ordering.
-    /// The recorded analysis itself never changes, so the factor for a
-    /// value set does not depend on which thread asks or when. Returns
-    /// the factor and whether it fell back.
-    fn refactor(&self, values: &[f64]) -> Result<(SparseLu, bool), OpmError> {
-        match SparseLu::refactor(self.shared.symbolic(), values) {
-            Ok(lu) => {
+    /// [`SparseLu::refactor_into`] of `values` (laid out on the union
+    /// pattern) into `lu`'s storage, and on
+    /// [`SparseError::PivotDegraded`] a fresh pivoted factorization of
+    /// the same values under the recorded ordering in its place. The
+    /// recorded analysis itself never changes, so the factor for a value
+    /// set does not depend on which thread asks or when. Returns whether
+    /// it fell back.
+    fn refactor_into(&self, values: &[f64], lu: &mut SparseLu) -> Result<bool, OpmError> {
+        match lu.refactor_into(self.shared.symbolic(), values) {
+            Ok(()) => {
                 self.numeric.fetch_add(1, Ordering::Relaxed);
-                Ok((lu, false))
+                Ok(false)
             }
             Err(SparseError::PivotDegraded(_)) => {
                 let mut csc = self.pencil.pattern().clone();
                 csc.values_mut().copy_from_slice(values);
-                let lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
+                *lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                Ok((lu, true))
+                Ok(true)
             }
             Err(e) => Err(singular(e)),
         }
@@ -452,31 +456,35 @@ impl PencilFamily {
     /// Factors `Σ_k weights[k]·A_k − J` where `J` is applied by `stamp`
     /// directly on the combined value buffer (indices from
     /// [`PencilFamily::value_indices`]) — the Newton iteration matrix.
+    /// Both buffers are the caller's: `vals` receives the stamped values
+    /// and `lu` the factor, each reusing its capacity, so a caller that
+    /// keeps them across iterates factors without a heap allocation.
     /// Numeric-only refactorization against the family's recorded
     /// analysis (the pattern is iteration-invariant because GMIN keeps
     /// every device position stored), with the same pivot-degradation
-    /// fallback as [`PencilFamily::factor`]. Books Newton-specific
-    /// counters so plans can assert "one symbolic analysis, the rest
-    /// numeric" end-to-end.
+    /// fallback as [`PencilFamily::factor`]: `lu` then holds the fresh
+    /// factor. Books Newton-specific counters so plans can assert "one
+    /// symbolic analysis, the rest numeric" end-to-end.
     ///
     /// # Errors
-    /// [`OpmError::SingularPencil`] when the stamped pencil is singular.
+    /// [`OpmError::SingularPencil`] when the stamped pencil is singular;
+    /// `lu` is then fit only to be factored into again.
     pub fn factor_stamped(
         &self,
         weights: &[f64],
+        vals: &mut Vec<f64>,
+        lu: &mut SparseLu,
         stamp: impl FnOnce(&mut [f64]),
-    ) -> Result<SparseLu, OpmError> {
-        let mut vals = Vec::new();
-        self.pencil.combined_values(weights, &mut vals);
-        stamp(&mut vals);
-        let (lu, fell_back) = self.refactor(&vals)?;
-        let counter = if fell_back {
+    ) -> Result<(), OpmError> {
+        self.pencil.combined_values(weights, vals);
+        stamp(vals);
+        let counter = if self.refactor_into(vals, lu)? {
             &self.newton_fresh_fallbacks
         } else {
             &self.newton_refactors
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        Ok(lu)
+        Ok(())
     }
 }
 

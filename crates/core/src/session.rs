@@ -1365,13 +1365,10 @@ impl SimPlan {
         columns
             .try_reserve_exact(windows.checked_mul(m).ok_or_else(too_large)?)
             .map_err(|_| too_large())?;
-        let mut sweep = NewtonSweep::new(sys, &self.devices, family)?;
-        let mut e = self.x0.clone();
+        let mut sweep = NewtonSweep::new(sys, &self.devices, family, &self.x0)?;
         for w in 0..windows {
             let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
-            let win = sweep.window(family, sigma, m, &u, &e, opts, w)?;
-            e = win.end;
-            columns.extend(win.columns);
+            sweep.window(family, sigma, m, &u, opts, w, &mut columns)?;
         }
         family.note_newton_iters(sweep.newton_iters);
         let bounds = uniform_bounds(columns.len(), self.t_end);

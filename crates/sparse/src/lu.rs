@@ -20,7 +20,11 @@
 //! [`SymbolicLu::factor_with`] records the elimination reach and pivot
 //! order of a reference factorization, and [`SparseLu::refactor`] replays
 //! the *numeric* half against new values — fixed pivots, fixed fill, no
-//! DFS — in the KLU style. A pivot that degrades past
+//! DFS — in the KLU style. [`SparseLu::refactor_into`] runs the same
+//! replay into an existing factor's storage, so a caller that refactors
+//! one pattern over and over (a Newton loop) allocates nothing after the
+//! first factor, and [`SparseLu::solve_into`] solves with a caller-held
+//! scratch buffer. A pivot that degrades past
 //! [`LuOptions::refactor_threshold`] aborts with
 //! [`SparseError::PivotDegraded`] so the caller can fall back to a fresh
 //! pivoted factorization.
@@ -127,7 +131,7 @@ pub struct SupernodeStats {
 /// trailing `dim × dim` corner of the factors, solved with blocked dense
 /// triangular kernels while the sparse columns remain authoritative for
 /// everything else (`nnz`, `det`, single-vector solves).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 struct DenseTail {
     /// First pivotal column of the tail, `t`.
     start: usize,
@@ -189,34 +193,37 @@ fn detect_dense_tail(
     None
 }
 
-/// Mirrors the trailing factor columns `[start, n)` into a [`DenseTail`].
-fn build_dense_tail(
-    n: usize,
-    l_cols: &[Vec<(usize, f64)>],
-    u_cols: &[Vec<(usize, f64)>],
-    start: usize,
-) -> DenseTail {
-    let dim = n - start;
-    let mut lu = vec![0.0; dim * dim];
-    let mut u_above: Vec<Vec<(usize, f64)>> = vec![Vec::new(); dim];
-    for k in start..n {
-        let kk = k - start;
-        for &(i, lv) in &l_cols[k] {
-            lu[(i - start) * dim + kk] = lv; // rows of L col k are > k ≥ start
-        }
-        for &(i, uv) in &u_cols[k] {
-            if i >= start {
-                lu[(i - start) * dim + kk] = uv;
-            } else {
-                u_above[kk].push((i, uv));
+impl DenseTail {
+    /// Mirrors the trailing factor columns `[start, n)` into this tail,
+    /// overwriting what it held and reusing its buffers' capacity.
+    fn fill(
+        &mut self,
+        n: usize,
+        l_cols: &[Vec<(usize, f64)>],
+        u_cols: &[Vec<(usize, f64)>],
+        start: usize,
+    ) {
+        let dim = n - start;
+        self.start = start;
+        self.dim = dim;
+        self.lu.clear();
+        self.lu.resize(dim * dim, 0.0);
+        self.u_above.resize_with(dim, Vec::new);
+        for k in start..n {
+            let kk = k - start;
+            for &(i, lv) in &l_cols[k] {
+                self.lu[(i - start) * dim + kk] = lv; // rows of L col k are > k ≥ start
+            }
+            let above = &mut self.u_above[kk];
+            above.clear();
+            for &(i, uv) in &u_cols[k] {
+                if i >= start {
+                    self.lu[(i - start) * dim + kk] = uv;
+                } else {
+                    above.push((i, uv));
+                }
             }
         }
-    }
-    DenseTail {
-        start,
-        dim,
-        lu,
-        u_above,
     }
 }
 
@@ -352,7 +359,10 @@ impl SymbolicLu {
 /// let r: Vec<f64> = a.mul_vec(&x).iter().zip([3.0, 2.0, 0.0]).map(|(y, b)| y - b).collect();
 /// assert!(r.iter().all(|e| e.abs() < 1e-12));
 /// ```
-#[derive(Clone, Debug)]
+///
+/// `SparseLu::default()` is the factor of the `0 × 0` matrix: an empty
+/// slot for [`SparseLu::refactor_into`] to fill.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SparseLu {
     n: usize,
     /// Strictly-lower entries of `L` per column, in pivotal row indices.
@@ -369,6 +379,10 @@ pub struct SparseLu {
     /// enough ([`LuOptions::supernode_threshold`]). Used by the panel
     /// block solves; the sparse columns above stay authoritative.
     tail: Option<DenseTail>,
+    /// The numeric replay's dense accumulator: `n` zeros between
+    /// factorizations, kept so [`SparseLu::refactor_into`] allocates
+    /// nothing.
+    work: Vec<f64>,
 }
 
 impl SparseLu {
@@ -414,7 +428,26 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
-        Self::replay(sym, values, PivotRule::Guarded)
+        let mut lu = SparseLu::default();
+        lu.refactor_into(sym, values)?;
+        Ok(lu)
+    }
+
+    /// [`SparseLu::refactor`] into this factor's storage: on success
+    /// `self` equals, field for field, what `SparseLu::refactor(sym,
+    /// values)` returns, whatever it held before (another dimension,
+    /// other pivots, a dense tail or none), and a factor that already
+    /// holds this analysis's pattern is refilled without a heap
+    /// allocation.
+    ///
+    /// # Errors
+    /// As [`SparseLu::refactor`]. On error `self` holds a partial
+    /// factor, fit only to be refactored into again or dropped.
+    ///
+    /// # Panics
+    /// Panics when `values.len() != sym.pattern_nnz()`.
+    pub fn refactor_into(&mut self, sym: &SymbolicLu, values: &[f64]) -> Result<(), SparseError> {
+        self.replay(sym, values, PivotRule::Guarded)
     }
 
     /// Exact replay: [`SparseLu::refactor`] under a pivot rule that
@@ -438,23 +471,37 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor_exact(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
-        Self::replay(sym, values, PivotRule::Exact)
+        let mut lu = SparseLu::default();
+        lu.replay(sym, values, PivotRule::Exact)?;
+        Ok(lu)
     }
 
-    /// The numeric replay behind [`SparseLu::refactor`] and
-    /// [`SparseLu::refactor_exact`]: one loop, two pivot rules.
-    fn replay(sym: &SymbolicLu, values: &[f64], rule: PivotRule) -> Result<Self, SparseError> {
+    /// The numeric replay behind [`SparseLu::refactor_into`] and
+    /// [`SparseLu::refactor_exact`]: one loop, two pivot rules, written
+    /// into `self`'s storage.
+    fn replay(
+        &mut self,
+        sym: &SymbolicLu,
+        values: &[f64],
+        rule: PivotRule,
+    ) -> Result<(), SparseError> {
         assert_eq!(
             values.len(),
             sym.pattern_nnz(),
             "refactor: value array does not match the analyzed pattern"
         );
         let n = sym.n;
-        let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-        let mut u_diag = vec![0.0; n];
+        self.n = n;
+        self.l_cols.resize_with(n, Vec::new);
+        self.u_cols.resize_with(n, Vec::new);
+        self.u_diag.clear();
+        self.u_diag.resize(n, 0.0);
+        self.row_perm.clone_from(&sym.row_perm);
+        self.col_perm.clone_from(&sym.col_perm);
         // Dense accumulator in *pivotal* row coordinates.
-        let mut x = vec![0.0f64; n];
+        let x = &mut self.work;
+        x.clear();
+        x.resize(n, 0.0);
 
         for k in 0..n {
             let upat = &sym.u_idx[sym.u_ptr[k]..sym.u_ptr[k + 1]];
@@ -470,9 +517,6 @@ impl SparseLu {
                 x[sym.a_dst[p]] = v;
             }
             if !finite {
-                for p in lo..hi {
-                    x[sym.a_dst[p]] = 0.0;
-                }
                 return Err(SparseError::Singular(k));
             }
 
@@ -482,7 +526,7 @@ impl SparseLu {
             for &j in upat {
                 let xj = x[j];
                 if xj != 0.0 {
-                    for &(i, lv) in &l_cols[j] {
+                    for &(i, lv) in &self.l_cols[j] {
                         x[i] -= lv * xj;
                     }
                 }
@@ -504,14 +548,10 @@ impl SparseLu {
                         None
                     }
                 }
-                PivotRule::Exact => (fresh_pivot_slot(sym, k, &x, lpat) != Some(sym.piv_slot[k]))
+                PivotRule::Exact => (fresh_pivot_slot(sym, k, x, lpat) != Some(sym.piv_slot[k]))
                     .then_some(SparseError::PivotMismatch(k)),
             };
             if let Some(err) = refused {
-                for &i in upat.iter().chain(lpat) {
-                    x[i] = 0.0;
-                }
-                x[k] = 0.0;
                 return Err(err);
             }
 
@@ -519,36 +559,34 @@ impl SparseLu {
             // gathered in the analysis's emission order (the reverse of
             // the update order), so the stored factors match a fresh
             // factorization entry for entry.
-            let mut ucol = Vec::with_capacity(upat.len());
+            let ucol = &mut self.u_cols[k];
+            ucol.clear();
             for &i in upat.iter().rev() {
                 ucol.push((i, x[i]));
                 x[i] = 0.0;
             }
-            let mut lcol = Vec::with_capacity(lpat.len());
+            let lcol = &mut self.l_cols[k];
+            lcol.clear();
             for &i in lpat {
                 lcol.push((i, x[i] / pivot));
                 x[i] = 0.0;
             }
             x[k] = 0.0;
-            u_diag[k] = pivot;
-            u_cols.push(ucol);
-            l_cols.push(lcol);
+            self.u_diag[k] = pivot;
         }
 
         // The analysis already decided where the dense tail starts (a
         // pattern property); only the values need re-mirroring.
-        let tail = sym
-            .tail_start
-            .map(|t| build_dense_tail(n, &l_cols, &u_cols, t));
-        Ok(SparseLu {
-            n,
-            l_cols,
-            u_cols,
-            u_diag,
-            row_perm: sym.row_perm.clone(),
-            col_perm: sym.col_perm.clone(),
-            tail,
-        })
+        match sym.tail_start {
+            Some(t) => self.tail.get_or_insert_with(DenseTail::default).fill(
+                n,
+                &self.l_cols,
+                &self.u_cols,
+                t,
+            ),
+            None => self.tail = None,
+        }
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -569,20 +607,25 @@ impl SparseLu {
     /// Panics when `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
-        self.solve_into(b, &mut out);
+        self.solve_into(b, &mut out, &mut vec![0.0; self.n]);
         out
     }
 
-    /// Solves `A·x = b` into a caller-provided buffer (no allocation beyond
-    /// one internal scratch reuse).
+    /// Solves `A·x = b` into a caller-provided buffer, using the
+    /// caller's `scratch` for the pivotal-order intermediate: no heap
+    /// allocation. `scratch`'s contents on entry do not matter.
     ///
     /// # Panics
     /// Panics when slice lengths differ from `self.dim()`.
-    pub fn solve_into(&self, b: &[f64], out: &mut [f64]) {
+    pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
         assert_eq!(b.len(), self.n, "solve: rhs length mismatch");
         assert_eq!(out.len(), self.n, "solve: out length mismatch");
+        assert_eq!(scratch.len(), self.n, "solve: scratch length mismatch");
         // y ← P·b in pivotal order.
-        let mut y: Vec<f64> = (0..self.n).map(|k| b[self.row_perm[k]]).collect();
+        let y = scratch;
+        for (yk, &r) in y.iter_mut().zip(&self.row_perm) {
+            *yk = b[r];
+        }
         // Forward solve L·z = y (unit diagonal, column sweep).
         for k in 0..self.n {
             let yk = y[k];
@@ -1095,7 +1138,11 @@ fn factor_impl(
     }
 
     let tail_start = detect_dense_tail(n, &l_cols, &u_cols, opts.supernode_threshold);
-    let tail = tail_start.map(|t| build_dense_tail(n, &l_cols, &u_cols, t));
+    let tail = tail_start.map(|t| {
+        let mut tail = DenseTail::default();
+        tail.fill(n, &l_cols, &u_cols, t);
+        tail
+    });
 
     let sym = if record {
         for r in l_orig.iter_mut() {
@@ -1149,6 +1196,7 @@ fn factor_impl(
             row_perm,
             col_perm,
             tail,
+            work: x,
         },
         sym,
     ))
@@ -1417,7 +1465,7 @@ mod tests {
         let lu = SparseLu::factor(&c.to_csc(), None).unwrap();
         let b = [3.0, 2.0, 0.5];
         let mut single = vec![0.0; 3];
-        lu.solve_into(&b, &mut single);
+        lu.solve_into(&b, &mut single, &mut [0.0; 3]);
         let mut block = vec![0.0; 3];
         lu.solve_block_into(&b, &mut block, 1);
         assert_eq!(single, block);

@@ -12,9 +12,25 @@
 /// let q = p.inverse();
 /// assert_eq!(q.apply(&p.apply(&[1.0, 2.0, 3.0])), vec![1.0, 2.0, 3.0]);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// `Permutation::default()` is the empty permutation.
+#[derive(Debug, Default, PartialEq, Eq)]
 pub struct Permutation {
     fwd: Vec<usize>,
+}
+
+impl Clone for Permutation {
+    fn clone(&self) -> Self {
+        Permutation {
+            fwd: self.fwd.clone(),
+        }
+    }
+
+    /// Reuses `self`'s storage, so refilling a factor's permutation
+    /// allocates nothing once its capacity fits.
+    fn clone_from(&mut self, source: &Self) {
+        self.fwd.clone_from(&source.fwd);
+    }
 }
 
 impl Permutation {

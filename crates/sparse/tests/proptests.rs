@@ -186,10 +186,10 @@ fn refactor_agrees_with_fresh_factor_over_random_shifts() {
 /// A shift that cancels the analyzed pivot must be *refused* by the
 /// numeric refactorization (pivot degradation), and the fresh pivoted
 /// fallback must still solve the system.
-#[test]
-fn refactor_degradation_falls_back_to_fresh_factor() {
-    // E = diag(1, 1), A = [[−2, 1], [1, −3]]: the pencil σE − A keeps
-    // the diagonal pivot for moderate σ, but σ = −2 zeroes entry (0,0).
+/// E = diag(1, 1), A = [[−2, 1], [1, −3]]: the pencil σE − A keeps the
+/// diagonal pivot for moderate σ, but [`DEGRADED_SHIFT`] all but zeroes
+/// entry (0,0).
+fn degradable_pencil() -> (CsrMatrix, CsrMatrix) {
     let mut ec = CooMatrix::new(2, 2);
     ec.push(0, 0, 1.0);
     ec.push(1, 1, 1.0);
@@ -198,7 +198,15 @@ fn refactor_degradation_falls_back_to_fresh_factor() {
     ac.push(0, 1, 1.0);
     ac.push(1, 0, 1.0);
     ac.push(1, 1, -3.0);
-    let (e, a) = (ec.to_csr(), ac.to_csr());
+    (ec.to_csr(), ac.to_csr())
+}
+
+/// The shift at which [`degradable_pencil`]'s recorded pivot degrades.
+const DEGRADED_SHIFT: f64 = -2.0 + 1e-15;
+
+#[test]
+fn refactor_degradation_falls_back_to_fresh_factor() {
+    let (e, a) = degradable_pencil();
     let mut pencil = ShiftedPencil::new(&e, &a);
     let (sym, _) = SymbolicLu::factor(pencil.shifted(1.0), None).unwrap();
 
@@ -213,7 +221,7 @@ fn refactor_degradation_falls_back_to_fresh_factor() {
 
     // Degenerate shift: the fixed (0,0) pivot collapses to ~0 while the
     // off-diagonal stays O(1) — refactor must refuse...
-    let sigma_bad = -2.0 + 1e-15;
+    let sigma_bad = DEGRADED_SHIFT;
     pencil.shift_values(sigma_bad, &mut vals);
     let err = SparseLu::refactor(&sym, &vals).unwrap_err();
     assert!(matches!(err, SparseError::PivotDegraded(_)), "{err:?}");
@@ -228,6 +236,117 @@ fn refactor_degradation_falls_back_to_fresh_factor() {
         .map(|(y, b)| (y - b).abs())
         .collect();
     assert!(r.iter().all(|&v| v < 1e-9), "fallback residual {r:?}");
+}
+
+/// [`dd_sparse`] with a fully dense trailing `corner × corner` block —
+/// the shape whose factors carry a supernodal dense tail.
+fn dd_with_dense_corner(rng: &mut StdRng, n: usize, corner: usize) -> CsrMatrix {
+    let base = dd_sparse(rng, n, 2 * n);
+    let mut c = CooMatrix::new(n, n);
+    for i in 0..n {
+        for (j, v) in base.row(i) {
+            c.push(i, j, v);
+        }
+    }
+    for i in n - corner..n {
+        for j in n - corner..n {
+            c.push(i, j, rng.random_range(-0.1..0.1));
+        }
+    }
+    c.to_csr()
+}
+
+/// Asserts two factors are the same bit for bit: every field (`Debug`
+/// prints each `f64` exactly, sign of zero included) and the single-
+/// and multi-lane solves.
+fn assert_same_factor(got: &SparseLu, want: &SparseLu, what: &str) {
+    assert!(got == want, "{what}: factors differ");
+    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+    let n = want.dim();
+    let lanes = 3;
+    let b: Vec<f64> = (0..n * lanes).map(|i| (i as f64 * 0.61).sin()).collect();
+    let bits = |lu: &SparseLu| -> Vec<u64> {
+        let mut out = vec![0.0; n * lanes];
+        lu.solve_block_into(&b, &mut out, lanes);
+        out.extend(lu.solve(&b[..n]));
+        out.iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(bits(got), bits(want), "{what}: solves");
+}
+
+/// `refactor_into` does not depend on what its target last held: an
+/// empty slot, the fresh fallback factor of the degraded 2×2 shift
+/// (other pivots), a factor of another pattern and dimension (with and
+/// without a dense tail), the same analysis at other values, and the
+/// partial state a `PivotDegraded` or `Singular` call left behind all
+/// end equal, field for field, to a fresh `refactor` of the same values.
+#[test]
+fn refactor_into_is_independent_of_the_prior_factor() {
+    let mut rng = StdRng::seed_from_u64(0x5AA_0012);
+    let (e2, a2) = degradable_pencil();
+    let mut small = ShiftedPencil::new(&e2, &a2);
+    let (small_sym, _) = SymbolicLu::factor(small.shifted(1.0), None).unwrap();
+    let fallback = SparseLu::factor(small.shifted(DEGRADED_SHIFT), None).unwrap();
+    let mut degraded_vals = Vec::new();
+    small.shift_values(DEGRADED_SHIFT, &mut degraded_vals);
+    let mut after_degraded = fallback.clone();
+    let err = after_degraded
+        .refactor_into(&small_sym, &degraded_vals)
+        .unwrap_err();
+    assert!(matches!(err, SparseError::PivotDegraded(0)), "{err:?}");
+
+    let mut tails = 0;
+    let mut previous: Option<SparseLu> = None;
+    for case in 0..CASES {
+        let n = 10 + rng.random_range(0..20usize);
+        let e = dd_sparse(&mut rng, n, 2 * n);
+        let a = if case % 2 == 0 {
+            let corner = 8 + rng.random_range(0..3usize);
+            dd_with_dense_corner(&mut rng, n, corner)
+        } else {
+            dd_sparse(&mut rng, n, 3 * n)
+        }
+        .scale(-1.0);
+        let mut pencil = ShiftedPencil::new(&e, &a);
+        let order = amd(&pencil.pattern().to_csr());
+        let (sym, _) = SymbolicLu::factor(pencil.shifted(1.0), Some(&order)).unwrap();
+        let mut vals = Vec::new();
+        pencil.shift_values(0.5 + 4.0 * rng.random(), &mut vals);
+        let want = SparseLu::refactor(&sym, &vals).unwrap();
+        tails += usize::from(want.supernode_stats().dense_tail_cols > 0);
+
+        let mut other_vals = Vec::new();
+        pencil.shift_values(5.0 + 4.0 * rng.random(), &mut other_vals);
+        let same_pattern = SparseLu::refactor(&sym, &other_vals).unwrap();
+        // A NaN in the last pivotal column stops the replay there, with
+        // that column's values (NaN included) left in the accumulator.
+        let mut nan_vals = other_vals.clone();
+        nan_vals[pencil.pattern().colptr()[order.old_of(n - 1)]] = f64::NAN;
+        let mut after_singular = same_pattern.clone();
+        let err = after_singular.refactor_into(&sym, &nan_vals).unwrap_err();
+        assert!(matches!(err, SparseError::Singular(_)), "{err:?}");
+
+        let mut priors = vec![
+            ("empty", SparseLu::default()),
+            ("degraded-shift fallback", fallback.clone()),
+            ("after PivotDegraded", after_degraded.clone()),
+            ("same pattern, other values", same_pattern),
+            ("after Singular", after_singular),
+        ];
+        if let Some(prev) = previous.take() {
+            priors.push(("another pattern and dimension", prev));
+        }
+        for (what, prior) in priors {
+            let mut lu = prior;
+            lu.refactor_into(&sym, &vals).unwrap();
+            assert_same_factor(&lu, &want, &format!("case {case}, prior {what}"));
+        }
+        previous = Some(want);
+    }
+    assert!(
+        tails > 0 && tails < CASES,
+        "{tails} of {CASES} cases had a dense tail"
+    );
 }
 
 /// Panel block solves are bit-identical to the scalar reference across

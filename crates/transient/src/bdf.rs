@@ -93,6 +93,7 @@ pub fn bdf(
     let mut rhs = vec![0.0; n];
     let mut ex = vec![0.0; n];
     let mut x = vec![0.0; n];
+    let mut y = vec![0.0; n];
     for step in startup_steps + 1..=m {
         let t = step as f64 * h;
         rhs.iter_mut().for_each(|v| *v = 0.0);
@@ -106,7 +107,7 @@ pub fn bdf(
         }
         let u = inputs.eval(t);
         add_b_u(sys.b(), 1.0, &u, &mut rhs);
-        lu.solve_into(&rhs, &mut x);
+        lu.solve_into(&rhs, &mut x, &mut y);
         num_solves += 1;
 
         history.insert(0, x.clone());

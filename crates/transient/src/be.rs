@@ -31,6 +31,7 @@ pub fn backward_euler(
     let mut x = x0.to_vec();
     let mut rhs = vec![0.0; n];
     let mut scratch = vec![0.0; n];
+    let mut y = vec![0.0; n];
     let mut times = Vec::with_capacity(m);
     let mut outputs: Vec<Vec<f64>> = vec![Vec::with_capacity(m); sys.num_outputs()];
     let mut states = if store_states {
@@ -46,7 +47,7 @@ pub fn backward_euler(
         rhs.iter_mut().for_each(|v| *v /= h);
         let u = inputs.eval(t);
         add_b_u(sys.b(), 1.0, &u, &mut rhs);
-        lu.solve_into(&rhs, &mut scratch);
+        lu.solve_into(&rhs, &mut scratch, &mut y);
         std::mem::swap(&mut x, &mut scratch);
 
         times.push(t);

@@ -34,6 +34,7 @@ pub fn trapezoidal(
     let mut rhs = vec![0.0; n];
     let mut ax = vec![0.0; n];
     let mut scratch = vec![0.0; n];
+    let mut y = vec![0.0; n];
     let mut times = Vec::with_capacity(m);
     let mut outputs: Vec<Vec<f64>> = vec![Vec::with_capacity(m); sys.num_outputs()];
     let mut states = if store_states {
@@ -55,7 +56,7 @@ pub fn trapezoidal(
         add_b_u(sys.b(), 1.0, &u_prev, &mut rhs);
         add_b_u(sys.b(), 1.0, &u, &mut rhs);
         u_prev = u;
-        lu.solve_into(&rhs, &mut scratch);
+        lu.solve_into(&rhs, &mut scratch, &mut y);
         std::mem::swap(&mut x, &mut scratch);
 
         times.push(t);
