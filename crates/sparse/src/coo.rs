@@ -77,37 +77,44 @@ impl CooMatrix {
         self.entries.push((row, col, value));
     }
 
-    /// Converts to CSR, sorting triplets and summing duplicates.
+    /// Converts to CSR, sorting triplets and summing duplicates **in push
+    /// order** — the order a netlist stamps them — so the sums do not
+    /// depend on a sort's tie-breaking. A stable two-pass counting sort
+    /// (by column, then by row) orders the triplets in `O(nnz + n)`.
     pub fn to_csr(&self) -> CsrMatrix {
-        let mut sorted = self.entries.clone();
-        sorted.sort_unstable_by_key(|&(r, c, _)| (r, c));
+        let entries = &self.entries;
+        let mut next = bucket_starts(entries.iter().map(|e| e.1), self.ncols);
+        let mut by_col = vec![0usize; entries.len()];
+        for (p, &(_, c, _)) in entries.iter().enumerate() {
+            by_col[next[c]] = p;
+            next[c] += 1;
+        }
+        let row_starts = bucket_starts(entries.iter().map(|e| e.0), self.nrows);
+        let mut next = row_starts.clone();
+        let mut sorted = vec![0usize; entries.len()];
+        for &p in &by_col {
+            let r = entries[p].0;
+            sorted[next[r]] = p;
+            next[r] += 1;
+        }
 
         let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(sorted.len());
-        let mut data = Vec::with_capacity(sorted.len());
+        let mut indices: Vec<usize> = Vec::with_capacity(entries.len());
+        let mut data: Vec<f64> = Vec::with_capacity(entries.len());
         indptr.push(0);
-
-        let mut row = 0usize;
-        let mut it = sorted.into_iter().peekable();
-        while let Some((r, c, mut v)) = it.next() {
-            while row < r {
-                indptr.push(indices.len());
-                row += 1;
-            }
-            while let Some(&(r2, c2, v2)) = it.peek() {
-                if r2 == r && c2 == c {
-                    v += v2;
-                    it.next();
+        for r in 0..self.nrows {
+            let row_start = indices.len();
+            for &p in &sorted[row_starts[r]..row_starts[r + 1]] {
+                let (_, c, v) = entries[p];
+                if indices[row_start..].last() == Some(&c) {
+                    let last = data.len() - 1;
+                    data[last] += v;
                 } else {
-                    break;
+                    indices.push(c);
+                    data.push(v);
                 }
             }
-            indices.push(c);
-            data.push(v);
-        }
-        while row < self.nrows {
             indptr.push(indices.len());
-            row += 1;
         }
 
         CsrMatrix::from_raw(self.nrows, self.ncols, indptr, indices, data)
@@ -117,6 +124,19 @@ impl CooMatrix {
     pub fn to_csc(&self) -> CscMatrix {
         self.to_csr().to_csc()
     }
+}
+
+/// Bucket boundaries of a counting sort over `keys` in `0..nkeys`: key
+/// `k`'s bucket is `at[k]..at[k + 1]`.
+fn bucket_starts(keys: impl Iterator<Item = usize>, nkeys: usize) -> Vec<usize> {
+    let mut at = vec![0usize; nkeys + 1];
+    for k in keys {
+        at[k + 1] += 1;
+    }
+    for k in 0..nkeys {
+        at[k + 1] += at[k];
+    }
+    at
 }
 
 #[cfg(test)]
@@ -134,6 +154,21 @@ mod tests {
         assert_eq!(csr.get(0, 2), -1.0);
         assert_eq!(csr.get(2, 2), 0.0);
         assert_eq!(csr.nnz(), 2);
+    }
+
+    #[test]
+    fn duplicates_are_summed_in_push_order() {
+        // (1e16 + 1) + 1 ≠ 1e16 + (1 + 1) in f64: the order shows.
+        let mut m = CooMatrix::new(2, 2);
+        for v in [1e16, 1.0, 1.0] {
+            m.push(0, 1, v);
+        }
+        for v in [1.0, 1.0, 1e16] {
+            m.push(1, 0, v);
+        }
+        let csr = m.to_csr();
+        assert_eq!(csr.get(0, 1), 1e16);
+        assert_eq!(csr.get(1, 0), 1e16 + 2.0);
     }
 
     #[test]

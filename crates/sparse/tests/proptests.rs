@@ -43,16 +43,20 @@ fn coo_to_csr_matches_dense_accumulation() {
     for _ in 0..CASES {
         let mut c = CooMatrix::new(6, 6);
         let mut dense = [[0.0f64; 6]; 6];
-        for _ in 0..rng.random_range(0..40usize) {
+        // Up to 400 stamps on 36 entries: enough repeats for the
+        // summation order to show in the low bits.
+        for _ in 0..rng.random_range(0..400usize) {
             let (i, j) = (rng.random_range(0..6usize), rng.random_range(0..6usize));
             let v = rng.random_range(-3.0..3.0);
             c.push(i, j, v);
             dense[i][j] += v;
         }
+        // Duplicates are summed in push order, so the sums match the
+        // push-order accumulation bit for bit.
         let csr = c.to_csr();
         for (i, row) in dense.iter().enumerate() {
             for (j, want) in row.iter().enumerate() {
-                assert!((csr.get(i, j) - want).abs() < 1e-12);
+                assert_eq!(csr.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
             }
         }
     }
