@@ -234,9 +234,8 @@ impl PatternAnalysis {
 /// take `&self`, each call owns (or is handed) its value buffer and
 /// factor, and the counters are relaxed atomics, so factorizations on
 /// one family never wait on each other. A [`PencilFamily::profile`]
-/// snapshot taken while other
-/// threads factor may be mid-update (one counter bumped, the next not
-/// yet); once they finish it is exact.
+/// snapshot taken while other threads factor may be mid-update (one
+/// counter bumped, the next not yet); once they finish it is exact.
 pub struct PencilFamily {
     pencil: ShiftedPencil,
     /// The recorded analysis, shared by `Arc` with the pattern tier when

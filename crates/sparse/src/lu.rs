@@ -558,15 +558,19 @@ impl SparseLu {
             // Gather into the fixed factor pattern; reset workspace. U is
             // gathered in the analysis's emission order (the reverse of
             // the update order), so the stored factors match a fresh
-            // factorization entry for entry.
+            // factorization entry for entry. The reservations are exact:
+            // a column refilled in place keeps its capacity, and a fresh
+            // one gets no growth slack.
             let ucol = &mut self.u_cols[k];
             ucol.clear();
+            ucol.reserve_exact(upat.len());
             for &i in upat.iter().rev() {
                 ucol.push((i, x[i]));
                 x[i] = 0.0;
             }
             let lcol = &mut self.l_cols[k];
             lcol.clear();
+            lcol.reserve_exact(lpat.len());
             for &i in lpat {
                 lcol.push((i, x[i] / pivot));
                 x[i] = 0.0;
