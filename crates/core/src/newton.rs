@@ -47,7 +47,7 @@
 //! no heap allocation; a windowed solve allocates once per column (the
 //! stored solution), a few times per window and a constant amount of
 //! setup (`tests/newton_alloc.rs` counts them). On the 36-unknown
-//! diode-into-RC-ladder pencil that is about 2 µs per iterate on a
+//! diode-into-RC-ladder pencil that is 2–4 µs per iterate on a shared
 //! 2-vCPU x86 host.
 
 use crate::engine::{apply_b, PencilFamily};

@@ -2,7 +2,8 @@
 //!
 //! Circuit stamping naturally generates `(row, col, value)` triplets with
 //! repeats (each element stamps into shared nodes); [`CooMatrix::to_csr`]
-//! sorts and sums duplicates, exactly what MNA assembly needs.
+//! sorts and sums duplicates in push order, exactly what MNA assembly
+//! needs.
 
 use crate::csc::CscMatrix;
 use crate::csr::CsrMatrix;
