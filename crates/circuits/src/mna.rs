@@ -15,7 +15,7 @@
 use crate::netlist::{Circuit, Element};
 use crate::nonlinear::{DeviceModel, Diode, Mosfet, NonlinearDevice, GMIN};
 use crate::CircuitError;
-use opm_sparse::CooMatrix;
+use opm_sparse::CsrMatrix;
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
 
@@ -76,43 +76,220 @@ pub enum Output {
     InductorCurrent(usize),
 }
 
+/// How many unknowns and inputs each kind of element adds.
 struct Layout {
     n_nodes: usize,
-    inductors: Vec<usize>, // element indices
-    vsrcs: Vec<usize>,
-    isrcs: Vec<usize>,
+    inductors: usize,
+    vsrcs: usize,
+    isrcs: usize,
 }
 
 fn layout(ckt: &Circuit) -> Layout {
-    let mut l = Layout {
+    let (_, inductors, _, vsrcs, isrcs) = ckt.census();
+    Layout {
         n_nodes: ckt.num_nodes(),
-        inductors: Vec::new(),
-        vsrcs: Vec::new(),
-        isrcs: Vec::new(),
-    };
-    for (idx, e) in ckt.elements().iter().enumerate() {
-        match e {
-            Element::Inductor { .. } => l.inductors.push(idx),
-            Element::VoltageSource { .. } => l.vsrcs.push(idx),
-            Element::CurrentSource { .. } => l.isrcs.push(idx),
-            _ => {}
-        }
+        inductors,
+        vsrcs,
+        isrcs,
     }
-    l
 }
 
-/// Stamps a conductance-like quantity between two nodes into a COO matrix
-/// (node 0 = ground rows/cols are dropped).
-fn stamp_pair(m: &mut CooMatrix, n1: usize, n2: usize, g: f64) {
-    if n1 > 0 {
-        m.push(n1 - 1, n1 - 1, g);
+/// One matrix stamped straight into CSR. The stamp walk runs twice: the
+/// first pass counts each row's stamps, the second writes them into
+/// their row, and [`CsrStamps::finish`] then sorts each row by column
+/// and sums duplicates in stamp order — the order `CooMatrix::to_csr`
+/// sums them in, so the two agree bit for bit.
+struct CsrStamps {
+    nrows: usize,
+    ncols: usize,
+    /// Counting pass: `ptr[r + 1]` counts row `r`'s stamps. Filling pass:
+    /// `ptr[r]` is row `r`'s next free slot, so it ends at the row's end.
+    ptr: Vec<usize>,
+    /// Column and value per stamp, bucketed by row.
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+    filling: bool,
+}
+
+/// Rows up to this long are sorted in place by insertion; longer ones
+/// (a node shared by many elements) go through a merge sort.
+const SHORT_ROW: usize = 32;
+
+impl CsrStamps {
+    fn new(nrows: usize, ncols: usize) -> Self {
+        CsrStamps {
+            nrows,
+            ncols,
+            ptr: vec![0; nrows + 1],
+            cols: Vec::new(),
+            vals: Vec::new(),
+            filling: false,
+        }
     }
-    if n2 > 0 {
-        m.push(n2 - 1, n2 - 1, g);
+
+    fn push(&mut self, row: usize, col: usize, value: f64) {
+        debug_assert!(row < self.nrows && col < self.ncols);
+        if self.filling {
+            let at = self.ptr[row];
+            self.cols[at] = col;
+            self.vals[at] = value;
+            self.ptr[row] += 1;
+        } else {
+            self.ptr[row + 1] += 1;
+        }
     }
-    if n1 > 0 && n2 > 0 {
-        m.push(n1 - 1, n2 - 1, -g);
-        m.push(n2 - 1, n1 - 1, -g);
+
+    /// Stamps a conductance-like quantity between two nodes (node 0 =
+    /// ground rows/cols are dropped).
+    fn pair(&mut self, n1: usize, n2: usize, g: f64) {
+        if n1 > 0 {
+            self.push(n1 - 1, n1 - 1, g);
+        }
+        if n2 > 0 {
+            self.push(n2 - 1, n2 - 1, g);
+        }
+        if n1 > 0 && n2 > 0 {
+            self.push(n1 - 1, n2 - 1, -g);
+            self.push(n2 - 1, n1 - 1, -g);
+        }
+    }
+
+    /// Ends the counting pass: each row's cursor starts where the row
+    /// does, with room for every stamp.
+    fn start_filling(&mut self) {
+        for r in 0..self.nrows {
+            self.ptr[r + 1] += self.ptr[r];
+        }
+        let stamps = self.ptr[self.nrows];
+        self.cols = vec![0; stamps];
+        self.vals = vec![0.0; stamps];
+        self.filling = true;
+    }
+
+    /// Sorts each row by column, stably so duplicates stay in stamp
+    /// order, and sums the duplicates onto the first, compacting the
+    /// rows in place.
+    fn finish(mut self) -> CsrMatrix {
+        debug_assert!(self.filling);
+        let (cols, vals) = (&mut self.cols, &mut self.vals);
+        let mut long_row: Vec<(usize, f64)> = Vec::new();
+        let (mut read, mut write) = (0, 0);
+        for r in 0..self.nrows {
+            let end = self.ptr[r];
+            sort_row(&mut cols[read..end], &mut vals[read..end], &mut long_row);
+            let row_start = write;
+            for k in read..end {
+                if write > row_start && cols[write - 1] == cols[k] {
+                    vals[write - 1] += vals[k];
+                } else {
+                    cols[write] = cols[k];
+                    vals[write] = vals[k];
+                    write += 1;
+                }
+            }
+            // `ptr[r]` becomes the compacted row's start.
+            self.ptr[r] = row_start;
+            read = end;
+        }
+        self.ptr[self.nrows] = write;
+        self.cols.truncate(write);
+        self.vals.truncate(write);
+        CsrMatrix::from_raw(self.nrows, self.ncols, self.ptr, self.cols, self.vals)
+    }
+}
+
+/// Stable sort of one row's stamps by column.
+fn sort_row(cols: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usize, f64)>) {
+    if cols.len() <= SHORT_ROW {
+        for k in 1..cols.len() {
+            let (c, v) = (cols[k], vals[k]);
+            let mut j = k;
+            while j > 0 && cols[j - 1] > c {
+                cols[j] = cols[j - 1];
+                vals[j] = vals[j - 1];
+                j -= 1;
+            }
+            cols[j] = c;
+            vals[j] = v;
+        }
+    } else {
+        scratch.clear();
+        scratch.extend(cols.iter().copied().zip(vals.iter().copied()));
+        scratch.sort_by_key(|&(c, _)| c);
+        for (k, &(c, v)) in scratch.iter().enumerate() {
+            cols[k] = c;
+            vals[k] = v;
+        }
+    }
+}
+
+/// Emits every stamp of `E`, `A` and `B` in card order, then GMIN on
+/// each device's coupling pairs (`A` holds −G, matching the resistor
+/// stamp), so the Newton matrix pattern is fixed across iterates. The
+/// formulation has already rejected what it cannot hold, so capacitors
+/// and CPEs both stamp `E`.
+fn stamp(
+    ckt: &Circuit,
+    lay: &Layout,
+    devices: &[DeviceModel],
+    e: &mut CsrStamps,
+    a: &mut CsrStamps,
+    b: &mut CsrStamps,
+) {
+    let (mut ind_count, mut vs_count, mut is_count) = (0, 0, 0);
+    for el in ckt.elements() {
+        match *el {
+            Element::Resistor { n1, n2, ohms } => a.pair(n1, n2, -1.0 / ohms),
+            Element::Capacitor { n1, n2, farads: c } | Element::Cpe { n1, n2, q: c, .. } => {
+                e.pair(n1, n2, c)
+            }
+            Element::Inductor { n1, n2, henries } => {
+                let r = lay.n_nodes + ind_count;
+                // KCL: +i_L leaves n1, enters n2.
+                if n1 > 0 {
+                    a.push(n1 - 1, r, -1.0);
+                    a.push(r, n1 - 1, 1.0);
+                }
+                if n2 > 0 {
+                    a.push(n2 - 1, r, 1.0);
+                    a.push(r, n2 - 1, -1.0);
+                }
+                // L·di/dt = v(n1) − v(n2).
+                e.push(r, r, henries);
+                ind_count += 1;
+            }
+            Element::VoltageSource { n1, n2, .. } => {
+                let r = lay.n_nodes + lay.inductors + vs_count;
+                if n1 > 0 {
+                    a.push(n1 - 1, r, -1.0);
+                    a.push(r, n1 - 1, -1.0);
+                }
+                if n2 > 0 {
+                    a.push(n2 - 1, r, 1.0);
+                    a.push(r, n2 - 1, 1.0);
+                }
+                // Row r: 0 = −(v1 − v2) + V_s  ⇒ B entry +1.
+                b.push(r, vs_count, 1.0);
+                vs_count += 1;
+            }
+            Element::CurrentSource { n1, n2, .. } => {
+                let chan = lay.vsrcs + is_count;
+                // J leaves n1 (−), enters n2 (+).
+                if n1 > 0 {
+                    b.push(n1 - 1, chan, -1.0);
+                }
+                if n2 > 0 {
+                    b.push(n2 - 1, chan, 1.0);
+                }
+                is_count += 1;
+            }
+            Element::Diode { .. } | Element::Mosfet { .. } => {}
+        }
+    }
+    for dev in devices {
+        for (p, q) in dev.coupling_pairs() {
+            a.pair(p, q, -GMIN);
+        }
     }
 }
 
@@ -201,44 +378,28 @@ fn assemble_mna_inner(
     mut form: Formulation<'_>,
 ) -> Result<MnaModel, CircuitError> {
     let lay = layout(ckt);
-    if matches!(form, Formulation::Fractional(_)) && !lay.inductors.is_empty() {
+    if matches!(form, Formulation::Fractional(_)) && lay.inductors > 0 {
         return Err(CircuitError::Unsupported(
             "inductors in fractional MNA".into(),
         ));
     }
-    let n = lay.n_nodes + lay.inductors.len() + lay.vsrcs.len();
-    let p = lay.vsrcs.len() + lay.isrcs.len();
-    let mut e = CooMatrix::new(n, n);
-    let mut a = CooMatrix::new(n, n);
-    let mut b = CooMatrix::new(n, p);
+    let n = lay.n_nodes + lay.inductors + lay.vsrcs;
+    let p = lay.vsrcs + lay.isrcs;
 
-    let ind_row = |k: usize| lay.n_nodes + k;
-    let vs_row = |k: usize| lay.n_nodes + lay.inductors.len() + k;
-
-    let mut ind_count = 0usize;
     let mut vs_count = 0usize;
     let mut is_count = 0usize;
     let mut waveforms: Vec<Waveform> = vec![Waveform::Dc(0.0); p];
 
     for el in ckt.elements() {
         match el {
-            Element::Resistor { n1, n2, ohms } => {
-                stamp_pair(&mut a, *n1, *n2, -1.0 / ohms);
-            }
-            Element::Capacitor { n1, n2, farads } => {
+            Element::Capacitor { .. } => {
                 if let Formulation::Fractional(_) = form {
                     return Err(CircuitError::Unsupported(
                         "capacitor in fractional MNA (model it as a CPE with α)".into(),
                     ));
                 }
-                stamp_pair(&mut e, *n1, *n2, *farads);
             }
-            Element::Cpe {
-                n1,
-                n2,
-                q,
-                alpha: a_el,
-            } => {
+            Element::Cpe { alpha: a_el, .. } => {
                 let Formulation::Fractional(alpha) = form else {
                     return Err(CircuitError::Unsupported(
                         "CPE in integer-order MNA; use assemble_fractional_mna".into(),
@@ -249,48 +410,13 @@ fn assemble_mna_inner(
                         "CPE order {a_el} differs from system order {alpha}"
                     )));
                 }
-                stamp_pair(&mut e, *n1, *n2, *q);
             }
-            Element::Inductor { n1, n2, henries } => {
-                let r = ind_row(ind_count);
-                // KCL: +i_L leaves n1, enters n2.
-                if *n1 > 0 {
-                    a.push(n1 - 1, r, -1.0);
-                    a.push(r, n1 - 1, 1.0);
-                }
-                if *n2 > 0 {
-                    a.push(n2 - 1, r, 1.0);
-                    a.push(r, n2 - 1, -1.0);
-                }
-                // L·di/dt = v(n1) − v(n2).
-                e.push(r, r, *henries);
-                ind_count += 1;
-            }
-            Element::VoltageSource { n1, n2, waveform } => {
-                let r = vs_row(vs_count);
-                if *n1 > 0 {
-                    a.push(n1 - 1, r, -1.0);
-                    a.push(r, n1 - 1, -1.0);
-                }
-                if *n2 > 0 {
-                    a.push(n2 - 1, r, 1.0);
-                    a.push(r, n2 - 1, 1.0);
-                }
-                // Row r: 0 = −(v1 − v2) + V_s  ⇒ B entry +1.
-                b.push(r, vs_count, 1.0);
+            Element::VoltageSource { waveform, .. } => {
                 waveforms[vs_count] = waveform.clone();
                 vs_count += 1;
             }
-            Element::CurrentSource { n1, n2, waveform } => {
-                let chan = lay.vsrcs.len() + is_count;
-                // J leaves n1 (−), enters n2 (+).
-                if *n1 > 0 {
-                    b.push(n1 - 1, chan, -1.0);
-                }
-                if *n2 > 0 {
-                    b.push(n2 - 1, chan, 1.0);
-                }
-                waveforms[chan] = waveform.clone();
+            Element::CurrentSource { waveform, .. } => {
+                waveforms[lay.vsrcs + is_count] = waveform.clone();
                 is_count += 1;
             }
             Element::Diode { n1, n2, is_sat, vt } => {
@@ -310,22 +436,27 @@ fn assemble_mna_inner(
                     vth: *vth,
                 }));
             }
-        }
-    }
-
-    // Plant GMIN on every coupling pair so the Newton matrix pattern is
-    // fixed across iterates (A holds −G, matching the resistor stamp).
-    if let Formulation::Nonlinear(devices) = form {
-        for dev in devices.iter() {
-            for (p, q) in dev.coupling_pairs() {
-                stamp_pair(&mut a, p, q, -GMIN);
-            }
+            Element::Resistor { .. } | Element::Inductor { .. } => {}
         }
     }
 
     let unknowns = build_unknowns(&lay);
     let c = build_outputs(&lay, outputs, n)?;
-    let system = DescriptorSystem::new(e.to_csr(), a.to_csr(), b.to_csr(), c)
+    let devices: &[DeviceModel] = match &form {
+        Formulation::Nonlinear(devices) => devices,
+        _ => &[],
+    };
+    let (mut e, mut a, mut b) = (
+        CsrStamps::new(n, n),
+        CsrStamps::new(n, n),
+        CsrStamps::new(n, p),
+    );
+    stamp(ckt, &lay, devices, &mut e, &mut a, &mut b);
+    for m in [&mut e, &mut a, &mut b] {
+        m.start_filling();
+    }
+    stamp(ckt, &lay, devices, &mut e, &mut a, &mut b);
+    let system = DescriptorSystem::new(e.finish(), a.finish(), b.finish(), c)
         .expect("MNA assembly produces consistent dimensions");
     Ok(MnaModel {
         system,
@@ -335,14 +466,14 @@ fn assemble_mna_inner(
 }
 
 fn build_unknowns(lay: &Layout) -> Vec<Unknown> {
-    let mut u = Vec::with_capacity(lay.n_nodes + lay.inductors.len() + lay.vsrcs.len());
+    let mut u = Vec::with_capacity(lay.n_nodes + lay.inductors + lay.vsrcs);
     for node in 1..=lay.n_nodes {
         u.push(Unknown::NodeVoltage(node));
     }
-    for k in 0..lay.inductors.len() {
+    for k in 0..lay.inductors {
         u.push(Unknown::InductorCurrent(k));
     }
-    for k in 0..lay.vsrcs.len() {
+    for k in 0..lay.vsrcs {
         u.push(Unknown::SourceCurrent(k));
     }
     u
@@ -352,13 +483,14 @@ fn build_outputs(
     lay: &Layout,
     outputs: &[Output],
     n: usize,
-) -> Result<Option<opm_sparse::CsrMatrix>, CircuitError> {
+) -> Result<Option<CsrMatrix>, CircuitError> {
     if outputs.is_empty() {
         return Ok(None);
     }
-    let mut c = CooMatrix::new(outputs.len(), n);
-    for (row, o) in outputs.iter().enumerate() {
-        let col = match *o {
+    // One unit entry per row, so the columns alone are the CSR.
+    let mut cols = Vec::with_capacity(outputs.len());
+    for o in outputs {
+        cols.push(match *o {
             Output::NodeVoltage(node) => {
                 if node == 0 || node > lay.n_nodes {
                     return Err(CircuitError::BadNode(node));
@@ -366,27 +498,33 @@ fn build_outputs(
                 node - 1
             }
             Output::InductorCurrent(k) => {
-                if k >= lay.inductors.len() {
+                if k >= lay.inductors {
                     return Err(CircuitError::Unsupported(format!(
                         "inductor output {k} of {}",
-                        lay.inductors.len()
+                        lay.inductors
                     )));
                 }
                 lay.n_nodes + k
             }
             Output::SourceCurrent(k) => {
-                if k >= lay.vsrcs.len() {
+                if k >= lay.vsrcs {
                     return Err(CircuitError::Unsupported(format!(
                         "vsrc output {k} of {}",
-                        lay.vsrcs.len()
+                        lay.vsrcs
                     )));
                 }
-                lay.n_nodes + lay.inductors.len() + k
+                lay.n_nodes + lay.inductors + k
             }
-        };
-        c.push(row, col, 1.0);
+        });
     }
-    Ok(Some(c.to_csr()))
+    let q = outputs.len();
+    Ok(Some(CsrMatrix::from_raw(
+        q,
+        n,
+        (0..=q).collect(),
+        cols,
+        vec![1.0; q],
+    )))
 }
 
 #[cfg(test)]

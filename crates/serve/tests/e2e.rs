@@ -803,3 +803,32 @@ fn overflowing_kronecker_size_is_a_400() {
     post_fresh(server.addr(), &solve_body(), "miss");
     server.shutdown();
 }
+
+/// A netlist value that overflows once scaled (`1.7e308k`) is a 400
+/// naming the value, not a plan in which the resistor is silently an
+/// open circuit; a PULSE shape the waveform refuses is a 400 too, not a
+/// panic; the daemon serves the next request.
+#[test]
+fn overflowing_netlist_values_are_400s() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    for (netlist, needle) in [
+        (
+            "V1 in 0 DC 5\nR1 in out 1.7e308k\nC1 out 0 1u\n.end",
+            "bad value '1.7e308k'",
+        ),
+        (
+            "V1 in 0 PULSE(0 1 0 0 1m 0 0)\nR1 in out 1k\nC1 out 0 1u\n.end",
+            "PULSE rise and fall must be positive",
+        ),
+    ] {
+        let body = format!(
+            r#"{{"netlist": {netlist:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 16}}}}"#
+        );
+        let r = client::post(server.addr(), "/solve", &body).unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains(needle), "{}", r.body);
+    }
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}
