@@ -15,7 +15,7 @@
 use crate::netlist::{Circuit, Element};
 use crate::nonlinear::{DeviceModel, Diode, Mosfet, NonlinearDevice, GMIN};
 use crate::CircuitError;
-use opm_sparse::CsrMatrix;
+use opm_sparse::{CsrBuilder, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 use opm_waveform::{InputSet, Waveform};
 
@@ -94,132 +94,18 @@ fn layout(ckt: &Circuit) -> Layout {
     }
 }
 
-/// One matrix stamped straight into CSR. The stamp walk runs twice: the
-/// first pass counts each row's stamps, the second writes them into
-/// their row, and [`CsrStamps::finish`] then sorts each row by column
-/// and sums duplicates in stamp order — the order `CooMatrix::to_csr`
-/// sums them in, so the two agree bit for bit.
-struct CsrStamps {
-    nrows: usize,
-    ncols: usize,
-    /// Counting pass: `ptr[r + 1]` counts row `r`'s stamps. Filling pass:
-    /// `ptr[r]` is row `r`'s next free slot, so it ends at the row's end.
-    ptr: Vec<usize>,
-    /// Column and value per stamp, bucketed by row.
-    cols: Vec<usize>,
-    vals: Vec<f64>,
-    filling: bool,
-}
-
-/// Rows up to this long are sorted in place by insertion; longer ones
-/// (a node shared by many elements) go through a merge sort.
-const SHORT_ROW: usize = 32;
-
-impl CsrStamps {
-    fn new(nrows: usize, ncols: usize) -> Self {
-        CsrStamps {
-            nrows,
-            ncols,
-            ptr: vec![0; nrows + 1],
-            cols: Vec::new(),
-            vals: Vec::new(),
-            filling: false,
-        }
+/// Stamps a conductance-like quantity between two nodes (node 0 =
+/// ground rows/cols are dropped).
+fn stamp_pair(m: &mut CsrBuilder, n1: usize, n2: usize, g: f64) {
+    if n1 > 0 {
+        m.push(n1 - 1, n1 - 1, g);
     }
-
-    fn push(&mut self, row: usize, col: usize, value: f64) {
-        debug_assert!(row < self.nrows && col < self.ncols);
-        if self.filling {
-            let at = self.ptr[row];
-            self.cols[at] = col;
-            self.vals[at] = value;
-            self.ptr[row] += 1;
-        } else {
-            self.ptr[row + 1] += 1;
-        }
+    if n2 > 0 {
+        m.push(n2 - 1, n2 - 1, g);
     }
-
-    /// Stamps a conductance-like quantity between two nodes (node 0 =
-    /// ground rows/cols are dropped).
-    fn pair(&mut self, n1: usize, n2: usize, g: f64) {
-        if n1 > 0 {
-            self.push(n1 - 1, n1 - 1, g);
-        }
-        if n2 > 0 {
-            self.push(n2 - 1, n2 - 1, g);
-        }
-        if n1 > 0 && n2 > 0 {
-            self.push(n1 - 1, n2 - 1, -g);
-            self.push(n2 - 1, n1 - 1, -g);
-        }
-    }
-
-    /// Ends the counting pass: each row's cursor starts where the row
-    /// does, with room for every stamp.
-    fn start_filling(&mut self) {
-        for r in 0..self.nrows {
-            self.ptr[r + 1] += self.ptr[r];
-        }
-        let stamps = self.ptr[self.nrows];
-        self.cols = vec![0; stamps];
-        self.vals = vec![0.0; stamps];
-        self.filling = true;
-    }
-
-    /// Sorts each row by column, stably so duplicates stay in stamp
-    /// order, and sums the duplicates onto the first, compacting the
-    /// rows in place.
-    fn finish(mut self) -> CsrMatrix {
-        debug_assert!(self.filling);
-        let (cols, vals) = (&mut self.cols, &mut self.vals);
-        let mut long_row: Vec<(usize, f64)> = Vec::new();
-        let (mut read, mut write) = (0, 0);
-        for r in 0..self.nrows {
-            let end = self.ptr[r];
-            sort_row(&mut cols[read..end], &mut vals[read..end], &mut long_row);
-            let row_start = write;
-            for k in read..end {
-                if write > row_start && cols[write - 1] == cols[k] {
-                    vals[write - 1] += vals[k];
-                } else {
-                    cols[write] = cols[k];
-                    vals[write] = vals[k];
-                    write += 1;
-                }
-            }
-            // `ptr[r]` becomes the compacted row's start.
-            self.ptr[r] = row_start;
-            read = end;
-        }
-        self.ptr[self.nrows] = write;
-        self.cols.truncate(write);
-        self.vals.truncate(write);
-        CsrMatrix::from_raw(self.nrows, self.ncols, self.ptr, self.cols, self.vals)
-    }
-}
-
-/// Stable sort of one row's stamps by column.
-fn sort_row(cols: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usize, f64)>) {
-    if cols.len() <= SHORT_ROW {
-        for k in 1..cols.len() {
-            let (c, v) = (cols[k], vals[k]);
-            let mut j = k;
-            while j > 0 && cols[j - 1] > c {
-                cols[j] = cols[j - 1];
-                vals[j] = vals[j - 1];
-                j -= 1;
-            }
-            cols[j] = c;
-            vals[j] = v;
-        }
-    } else {
-        scratch.clear();
-        scratch.extend(cols.iter().copied().zip(vals.iter().copied()));
-        scratch.sort_by_key(|&(c, _)| c);
-        for (k, &(c, v)) in scratch.iter().enumerate() {
-            cols[k] = c;
-            vals[k] = v;
-        }
+    if n1 > 0 && n2 > 0 {
+        m.push(n1 - 1, n2 - 1, -g);
+        m.push(n2 - 1, n1 - 1, -g);
     }
 }
 
@@ -232,16 +118,16 @@ fn stamp(
     ckt: &Circuit,
     lay: &Layout,
     devices: &[DeviceModel],
-    e: &mut CsrStamps,
-    a: &mut CsrStamps,
-    b: &mut CsrStamps,
+    e: &mut CsrBuilder,
+    a: &mut CsrBuilder,
+    b: &mut CsrBuilder,
 ) {
     let (mut ind_count, mut vs_count, mut is_count) = (0, 0, 0);
     for el in ckt.elements() {
         match *el {
-            Element::Resistor { n1, n2, ohms } => a.pair(n1, n2, -1.0 / ohms),
+            Element::Resistor { n1, n2, ohms } => stamp_pair(a, n1, n2, -1.0 / ohms),
             Element::Capacitor { n1, n2, farads: c } | Element::Cpe { n1, n2, q: c, .. } => {
-                e.pair(n1, n2, c)
+                stamp_pair(e, n1, n2, c)
             }
             Element::Inductor { n1, n2, henries } => {
                 let r = lay.n_nodes + ind_count;
@@ -288,7 +174,7 @@ fn stamp(
     }
     for dev in devices {
         for (p, q) in dev.coupling_pairs() {
-            a.pair(p, q, -GMIN);
+            stamp_pair(a, p, q, -GMIN);
         }
     }
 }
@@ -344,7 +230,7 @@ pub fn assemble_fractional_mna(
     })
 }
 
-/// What the one element walk assembles.
+/// Which system the element walks assemble.
 enum Formulation<'d> {
     /// `E ẋ = A x + B u`: capacitors and inductors stamp `E`.
     Integer,
@@ -390,6 +276,9 @@ fn assemble_mna_inner(
     let mut is_count = 0usize;
     let mut waveforms: Vec<Waveform> = vec![Waveform::Dc(0.0); p];
 
+    // This walk checks each card against the formulation and collects
+    // inputs and devices; `stamp` then walks the accepted cards twice,
+    // the counting and the filling pass of `CsrBuilder`.
     for el in ckt.elements() {
         match el {
             Element::Capacitor { .. } => {
@@ -447,9 +336,9 @@ fn assemble_mna_inner(
         _ => &[],
     };
     let (mut e, mut a, mut b) = (
-        CsrStamps::new(n, n),
-        CsrStamps::new(n, n),
-        CsrStamps::new(n, p),
+        CsrBuilder::new(n, n),
+        CsrBuilder::new(n, n),
+        CsrBuilder::new(n, p),
     );
     stamp(ckt, &lay, devices, &mut e, &mut a, &mut b);
     for m in [&mut e, &mut a, &mut b] {

@@ -38,20 +38,16 @@
 //! and `A` are two nodes).
 //!
 //! Tokens are slices of the text collected into one reused vector, so a
-//! card allocates nothing of its own; node names are interned by the
-//! slices and copied into owned strings once per distinct node when the
-//! parse ends. Tokenizing reads each byte once: a 256-entry class table
+//! card allocates nothing of its own; node names are looked up by the
+//! slices, and a name is copied into an owned string only when its node
+//! is new. Tokenizing reads each byte once: a 256-entry class table
 //! gives one lookup and branch per ASCII byte, and a non-ASCII character
-//! is decoded to test it for whitespace. On the 146 KB 48×48 RC mesh
-//! netlist (2-vCPU host, best of 1,000) tokenizing takes about 1.4 ns a
-//! byte and the whole parse about 0.65 ms, 4.5 ns a byte.
+//! is decoded to test it for whitespace.
 
 use crate::netlist::{Circuit, Element};
 use crate::CircuitError;
 use opm_waveform::Waveform;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 
 /// Result of parsing: the circuit plus the node-name table.
 #[derive(Clone, Debug)]
@@ -148,7 +144,7 @@ pub fn parse_value(s: &str) -> Result<f64, CircuitError> {
 /// [`CircuitError::Parse`] describing the offending line.
 pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, CircuitError> {
     let mut circuit = Circuit::new();
-    let mut nodes = NodeNames::default();
+    let mut node_names = HashMap::new();
     let mut cards = Cards::new(text);
     let mut tokens: Vec<&str> = Vec::new();
 
@@ -179,8 +175,8 @@ pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, CircuitError> {
                 cards.line(&tokens)
             )));
         }
-        let n1 = nodes.index(tokens[1], &mut circuit);
-        let n2 = nodes.index(tokens[2], &mut circuit);
+        let n1 = node_index(&mut node_names, tokens[1], &mut circuit);
+        let n2 = node_index(&mut node_names, tokens[2], &mut circuit);
         let err_line = |msg: String| CircuitError::Parse(format!("line {lineno}: {msg}"));
         let value_or = |at: usize, default: f64| match tokens.get(at) {
             Some(t) => parse_value(t),
@@ -223,7 +219,7 @@ pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, CircuitError> {
             'M' => {
                 // M d g s [kp [vth]] — n1/n2 above already claimed drain
                 // and gate; the source is the third node.
-                let s = nodes.index(tokens[3], &mut circuit);
+                let s = node_index(&mut node_names, tokens[3], &mut circuit);
                 Element::Mosfet {
                     d: n1,
                     g: n2,
@@ -259,7 +255,7 @@ pub fn parse_netlist(text: &str) -> Result<ParsedCircuit, CircuitError> {
     }
     Ok(ParsedCircuit {
         circuit,
-        node_names: nodes.into_owned(),
+        node_names,
     })
 }
 
@@ -381,102 +377,18 @@ impl<'a> Cards<'a> {
     }
 }
 
-/// Node names interned by the text they borrow from, numbered in
-/// first-appearance order.
-#[derive(Default)]
-struct NodeNames<'a> {
-    map: HashMap<&'a str, usize, WordHash>,
-}
-
-impl<'a> NodeNames<'a> {
-    /// The index of node `name`, adding a node to `circuit` on its first
-    /// appearance.
-    fn index(&mut self, name: &'a str, circuit: &mut Circuit) -> usize {
-        if is_ground(name) {
-            return 0;
-        }
-        *self.map.entry(name).or_insert_with(|| circuit.add_node())
+/// The index of node `name`, adding a node to `circuit` on its first
+/// appearance. Lookups borrow `name`; only a new node's name is copied.
+fn node_index(names: &mut HashMap<String, usize>, name: &str, circuit: &mut Circuit) -> usize {
+    if is_ground(name) {
+        return 0;
     }
-
-    /// The owned name table: one `String` per distinct node.
-    fn into_owned(self) -> HashMap<String, usize> {
-        let mut owned = HashMap::with_capacity(self.map.len());
-        owned.extend(self.map.into_iter().map(|(k, v)| (k.to_owned(), v)));
-        owned
+    if let Some(&n) = names.get(name) {
+        return n;
     }
-}
-
-/// Word-at-a-time hashing for node names: eight bytes per folded
-/// 64×64→128-bit multiply, against SipHash's rounds per eight bytes.
-/// Node names are untrusted input, so the multiplier is drawn per table
-/// from the standard library's randomly seeded `RandomState`: which
-/// names share a bucket depends on a key the sender does not know.
-struct WordHash {
-    key: u64,
-}
-
-impl Default for WordHash {
-    fn default() -> Self {
-        WordHash {
-            key: RandomState::new().hash_one(0u64) | 1,
-        }
-    }
-}
-
-impl BuildHasher for WordHash {
-    type Hasher = WordHasher;
-
-    fn build_hasher(&self) -> WordHasher {
-        WordHasher {
-            state: self.key,
-            key: self.key,
-        }
-    }
-}
-
-struct WordHasher {
-    state: u64,
-    key: u64,
-}
-
-impl WordHasher {
-    fn mix(&mut self, word: u64) {
-        let p = u128::from(self.state ^ word) * u128::from(self.key);
-        self.state = (p as u64) ^ ((p >> 64) as u64);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        self.state ^= bytes.len() as u64;
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.mix(u64::from_le_bytes(w.try_into().expect("eight bytes")));
-        }
-        // The last 1–7 bytes as one word, read as two overlapping halves
-        // (or three bytes) so no copy loop runs; with the length mixed in
-        // above, distinct names rarely share a word.
-        let t = words.remainder();
-        let n = t.len();
-        let last = if n >= 4 {
-            let lo = u32::from_le_bytes(t[..4].try_into().expect("four bytes"));
-            let hi = u32::from_le_bytes(t[n - 4..].try_into().expect("four bytes"));
-            u64::from(lo) | u64::from(hi) << 32
-        } else if n > 0 {
-            u64::from(t[0]) | u64::from(t[n / 2]) << 8 | u64::from(t[n - 1]) << 16
-        } else {
-            0
-        };
-        self.mix(last);
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.mix(u64::from(b));
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
+    let n = circuit.add_node();
+    names.insert(name.to_owned(), n);
+    n
 }
 
 fn parse_source(tokens: &[&str]) -> Result<Waveform, CircuitError> {

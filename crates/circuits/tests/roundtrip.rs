@@ -311,7 +311,10 @@ fn random_netlist(rng: &mut StdRng, family: Family) -> (Circuit, String, Vec<Str
 }
 
 /// The reference assembly: every stamp pushed to a `CooMatrix` in card
-/// order, then converted with `to_csr`.
+/// order, then converted with `to_csr`. That conversion runs through the
+/// `CsrBuilder` the assembler uses, so this checks which stamps MNA
+/// emits; `opm-sparse`'s own tests check the builder's sums against a
+/// map.
 fn reference(ckt: &Circuit, outputs: &[Output]) -> [Option<CsrMatrix>; 4] {
     let (_, inductors, _, vsrcs, isrcs) = ckt.census();
     let nn = ckt.num_nodes();

@@ -5,7 +5,8 @@
 //! This crate provides that substrate, built from scratch:
 //!
 //! - [`coo::CooMatrix`] — triplet builder (duplicates summed), the natural
-//!   output of circuit stamping.
+//!   output of circuit stamping; [`coo::CsrBuilder`] builds CSR straight
+//!   from stamps emitted in a counting and a filling pass.
 //! - [`csr::CsrMatrix`] — compressed sparse row: matrix–vector products,
 //!   linear combinations (`α·E + β·A`), transpose.
 //! - [`csc::CscMatrix`] — compressed sparse column, the factorization format.
@@ -44,7 +45,7 @@ pub mod ordering;
 pub mod pencil;
 pub mod perm;
 
-pub use coo::CooMatrix;
+pub use coo::{CooMatrix, CsrBuilder};
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use lu::{SparseLu, SymbolicLu};
