@@ -17,7 +17,19 @@ sys.path.insert(0, HERE)
 from compare_bench import PROFILES, gate, load_records  # noqa: E402
 
 ROOT = os.path.dirname(HERE)
-COMMITTED = ("BENCH_sweep.json", "BENCH_serve.json", "BENCH_verify.json")
+COMMITTED = ("BENCH_sweep.json", "BENCH_serve.json", "BENCH_verify.json", "BENCH_tables.json")
+
+# The paper tables' shape criteria: dB differences that must stay <= 0
+# under every profile, and the Table I time order, bounded locally only.
+TABLE_SHAPES = (
+    "table1/err_fft2_minus_fft1_db",
+    "table2/err_b_euler_5ps_minus_10ps_db",
+    "table2/err_b_euler_1ps_minus_5ps_db",
+    "table2/err_gear2_10ps_minus_b_euler_10ps_db",
+    "table2/err_trapezoidal_10ps_minus_b_euler_10ps_db",
+    "table2/err_opm_na_10ps_minus_b_euler_10ps_db",
+)
+TABLE_TIME_ORDER = ("table1/fft1_over_opm_seconds", "table1/fft2_over_fft1_seconds")
 
 
 def records(*recs):
@@ -160,6 +172,27 @@ class CommittedRecords(unittest.TestCase):
                 cand = copy.deepcopy(ref)
                 cand[rid]["value"] = 1
                 self.assertTrue(any(f"`{rid}`" in f for f in gate(ref, cand, "pr")[0]), rid)
+
+    def test_table_shapes_fail_when_violated(self):
+        ref = self.load("BENCH_tables.json")
+        for rid in TABLE_SHAPES:
+            cand = copy.deepcopy(ref)
+            cand[rid]["value"] = 0.5  # the finer / better method got worse
+            for profile in PROFILES:
+                failures = gate(ref, cand, profile)[0]
+                self.assertTrue(any(f"`{rid}`" in f for f in failures), (rid, profile))
+
+    def test_table1_time_order_is_bounded_locally_only(self):
+        ref = self.load("BENCH_tables.json")
+        for rid in TABLE_TIME_ORDER:
+            self.assertEqual(ref[rid]["min"], {"local": 1.0}, rid)
+            cand = copy.deepcopy(ref)
+            cand[rid]["value"] = 0.5  # the order flipped
+            local = gate(ref, cand, "local")[0]
+            self.assertTrue(any(f"`{rid}`" in f for f in local), rid)
+            for profile in ("pr", "nightly"):
+                failures = gate(ref, cand, profile)[0]
+                self.assertFalse(any(f"`{rid}`" in f for f in failures), (rid, profile))
 
 
 if __name__ == "__main__":

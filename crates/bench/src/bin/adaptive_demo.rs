@@ -16,7 +16,7 @@ use opm_core::{Simulation, SolveOptions};
 use opm_waveform::Waveform;
 
 fn main() {
-    let drive = Waveform::pulse(0.0, 1.0, 10e-6, 50e-9, 2e-6, 50e-9, 0.0);
+    let drive = Waveform::pulse(0.0, 1.0, 10e-6, 50e-9, 2e-6, 50e-9, 0.0).unwrap();
     let ckt = rc_ladder(8, 1e3, 0.1e-9, drive);
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(9)]).unwrap();
     let t_end = 2e-3;

@@ -41,7 +41,9 @@ fn chain(n: usize) -> DescriptorSystem {
 }
 
 fn main() {
-    let inputs = InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.0, 0.05, 0.3, 0.05, 1.0)]);
+    let inputs = InputSet::new(vec![
+        Waveform::pulse(0.0, 1.0, 0.0, 0.05, 0.3, 0.05, 1.0).unwrap()
+    ]);
 
     println!("E2a — m-sweep at n = 400 (chain): linear ~O(m), fractional ~O(m²)\n");
     let sys = chain(400);

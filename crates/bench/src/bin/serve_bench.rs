@@ -21,9 +21,11 @@
 //!   pattern/cold speedup is the ratio of the two sides' median
 //!   latencies, so host drift lands on both.
 //!
-//! Emits `BENCH_serve.json` (path override: `OPM_SERVE_JSON`) through
-//! the shared `opm_core::json` serializer and exits 0 once it could
-//! measure. Each record carries its own bound: warm-vs-cold results
+//! Emits `BENCH_serve.json` (path override: `--json PATH`) through the
+//! shared record writer and exits 0 once it could measure, whatever the
+//! daemon answered: a reply that is not a usable 200 is counted into
+//! `serve/failed_replies` (which must be 0) and the records it would
+//! have fed read `null`. Each record carries its own bound: warm-vs-cold results
 //! bit-identical, every warm request a pre-key hit, no warm miss, warm
 //! throughput ≥ 2× cold (1.3× on shared CI runners), hit rate ≥ 0.75,
 //! the pinned plan's profile at
@@ -33,11 +35,13 @@
 //! symbolic factorization in its plan profile (count drift), and faster
 //! than a cold miss. `ci/compare_bench.py --profile {local,pr}` judges the run.
 //!
-//! `cargo run --release -p opm-bench --bin serve_bench`
+//! `cargo run --release -p opm-bench --bin serve_bench [-- --json PATH]`
 
 use std::fmt::Write as _;
+use std::net::SocketAddr;
 use std::time::Instant;
 
+use opm_bench::{max_abs_delta, per_profile, rec, Cli};
 use opm_core::json::Json;
 use opm_core::WindowedOptions;
 use opm_serve::api::SimRequest;
@@ -49,13 +53,6 @@ const PATTERN_REQUESTS: usize = 6;
 const MESH: usize = 48; // MESH×MESH RC mesh → fill-heavy 2D factorization
 const RESOLUTION: usize = 8;
 const WINDOWS: usize = 4;
-
-/// One bench record: its id, then its fields in order.
-fn rec(id: impl Into<String>, fields: Vec<(&str, Json)>) -> Json {
-    let mut entries = vec![("id".to_string(), Json::str(id))];
-    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Obj(entries)
-}
 
 /// An `MESH×MESH` resistor mesh with a capacitor at every node — 2D
 /// sparsity, so the LU pays real fill and a cache hit skips real work.
@@ -122,42 +119,77 @@ fn fresh_outputs(body: &str) -> Vec<f64> {
     results[0].output_row(0).to_vec()
 }
 
-/// The median of `xs` (upper median for an even count).
+/// The median of `xs` (upper median for an even count); `NaN` when
+/// empty (written as `null`, which fails any bound).
 fn median(xs: &mut [f64]) -> f64 {
     xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
+    xs.get(xs.len() / 2).copied().unwrap_or(f64::NAN)
 }
 
-/// The largest `|a − b|` over two output series; infinite when their
-/// shapes differ (written as `null`, which fails any bound).
-fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
-    if a.len() != b.len() {
-        return f64::INFINITY;
-    }
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
-fn outputs_of(body: &str) -> Vec<f64> {
-    let doc = Json::parse(body).expect("response must be JSON");
-    doc.get("results")
-        .expect("results")
-        .as_array()
-        .expect("results array")[0]
-        .get("outputs")
-        .expect("outputs")
-        .as_array()
-        .expect("outputs array")[0]
-        .as_array()
-        .expect("output row")
+/// The first probe's samples of the first scenario in a `/solve` reply.
+fn outputs_of(doc: &Json) -> Option<Vec<f64>> {
+    let results = doc.get("results")?.as_array()?;
+    let outputs = results.first()?.get("outputs")?.as_array()?;
+    outputs
+        .first()?
+        .as_array()?
         .iter()
-        .map(|v| v.as_f64().expect("numeric sample"))
+        .map(Json::as_f64)
         .collect()
 }
 
+/// The JSON body of a 200 reply to `path` (a `/solve` when `body` is
+/// given, else a `GET`); `None` for any other reply or none at all,
+/// which the bench counts into `serve/failed_replies`.
+fn request(addr: SocketAddr, path: &str, body: Option<&str>) -> Option<Json> {
+    let reply = match body {
+        Some(b) => client::post(addr, path, b),
+        None => client::get(addr, path),
+    };
+    match reply {
+        Ok(r) if r.status == 200 => r.json().ok(),
+        Ok(r) => {
+            let head: String = r.body.chars().take(200).collect();
+            eprintln!("{path}: status {}: {head}", r.status);
+            None
+        }
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            None
+        }
+    }
+}
+
+/// Posts `body` to `/solve`: the reply and its outputs, unless the
+/// reply is not a 200 carrying results.
+fn solve(addr: SocketAddr, body: &str) -> Option<(Json, Vec<f64>)> {
+    let doc = request(addr, "/solve", Some(body))?;
+    let outputs = outputs_of(&doc)?;
+    Some((doc, outputs))
+}
+
+/// The number at `path` inside `doc`.
+fn number(doc: Option<&Json>, path: &[&str]) -> Option<f64> {
+    path.iter().try_fold(doc?, |d, key| d.get(key))?.as_f64()
+}
+
+/// A value read off a reply, for the console.
+fn show(v: Option<f64>) -> String {
+    v.map_or("null".into(), |x| format!("{x:.3}"))
+}
+
+/// A count read off a reply, `null` when the reply lacks it.
+fn count(v: Option<f64>) -> Json {
+    v.map_or(Json::Null, |x| Json::Int(x as i64))
+}
+
+/// A number read off a reply, `null` when the reply lacks it.
+fn num(v: Option<f64>) -> Json {
+    v.map_or(Json::Null, Json::Num)
+}
+
 fn main() {
+    let cli = Cli::parse("BENCH_serve.json", None);
     let server = spawn(ServerConfig::default()).expect("bind daemon");
     let addr = server.addr();
     let threads = opm_par::default_threads().min(4);
@@ -165,64 +197,75 @@ fn main() {
         "serve bench — {MESH}×{MESH} RC mesh, m = {RESOLUTION}, {WINDOWS} windows, \
          {threads} client thread(s) against {addr}"
     );
+    // Replies that were not a usable 200, over every phase.
+    let mut failed = 0usize;
 
     // Reference response for the pinned request (variant 0) — this also
     // seeds the cache entry the warm phase hits, and *is* the cold-path
     // sample for the bit-identity gate.
     let pinned = body(Variant::Pinned);
-    let cold_reference = client::post(addr, "/solve", &pinned).expect("pinned request");
-    assert_eq!(cold_reference.status, 200, "{}", cold_reference.body);
-    let cold_outputs = outputs_of(&cold_reference.body);
+    let cold_outputs = match solve(addr, &pinned) {
+        Some((_, outputs)) => outputs,
+        None => {
+            failed += 1;
+            Vec::new()
+        }
+    };
 
     // -- cold phase: distinct patterns, every request a miss at both tiers -
     let cold_bodies: Vec<String> = (1..=COLD_REQUESTS)
         .map(|k| body(Variant::Bridged(k)))
         .collect();
     let cold_started = Instant::now();
-    let cold_replies = opm_par::par_map(threads, &cold_bodies, |b| {
-        client::post(addr, "/solve", b)
-            .expect("cold request")
-            .status
-    });
+    let cold_replies = opm_par::par_map(threads, &cold_bodies, |b| solve(addr, b).is_some());
     let cold_s = cold_started.elapsed().as_secs_f64();
-    assert!(cold_replies.iter().all(|&s| s == 200));
+    failed += cold_replies.iter().filter(|ok| !**ok).count();
     let cold_sps = COLD_REQUESTS as f64 / cold_s;
 
     // -- warm phase: the pinned request, every request a hit ---------------
     let warm_bodies: Vec<String> = (0..WARM_REQUESTS).map(|_| pinned.clone()).collect();
     let warm_started = Instant::now();
     let warm_replies = opm_par::par_map(threads, &warm_bodies, |b| {
-        let r = client::post(addr, "/solve", b).expect("warm request");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let doc = Json::parse(&r.body).expect("warm response JSON");
-        let hit = doc.get("cache").and_then(Json::as_str) == Some("hit");
-        (outputs_of(&r.body), hit)
+        solve(addr, b).map(|(doc, outputs)| {
+            let hit = doc.get("cache").and_then(Json::as_str) == Some("hit");
+            (outputs, hit)
+        })
     });
     let warm_s = warm_started.elapsed().as_secs_f64();
+    failed += warm_replies.iter().filter(|r| r.is_none()).count();
     let warm_sps = WARM_REQUESTS as f64 / warm_s;
-    let warm_misses = warm_replies.iter().filter(|(_, hit)| !hit).count();
+    let warm_misses = warm_replies
+        .iter()
+        .flatten()
+        .filter(|(_, hit)| !hit)
+        .count();
+    // A failed reply is infinitely far from the cold reference.
     let warm_delta = warm_replies
         .iter()
-        .map(|(w, _)| max_abs_delta(w, &cold_outputs))
+        .map(|r| {
+            r.as_ref()
+                .map_or(f64::INFINITY, |(w, _)| max_abs_delta(w, &cold_outputs))
+        })
         .fold(0.0, f64::max);
 
-    let metrics = client::get(addr, "/metrics").expect("metrics");
-    let mdoc = metrics.json().expect("metrics JSON");
-    let stats = mdoc.get("plan_cache").expect("plan_cache");
-    let hits = stats.get("hits").unwrap().as_f64().unwrap();
-    let misses = stats.get("misses").unwrap().as_f64().unwrap();
+    let mdoc = request(addr, "/metrics", None);
+    failed += usize::from(mdoc.is_none());
+    let stat = |key: &str| number(mdoc.as_ref(), &["plan_cache", key]);
+    let (hits, misses) = (stat("hits"), stat("misses"));
     // Every cold-phase body is new, so these are the warm phase's.
-    let warm_prekey_hits = stats.get("prekey_hits").unwrap().as_usize().unwrap();
-    let hit_rate = hits / (hits + misses);
+    let warm_prekey_hits = stat("prekey_hits");
+    let hit_rate = hits.zip(misses).map(|(h, m)| h / (h + m));
 
     // The pinned plan is the most recently used: N requests, 1 symbolic
     // + 1 numeric factorization total.
-    let plans = mdoc.get("plans").unwrap().as_array().unwrap();
-    let profile = plans[0].get("profile").unwrap().clone();
-    let num_symbolic = profile.get("num_symbolic").unwrap().as_usize().unwrap();
-    let num_numeric = profile.get("num_numeric").unwrap().as_usize().unwrap();
-    let factor_nnz = profile.get("factor_nnz").unwrap().as_usize().unwrap();
-    let pattern_hits_before = stats.get("pattern_hits").unwrap().as_f64().unwrap();
+    let profile = mdoc
+        .as_ref()
+        .and_then(|d| d.get("plans")?.as_array()?.first()?.get("profile"))
+        .cloned();
+    let factor = |key: &str| number(profile.as_ref(), &[key]);
+    let (num_symbolic, num_numeric) = (factor("num_symbolic"), factor("num_numeric"));
+    let factor_nnz = factor("factor_nnz");
+    let pattern_hits_before = stat("pattern_hits");
 
     // -- pattern phase: value-only variants, plan misses, pattern hits -----
     // One client, each pattern request right after a fresh structurally
@@ -236,43 +279,41 @@ fn main() {
     for (k, pattern_body) in (1..=PATTERN_REQUESTS).zip(&pattern_bodies) {
         let cold_body = body(Variant::Bridged(COLD_REQUESTS + k));
         let started = Instant::now();
-        let r = client::post(addr, "/solve", &cold_body).expect("paired cold request");
+        let cold = solve(addr, &cold_body);
         cold_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(r.status, 200, "{}", r.body);
+        failed += usize::from(cold.is_none());
 
         let started = Instant::now();
-        let r = client::post(addr, "/solve", pattern_body).expect("pattern request");
+        let reply = solve(addr, pattern_body);
         pattern_ms.push(started.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(r.status, 200, "{}", r.body);
-        let doc = Json::parse(&r.body).expect("pattern response JSON");
-        let profile = doc.get("profile").expect("profile");
-        let count = |k: &str| profile.get(k).and_then(Json::as_usize).expect("count");
-        pattern_replies.push((
-            outputs_of(&r.body),
-            count("num_symbolic"),
-            count("num_numeric"),
-        ));
+        failed += usize::from(reply.is_none());
+        pattern_replies.push(reply);
     }
     let pattern_s = pattern_ms.iter().sum::<f64>() / 1e3;
     let pattern_sps = PATTERN_REQUESTS as f64 / pattern_s;
+    // A failed reply is infinitely far from the fresh plan's results.
     let pattern_delta = pattern_replies
         .iter()
         .zip(&pattern_bodies)
-        .map(|((got, _, _), b)| max_abs_delta(got, &fresh_outputs(b)))
+        .map(|(r, b)| {
+            r.as_ref().map_or(f64::INFINITY, |(_, got)| {
+                max_abs_delta(got, &fresh_outputs(b))
+            })
+        })
         .fold(0.0, f64::max);
     // Factorizations the phase's builds booked, summed over its plans.
-    let pattern_symbolic: usize = pattern_replies.iter().map(|r| r.1).sum();
-    let pattern_numeric: usize = pattern_replies.iter().map(|r| r.2).sum();
-    let mdoc = client::get(addr, "/metrics")
-        .expect("metrics")
-        .json()
-        .expect("metrics JSON");
-    let pattern_hits = mdoc
-        .get("plan_cache")
-        .and_then(|c| c.get("pattern_hits"))
-        .and_then(Json::as_f64)
-        .expect("pattern_hits")
-        - pattern_hits_before;
+    let booked = |key: &str| -> Option<f64> {
+        let docs = pattern_replies
+            .iter()
+            .map(|r| r.as_ref().map(|(doc, _)| doc));
+        docs.map(|doc| number(doc, &["profile", key])).sum()
+    };
+    let (pattern_symbolic, pattern_numeric) = (booked("num_symbolic"), booked("num_numeric"));
+    let mdoc = request(addr, "/metrics", None);
+    failed += usize::from(mdoc.is_none());
+    let pattern_hits = number(mdoc.as_ref(), &["plan_cache", "pattern_hits"])
+        .zip(pattern_hits_before)
+        .map(|(after, before)| after - before);
 
     let speedup = warm_sps / cold_sps;
     let pattern_speedup = median(&mut cold_ms) / median(&mut pattern_ms);
@@ -285,14 +326,23 @@ fn main() {
         median(&mut cold_ms)
     );
     println!(
-        "warm/cold {speedup:.2}×   hit rate {hit_rate:.3}   warm misses {warm_misses}   \
-         warm pre-key hits {warm_prekey_hits}   \
-         max |Δ| = {warm_delta:e}   profile {num_symbolic} symbolic + {num_numeric} numeric, nnz(L+U) {factor_nnz}"
+        "warm/cold {speedup:.2}×   hit rate {}   warm misses {warm_misses}   \
+         warm pre-key hits {}   max |Δ| = {warm_delta:e}   \
+         profile {} symbolic + {} numeric, nnz(L+U) {}",
+        show(hit_rate),
+        show(warm_prekey_hits),
+        show(num_symbolic),
+        show(num_numeric),
+        show(factor_nnz),
     );
     println!(
-        "pattern/cold {pattern_speedup:.2}×   pattern hits {pattern_hits}   max |Δ| vs fresh = \
-         {pattern_delta:e}   builds {pattern_symbolic} symbolic + {pattern_numeric} numeric"
+        "pattern/cold {pattern_speedup:.2}×   pattern hits {}   max |Δ| vs fresh = \
+         {pattern_delta:e}   builds {} symbolic + {} numeric",
+        show(pattern_hits),
+        show(pattern_symbolic),
+        show(pattern_numeric),
     );
+    println!("failed replies {failed}");
 
     server.shutdown();
 
@@ -316,20 +366,15 @@ fn main() {
          (each 0 symbolic + 2 numeric: the replay and the 4-window refactor), and \
          serve/pattern_vs_cold_speedup is the paired misses' median latency over the \
          variants'. serve/lu_nnz is \
-         the pinned plan's nnz(L+U). Each record carries its own bound; \
+         the pinned plan's nnz(L+U). serve/failed_replies counts the replies over every \
+         phase that were not a usable 200. Each record carries its own bound; \
          ci/compare_bench.py --profile local|pr judges a regenerated run against this file. \
          Regenerate: cargo run --release -p opm-bench --bin serve_bench"
     );
-    let speedup_floor = Json::Obj(vec![
-        ("local".into(), Json::Num(2.0)),
-        ("pr".into(), Json::Num(1.3)),
-    ]);
+    let speedup_floor = per_profile(&[("local", 2.0), ("pr", 1.3)]);
     // Six runs on a 2-vCPU host measured pattern/cold at 1.42–1.92×;
     // the floors sit under the slowest of them.
-    let pattern_speedup_floor = Json::Obj(vec![
-        ("local".into(), Json::Num(1.3)),
-        ("pr".into(), Json::Num(1.2)),
-    ]);
+    let pattern_speedup_floor = per_profile(&[("local", 1.3), ("pr", 1.2)]);
     let records = vec![
         rec(
             format!("serve/cold_requests_{COLD_REQUESTS}"),
@@ -370,32 +415,32 @@ fn main() {
         rec(
             "serve/warm_prekey_hits",
             vec![
-                ("value", Json::Int(warm_prekey_hits as i64)),
+                ("value", count(warm_prekey_hits)),
                 ("min", Json::Int(WARM_REQUESTS as i64)),
             ],
         ),
         rec(
             "serve/hit_rate",
             vec![
-                ("value", Json::Num(hit_rate)),
+                ("value", num(hit_rate)),
                 ("min", Json::Num(0.75)),
-                ("hits", Json::Num(hits)),
-                ("misses", Json::Num(misses)),
+                ("hits", num(hits)),
+                ("misses", num(misses)),
             ],
         ),
         rec(
             "serve/plan_profile",
             vec![
-                ("num_symbolic", Json::Int(num_symbolic as i64)),
-                ("num_numeric", Json::Int(num_numeric as i64)),
+                ("num_symbolic", count(num_symbolic)),
+                ("num_numeric", count(num_numeric)),
                 ("windows", Json::Int(WINDOWS as i64)),
-                ("profile", profile),
+                ("profile", profile.unwrap_or(Json::Null)),
             ],
         ),
         rec(
             "serve/pattern_hits",
             vec![
-                ("value", Json::Num(pattern_hits)),
+                ("value", num(pattern_hits)),
                 ("min", Json::Int(PATTERN_REQUESTS as i64)),
             ],
         ),
@@ -406,8 +451,8 @@ fn main() {
         rec(
             "serve/pattern_plan_profile",
             vec![
-                ("num_symbolic", Json::Int(pattern_symbolic as i64)),
-                ("num_numeric", Json::Int(pattern_numeric as i64)),
+                ("num_symbolic", count(pattern_symbolic)),
+                ("num_numeric", count(pattern_numeric)),
             ],
         ),
         rec(
@@ -421,18 +466,15 @@ fn main() {
         rec(
             "serve/lu_nnz",
             vec![
-                ("value", Json::Int(factor_nnz as i64)),
+                ("value", count(factor_nnz)),
                 ("class", Json::str("ceiling")),
             ],
         ),
+        // Every request above must be answered with a usable 200.
+        rec(
+            "serve/failed_replies",
+            vec![("value", Json::Int(failed as i64)), ("max", Json::Int(0))],
+        ),
     ];
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("opm-bench-serve/v2")),
-        ("note".into(), Json::str(note)),
-        ("records".into(), Json::Arr(records)),
-    ]);
-
-    let path = std::env::var("OPM_SERVE_JSON").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&path, format!("{doc}\n")).expect("write BENCH_serve.json");
-    println!("wrote {path}");
+    opm_bench::write(&cli.json, "opm-bench-serve/v2", &note, records);
 }

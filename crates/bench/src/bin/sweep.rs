@@ -27,17 +27,17 @@
 //!   windowed Newton path: iteration count, numeric refactorizations
 //!   per time step, and the fresh-pivoted-factor fallback count.
 //!
-//! Emits `BENCH_sweep.json` (path override: `OPM_SWEEP_JSON`;
-//! `OPM_SWEEP_LONG=1` adds the 100-window fractional run). The binary
+//! Emits `BENCH_sweep.json` (path override: `--json PATH`; `--long`
+//! adds the 100-window fractional run). The binary
 //! only measures: it writes every record, each with the bound it must
 //! meet (`min`/`max`, one value per profile where contexts differ, or a
 //! `class` against the committed run), and exits 0.
 //! `ci/compare_bench.py --profile {local,pr,nightly}` judges the run.
 //!
-//! `cargo run --release -p opm-bench --bin sweep`
+//! `cargo run --release -p opm-bench --bin sweep [-- --json PATH] [--long]`
 
 use opm_basis::bpf::BpfBasis;
-use opm_bench::{fmt_time, timed, timed_best};
+use opm_bench::{fmt_time, max_abs_delta, per_profile, rec, timed, timed_best, Cli};
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::mna::{assemble_mna, Output};
 use opm_circuits::na::assemble_na;
@@ -50,38 +50,12 @@ use opm_waveform::{InputSet, Waveform};
 const SCENARIOS: usize = 100;
 const SHIFTS: usize = 64;
 
-/// One bench record: its id, then its fields in order.
-fn rec(id: impl Into<String>, fields: Vec<(&str, Json)>) -> Json {
-    let mut entries = vec![("id".to_string(), Json::str(id))];
-    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
-    Json::Obj(entries)
-}
-
-/// A bound that differs by gate profile; a profile left out is
-/// unbounded there.
-fn per_profile(bounds: &[(&str, f64)]) -> Json {
-    Json::Obj(
-        bounds
-            .iter()
-            .map(|&(p, v)| (p.to_string(), Json::Num(v)))
-            .collect(),
-    )
-}
-
 fn int(v: usize) -> Json {
     Json::Int(v as i64)
 }
 
 fn flag(b: bool) -> Json {
     Json::Int(i64::from(b))
-}
-
-/// Elementwise `max |a − b|` over two equal-length blocks.
-fn max_abs_delta(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
 }
 
 /// `max |Δ|` over every output row of two runs.
@@ -102,6 +76,7 @@ fn batch_delta(a: &[OpmResult], b: &[OpmResult]) -> f64 {
 }
 
 fn main() {
+    let cli = Cli::parse("BENCH_sweep.json", Some("--long"));
     // The Table II workload family at CI scale (same topology the table2
     // binary reproduces the paper with).
     let spec = PowerGridSpec {
@@ -133,7 +108,7 @@ fn main() {
                 .map(|ch| {
                     let amp = 1e-3 * (1.0 + 0.05 * ((s * 7 + ch * 3) % 20) as f64);
                     let delay = 0.5e-9 + 0.02e-9 * ((s + ch) % 10) as f64;
-                    Waveform::pulse(0.0, amp, delay, 0.2e-9, 1.0e-9, 0.2e-9, 4e-9)
+                    Waveform::pulse(0.0, amp, delay, 0.2e-9, 1.0e-9, 0.2e-9, 4e-9).unwrap()
                 })
                 .collect(),
         )
@@ -749,9 +724,9 @@ fn main() {
         ),
     ]);
 
-    // Nightly-only long-horizon fractional run (OPM_SWEEP_LONG=1): a
-    // 100-window horizon that is deliberately too slow for per-PR CI.
-    if std::env::var("OPM_SWEEP_LONG").is_ok_and(|v| v == "1") {
+    // Nightly-only long-horizon fractional run (`--long`): a 100-window
+    // horizon that is deliberately too slow for per-PR CI.
+    if cli.switch {
         let wlong = 100;
         let lsim = Simulation::from_netlist(
             "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end",
@@ -873,7 +848,6 @@ fn main() {
         ),
     ]);
 
-    let path = std::env::var("OPM_SWEEP_JSON").unwrap_or_else(|_| "BENCH_sweep.json".into());
     let note = format!(
         "Table II power grid (NA model, n = {n}, m = {m}). sweep/*: 100-scenario load sweep, \
          a fresh Simulation::plan + solve per scenario vs one plan + SimPlan::solve_batch. \
@@ -897,11 +871,5 @@ fn main() {
          file. Regenerate: cargo run --release -p opm-bench --bin sweep",
         n = na.system.order(),
     );
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("opm-bench-sweep/v7")),
-        ("note".into(), Json::str(note)),
-        ("records".into(), Json::Arr(records)),
-    ]);
-    std::fs::write(&path, format!("{doc}\n")).expect("write BENCH_sweep.json");
-    println!("wrote {path}");
+    opm_bench::write(&cli.json, "opm-bench-sweep/v7", &note, records);
 }

@@ -90,8 +90,8 @@ impl PowerGridSpec {
     /// Generates the circuit.
     ///
     /// # Panics
-    /// Panics when any dimension is zero or `num_loads` exceeds the bottom
-    /// layer size.
+    /// Panics when any dimension is zero, `num_loads` exceeds the bottom
+    /// layer size, or `period` is negative.
     pub fn build(&self) -> Circuit {
         assert!(self.layers >= 1 && self.rows >= 1 && self.cols >= 1);
         assert!(
@@ -191,7 +191,9 @@ impl PowerGridSpec {
                     width,
                     edge,
                     self.period,
-                ),
+                )
+                // Edges and width take at most 39 % of the period.
+                .expect("the load pulse fits its period"),
             })
             .unwrap();
         }

@@ -414,15 +414,8 @@ fn parse_source(tokens: &[&str]) -> Result<Waveform, CircuitError> {
         let [v1, v2, delay, rise, width, fall, period] = args[..] else {
             return Err(bad("PULSE needs 7 arguments"));
         };
-        // `Waveform::pulse` asserts these; a netlist gets a parse error.
-        // (Values parse finite, so no comparison meets a NaN.)
-        if rise <= 0.0 || fall <= 0.0 {
-            return Err(bad("PULSE rise and fall must be positive"));
-        }
-        if period != 0.0 && period < rise + width + fall {
-            return Err(bad("PULSE period must fit the pulse shape"));
-        }
-        Ok(Waveform::pulse(v1, v2, delay, rise, width, fall, period))
+        Waveform::pulse(v1, v2, delay, rise, width, fall, period)
+            .map_err(|e| CircuitError::Parse(e.to_string()))
     } else if is("SIN") {
         if args.len() < 3 {
             return Err(bad("SIN needs at least offset, ampl, freq"));
@@ -438,14 +431,7 @@ fn parse_source(tokens: &[&str]) -> Result<Waveform, CircuitError> {
         let [v1, v2, td1, tau1, td2, tau2] = args[..] else {
             return Err(bad("EXP needs 6 arguments"));
         };
-        // `Waveform::exp` asserts these; a netlist gets a parse error.
-        if tau1 <= 0.0 || tau2 <= 0.0 {
-            return Err(bad("EXP time constants must be positive"));
-        }
-        if td2 < td1 {
-            return Err(bad("EXP decay must start after the rise"));
-        }
-        Ok(Waveform::exp(v1, v2, td1, tau1, td2, tau2))
+        Waveform::exp(v1, v2, td1, tau1, td2, tau2).map_err(|e| CircuitError::Parse(e.to_string()))
     } else {
         if args.len() < 2 || args.len() % 2 != 0 {
             return Err(bad("PWL needs t/v pairs"));

@@ -51,7 +51,8 @@ impl Default for FractionalLineSpec {
             r_segment: 50.0,
             q_cpe: 4e-7,
             alpha: 0.5,
-            drive1: Waveform::pulse(0.0, 1.0, 0.1e-9, 0.45e-9, 0.7e-9, 0.45e-9, 0.0),
+            drive1: Waveform::pulse(0.0, 1.0, 0.1e-9, 0.45e-9, 0.7e-9, 0.45e-9, 0.0)
+                .expect("a single pulse with positive edges"),
             drive2: Waveform::Dc(0.0),
         }
     }

@@ -122,7 +122,7 @@ fn source(rng: &mut StdRng) -> (Waveform, String) {
                 let p = 2.0 * (rise + width + fall);
                 (p, number(rng, p))
             };
-            let w = Waveform::pulse(v1, v2, delay, rise, width, fall, period);
+            let w = Waveform::pulse(v1, v2, delay, rise, width, fall, period).unwrap();
             (w, args(rng, "PULSE", &[t1, t2, t3, t4, t5, t6, t7]))
         }
         3 => {
@@ -165,7 +165,7 @@ fn source(rng: &mut StdRng) -> (Waveform, String) {
             let td2 = 2.0 * td1;
             let (tau2, t6) = value(rng, &["s"]);
             let t5 = number(rng, td2);
-            let w = Waveform::exp(v1, v2, td1, tau1, td2, tau2);
+            let w = Waveform::exp(v1, v2, td1, tau1, td2, tau2).unwrap();
             (w, args(rng, "EXP", &[t1, t2, t3, t4, t5, t6]))
         }
     }

@@ -500,7 +500,8 @@ mod tests {
         let sys = scalar(-30.0);
         let inputs = InputSet::new(vec![Waveform::pulse(
             0.0, 1.0, 0.01, 0.005, 0.05, 0.005, 0.0,
-        )]);
+        )
+        .unwrap()]);
         let plan = adaptive_plan(
             sys,
             4.0,

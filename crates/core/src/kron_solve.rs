@@ -173,8 +173,10 @@ mod tests {
     fn linear_fast_path_matches_oracle_exactly() {
         let sys = scalar(-1.3);
         let m = 24;
-        let u = InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.3, 0.05, 0.0)])
-            .bpf_matrix(m, 1.0);
+        let u = InputSet::new(vec![
+            Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.3, 0.05, 0.0).unwrap()
+        ])
+        .bpf_matrix(m, 1.0);
         let oracle = kron_solve_linear(&sys, &u, 1.0).unwrap();
         let fast = solve_linear(&sys, &u, 1.0, &[0.0]).unwrap();
         for j in 0..m {

@@ -228,7 +228,9 @@ mod tests {
         // A fast pulse needs more bins: the coarse run must differ more
         // from a fine reference than the medium run does.
         let sys = scalar_system(5.0);
-        let u = InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.2, 0.05, 0.0)]);
+        let u = InputSet::new(vec![
+            Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.2, 0.05, 0.0).unwrap()
+        ]);
         let t_end = 2.0;
         let fine = FftSimulator::new(512).simulate(&sys, &u, t_end);
         let coarse = FftSimulator::new(8).simulate(&sys, &u, t_end);

@@ -2,11 +2,10 @@
 //!
 //! The workspace builds in environments with no access to crates.io, so
 //! this crate stands in for the tiny slice of `rayon` the tree actually
-//! needs — in the same spirit as `opm-rng` (a `rand` stand-in) and the
-//! offline `criterion` shim in `opm-bench`. It is `std`-only: workers
-//! are [`std::thread::scope`] threads pulling indices from an atomic
-//! counter, so borrowed inputs work without `'static` bounds and there
-//! is no global pool to configure or poison.
+//! needs — in the same spirit as `opm-rng` (a `rand` stand-in). It is
+//! `std`-only: workers are [`std::thread::scope`] threads pulling
+//! indices from an atomic counter, so borrowed inputs work without
+//! `'static` bounds and there is no global pool to configure or poison.
 //!
 //! Two entry points:
 //!

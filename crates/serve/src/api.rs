@@ -379,27 +379,16 @@ fn parse_waveform(w: &Json) -> Result<Waveform, ApiError> {
         "ramp" => Ok(Waveform::Ramp {
             slope: field(w, "slope")?,
         }),
-        "pulse" => {
-            let (rise, fall) = (field(w, "rise")?, field(w, "fall")?);
-            let width = field(w, "width")?;
-            let period = field_or(w, "period", 0.0)?;
-            // The constructor asserts these; turn them into 400s.
-            if rise <= 0.0 || fall <= 0.0 {
-                return Err(ApiError::bad("pulse rise/fall must be positive"));
-            }
-            if period != 0.0 && period < rise + width + fall {
-                return Err(ApiError::bad("pulse period must fit the pulse shape"));
-            }
-            Ok(Waveform::pulse(
-                field(w, "v1")?,
-                field(w, "v2")?,
-                field_or(w, "delay", 0.0)?,
-                rise,
-                width,
-                fall,
-                period,
-            ))
-        }
+        "pulse" => Waveform::pulse(
+            field(w, "v1")?,
+            field(w, "v2")?,
+            field_or(w, "delay", 0.0)?,
+            field(w, "rise")?,
+            field(w, "width")?,
+            field(w, "fall")?,
+            field_or(w, "period", 0.0)?,
+        )
+        .map_err(|e| ApiError::bad(e.to_string())),
         "sine" => Ok(Waveform::sine(
             field_or(w, "offset", 0.0)?,
             field(w, "ampl")?,
@@ -407,24 +396,15 @@ fn parse_waveform(w: &Json) -> Result<Waveform, ApiError> {
             field_or(w, "delay", 0.0)?,
             field_or(w, "damp", 0.0)?,
         )),
-        "exp" => {
-            let (tau1, tau2) = (field(w, "tau1")?, field(w, "tau2")?);
-            let (td1, td2) = (field_or(w, "td1", 0.0)?, field(w, "td2")?);
-            if tau1 <= 0.0 || tau2 <= 0.0 {
-                return Err(ApiError::bad("exp time constants must be positive"));
-            }
-            if td2 < td1 {
-                return Err(ApiError::bad("exp decay must start after the rise"));
-            }
-            Ok(Waveform::exp(
-                field(w, "v1")?,
-                field(w, "v2")?,
-                td1,
-                tau1,
-                td2,
-                tau2,
-            ))
-        }
+        "exp" => Waveform::exp(
+            field(w, "v1")?,
+            field(w, "v2")?,
+            field_or(w, "td1", 0.0)?,
+            field(w, "tau1")?,
+            field(w, "td2")?,
+            field(w, "tau2")?,
+        )
+        .map_err(|e| ApiError::bad(e.to_string())),
         "pwl" => {
             let pts = w
                 .get("points")

@@ -4,7 +4,7 @@
 //!
 //! Hermetic and std-only: the HTTP/1.1 framing ([`http`]) and the JSON
 //! dialect ([`api`], backed by [`opm_core::json`]) are in-tree, in the
-//! spirit of the workspace's `opm-rng`/criterion shims. Endpoints:
+//! spirit of the workspace's `opm-rng` stand-in for `rand`. Endpoints:
 //!
 //! | Endpoint | Body | Response |
 //! |---|---|---|

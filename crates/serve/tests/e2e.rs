@@ -832,3 +832,31 @@ fn overflowing_netlist_values_are_400s() {
     post_fresh(server.addr(), &solve_body(), "miss");
     server.shutdown();
 }
+
+/// A JSON PULSE or EXP shape the waveform refuses is a 400 carrying the
+/// waveform's own message, not a panic; the daemon serves the next
+/// request.
+#[test]
+fn refused_json_waveform_shapes_are_400s() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    for (waveform, needle) in [
+        (
+            r#"{"kind": "pulse", "v1": 0, "v2": 1, "rise": 0, "width": 1e-3, "fall": 1e-4}"#,
+            "PULSE rise and fall must be positive",
+        ),
+        (
+            r#"{"kind": "exp", "v1": 0, "v2": 1, "td1": 2e-3, "tau1": 1e-4, "td2": 1e-3, "tau2": 1e-4}"#,
+            "EXP decay must start after the rise",
+        ),
+    ] {
+        let body = format!(
+            r#"{{"netlist": {NETLIST:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 16}}, "scenarios": [[{waveform}]]}}"#
+        );
+        let r = client::post(server.addr(), "/solve", &body).unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains(needle), "{}", r.body);
+    }
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}

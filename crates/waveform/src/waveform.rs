@@ -3,9 +3,18 @@
 use std::f64::consts::TAU;
 
 /// Construction errors for waveforms whose validity depends on their
-/// data (currently PWL point lists).
+/// data: the PULSE and EXP shapes and PWL point lists. Every front end
+/// (netlist, JSON) reports these messages as they are.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WaveformError {
+    /// A PULSE rise or fall time is not positive.
+    PulseEdges,
+    /// A periodic PULSE's period is shorter than rise + width + fall.
+    PulsePeriod,
+    /// An EXP time constant is not positive.
+    ExpTimeConstants,
+    /// An EXP decay starts before its rise (`td2 < td1`).
+    ExpDecayBeforeRise,
     /// A PWL waveform needs at least one `(t, v)` breakpoint.
     EmptyPwl,
     /// A PWL breakpoint has a NaN/infinite time or value (index given).
@@ -15,6 +24,12 @@ pub enum WaveformError {
 impl std::fmt::Display for WaveformError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            WaveformError::PulseEdges => write!(f, "PULSE rise and fall must be positive"),
+            WaveformError::PulsePeriod => write!(f, "PULSE period must fit the pulse shape"),
+            WaveformError::ExpTimeConstants => write!(f, "EXP time constants must be positive"),
+            WaveformError::ExpDecayBeforeRise => {
+                write!(f, "EXP decay must start after the rise")
+            }
             WaveformError::EmptyPwl => {
                 write!(f, "PWL waveform needs at least one (t, v) breakpoint")
             }
@@ -114,7 +129,12 @@ impl Waveform {
         Waveform::Step { t0, level }
     }
 
-    /// Convenience constructor for a periodic trapezoidal pulse.
+    /// A periodic trapezoidal pulse (`period = 0`: a single pulse).
+    ///
+    /// # Errors
+    /// [`WaveformError::PulseEdges`] unless rise and fall are positive,
+    /// [`WaveformError::PulsePeriod`] unless the period is 0 or fits
+    /// rise + width + fall. A NaN fails the check it meets.
     pub fn pulse(
         v1: f64,
         v2: f64,
@@ -123,13 +143,14 @@ impl Waveform {
         width: f64,
         fall: f64,
         period: f64,
-    ) -> Self {
-        assert!(rise > 0.0 && fall > 0.0, "rise/fall must be positive");
-        assert!(
-            period == 0.0 || period >= rise + width + fall,
-            "period must fit the pulse shape"
-        );
-        Waveform::Pulse {
+    ) -> Result<Self, WaveformError> {
+        if !(rise > 0.0 && fall > 0.0) {
+            return Err(WaveformError::PulseEdges);
+        }
+        if !(period == 0.0 || period >= rise + width + fall) {
+            return Err(WaveformError::PulsePeriod);
+        }
+        Ok(Waveform::Pulse {
             v1,
             v2,
             delay,
@@ -137,7 +158,7 @@ impl Waveform {
             width,
             fall,
             period,
-        }
+        })
     }
 
     /// Sine wave `ampl·sin(2πft)` with optional offset/delay/damping.
@@ -153,19 +174,33 @@ impl Waveform {
 
     /// SPICE EXP source.
     ///
-    /// # Panics
-    /// Panics when a time constant is non-positive or `td2 < td1`.
-    pub fn exp(v1: f64, v2: f64, td1: f64, tau1: f64, td2: f64, tau2: f64) -> Self {
-        assert!(tau1 > 0.0 && tau2 > 0.0, "time constants must be positive");
-        assert!(td2 >= td1, "decay must start after the rise");
-        Waveform::Exp {
+    /// # Errors
+    /// [`WaveformError::ExpTimeConstants`] unless both time constants are
+    /// positive, [`WaveformError::ExpDecayBeforeRise`] when `td2 < td1`.
+    /// A NaN fails the check it meets.
+    pub fn exp(
+        v1: f64,
+        v2: f64,
+        td1: f64,
+        tau1: f64,
+        td2: f64,
+        tau2: f64,
+    ) -> Result<Self, WaveformError> {
+        if !(tau1 > 0.0 && tau2 > 0.0) {
+            return Err(WaveformError::ExpTimeConstants);
+        }
+        let decays_after_rise = td2 >= td1;
+        if !decays_after_rise {
+            return Err(WaveformError::ExpDecayBeforeRise);
+        }
+        Ok(Waveform::Exp {
             v1,
             v2,
             td1,
             tau1,
             td2,
             tau2,
-        }
+        })
     }
 
     /// Builds a PWL waveform; points are sorted by time (a stable sort,
@@ -687,11 +722,11 @@ mod tests {
 
     #[test]
     fn pulse_integral_single_and_periodic() {
-        let single = Waveform::pulse(0.0, 1.0, 0.5, 0.1, 0.3, 0.1, 0.0);
+        let single = Waveform::pulse(0.0, 1.0, 0.5, 0.1, 0.3, 0.1, 0.0).unwrap();
         for &t in &[0.3, 0.55, 0.7, 0.95, 1.05, 3.0] {
             check_integral(&single, t, 1e-7);
         }
-        let periodic = Waveform::pulse(0.2, 1.0, 0.0, 0.05, 0.2, 0.05, 0.5);
+        let periodic = Waveform::pulse(0.2, 1.0, 0.0, 0.05, 0.2, 0.05, 0.5).unwrap();
         for &t in &[0.1, 0.31, 0.5, 1.23, 4.9] {
             check_integral(&periodic, t, 1e-7);
         }
@@ -711,7 +746,7 @@ mod tests {
 
     #[test]
     fn exp_eval_integral_derivative() {
-        let w = Waveform::exp(0.2, 1.0, 0.1, 0.05, 0.4, 0.1);
+        let w = Waveform::exp(0.2, 1.0, 0.1, 0.05, 0.4, 0.1).unwrap();
         assert_eq!(w.eval(0.0), 0.2);
         // Far past both phases the waveform returns to v1.
         assert!((w.eval(5.0) - 0.2).abs() < 1e-6);
@@ -730,8 +765,18 @@ mod tests {
 
     #[test]
     fn exp_validation() {
-        assert!(std::panic::catch_unwind(|| Waveform::exp(0.0, 1.0, 0.0, 0.0, 0.1, 0.1)).is_err());
-        assert!(std::panic::catch_unwind(|| Waveform::exp(0.0, 1.0, 0.2, 0.1, 0.1, 0.1)).is_err());
+        assert_eq!(
+            Waveform::exp(0.0, 1.0, 0.0, 0.0, 0.1, 0.1),
+            Err(WaveformError::ExpTimeConstants)
+        );
+        assert_eq!(
+            Waveform::exp(0.0, 1.0, 0.2, 0.1, 0.1, 0.1),
+            Err(WaveformError::ExpDecayBeforeRise)
+        );
+        assert_eq!(
+            Waveform::exp(0.0, 1.0, f64::NAN, 0.1, 0.1, 0.1),
+            Err(WaveformError::ExpDecayBeforeRise)
+        );
     }
 
     #[test]
@@ -744,7 +789,7 @@ mod tests {
 
     #[test]
     fn averages_match_integral_differences() {
-        let w = Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.2, 0.05, 0.0);
+        let w = Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.2, 0.05, 0.0).unwrap();
         let avg = w.average(0.0, 0.4);
         assert!((avg - w.integral(0.4) / 0.4).abs() < 1e-15);
     }
@@ -753,7 +798,7 @@ mod tests {
     fn derivative_matches_finite_difference() {
         let cases = [
             Waveform::sine(0.1, 1.5, 2.0, 0.1, 0.7),
-            Waveform::pulse(0.0, 2.0, 0.2, 0.1, 0.3, 0.1, 1.0),
+            Waveform::pulse(0.0, 2.0, 0.2, 0.1, 0.3, 0.1, 1.0).unwrap(),
             Waveform::pwl(vec![(0.0, 0.0), (1.0, 2.0), (2.0, 1.0)]).unwrap(),
             Waveform::Ramp { slope: -3.0 },
         ];
@@ -792,10 +837,21 @@ mod tests {
 
     #[test]
     fn pulse_validation() {
-        let r = std::panic::catch_unwind(|| Waveform::pulse(0.0, 1.0, 0.0, 0.0, 0.1, 0.1, 0.0));
-        assert!(r.is_err(), "zero rise must be rejected");
-        let r = std::panic::catch_unwind(|| Waveform::pulse(0.0, 1.0, 0.0, 0.1, 0.5, 0.1, 0.2));
-        assert!(r.is_err(), "period shorter than shape must be rejected");
+        assert_eq!(
+            Waveform::pulse(0.0, 1.0, 0.0, 0.0, 0.1, 0.1, 0.0),
+            Err(WaveformError::PulseEdges),
+            "zero rise must be rejected"
+        );
+        assert_eq!(
+            Waveform::pulse(0.0, 1.0, 0.0, 0.1, 0.5, 0.1, 0.2),
+            Err(WaveformError::PulsePeriod),
+            "period shorter than shape must be rejected"
+        );
+        assert_eq!(
+            Waveform::pulse(0.0, 1.0, 0.0, 0.1, 0.5, 0.1, f64::NAN),
+            Err(WaveformError::PulsePeriod)
+        );
+        assert!(Waveform::pulse(0.0, 1.0, 0.0, 0.1, 0.5, 0.1, 0.7).is_ok());
     }
 
     #[test]

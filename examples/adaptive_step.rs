@@ -12,7 +12,7 @@ use opm::waveform::Waveform;
 fn main() {
     // A fast pulse hits a 5-section RC ladder; afterwards everything
     // settles for a long quiet tail.
-    let drive = Waveform::pulse(0.0, 1.0, 10e-6, 1e-6, 20e-6, 1e-6, 0.0);
+    let drive = Waveform::pulse(0.0, 1.0, 10e-6, 1e-6, 20e-6, 1e-6, 0.0).unwrap();
     let ckt = rc_ladder(5, 1e3, 1e-9, drive);
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(6)]).expect("assembles");
     let t_end = 2e-3;

@@ -21,8 +21,11 @@ fn main() {
 
     // The study: 60 rise-time variants of the drive edge.
     let rises: Vec<f64> = (0..60).map(|i| 1e-8 * (1.0 + i as f64)).collect();
-    let stimulus =
-        |&rise: &f64| InputSet::new(vec![Waveform::pulse(0.0, 1.0, 0.0, rise, 1e-5, 1e-7, 0.0)]);
+    let stimulus = |&rise: &f64| {
+        InputSet::new(vec![
+            Waveform::pulse(0.0, 1.0, 0.0, rise, 1e-5, 1e-7, 0.0).unwrap()
+        ])
+    };
 
     // Naive: a fresh plan per scenario re-validates, re-orders and
     // re-factors every time; its cost is the sum of the plans' profiles.

@@ -137,7 +137,7 @@ fn second_order_frontend_end_to_end() {
 /// the two projection paths (exact averages vs adaptive quadrature) agree.
 #[test]
 fn projection_paths_agree() {
-    let w = Waveform::pulse(0.0, 1.0, 1e-7, 5e-8, 3e-7, 5e-8, 0.0);
+    let w = Waveform::pulse(0.0, 1.0, 1e-7, 5e-8, 3e-7, 5e-8, 0.0).unwrap();
     let m = 64;
     let t_end = 1e-6;
     let exact = w.bpf_coeffs(m, t_end);

@@ -130,7 +130,7 @@ fn adaptive_option_reuses_factorizations() {
         3,
         1e3,
         1e-9,
-        Waveform::pulse(0.0, 1.0, 1e-5, 1e-6, 2e-5, 1e-6, 0.0),
+        Waveform::pulse(0.0, 1.0, 1e-5, 1e-6, 2e-5, 1e-6, 0.0).unwrap(),
     );
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(4)]).unwrap();
     let plan = Simulation::from_system(model.system.clone())

@@ -18,7 +18,7 @@ fn opm_is_algebraically_trapezoidal_on_rc_ladder() {
         6,
         500.0,
         2e-9,
-        Waveform::pulse(0.0, 1.0, 1e-7, 2e-8, 3e-7, 2e-8, 0.0),
+        Waveform::pulse(0.0, 1.0, 1e-7, 2e-8, 3e-7, 2e-8, 0.0).unwrap(),
     );
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(7)]).unwrap();
     let t_end = 2e-6;
@@ -108,7 +108,7 @@ C2 n2 0 2n
         2,
         500.0,
         2e-9,
-        Waveform::pulse(0.0, 1.0, 0.0, 1e-8, 1e-7, 1e-8, 4e-7),
+        Waveform::pulse(0.0, 1.0, 0.0, 1e-8, 1e-7, 1e-8, 4e-7).unwrap(),
     );
     let via_builder = assemble_mna(&built, &[Output::NodeVoltage(3)]).unwrap();
 

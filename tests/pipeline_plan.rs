@@ -70,7 +70,8 @@ fn batch_equals_loop_to_1e12() {
                 5e-6,
                 2e-7,
                 0.0,
-            )])
+            )
+            .unwrap()])
         })
         .collect();
     let sim = Simulation::from_system(model.system).horizon(t_end);
@@ -134,7 +135,7 @@ fn batch_threads_1_and_4_are_bit_identical() {
                 (0..num_loads)
                     .map(|ch| {
                         let amp = 1e-3 * (1.0 + 0.1 * ((s + ch) % 7) as f64);
-                        Waveform::pulse(0.0, amp, 1e-9, 0.2e-9, 1e-9, 0.2e-9, 0.0)
+                        Waveform::pulse(0.0, amp, 1e-9, 0.2e-9, 1e-9, 0.2e-9, 0.0).unwrap()
                     })
                     .collect(),
             )
@@ -313,7 +314,7 @@ fn power_grid_sweep_reuses_factorization() {
         .map(|&peak| {
             InputSet::new(
                 (0..num_loads)
-                    .map(|_| Waveform::pulse(0.0, peak, 1e-9, 0.2e-9, 1e-9, 0.2e-9, 0.0))
+                    .map(|_| Waveform::pulse(0.0, peak, 1e-9, 0.2e-9, 1e-9, 0.2e-9, 0.0).unwrap())
                     .collect(),
             )
         })

@@ -503,7 +503,7 @@ fn whole_horizon_is_the_one_window_solve() {
     let two = |s: usize| {
         InputSet::new(vec![
             Waveform::sine(0.1 * s as f64, 1.0, 0.7, 0.0, 0.2),
-            Waveform::pulse(0.0, 1.0 + s as f64, 0.4, 0.1, 1.0, 0.1, 0.0),
+            Waveform::pulse(0.0, 1.0 + s as f64, 0.4, 0.1, 1.0, 0.1, 0.0).unwrap(),
         ])
     };
     let one = |s: usize| InputSet::new(vec![Waveform::step(0.3 + 0.1 * s as f64, 1.0)]);
@@ -599,6 +599,7 @@ fn whole_horizon_is_the_one_window_solve() {
                                 0.2e-9,
                                 0.0,
                             )
+                            .unwrap()
                         })
                         .collect(),
                 )
