@@ -18,8 +18,7 @@
 //!   indices) and its **values** (every `f64` hashed by bit pattern),
 //! - the nonlinear **devices** (kind, terminals and every parameter by
 //!   bit pattern — a diode's `Is` is as much the plan as a resistor),
-//! - the [`SolveOptions`] (resolution, method, adaptive parameters,
-//!   step grid),
+//! - the [`SolveOptions`] (resolution, adaptive parameters, step grid),
 //! - the horizon `t_end` and initial state `x0`.
 //!
 //! Hashing values (not just the sparsity pattern) means a value-only
@@ -277,13 +276,6 @@ fn hash_options(h: &mut PairHash, opts: &SolveOptions) {
         }
         None => h.tag(0),
     }
-    h.tag(match opts.method {
-        crate::Method::Auto => 0,
-        crate::Method::Recurrence => 1,
-        crate::Method::Accumulator => 2,
-        crate::Method::Convolution => 3,
-        crate::Method::Kronecker => 4,
-    });
     match &opts.adaptive {
         Some(a) => {
             h.tag(1);

@@ -5,9 +5,14 @@
 //! leading symbol coefficients, factor it **once** (or once per distinct
 //! step on adaptive grids), then sweep columns left to right, each
 //! column's right-hand side mixing the inputs with a history term over
-//! already-solved columns. The five public solvers — linear, fractional,
-//! multi-term, adaptive, general-basis — plus the Kronecker oracle are
-//! thin *strategies* over the primitives in this module:
+//! already-solved columns. The plan's sweeps — linear, fractional,
+//! multi-term, adaptive — and the general-basis solver are thin
+//! *strategies* over the primitives in this module; the model picks the
+//! sweep. The paper's reference forms stay outside it, as the oracles
+//! the tests compare against: the dense Kronecker solves of
+//! [`crate::kron_solve`] and the literal alternating accumulator
+//! [`crate::linear::accumulator_solve`].
+//!
 //!
 //! - [`validate_coeff_inputs`] / [`validate_horizon`] — argument checks;
 //! - [`factor_pencil`] — AMD-ordered sparse LU with error mapping;
@@ -25,7 +30,8 @@
 //!   `lanes` scenarios wide, with read access to all previously solved
 //!   columns (the history term); it returns its plain column store, and
 //!   `deinterleave` splits a multi-lane store into per-lane columns;
-//! - [`SolveOptions`] / [`Method`] — resolution, strategy and adaptivity.
+//! - [`SolveOptions`] — resolution and adaptivity (the model picks the
+//!   sweep).
 //!
 //! Every solve ends in [`crate::OpmResult`]'s one constructor, which
 //! projects the columns through the model's output selector `C`; what a
@@ -753,38 +759,21 @@ pub(crate) fn deinterleave(columns: Vec<Vec<f64>>, lanes: usize) -> Vec<Vec<Vec<
 }
 
 // ---------------------------------------------------------------------------
-// SolveOptions: resolution, strategy, adaptivity
+// SolveOptions: resolution and adaptivity
 // ---------------------------------------------------------------------------
 
-/// Strategy selector for [`SolveOptions::method`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Method {
-    /// Pick the fastest correct path (integer orders → finite
-    /// recurrence, fractional → convolution).
-    #[default]
-    Auto,
-    /// The finite-history recurrence fast path.
-    Recurrence,
-    /// The paper's literal alternating-accumulator algorithm (linear
-    /// only; kept for cross-validation).
-    Accumulator,
-    /// The full nilpotent-series convolution path.
-    Convolution,
-    /// The dense `(Dᵀ⊗E − I⊗A)·vec X` oracle (small problems only).
-    Kronecker,
-}
-
-/// Solver configuration: resolution, strategy, adaptivity.
+/// Solver configuration: resolution and adaptivity. The sweep itself is
+/// the model's: [`crate::Simulation::plan`] picks it from the model
+/// class and its orders alone.
 #[derive(Clone, Debug, Default)]
 pub struct SolveOptions {
     pub(crate) resolution: Option<usize>,
-    pub(crate) method: Method,
     pub(crate) adaptive: Option<AdaptiveOpmOptions>,
     pub(crate) step_grid: Option<Vec<f64>>,
 }
 
 impl SolveOptions {
-    /// Default options: uniform grid, automatic strategy.
+    /// Default options: uniform grid.
     pub fn new() -> Self {
         SolveOptions::default()
     }
@@ -794,13 +783,6 @@ impl SolveOptions {
     #[must_use]
     pub fn resolution(mut self, m: usize) -> Self {
         self.resolution = Some(m);
-        self
-    }
-
-    /// Forces a particular strategy.
-    #[must_use]
-    pub fn method(mut self, method: Method) -> Self {
-        self.method = method;
         self
     }
 
@@ -823,6 +805,8 @@ impl SolveOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kron_solve::kron_solve_linear;
+    use crate::linear::accumulator_solve;
     use crate::OpmResult;
     use opm_sparse::CooMatrix;
     use opm_system::{DescriptorSystem, FractionalSystem};
@@ -866,18 +850,23 @@ mod tests {
     }
 
     #[test]
-    fn all_linear_methods_agree() {
-        let sim = crate::Simulation::from_system(scalar(-2.0)).horizon(1.0);
+    fn linear_plan_agrees_with_the_oracles() {
+        let sys = scalar(-2.0);
+        let sim = crate::Simulation::from_system(sys.clone()).horizon(1.0);
         let inputs = InputSet::new(vec![Waveform::sine(0.0, 1.0, 1.0, 0.0, 0.0)]);
         let m = 16;
-        let base = solve_once(sim.clone(), &inputs, &SolveOptions::new().resolution(m)).unwrap();
-        for method in [Method::Accumulator, Method::Convolution, Method::Kronecker] {
-            let opts = SolveOptions::new().resolution(m).method(method);
-            let r = solve_once(sim.clone(), &inputs, &opts).unwrap();
+        let base = solve_once(sim, &inputs, &SolveOptions::new().resolution(m)).unwrap();
+        let u = inputs.bpf_matrix(m, 1.0);
+        let oracles = [
+            ("accumulator", accumulator_solve(&sys, &u, 1.0, &[0.0])),
+            ("Kronecker", kron_solve_linear(&sys, &u, 1.0)),
+        ];
+        for (name, r) in oracles {
+            let r = r.unwrap();
             for j in 0..m {
                 assert!(
                     (r.state_coeff(0, j) - base.state_coeff(0, j)).abs() < 1e-9,
-                    "{method:?}, column {j}"
+                    "{name}, column {j}"
                 );
             }
         }
@@ -916,16 +905,6 @@ mod tests {
         let fsim =
             crate::Simulation::from_fractional(FractionalSystem::new(0.5, scalar(-1.0)).unwrap())
                 .horizon(1.0);
-        // Nonzero ICs cannot ride the zero-IC strategies.
-        for method in [Method::Convolution, Method::Kronecker] {
-            assert!(
-                sim.clone()
-                    .initial_state(vec![2.0])
-                    .plan(&SolveOptions::new().resolution(8).method(method))
-                    .is_err(),
-                "{method:?} must reject nonzero x0"
-            );
-        }
         // Adaptive stepping is linear-only; step grids are fractional-only.
         assert!(fsim
             .plan(
@@ -936,14 +915,6 @@ mod tests {
             .is_err());
         assert!(sim
             .plan(&SolveOptions::new().step_grid(vec![0.5, 0.3, 0.2]))
-            .is_err());
-        // Method overrides cannot combine with adaptive solving.
-        assert!(sim
-            .plan(
-                &SolveOptions::new()
-                    .adaptive(AdaptiveOpmOptions::default())
-                    .method(Method::Kronecker)
-            )
             .is_err());
         // A coefficient stimulus that contradicts the planned resolution.
         let u = vec![vec![1.0; 8]];

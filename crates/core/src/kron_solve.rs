@@ -2,9 +2,12 @@
 //!
 //! `(Σ_k (D^{α_k})ᵀ ⊗ A_k)·vec(X) = (I_m ⊗ B)·vec(U)` assembled densely
 //! and solved with dense LU. Exponential in neither n nor m but `O((nm)³)`
-//! — strictly an *oracle*: every fast path in this crate is tested for
-//! exact (roundoff-level) agreement against it on small systems.
+//! — strictly an *oracle*, guarded at `n·m ≤ 4096`: no plan runs it, and
+//! every sweep a plan picks is tested for roundoff-level agreement
+//! against [`kron_solve_linear`], [`kron_solve_fractional`] or
+//! [`kron_solve_multiterm`] on small systems.
 
+use crate::engine::{validate_coeff_inputs, validate_horizon};
 use crate::result::{uniform_bounds, OpmResult};
 use crate::OpmError;
 use opm_basis::bpf::BpfBasis;
@@ -18,78 +21,21 @@ fn u_matrix(u_coeffs: &[Vec<f64>], m: usize) -> DMatrix {
     DMatrix::from_fn(u_coeffs.len(), m, |i, j| u_coeffs[i][j])
 }
 
-/// The dense oracle's stimulus-independent half: the factored Kronecker
-/// matrix `Σ_k (D^{α_k})ᵀ ⊗ A_k`, cached by the plan layer so a whole
-/// scenario batch pays the `O((nm)³)` factorization once.
-pub(crate) struct KronFactors {
-    lu: opm_linalg::LuFactors,
-    m: usize,
-}
-
-/// Assembles and factors the dense vec-form matrix.
-///
-/// # Errors
-/// [`OpmError::BadArguments`] when `n·m` exceeds the dense guard (4096);
-/// [`OpmError::SingularPencil`] when the big matrix is singular.
-pub(crate) fn kron_prepare(
-    mt: &MultiTermSystem,
-    m: usize,
-    t_end: f64,
-) -> Result<KronFactors, OpmError> {
-    let n = mt.order();
-    if m == 0 {
-        return Err(OpmError::BadArguments("input shape mismatch".into()));
-    }
-    // `n·m` is request-sized: an overflowing product is too big as well.
+/// `n·m`, the order of the dense vec-form matrix, within the dense
+/// guard. The product is request-sized, so an overflowing one is too
+/// big as well.
+fn dense_order(n: usize, m: usize) -> Result<usize, OpmError> {
     let too_big =
         |nm: String| OpmError::BadArguments(format!("n·m = {nm} exceeds the dense oracle guard"));
-    let nm = n
-        .checked_mul(m)
-        .ok_or_else(|| too_big(format!("{n}·{m}")))?;
-    if nm > MAX_DENSE {
-        return Err(too_big(nm.to_string()));
+    match n.checked_mul(m) {
+        Some(nm) if nm <= MAX_DENSE => Ok(nm),
+        Some(nm) => Err(too_big(nm.to_string())),
+        None => Err(too_big(format!("{n}·{m}"))),
     }
-    let basis = BpfBasis::new(m, t_end);
-    // Big matrix: Σ_k (D^{α_k})ᵀ ⊗ A_k.
-    let mut big = DMatrix::zeros(n * m, n * m);
-    for term in mt.terms() {
-        let d_alpha = basis.frac_diff_matrix(term.alpha);
-        big = big.add(&kron(&d_alpha.transpose(), &term.matrix.to_dense()));
-    }
-    let lu = big
-        .factor_lu()
-        .ok_or_else(|| OpmError::SingularPencil("vec-form matrix singular".into()))?;
-    Ok(KronFactors { lu, m })
-}
-
-/// Applies a prefactored oracle to one stimulus.
-///
-/// # Errors
-/// [`OpmError::BadArguments`] on shape mismatches.
-pub(crate) fn kron_solve_prepared(
-    mt: &MultiTermSystem,
-    factors: &KronFactors,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-) -> Result<OpmResult, OpmError> {
-    let m = u_coeffs.first().map_or(0, Vec::len);
-    let n = mt.order();
-    if m != factors.m || u_coeffs.len() != mt.num_inputs() {
-        return Err(OpmError::BadArguments("input shape mismatch".into()));
-    }
-    // RHS: vec(B·U).
-    let bu = mt.b().to_dense().mul_mat(&u_matrix(u_coeffs, m));
-    let rhs = vec_of(&bu);
-    let x = factors.lu.solve(&DVector::from(rhs.as_slice().to_vec()));
-    let xm = unvec(&x, n, m);
-    let columns = (0..m)
-        .map(|j| (0..n).map(|i| xm.get(i, j)).collect())
-        .collect();
-    Ok(OpmResult::new(uniform_bounds(m, t_end), columns, mt.c()))
 }
 
 /// The fractional equation as a two-term system (shared by the oracle
-/// entry point and the plan layer).
+/// and the plan layer, which sweeps it).
 pub(crate) fn fractional_as_multiterm(fsys: &FractionalSystem) -> MultiTermSystem {
     use opm_system::Term;
     let sys = fsys.system();
@@ -110,23 +56,40 @@ pub(crate) fn fractional_as_multiterm(fsys: &FractionalSystem) -> MultiTermSyste
     .expect("valid by construction")
 }
 
-/// Oracle solve of a multi-term system via the dense vec formulation.
+/// Oracle solve of a multi-term system via the dense vec formulation:
+/// assembles `Σ_k (D^{α_k})ᵀ ⊗ A_k`, factors it with dense LU and
+/// solves against `vec(B·U)`.
 ///
 /// # Errors
 /// [`OpmError::BadArguments`] when `n·m` exceeds the dense guard
-/// (4096) or shapes mismatch; [`OpmError::SingularPencil`] when the big
-/// matrix is singular.
+/// (4096), shapes mismatch or the horizon is not positive;
+/// [`OpmError::SingularPencil`] when the big matrix is singular.
 pub fn kron_solve_multiterm(
     mt: &MultiTermSystem,
     u_coeffs: &[Vec<f64>],
     t_end: f64,
 ) -> Result<OpmResult, OpmError> {
-    let m = u_coeffs.first().map_or(0, Vec::len);
-    if m == 0 || u_coeffs.len() != mt.num_inputs() {
-        return Err(OpmError::BadArguments("input shape mismatch".into()));
+    let m = validate_coeff_inputs(mt.num_inputs(), u_coeffs)?;
+    validate_horizon(t_end)?;
+    let n = mt.order();
+    let nm = dense_order(n, m)?;
+    let basis = BpfBasis::new(m, t_end);
+    let mut big = DMatrix::zeros(nm, nm);
+    for term in mt.terms() {
+        let d_alpha = basis.frac_diff_matrix(term.alpha);
+        big = big.add(&kron(&d_alpha.transpose(), &term.matrix.to_dense()));
     }
-    let factors = kron_prepare(mt, m, t_end)?;
-    kron_solve_prepared(mt, &factors, u_coeffs, t_end)
+    let lu = big
+        .factor_lu()
+        .ok_or_else(|| OpmError::SingularPencil("vec-form matrix singular".into()))?;
+    // RHS: vec(B·U).
+    let bu = mt.b().to_dense().mul_mat(&u_matrix(u_coeffs, m));
+    let x = lu.solve(&DVector::from(vec_of(&bu).as_slice().to_vec()));
+    let xm = unvec(&x, n, m);
+    let columns = (0..m)
+        .map(|j| (0..n).map(|i| xm.get(i, j)).collect())
+        .collect();
+    Ok(OpmResult::new(uniform_bounds(m, t_end), columns, mt.c()))
 }
 
 /// Oracle solve of `E X D = A X + B U` (paper Eq. 15).
@@ -157,7 +120,6 @@ pub fn kron_solve_fractional(
 mod tests {
     use super::*;
     use crate::testkit::{solve_fractional, solve_linear};
-    use crate::Method;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_waveform::{InputSet, Waveform};
 
@@ -230,7 +192,7 @@ mod tests {
         let m = 20;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 4.0);
         let oracle = kron_solve_multiterm(&mt, &u, 4.0).unwrap();
-        let fast = crate::testkit::solve_multiterm(&mt, &u, 4.0, Method::Auto).unwrap();
+        let fast = crate::testkit::solve_multiterm(&mt, &u, 4.0).unwrap();
         for j in 0..m {
             assert!(
                 (oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-8,
@@ -265,29 +227,13 @@ mod tests {
     #[test]
     fn guard_rejects_an_overflowing_size() {
         // 4 states × 2^62 columns wraps to 0 in unchecked arithmetic.
-        let mut a = CooMatrix::new(4, 4);
-        for i in 0..4 {
-            a.push(i, i, -1.0);
-        }
-        let sys = DescriptorSystem::new(
-            CsrMatrix::identity(4),
-            a.to_csr(),
-            CsrMatrix::identity(4),
-            None,
-        )
-        .unwrap();
-        let err = crate::Simulation::from_system(sys)
-            .horizon(1.0)
-            .plan(
-                &crate::SolveOptions::new()
-                    .resolution(1 << 62)
-                    .method(Method::Kronecker),
-            )
-            .unwrap_err();
+        let err = dense_order(4, 1 << 62).unwrap_err();
         assert!(
             matches!(&err, OpmError::BadArguments(msg) if msg.contains("dense oracle guard")),
             "{err}"
         );
+        assert_eq!(dense_order(4, 1024), Ok(4096));
+        assert!(dense_order(4097, 1).is_err());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   factored pencil), whose `solve` / `solve_batch` /
 //!   `solve_windowed_batch_opts` amortize
 //!   **one factorization over many scenarios** via the engine's
-//!   multi-RHS block sweep. Whole-horizon and windowed solves share one
-//!   window loop; the whole horizon is its one-window case.
+//!   multi-RHS block sweep. The model picks the sweep; the options set
+//!   only the grid (resolution, adaptivity or an explicit step grid).
+//!   Whole-horizon and windowed solves share one window loop; the whole
+//!   horizon is its one-window case.
 //! - [`engine`] — the shared solver engine: [`engine::SolveOptions`]
 //!   plus the validation, pencil-factorization and cached-factorization
 //!   (block) column-sweep primitives every strategy below builds on.
@@ -23,8 +25,9 @@
 //!
 //! - [`linear`] — linear ODE/DAE systems (paper §III). The stable
 //!   two-term recurrence this library derives from the OPM column
-//!   equations (algebraically identical to the trapezoidal rule) plus the
-//!   paper's literal accumulator formulation for cross-validation.
+//!   equations (algebraically identical to the trapezoidal rule), which
+//!   every linear plan sweeps, plus the paper's literal accumulator
+//!   formulation as an oracle ([`linear::accumulator_solve`]).
 //! - [`fractional`] — fractional systems `E d^α x = A x + B u` (paper
 //!   §IV) via the nilpotent-series expansion of `D^α`.
 //! - [`multiterm`] — `Σ_k A_k d^{α_k} x = B u`; integer-order systems take
@@ -39,7 +42,9 @@
 //!   [`opm_basis::Basis`] (Walsh, Haar, Legendre), backing the paper's
 //!   basis-generality claim.
 //! - [`kron_solve`] — the explicit `(Dᵀ⊗E − I⊗A)·vec X` formulation
-//!   (paper Eqs. 15/18/27), kept as a brute-force oracle.
+//!   (paper Eqs. 15/18/27), kept as brute-force oracles
+//!   ([`kron_solve::kron_solve_linear`], `_fractional`, `_multiterm`)
+//!   that no plan runs.
 //! - [`result`], [`metrics`] — the solution container ([`OpmResult`]:
 //!   bounds, coefficient columns, outputs), the plan's cost record
 //!   ([`FactorProfile`]) and the paper's Eq. (30) dB error metric.
@@ -91,7 +96,7 @@ pub mod sync;
 
 pub use cache::{CacheStats, PatternStats, PlanCache};
 pub use cancel::CancelToken;
-pub use engine::{Method, SolveOptions};
+pub use engine::SolveOptions;
 pub use json::Json;
 pub use metrics::FactorProfile;
 pub use result::OpmResult;
@@ -168,27 +173,11 @@ impl From<opm_circuits::CircuitError> for OpmError {
 /// resolution and solves it once.
 #[cfg(test)]
 mod testkit {
-    use crate::{Method, OpmError, OpmResult, Simulation, SolveOptions};
+    use crate::{OpmError, OpmResult, Simulation, SolveOptions};
     use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem};
 
-    fn coeff_options(u: &[Vec<f64>], method: Method) -> SolveOptions {
-        SolveOptions::new()
-            .resolution(u.first().map_or(0, Vec::len))
-            .method(method)
-    }
-
-    fn linear(
-        sys: &DescriptorSystem,
-        u: &[Vec<f64>],
-        t_end: f64,
-        x0: &[f64],
-        method: Method,
-    ) -> Result<OpmResult, OpmError> {
-        Simulation::from_system(sys.clone())
-            .horizon(t_end)
-            .initial_state(x0.to_vec())
-            .plan(&coeff_options(u, method))?
-            .solve_coeffs(u)
+    fn coeff_options(u: &[Vec<f64>]) -> SolveOptions {
+        SolveOptions::new().resolution(u.first().map_or(0, Vec::len))
     }
 
     /// The linear two-term recurrence.
@@ -198,17 +187,11 @@ mod testkit {
         t_end: f64,
         x0: &[f64],
     ) -> Result<OpmResult, OpmError> {
-        linear(sys, u, t_end, x0, Method::Auto)
-    }
-
-    /// The paper's literal alternating-accumulator algorithm.
-    pub fn solve_linear_accumulator(
-        sys: &DescriptorSystem,
-        u: &[Vec<f64>],
-        t_end: f64,
-        x0: &[f64],
-    ) -> Result<OpmResult, OpmError> {
-        linear(sys, u, t_end, x0, Method::Accumulator)
+        Simulation::from_system(sys.clone())
+            .horizon(t_end)
+            .initial_state(x0.to_vec())
+            .plan(&coeff_options(u))?
+            .solve_coeffs(u)
     }
 
     /// The fractional series convolution.
@@ -219,20 +202,19 @@ mod testkit {
     ) -> Result<OpmResult, OpmError> {
         Simulation::from_fractional(fsys.clone())
             .horizon(t_end)
-            .plan(&coeff_options(u, Method::Auto))?
+            .plan(&coeff_options(u))?
             .solve_coeffs(u)
     }
 
-    /// A multi-term sweep on the path `method` selects.
+    /// A multi-term sweep on the path its orders select.
     pub fn solve_multiterm(
         mt: &MultiTermSystem,
         u: &[Vec<f64>],
         t_end: f64,
-        method: Method,
     ) -> Result<OpmResult, OpmError> {
         Simulation::from_multiterm(mt.clone())
             .horizon(t_end)
-            .plan(&coeff_options(u, method))?
+            .plan(&coeff_options(u))?
             .solve_coeffs(u)
     }
 }

@@ -11,9 +11,10 @@
 //!
 //! — one sparse LU factorization, one solve per column, `O(n^β m)` total:
 //! the paper's claim that OPM matches trapezoidal-class methods is an
-//! algebraic identity, which the test suite verifies against the paper's
-//! literal accumulator form ([`crate::Method::Accumulator`]) and the
-//! Kronecker oracle.
+//! algebraic identity. Every linear plan sweeps this recurrence; the
+//! paper's literal accumulator form ([`accumulator_solve`]) and the
+//! Kronecker oracle ([`crate::kron_solve::kron_solve_linear`]) are the
+//! reference forms the tests check it against.
 //!
 //! Nonzero initial conditions use the state shift `z = x − x₀` (the
 //! constant `A·x₀` joins the input), since the BPF derivative expansion
@@ -22,11 +23,59 @@
 //! The strategy runs in the plan layer ([`crate::session`]): a
 //! [`crate::SimPlan`] built by [`crate::Simulation::plan`] validates,
 //! factors the pencil once and runs the (block) column sweep for every
-//! scenario; this module holds the strategy's derivation and its tests.
+//! scenario; this module holds the strategy's derivation, its oracle
+//! and its tests.
+
+use crate::engine::{apply_b, factor_pencil, validate_coeff_inputs, validate_horizon, validate_x0};
+use crate::result::{uniform_bounds, OpmResult};
+use crate::OpmError;
+use opm_system::DescriptorSystem;
+
+/// The paper's literal alternating-accumulator algorithm, the oracle of
+/// the two-term recurrence. With `σ = 2/h` and `z = x − x₀`, column `j`
+/// solves
+///
+/// ```text
+/// (σE − A)·z_j = B·u_j + A·x₀ − 2σ·E·g_j,   g₀ = 0,   g_j = −(g_{j−1} + z_{j−1})
+/// ```
+///
+/// against one factorization of `σE − A`, and `x_j = z_j + x₀`.
+///
+/// # Errors
+/// [`OpmError::BadArguments`] on shape mismatches or a non-positive
+/// horizon; [`OpmError::SingularPencil`] when `σE − A` is singular.
+pub fn accumulator_solve(
+    sys: &DescriptorSystem,
+    u_coeffs: &[Vec<f64>],
+    t_end: f64,
+    x0: &[f64],
+) -> Result<OpmResult, OpmError> {
+    let m = validate_coeff_inputs(sys.num_inputs(), u_coeffs)?;
+    validate_horizon(t_end)?;
+    validate_x0(sys.order(), x0)?;
+    let sigma = 2.0 * m as f64 / t_end;
+    let lu = factor_pencil(&sys.e().lin_comb(sigma, -1.0, sys.a()))?;
+    let c = sys.a().mul_vec(x0);
+    let mut g = vec![0.0; sys.order()];
+    let mut z = vec![0.0; sys.order()];
+    let mut columns = Vec::with_capacity(m);
+    for j in 0..m {
+        for (gi, zi) in g.iter_mut().zip(&z) {
+            *gi = -(*gi + zi);
+        }
+        let mut rhs = c.clone();
+        apply_b(sys.b(), u_coeffs, j, 1.0, &mut rhs);
+        sys.e().mul_vec_acc(-2.0 * sigma, &g, &mut rhs);
+        z = lu.solve(&rhs);
+        columns.push(z.iter().zip(x0).map(|(zi, xi)| zi + xi).collect());
+    }
+    Ok(OpmResult::new(uniform_bounds(m, t_end), columns, sys.c()))
+}
 
 #[cfg(test)]
 mod tests {
-    use crate::testkit::{solve_linear, solve_linear_accumulator};
+    use super::accumulator_solve;
+    use crate::testkit::solve_linear;
     use crate::OpmError;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_system::DescriptorSystem;
@@ -63,7 +112,7 @@ mod tests {
         let m = 64;
         let u = InputSet::new(vec![Waveform::sine(0.0, 1.0, 1.5, 0.0, 0.3)]).bpf_matrix(m, 3.0);
         let fast = solve_linear(&sys, &u, 3.0, &[0.4]).unwrap();
-        let acc = solve_linear_accumulator(&sys, &u, 3.0, &[0.4]).unwrap();
+        let acc = accumulator_solve(&sys, &u, 3.0, &[0.4]).unwrap();
         for j in 0..m {
             assert!(
                 (fast.state_coeff(0, j) - acc.state_coeff(0, j)).abs() < 1e-10,

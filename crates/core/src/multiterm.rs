@@ -17,15 +17,17 @@
 //!   `O(n^β m + n m²)`, the paper's fractional complexity.
 //!
 //! Both paths run in the plan layer ([`crate::session`]): a
-//! [`crate::Simulation::from_multiterm`] plan picks the integer fast path
-//! automatically ([`crate::Method::Auto`]; force a path with
-//! [`crate::Method::Recurrence`] / [`crate::Method::Convolution`]); this
-//! module holds the strategy's derivation and its tests.
+//! [`crate::Simulation::from_multiterm`] plan takes the integer fast path
+//! exactly when every order is an integer (up to 16), and the
+//! convolution otherwise — the model picks the path, no option does.
+//! The dense [`crate::kron_solve::kron_solve_multiterm`] is the oracle
+//! both are checked against; this module holds the strategy's
+//! derivation and its tests.
 
 #[cfg(test)]
 mod tests {
+    use crate::kron_solve::kron_solve_multiterm;
     use crate::testkit::{solve_fractional, solve_linear, solve_multiterm};
-    use crate::Method;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_system::{DescriptorSystem, MultiTermSystem, SecondOrderSystem, Term};
     use opm_waveform::{InputSet, Waveform};
@@ -54,13 +56,7 @@ mod tests {
             DescriptorSystem::new(CsrMatrix::identity(1), a.to_csr(), b.to_csr(), None).unwrap();
         let m = 64;
         let u = InputSet::new(vec![Waveform::sine(0.2, 1.0, 1.0, 0.0, 0.0)]).bpf_matrix(m, 2.0);
-        let via_mt = solve_multiterm(
-            &MultiTermSystem::from_descriptor(&sys),
-            &u,
-            2.0,
-            Method::Auto,
-        )
-        .unwrap();
+        let via_mt = solve_multiterm(&MultiTermSystem::from_descriptor(&sys), &u, 2.0).unwrap();
         let via_lin = solve_linear(&sys, &u, 2.0, &[0.0]).unwrap();
         for j in 0..m {
             assert!(
@@ -71,7 +67,7 @@ mod tests {
     }
 
     #[test]
-    fn recurrence_and_convolution_paths_agree() {
+    fn recurrence_path_matches_the_kron_oracle() {
         // Damped oscillator: ẍ + 0.4ẋ + 4x = u.
         let mt = MultiTermSystem::new(
             vec![eye_term(2.0), scaled_term(1.0, 0.4), scaled_term(0.0, 4.0)],
@@ -81,8 +77,8 @@ mod tests {
         .unwrap();
         let m = 96;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 6.0);
-        let fast = solve_multiterm(&mt, &u, 6.0, Method::Recurrence).unwrap();
-        let slow = solve_multiterm(&mt, &u, 6.0, Method::Convolution).unwrap();
+        let fast = solve_multiterm(&mt, &u, 6.0).unwrap();
+        let slow = kron_solve_multiterm(&mt, &u, 6.0).unwrap();
         for j in 0..m {
             assert!(
                 (fast.state_coeff(0, j) - slow.state_coeff(0, j)).abs() < 1e-8,
@@ -109,7 +105,7 @@ mod tests {
         let t_end = 8.0;
         let u_set = InputSet::new(vec![Waveform::step(0.0, 1.0)]);
         let u = u_set.bpf_matrix(m, t_end);
-        let opm = solve_multiterm(&s.to_multiterm(), &u, t_end, Method::Auto).unwrap();
+        let opm = solve_multiterm(&s.to_multiterm(), &u, t_end).unwrap();
         let reference =
             opm_transient::expm_reference(&s.to_companion(), &u_set, t_end, m, &[0.0, 0.0])
                 .unwrap();
@@ -144,7 +140,7 @@ mod tests {
         .unwrap();
         let m = 128;
         let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 2.0);
-        let via_mt = solve_multiterm(&mt, &u, 2.0, Method::Auto).unwrap();
+        let via_mt = solve_multiterm(&mt, &u, 2.0).unwrap();
         let via_frac = solve_fractional(&fsys, &u, 2.0).unwrap();
         for j in 0..m {
             assert!(
@@ -165,24 +161,12 @@ mod tests {
         .unwrap();
         let m = 128;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 10.0);
-        let r = solve_multiterm(&mt, &u, 10.0, Method::Auto).unwrap();
+        let r = solve_multiterm(&mt, &u, 10.0).unwrap();
         for j in 0..m {
             let v = r.state_coeff(0, j);
             assert!(v.is_finite() && v.abs() < 3.0, "column {j}: {v}");
         }
         // Must settle toward the static gain 1.
         assert!((r.state_coeff(0, m - 1) - 1.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn recurrence_path_rejects_fractional() {
-        let mt = MultiTermSystem::new(
-            vec![eye_term(0.5), eye_term(0.0)],
-            CsrMatrix::identity(1),
-            None,
-        )
-        .unwrap();
-        let u = vec![vec![1.0; 8]];
-        assert!(solve_multiterm(&mt, &u, 1.0, Method::Recurrence).is_err());
     }
 }

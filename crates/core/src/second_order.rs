@@ -13,7 +13,7 @@
 #[cfg(test)]
 mod tests {
     use crate::testkit::solve_multiterm;
-    use crate::{Method, OpmError, OpmResult, Simulation, SolveOptions};
+    use crate::{OpmError, OpmResult, Simulation, SolveOptions};
     use opm_circuits::grid::PowerGridSpec;
     use opm_circuits::na::assemble_na;
     use opm_sparse::CsrMatrix;
@@ -47,8 +47,7 @@ mod tests {
         let direct = solve_second_order(&na.system, &na.inputs, t_end, m).unwrap();
         let bounds: Vec<f64> = (0..=m).map(|k| k as f64 * t_end / m as f64).collect();
         let u_dot = na.inputs.derivative_averages_on_grid(&bounds);
-        let manual =
-            solve_multiterm(&na.system.to_multiterm(), &u_dot, t_end, Method::Auto).unwrap();
+        let manual = solve_multiterm(&na.system.to_multiterm(), &u_dot, t_end).unwrap();
         for j in 0..m {
             for i in 0..na.system.order() {
                 assert_eq!(direct.state_coeff(i, j), manual.state_coeff(i, j));

@@ -47,28 +47,33 @@
 //! bit for bit [`SimPlan::solve`]. Every uniform-grid solve — whole-horizon,
 //! windowed, streaming, and linear Newton — runs one window loop: the
 //! whole horizon is its one-window case, swept against the factorization
-//! the plan was built with. Adaptive, step-grid and Kronecker plans run
-//! their own whole-horizon solve at `W = 1` and reject `W > 1`.
+//! the plan was built with. Adaptive and step-grid plans run their own
+//! whole-horizon solve at `W = 1` and reject `W > 1`.
 //!
-//! A uniform plan sweeps one of three column recurrences: the linear
-//! two-term recurrence, the integer multi-term finite recurrence, or the
-//! nilpotent-series convolution. A fractional model sweeps as its
-//! two-term conversion `[(α, E), (0, −A)]`, exactly like a
-//! fractional-mixture multi-term model. Every pencil a plan factors — a
-//! window count, an adaptive lattice step, a step-grid column, a Newton
-//! iterate — is one weight vector of the plan's [`PencilFamily`], and
-//! every plan kind built through a [`crate::PlanCache`] records that
-//! family's analysis through the cache's pattern tier.
+//! A uniform plan sweeps one of three column recurrences, picked from
+//! the model alone: the linear two-term recurrence (linear models), the
+//! integer multi-term finite recurrence (integer-order multi-term and
+//! second-order models), or the nilpotent-series convolution (fractional
+//! models and fractional mixtures). No option selects another path; the
+//! paper's reference forms are oracles for the tests
+//! ([`crate::kron_solve`], [`crate::linear::accumulator_solve`]). A
+//! fractional model sweeps as its two-term conversion
+//! `[(α, E), (0, −A)]`, exactly like a fractional-mixture multi-term
+//! model. Every pencil a plan factors — a window count, an adaptive
+//! lattice step, a step-grid column, a Newton iterate — is one weight
+//! vector of the plan's [`PencilFamily`], and every plan kind built
+//! through a [`crate::PlanCache`] records that family's analysis
+//! through the cache's pattern tier.
 
 use crate::adaptive::{self, AdaptiveOpmOptions, StepGridFactors, StepLattice};
 use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
     apply_b_block, deinterleave, validate_coeff_inputs, validate_horizon, validate_x0,
-    BlockColumnSweep, Method, PencilFamily, SolveOptions,
+    BlockColumnSweep, PencilFamily, SolveOptions,
 };
 use crate::gate::GateCache;
-use crate::kron_solve::{fractional_as_multiterm, kron_prepare, kron_solve_prepared, KronFactors};
+use crate::kron_solve::fractional_as_multiterm;
 use crate::metrics::FactorProfile;
 use crate::newton::NewtonSweep;
 use crate::result::{uniform_bounds, OpmResult};
@@ -342,8 +347,9 @@ impl Simulation {
     /// Validates the session against `opts` and performs every
     /// stimulus-independent step once: shape checks, pencil assembly, AMD
     /// ordering, sparse LU factorization, fractional series, recurrence
-    /// polynomials. The returned [`SimPlan`] replays scenarios against
-    /// the cached factorization.
+    /// polynomials. The model picks the sweep; `opts` sets only the grid.
+    /// The returned [`SimPlan`] replays scenarios against the cached
+    /// factorization.
     ///
     /// The plan `Arc`-shares the session's model: it is self-contained
     /// (`'static`), `Send + Sync`, free to outlive this session, and
@@ -400,8 +406,7 @@ impl Simulation {
             }
             None => vec![0.0; n],
         };
-        let nonzero_x0 = x0.iter().any(|&v| v != 0.0);
-        if nonzero_x0 && !matches!(model.as_ref(), SimModel::Linear(_)) {
+        if x0.iter().any(|&v| v != 0.0) && !matches!(model.as_ref(), SimModel::Linear(_)) {
             return Err(OpmError::BadArguments(format!(
                 "nonzero initial conditions are only supported for linear problems \
                  (the `{}` strategy assumes zero Caputo initial conditions)",
@@ -446,61 +451,21 @@ impl Simulation {
             return Err(OpmError::BadArguments("zero intervals".into()));
         }
         validate_horizon(t_end)?;
-        let require_zero_x0 = |method: &str| -> Result<(), OpmError> {
-            if nonzero_x0 {
-                Err(OpmError::BadArguments(format!(
-                    "nonzero initial conditions require the Recurrence or Accumulator \
-                     method on the `linear` strategy ({method} assumes x(0) = 0)"
-                )))
-            } else {
-                Ok(())
-            }
-        };
+        if !matches!(model.as_ref(), SimModel::Linear(_)) {
+            require_linear_kind(model.strategy_name())?;
+        }
         let uniform = |sweep: Sweep, mt: Option<MultiTermSystem>| {
             UniformPlan::prepare(model, sweep, mt, m, t_end, patterns).map(PlanKind::Uniform)
         };
-        let kron = |mt: MultiTermSystem| -> Result<PlanKind, OpmError> {
-            let factors = kron_prepare(&mt, m, t_end)?;
-            Ok(PlanKind::Kron {
-                factors,
-                mt: Some(mt),
-            })
-        };
 
         let kind = match model.as_ref() {
-            SimModel::Linear(sys) => match opts.method {
-                Method::Auto | Method::Recurrence | Method::Accumulator => uniform(
-                    Sweep::Linear {
-                        accumulator: opts.method == Method::Accumulator,
-                    },
-                    None,
-                )?,
-                Method::Convolution => {
-                    require_zero_x0("Convolution")?;
-                    let mt = MultiTermSystem::from_descriptor(sys);
-                    uniform(mt_sweep(&mt, Method::Auto)?, Some(mt))?
-                }
-                Method::Kronecker => {
-                    require_zero_x0("Kronecker")?;
-                    kron(MultiTermSystem::from_descriptor(sys))?
-                }
-            },
+            SimModel::Linear(_) => uniform(Sweep::Linear, None)?,
             // `E·d^α x = A x + B u` is the two-term system
             // `[(α, E), (0, −A)]`: one convolution sweep serves both.
-            SimModel::Fractional(fsys) => match opts.method {
-                Method::Kronecker => kron(fractional_as_multiterm(fsys))?,
-                _ => uniform(Sweep::Convolution, Some(fractional_as_multiterm(fsys)))?,
-            },
-            SimModel::MultiTerm(mt) => match opts.method {
-                Method::Kronecker => PlanKind::Kron {
-                    factors: kron_prepare(mt, m, t_end)?,
-                    mt: None,
-                },
-                Method::Accumulator => {
-                    unreachable!("validate_options rejects Accumulator on multi-term models")
-                }
-                method => uniform(mt_sweep(mt, method)?, None)?,
-            },
+            SimModel::Fractional(fsys) => {
+                uniform(Sweep::Convolution, Some(fractional_as_multiterm(fsys)))?
+            }
+            SimModel::MultiTerm(mt) => uniform(mt_sweep(mt), None)?,
             // The nodal conversion has integer orders 0, 1, 2: always the
             // finite recurrence, fed exact `u̇` averages.
             SimModel::SecondOrder(so) => uniform(
@@ -510,15 +475,6 @@ impl Simulation {
                 Some(so.to_multiterm()),
             )?,
         };
-        if !matches!(
-            kind,
-            PlanKind::Uniform(UniformPlan {
-                sweep: Sweep::Linear { .. },
-                ..
-            })
-        ) {
-            require_linear_kind(model.strategy_name())?;
-        }
         Ok(plan(m, kind))
     }
 }
@@ -551,13 +507,6 @@ pub(crate) fn validate_options(
              choose on-the-fly error control (adaptive) or explicit steps (step_grid), not both"
         ));
     }
-    if grid_like && opts.method != Method::Auto {
-        return bad(format!(
-            "option `method` ({:?}) does not combine with `{grid_opt}` on the `{strategy}` \
-             strategy: adaptive/step-grid solves choose their own path",
-            opts.method
-        ));
-    }
     if grid_like && opts.resolution.is_some() {
         return bad(format!(
             "option `resolution` does not combine with `{grid_opt}` on the `{strategy}` \
@@ -565,6 +514,13 @@ pub(crate) fn validate_options(
         ));
     }
     if let Some(steps) = &opts.step_grid {
+        if let Some(i) = steps.iter().position(|h| !(h.is_finite() && *h > 0.0)) {
+            return bad(format!(
+                "option `step_grid` step {i} is {:e} on the `{strategy}` strategy: \
+                 every step must be positive and finite",
+                steps[i]
+            ));
+        }
         let total: f64 = steps.iter().sum();
         let spans_horizon = total > 0.0 && (total - t_end).abs() <= 1e-9 * t_end.abs();
         if !spans_horizon {
@@ -590,12 +546,6 @@ pub(crate) fn validate_options(
                     "fractional problems take an explicit SolveOptions::step_grid",
                 );
             }
-            if opts.method == Method::Accumulator {
-                return bad(format!(
-                    "method `Accumulator` does not apply to the `{strategy}` strategy: \
-                     the accumulator form exists only for linear problems"
-                ));
-            }
         }
         SimModel::MultiTerm(_) => {
             if grid_like {
@@ -604,12 +554,6 @@ pub(crate) fn validate_options(
                     "adaptive/step-grid solving is not available for multi-term problems",
                 );
             }
-            if opts.method == Method::Accumulator {
-                return bad(format!(
-                    "method `Accumulator` does not apply to the `{strategy}` strategy: \
-                     the accumulator form exists only for linear problems"
-                ));
-            }
         }
         SimModel::SecondOrder(_) => {
             if grid_like {
@@ -617,13 +561,6 @@ pub(crate) fn validate_options(
                     grid_opt,
                     "adaptive/step-grid solving is not available for second-order problems",
                 );
-            }
-            if opts.method != Method::Auto {
-                return bad(format!(
-                    "method `{:?}` does not apply to the `{strategy}` strategy: \
-                     second-order problems always run the multi-term conversion",
-                    opts.method
-                ));
             }
         }
     }
@@ -643,12 +580,6 @@ enum PlanKind {
     /// A uniform-grid sweep (linear, fractional, multi-term, and the
     /// multi-term conversions a plan owns).
     Uniform(UniformPlan),
-    /// Dense Kronecker oracle with the big LU cached.
-    Kron {
-        factors: KronFactors,
-        /// Owned conversion when the model is not already multi-term.
-        mt: Option<MultiTermSystem>,
-    },
     /// On-the-fly adaptive linear stepping; the power-of-two lattice
     /// persists across every scenario solved through this plan (one
     /// symbolic analysis, numeric refactorization per new lattice
@@ -667,9 +598,8 @@ enum PlanKind {
 /// them for any window count — the whole horizon is one window.
 #[derive(Clone, Copy)]
 enum Sweep {
-    /// Linear two-term recurrence, or the paper's literal alternating
-    /// accumulator, against `σ·E − A`.
-    Linear { accumulator: bool },
+    /// Linear two-term recurrence against `σ·E − A`.
+    Linear,
     /// Integer multi-term finite `(1+q)^K` recurrence; `differentiate`
     /// feeds it exact `u̇` averages (second-order nodal plans).
     Recurrence { differentiate: bool },
@@ -685,10 +615,9 @@ struct UniformPlan {
     sweep: Sweep,
     /// `σ·E − A` over `(E, A)` for linear sweeps, else `Σ_k w_k·A_k`
     /// over the swept multi-term system's terms.
-    pencil: PencilFamily,
+    pencil: Box<PencilFamily>,
     /// The multi-term conversion the plan sweeps when the model is not
-    /// itself multi-term (fractional models, linear `Convolution`
-    /// method, second-order nodal form).
+    /// itself multi-term (fractional models, second-order nodal form).
     mt: Option<MultiTermSystem>,
     whole: Arc<WindowKernel>,
 }
@@ -696,7 +625,10 @@ struct UniformPlan {
 /// A reusable solving session: the validated problem shape, orderings
 /// and factorizations of one [`Simulation::plan`], amortized over every
 /// [`solve`](SimPlan::solve) / [`solve_batch`](SimPlan::solve_batch) /
-/// [`solve_windowed`](SimPlan::solve_windowed) call.
+/// [`solve_windowed`](SimPlan::solve_windowed) call. The sweep it runs
+/// is the model's: the linear recurrence for linear models, the finite
+/// recurrence for integer-order multi-term and second-order models, the
+/// convolution for fractional models and mixtures.
 ///
 /// A plan **owns** its model state (`Arc`-shared with the
 /// [`Simulation`] that built it): it is `'static` and `Send + Sync`, so
@@ -751,9 +683,9 @@ struct WindowKernel {
 
 /// A window kernel's symbol data (see [`window_symbols`]).
 enum WindowSymbols {
-    /// The linear recurrence or accumulator at `σ_w = 2·m·W/T`. The
-    /// carried state is the polyline endpoint.
-    Linear { sigma: f64, accumulator: bool },
+    /// The linear recurrence at `σ_w = 2·m·W/T`. The carried state is
+    /// the polyline endpoint.
+    Linear { sigma: f64 },
     /// Integer multi-term recurrence: the `h_w`-scaled polynomials. The
     /// carried state is the trailing `depth` solved columns (and the
     /// matching stimulus columns), which makes the restarted recurrence
@@ -904,24 +836,6 @@ impl std::fmt::Debug for SimPlan {
     }
 }
 
-/// Profile of a plan whose preparation performed exactly one full
-/// factorization — every uniform-grid kind.
-const ONE_SYMBOLIC: FactorProfile = FactorProfile {
-    num_symbolic: 1,
-    num_numeric: 0,
-    cache_hits: 0,
-    cache_misses: 0,
-    num_windows: 0,
-    num_supernodes: 0,
-    supernode_cols: 0,
-    dense_tail_cols: 0,
-    factor_cols: 0,
-    factor_nnz: 0,
-    newton_iters: 0,
-    newton_refactors: 0,
-    newton_fresh_fallbacks: 0,
-};
-
 /// Lanes per worker for a `lanes`-wide batch on `threads` workers.
 ///
 /// The even share is rounded up to the panel width so chunk boundaries
@@ -963,7 +877,6 @@ impl SimPlan {
     pub fn factor_profile(&self) -> FactorProfile {
         let p = match &self.kind {
             PlanKind::Uniform(u) => u.pencil.profile(),
-            PlanKind::Kron { .. } => ONE_SYMBOLIC,
             PlanKind::AdaptiveLinear { lattice, .. } => lattice.profile(),
             PlanKind::StepGrid(sg) => sg.factors.profile(),
         };
@@ -1061,26 +974,22 @@ impl SimPlan {
     /// (second-order, adaptive, step-grid).
     pub fn solve_coeffs(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
         self.reject_nonlinear()?;
-        let needs_waveforms = match &self.kind {
-            PlanKind::AdaptiveLinear { .. } => {
-                Some("adaptive stepping needs waveform inputs (exact interval averages)")
-            }
-            PlanKind::StepGrid(_) => Some("step-grid solving needs waveform inputs"),
+        let plan = match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep:
                     Sweep::Recurrence {
                         differentiate: true,
                     },
                 ..
-            }) => Some(
-                "second-order problems need waveform inputs (the engine \
-                 differentiates them exactly)",
-            ),
-            _ => None,
-        };
-        if let Some(why) = needs_waveforms {
-            return Err(OpmError::BadArguments(why.into()));
+            }) => Err("second-order problems need waveform inputs (the engine \
+                 differentiates them exactly)"),
+            PlanKind::Uniform(plan) => Ok(plan),
+            PlanKind::AdaptiveLinear { .. } => {
+                Err("adaptive stepping needs waveform inputs (exact interval averages)")
+            }
+            PlanKind::StepGrid(_) => Err("step-grid solving needs waveform inputs"),
         }
+        .map_err(|why| OpmError::BadArguments(why.into()))?;
         let p = self.model.num_inputs();
         let mu = validate_coeff_inputs(p, u)?;
         if mu != self.m {
@@ -1091,9 +1000,6 @@ impl SimPlan {
                 self.m
             )));
         }
-        let PlanKind::Uniform(plan) = &self.kind else {
-            return self.kron_solve(u);
-        };
         let mut out = self.drive_batch(
             &plan.whole,
             &[u],
@@ -1123,16 +1029,16 @@ impl SimPlan {
     /// recurrence is the trapezoidal rule in disguise, and the polyline
     /// endpoint handoff is its exact restart).
     ///
-    /// `W > 1` is supported for linear/descriptor
-    /// (Recurrence/Accumulator), second-order, fractional and multi-term
-    /// plans. Linear and integer-recurrence plans carry *exact* finite
-    /// state (polyline endpoint / trailing recurrence columns);
-    /// fractional and fractional-mixture multi-term plans carry the
-    /// Caputo/GL memory of all previous windows as an extra per-lane
-    /// forcing built from the history convolution over their solved
-    /// columns (see [`WindowedOptions`]). Adaptive, step-grid and
-    /// Kronecker plans are whole-horizon by construction and reject
-    /// `W > 1` with an error naming the plan kind.
+    /// `W > 1` is supported on every uniform plan: linear/descriptor,
+    /// second-order, fractional and multi-term. Linear and
+    /// integer-recurrence plans carry *exact* finite state (polyline
+    /// endpoint / trailing recurrence columns); fractional and
+    /// fractional-mixture multi-term plans carry the Caputo/GL memory of
+    /// all previous windows as an extra per-lane forcing built from the
+    /// history convolution over their solved columns (see
+    /// [`WindowedOptions`]). Adaptive and step-grid plans are
+    /// whole-horizon by construction and reject `W > 1` with an error
+    /// naming the plan kind.
     ///
     /// ```
     /// use opm_core::{Simulation, SolveOptions};
@@ -1155,7 +1061,7 @@ impl SimPlan {
     ///
     /// # Errors
     /// [`OpmError::BadArguments`] on channel mismatches, zero windows,
-    /// or an unsupported strategy/method (the message names both).
+    /// or a whole-horizon plan kind (the message names it).
     pub fn solve_windowed(&self, inputs: &InputSet, windows: usize) -> Result<OpmResult, OpmError> {
         let mut out = self.solve_windowed_batch_opts(
             std::slice::from_ref(inputs),
@@ -1227,8 +1133,8 @@ impl SimPlan {
     /// carried Caputo/GL memory reads (see [`WindowedOptions`]). The
     /// [`WindowBlock`]s carry global-time bounds, so concatenating their
     /// results reproduces [`SimPlan::solve_windowed`] exactly.
-    /// Uniform-grid plans only: adaptive, step-grid and Kronecker plans
-    /// have no window blocks to hand out.
+    /// Uniform-grid plans only: adaptive and step-grid plans have no
+    /// window blocks to hand out.
     ///
     /// Returns the final state `x(T)` (the last window's
     /// [`WindowBlock::end_state`]).
@@ -1380,9 +1286,9 @@ impl SimPlan {
     /// The one waveform-batch dispatch behind [`SimPlan::solve_batch`]
     /// and [`SimPlan::solve_windowed_batch_opts`]. Uniform plans run the
     /// window loop for any `W` (the whole horizon is `W = 1`, swept
-    /// against the factorization the plan was built with); adaptive,
-    /// step-grid and Kronecker plans run their whole-horizon solve at
-    /// `W = 1` and reject any other window count.
+    /// against the factorization the plan was built with); adaptive and
+    /// step-grid plans run their whole-horizon solve at `W = 1` and
+    /// reject any other window count.
     fn batch(
         &self,
         inputs: &[InputSet],
@@ -1427,11 +1333,6 @@ impl SimPlan {
                 .into_iter()
                 .collect()
             }
-            PlanKind::Kron { .. } if whole => opm_par::par_map(threads, inputs, |ws| {
-                self.kron_solve(&ws.bpf_matrix(self.m, self.t_end))
-            })
-            .into_iter()
-            .collect(),
             // The window loop, or the named rejection of `W ≠ 1` on the
             // whole-horizon kinds.
             _ => {
@@ -1468,17 +1369,13 @@ impl SimPlan {
                 })?;
                 return Ok(kernel);
             }
-            PlanKind::Kron { .. } => (
-                format!("{} (Kronecker plan)", self.model.strategy_name()),
-                "the Kronecker oracle materializes the whole horizon as one dense system",
-            ),
             PlanKind::AdaptiveLinear { .. } => (
-                "linear (adaptive plan)".into(),
+                "linear (adaptive plan)",
                 "`adaptive` plans let the step controller pace the horizon; \
                  windowed solving applies to fixed-resolution plans",
             ),
             PlanKind::StepGrid(_) => (
-                "fractional (step-grid plan)".into(),
+                "fractional (step-grid plan)",
                 "step-grid plans resolve the whole horizon on their explicit grid",
             ),
         };
@@ -1493,7 +1390,6 @@ impl SimPlan {
     fn mt(&self) -> Option<&MultiTermSystem> {
         let owned = match &self.kind {
             PlanKind::Uniform(u) => u.mt.as_ref(),
-            PlanKind::Kron { mt, .. } => mt.as_ref(),
             _ => None,
         };
         swept_mt(owned, &self.model)
@@ -1504,10 +1400,10 @@ impl SimPlan {
     fn linear_family(&self) -> Option<&PencilFamily> {
         match &self.kind {
             PlanKind::Uniform(UniformPlan {
-                sweep: Sweep::Linear { .. },
+                sweep: Sweep::Linear,
                 pencil,
                 ..
-            }) => Some(pencil),
+            }) => Some(pencil.as_ref()),
             _ => None,
         }
     }
@@ -1706,7 +1602,7 @@ impl SimPlan {
     ) -> Vec<Vec<f64>> {
         let lu = &kernel.lu;
         match &kernel.symbols {
-            WindowSymbols::Linear { sigma, accumulator } => {
+            WindowSymbols::Linear { sigma } => {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
                     unreachable!("linear window kernels are built on linear models");
                 };
@@ -1714,7 +1610,7 @@ impl SimPlan {
                 // c = A·x(T_w), per lane.
                 let mut c_force = vec![0.0; sys.order() * lc.lanes];
                 sys.a().mul_block_into(start, &mut c_force, lc.lanes);
-                let mut columns = sweep_linear_block(sys, lu, *sigma, &c_force, *accumulator, lc);
+                let mut columns = sweep_linear_block(sys, lu, *sigma, &c_force, lc);
                 // z → x: add the window's start state back.
                 for col in &mut columns {
                     for (c, &v) in col.iter_mut().zip(start) {
@@ -1751,14 +1647,6 @@ impl SimPlan {
             }
         }
         Ok(())
-    }
-
-    /// One coefficient stimulus through the dense Kronecker oracle.
-    fn kron_solve(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
-        let (PlanKind::Kron { factors, .. }, Some(mt)) = (&self.kind, self.mt()) else {
-            unreachable!("kron plans carry or reference a multi-term form");
-        };
-        kron_solve_prepared(mt, factors, u, self.t_end)
     }
 }
 
@@ -1799,38 +1687,19 @@ fn axpy(y: &mut [f64], x: &[f64], a: f64) {
 // Per-kind block sweeps (the strategies, K lanes wide)
 // ---------------------------------------------------------------------------
 
-/// Linear two-term recurrence or the paper's literal alternating
-/// accumulator, K lanes wide (paper §III; see [`crate::linear`] for the
-/// derivation), against a **per-lane** constant forcing block
-/// `c_force = A·x_w` from each lane's window start state `x_w` (`x₀` for
-/// the first window).
+/// Linear two-term recurrence, K lanes wide (paper §III; see
+/// [`crate::linear`] for the derivation), against a **per-lane**
+/// constant forcing block `c_force = A·x_w` from each lane's window
+/// start state `x_w` (`x₀` for the first window).
 fn sweep_linear_block(
     sys: &DescriptorSystem,
     lu: &SparseLu,
     sigma: f64,
     c_force: &[f64],
-    accumulator: bool,
     lc: &LaneCoeffs,
 ) -> Vec<Vec<f64>> {
     let n = sys.order();
     let k = lc.lanes;
-    if accumulator {
-        let mut g = vec![0.0; n * k];
-        return BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
-            // g_j = −(g_{j−1} + z_{j−1}), folded in lazily.
-            if j > 0 {
-                for (gi, zi) in g.iter_mut().zip(&history[j - 1]) {
-                    *gi = -(*gi + zi);
-                }
-            }
-            apply_b_block(sys.b(), &lc.cols[j], k, 1.0, rhs);
-            axpy(rhs, c_force, 1.0);
-            if j > 0 {
-                sys.e().mul_block_into(&g, work, k);
-                axpy(rhs, work, -2.0 * sigma);
-            }
-        });
-    }
     BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
         if j == 0 {
             // Column 0: (σE − A)·z₀ = B·u₀ + c.
@@ -1980,36 +1849,17 @@ fn start_column(acc: &mut [f64], carried: Option<&[Vec<f64>]>, j: usize) {
 // Plan-time precomputation: one derivation of every window's symbol data
 // ---------------------------------------------------------------------------
 
-fn mt_all_integer(mt: &MultiTermSystem) -> bool {
-    mt.terms()
-        .iter()
-        .all(|t| t.alpha.fract() == 0.0 && t.alpha <= 16.0)
-}
-
-/// The multi-term sweep `method` selects: the finite recurrence for
-/// integer orders (forced by `Recurrence`), the convolution for
-/// fractional mixtures (forced by `Convolution`).
-fn mt_sweep(mt: &MultiTermSystem, method: Method) -> Result<Sweep, OpmError> {
-    let recurrence = match method {
-        Method::Recurrence => {
-            if let Some(t) = mt.terms().iter().find(|t| t.alpha.fract() != 0.0) {
-                return Err(OpmError::BadArguments(format!(
-                    "non-integer order {} in recurrence path",
-                    t.alpha
-                )));
-            }
-            true
-        }
-        Method::Convolution => false,
-        _ => mt_all_integer(mt),
-    };
-    Ok(if recurrence {
+/// The multi-term sweep the orders pick: the finite recurrence when
+/// every order is an integer up to 16, the convolution otherwise.
+fn mt_sweep(mt: &MultiTermSystem) -> Sweep {
+    let integer = |t: &opm_system::Term| t.alpha.fract() == 0.0 && t.alpha <= 16.0;
+    if mt.terms().iter().all(integer) {
         Sweep::Recurrence {
             differentiate: false,
         }
     } else {
         Sweep::Convolution
-    })
+    }
 }
 
 /// The owned conversion when there is one, else the model's own
@@ -2086,9 +1936,9 @@ fn window_symbols(
 ) -> Result<(WindowSymbols, Vec<f64>), OpmError> {
     let mt = || mt.expect("multi-term sweeps carry their system");
     Ok(match sweep {
-        Sweep::Linear { accumulator } => {
+        Sweep::Linear => {
             let sigma = 2.0 * (m as f64 * windows as f64) / t_end;
-            let symbols = WindowSymbols::Linear { sigma, accumulator };
+            let symbols = WindowSymbols::Linear { sigma };
             (symbols, vec![sigma, -1.0])
         }
         Sweep::Recurrence { .. } => {
@@ -2136,7 +1986,7 @@ impl UniformPlan {
         let (pencil, lu) = PencilFamily::recorded_in(&terms, &weights, patterns)?;
         Ok(UniformPlan {
             sweep,
-            pencil,
+            pencil: Box::new(pencil),
             mt,
             whole: Arc::new(WindowKernel { lu, symbols }),
         })
@@ -2343,18 +2193,26 @@ mod tests {
             msg.contains("adaptive") && msg.contains("fractional"),
             "diagnostic must name option and strategy: {msg}"
         );
-        let err = simf
-            .plan(
-                &SolveOptions::new()
-                    .resolution(8)
-                    .method(Method::Accumulator),
-            )
-            .unwrap_err();
-        let msg = format!("{err}");
-        assert!(
-            msg.contains("Accumulator") && msg.contains("fractional"),
-            "diagnostic must name method and strategy: {msg}"
-        );
+        // A step grid that sums to the horizon but holds a step that is
+        // not positive and finite is refused by index, not planned.
+        for (steps, index) in [
+            (vec![0.5, -0.1, 0.6], "step 1"),
+            (vec![0.5, 0.0, 0.5], "step 1"),
+            (vec![f64::NAN, 1.0], "step 0"),
+            (vec![1.0, f64::INFINITY], "step 1"),
+        ] {
+            let err = simf
+                .plan(&SolveOptions::new().step_grid(steps))
+                .unwrap_err();
+            let msg = format!("{err}");
+            assert!(
+                matches!(err, OpmError::BadArguments(_))
+                    && msg.contains("step_grid")
+                    && msg.contains(index)
+                    && msg.contains("fractional"),
+                "diagnostic must name option, step and strategy: {msg}"
+            );
+        }
     }
 
     #[test]
@@ -2553,24 +2411,17 @@ mod tests {
     }
 
     #[test]
-    fn windowed_accumulator_matches_recurrence() {
+    fn windowed_recurrence_matches_the_accumulator_oracle() {
         let sys = scalar(-2.0);
-        let sim = Simulation::from_system(sys).horizon(1.5);
+        let sim = Simulation::from_system(sys.clone()).horizon(1.5);
         let inputs = InputSet::new(vec![Waveform::step(0.4, 1.0)]);
         let rec = sim
             .plan(&SolveOptions::new().resolution(24))
             .unwrap()
             .solve_windowed(&inputs, 6)
             .unwrap();
-        let acc = sim
-            .plan(
-                &SolveOptions::new()
-                    .resolution(24)
-                    .method(Method::Accumulator),
-            )
-            .unwrap()
-            .solve_windowed(&inputs, 6)
-            .unwrap();
+        let u = inputs.bpf_matrix(6 * 24, 1.5);
+        let acc = crate::linear::accumulator_solve(&sys, &u, 1.5, &[0.0]).unwrap();
         for j in 0..rec.num_intervals() {
             assert!((rec.state_coeff(0, j) - acc.state_coeff(0, j)).abs() < 1e-10);
         }
@@ -2586,13 +2437,6 @@ mod tests {
             .unwrap();
         let msg = format!("{}", plana.solve_windowed(&inputs, 2).unwrap_err());
         assert!(msg.contains("adaptive"), "{msg}");
-        // The dense Kronecker oracle is whole-horizon by construction.
-        let simk = Simulation::from_system(scalar(-1.0)).horizon(1.0);
-        let plank = simk
-            .plan(&SolveOptions::new().resolution(8).method(Method::Kronecker))
-            .unwrap();
-        let msg = format!("{}", plank.solve_windowed(&inputs, 2).unwrap_err());
-        assert!(msg.contains("Kronecker"), "{msg}");
         // Step-grid plans resolve the horizon on their explicit grid.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
         let simg = Simulation::from_fractional(fsys).horizon(1.0);
@@ -2829,25 +2673,5 @@ mod tests {
         // 16 time constants out, the state sits at the DC gain.
         assert!((end[0] - 2.0).abs() < 1e-2);
         assert_eq!(plan.factor_profile().num_windows, 32);
-    }
-
-    #[test]
-    fn kron_plan_caches_the_dense_factorization() {
-        let sys = scalar(-1.3);
-        let sim = Simulation::from_system(sys).horizon(1.0);
-        let plan = sim
-            .plan(&SolveOptions::new().resolution(16).method(Method::Kronecker))
-            .unwrap();
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let oracle = plan.solve(&inputs).unwrap();
-        let fast = sim
-            .plan(&SolveOptions::new().resolution(16))
-            .unwrap()
-            .solve(&inputs)
-            .unwrap();
-        for j in 0..16 {
-            assert!((oracle.state_coeff(0, j) - fast.state_coeff(0, j)).abs() < 1e-10);
-        }
-        assert_eq!(plan.factor_profile().num_factorizations(), 1);
     }
 }

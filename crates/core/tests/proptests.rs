@@ -6,45 +6,23 @@
 //! run exercises the identical sample set — failures reproduce exactly.
 
 use opm_core::kron_solve::{kron_solve_fractional, kron_solve_linear};
-use opm_core::{Method, OpmResult, Simulation, SolveOptions};
+use opm_core::linear::accumulator_solve;
+use opm_core::{OpmResult, Simulation, SolveOptions};
 use opm_rng::StdRng;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::{DescriptorSystem, FractionalSystem};
 
 const CASES: usize = 24;
 
-/// One-shot linear solve through a fresh plan on `method`'s path (the
-/// randomized properties below target the strategy the plan layer
-/// dispatches to).
-fn solve_linear_with(
-    sys: &DescriptorSystem,
-    u: &[Vec<f64>],
-    t_end: f64,
-    x0: &[f64],
-    method: Method,
-) -> OpmResult {
+/// One-shot linear solve through a fresh plan.
+fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
     Simulation::from_system(sys.clone())
         .horizon(t_end)
         .initial_state(x0.to_vec())
-        .plan(&SolveOptions::new().resolution(u[0].len()).method(method))
+        .plan(&SolveOptions::new().resolution(u[0].len()))
         .unwrap()
         .solve_coeffs(u)
         .unwrap()
-}
-
-/// One-shot linear solve on the default recurrence path.
-fn solve_linear(sys: &DescriptorSystem, u: &[Vec<f64>], t_end: f64, x0: &[f64]) -> OpmResult {
-    solve_linear_with(sys, u, t_end, x0, Method::Auto)
-}
-
-/// As [`solve_linear`], forced onto the paper's literal accumulator path.
-fn solve_linear_accumulator(
-    sys: &DescriptorSystem,
-    u: &[Vec<f64>],
-    t_end: f64,
-    x0: &[f64],
-) -> OpmResult {
-    solve_linear_with(sys, u, t_end, x0, Method::Accumulator)
 }
 
 /// One-shot fractional solve through a fresh plan.
@@ -107,7 +85,7 @@ fn accumulator_equals_recurrence() {
         let sys = small_system(&mut rng, 4);
         let u = inputs(&mut rng, 16);
         let a = solve_linear(&sys, &u, 2.0, &[0.0; 4]);
-        let b = solve_linear_accumulator(&sys, &u, 2.0, &[0.0; 4]);
+        let b = accumulator_solve(&sys, &u, 2.0, &[0.0; 4]).unwrap();
         for j in 0..16 {
             for i in 0..4 {
                 assert!((a.state_coeff(i, j) - b.state_coeff(i, j)).abs() < 1e-8);

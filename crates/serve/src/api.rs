@@ -16,6 +16,10 @@
 //! }
 //! ```
 //!
+//! `options` holds at most `resolution` (uniform columns) and
+//! `step_grid` (explicit fractional steps); the model picks the sweep,
+//! and any other member is a 400.
+//!
 //! Instead of a netlist, a raw descriptor model can be posted as
 //! sparse triplets (`"model": {"n": …, "inputs": …, "e": [[i,j,v],…],
 //! "a": …, "b": …, "c": …, "alpha": …}`); `"alpha"` makes it
@@ -325,7 +329,21 @@ fn parse_model(model: &Json) -> Result<Simulation, ApiError> {
     }
 }
 
+/// The plan options: an object whose only members are `resolution` and
+/// `step_grid` (the model picks the sweep). Any other member is a 400
+/// naming it, so a misspelt or retired option is never silently dropped.
 fn parse_options(o: &Json) -> Result<SolveOptions, ApiError> {
+    let members = o
+        .entries()
+        .ok_or_else(|| ApiError::bad("`options` must be an object"))?;
+    if let Some((name, _)) = members
+        .iter()
+        .find(|(name, _)| name != "resolution" && name != "step_grid")
+    {
+        return Err(ApiError::bad(format!(
+            "unknown member `options.{name}`: the options are `resolution` and `step_grid`"
+        )));
+    }
     let mut opts = SolveOptions::new();
     if let Some(m) = o.get("resolution") {
         opts = opts.resolution(
@@ -333,19 +351,6 @@ fn parse_options(o: &Json) -> Result<SolveOptions, ApiError> {
                 .filter(|&m| m > 0)
                 .ok_or_else(|| ApiError::bad("`options.resolution` must be a positive integer"))?,
         );
-    }
-    if let Some(method) = o.get("method") {
-        let name = method
-            .as_str()
-            .ok_or_else(|| ApiError::bad("`options.method` must be a string"))?;
-        opts = opts.method(match name {
-            "auto" => opm_core::Method::Auto,
-            "recurrence" => opm_core::Method::Recurrence,
-            "accumulator" => opm_core::Method::Accumulator,
-            "convolution" => opm_core::Method::Convolution,
-            "kronecker" => opm_core::Method::Kronecker,
-            other => return Err(ApiError::bad(format!("unknown method `{other}`"))),
-        });
     }
     if let Some(grid) = o.get("step_grid") {
         opts = opts.step_grid(parse_f64_array(grid, "options.step_grid")?);

@@ -236,16 +236,11 @@ fn stream_rejections_are_plain_400s() {
     };
     let diode = "V1 in 0 SIN(0 1 50)\nR1 in out 1k\nD1 out 0 1e-14\n.end";
     let cpe = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
-    let (m32, kron) = (
-        r#"{"resolution": 32}"#,
-        r#"{"resolution": 32, "method": "kronecker"}"#,
-    );
+    let m32 = r#"{"resolution": 32}"#;
     let cases = [
         // Nonlinear netlists (a `D` card) solve through /solve.
         body(diode, "out", 0.04, m32, step),
-        // The dense Kronecker oracle has no window blocks to stream …
-        body(NETLIST, "out", 5e-3, kron, step),
-        // … and neither does a fractional step grid.
+        // A fractional step grid has no window blocks to stream.
         body(cpe, "top", 1e-6, r#"{"step_grid": [4e-7, 6e-7]}"#, step),
         // Two channels for a one-source netlist.
         body(NETLIST, "out", 5e-3, m32, two_steps),
@@ -775,25 +770,60 @@ fn oversized_solves_are_refused_not_fatal() {
     server.shutdown();
 }
 
-/// A Kronecker plan whose `n·m` overflows `usize` is refused by the
-/// dense-oracle guard with a 400, not a capacity-overflow panic, and the
-/// daemon serves the next request.
+/// `options` is an object whose only members are `resolution` and
+/// `step_grid`: anything else — a misspelt option, the retired
+/// `method`, a non-object — is a 400 naming it, never a request solved
+/// with defaults. The daemon serves the next request.
 #[test]
-fn overflowing_kronecker_size_is_a_400() {
+fn unknown_options_members_are_400s() {
     let server = spawn(ServerConfig::default()).unwrap();
-    // 4 states × 2^62 columns: the product wraps to 0 unchecked.
-    let body = r#"{
-        "model": {"n": 4, "inputs": 1,
-                  "e": [[0, 0, 1.0], [1, 1, 1.0], [2, 2, 1.0], [3, 3, 1.0]],
-                  "a": [[0, 0, -1.0], [1, 1, -1.0], [2, 2, -1.0], [3, 3, -1.0]],
-                  "b": [[0, 0, 1.0]]},
-        "horizon": 1.0,
-        "options": {"resolution": 4611686018427387904, "method": "kronecker"},
-        "scenarios": [[{"kind": "dc", "value": 1.0}]]
-    }"#;
-    let r = client::post(server.addr(), "/solve", body).unwrap();
-    assert_eq!(r.status, 400, "{}", r.body);
-    assert!(r.body.contains("dense oracle guard"), "{}", r.body);
+    for (options, needle) in [
+        (
+            r#"{"resolution": 32, "method": "kronecker"}"#,
+            "`options.method`",
+        ),
+        (
+            r#"{"resolution": 32, "adaptive": {"tol": 1e-3}}"#,
+            "`options.adaptive`",
+        ),
+        (
+            r#"{"resolution": 32, "Resolution": 64}"#,
+            "`options.Resolution`",
+        ),
+        ("5", "`options` must be an object"),
+        ("[32]", "`options` must be an object"),
+    ] {
+        let body = format!(
+            r#"{{"netlist": {NETLIST:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {options}}}"#
+        );
+        let r = client::post(server.addr(), "/solve", &body).unwrap();
+        assert_eq!(r.status, 400, "{options}\n→ {}", r.body);
+        assert!(r.body.contains(needle), "{}", r.body);
+    }
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}
+
+/// A step grid that sums to the horizon but holds a step that is not
+/// positive and finite is a 400 naming the step, not a planner panic:
+/// `robustness.panics` stays 0 and the daemon serves the next request.
+#[test]
+fn non_positive_grid_steps_are_400s() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let cpe = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
+    for (grid, needle) in [
+        ("[5e-7, -1e-7, 6e-7]", "step 1"),
+        ("[5e-7, 0, 5e-7]", "step 1"),
+    ] {
+        let body = format!(
+            r#"{{"netlist": {cpe:?}, "probes": ["top"], "horizon": 1e-6,
+                "options": {{"step_grid": {grid}}}}}"#
+        );
+        let r = client::post(server.addr(), "/solve", &body).unwrap();
+        assert_eq!(r.status, 400, "{grid}\n→ {}", r.body);
+        assert!(r.body.contains(needle), "{}", r.body);
+    }
     let doc = client::get(server.addr(), "/metrics")
         .unwrap()
         .json()

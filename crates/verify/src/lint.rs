@@ -13,6 +13,7 @@
 //! | `unsafe-safety` | all library code | an `unsafe` token with no `SAFETY:` comment (or `# Safety` doc) within the preceding lines |
 //! | `panel-fast-math` | kernel crates | `mul_add` / `*_fast` intrinsics — the panel kernels carry a bit-identity contract against the scalar reference (`kernel/panel_vs_scalar_max_abs_delta == 0`), and fused rounding breaks it |
 //! | `stray-print` | library code (not bins) | `println!` / `eprintln!` / `print!` / `eprint!` / `dbg!` — libraries report through return values and the JSON metrics surface |
+//! | `env-knob` | library code (not bins) | `env::var` (and `var_os`, `vars`) — a library takes its configuration as arguments; an environment variable is a hidden option no caller can see |
 //!
 //! Test code is exempt everywhere: `#[cfg(test)]` regions are tracked
 //! by brace counting, and only `src/` trees are scanned (integration
@@ -54,6 +55,7 @@ pub const RULES: &[&str] = &[
     "unsafe-safety",
     "panel-fast-math",
     "stray-print",
+    "env-knob",
 ];
 
 /// One lint hit.
@@ -403,6 +405,11 @@ pub fn lint_source(rel: &str, source: &str, class: FileClass) -> Vec<Finding> {
         {
             push("stray-print", idx);
         }
+
+        // env-knob: library configuration comes in as arguments.
+        if !class.bin && flat.contains("env::var") {
+            push("env-knob", idx);
+        }
     }
     out
 }
@@ -554,6 +561,25 @@ mod tests {
         let mask = mask_code(src);
         let t = test_region_lines(&mask);
         assert_eq!(t, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn env_reads_in_library_code_are_knobs() {
+        let src = "fn f() -> bool {\n    std::env::var(\"X\").is_ok()\n}\n\
+                   // env::var in a comment\nconst S: &str = \"env::var\";\n\
+                   fn args() { let _ = std::env::args(); }\n\
+                   #[cfg(test)]\nmod tests {\n    fn g() { let _ = std::env::var_os(\"Y\"); }\n}\n";
+        let lib = FileClass::default();
+        let rules: Vec<_> = lint_source("lib.rs", src, lib)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect();
+        assert_eq!(rules, vec![("env-knob", 2)]);
+        let bin = FileClass {
+            bin: true,
+            ..FileClass::default()
+        };
+        assert!(lint_source("main.rs", src, bin).is_empty());
     }
 
     #[test]

@@ -89,8 +89,8 @@ pub use opm_transient as transient;
 pub use opm_waveform as waveform;
 
 pub use opm_core::{
-    CacheStats, FactorProfile, Json, Method, NewtonOptions, OpmResult, PlanCache, SimModel,
-    SimPlan, Simulation, SolveOptions, WindowBlock, WindowedOptions,
+    CacheStats, FactorProfile, Json, NewtonOptions, OpmResult, PlanCache, SimModel, SimPlan,
+    Simulation, SolveOptions, WindowBlock, WindowedOptions,
 };
 
 /// The stabilized v1 session surface in one import.

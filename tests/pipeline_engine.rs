@@ -9,7 +9,8 @@ use opm::circuits::mna::{assemble_mna, Output};
 use opm::circuits::na::assemble_na;
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::adaptive::AdaptiveOpmOptions;
-use opm::core::{Method, Simulation, SolveOptions};
+use opm::core::kron_solve::kron_solve_linear;
+use opm::core::{Simulation, SolveOptions};
 use opm::waveform::Waveform;
 
 #[test]
@@ -40,20 +41,18 @@ fn linear_problem_matches_direct_strategy_on_rc_ladder() {
 }
 
 #[test]
-fn method_override_routes_to_the_kron_oracle() {
+fn rc_ladder_plan_matches_the_kron_oracle() {
     let ckt = rc_ladder(2, 1e3, 1e-9, Waveform::step(0.0, 1.0));
     let model = assemble_mna(&ckt, &[Output::NodeVoltage(3)]).unwrap();
     let (m, t_end) = (16, 1e-6);
-    let sim = Simulation::from_system(model.system.clone()).horizon(t_end);
-    let solve = |opts: &SolveOptions| sim.plan(opts).unwrap().solve(&model.inputs).unwrap();
-    let fast = solve(&SolveOptions::new().resolution(m));
-    let kron = sim
-        .plan(&SolveOptions::new().resolution(m).method(Method::Kronecker))
+    let fast = Simulation::from_system(model.system.clone())
+        .horizon(t_end)
+        .plan(&SolveOptions::new().resolution(m))
+        .unwrap()
+        .solve(&model.inputs)
         .unwrap();
-    // Only the Kronecker plan rejects windows by its own name.
-    let err = kron.solve_windowed(&model.inputs, 2).unwrap_err();
-    assert!(format!("{err}").contains("Kronecker plan"), "{err}");
-    let oracle = kron.solve(&model.inputs).unwrap();
+    let u = model.inputs.bpf_matrix(m, t_end);
+    let oracle = kron_solve_linear(&model.system, &u, t_end).unwrap();
     for j in 0..m {
         assert!(
             (fast.output_row(0)[j] - oracle.output_row(0)[j]).abs() < 1e-9,

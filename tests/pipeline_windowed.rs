@@ -484,8 +484,7 @@ fn two_state() -> opm::system::DescriptorSystem {
 }
 
 /// `W = 1` is the whole horizon on every plan kind: the uniform ones,
-/// and the Kronecker, adaptive and step-grid plans that cannot window
-/// further. `solve` ≡ `solve_batch(..)[0]` ≡ `solve_windowed(.., 1)` ≡
+/// and the adaptive and step-grid plans that cannot window further. `solve` ≡ `solve_batch(..)[0]` ≡ `solve_windowed(.., 1)` ≡
 /// `solve_windowed_batch_opts(.., W = 1, threads)` ≡ linear
 /// `solve_newton_windowed(.., 1, ..)` ≡ `solve_coeffs` (where the
 /// projection is the plain BPF matrix), bit for bit, and the uniform
@@ -497,7 +496,7 @@ fn two_state() -> opm::system::DescriptorSystem {
 #[test]
 fn whole_horizon_is_the_one_window_solve() {
     use opm::core::adaptive::{geometric_grid, AdaptiveOpmOptions};
-    use opm::core::{Method, NewtonOptions};
+    use opm::core::NewtonOptions;
     use opm::system::{MultiTermSystem, Term};
     let (m, t_end) = (32, 3.0);
     let two = |s: usize| {
@@ -548,24 +547,10 @@ fn whole_horizon_is_the_one_window_solve() {
     let cases: Vec<(&str, Simulation, SolveOptions, Stimulus, bool)> = vec![
         (
             "linear, x0 != 0",
-            with_x0.clone(),
+            with_x0,
             opts.clone(),
             Box::new(two),
             true,
-        ),
-        (
-            "linear accumulator, x0 != 0",
-            with_x0,
-            opts.clone().method(Method::Accumulator),
-            Box::new(two),
-            true,
-        ),
-        (
-            "linear via Convolution",
-            linear.clone(),
-            opts.clone().method(Method::Convolution),
-            Box::new(two),
-            false,
         ),
         ("fractional", cpe.clone(), opts.clone(), Box::new(one), true),
         (
@@ -607,13 +592,6 @@ fn whole_horizon_is_the_one_window_solve() {
             false,
         ),
         (
-            "Kronecker",
-            linear.clone(),
-            opts.clone().method(Method::Kronecker),
-            Box::new(two),
-            true,
-        ),
-        (
             "adaptive",
             linear,
             SolveOptions::new().adaptive(AdaptiveOpmOptions {
@@ -632,7 +610,7 @@ fn whole_horizon_is_the_one_window_solve() {
             false,
         ),
     ];
-    let whole_horizon_kinds = ["Kronecker", "adaptive", "step-grid"];
+    let whole_horizon_kinds = ["adaptive", "step-grid"];
     for (name, sim, opts, stimulus, bpf) in &cases {
         let sets: Vec<InputSet> = (0..6).map(stimulus).collect();
         let plan = sim.plan(opts).unwrap();
