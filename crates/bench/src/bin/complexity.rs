@@ -1,15 +1,18 @@
 //! **Experiment E2** — the paper's §IV complexity claim
 //! `O(n^β m + n m²)`:
 //!
-//! 1. m-sweep at fixed n — linear OPM should scale ~O(m) (one LU,
-//!    m solves) while fractional OPM bends toward O(m²) (history
-//!    convolution).
+//! 1. m-sweep at fixed n of whole-horizon solves — linear OPM should
+//!    scale ~O(m) (one LU, m solves), and fractional OPM ~O(m log² m):
+//!    its history convolution, the paper's `n m²` term, runs as direct
+//!    sums within 64-column blocks plus dyadic FFT squares across them,
+//!    so its fitted exponent stays near 1 (it read about 1.9 while a
+//!    whole-horizon solve summed its whole history directly).
 //! 2. n-sweep at fixed m — both scale with the sparse-solve cost `n^β`,
 //!    `1 < β < 2`.
-//! 3. W-sweep at fixed m of the carried fractional memory of a windowed
-//!    solve over `N = W·m` columns, kernel against kernel: one direct
-//!    Toeplitz block per window (`history_block_into` over the store)
-//!    costs `O(W²m²)` (slope ≈ 2 in `W`); the dyadic FFT squares
+//! 3. W-sweep at fixed block size m of the fractional memory over
+//!    `N = W·m` columns, kernel against kernel: one direct Toeplitz
+//!    block per block (`history_block_into` over the store) costs
+//!    `O(W²m²)` (slope ≈ 2 in `W`); the dyadic FFT squares
 //!    (`HistorySquares::add_boundary`) cost `O(N log² N)` (slope toward
 //!    1).
 //!
@@ -45,7 +48,10 @@ fn main() {
         Waveform::pulse(0.0, 1.0, 0.0, 0.05, 0.3, 0.05, 1.0).unwrap()
     ]);
 
-    println!("E2a — m-sweep at n = 400 (chain): linear ~O(m), fractional ~O(m²)\n");
+    println!(
+        "E2a — whole-horizon m-sweep at n = 400 (chain), plan + solve, best of 3: \
+         linear ~O(m), fractional ~O(m log² m)\n"
+    );
     let sys = chain(400);
     let fsys = FractionalSystem::new(0.5, chain(400)).unwrap();
     let widths = [8usize, 14, 14, 10];
@@ -62,7 +68,7 @@ fn main() {
     let mut series = Vec::new();
     for &m in &[128usize, 256, 512, 1024, 2048] {
         let u = inputs.bpf_matrix(m, 4.0);
-        let (_, t_lin) = timed(|| {
+        let (_, t_lin) = timed_best(3, || {
             Simulation::from_system(sys.clone())
                 .horizon(4.0)
                 .plan(&SolveOptions::new().resolution(u[0].len()))
@@ -70,7 +76,7 @@ fn main() {
                 .solve_coeffs(&u)
                 .unwrap()
         });
-        let (_, t_frac) = timed(|| {
+        let (_, t_frac) = timed_best(3, || {
             Simulation::from_fractional(fsys.clone())
                 .horizon(4.0)
                 .plan(&SolveOptions::new().resolution(u[0].len()))
@@ -98,7 +104,9 @@ fn main() {
         (series[1].0, series[1].2),
         (series[series.len() - 1].0, series[series.len() - 1].2),
     );
-    println!("\nfitted exponents in m: linear ≈ m^{lin_order:.2}, fractional ≈ m^{frac_order:.2}");
+    println!(
+        "\nfitted exponents in m: linear ≈ m^{lin_order:.2}, whole-horizon fractional ≈ m^{frac_order:.2}"
+    );
 
     println!("\nE2b — n-sweep at m = 200 (power-grid MNA): sparse-solve scaling n^β\n");
     let widths = [10usize, 10, 14, 16];
@@ -150,7 +158,9 @@ fn main() {
     println!("\nfitted exponent in n: runtime ≈ n^{beta:.2} (paper: 1 < β < 2)");
 
     let (m, rows) = (64, 100);
-    println!("\nE2c — W-sweep of the carried memory at m = {m}, n = {rows}, full history\n");
+    println!(
+        "\nE2c — W-sweep of the fractional memory in blocks of m = {m}, n = {rows}, full history\n"
+    );
     let widths = [6usize, 8, 14, 14, 10];
     row(
         &[
@@ -165,8 +175,8 @@ fn main() {
     rule(&widths);
     let mut wpts = Vec::new();
     for &w in &[4usize, 8, 16, 32, 64] {
-        // Every carried block of a W-window solve of half-order memory
-        // over a one-lane store of `rows` states.
+        // The memory of every later block from the earlier ones, for
+        // half-order weights over a one-lane store of `rows` states.
         let rho = BpfBasis::new(m, 4.0 / w as f64).frac_diff_coeffs_n(0.5, w * m);
         let store: Vec<Vec<f64>> = (0..w * m)
             .map(|c| {

@@ -16,6 +16,7 @@
 //! eigendecomposition route of the paper has the same property.
 
 use crate::cache::PatternCache;
+use crate::cancel::CancelToken;
 use crate::engine::{apply_b, apply_b_column, PencilFamily};
 use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
@@ -374,15 +375,18 @@ pub(crate) fn prepare_step_grid(
 }
 
 /// Runs the distinct-step column sweep against prefactored pencils — the
-/// cheap, per-stimulus half of a step-grid solve.
+/// cheap, per-stimulus half of a step-grid solve. `cancel` is polled
+/// before every column.
 ///
 /// # Errors
-/// [`OpmError::BadArguments`] on channel mismatches.
+/// [`OpmError::BadArguments`] on channel mismatches;
+/// [`OpmError::Cancelled`] when `cancel` trips.
 pub(crate) fn sweep_step_grid(
     fsys: &FractionalSystem,
     grid: &AdaptiveBpf,
     factors: &StepGridFactors,
     inputs: &InputSet,
+    cancel: Option<&CancelToken>,
 ) -> Result<OpmResult, OpmError> {
     let sys = fsys.system();
     let n = sys.order();
@@ -394,6 +398,7 @@ pub(crate) fn sweep_step_grid(
 
     let mut columns: Vec<Vec<f64>> = Vec::with_capacity(m);
     for j in 0..m {
+        cancel.map_or(Ok(()), CancelToken::check)?;
         let fc = &factors.f_cols[j];
         let mut acc = vec![0.0; n];
         for (i, xi) in columns.iter().enumerate() {

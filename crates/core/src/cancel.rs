@@ -1,14 +1,15 @@
 //! Cooperative cancellation for long-running solves.
 //!
 //! A [`CancelToken`] is a cheap, cloneable handle carrying an optional
-//! wall-clock deadline and an explicit cancel flag. Solvers that work
-//! in resumable units — the windowed/streaming solves, which pause
-//! naturally at window boundaries — poll the token between units and
-//! bail out with [`crate::OpmError::Cancelled`] instead of running to
-//! completion. This is what lets a server enforce a per-request compute
-//! deadline without preemption: a deadline-busting solve stops at the
-//! next window boundary, the thread is reclaimed, and every other
-//! request keeps its factorization cache intact.
+//! wall-clock deadline and an explicit cancel flag. Solvers poll the
+//! token between units of work — a uniform column sweep every 64
+//! columns, whole-horizon or windowed; a step-grid sweep every column;
+//! Newton every iteration — and bail out with
+//! [`crate::OpmError::Cancelled`] instead of running to completion.
+//! This is what lets a server enforce a per-request compute deadline
+//! without preemption: a deadline-busting solve stops at its next
+//! poll, the thread is reclaimed, and every other request keeps its
+//! factorization cache intact.
 //!
 //! The flag/deadline protocol itself lives in [`CancelCore`], generic
 //! over [`CancelFlag`] and [`DeadlineSource`] so `opm-verify` can run

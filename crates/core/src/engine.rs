@@ -28,7 +28,8 @@
 //!   right-hand side (single scenario or an interleaved lane block);
 //! - `BlockColumnSweep` — the cached-factorization column solve loop,
 //!   `lanes` scenarios wide, with read access to all previously solved
-//!   columns (the history term); it returns its plain column store, and
+//!   columns (the history term) and a cancel poll every 64 columns
+//!   (`SWEEP_BLOCK`); it returns its plain column store, and
 //!   `deinterleave` splits a multi-lane store into per-lane columns;
 //! - [`SolveOptions`] — resolution and adaptivity (the model picks the
 //!   sweep).
@@ -67,6 +68,7 @@
 
 use crate::adaptive::AdaptiveOpmOptions;
 use crate::cache::PatternCache;
+use crate::cancel::CancelToken;
 use crate::metrics::FactorProfile;
 use crate::OpmError;
 use opm_sparse::lu::LuOptions;
@@ -637,6 +639,12 @@ fn apply_b_panel<const W: usize>(
 // The column sweep
 // ---------------------------------------------------------------------------
 
+/// The base block of the column sweeps, in columns: a sweep polls its
+/// cancel token at the first column and every `SWEEP_BLOCK` columns
+/// after it, and a convolution sweep's fractional memory adds one
+/// dyadic square per completed block of global columns.
+pub(crate) const SWEEP_BLOCK: usize = 64;
+
 /// The multi-RHS generalization of the column sweep: `lanes` scenarios
 /// are swept through **one** factorization in a single pass over the
 /// columns.
@@ -653,10 +661,6 @@ pub(crate) struct BlockColumnSweep {
     m: usize,
     lanes: usize,
     columns: Vec<Vec<f64>>,
-    /// Leading columns of `columns` that were seeded, not solved
-    /// ([`BlockColumnSweep::seed_history`]) — visible to RHS builders,
-    /// excluded from the returned store.
-    seeded: usize,
     rhs: Vec<f64>,
     /// Scratch block sized `n·lanes`, for matrix–block products inside
     /// RHS builders (avoids per-column allocation in every strategy).
@@ -664,64 +668,48 @@ pub(crate) struct BlockColumnSweep {
 }
 
 impl BlockColumnSweep {
-    /// A sweep over `m` columns of an order-`n` system, `lanes`
-    /// scenarios wide.
+    /// A sweep over `m` more columns of an order-`n` system, `lanes`
+    /// scenarios wide, continuing `history` — the columns already
+    /// solved (empty to start the horizon), which the RHS builders read
+    /// exactly as if this sweep had solved them. The builder's column
+    /// index `j` counts from there (`history.len()` at each step), so a
+    /// time-invariant recurrence continued across a window boundary is
+    /// column-for-column identical to the unbroken sweep.
     ///
     /// # Panics
     /// Panics when `lanes == 0`.
-    pub(crate) fn new(n: usize, m: usize, lanes: usize) -> Self {
+    pub(crate) fn new(n: usize, m: usize, lanes: usize, mut history: Vec<Vec<f64>>) -> Self {
         assert!(lanes > 0, "block sweep needs at least one lane");
+        history.reserve(m);
         BlockColumnSweep {
             n,
             m,
             lanes,
-            columns: Vec::with_capacity(m),
-            seeded: 0,
+            columns: history,
             rhs: vec![0.0; n * lanes],
             work: vec![0.0; n * lanes],
         }
     }
 
-    /// Seeds the sweep with already-solved history columns — the state
-    /// carry of a windowed solve: the RHS builders read them at indices
-    /// `0..cols.len()` exactly as if this sweep had solved them, but
-    /// they are excluded from the returned store. The
-    /// builder's column index `j` keeps counting from the seed
-    /// (`history.len()` at each step), so a time-invariant recurrence
-    /// continued across a window boundary is column-for-column identical
-    /// to the unbroken sweep.
-    ///
-    /// # Panics
-    /// Panics when called after stepping, or twice, or with a column of
-    /// the wrong block size.
-    pub(crate) fn seed_history(&mut self, cols: Vec<Vec<f64>>) {
-        assert!(
-            self.columns.is_empty() && self.seeded == 0,
-            "seed_history must precede the first step"
-        );
-        assert!(
-            cols.iter().all(|c| c.len() == self.n * self.lanes),
-            "seed columns must be n × lanes blocks"
-        );
-        self.seeded = cols.len();
-        self.columns = cols;
-        self.columns.reserve(self.m);
-    }
-
     /// Runs the full sweep: the `m` columns fixed at construction
     /// against one factorization. Each column zeroes the RHS block, lets
     /// `build(j, history, rhs, work)` fill it, block-solves against `lu`
-    /// and appends the new interleaved column. `j` is the index into the
-    /// history — it starts past any seeded columns, so seeded and
-    /// unseeded sweeps present the same coordinates to the builder.
-    /// Seeded history columns are dropped: the returned store holds only
-    /// the interleaved columns this sweep solved.
+    /// and appends the new interleaved column. Returns the history it
+    /// continued followed by the `m` solved columns.
+    ///
+    /// # Errors
+    /// [`OpmError::Cancelled`] when `cancel` trips; it is polled before
+    /// the first column and every [`SWEEP_BLOCK`] columns after it.
     pub(crate) fn run(
         mut self,
         lu: &SparseLu,
+        cancel: Option<&CancelToken>,
         mut build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]),
-    ) -> Vec<Vec<f64>> {
-        for _ in 0..self.m {
+    ) -> Result<Vec<Vec<f64>>, OpmError> {
+        for step in 0..self.m {
+            if step % SWEEP_BLOCK == 0 {
+                cancel.map_or(Ok(()), CancelToken::check)?;
+            }
             self.rhs.iter_mut().for_each(|v| *v = 0.0);
             build(
                 self.columns.len(),
@@ -733,8 +721,7 @@ impl BlockColumnSweep {
             lu.solve_block_into(&self.rhs, &mut x, self.lanes);
             self.columns.push(x);
         }
-        self.columns.drain(..self.seeded);
-        self.columns
+        Ok(self.columns)
     }
 }
 
@@ -987,11 +974,34 @@ mod tests {
     fn sweep_counts_and_history() {
         let sys = scalar(-1.0);
         let lu = factor_pencil(&sys.e().lin_comb(2.0, -1.0, sys.a())).unwrap();
-        let columns = BlockColumnSweep::new(1, 4, 1).run(&lu, |j, history, rhs, _| {
-            assert_eq!(history.len(), j);
-            rhs[0] = 1.0;
-        });
+        let columns = BlockColumnSweep::new(1, 4, 1, Vec::new())
+            .run(&lu, None, |j, history, rhs, _| {
+                assert_eq!(history.len(), j);
+                rhs[0] = 1.0;
+            })
+            .unwrap();
         assert_eq!(columns.len(), 4);
+    }
+
+    #[test]
+    fn sweep_polls_its_token_every_block() {
+        // Cancelled while building column 10, the sweep stops at its
+        // next poll, the first column of the second block.
+        let sys = scalar(-1.0);
+        let lu = factor_pencil(&sys.e().lin_comb(2.0, -1.0, sys.a())).unwrap();
+        let token = CancelToken::new();
+        let mut built = 0;
+        let err = BlockColumnSweep::new(1, 4 * SWEEP_BLOCK, 1, Vec::new())
+            .run(&lu, Some(&token), |j, _, rhs, _| {
+                built += 1;
+                if j == 10 {
+                    token.cancel();
+                }
+                rhs[0] = 1.0;
+            })
+            .unwrap_err();
+        assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
+        assert_eq!(built, SWEEP_BLOCK);
     }
 
     #[test]

@@ -70,7 +70,7 @@ use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
     apply_b_block, deinterleave, validate_coeff_inputs, validate_horizon, validate_x0,
-    BlockColumnSweep, PencilFamily, SolveOptions,
+    BlockColumnSweep, PencilFamily, SolveOptions, SWEEP_BLOCK,
 };
 use crate::gate::GateCache;
 use crate::kron_solve::fractional_as_multiterm;
@@ -94,7 +94,7 @@ use opm_sparse::{CsrMatrix, SparseLu};
 use opm_system::{DescriptorSystem, FractionalSystem, MultiTermSystem, SecondOrderSystem};
 use opm_waveform::InputSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Simulation: the owning session front door
@@ -696,15 +696,13 @@ enum WindowSymbols {
         depth: usize,
     },
     /// Multi-term nilpotent-series convolution: per-term full-horizon
-    /// weight vectors `ρ^{(k)}` at the window step — entries past the
-    /// window resolution are the weights of the carried Caputo/GL
-    /// history tail, term by term — and, built by the first
-    /// full-history solve that crosses a window boundary, each
-    /// fractional term's dyadic carried-memory squares (`None` for
-    /// `α = 0` terms).
+    /// weight vectors `ρ^{(k)}` at the window step, over all `W·m`
+    /// global columns, and each fractional term's dyadic squares over
+    /// [`SWEEP_BLOCK`]-column blocks of those columns (`None` for
+    /// `α = 0` terms, which have no memory; see [`column_memory`]).
     Convolution {
         series: Vec<Vec<f64>>,
-        squares: OnceLock<Vec<Option<HistorySquares>>>,
+        squares: Vec<Option<HistorySquares>>,
     },
 }
 
@@ -717,23 +715,29 @@ enum WindowSymbols {
 /// assert_eq!(opts.windows(), 32);
 /// ```
 ///
-/// # Carried fractional memory
+/// # Fractional memory
 ///
-/// A fractional or fractional-mixture window carries the whole
-/// Caputo/GL memory of every previous window, so a windowed solve is
-/// the whole-horizon solve to roundoff. That memory is computed as
-/// dyadic FFT squares ([`opm_fracnum::history::HistorySquares`]),
-/// `O(N log² N)` per series for `N = W·m` columns.
+/// A fractional or fractional-mixture solve computes the Caputo/GL
+/// memory of its `N = W·m` columns one way, over **global** columns:
+/// column `c` sums its own 64-column block's solved columns directly
+/// and takes everything older from the dyadic FFT squares
+/// ([`opm_fracnum::history::HistorySquares`]) of the completed blocks,
+/// each square added as soon as its block is solved — `O(N log² N)`
+/// per series. Windows are only output, streaming and cancel
+/// boundaries: at a fixed step the memory is the same computation for
+/// every `W`, so windowed and whole-horizon solves agree to the
+/// roundoff of their window grids, and a whole-horizon solve costs what
+/// a windowed one does.
 ///
 /// Memory: a windowed solve keeps each solved column once, in the
 /// store that becomes the result; a streaming solve of a fractional
 /// plan keeps the same store (the squares read all of it). The pending
-/// carried memory of the windows not yet solved adds one block per
-/// fractional term: with one fractional term (every fractional model)
-/// store plus pending never exceed the final store, but they come close
-/// to it from about the middle window on (the square at boundary `W/2`,
-/// for a power-of-two `W`, fills the pending memory of every later
-/// window).
+/// memory of the blocks not yet solved adds up to one store's worth
+/// per fractional term: with one fractional term (every fractional
+/// model) store plus pending never exceed the final store, but they
+/// come close to it from about the middle block on (the square at
+/// block boundary `B/2`, for a power-of-two block count `B`, fills the
+/// pending memory of every later block).
 #[derive(Clone, Debug)]
 pub struct WindowedOptions {
     windows: usize,
@@ -754,11 +758,13 @@ impl WindowedOptions {
         self.windows
     }
 
-    /// Attaches a cooperative [`CancelToken`]: the window loop polls it
-    /// **between windows** and aborts with [`OpmError::Cancelled`] —
-    /// partial work is discarded, the plan and its cached kernels stay
-    /// fully usable. This is how a server enforces per-request compute
-    /// deadlines without preempting solver threads.
+    /// Attaches a cooperative [`CancelToken`]: the column sweep polls
+    /// it at the start of every window and every 64 columns within one
+    /// (every column of a step-grid plan), and aborts with
+    /// [`OpmError::Cancelled`] — partial work is discarded, the plan and
+    /// its cached kernels stay fully usable. This is how a server
+    /// enforces per-request compute deadlines without preempting solver
+    /// threads, on whole-horizon (`W = 1`) solves too.
     #[must_use]
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
@@ -1033,12 +1039,11 @@ impl SimPlan {
     /// second-order, fractional and multi-term. Linear and
     /// integer-recurrence plans carry *exact* finite state (polyline
     /// endpoint / trailing recurrence columns); fractional and
-    /// fractional-mixture multi-term plans carry the Caputo/GL memory of
-    /// all previous windows as an extra per-lane forcing built from the
-    /// history convolution over their solved columns (see
-    /// [`WindowedOptions`]). Adaptive and step-grid plans are
-    /// whole-horizon by construction and reject `W > 1` with an error
-    /// naming the plan kind.
+    /// fractional-mixture multi-term plans run one Caputo/GL memory
+    /// over the global columns of all windows, so their windows are only
+    /// output boundaries (see [`WindowedOptions`]). Adaptive and
+    /// step-grid plans are whole-horizon by construction and reject
+    /// `W > 1` with an error naming the plan kind.
     ///
     /// ```
     /// use opm_core::{Simulation, SolveOptions};
@@ -1082,7 +1087,7 @@ impl SimPlan {
     /// (`threads` only sets how lanes are distributed).
     ///
     /// Note on memory: every solved column is stored once — the memory
-    /// a fractional window reads is the column store that becomes the
+    /// a fractional solve reads is the column store that becomes the
     /// result, so a windowed solve holds the same columns as the
     /// whole-horizon solve.
     ///
@@ -1098,7 +1103,7 @@ impl SimPlan {
     /// .horizon(1e-6);
     /// let plan = sim.plan(&SolveOptions::new().resolution(64)).unwrap();
     ///
-    /// // 8 windows × 64 columns, each carrying the whole memory.
+    /// // 8 windows × 64 columns under one memory over all 512.
     /// let opts = WindowedOptions::new(8);
     /// let r = plan
     ///     .solve_windowed_batch_opts(std::slice::from_ref(sim.inputs().unwrap()), &opts, 1)
@@ -1130,7 +1135,8 @@ impl SimPlan {
     /// window, independent of how many windows the horizon spans, on
     /// linear and integer-recurrence plans. A fractional or
     /// fractional-mixture plan also keeps every past column, which its
-    /// carried Caputo/GL memory reads (see [`WindowedOptions`]). The
+    /// one Caputo/GL memory over global columns reads (see
+    /// [`WindowedOptions`]). The
     /// [`WindowBlock`]s carry global-time bounds, so concatenating their
     /// results reproduces [`SimPlan::solve_windowed`] exactly.
     /// Uniform-grid plans only: adaptive and step-grid plans have no
@@ -1302,8 +1308,7 @@ impl SimPlan {
         self.check_channels(inputs)?;
         let windows = opts.windows();
         let whole = windows == 1;
-        // The whole-horizon kinds have no window boundary to poll the
-        // token at (the window loop polls it at every one).
+        // Adaptive plans have no column sweep to poll the token in.
         opts.check_cancelled()?;
         match &self.kind {
             PlanKind::AdaptiveLinear { aopts, lattice } if whole => {
@@ -1328,7 +1333,7 @@ impl SimPlan {
                 // Scenarios are independent sweeps over the shared
                 // prefactored columns — run them on the workers.
                 opm_par::par_map(threads, inputs, |ws| {
-                    adaptive::sweep_step_grid(fsys, &sg.grid, &sg.factors, ws)
+                    adaptive::sweep_step_grid(fsys, &sg.grid, &sg.factors, ws, opts.cancel.as_ref())
                 })
                 .into_iter()
                 .collect()
@@ -1508,17 +1513,16 @@ impl SimPlan {
     /// reads the state it carries from the store — none for the
     /// polyline endpoint, the trailing `depth` columns for an integer
     /// recurrence, and for a convolution kernel the whole store, whose
-    /// Caputo/GL memory comes from the dyadic squares of
-    /// [`carried_squares`] (the first window carries nothing).
-    /// `on_window` then sees the window's columns and end-of-window
-    /// state block; with `trim`, the store afterwards keeps only what
-    /// the kernel still reads (bounded streaming memory). Returns the
-    /// store.
+    /// sweep continues over global columns with the pending memory of
+    /// [`column_memory`] carried from window to window. `on_window` then
+    /// sees the window's columns and end-of-window state block; with
+    /// `trim`, the store afterwards keeps only what the kernel still
+    /// reads (bounded streaming memory). Returns the store.
     ///
-    /// Polls the [`WindowedOptions`] cancel token at every window
-    /// boundary — the cooperative cancellation point that bounds how
-    /// long past a deadline a windowed solve can run to one window.
-    /// A store the allocator refuses is [`OpmError::BadArguments`].
+    /// The column sweep polls the [`WindowedOptions`] cancel token at
+    /// the start of every window and every [`SWEEP_BLOCK`] columns
+    /// within one. A store the allocator refuses is
+    /// [`OpmError::BadArguments`].
     fn windowed_drive(
         &self,
         kernel: &WindowKernel,
@@ -1530,18 +1534,16 @@ impl SimPlan {
     ) -> Result<Vec<Vec<f64>>, OpmError> {
         let windows = opts.windows();
         let k = lanes;
-        // The columns a window reads back from the store: none, the
-        // recurrence depth, or all of them (the Caputo/GL memory).
-        let (carried, recurrence) = match &kernel.symbols {
-            WindowSymbols::Linear { .. } => (0, false),
-            WindowSymbols::Recurrence { depth, .. } => (*depth, true),
-            WindowSymbols::Convolution { .. } => (usize::MAX, false),
+        // The columns a window reads back from the store (none, the
+        // recurrence depth, or all of them: the Caputo/GL memory), and
+        // the stimulus columns it re-reads ahead of its own.
+        let (carried, reread) = match &kernel.symbols {
+            WindowSymbols::Linear { .. } => (0, 0),
+            WindowSymbols::Recurrence { depth, .. } => (*depth, *depth),
+            WindowSymbols::Convolution { .. } => (usize::MAX, 0),
         };
-        // Every later window's carried memory, pending per term.
-        let mut pending = match &kernel.symbols {
-            WindowSymbols::Convolution { series, .. } => vec![Vec::new(); series.len()],
-            _ => Vec::new(),
-        };
+        // A convolution's pending memory, per term, across windows.
+        let mut pending = Vec::new();
         // Linear windows restart from the plan's x0 interleaved across
         // the lanes; thereafter each lane carries its own end state.
         let mut end = vec![0.0; self.model.order() * k];
@@ -1560,25 +1562,11 @@ impl SimPlan {
         let mut store: Vec<Vec<f64>> = Vec::new();
         store.try_reserve_exact(columns).map_err(|_| too_large())?;
         for w in 0..windows {
-            opts.check_cancelled()?;
-            let tail = &store[store.len() - carried.min(store.len())..];
-            let seed = if recurrence { tail.len() } else { 0 };
-            let memory = match &kernel.symbols {
-                WindowSymbols::Convolution { series, .. } if w == 0 => vec![None; series.len()],
-                WindowSymbols::Convolution { series, squares } => {
-                    let mt = self
-                        .mt()
-                        .expect("convolution kernels sweep a multi-term system");
-                    let sq = squares.get_or_init(|| series_squares(mt, series, self.m, windows));
-                    carried_squares(sq, series, &mut pending, &store, w, self.m, k)
-                }
-                _ => Vec::new(),
-            };
-            let solved = self.sweep_window(kernel, &coeffs(w, seed), tail, memory, &end);
-            end = endpoint_state(&solved, &end);
-            let fresh = solved.len();
-            store.extend(solved);
-            on_window(w, &store[store.len() - fresh..], &end);
+            let lc = coeffs(w, reread.min(store.len()));
+            store = self.sweep_window(kernel, &lc, store, &mut pending, &end, opts)?;
+            let fresh = &store[store.len() - self.m..];
+            end = endpoint_state(fresh, &end);
+            on_window(w, fresh, &end);
             if trim {
                 store.drain(..store.len().saturating_sub(carried));
             }
@@ -1587,20 +1575,26 @@ impl SimPlan {
     }
 
     /// Solves one window for the lanes of `lc` against the shared
-    /// kernel, given the columns carried from earlier windows (`tail`,
-    /// oldest → newest), a convolution kernel's carried memory per term
-    /// (`memory`, see [`carried_squares`]) and the previous
-    /// end-of-window state block `start`. With the full carried state the
-    /// restarted sweep is column-for-column the unbroken one.
+    /// kernel and returns `store` with the window's columns appended. A
+    /// multi-term sweep continues the store, reading what it carries
+    /// from it (the trailing recurrence columns; a convolution's whole
+    /// history, its memory continuing from `pending`), so the restarted
+    /// sweep is column-for-column the unbroken one; a linear window
+    /// restarts from the previous end-of-window state block `start`.
     fn sweep_window(
         &self,
         kernel: &WindowKernel,
         lc: &LaneCoeffs,
-        tail: &[Vec<f64>],
-        memory: Carried,
+        mut store: Vec<Vec<f64>>,
+        pending: &mut Vec<Vec<Vec<f64>>>,
         start: &[f64],
-    ) -> Vec<Vec<f64>> {
-        let lu = &kernel.lu;
+        opts: &WindowedOptions,
+    ) -> Result<Vec<Vec<f64>>, OpmError> {
+        let (lu, cancel) = (&kernel.lu, opts.cancel.as_ref());
+        let mt = || {
+            self.mt()
+                .expect("multi-term kernels sweep a multi-term system")
+        };
         match &kernel.symbols {
             WindowSymbols::Linear { sigma } => {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
@@ -1610,26 +1604,39 @@ impl SimPlan {
                 // c = A·x(T_w), per lane.
                 let mut c_force = vec![0.0; sys.order() * lc.lanes];
                 sys.a().mul_block_into(start, &mut c_force, lc.lanes);
-                let mut columns = sweep_linear_block(sys, lu, *sigma, &c_force, lc);
+                let columns = sweep_linear_block(sys, lu, *sigma, &c_force, lc, cancel)?;
                 // z → x: add the window's start state back.
-                for col in &mut columns {
-                    for (c, &v) in col.iter_mut().zip(start) {
-                        *c += v;
-                    }
-                }
-                columns
+                store.extend(columns.into_iter().map(|mut col| {
+                    col.iter_mut().zip(start).for_each(|(c, &v)| *c += v);
+                    col
+                }));
+                Ok(store)
             }
             WindowSymbols::Recurrence { polys, bw, .. } => {
-                let mt = self
-                    .mt()
-                    .expect("recurrence kernels sweep a multi-term system");
-                sweep_mt_recurrence_block(mt, lu, polys, bw, lc, tail.to_vec())
+                sweep_mt_recurrence_block(mt(), lu, polys, bw, lc, store, cancel)
             }
-            WindowSymbols::Convolution { series, .. } => {
-                let mt = self
-                    .mt()
-                    .expect("convolution kernels sweep a multi-term system");
-                sweep_mt_convolution_block(mt, lu, series, lc, memory)
+            WindowSymbols::Convolution { series, squares } => {
+                // Multi-term nilpotent-series convolution (paper §IV; a
+                // fractional system sweeps as its two-term conversion)
+                // over global history and global column indices, so each
+                // fractional term's memory is [`column_memory`] over
+                // global columns whatever the window split.
+                let (mt, k, first) = (mt(), lc.lanes, store.len());
+                pending.resize(series.len(), Vec::new());
+                let mut acc = vec![0.0; mt.order() * k];
+                let sweep = BlockColumnSweep::new(mt.order(), lc.m, k, store);
+                sweep.run(lu, cancel, |j, history, rhs, work| {
+                    apply_b_block(mt.b(), &lc.cols[j - first], k, 1.0, rhs);
+                    let terms = mt.terms().iter().zip(series).zip(squares);
+                    for (((term, rho), squares), pending) in terms.zip(pending.iter_mut()) {
+                        let Some(squares) = squares else {
+                            continue; // α = 0: ρ = e₀, no history contribution
+                        };
+                        column_memory(rho, squares, pending, history, k, &mut acc);
+                        term.matrix.mul_block_into(&acc, work, k);
+                        axpy(rhs, work, -1.0);
+                    }
+                })
             }
         }
     }
@@ -1697,10 +1704,11 @@ fn sweep_linear_block(
     sigma: f64,
     c_force: &[f64],
     lc: &LaneCoeffs,
-) -> Vec<Vec<f64>> {
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<f64>>, OpmError> {
     let n = sys.order();
     let k = lc.lanes;
-    BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
+    BlockColumnSweep::new(n, lc.m, k, Vec::new()).run(lu, cancel, |j, history, rhs, work| {
         if j == 0 {
             // Column 0: (σE − A)·z₀ = B·u₀ + c.
             apply_b_block(sys.b(), &lc.cols[0], k, 1.0, rhs);
@@ -1719,35 +1727,38 @@ fn sweep_linear_block(
     })
 }
 
-/// Integer multi-term finite recurrence, K lanes wide, seeded with the
-/// trailing `seed` columns of the previous window (`lc` holds the
-/// matching stimulus columns first), so the restart is column-for-column
-/// the unbroken sweep (an empty seed starts the horizon).
+/// Integer multi-term finite recurrence, K lanes wide, continuing
+/// `store`: its trailing `depth` columns are the previous window's
+/// (`lc` holds the matching stimulus columns first), so the restart is
+/// column-for-column the unbroken sweep (an empty store starts the
+/// horizon).
 fn sweep_mt_recurrence_block(
     mt: &MultiTermSystem,
     lu: &SparseLu,
     polys: &[Vec<f64>],
     bw: &[f64],
     lc: &LaneCoeffs,
-    seed: Vec<Vec<f64>>,
-) -> Vec<Vec<f64>> {
-    let n = mt.order();
-    let k = lc.lanes;
-    let m_solve = lc.m - seed.len();
+    store: Vec<Vec<f64>>,
+    cancel: Option<&CancelToken>,
+) -> Result<Vec<Vec<f64>>, OpmError> {
+    let (n, k) = (mt.order(), lc.lanes);
+    let seed = store.len().min(mt.max_order() as usize);
+    // Global column `j` is stimulus column `j − first`.
+    let first = store.len() - seed;
     let mut acc = vec![0.0; n * k];
-    let mut sweep = BlockColumnSweep::new(n, m_solve, k);
-    sweep.seed_history(seed);
-    sweep.run(lu, |j, history, rhs, work| {
+    let sweep = BlockColumnSweep::new(n, lc.m - seed, k, store);
+    sweep.run(lu, cancel, |j, history, rhs, work| {
+        let local = j - first;
         for (i, &w) in bw.iter().enumerate() {
-            if i <= j {
-                apply_b_block(mt.b(), &lc.cols[j - i], k, w, rhs);
+            if i <= local {
+                apply_b_block(mt.b(), &lc.cols[local - i], k, w, rhs);
             }
         }
         for (term, p) in mt.terms().iter().zip(polys) {
             acc.iter_mut().for_each(|v| *v = 0.0);
             let mut any = false;
             for (i, &pi) in p.iter().enumerate().skip(1) {
-                if pi != 0.0 && i <= j {
+                if pi != 0.0 && i <= local {
                     any = true;
                     axpy(&mut acc, &history[j - i], pi);
                 }
@@ -1760,89 +1771,49 @@ fn sweep_mt_recurrence_block(
     })
 }
 
-/// Multi-term nilpotent-series convolution, K lanes wide (paper §IV;
-/// a fractional system sweeps as its two-term conversion), with an
-/// optional carried memory block per term: the memory term of column
-/// `j` splits into the window-local part `Σ_{t=1}^{j} ρ_t·x_{j−t}` plus
-/// the carried part `Σ_{d} ρ_{j+d}·x[start−d]` over previous windows'
-/// columns (`carried[k]`, see [`carried_squares`]; all `None` in the
-/// first window).
-fn sweep_mt_convolution_block(
-    mt: &MultiTermSystem,
-    lu: &SparseLu,
-    series: &[Vec<f64>],
-    lc: &LaneCoeffs,
-    carried: Carried,
-) -> Vec<Vec<f64>> {
-    let n = mt.order();
-    let k = lc.lanes;
-    let mut acc = vec![0.0; n * k];
-    BlockColumnSweep::new(n, lc.m, k).run(lu, |j, history, rhs, work| {
-        apply_b_block(mt.b(), &lc.cols[j], k, 1.0, rhs);
-        for ((term, rho), carried) in mt.terms().iter().zip(series).zip(&carried) {
-            if term.alpha == 0.0 {
-                continue; // ρ = e₀: no history contribution
-            }
-            start_column(&mut acc, carried.as_deref(), j);
-            history_convolution_into(rho, 0, history, &mut acc);
-            term.matrix.mul_block_into(&acc, work, k);
-            axpy(rhs, work, -1.0);
-        }
-    })
-}
-
-/// A convolution window's carried memory, one block per term (`None`
-/// for `α = 0` terms and when nothing is carried yet).
-type Carried = Vec<Option<Vec<Vec<f64>>>>;
-
-/// Window `w`'s carried memory from the dyadic squares of its history
-/// (`w ≥ 1`): boundary `w`'s square over `store` is added
-/// to each fractional term's `pending` columns (the windows not yet
-/// solved), and window `w`'s `m` columns are taken from their front
-/// ([`HistorySquares::add_boundary`]). Pending plus store never hold
-/// more columns per term than the final store.
-fn carried_squares(
-    squares: &[Option<HistorySquares>],
-    series: &[Vec<f64>],
-    pending: &mut [Vec<Vec<f64>>],
-    store: &[Vec<f64>],
-    w: usize,
-    m: usize,
+/// Writes the memory of global column `j = history.len()` into `acc`:
+/// `Σ_{d=1}^{j} ρ_d·x_{j−d}` over the solved columns `history`. The
+/// terms from earlier [`SWEEP_BLOCK`]-column blocks come from
+/// `pending`, whose first column is column 0 of `j`'s block; when `j`
+/// starts a block, the finished block's memory is dropped from
+/// `pending` and the square of the new block boundary is added to it
+/// ([`HistorySquares::add_boundary`]). The terms from `j`'s own block
+/// are then summed directly. Call it for every column in order.
+fn column_memory(
+    rho: &[f64],
+    squares: &HistorySquares,
+    pending: &mut Vec<Vec<f64>>,
+    history: &[Vec<f64>],
     lanes: usize,
-) -> Carried {
-    squares
-        .iter()
-        .zip(series)
-        .zip(pending)
-        .map(|((sq, rho), p)| {
-            sq.as_ref()?.add_boundary(rho, w, store, p, lanes);
-            Some(p.drain(..m).collect())
-        })
-        .collect()
+    acc: &mut [f64],
+) {
+    let j = history.len();
+    let (block, at) = (j / SWEEP_BLOCK, j % SWEEP_BLOCK);
+    if block > 0 && at == 0 {
+        pending.drain(..pending.len().min(SWEEP_BLOCK));
+        squares.add_boundary(rho, block, history, pending, lanes);
+    }
+    match pending.get(at) {
+        Some(older) => acc.copy_from_slice(older),
+        None => acc.fill(0.0),
+    }
+    history_convolution_into(rho, 0, &history[j - at..], acc);
 }
 
-/// Each fractional term's carried-memory squares for `windows` windows
-/// of `m` columns (`None` for `α = 0` terms, which carry nothing).
+/// Each fractional term's memory squares over `columns` global columns
+/// in [`SWEEP_BLOCK`]-column blocks (`None` for `α = 0` terms, which
+/// have no memory).
 fn series_squares(
     mt: &MultiTermSystem,
     series: &[Vec<f64>],
-    m: usize,
-    windows: usize,
+    columns: usize,
 ) -> Vec<Option<HistorySquares>> {
+    let blocks = columns.div_ceil(SWEEP_BLOCK);
     mt.terms()
         .iter()
         .zip(series)
-        .map(|(t, rho)| (t.alpha != 0.0).then(|| HistorySquares::new(rho, m, windows)))
+        .map(|(t, rho)| (t.alpha != 0.0).then(|| HistorySquares::new(rho, SWEEP_BLOCK, blocks)))
         .collect()
-}
-
-/// Starts column `j`'s memory accumulator from its carried term (zero
-/// when nothing is carried); the window-local terms are added after.
-fn start_column(acc: &mut [f64], carried: Option<&[Vec<f64>]>, j: usize) {
-    match carried {
-        Some(block) => acc.copy_from_slice(&block[j]),
-        None => acc.fill(0.0),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1924,9 +1895,8 @@ fn series_len(m: usize, windows: usize) -> Result<usize, OpmError> {
 /// factors — `(σ, −1)` on `(E, A)` for linear sweeps, the leading
 /// symbol coefficient per multi-term term otherwise. The one derivation
 /// for every window count, the whole horizon (`W = 1`) included. The
-/// window step is `h_w = T/(W·m)`; the convolution weight vectors span
-/// all `W·m` columns, so entries past the window resolution weight the
-/// carried history.
+/// window step is `h_w = T/(W·m)`; the convolution weight vectors and
+/// memory squares span all `W·m` global columns.
 fn window_symbols(
     sweep: Sweep,
     mt: Option<&MultiTermSystem>,
@@ -1958,7 +1928,7 @@ fn window_symbols(
                 .map(|term| wbasis.frac_diff_coeffs_n(term.alpha, len))
                 .collect();
             let weights = series.iter().map(|rho| rho[0]).collect();
-            let squares = OnceLock::new();
+            let squares = series_squares(mt(), &series, len);
             (WindowSymbols::Convolution { series, squares }, weights)
         }
     })
@@ -2095,8 +2065,8 @@ mod tests {
 
     #[test]
     fn streaming_fractional_solve_cancels_mid_solve() {
-        // m = 128, W = 4: every carried-memory square runs by FFT, and
-        // the first boundary builds the kernel's squares.
+        // m = 128, W = 4: eight 64-column blocks, whose squares past the
+        // first level run by FFT.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
         let sim = Simulation::from_fractional(fsys).horizon(2.0);
         let (m, windows) = (128, 4);
@@ -2527,12 +2497,15 @@ mod tests {
     }
 
     #[test]
-    fn carried_squares_match_blocks_on_two_fractional_terms() {
-        // A 2-state mixture with two fractional terms (α = 0.3, 0.7) next
-        // to an α = 0 term: window by window, the full-history squares
-        // give each fractional term the carried block of the direct
-        // Toeplitz pass over the whole store, to 1e-12 of each column's
-        // largest entry; the α = 0 term carries nothing either way.
+    fn global_memory_matches_the_direct_sum() {
+        // A 2-state mixture with fractional terms α = 0.3, 0.7 and 1.5
+        // next to an α = 0 term, over fixed-seed stores of a whole number
+        // of 64-column blocks and of a ragged count, 1 and 8 lanes wide:
+        // column by column, the in-block sum plus the pending squares
+        // give each fractional term the direct sum over the whole
+        // history, to 1e-12 of the column's magnitude scale
+        // `Σ_d |ρ_d|·‖x_{j−d}‖_∞`; the α = 0 term has no memory.
+        use opm_rng::prelude::*;
         use opm_system::Term;
         let diag = |a: f64, b: f64| {
             let mut c = CooMatrix::new(2, 2);
@@ -2548,47 +2521,62 @@ mod tests {
             term(0.0, 1.0, 2.0),
             term(0.3, 0.5, 1.0),
             term(0.7, 1.0, 0.25),
+            term(1.5, 0.1, 0.2),
         ];
         let mt = MultiTermSystem::new(terms, diag(1.0, 1.0), None).unwrap();
-        let (m, windows, lanes) = (64, 6, 3);
-        let (symbols, _) = window_symbols(Sweep::Convolution, Some(&mt), m, 1.0, windows).unwrap();
-        let WindowSymbols::Convolution { series, .. } = &symbols else {
-            unreachable!("a convolution sweep has convolution symbols");
-        };
-        let squares = series_squares(&mt, series, m, windows);
-        let store: Vec<Vec<f64>> = (0..m * windows)
-            .map(|c| {
-                (0..2 * lanes)
-                    .map(|e| (c as f64 * 0.02 + e as f64).sin() + 0.1 * ((c * e) as f64).cos())
-                    .collect()
-            })
-            .collect();
-        let mut pending = vec![Vec::new(); series.len()];
-        for w in 1..windows {
-            let fast = carried_squares(&squares, series, &mut pending, &store, w, m, lanes);
-            for (k, (f, rho)) in fast.iter().zip(series).enumerate() {
-                if mt.terms()[k].alpha == 0.0 {
-                    assert!(f.is_none(), "w = {w}, term {k}");
-                    continue;
-                }
-                let f = f.as_ref().unwrap();
-                assert_eq!(f.len(), m);
-                let mut direct = vec![vec![0.0; 2 * lanes]; m];
-                history_block_into(rho, &store[..w * m], &mut direct);
-                for (fc, dc) in f.iter().zip(&direct) {
-                    let scale = dc.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-                    let dev = fc
-                        .iter()
-                        .zip(dc)
-                        .fold(0.0f64, |a, (x, y)| a.max((x - y).abs()));
-                    assert!(
-                        dev <= 1e-12 * scale,
-                        "w = {w}, term {k}: {dev:e} of {scale:e}"
-                    );
+        let mut rng = StdRng::seed_from_u64(0x6D_E40);
+        for columns in [512, 200] {
+            let (symbols, _) =
+                window_symbols(Sweep::Convolution, Some(&mt), columns, 1.0, 1).unwrap();
+            let WindowSymbols::Convolution { series, squares } = &symbols else {
+                unreachable!("a convolution sweep has convolution symbols");
+            };
+            for lanes in [1, 8] {
+                let store: Vec<Vec<f64>> = (0..columns)
+                    .map(|c| {
+                        (0..2 * lanes)
+                            .map(|e| {
+                                (c as f64 * 0.02 + e as f64).sin() + rng.random_range(-0.1..0.1)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let magnitudes: Vec<Vec<f64>> = store
+                    .iter()
+                    .map(|c| vec![c.iter().fold(0.0f64, |s, v| s.max(v.abs()))])
+                    .collect();
+                for ((t, rho), sq) in mt.terms().iter().zip(series).zip(squares) {
+                    let direct = |j: usize| {
+                        let mut out = vec![vec![0.0; 2 * lanes]];
+                        history_block_into(rho, &store[..j], &mut out);
+                        out.pop().unwrap()
+                    };
+                    let Some(sq) = sq else {
+                        assert_eq!(t.alpha, 0.0);
+                        assert!(direct(columns).iter().all(|&v| v == 0.0));
+                        continue;
+                    };
+                    let abs_rho: Vec<f64> = rho.iter().map(|v| v.abs()).collect();
+                    let mut pending = Vec::new();
+                    let mut acc = vec![0.0; 2 * lanes];
+                    for j in 0..columns {
+                        column_memory(rho, sq, &mut pending, &store[..j], lanes, &mut acc);
+                        let mut scale = vec![vec![0.0]];
+                        history_block_into(&abs_rho, &magnitudes[..j], &mut scale);
+                        let dev = acc
+                            .iter()
+                            .zip(direct(j))
+                            .fold(0.0f64, |a, (x, y)| a.max((x - y).abs()));
+                        assert!(
+                            dev <= 1e-12 * scale[0][0],
+                            "N = {columns}, {lanes} lanes, α = {}, column {j}: {dev:e} of {:e}",
+                            t.alpha,
+                            scale[0][0]
+                        );
+                    }
                 }
             }
         }
-        assert!(pending.iter().all(Vec::is_empty), "memory left pending");
     }
 
     #[test]

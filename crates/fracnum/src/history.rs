@@ -16,25 +16,30 @@
 //! so it applies equally to single columns and to the engine's
 //! lane-interleaved `n × K` blocks.
 //!
-//! A windowed solve needs that sum for every column `j` of a window
-//! against the same carried tail (`offset = j`): the weights `w_{j+d}`
-//! form an upper-triangular Toeplitz block, so the window's whole
-//! carried memory is one Toeplitz-block × tail product, known before
-//! the window starts. [`history_block_into`] computes it in one
-//! register-tiled pass over the tail instead of one pass per column —
-//! `O(N²)` work per series over a full `N`-column history.
-//! [`HistorySquares`] computes the same full-history memory as dyadic
-//! squares, each one FFT convolution against a cached kernel spectrum
-//! (the transform is [`opm_linalg::fft`]), in `O(N log² N)`; squares
-//! below [`FFT_SQUARE_MIN_COLUMNS`] a side use [`history_block_into`],
-//! which stays the oracle the squares are tested against.
+//! The memory that a block of columns receives from everything before
+//! it is that sum for every column `j` of the block against the same
+//! tail (`offset = j`): the weights `w_{j+d}` form an upper-triangular
+//! Toeplitz block, so the block's whole memory from the tail is one
+//! Toeplitz-block × tail product. [`history_block_into`] computes it in
+//! one register-tiled pass over the tail instead of one pass per column
+//! — `O(N²)` work per series over a full `N`-column history.
+//! [`HistorySquares`] computes the same full-history memory over equal
+//! blocks of columns as dyadic squares, each one FFT convolution
+//! against a cached kernel spectrum (the transform is
+//! [`opm_linalg::fft`]), in `O(N log² N)`; squares below
+//! [`FFT_SQUARE_MIN_COLUMNS`] a side use [`history_block_into`], which
+//! stays the oracle the squares are tested against. The OPM convolution
+//! sweep (`opm-core`) runs one such memory over the global columns of a
+//! solve in 64-column blocks: each column sums its own block directly
+//! with [`history_convolution_into`] and takes the older terms from the
+//! squares, whatever the solve's window split.
 //!
 //! [`HistoryTail`] is a list of retained columns with an optional cap.
 //! Dropping columns older than `cap` is the Grünwald–Letnikov
 //! short-memory truncation: since the weights of a fractional difference
 //! decay like `|w_k| = O(k^{−1−α})`, the neglected forcing is bounded by
 //! the tail sum `Σ_{k>cap}|w_k| = O(cap^{−α})` times the solution's
-//! sup-norm. No solve in the workspace truncates: a windowed solve
+//! sup-norm. No solve in the workspace truncates: a convolution solve
 //! carries its whole memory through [`HistorySquares`].
 
 use opm_linalg::fft::FftPlan;
@@ -435,35 +440,37 @@ unsafe fn convolve_avx(
     convolve_body(spec, re, im);
 }
 
-/// Columns per side a carried-memory square must reach before
+/// Columns per side a memory square must reach before
 /// [`HistorySquares`] evaluates it by FFT instead of by
 /// [`history_block_into`]. Measured on a 2-vCPU AVX Xeon with α = ½
 /// weights, one square at a time (best of 50): at 64 columns a side the
 /// FFT square takes 1.2× the direct block's time (100–528 elements); at
 /// 128 it is 1.2–1.6× faster and at 256 2.0–2.7× faster (2–528
 /// elements). The `kernel/history_fft*` records of the `sweep` bench
-/// measure the combined effect on a whole full-history solve.
+/// measure the combined effect over a whole full-history solve.
 pub const FFT_SQUARE_MIN_COLUMNS: usize = 128;
 
-/// The carried memory of a full-history windowed convolution, computed
-/// as dyadic squares (Hairer, Lubich & Schlichte, *SIAM J. Sci. Stat.
-/// Comput.* 6 (1985) 532–541) instead of one Toeplitz block per window.
+/// The full-history memory of a convolution over `N` columns split
+/// into equal blocks of `b` columns, computed as dyadic squares (Hairer,
+/// Lubich & Schlichte, *SIAM J. Sci. Stat. Comput.* 6 (1985) 532–541)
+/// instead of one Toeplitz block per block of outputs.
 ///
-/// Window `o` of a `W`-window solve with `m`-column windows carries, in
-/// column `j`, `Σ_{c < o·m} ρ_{o·m + j − c}·x_c` over every earlier
-/// column `c`. At window boundary `w` (`1 ≤ w < W`), let
-/// `s = lowbit(w)`: the square of boundary `w` adds the terms whose
-/// inputs lie in windows `[w − s, w)` to the outputs in windows
-/// `[w, min(w + s, W))`. Every strictly lower (output, input) window
-/// pair is covered by exactly one boundary, each square is one linear
-/// convolution against `ρ[1 .. 2sm)` — the same kernel for every
-/// boundary of a level — and all of a boundary's inputs are solved when
-/// it is reached, so the carried part of a window is complete before the
-/// window starts. Work per series is `O(N log² N)` for `N = W·m`
-/// columns, against `O(N²)` for per-window blocks.
+/// Block `o` receives, in its column `j`, `Σ_{c < o·b} ρ_{o·b + j − c}·x_c`
+/// over every column `c` of the earlier blocks. At block boundary `B`
+/// (`1 ≤ B < blocks`), let `s = lowbit(B)`: the square of boundary `B`
+/// adds the terms whose inputs lie in blocks `[B − s, B)` to the
+/// outputs in blocks `[B, min(B + s, blocks))`. Every strictly lower
+/// (output, input) block pair is covered by exactly one boundary, each
+/// square is one linear convolution against `ρ[1 .. 2sb)` — the same
+/// kernel for every boundary of a level — and all of a boundary's
+/// inputs are solved when it is reached, so a block's memory from the
+/// earlier blocks is complete before its first column. Work per series
+/// is `O(N log² N)` for `N = blocks·b` columns, against `O(N²)` for one
+/// direct block per block. The last block may be cut short: its
+/// outputs past `N` are computed and never read.
 ///
 /// A square of at least [`FFT_SQUARE_MIN_COLUMNS`] columns per side is
-/// a cyclic convolution of length `next_pow2(2sm)` (long enough that
+/// a cyclic convolution of length `next_pow2(2sb)` (long enough that
 /// nothing wraps into the outputs) against a kernel spectrum computed
 /// once here; a smaller one is [`history_block_into`] on the square.
 /// Transforms run one element panel at a time. Two series of the same
@@ -471,26 +478,27 @@ pub const FFT_SQUARE_MIN_COLUMNS: usize = 128;
 /// one complex series (a real kernel keeps them apart exactly); values
 /// of different lanes never meet, so a lane's bits do not depend on
 /// which other lanes share its block. Against the direct block a
-/// carried column agrees to about `5e-16` of its magnitude scale
-/// `Σ_d |ρ_{j+d}|·‖x_d‖_∞`; its own entries can cancel far below that
-/// scale (one 1-entry column of the property test is off by `3.5e-11`
-/// of itself), while on the `cpe_history` shape the deviation is about
-/// `1e-13` of each column's largest entry. The scale is per lane, not
-/// per row: the FFT's rounding scales with the whole complex series,
-/// so a row much smaller than its partner (a µA branch current beside
-/// a 1 V node) carries an error of the partner's size — measured about
-/// `1e-15` of the lane and `1e-9` of the row itself with rows `1e6`
-/// apart — where the direct block's error scales with the row alone.
+/// column's memory agrees to about `5e-16` of its magnitude scale
+/// `Σ_d |ρ_{j+d}|·‖x_d‖_∞` (the tests bound it by `1e-12` of that
+/// scale); its own entries can cancel far below that scale (one 1-entry column of the
+/// property test is off by `3.5e-11` of itself), while on the
+/// `cpe_history` shape the deviation is about `1e-13` of each column's
+/// largest entry. The scale is per lane, not per row: the FFT's
+/// rounding scales with the whole complex series, so a row much smaller
+/// than its partner (a µA branch current beside a 1 V node) carries an
+/// error of the partner's size — measured about `1e-15` of the lane and
+/// `1e-9` of the row itself with rows `1e6` apart — where the direct
+/// block's error scales with the row alone.
 #[derive(Clone, Debug)]
 pub struct HistorySquares {
-    m: usize,
-    windows: usize,
-    /// Per level `ℓ` (`s = 2^ℓ`, every `s < W`): the kernel spectrum of
-    /// an FFT-sized square, `None` for a direct one.
+    block: usize,
+    blocks: usize,
+    /// Per level `ℓ` (`s = 2^ℓ`, every `s < blocks`): the kernel
+    /// spectrum of an FFT-sized square, `None` for a direct one.
     levels: Vec<Option<SquareSpectrum>>,
 }
 
-/// The spectrum of one level's kernel `ρ[1 .. 2sm)`, in the
+/// The spectrum of one level's kernel `ρ[1 .. 2sb)`, in the
 /// bit-reversed order of [`FftPlan::forward_bitrev`] and scaled by
 /// `1/N` (exact: `N` is a power of two).
 #[derive(Clone, Debug)]
@@ -501,15 +509,15 @@ struct SquareSpectrum {
 }
 
 impl HistorySquares {
-    /// The squares of a `windows`-window solve with `m`-column windows
-    /// and memory weights `weights` (`ρ_d` weighs a column `d` steps
-    /// back; entries past the end weigh zero).
-    pub fn new(weights: &[f64], m: usize, windows: usize) -> Self {
+    /// The squares of `blocks` blocks of `block` columns each, with
+    /// memory weights `weights` (`ρ_d` weighs a column `d` steps back;
+    /// entries past the end weigh zero).
+    pub fn new(weights: &[f64], block: usize, blocks: usize) -> Self {
         let levels = (0..usize::BITS)
             .map(|l| 1usize << l)
-            .take_while(|&s| s < windows)
+            .take_while(|&s| s < blocks)
             .map(|s| {
-                let side = s * m;
+                let side = s * block;
                 (side >= FFT_SQUARE_MIN_COLUMNS).then(|| {
                     let n = (2 * side).next_power_of_two();
                     let plan = FftPlan::new(n);
@@ -528,43 +536,49 @@ impl HistorySquares {
                 })
             })
             .collect();
-        HistorySquares { m, windows, levels }
+        HistorySquares {
+            block,
+            blocks,
+            levels,
+        }
     }
 
-    /// Adds the square of window boundary `w` (`1 ≤ w < W`) to the
-    /// pending carried memory. `store` holds the solved columns of
-    /// windows `0..w` (at least); `pending` holds the carried columns
-    /// accumulated so far for windows `w, w + 1, …` (its first column is
-    /// column 0 of window `w`) and is extended with zero columns to cover
-    /// the square's output windows. Every column is `rows × lanes`
-    /// row-major (`lanes` = 1 for a plain column).
+    /// Adds the square of block boundary `boundary` (`1 ≤ boundary <
+    /// blocks`) to the pending memory. `store` holds the solved columns
+    /// of blocks `0..boundary` (at least); `pending` holds the memory
+    /// accumulated so far for blocks `boundary, boundary + 1, …` (its
+    /// first column is column 0 of block `boundary`) and is extended
+    /// with zero columns to cover the square's output blocks. Every
+    /// column is `rows × lanes` row-major (`lanes` = 1 for a plain
+    /// column).
     ///
     /// # Panics
-    /// Panics when `w` is not a boundary of the solve, when `store` is
-    /// short of window `w`, or when the column length is not a multiple
-    /// of `lanes`.
+    /// Panics when `boundary` is not a block boundary, when `store` is
+    /// short of block `boundary`, or when the column length is not a
+    /// multiple of `lanes`.
     pub fn add_boundary(
         &self,
         weights: &[f64],
-        w: usize,
+        boundary: usize,
         store: &[Vec<f64>],
         pending: &mut Vec<Vec<f64>>,
         lanes: usize,
     ) {
+        let w = boundary;
         assert!(
-            (1..self.windows).contains(&w),
-            "boundary {w} of a {}-window solve",
-            self.windows
+            (1..self.blocks).contains(&w),
+            "boundary {w} of {} blocks",
+            self.blocks
         );
         let s = w & w.wrapping_neg();
-        let m = self.m;
-        let inputs = &store[(w - s) * m..w * m];
+        let b = self.block;
+        let inputs = &store[(w - s) * b..w * b];
         let len = inputs[0].len();
         assert!(
             lanes > 0 && len % lanes == 0,
             "{len}-entry columns of {lanes} lanes"
         );
-        let span = s.min(self.windows - w) * m;
+        let span = s.min(self.blocks - w) * b;
         if pending.len() < span {
             pending.resize(span, vec![0.0; len]);
         }

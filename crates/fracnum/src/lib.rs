@@ -14,9 +14,10 @@
 //!   derivatives (the classical time-domain FDE discretization).
 //! - [`history`] — the shared history-convolution kernels behind every
 //!   memory-carrying fractional recurrence in the workspace: per column,
-//!   per window block, and the dyadic FFT squares of
-//!   [`history::HistorySquares`] through which a windowed solve carries
-//!   its whole memory. [`history::HistoryTail`] is a column list with an
+//!   per block of columns, and the dyadic FFT squares of
+//!   [`history::HistorySquares`] through which a convolution solve
+//!   carries its whole memory over equal blocks of global columns.
+//!   [`history::HistoryTail`] is a column list with an
 //!   optional retention cap; no solve in the workspace caps its memory.
 //!
 //! # Example: fractional relaxation oracle

@@ -44,8 +44,10 @@
 //!   ([`ServerConfig::read_timeout`] / [`ServerConfig::write_timeout`];
 //!   a drip-feeding client gets 408), and
 //!   [`ServerConfig::compute_deadline`] arms a cooperative
-//!   [`CancelToken`] per request — windowed/streaming solves poll it at
-//!   window boundaries and bail with 503 instead of pinning a thread.
+//!   [`CancelToken`] per request — every solve polls it (every 64
+//!   columns of a uniform sweep, whole-horizon or windowed, every
+//!   step-grid column and every Newton iteration) and bails with 503
+//!   instead of pinning a thread.
 //! - **Backpressure.** At most [`ServerConfig::max_connections`]
 //!   requests run at once; beyond that the accept loop answers
 //!   503 + `Retry-After` immediately instead of spawning an unbounded
@@ -119,9 +121,9 @@ pub struct ServerConfig {
     /// OS-level socket write timeout; an expired write drops the
     /// connection.
     pub write_timeout: Option<Duration>,
-    /// Per-request compute budget, enforced cooperatively at window
-    /// boundaries of windowed/streaming solves → 503 when exceeded.
-    /// `None` means no compute deadline.
+    /// Per-request compute budget, enforced cooperatively inside every
+    /// solve (see [`CancelToken`]) → 503 when exceeded. `None` means no
+    /// compute deadline.
     pub compute_deadline: Option<Duration>,
     /// Concurrent-request cap; excess connections get an immediate
     /// 503 + `Retry-After` instead of a thread.
@@ -487,8 +489,9 @@ impl RequestCtx<'_> {
         opts
     }
 
-    /// Non-windowed solves cannot be interrupted mid-flight; checking
-    /// here (after plan build + injected sleeps) still bounds them.
+    /// Checks the deadline once the plan is ready (after plan build and
+    /// injected sleeps), before any solve starts; the solves then poll
+    /// the same token themselves.
     fn check_deadline(&self) -> Result<(), OpmError> {
         match &self.cancel {
             Some(token) => token.check(),
@@ -805,14 +808,11 @@ fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
             .map(|ws| plan.solve_newton_windowed(ws, windows, &nopts))
             .collect::<Result<Vec<_>, _>>()?
     } else {
-        match windows {
-            Some(w) => plan.solve_windowed_batch_opts(
-                &stimuli,
-                &ctx.windowed_opts(w),
-                opm_par::default_threads(),
-            )?,
-            None => plan.solve_batch(&stimuli)?,
-        }
+        plan.solve_windowed_batch_opts(
+            &stimuli,
+            &ctx.windowed_opts(windows.unwrap_or(1)),
+            opm_par::default_threads(),
+        )?
     };
     let mut doc = plan_header(hit, &plan);
     doc.push((
@@ -839,7 +839,11 @@ fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
         .iter()
         .map(|&v| InputSet::new(vec![opm_waveform::Waveform::Dc(v); p]))
         .collect();
-    let results = plan.solve_batch(&stimuli)?;
+    let results = plan.solve_windowed_batch_opts(
+        &stimuli,
+        &ctx.windowed_opts(1),
+        opm_par::default_threads(),
+    )?;
     let mut doc = plan_header(hit, &plan);
     doc.push(("levels".into(), Json::num_arr(&levels)));
     doc.push((

@@ -4,7 +4,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use opm_core::json::Json;
 use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
@@ -887,6 +887,66 @@ fn refused_json_waveform_shapes_are_400s() {
         assert_eq!(r.status, 400, "{}", r.body);
         assert!(r.body.contains(needle), "{}", r.body);
     }
+    post_fresh(server.addr(), &solve_body(), "miss");
+    server.shutdown();
+}
+
+/// Whole-horizon solves poll the compute deadline inside their sweep:
+/// a `/solve` without `windows` and a `/sweep` on a 64-section R–CPE
+/// ladder at 32,768 columns and 32 scenarios — a sweep of several
+/// seconds — get a 503 soon after a 50 ms deadline, `/metrics` counts
+/// both timeouts, and the next request is served.
+#[test]
+fn whole_horizon_solves_honor_the_compute_deadline() {
+    let server = spawn(ServerConfig {
+        compute_deadline: Some(Duration::from_millis(50)),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut netlist = String::from("* R-CPE ladder\nV1 in 0 DC 1\n");
+    let mut prev = "in".to_string();
+    for k in 1..=64 {
+        netlist.push_str(&format!("R{k} {prev} n{k} 100\nP{k} n{k} 0 CPE 1e-6 0.5\n"));
+        prev = format!("n{k}");
+    }
+    netlist.push_str(".end\n");
+    let levels: Vec<String> = (0..32)
+        .map(|i| format!("{}", 1.0 + 0.1 * i as f64))
+        .collect();
+    let plan = format!(
+        r#""netlist": {netlist:?}, "probes": ["n64"], "horizon": 1e-3,
+            "options": {{"resolution": 32768}}"#
+    );
+    let scenarios: Vec<String> = levels
+        .iter()
+        .map(|v| format!(r#"[{{"kind": "step", "level": {v}}}]"#))
+        .collect();
+    for (path, body) in [
+        (
+            "/solve",
+            format!(r#"{{{plan}, "scenarios": [{}]}}"#, scenarios.join(", ")),
+        ),
+        (
+            "/sweep",
+            format!(r#"{{{plan}, "levels": [{}]}}"#, levels.join(", ")),
+        ),
+    ] {
+        let started = Instant::now();
+        let r = client::post(server.addr(), path, &body).unwrap();
+        let took = started.elapsed();
+        assert_eq!(r.status, 503, "{path}: {}", r.body);
+        assert!(r.body.contains("compute deadline"), "{}", r.body);
+        assert!(
+            took < Duration::from_millis(1500),
+            "{path}: 503 after {took:?}"
+        );
+    }
+    let doc = client::get(server.addr(), "/metrics")
+        .unwrap()
+        .json()
+        .unwrap();
+    let robustness = doc.get("robustness").unwrap();
+    assert_eq!(robustness.get("timeouts").unwrap().as_usize(), Some(2));
     post_fresh(server.addr(), &solve_body(), "miss");
     server.shutdown();
 }

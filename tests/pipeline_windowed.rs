@@ -1,6 +1,6 @@
 //! Integration: windowed long-horizon solving end to end through the
 //! facade — windowed ≡ whole-horizon equivalence (linear, second-order,
-//! and fractional with carried Caputo/GL history), streaming-callback
+//! and fractional with one global Caputo/GL memory), streaming-callback
 //! concatenation, batch-vs-loop bit-identity, the one-factorization
 //! invariant, and classical-stepper cross-checks on a 100×-horizon run.
 
@@ -243,13 +243,13 @@ fn second_order_windowed_matches_whole_horizon() {
 }
 
 /// 100 Ω into a half-order constant-phase element — the fractional MNA
-/// model the windowed Caputo/GL history carry is specified against.
+/// model the one global Caputo/GL memory is specified against.
 const RC_CPE: &str = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
 
-/// Windowed fractional solving carries the Caputo/GL history of all
-/// previous windows: the result matches the whole-horizon plan at `W·m`
-/// columns to ≤ 1e-9, through exactly 1 symbolic + 1 numeric
-/// factorization.
+/// Windowed fractional solving runs one Caputo/GL memory over the
+/// global columns of all windows: the result matches the whole-horizon
+/// plan at `W·m` columns to ≤ 1e-12, through exactly 1 symbolic + 1
+/// numeric factorization.
 #[test]
 fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
     let (m, windows, t_end) = (32, 8, 1e-6);
@@ -269,7 +269,7 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
     assert_eq!(windowed.bounds, whole.bounds);
     let delta = max_abs_output_delta(&windowed, &whole);
     assert!(
-        delta <= 1e-9,
+        delta <= 1e-12,
         "full-history windowed vs whole: max |Δ| = {delta:.3e}"
     );
 
@@ -287,8 +287,8 @@ fn fractional_windowed_equals_whole_horizon_on_rc_cpe() {
 
 /// Fractional streaming ≡ fractional windowed, block for block, and the
 /// batch is bit-identical to the loop for every thread count — on a
-/// shape whose carried-memory squares are all direct (m = 16) and on
-/// one where every square runs by FFT (m = 128).
+/// shape whose one memory square is direct (96 columns) and on one
+/// whose larger squares run by FFT (512 columns).
 #[test]
 fn fractional_streaming_and_batch_match_windowed() {
     let t_end = 1e-6;
