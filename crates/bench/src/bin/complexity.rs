@@ -185,7 +185,7 @@ fn main() {
                     .collect()
             })
             .collect();
-        let squares = HistorySquares::new(&rho, m, w);
+        let squares = HistorySquares::new(&rho, m, m * w);
         let direct = || {
             for b in 1..w {
                 let mut block = vec![vec![0.0; rows]; m];

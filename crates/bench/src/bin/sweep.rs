@@ -509,7 +509,7 @@ fn main() {
                 .collect()
         })
         .collect();
-    let hsquares = HistorySquares::new(&hrho, hm, hw);
+    let hsquares = HistorySquares::new(&hrho, hm, hm * hw);
     // The direct blocks stream the whole store per window, so their time
     // swings by up to 1.5× with memory traffic on a shared host, in
     // phases of 0.5–2 s: 40 interleaved pairs (about 1 s) give both
@@ -648,7 +648,7 @@ fn main() {
         rec("windowed_vs_whole", vec![("value", Json::Num(win_speedup))]),
         rec(
             "windowed_max_abs_delta",
-            vec![("value", Json::Num(win_delta)), ("max", Json::Num(1e-9))],
+            vec![("value", Json::Num(win_delta)), ("max", Json::Num(1e-12))],
         ),
         rec(
             format!("windowed/stream_{w_long}x{wm}"),

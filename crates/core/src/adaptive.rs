@@ -1,12 +1,14 @@
 //! Adaptive-step OPM (paper §III-B and Eq. 25).
 //!
-//! **Linear systems** adapt on the fly: the accumulator column solve
-//! `(2/h_j·E − A)·z_j = B·ū_j + c − (4/h_j)·E·g_j` only involves the
-//! *current* step `h_j` (the alternating accumulator
-//! `g_{j+1} = −(g_j + z_j)` is step-free), so a rejected column is simply
-//! re-solved with a smaller `h_j` — the paper's "time step determined on
-//! the fly by some error control mechanism". Steps live on a power-of-two
-//! lattice to bound the number of LU factorizations.
+//! **Linear systems** adapt on the fly: the endpoint recurrence every
+//! linear sweep runs ([`crate::linear`]) solves column `j` as
+//! `(2/h_j·E − A)·x_j = (2/h_j)·E·e_j + B·ū_j`, which involves only the
+//! *current* step `h_j` (the endpoint step `e_{j+1} = 2x_j − e_j` is
+//! step-free), so a rejected column is simply re-solved with a smaller
+//! `h_j` — the paper's "time step determined on the fly by some error
+//! control mechanism". Steps live on a power-of-two lattice to bound the
+//! number of LU factorizations; held at one step, the stepper is the
+//! uniform sweep bit for bit.
 //!
 //! **Fractional systems** couple all steps through `D̃^α` (Eq. 25), so
 //! adaptivity uses a caller-chosen *distinct-step grid* (e.g.
@@ -17,7 +19,7 @@
 
 use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
-use crate::engine::{apply_b, apply_b_column, PencilFamily};
+use crate::engine::{apply_b, Endpoint, PencilFamily};
 use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
@@ -171,69 +173,34 @@ pub(crate) fn linear_adaptive_with(
     opts: AdaptiveOpmOptions,
     lattice: &StepLattice,
 ) -> Result<OpmResult, OpmError> {
-    let n = sys.order();
-    let shift = x0.iter().any(|&v| v != 0.0);
-    let c_force = if shift {
-        sys.a().mul_vec(x0)
-    } else {
-        vec![0.0; n]
-    };
-
-    let solve_column = |h: f64, t0: f64, g: &[f64]| -> Result<Vec<f64>, OpmError> {
-        let exp = lattice_exp(h);
-        let lu = lattice.get(exp)?;
-        let hq = 2.0f64.powi(exp);
-        let mut rhs = vec![0.0; n];
-        // B·ū over [t0, t0+h] + c − (4/h)·E·g.
-        let u_avg: Vec<f64> = inputs
-            .channels()
-            .iter()
-            .map(|w| w.average(t0, t0 + hq))
-            .collect();
-        apply_b_column(sys.b(), &u_avg, 1.0, &mut rhs);
-        if shift {
-            for (r, c) in rhs.iter_mut().zip(&c_force) {
-                *r += c;
-            }
-        }
-        let mut eg = vec![0.0; n];
-        sys.e().mul_vec_into(g, &mut eg);
-        for (r, w) in rhs.iter_mut().zip(&eg) {
-            *r -= 4.0 / hq * w;
-        }
-        Ok(lu.solve(&rhs))
-    };
-
+    let mut endpoint = Endpoint::new(x0);
+    let mut u = vec![0.0; inputs.len()];
+    let mut rhs = vec![0.0; sys.order()];
     let mut t = 0.0;
     let mut h = quantize(opts.h0);
-    let mut g = vec![0.0; n];
+    let mut h_prev = 0.0;
     let mut bounds = vec![0.0];
     let mut columns: Vec<Vec<f64>> = Vec::new();
-    let mut prev: Option<(Vec<f64>, f64)> = None; // (z_{j−1}, h_{j−1})
     let mut accepted_run = 0usize;
 
     while t < t_end - 1e-12 * t_end {
+        // h is on the lattice: the endpoint recurrence at σ = 2/h
+        // against the lattice factor.
         h = clamp_step(h, t, t_end, &opts);
-        let z = solve_column(h, t, &g)?;
+        for (uc, w) in u.iter_mut().zip(inputs.channels()) {
+            *uc = w.average(t, t + h);
+        }
+        endpoint.rhs(sys, 2.0 / h, &u, &mut rhs);
+        let (lu, mut x) = (lattice.get(lattice_exp(h))?, vec![0.0; rhs.len()]);
+        lu.solve_block_into(&rhs, &mut x, 1);
         // Predictor: linear extrapolation of the last column pair.
-        let est = match (&prev, columns.len()) {
-            (Some((z1, h1)), len) if len >= 2 => {
-                let z2 = &columns[len - 2];
-                let x1: Vec<f64> = if shift {
-                    z1.iter().zip(x0).map(|(a, b)| a - b).collect()
-                } else {
-                    z1.clone()
-                };
-                let x2: Vec<f64> = if shift {
-                    z2.iter().zip(x0).map(|(a, b)| a - b).collect()
-                } else {
-                    z2.clone()
-                };
-                let factor = (h + h1) / (2.0 * h1.max(1e-300));
-                z.iter()
-                    .zip(&x1)
-                    .zip(&x2)
-                    .map(|((zj, a), b)| (zj - (a + (a - b) * factor)).abs())
+        let est = match columns.as_slice() {
+            [.., x2, x1] => {
+                let factor = (h + h_prev) / (2.0 * h_prev);
+                x.iter()
+                    .zip(x1)
+                    .zip(x2)
+                    .map(|((xj, a), b)| (xj - (a + (a - b) * factor)).abs())
                     .fold(0.0, f64::max)
             }
             _ => 0.0, // accept the first two columns unconditionally
@@ -242,17 +209,9 @@ pub(crate) fn linear_adaptive_with(
         if est <= opts.tol || h * 0.5 < opts.h_min {
             t += h;
             bounds.push(t);
-            // Update accumulator and store the *unshifted* state x = z+x0.
-            for (gi, zi) in g.iter_mut().zip(&z) {
-                *gi = -(*gi + zi);
-            }
-            let x: Vec<f64> = if shift {
-                z.iter().zip(x0).map(|(a, b)| a + b).collect()
-            } else {
-                z.clone()
-            };
-            prev = Some((x.clone(), h));
+            endpoint.advance(&x);
             columns.push(x);
+            h_prev = h;
             accepted_run += 1;
             if est < 0.25 * opts.tol && accepted_run >= 3 && h * 2.0 <= opts.h_max {
                 h *= 2.0;
@@ -471,6 +430,49 @@ mod tests {
         assert_eq!((p.cache_hits, p.cache_misses), (1, 2));
         // The second miss reuses the first miss's symbolic analysis.
         assert_eq!((p.num_symbolic, p.num_numeric), (1, 1));
+    }
+
+    #[test]
+    fn adaptive_held_at_one_step_is_the_uniform_sweep() {
+        // Both plans run the endpoint recurrence at σ = 128 against the
+        // same factor, so a controller that cannot move reproduces the
+        // m = 64 uniform solve bit for bit, nonzero x₀ included.
+        let mut a = CooMatrix::new(2, 2);
+        for (i, j, v) in [(0, 0, -1.0), (0, 1, 0.5), (1, 0, 0.3), (1, 1, -2.0)] {
+            a.push(i, j, v);
+        }
+        let mut b = CooMatrix::new(2, 1);
+        b.push(0, 0, 1.0);
+        b.push(1, 0, 0.5);
+        let sys =
+            DescriptorSystem::new(CsrMatrix::identity(2), a.to_csr(), b.to_csr(), None).unwrap();
+        let sim = Simulation::from_system(sys)
+            .horizon(1.0)
+            .initial_state(vec![1.5, -0.5]);
+        let inputs = InputSet::new(vec![Waveform::sine(0.0, 1.0, 3.0, 0.0, 0.0)]);
+        let step = 2.0f64.powi(-6);
+        let held = AdaptiveOpmOptions {
+            h0: step,
+            h_min: step,
+            h_max: step,
+            ..Default::default()
+        };
+        let adaptive = sim.plan(&SolveOptions::new().adaptive(held)).unwrap();
+        let uniform = sim.plan(&SolveOptions::new().resolution(64)).unwrap();
+        let (ra, ru) = (
+            adaptive.solve(&inputs).unwrap(),
+            uniform.solve(&inputs).unwrap(),
+        );
+        assert_eq!(ra.bounds, ru.bounds);
+        for i in 0..2 {
+            for j in 0..64 {
+                assert_eq!(
+                    ra.state_coeff(i, j).to_bits(),
+                    ru.state_coeff(i, j).to_bits(),
+                    "state {i}, column {j}"
+                );
+            }
+        }
     }
 
     #[test]

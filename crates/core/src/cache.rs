@@ -12,7 +12,8 @@
 //! # The cache key
 //!
 //! Entries are keyed by a 128-bit structural hash
-//! ([`plan_key`]) covering everything [`Simulation::plan`] consumes:
+//! ([`plan_key`], a [`WordHash`] fed one word per count, index and
+//! value) covering everything [`Simulation::plan`] consumes:
 //!
 //! - the model **pattern** (variant, dimensions, row structure, column
 //!   indices) and its **values** (every `f64` hashed by bit pattern),
@@ -53,13 +54,13 @@
 //!
 //! [`plan_key`] needs an assembled [`Simulation`], so a server that
 //! computed it per request would pay netlist parse, MNA assembly and
-//! this byte-wise hash on every hit. The `opm-serve` daemon puts a
-//! request-level tier in front of this cache: a [`WordHash`] of the
-//! posted plan-input members maps to the [`PlanKey`] they built, a hit
-//! is confirmed by bit-exact equality of the members and goes straight
-//! to [`PlanCache::get_or_intern`] under the stored key, whose build
-//! closure — the full parse and [`PlanCache::plan`] — then runs only if
-//! the plan was evicted. The structural key stays the source of truth:
+//! this hash of every matrix value on every hit. The `opm-serve` daemon
+//! puts a request-level tier in front of this cache: a [`WordHash`] of
+//! the posted plan-input members maps to the [`PlanKey`] they built, a
+//! hit is confirmed by bit-exact equality of the members and goes
+//! straight to [`PlanCache::get_or_intern`] under the stored key, whose
+//! build closure — the full parse and [`PlanCache::plan`] — then runs
+//! only if the plan was evicted. The structural key stays the source of truth:
 //! every request is still exactly one plan hit or miss here.
 //!
 //! # Concurrency & the single-factorization invariant
@@ -114,60 +115,30 @@ pub type PlanKey = (u64, u64);
 /// Exposed so tests (and cache-aware tooling) can check when two
 /// sessions would share a cached plan without building one.
 pub fn plan_key(sim: &Simulation, opts: &SolveOptions) -> PlanKey {
-    let mut h = PairHash::new();
+    let mut h = WordHash::default();
     hash_model(&mut h, sim.model());
     hash_devices(&mut h, sim.devices());
     hash_options(&mut h, opts);
     h.f64(sim.t_end());
     match sim.x0() {
         Some(x0) => {
-            h.tag(1);
+            h.word(1);
             h.f64_slice(x0);
         }
-        None => h.tag(0),
+        None => h.word(0),
     }
     h.finish()
 }
 
-/// Two independent FNV-1a streams → a 128-bit key, so accidental
-/// collisions between distinct requests are out of reach at any
-/// realistic cache size.
-struct PairHash {
-    a: u64,
-    b: u64,
-}
-
-impl PairHash {
-    fn new() -> Self {
-        // FNV-1a offset basis, and a second arbitrary odd basis.
-        PairHash {
-            a: 0xcbf29ce484222325,
-            b: 0x9e3779b97f4a7c15,
-        }
-    }
-
-    fn byte(&mut self, x: u8) {
-        const P: u64 = 0x100000001b3;
-        self.a = (self.a ^ x as u64).wrapping_mul(P);
-        self.b = (self.b ^ x as u64).wrapping_mul(P ^ 0xff51afd7ed558ccd);
-    }
-
-    fn u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
+/// The structural key's vocabulary over [`WordHash`]: every count, tag,
+/// index and `f64` bit pattern is one word.
+impl WordHash {
     fn usize(&mut self, x: usize) {
-        self.u64(x as u64);
-    }
-
-    fn tag(&mut self, t: u8) {
-        self.byte(t);
+        self.word(x as u64);
     }
 
     fn f64(&mut self, x: f64) {
-        self.u64(x.to_bits());
+        self.word(x.to_bits());
     }
 
     fn f64_slice(&mut self, xs: &[f64]) {
@@ -194,10 +165,10 @@ impl PairHash {
     fn opt_csr(&mut self, m: Option<&CsrMatrix>) {
         match m {
             Some(m) => {
-                self.tag(1);
+                self.word(1);
                 self.csr(m);
             }
-            None => self.tag(0),
+            None => self.word(0),
         }
     }
 
@@ -207,25 +178,21 @@ impl PairHash {
         self.csr(sys.b());
         self.opt_csr(sys.c());
     }
-
-    fn finish(self) -> PlanKey {
-        (self.a, self.b)
-    }
 }
 
-fn hash_model(h: &mut PairHash, model: &SimModel) {
+fn hash_model(h: &mut WordHash, model: &SimModel) {
     match model {
         SimModel::Linear(sys) => {
-            h.tag(1);
+            h.word(1);
             h.descriptor(sys);
         }
         SimModel::Fractional(fsys) => {
-            h.tag(2);
+            h.word(2);
             h.f64(fsys.alpha());
             h.descriptor(fsys.system());
         }
         SimModel::MultiTerm(mt) => {
-            h.tag(3);
+            h.word(3);
             h.usize(mt.terms().len());
             for term in mt.terms() {
                 h.f64(term.alpha);
@@ -235,7 +202,7 @@ fn hash_model(h: &mut PairHash, model: &SimModel) {
             h.opt_csr(mt.c());
         }
         SimModel::SecondOrder(so) => {
-            h.tag(4);
+            h.word(4);
             h.csr(so.m2());
             h.csr(so.m1());
             h.csr(so.m0());
@@ -245,19 +212,19 @@ fn hash_model(h: &mut PairHash, model: &SimModel) {
     }
 }
 
-fn hash_devices(h: &mut PairHash, devices: &[DeviceModel]) {
+fn hash_devices(h: &mut WordHash, devices: &[DeviceModel]) {
     h.usize(devices.len());
     for device in devices {
         match device {
             DeviceModel::Diode(d) => {
-                h.tag(1);
+                h.word(1);
                 h.usize(d.anode);
                 h.usize(d.cathode);
                 h.f64(d.is_sat);
                 h.f64(d.vt);
             }
             DeviceModel::Mosfet(m) => {
-                h.tag(2);
+                h.word(2);
                 h.usize(m.drain);
                 h.usize(m.gate);
                 h.usize(m.source);
@@ -268,30 +235,30 @@ fn hash_devices(h: &mut PairHash, devices: &[DeviceModel]) {
     }
 }
 
-fn hash_options(h: &mut PairHash, opts: &SolveOptions) {
+fn hash_options(h: &mut WordHash, opts: &SolveOptions) {
     match opts.resolution {
         Some(m) => {
-            h.tag(1);
+            h.word(1);
             h.usize(m);
         }
-        None => h.tag(0),
+        None => h.word(0),
     }
     match &opts.adaptive {
         Some(a) => {
-            h.tag(1);
+            h.word(1);
             h.f64(a.tol);
             h.f64(a.h0);
             h.f64(a.h_min);
             h.f64(a.h_max);
         }
-        None => h.tag(0),
+        None => h.word(0),
     }
     match &opts.step_grid {
         Some(steps) => {
-            h.tag(1);
+            h.word(1);
             h.f64_slice(steps);
         }
-        None => h.tag(0),
+        None => h.word(0),
     }
 }
 
@@ -304,9 +271,14 @@ use crate::sync::StdSync;
 type PatternKey = (u64, u64);
 
 /// A 128-bit hash fed a whole word at a time: two multiplicative
-/// streams, one multiply per word each. It is for keys whose hits are
-/// confirmed against the stored value, where a collision costs nothing
-/// but a miss — the pattern tier's, and `opm-serve`'s request pre-key.
+/// streams, one multiply per word each. It keys the pattern tier and
+/// `opm-serve`'s request pre-key, whose hits are confirmed against the
+/// stored value (a collision costs nothing but a miss), and the
+/// structural [`plan_key`], whose hits are not: there two distinct
+/// requests share a plan only if all 128 bits collide, which is out of
+/// reach by accident at any realistic cache size. It is not a
+/// cryptographic hash, so it does not stand against keys forged to
+/// collide.
 #[derive(Clone, Copy, Debug)]
 pub struct WordHash {
     a: u64,
@@ -767,6 +739,31 @@ mod tests {
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(a.devices(), weak.devices());
         assert_eq!(b.devices(), strong.devices());
+    }
+
+    /// The key reads every value's sign and every row boundary: one
+    /// flipped sign, or the same column/value run split across the rows
+    /// differently, keys a different plan.
+    #[test]
+    fn key_sees_signs_and_row_boundaries() {
+        let opts = SolveOptions::new().resolution(8);
+        let key = |entries: &[(usize, usize, f64)]| {
+            let mut a = CooMatrix::new(2, 2);
+            for &(i, j, v) in entries {
+                a.push(i, j, v);
+            }
+            let mut b = CooMatrix::new(2, 1);
+            b.push(0, 0, 1.0);
+            let sys = DescriptorSystem::new(CsrMatrix::identity(2), a.to_csr(), b.to_csr(), None)
+                .unwrap();
+            plan_key(&Simulation::from_system(sys).horizon(1.0), &opts)
+        };
+        let base = key(&[(0, 0, -1.0), (1, 1, -2.0)]);
+        assert_eq!(base, key(&[(0, 0, -1.0), (1, 1, -2.0)]));
+        assert_ne!(base, key(&[(0, 0, -1.0), (1, 1, 2.0)]));
+        // Rows [(0, −1)], [(1, −2)] against [(0, −1), (1, −2)], []: the
+        // same (column, value) run, the boundary moved.
+        assert_ne!(base, key(&[(0, 0, -1.0), (0, 1, -2.0)]));
     }
 
     /// Racing misses of two plans on one pencil pattern record exactly

@@ -26,6 +26,9 @@
 //!   two-term case with weights `(σ, −1)`;
 //! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
 //!   right-hand side (single scenario or an interleaved lane block);
+//! - `Endpoint` — the endpoint form of the linear recurrence, the
+//!   right-hand side `σE·e_j + B·u_j` and the step `e_{j+1} = 2x_j − e_j`
+//!   that the uniform, windowed, adaptive and Newton sweeps share;
 //! - `BlockColumnSweep` — the cached-factorization column solve loop,
 //!   `lanes` scenarios wide, with read access to all previously solved
 //!   columns (the history term) and a cancel poll every 64 columns
@@ -75,6 +78,7 @@ use opm_sparse::lu::LuOptions;
 use opm_sparse::ordering::amd;
 use opm_sparse::pencil::ShiftedPencil;
 use opm_sparse::{CscMatrix, CsrMatrix, Permutation, SparseError, SparseLu, SymbolicLu};
+use opm_system::DescriptorSystem;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -632,6 +636,51 @@ fn apply_b_panel<const W: usize>(
             }
         }
         out[dst..dst + W].copy_from_slice(&acc);
+    }
+}
+
+/// The endpoint form of the linear column recurrence, the one every
+/// linear sweep runs — uniform, windowed, adaptive and Newton: with
+/// `e₀ = x₀` the polyline endpoint entering column `j`,
+///
+/// ```text
+/// (σE − A)·x_j = σE·e_j + B·u_j ,     e_{j+1} = 2·x_j − e_j
+/// ```
+///
+/// `e` is one state or a row-major `n × lanes` block of them.
+pub(crate) struct Endpoint {
+    /// The endpoint entering the next column.
+    pub(crate) e: Vec<f64>,
+    /// `E·e` scratch.
+    work: Vec<f64>,
+}
+
+impl Endpoint {
+    /// The recurrence entering its first column at `start`.
+    pub(crate) fn new(start: &[f64]) -> Self {
+        Endpoint {
+            e: start.to_vec(),
+            work: vec![0.0; start.len()],
+        }
+    }
+
+    /// Writes the right-hand side `σE·e + B·u` into `rhs`, where
+    /// `u[ch*lanes + l]` is channel `ch` of lane `l`. Each row of `B·u`
+    /// is summed before it is added, in [`apply_b`]'s order.
+    pub(crate) fn rhs(&mut self, sys: &DescriptorSystem, sigma: f64, u: &[f64], rhs: &mut [f64]) {
+        let (b, lanes) = (sys.b(), self.e.len() / sys.order());
+        sys.e().mul_block_into(&self.e, &mut self.work, lanes);
+        for (k, (r, w)) in rhs.iter_mut().zip(&self.work).enumerate() {
+            let (i, l) = (k / lanes, k % lanes);
+            *r = sigma * w + b.row(i).fold(0.0, |s, (ch, v)| s + v * u[ch * lanes + l]);
+        }
+    }
+
+    /// Steps past the solved column `x`: `e ← 2x − e`.
+    pub(crate) fn advance(&mut self, x: &[f64]) {
+        for (e, &xi) in self.e.iter_mut().zip(x) {
+            *e = 2.0 * xi - *e;
+        }
     }
 }
 

@@ -23,11 +23,12 @@
 //!
 //! The strategy modules document (and test) the algorithms a plan runs:
 //!
-//! - [`linear`] — linear ODE/DAE systems (paper §III). The stable
-//!   two-term recurrence this library derives from the OPM column
-//!   equations (algebraically identical to the trapezoidal rule), which
-//!   every linear plan sweeps, plus the paper's literal accumulator
-//!   formulation as an oracle ([`linear::accumulator_solve`]).
+//! - [`linear`] — linear ODE/DAE systems (paper §III). The endpoint
+//!   recurrence this library derives from the OPM column equations
+//!   (algebraically identical to the trapezoidal rule), which every
+//!   linear sweep runs — uniform, windowed, adaptive and Newton — plus
+//!   the paper's literal accumulator formulation as an oracle
+//!   ([`linear::accumulator_solve`]).
 //! - [`fractional`] — fractional systems `E d^α x = A x + B u` (paper
 //!   §IV) via the nilpotent-series expansion of `D^α`.
 //! - [`multiterm`] — `Σ_k A_k d^{α_k} x = B u`; integer-order systems take
@@ -180,7 +181,7 @@ mod testkit {
         SolveOptions::new().resolution(u.first().map_or(0, Vec::len))
     }
 
-    /// The linear two-term recurrence.
+    /// The linear endpoint recurrence.
     pub fn solve_linear(
         sys: &DescriptorSystem,
         u: &[Vec<f64>],

@@ -2,23 +2,25 @@
 //!
 //! The matrix equation `E X D = A X + B U` with the uniform-step BPF
 //! operator `D` is solved column by column. Eliminating the running
-//! accumulator between consecutive columns yields the *stable two-term
-//! recurrence*
+//! accumulator between consecutive columns yields the *endpoint
+//! recurrence*: with `e₀ = x₀` the polyline endpoint entering column
+//! `j` and `σ = 2/h`,
 //!
 //! ```text
-//! (2/h·E − A)·x_j = (2/h·E + A)·x_{j−1} + B·(u_j + u_{j−1})
+//! (σE − A)·x_j = σE·e_j + B·u_j ,     e_{j+1} = 2·x_j − e_j
 //! ```
 //!
 //! — one sparse LU factorization, one solve per column, `O(n^β m)` total:
 //! the paper's claim that OPM matches trapezoidal-class methods is an
-//! algebraic identity. Every linear plan sweeps this recurrence; the
-//! paper's literal accumulator form ([`accumulator_solve`]) and the
-//! Kronecker oracle ([`crate::kron_solve::kron_solve_linear`]) are the
-//! reference forms the tests check it against.
-//!
-//! Nonzero initial conditions use the state shift `z = x − x₀` (the
-//! constant `A·x₀` joins the input), since the BPF derivative expansion
-//! assumes `x(0⁻) = 0`.
+//! algebraic identity (`e_j` is the trapezoidal state at `t_j`). Every
+//! linear sweep runs this one form: the uniform sweep, every window
+//! (starting from the endpoint the previous window ended on), the
+//! adaptive stepper (`σ_j = 2/h_j`, since a column needs only its own
+//! step) and the Newton sweep. A nonzero initial condition is only the
+//! first endpoint. The paper's literal accumulator form
+//! ([`accumulator_solve`]) and the Kronecker oracle
+//! ([`crate::kron_solve::kron_solve_linear`]) are the reference forms
+//! the tests check it against.
 //!
 //! The strategy runs in the plan layer ([`crate::session`]): a
 //! [`crate::SimPlan`] built by [`crate::Simulation::plan`] validates,
@@ -32,7 +34,7 @@ use crate::OpmError;
 use opm_system::DescriptorSystem;
 
 /// The paper's literal alternating-accumulator algorithm, the oracle of
-/// the two-term recurrence. With `σ = 2/h` and `z = x − x₀`, column `j`
+/// the endpoint recurrence. With `σ = 2/h` and `z = x − x₀`, column `j`
 /// solves
 ///
 /// ```text

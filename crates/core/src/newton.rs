@@ -2,20 +2,20 @@
 //!
 //! # The endpoint formulation
 //!
-//! The linear OPM recurrence advances the shifted state `z = x − x₀`
-//! column by column. For nonlinear circuits
-//! `E ẋ = A x + f(x) + B u` the superposition that justifies the shift
-//! is gone, so the Newton path uses the algebraically identical
-//! *endpoint* form in absolute coordinates: with `e₀ = x₀` the polyline
-//! endpoint entering column `j`, each column solves
+//! For nonlinear circuits `E ẋ = A x + f(x) + B u` each column iterates
+//! the endpoint recurrence every linear sweep runs ([`crate::linear`]),
+//! with the device currents added: with `e₀ = x₀` the polyline
+//! endpoint entering column `j`,
 //!
 //! ```text
 //! (σE − A)·x_j − f(x_j) = σE·e_j + B·u_j ,     e_{j+1} = 2·x_j − e_j
 //! ```
 //!
-//! (`σ = 2m/T_w`). With `f ≡ 0` this reproduces the linear two-term
-//! recurrence exactly — which is why `solve_newton_windowed` on a linear netlist
-//! can delegate to the linear sweep bit-identically.
+//! (`σ = 2m/T_w`). The right-hand side and the endpoint step are the
+//! linear sweep's own (`Endpoint` in [`crate::engine`]), so with
+//! `f ≡ 0` this is the linear recurrence exactly — which is why
+//! `solve_newton_windowed` on a linear netlist can delegate to the
+//! linear sweep bit-identically.
 //!
 //! # SPICE-style full-value iteration
 //!
@@ -50,7 +50,7 @@
 //! diode-into-RC-ladder pencil that is 2–4 µs per iterate on a shared
 //! 2-vCPU x86 host.
 
-use crate::engine::{apply_b, PencilFamily};
+use crate::engine::{Endpoint, PencilFamily};
 use crate::session::NewtonOptions;
 use crate::OpmError;
 use opm_circuits::nonlinear::{DeviceModel, MnaStamps, NonlinearDevice};
@@ -80,9 +80,11 @@ pub(crate) struct NewtonSweep<'a> {
     vals: Vec<f64>,
     /// The iterate's factor, refactored in place.
     lu: SparseLu,
-    /// Polyline endpoint entering the next column; after a window, that
+    /// The endpoint recurrence; after a window, its endpoint is that
     /// window's `x(T_w)` — the next window's seed.
-    e: Vec<f64>,
+    endpoint: Endpoint,
+    /// The current column's stimulus, one entry per channel.
+    u: Vec<f64>,
     /// The current iterate.
     x: Vec<f64>,
     /// The next iterate, solved into and then swapped with `x`.
@@ -135,7 +137,8 @@ impl<'a> NewtonSweep<'a> {
             stamps: MnaStamps::new(),
             vals: Vec::new(),
             lu: SparseLu::default(),
-            e: x0.to_vec(),
+            endpoint: Endpoint::new(x0),
+            u: vec![0.0; sys.num_inputs()],
             x: vec![0.0; n],
             x_new: vec![0.0; n],
             y: vec![0.0; n],
@@ -193,16 +196,14 @@ impl<'a> NewtonSweep<'a> {
         window: usize,
         columns: &mut Vec<Vec<f64>>,
     ) -> Result<(), OpmError> {
-        let n = self.sys.order();
         let weights = [sigma, -1.0];
-        self.x.copy_from_slice(&self.e);
+        self.x.copy_from_slice(&self.endpoint.e);
         for j in 0..m {
-            // rhs_base = σ·E·e_j + B·u_j.
-            self.sys.e().mul_block_into(&self.e, &mut self.work, 1);
-            for i in 0..n {
-                self.rhs_base[i] = sigma * self.work[i];
+            for (uc, row) in self.u.iter_mut().zip(u) {
+                *uc = row[j];
             }
-            apply_b(self.sys.b(), u, j, 1.0, &mut self.rhs_base);
+            let rhs = &mut self.rhs_base;
+            self.endpoint.rhs(self.sys, sigma, &self.u, rhs);
             let tol = ABS_TOL + REL_TOL * inf_norm(&self.rhs_base);
             let mut converged = false;
             let mut res = f64::INFINITY;
@@ -246,9 +247,7 @@ impl<'a> NewtonSweep<'a> {
                     context: format!("column {j} of window {window}"),
                 });
             }
-            for i in 0..n {
-                self.e[i] = 2.0 * self.x[i] - self.e[i];
-            }
+            self.endpoint.advance(&self.x);
             columns.push(self.x.clone());
         }
         Ok(())

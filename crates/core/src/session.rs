@@ -51,10 +51,14 @@
 //! whole-horizon solve at `W = 1` and reject `W > 1`.
 //!
 //! A uniform plan sweeps one of three column recurrences, picked from
-//! the model alone: the linear two-term recurrence (linear models), the
+//! the model alone: the linear endpoint recurrence (linear models), the
 //! integer multi-term finite recurrence (integer-order multi-term and
 //! second-order models), or the nilpotent-series convolution (fractional
-//! models and fractional mixtures). No option selects another path; the
+//! models and fractional mixtures). The linear recurrence has one form
+//! in every linear sweep — uniform, windowed, adaptive and Newton: the
+//! endpoint recurrence of [`crate::linear`], where a window starts from
+//! the endpoint the previous one ended on and a nonzero `x₀` is the
+//! first endpoint. No option selects another path; the
 //! paper's reference forms are oracles for the tests
 //! ([`crate::kron_solve`], [`crate::linear::accumulator_solve`]). A
 //! fractional model sweeps as its two-term conversion
@@ -70,7 +74,7 @@ use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
 use crate::engine::{
     apply_b_block, deinterleave, validate_coeff_inputs, validate_horizon, validate_x0,
-    BlockColumnSweep, PencilFamily, SolveOptions, SWEEP_BLOCK,
+    BlockColumnSweep, Endpoint, PencilFamily, SolveOptions, SWEEP_BLOCK,
 };
 use crate::gate::GateCache;
 use crate::kron_solve::fractional_as_multiterm;
@@ -598,7 +602,7 @@ enum PlanKind {
 /// them for any window count — the whole horizon is one window.
 #[derive(Clone, Copy)]
 enum Sweep {
-    /// Linear two-term recurrence against `σ·E − A`.
+    /// Linear endpoint recurrence against `σ·E − A`.
     Linear,
     /// Integer multi-term finite `(1+q)^K` recurrence; `differentiate`
     /// feeds it exact `u̇` averages (second-order nodal plans).
@@ -683,8 +687,9 @@ struct WindowKernel {
 
 /// A window kernel's symbol data (see [`window_symbols`]).
 enum WindowSymbols {
-    /// The linear recurrence at `σ_w = 2·m·W/T`. The carried state is
-    /// the polyline endpoint.
+    /// The linear endpoint recurrence at `σ_w = 2·m·W/T`. The carried
+    /// state is the polyline endpoint, where the next window's
+    /// recurrence starts.
     Linear { sigma: f64 },
     /// Integer multi-term recurrence: the `h_w`-scaled polynomials. The
     /// carried state is the trailing `depth` solved columns (and the
@@ -1011,7 +1016,7 @@ impl SimPlan {
             &[u],
             &WindowedOptions::new(1),
             opm_par::default_threads(),
-            |c, _, _| LaneCoeffs::interleave(c, p, self.m),
+            |c, _, _| Ok(LaneCoeffs::interleave(c, p, self.m)),
         )?;
         Ok(out.pop().expect("one lane in, one result out"))
     }
@@ -1159,7 +1164,7 @@ impl SimPlan {
         let kernel = self.window_kernel(windows)?;
         let lane = std::slice::from_ref(inputs);
         let mut final_state = self.x0.clone();
-        let coeffs = |w, seed| self.window_coeffs(lane, windows, w, seed);
+        let coeffs = |w, seed| self.window_coeffs(lane, opts, w, seed);
         self.windowed_drive(&kernel, 1, opts, true, coeffs, |w, columns, end| {
             // One lane: the interleaved columns are plain columns.
             let bounds = self.window_bounds(windows, w, 0);
@@ -1343,7 +1348,7 @@ impl SimPlan {
             _ => {
                 let kernel = self.window_kernel(windows)?;
                 self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed| {
-                    self.window_coeffs(c, windows, w, seed)
+                    self.window_coeffs(c, opts, w, seed)
                 })
             }
         }
@@ -1424,45 +1429,50 @@ impl SimPlan {
             .collect()
     }
 
-    /// Projects the lanes' waveforms onto window `w` (of `windows`),
-    /// reaching `seed` columns back for the stimulus a recurrence
-    /// re-reads with its carried columns. The window grid is shifted, the
-    /// waveforms are sampled at global time: `u̇` averages for
-    /// second-order input, plain interval averages otherwise. This is
-    /// the one projection of every uniform waveform solve — the whole
+    /// Projects the lanes' waveforms onto window `w` (of
+    /// `opts.windows()`), reaching `seed` columns back for the stimulus a
+    /// recurrence re-reads with its carried columns. The window grid is
+    /// shifted, the waveforms are sampled at global time: `u̇` averages
+    /// for second-order input, plain interval averages otherwise. This
+    /// is the one projection of every uniform waveform solve — the whole
     /// horizon is `W = 1`.
+    ///
+    /// # Errors
+    /// [`OpmError::Cancelled`] when the options' token trips; it is
+    /// polled before each lane is projected.
     fn window_coeffs(
         &self,
         sets: &[InputSet],
-        windows: usize,
+        opts: &WindowedOptions,
         w: usize,
         seed: usize,
-    ) -> LaneCoeffs {
-        let us: Vec<Vec<Vec<f64>>> = match &self.kind {
+    ) -> Result<LaneCoeffs, OpmError> {
+        let windows = opts.windows();
+        let width = self.t_end / windows as f64;
+        let bounds = self.window_bounds(windows, w, seed);
+        let project = |set: &InputSet| match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep: Sweep::Recurrence { differentiate },
                 ..
             }) => {
-                let bounds = self.window_bounds(windows, w, seed);
-                sets.iter()
-                    .map(|set| {
-                        if *differentiate {
-                            set.derivative_averages_on_grid(&bounds)
-                        } else {
-                            set.averages_on_grid(&bounds)
-                        }
-                    })
-                    .collect()
+                if *differentiate {
+                    set.derivative_averages_on_grid(&bounds)
+                } else {
+                    set.averages_on_grid(&bounds)
+                }
             }
-            _ => {
-                let width = self.t_end / windows as f64;
-                sets.iter()
-                    .map(|set| set.bpf_matrix_window(self.m, w as f64 * width, width))
-                    .collect()
-            }
+            _ => set.bpf_matrix_window(self.m, w as f64 * width, width),
         };
+        let us = sets
+            .iter()
+            .map(|set| opts.check_cancelled().map(|()| project(set)))
+            .collect::<Result<Vec<_>, _>>()?;
         let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-        LaneCoeffs::interleave(&refs, self.model.num_inputs(), seed + self.m)
+        Ok(LaneCoeffs::interleave(
+            &refs,
+            self.model.num_inputs(),
+            seed + self.m,
+        ))
     }
 
     /// Runs `lanes` through the window loop against `kernel`, split
@@ -1479,7 +1489,7 @@ impl SimPlan {
         lanes: &[L],
         opts: &WindowedOptions,
         threads: usize,
-        coeffs: impl Fn(&[L], usize, usize) -> LaneCoeffs + Sync,
+        coeffs: impl Fn(&[L], usize, usize) -> Result<LaneCoeffs, OpmError> + Sync,
     ) -> Result<Vec<OpmResult>, OpmError> {
         let run = |chunk: &[L]| -> Result<Vec<OpmResult>, OpmError> {
             let chunk_coeffs = |w, seed| coeffs(chunk, w, seed);
@@ -1529,7 +1539,7 @@ impl SimPlan {
         lanes: usize,
         opts: &WindowedOptions,
         trim: bool,
-        coeffs: impl Fn(usize, usize) -> LaneCoeffs,
+        coeffs: impl Fn(usize, usize) -> Result<LaneCoeffs, OpmError>,
         mut on_window: impl FnMut(usize, &[Vec<f64>], &[f64]),
     ) -> Result<Vec<Vec<f64>>, OpmError> {
         let windows = opts.windows();
@@ -1544,14 +1554,10 @@ impl SimPlan {
         };
         // A convolution's pending memory, per term, across windows.
         let mut pending = Vec::new();
-        // Linear windows restart from the plan's x0 interleaved across
-        // the lanes; thereafter each lane carries its own end state.
-        let mut end = vec![0.0; self.model.order() * k];
-        if let WindowSymbols::Linear { .. } = kernel.symbols {
-            for (i, &v) in self.x0.iter().enumerate() {
-                end[i * k..(i + 1) * k].iter_mut().for_each(|x| *x = v);
-            }
-        }
+        // The end state block: the plan's x0 (nonzero on linear plans
+        // only) interleaved across the lanes, then each lane's own.
+        let lanes_of = |&v: &f64| std::iter::repeat(v).take(k);
+        let mut end: Vec<f64> = self.x0.iter().flat_map(lanes_of).collect();
         // Sized by the request alone, so reserved fallibly.
         let too_large = || unallocatable(windows, self.m);
         let columns = if trim {
@@ -1562,7 +1568,7 @@ impl SimPlan {
         let mut store: Vec<Vec<f64>> = Vec::new();
         store.try_reserve_exact(columns).map_err(|_| too_large())?;
         for w in 0..windows {
-            let lc = coeffs(w, reread.min(store.len()));
+            let lc = coeffs(w, reread.min(store.len()))?;
             store = self.sweep_window(kernel, &lc, store, &mut pending, &end, opts)?;
             let fresh = &store[store.len() - self.m..];
             end = endpoint_state(fresh, &end);
@@ -1579,13 +1585,14 @@ impl SimPlan {
     /// multi-term sweep continues the store, reading what it carries
     /// from it (the trailing recurrence columns; a convolution's whole
     /// history, its memory continuing from `pending`), so the restarted
-    /// sweep is column-for-column the unbroken one; a linear window
-    /// restarts from the previous end-of-window state block `start`.
+    /// sweep is column-for-column the unbroken one; a linear window's
+    /// endpoint recurrence starts from the previous window's end state
+    /// block `start`.
     fn sweep_window(
         &self,
         kernel: &WindowKernel,
         lc: &LaneCoeffs,
-        mut store: Vec<Vec<f64>>,
+        store: Vec<Vec<f64>>,
         pending: &mut Vec<Vec<Vec<f64>>>,
         start: &[f64],
         opts: &WindowedOptions,
@@ -1600,17 +1607,17 @@ impl SimPlan {
                 let SimModel::Linear(sys) = self.model.as_ref() else {
                     unreachable!("linear window kernels are built on linear models");
                 };
-                // Window-local shift z = x − x(T_w): constant forcing
-                // c = A·x(T_w), per lane.
-                let mut c_force = vec![0.0; sys.order() * lc.lanes];
-                sys.a().mul_block_into(start, &mut c_force, lc.lanes);
-                let columns = sweep_linear_block(sys, lu, *sigma, &c_force, lc, cancel)?;
-                // z → x: add the window's start state back.
-                store.extend(columns.into_iter().map(|mut col| {
-                    col.iter_mut().zip(start).for_each(|(c, &v)| *c += v);
-                    col
-                }));
-                Ok(store)
+                // The endpoint recurrence from the window's start block,
+                // continuing the store over global column indices.
+                let (k, first) = (lc.lanes, store.len());
+                let mut endpoint = Endpoint::new(start);
+                let sweep = BlockColumnSweep::new(sys.order(), lc.m, k, store);
+                sweep.run(lu, cancel, |j, history, rhs, _| {
+                    if j > first {
+                        endpoint.advance(&history[j - 1]);
+                    }
+                    endpoint.rhs(sys, *sigma, &lc.cols[j - first], rhs);
+                })
             }
             WindowSymbols::Recurrence { polys, bw, .. } => {
                 sweep_mt_recurrence_block(mt(), lu, polys, bw, lc, store, cancel)
@@ -1694,39 +1701,6 @@ fn axpy(y: &mut [f64], x: &[f64], a: f64) {
 // Per-kind block sweeps (the strategies, K lanes wide)
 // ---------------------------------------------------------------------------
 
-/// Linear two-term recurrence, K lanes wide (paper §III; see
-/// [`crate::linear`] for the derivation), against a **per-lane**
-/// constant forcing block `c_force = A·x_w` from each lane's window
-/// start state `x_w` (`x₀` for the first window).
-fn sweep_linear_block(
-    sys: &DescriptorSystem,
-    lu: &SparseLu,
-    sigma: f64,
-    c_force: &[f64],
-    lc: &LaneCoeffs,
-    cancel: Option<&CancelToken>,
-) -> Result<Vec<Vec<f64>>, OpmError> {
-    let n = sys.order();
-    let k = lc.lanes;
-    BlockColumnSweep::new(n, lc.m, k, Vec::new()).run(lu, cancel, |j, history, rhs, work| {
-        if j == 0 {
-            // Column 0: (σE − A)·z₀ = B·u₀ + c.
-            apply_b_block(sys.b(), &lc.cols[0], k, 1.0, rhs);
-            axpy(rhs, c_force, 1.0);
-        } else {
-            // (σE − A)·z_j = (σE + A)·z_{j−1} + B(u_j + u_{j−1}) + 2c.
-            let z_prev = &history[j - 1];
-            sys.e().mul_block_into(z_prev, work, k);
-            axpy(rhs, work, sigma);
-            sys.a().mul_block_into(z_prev, work, k);
-            axpy(rhs, work, 1.0);
-            apply_b_block(sys.b(), &lc.cols[j], k, 1.0, rhs);
-            apply_b_block(sys.b(), &lc.cols[j - 1], k, 1.0, rhs);
-            axpy(rhs, c_force, 2.0);
-        }
-    })
-}
-
 /// Integer multi-term finite recurrence, K lanes wide, continuing
 /// `store`: its trailing `depth` columns are the previous window's
 /// (`lc` holds the matching stimulus columns first), so the restart is
@@ -1808,11 +1782,10 @@ fn series_squares(
     series: &[Vec<f64>],
     columns: usize,
 ) -> Vec<Option<HistorySquares>> {
-    let blocks = columns.div_ceil(SWEEP_BLOCK);
     mt.terms()
         .iter()
         .zip(series)
-        .map(|(t, rho)| (t.alpha != 0.0).then(|| HistorySquares::new(rho, SWEEP_BLOCK, blocks)))
+        .map(|(t, rho)| (t.alpha != 0.0).then(|| HistorySquares::new(rho, SWEEP_BLOCK, columns)))
         .collect()
 }
 
@@ -2061,6 +2034,21 @@ mod tests {
                 fresh.state_coeff(0, j).to_bits()
             );
         }
+    }
+
+    #[test]
+    fn stimulus_projection_polls_the_cancel_token() {
+        // The projection runs before the window's first column poll, so
+        // it polls the token itself, once per lane.
+        let sim = Simulation::from_system(scalar(-1.0)).horizon(1.0);
+        let plan = sim.plan(&SolveOptions::new().resolution(8)).unwrap();
+        let lanes = vec![InputSet::new(vec![Waveform::Dc(1.0)]); 3];
+        let token = CancelToken::new();
+        let opts = WindowedOptions::new(2).cancel_token(token.clone());
+        assert!(plan.window_coeffs(&lanes, &opts, 1, 0).is_ok());
+        token.cancel();
+        let err = plan.window_coeffs(&lanes, &opts, 1, 0).err().unwrap();
+        assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
     }
 
     #[test]

@@ -76,8 +76,8 @@ fn linear_matches_kron_oracle() {
     }
 }
 
-/// The accumulator form (paper's literal algorithm) equals the stable
-/// two-term recurrence.
+/// The accumulator form (paper's literal algorithm) equals the
+/// endpoint recurrence.
 #[test]
 fn accumulator_equals_recurrence() {
     let mut rng = StdRng::seed_from_u64(0xC03E_0002);

@@ -451,23 +451,24 @@ unsafe fn convolve_avx(
 pub const FFT_SQUARE_MIN_COLUMNS: usize = 128;
 
 /// The full-history memory of a convolution over `N` columns split
-/// into equal blocks of `b` columns, computed as dyadic squares (Hairer,
-/// Lubich & Schlichte, *SIAM J. Sci. Stat. Comput.* 6 (1985) 532–541)
-/// instead of one Toeplitz block per block of outputs.
+/// into blocks of `b` columns (the last one cut short when `b` does not
+/// divide `N`), computed as dyadic squares (Hairer, Lubich & Schlichte,
+/// *SIAM J. Sci. Stat. Comput.* 6 (1985) 532–541) instead of one
+/// Toeplitz block per block of outputs.
 ///
 /// Block `o` receives, in its column `j`, `Σ_{c < o·b} ρ_{o·b + j − c}·x_c`
 /// over every column `c` of the earlier blocks. At block boundary `B`
-/// (`1 ≤ B < blocks`), let `s = lowbit(B)`: the square of boundary `B`
+/// (`1 ≤ B < ⌈N/b⌉`), let `s = lowbit(B)`: the square of boundary `B`
 /// adds the terms whose inputs lie in blocks `[B − s, B)` to the
-/// outputs in blocks `[B, min(B + s, blocks))`. Every strictly lower
+/// outputs in blocks `[B, min(B + s, ⌈N/b⌉))`. Every strictly lower
 /// (output, input) block pair is covered by exactly one boundary, each
 /// square is one linear convolution against `ρ[1 .. 2sb)` — the same
 /// kernel for every boundary of a level — and all of a boundary's
 /// inputs are solved when it is reached, so a block's memory from the
 /// earlier blocks is complete before its first column. Work per series
-/// is `O(N log² N)` for `N = blocks·b` columns, against `O(N²)` for one
-/// direct block per block. The last block may be cut short: its
-/// outputs past `N` are computed and never read.
+/// is `O(N log² N)` for `N` columns, against `O(N²)` for one
+/// direct block per block. Squares stop at column `N`: a square that
+/// reaches a cut-short last block computes only its columns before `N`.
 ///
 /// A square of at least [`FFT_SQUARE_MIN_COLUMNS`] columns per side is
 /// a cyclic convolution of length `next_pow2(2sb)` (long enough that
@@ -492,8 +493,9 @@ pub const FFT_SQUARE_MIN_COLUMNS: usize = 128;
 #[derive(Clone, Debug)]
 pub struct HistorySquares {
     block: usize,
-    blocks: usize,
-    /// Per level `ℓ` (`s = 2^ℓ`, every `s < blocks`): the kernel
+    /// The column count `N`.
+    columns: usize,
+    /// Per level `ℓ` (`s = 2^ℓ`, every `s < ⌈N/b⌉`): the kernel
     /// spectrum of an FFT-sized square, `None` for a direct one.
     levels: Vec<Option<SquareSpectrum>>,
 }
@@ -509,10 +511,11 @@ struct SquareSpectrum {
 }
 
 impl HistorySquares {
-    /// The squares of `blocks` blocks of `block` columns each, with
+    /// The squares of `columns` columns in blocks of `block`, with
     /// memory weights `weights` (`ρ_d` weighs a column `d` steps back;
     /// entries past the end weigh zero).
-    pub fn new(weights: &[f64], block: usize, blocks: usize) -> Self {
+    pub fn new(weights: &[f64], block: usize, columns: usize) -> Self {
+        let blocks = columns.div_ceil(block);
         let levels = (0..usize::BITS)
             .map(|l| 1usize << l)
             .take_while(|&s| s < blocks)
@@ -538,19 +541,19 @@ impl HistorySquares {
             .collect();
         HistorySquares {
             block,
-            blocks,
+            columns,
             levels,
         }
     }
 
     /// Adds the square of block boundary `boundary` (`1 ≤ boundary <
-    /// blocks`) to the pending memory. `store` holds the solved columns
+    /// ⌈N/b⌉`) to the pending memory. `store` holds the solved columns
     /// of blocks `0..boundary` (at least); `pending` holds the memory
     /// accumulated so far for blocks `boundary, boundary + 1, …` (its
     /// first column is column 0 of block `boundary`) and is extended
-    /// with zero columns to cover the square's output blocks. Every
-    /// column is `rows × lanes` row-major (`lanes` = 1 for a plain
-    /// column).
+    /// with zero columns to cover the square's outputs before column
+    /// `N`. Every column is `rows × lanes` row-major (`lanes` = 1 for a
+    /// plain column).
     ///
     /// # Panics
     /// Panics when `boundary` is not a block boundary, when `store` is
@@ -564,21 +567,17 @@ impl HistorySquares {
         pending: &mut Vec<Vec<f64>>,
         lanes: usize,
     ) {
-        let w = boundary;
-        assert!(
-            (1..self.blocks).contains(&w),
-            "boundary {w} of {} blocks",
-            self.blocks
-        );
+        let (w, b) = (boundary, self.block);
+        let blocks = self.columns.div_ceil(b);
+        assert!((1..blocks).contains(&w), "boundary {w} of {blocks} blocks");
         let s = w & w.wrapping_neg();
-        let b = self.block;
         let inputs = &store[(w - s) * b..w * b];
         let len = inputs[0].len();
         assert!(
             lanes > 0 && len % lanes == 0,
             "{len}-entry columns of {lanes} lanes"
         );
-        let span = s.min(self.blocks - w) * b;
+        let span = (s * b).min(self.columns - w * b);
         if pending.len() < span {
             pending.resize(span, vec![0.0; len]);
         }
@@ -914,7 +913,7 @@ mod tests {
         store: &[Vec<f64>],
         lanes: usize,
     ) -> f64 {
-        let squares = HistorySquares::new(weights, m, windows);
+        let squares = HistorySquares::new(weights, m, m * windows);
         let len = store[0].len();
         let abs_weights: Vec<f64> = weights.iter().map(|v| v.abs()).collect();
         let magnitudes: Vec<Vec<f64>> = store
@@ -997,7 +996,7 @@ mod tests {
                 vec![x.sin() + 0.3 * (7.0 * x).cos(), 1e-6 * (3.0 * x).cos()]
             })
             .collect();
-        let squares = HistorySquares::new(&weights, m, windows);
+        let squares = HistorySquares::new(&weights, m, m * windows);
         let mut pending = Vec::new();
         let (mut lane_rel, mut row_rel) = (0.0f64, 0.0f64);
         for w in 1..windows {
@@ -1017,6 +1016,28 @@ mod tests {
         assert!(lane_rel <= 1e-12, "row 1 off by {lane_rel:e} of the lane");
         // Measured: about 1e-15 of the lane, 1e-9 of row 1 itself.
         assert!(row_rel <= 1e-12 * 1e6, "row 1 off by {row_rel:e} of itself");
+    }
+
+    #[test]
+    fn history_squares_stop_at_the_last_column() {
+        // N = 200 in 64-column blocks: the last block holds 8 columns,
+        // so boundary 3's square extends the pending memory by 8
+        // columns, not 64, and they match the direct block.
+        let (b, n) = (64, 200);
+        let weights = tustin(0.5, n);
+        let store: Vec<Vec<f64>> = (0..n).map(|c| vec![(c as f64 * 0.1).sin()]).collect();
+        let squares = HistorySquares::new(&weights, b, n);
+        let mut pending = Vec::new();
+        for w in 1..4 {
+            pending.drain(..pending.len().min(b));
+            squares.add_boundary(&weights, w, &store, &mut pending, 1);
+        }
+        assert_eq!(pending.len(), 8);
+        let mut want = vec![vec![0.0]; 8];
+        history_block_into(&weights, &store[..3 * b], &mut want);
+        for (g, d) in pending.iter().zip(&want) {
+            assert!((g[0] - d[0]).abs() <= 1e-13, "{} vs {}", g[0], d[0]);
+        }
     }
 
     #[test]
@@ -1041,7 +1062,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let squares = HistorySquares::new(&weights, m, windows);
+            let squares = HistorySquares::new(&weights, m, m * windows);
             let mut pending = Vec::new();
             let mut bits = Vec::new();
             for w in 1..windows {

@@ -3,7 +3,7 @@
 //!
 //! A plan-cache hit still needs the structural [`PlanKey`], and that key
 //! is computed from an assembled [`opm_core::Simulation`]: netlist parse,
-//! MNA assembly and a byte-wise hash of every matrix value, all to find a
+//! MNA assembly and a hash of every matrix value, all to find a
 //! plan the cache already holds. The pre-key skips that front end for
 //! repeated plan inputs.
 //!

@@ -46,7 +46,7 @@ fn max_abs_output_delta(a: &opm::OpmResult, b: &opm::OpmResult) -> f64 {
 }
 
 /// Windowed solving at W windows × m columns must match one
-/// whole-horizon plan at resolution W·m to ≤ 1e-9, through exactly
+/// whole-horizon plan at resolution W·m to ≤ 1e-12, through exactly
 /// 1 symbolic + 1 numeric factorization.
 #[test]
 fn windowed_equals_whole_horizon_on_rc() {
@@ -66,7 +66,7 @@ fn windowed_equals_whole_horizon_on_rc() {
     assert_eq!(windowed.num_intervals(), m * windows);
     assert_eq!(windowed.bounds, whole.bounds);
     let delta = max_abs_output_delta(&windowed, &whole);
-    assert!(delta <= 1e-9, "windowed vs whole: max |Δ| = {delta:.3e}");
+    assert!(delta <= 1e-12, "windowed vs whole: max |Δ| = {delta:.3e}");
 
     // The reuse invariant: the plan's own analysis plus ONE numeric
     // refactorization at the window width serve all 8 windows.
