@@ -12,9 +12,9 @@
 
 use opm_basis::{Basis, BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
 use opm_bench::{row, rule};
-// Non-BPF bases solve through the basis-generic integral-form plan; the
-// `Simulation` plan layer is BPF-specialized by design.
-use opm_core::general_basis::GeneralBasisPlan;
+// Non-BPF bases solve through the basis-generic integral-form oracle;
+// the `Simulation` plan layer is BPF-specialized by design.
+use opm_oracle::GeneralBasisPlan;
 use opm_sparse::{CooMatrix, CsrMatrix};
 use opm_system::DescriptorSystem;
 use opm_waveform::{InputSet, Waveform};

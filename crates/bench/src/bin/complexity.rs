@@ -195,7 +195,7 @@ fn main() {
         let fft = || {
             let mut pending = Vec::new();
             for b in 1..w {
-                squares.add_boundary(&rho, b, &store, &mut pending, 1);
+                squares.add_boundary(&rho, b, &store, &mut pending, 1, || false);
                 pending.drain(..m);
             }
         };

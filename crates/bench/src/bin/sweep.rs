@@ -527,7 +527,7 @@ fn main() {
         let mut pending = Vec::new();
         (1..hw)
             .map(|w| {
-                hsquares.add_boundary(&hrho, w, &hstore, &mut pending, hlanes);
+                hsquares.add_boundary(&hrho, w, &hstore, &mut pending, hlanes, || false);
                 pending.drain(..hm).collect::<Vec<_>>()
             })
             .collect::<Vec<_>>()

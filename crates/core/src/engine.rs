@@ -6,12 +6,11 @@
 //! step on adaptive grids), then sweep columns left to right, each
 //! column's right-hand side mixing the inputs with a history term over
 //! already-solved columns. The plan's sweeps — linear, fractional,
-//! multi-term, adaptive — and the general-basis solver are thin
-//! *strategies* over the primitives in this module; the model picks the
-//! sweep. The paper's reference forms stay outside it, as the oracles
-//! the tests compare against: the dense Kronecker solves of
-//! [`crate::kron_solve`] and the literal alternating accumulator
-//! [`crate::linear::accumulator_solve`].
+//! multi-term, adaptive — are thin *strategies* over the primitives in
+//! this module; the model picks the sweep. The paper's reference forms
+//! stay outside this crate, in `opm-oracle`, as the oracles the tests
+//! compare against: the dense Kronecker solves and the literal
+//! alternating accumulator.
 //!
 //!
 //! - [`validate_coeff_inputs`] / [`validate_horizon`] — argument checks;
@@ -515,17 +514,6 @@ pub fn apply_b(b: &CsrMatrix, u_coeffs: &[Vec<f64>], j: usize, scale: f64, out: 
     }
 }
 
-/// Accumulates `scale·B·u` for an explicit per-channel column `u`.
-pub fn apply_b_column(b: &CsrMatrix, u: &[f64], scale: f64, out: &mut [f64]) {
-    for i in 0..b.nrows() {
-        let mut s = 0.0;
-        for (ch, v) in b.row(i) {
-            s += v * u[ch];
-        }
-        out[i] += scale * s;
-    }
-}
-
 /// Block form of [`apply_b`]: accumulates `scale·B·u` for `lanes`
 /// scenarios at once. `u_block[ch*lanes + l]` is channel `ch` of lane
 /// `l`; `out` is a row-major `n × lanes` block. One pass over `B`'s
@@ -748,12 +736,14 @@ impl BlockColumnSweep {
     ///
     /// # Errors
     /// [`OpmError::Cancelled`] when `cancel` trips; it is polled before
-    /// the first column and every [`SWEEP_BLOCK`] columns after it.
+    /// the first column and every [`SWEEP_BLOCK`] columns after it. Any
+    /// error `build` returns (a builder that polls `cancel` inside a
+    /// long step) ends the sweep with it.
     pub(crate) fn run(
         mut self,
         lu: &SparseLu,
         cancel: Option<&CancelToken>,
-        mut build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]),
+        mut build: impl FnMut(usize, &[Vec<f64>], &mut [f64], &mut [f64]) -> Result<(), OpmError>,
     ) -> Result<Vec<Vec<f64>>, OpmError> {
         for step in 0..self.m {
             if step % SWEEP_BLOCK == 0 {
@@ -765,7 +755,7 @@ impl BlockColumnSweep {
                 &self.columns,
                 &mut self.rhs,
                 &mut self.work,
-            );
+            )?;
             let mut x = vec![0.0; self.n * self.lanes];
             lu.solve_block_into(&self.rhs, &mut x, self.lanes);
             self.columns.push(x);
@@ -841,9 +831,8 @@ impl SolveOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kron_solve::kron_solve_linear;
-    use crate::linear::accumulator_solve;
     use crate::OpmResult;
+    use opm_oracle::{accumulator_solve, kron_solve_linear};
     use opm_sparse::CooMatrix;
     use opm_system::{DescriptorSystem, FractionalSystem};
     use opm_waveform::{InputSet, Waveform};
@@ -901,7 +890,7 @@ mod tests {
             let r = r.unwrap();
             for j in 0..m {
                 assert!(
-                    (r.state_coeff(0, j) - base.state_coeff(0, j)).abs() < 1e-9,
+                    (r[j][0] - base.state_coeff(0, j)).abs() < 1e-9,
                     "{name}, column {j}"
                 );
             }
@@ -1027,6 +1016,7 @@ mod tests {
             .run(&lu, None, |j, history, rhs, _| {
                 assert_eq!(history.len(), j);
                 rhs[0] = 1.0;
+                Ok(())
             })
             .unwrap();
         assert_eq!(columns.len(), 4);
@@ -1047,6 +1037,7 @@ mod tests {
                     token.cancel();
                 }
                 rhs[0] = 1.0;
+                Ok(())
             })
             .unwrap_err();
         assert!(matches!(err, OpmError::Cancelled(_)), "{err}");

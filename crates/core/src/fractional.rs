@@ -26,6 +26,7 @@ mod tests {
     use crate::metrics::max_abs_diff;
     use crate::testkit::{solve_fractional, solve_linear};
     use opm_fracnum::mittag_leffler::ml_kernel;
+    use opm_oracle::kron_solve_fractional;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_system::{DescriptorSystem, FractionalSystem};
     use opm_waveform::{InputSet, Waveform};
@@ -54,6 +55,42 @@ mod tests {
                 (frac.state_coeff(0, j) - lin.state_coeff(0, j)).abs() < 1e-11,
                 "column {j}"
             );
+        }
+    }
+
+    #[test]
+    fn fractional_fast_path_matches_oracle_exactly() {
+        let fsys = scalar_fractional(0.5, -1.0);
+        let m = 16;
+        let u = InputSet::new(vec![Waveform::Dc(1.0)]).bpf_matrix(m, 1.0);
+        let oracle = kron_solve_fractional(&fsys, &u, 1.0).unwrap();
+        let fast = solve_fractional(&fsys, &u, 1.0).unwrap();
+        for j in 0..m {
+            assert!(
+                (oracle[j][0] - fast.state_coeff(0, j)).abs() < 1e-9,
+                "column {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn tline_oracle_vs_fast_path() {
+        // The Table I system at reduced m: n·m = 7·8 = 56 is oracle-sized.
+        let model = opm_circuits::tline::FractionalLineSpec::default().assemble();
+        let t_end = 2.7e-9;
+        let m = 8;
+        let u = model.inputs.bpf_matrix(m, t_end);
+        let oracle = kron_solve_fractional(&model.system, &u, t_end).unwrap();
+        let fast = solve_fractional(&model.system, &u, t_end).unwrap();
+        for j in 0..m {
+            for i in 0..7 {
+                let a = oracle[j][i];
+                let b = fast.state_coeff(i, j);
+                assert!(
+                    (a - b).abs() < 1e-9 * a.abs().max(1.0),
+                    "state {i}, column {j}: {a} vs {b}"
+                );
+            }
         }
     }
 

@@ -26,9 +26,7 @@
 //! - [`linear`] — linear ODE/DAE systems (paper §III). The endpoint
 //!   recurrence this library derives from the OPM column equations
 //!   (algebraically identical to the trapezoidal rule), which every
-//!   linear sweep runs — uniform, windowed, adaptive and Newton — plus
-//!   the paper's literal accumulator formulation as an oracle
-//!   ([`linear::accumulator_solve`]).
+//!   linear sweep runs — uniform, windowed, adaptive and Newton.
 //! - [`fractional`] — fractional systems `E d^α x = A x + B u` (paper
 //!   §IV) via the nilpotent-series expansion of `D^α`.
 //! - [`multiterm`] — `Σ_k A_k d^{α_k} x = B u`; integer-order systems take
@@ -38,17 +36,15 @@
 //! - [`adaptive`] — adaptive time steps (paper §III-B): on-the-fly LTE
 //!   control for linear systems, distinct-step grids with incremental
 //!   Parlett `D̃^α` for fractional systems.
-//! - [`general_basis`] — the integral-form solver
-//!   ([`general_basis::GeneralBasisPlan`]) that works with *any*
-//!   [`opm_basis::Basis`] (Walsh, Haar, Legendre), backing the paper's
-//!   basis-generality claim.
-//! - [`kron_solve`] — the explicit `(Dᵀ⊗E − I⊗A)·vec X` formulation
-//!   (paper Eqs. 15/18/27), kept as brute-force oracles
-//!   ([`kron_solve::kron_solve_linear`], `_fractional`, `_multiterm`)
-//!   that no plan runs.
 //! - [`result`], [`metrics`] — the solution container ([`OpmResult`]:
 //!   bounds, coefficient columns, outputs), the plan's cost record
 //!   ([`FactorProfile`]) and the paper's Eq. (30) dB error metric.
+//!
+//! The paper's reference forms — the dense Kronecker solves (Eqs.
+//! 15/18/27), the literal alternating accumulator (§III) and the
+//! integral form over any basis (§I) — are not in this crate: no plan
+//! runs them. They live in `opm-oracle`, which the tests here take as a
+//! dev-dependency.
 //!
 //! # Quickstart
 //!
@@ -82,9 +78,7 @@ pub mod cancel;
 pub mod engine;
 pub mod fractional;
 pub mod gate;
-pub mod general_basis;
 pub mod json;
-pub mod kron_solve;
 pub mod latch;
 pub mod linear;
 pub mod metrics;

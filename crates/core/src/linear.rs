@@ -17,68 +17,22 @@
 //! (starting from the endpoint the previous window ended on), the
 //! adaptive stepper (`σ_j = 2/h_j`, since a column needs only its own
 //! step) and the Newton sweep. A nonzero initial condition is only the
-//! first endpoint. The paper's literal accumulator form
-//! ([`accumulator_solve`]) and the Kronecker oracle
-//! ([`crate::kron_solve::kron_solve_linear`]) are the reference forms
-//! the tests check it against.
+//! first endpoint. The paper's literal accumulator form and the
+//! Kronecker vec form (`opm_oracle::accumulator_solve` and
+//! `opm_oracle::kron_solve_linear`) are the reference forms the tests
+//! check it against.
 //!
 //! The strategy runs in the plan layer ([`crate::session`]): a
 //! [`crate::SimPlan`] built by [`crate::Simulation::plan`] validates,
 //! factors the pencil once and runs the (block) column sweep for every
-//! scenario; this module holds the strategy's derivation, its oracle
-//! and its tests.
-
-use crate::engine::{apply_b, factor_pencil, validate_coeff_inputs, validate_horizon, validate_x0};
-use crate::result::{uniform_bounds, OpmResult};
-use crate::OpmError;
-use opm_system::DescriptorSystem;
-
-/// The paper's literal alternating-accumulator algorithm, the oracle of
-/// the endpoint recurrence. With `σ = 2/h` and `z = x − x₀`, column `j`
-/// solves
-///
-/// ```text
-/// (σE − A)·z_j = B·u_j + A·x₀ − 2σ·E·g_j,   g₀ = 0,   g_j = −(g_{j−1} + z_{j−1})
-/// ```
-///
-/// against one factorization of `σE − A`, and `x_j = z_j + x₀`.
-///
-/// # Errors
-/// [`OpmError::BadArguments`] on shape mismatches or a non-positive
-/// horizon; [`OpmError::SingularPencil`] when `σE − A` is singular.
-pub fn accumulator_solve(
-    sys: &DescriptorSystem,
-    u_coeffs: &[Vec<f64>],
-    t_end: f64,
-    x0: &[f64],
-) -> Result<OpmResult, OpmError> {
-    let m = validate_coeff_inputs(sys.num_inputs(), u_coeffs)?;
-    validate_horizon(t_end)?;
-    validate_x0(sys.order(), x0)?;
-    let sigma = 2.0 * m as f64 / t_end;
-    let lu = factor_pencil(&sys.e().lin_comb(sigma, -1.0, sys.a()))?;
-    let c = sys.a().mul_vec(x0);
-    let mut g = vec![0.0; sys.order()];
-    let mut z = vec![0.0; sys.order()];
-    let mut columns = Vec::with_capacity(m);
-    for j in 0..m {
-        for (gi, zi) in g.iter_mut().zip(&z) {
-            *gi = -(*gi + zi);
-        }
-        let mut rhs = c.clone();
-        apply_b(sys.b(), u_coeffs, j, 1.0, &mut rhs);
-        sys.e().mul_vec_acc(-2.0 * sigma, &g, &mut rhs);
-        z = lu.solve(&rhs);
-        columns.push(z.iter().zip(x0).map(|(zi, xi)| zi + xi).collect());
-    }
-    Ok(OpmResult::new(uniform_bounds(m, t_end), columns, sys.c()))
-}
+//! scenario; this module holds the strategy's derivation and its tests.
 
 #[cfg(test)]
 mod tests {
-    use super::accumulator_solve;
     use crate::testkit::solve_linear;
     use crate::OpmError;
+    use opm_basis::BpfBasis;
+    use opm_oracle::{accumulator_solve, kron_solve_linear, GeneralBasisPlan};
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_system::DescriptorSystem;
     use opm_waveform::{InputSet, Waveform};
@@ -117,8 +71,49 @@ mod tests {
         let acc = accumulator_solve(&sys, &u, 3.0, &[0.4]).unwrap();
         for j in 0..m {
             assert!(
-                (fast.state_coeff(0, j) - acc.state_coeff(0, j)).abs() < 1e-10,
+                (fast.state_coeff(0, j) - acc[j][0]).abs() < 1e-10,
                 "column {j}"
+            );
+        }
+    }
+
+    #[test]
+    fn linear_fast_path_matches_oracle_exactly() {
+        let sys = scalar(-1.3);
+        let m = 24;
+        let u = InputSet::new(vec![
+            Waveform::pulse(0.0, 1.0, 0.1, 0.05, 0.3, 0.05, 0.0).unwrap()
+        ])
+        .bpf_matrix(m, 1.0);
+        let oracle = kron_solve_linear(&sys, &u, 1.0).unwrap();
+        let fast = solve_linear(&sys, &u, 1.0, &[0.0]).unwrap();
+        for j in 0..m {
+            assert!(
+                (oracle[j][0] - fast.state_coeff(0, j)).abs() < 1e-10,
+                "column {j}: {} vs {}",
+                oracle[j][0],
+                fast.state_coeff(0, j)
+            );
+        }
+    }
+
+    #[test]
+    fn bpf_integral_form_matches_differential_fast_path() {
+        let sys = scalar(-1.0);
+        let m = 32;
+        let basis = BpfBasis::new(m, 2.0);
+        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
+        let gen = GeneralBasisPlan::new(&sys, &basis, &[0.5])
+            .and_then(|plan| plan.solve(&inputs))
+            .unwrap();
+        let u = inputs.bpf_matrix(m, 2.0);
+        let fast = solve_linear(&sys, &u, 2.0, &[0.5]).unwrap();
+        for j in 0..m {
+            assert!(
+                (gen.x_coeffs.get(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
+                "column {j}: {} vs {}",
+                gen.x_coeffs.get(0, j),
+                fast.state_coeff(0, j)
             );
         }
     }

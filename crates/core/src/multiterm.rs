@@ -20,14 +20,14 @@
 //! [`crate::Simulation::from_multiterm`] plan takes the integer fast path
 //! exactly when every order is an integer (up to 16), and the
 //! convolution otherwise — the model picks the path, no option does.
-//! The dense [`crate::kron_solve::kron_solve_multiterm`] is the oracle
-//! both are checked against; this module holds the strategy's
-//! derivation and its tests.
+//! The dense Kronecker vec form (`opm_oracle::kron_solve_multiterm`) is
+//! the oracle both are checked against; this module holds the
+//! strategy's derivation and its tests.
 
 #[cfg(test)]
 mod tests {
-    use crate::kron_solve::kron_solve_multiterm;
     use crate::testkit::{solve_fractional, solve_linear, solve_multiterm};
+    use opm_oracle::kron_solve_multiterm;
     use opm_sparse::{CooMatrix, CsrMatrix};
     use opm_system::{DescriptorSystem, MultiTermSystem, SecondOrderSystem, Term};
     use opm_waveform::{InputSet, Waveform};
@@ -81,10 +81,32 @@ mod tests {
         let slow = kron_solve_multiterm(&mt, &u, 6.0).unwrap();
         for j in 0..m {
             assert!(
-                (fast.state_coeff(0, j) - slow.state_coeff(0, j)).abs() < 1e-8,
+                (fast.state_coeff(0, j) - slow[j][0]).abs() < 1e-8,
                 "column {j}: {} vs {}",
                 fast.state_coeff(0, j),
-                slow.state_coeff(0, j)
+                slow[j][0]
+            );
+        }
+    }
+
+    #[test]
+    fn multiterm_fast_path_matches_oracle_exactly() {
+        let mt = MultiTermSystem::new(
+            vec![eye_term(2.0), scaled_term(1.0, 0.3), scaled_term(0.0, 2.0)],
+            CsrMatrix::identity(1),
+            None,
+        )
+        .unwrap();
+        let m = 20;
+        let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 4.0);
+        let oracle = kron_solve_multiterm(&mt, &u, 4.0).unwrap();
+        let fast = solve_multiterm(&mt, &u, 4.0).unwrap();
+        for j in 0..m {
+            assert!(
+                (oracle[j][0] - fast.state_coeff(0, j)).abs() < 1e-8,
+                "column {j}: {} vs {}",
+                oracle[j][0],
+                fast.state_coeff(0, j)
             );
         }
     }
@@ -162,9 +184,12 @@ mod tests {
         let m = 128;
         let u = InputSet::new(vec![Waveform::step(0.0, 1.0)]).bpf_matrix(m, 10.0);
         let r = solve_multiterm(&mt, &u, 10.0).unwrap();
+        let oracle = kron_solve_multiterm(&mt, &u, 10.0).unwrap();
         for j in 0..m {
             let v = r.state_coeff(0, j);
             assert!(v.is_finite() && v.abs() < 3.0, "column {j}: {v}");
+            // The convolution sweep of an α > 1 mixture is the vec form.
+            assert!((v - oracle[j][0]).abs() < 1e-10, "column {j}: {v}");
         }
         // Must settle toward the static gain 1.
         assert!((r.state_coeff(0, m - 1) - 1.0).abs() < 0.2);

@@ -59,8 +59,8 @@
 //! endpoint recurrence of [`crate::linear`], where a window starts from
 //! the endpoint the previous one ended on and a nonzero `x₀` is the
 //! first endpoint. No option selects another path; the
-//! paper's reference forms are oracles for the tests
-//! ([`crate::kron_solve`], [`crate::linear::accumulator_solve`]). A
+//! paper's reference forms are oracles for the tests, in `opm-oracle`
+//! (the Kronecker vec form and the literal accumulator). A
 //! fractional model sweeps as its two-term conversion
 //! `[(α, E), (0, −A)]`, exactly like a fractional-mixture multi-term
 //! model. Every pencil a plan factors — a window count, an adaptive
@@ -77,7 +77,6 @@ use crate::engine::{
     BlockColumnSweep, Endpoint, PencilFamily, SolveOptions, SWEEP_BLOCK,
 };
 use crate::gate::GateCache;
-use crate::kron_solve::fractional_as_multiterm;
 use crate::metrics::FactorProfile;
 use crate::newton::NewtonSweep;
 use crate::result::{uniform_bounds, OpmResult};
@@ -466,9 +465,10 @@ impl Simulation {
             SimModel::Linear(_) => uniform(Sweep::Linear, None)?,
             // `E·d^α x = A x + B u` is the two-term system
             // `[(α, E), (0, −A)]`: one convolution sweep serves both.
-            SimModel::Fractional(fsys) => {
-                uniform(Sweep::Convolution, Some(fractional_as_multiterm(fsys)))?
-            }
+            SimModel::Fractional(fsys) => uniform(
+                Sweep::Convolution,
+                Some(MultiTermSystem::from_fractional(fsys)),
+            )?,
             SimModel::MultiTerm(mt) => uniform(mt_sweep(mt), None)?,
             // The nodal conversion has integer orders 0, 1, 2: always the
             // finite recurrence, fed exact `u̇` averages.
@@ -1617,6 +1617,7 @@ impl SimPlan {
                         endpoint.advance(&history[j - 1]);
                     }
                     endpoint.rhs(sys, *sigma, &lc.cols[j - first], rhs);
+                    Ok(())
                 })
             }
             WindowSymbols::Recurrence { polys, bw, .. } => {
@@ -1639,10 +1640,11 @@ impl SimPlan {
                         let Some(squares) = squares else {
                             continue; // α = 0: ρ = e₀, no history contribution
                         };
-                        column_memory(rho, squares, pending, history, k, &mut acc);
+                        column_memory(rho, squares, pending, history, k, &mut acc, cancel)?;
                         term.matrix.mul_block_into(&acc, work, k);
                         axpy(rhs, work, -1.0);
                     }
+                    Ok(())
                 })
             }
         }
@@ -1742,6 +1744,7 @@ fn sweep_mt_recurrence_block(
                 axpy(rhs, work, -1.0);
             }
         }
+        Ok(())
     })
 }
 
@@ -1753,6 +1756,10 @@ fn sweep_mt_recurrence_block(
 /// `pending` and the square of the new block boundary is added to it
 /// ([`HistorySquares::add_boundary`]). The terms from `j`'s own block
 /// are then summed directly. Call it for every column in order.
+///
+/// # Errors
+/// [`OpmError::Cancelled`] when `cancel` trips while a square is added:
+/// the square polls it before each of its FFT element panels.
 fn column_memory(
     rho: &[f64],
     squares: &HistorySquares,
@@ -1760,18 +1767,25 @@ fn column_memory(
     history: &[Vec<f64>],
     lanes: usize,
     acc: &mut [f64],
-) {
+    cancel: Option<&CancelToken>,
+) -> Result<(), OpmError> {
     let j = history.len();
     let (block, at) = (j / SWEEP_BLOCK, j % SWEEP_BLOCK);
     if block > 0 && at == 0 {
         pending.drain(..pending.len().min(SWEEP_BLOCK));
-        squares.add_boundary(rho, block, history, pending, lanes);
+        let mut polled = Ok(());
+        squares.add_boundary(rho, block, history, pending, lanes, || {
+            polled = cancel.map_or(Ok(()), CancelToken::check);
+            polled.is_err()
+        });
+        polled?;
     }
     match pending.get(at) {
         Some(older) => acc.copy_from_slice(older),
         None => acc.fill(0.0),
     }
     history_convolution_into(rho, 0, &history[j - at..], acc);
+    Ok(())
 }
 
 /// Each fractional term's memory squares over `columns` global columns
@@ -2379,9 +2393,9 @@ mod tests {
             .solve_windowed(&inputs, 6)
             .unwrap();
         let u = inputs.bpf_matrix(6 * 24, 1.5);
-        let acc = crate::linear::accumulator_solve(&sys, &u, 1.5, &[0.0]).unwrap();
+        let acc = opm_oracle::accumulator_solve(&sys, &u, 1.5, &[0.0]).unwrap();
         for j in 0..rec.num_intervals() {
-            assert!((rec.state_coeff(0, j) - acc.state_coeff(0, j)).abs() < 1e-10);
+            assert!((rec.state_coeff(0, j) - acc[j][0]).abs() < 1e-10);
         }
     }
 
@@ -2485,6 +2499,33 @@ mod tests {
     }
 
     #[test]
+    fn a_cancelled_token_stops_the_memory_square() {
+        // Column 128 adds the square of boundary 2, 128 columns a side
+        // (an FFT square): a cancelled token stops it before its first
+        // panel, and without a token the same call completes.
+        let rho: Vec<f64> = (0..256).map(|d| 1.0 / (d as f64 + 1.0)).collect();
+        let squares = HistorySquares::new(&rho, SWEEP_BLOCK, 256);
+        let store = vec![vec![1.0; 4]; 2 * SWEEP_BLOCK];
+        let token = CancelToken::new();
+        token.cancel();
+        let (mut pending, mut acc) = (Vec::new(), vec![0.0; 4]);
+        let err = column_memory(
+            &rho,
+            &squares,
+            &mut pending,
+            &store,
+            1,
+            &mut acc,
+            Some(&token),
+        )
+        .unwrap_err();
+        assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
+        assert!(pending.iter().flatten().all(|&v| v == 0.0));
+        column_memory(&rho, &squares, &mut pending, &store, 1, &mut acc, None).unwrap();
+        assert!(acc.iter().all(|&v| v > 0.0));
+    }
+
+    #[test]
     fn global_memory_matches_the_direct_sum() {
         // A 2-state mixture with fractional terms α = 0.3, 0.7 and 1.5
         // next to an α = 0 term, over fixed-seed stores of a whole number
@@ -2548,7 +2589,8 @@ mod tests {
                     let mut pending = Vec::new();
                     let mut acc = vec![0.0; 2 * lanes];
                     for j in 0..columns {
-                        column_memory(rho, sq, &mut pending, &store[..j], lanes, &mut acc);
+                        column_memory(rho, sq, &mut pending, &store[..j], lanes, &mut acc, None)
+                            .unwrap();
                         let mut scale = vec![vec![0.0]];
                         history_block_into(&abs_rho, &magnitudes[..j], &mut scale);
                         let dev = acc

@@ -555,6 +555,11 @@ impl HistorySquares {
     /// `N`. Every column is `rows × lanes` row-major (`lanes` = 1 for a
     /// plain column).
     ///
+    /// `stop` is polled before each FFT element panel; when it returns
+    /// `true` the square returns at once, leaving `pending` with only
+    /// the panels done so far (fit only to be dropped). A direct square
+    /// (under [`FFT_SQUARE_MIN_COLUMNS`] columns a side) is not polled.
+    ///
     /// # Panics
     /// Panics when `boundary` is not a block boundary, when `store` is
     /// short of block `boundary`, or when the column length is not a
@@ -566,6 +571,7 @@ impl HistorySquares {
         store: &[Vec<f64>],
         pending: &mut Vec<Vec<f64>>,
         lanes: usize,
+        mut stop: impl FnMut() -> bool,
     ) {
         let (w, b) = (boundary, self.block);
         let blocks = self.columns.div_ceil(b);
@@ -597,6 +603,9 @@ impl HistorySquares {
         let mut im = vec![[0.0; SQUARE_PANEL_WIDTH]; n];
         for (range, partner) in [(0..len - half, Some(half)), (len - half..half, None)] {
             for e0 in range.clone().step_by(SQUARE_PANEL_WIDTH) {
+                if stop() {
+                    return;
+                }
                 let cols = e0..range.end.min(e0 + SQUARE_PANEL_WIDTH);
                 square_panel(spec, inputs, out, cols, partner, &mut re, &mut im);
             }
@@ -923,7 +932,7 @@ mod tests {
         let mut pending = Vec::new();
         let mut worst = 0.0f64;
         for w in 1..windows {
-            squares.add_boundary(weights, w, store, &mut pending, lanes);
+            squares.add_boundary(weights, w, store, &mut pending, lanes, || false);
             let got: Vec<Vec<f64>> = pending.drain(..m).collect();
             let mut want = vec![vec![0.0; len]; m];
             history_block_into(weights, &store[..w * m], &mut want);
@@ -1000,7 +1009,7 @@ mod tests {
         let mut pending = Vec::new();
         let (mut lane_rel, mut row_rel) = (0.0f64, 0.0f64);
         for w in 1..windows {
-            squares.add_boundary(&weights, w, &store, &mut pending, 1);
+            squares.add_boundary(&weights, w, &store, &mut pending, 1, || false);
             let got: Vec<Vec<f64>> = pending.drain(..m).collect();
             let mut want = vec![vec![0.0; 2]; m];
             history_block_into(&weights, &store[..w * m], &mut want);
@@ -1030,7 +1039,7 @@ mod tests {
         let mut pending = Vec::new();
         for w in 1..4 {
             pending.drain(..pending.len().min(b));
-            squares.add_boundary(&weights, w, &store, &mut pending, 1);
+            squares.add_boundary(&weights, w, &store, &mut pending, 1, || false);
         }
         assert_eq!(pending.len(), 8);
         let mut want = vec![vec![0.0]; 8];
@@ -1038,6 +1047,44 @@ mod tests {
         for (g, d) in pending.iter().zip(&want) {
             assert!((g[0] - d[0]).abs() <= 1e-13, "{} vs {}", g[0], d[0]);
         }
+    }
+
+    #[test]
+    fn history_squares_stop_when_the_check_trips() {
+        // One FFT square (128 columns a side) over 40-entry columns: 20
+        // paired elements, 5 panels. A check that trips on its third poll
+        // leaves at most three panels done, and those match the full run.
+        let (b, rows) = (128, 40);
+        let weights = tustin(0.5, 2 * b);
+        let store: Vec<Vec<f64>> = (0..2 * b)
+            .map(|c| {
+                (0..rows)
+                    .map(|i| (c as f64 * 0.05 + i as f64).sin())
+                    .collect()
+            })
+            .collect();
+        let squares = HistorySquares::new(&weights, b, 2 * b);
+        let mut full = Vec::new();
+        squares.add_boundary(&weights, 1, &store, &mut full, 1, || false);
+        let (mut stopped, mut polls) = (Vec::new(), 0);
+        squares.add_boundary(&weights, 1, &store, &mut stopped, 1, || {
+            polls += 1;
+            polls == 3
+        });
+        assert_eq!(polls, 3);
+        let done: Vec<usize> = (0..rows)
+            .filter(|&e| stopped.iter().any(|c| c[e] != 0.0))
+            .collect();
+        assert!(
+            !done.is_empty() && done.len() <= 3 * 2 * SQUARE_PANEL_WIDTH,
+            "{done:?}"
+        );
+        for (got, want) in stopped.iter().zip(&full) {
+            for &e in &done {
+                assert_eq!(got[e].to_bits(), want[e].to_bits());
+            }
+        }
+        assert!((0..rows).all(|e| full.iter().any(|c| c[e] != 0.0)));
     }
 
     #[test]
@@ -1066,7 +1113,7 @@ mod tests {
             let mut pending = Vec::new();
             let mut bits = Vec::new();
             for w in 1..windows {
-                squares.add_boundary(&weights, w, &store, &mut pending, lanes);
+                squares.add_boundary(&weights, w, &store, &mut pending, lanes, || false);
                 for c in pending.drain(..m) {
                     bits.extend((0..rows).map(|r| c[r * lanes + pick].to_bits()));
                 }

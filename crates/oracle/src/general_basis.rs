@@ -14,15 +14,12 @@
 //! solved densely — adequate for the moderate `m` these bases need, and
 //! exactly how the classical operational-matrix literature did it.
 
-use crate::engine::validate_x0;
-use crate::OpmError;
+use crate::{check_x0, dense_order, OracleError};
 use opm_basis::traits::Basis;
 use opm_linalg::kron::{kron, unvec, vec_of};
 use opm_linalg::{DMatrix, DVector};
 use opm_system::DescriptorSystem;
 use opm_waveform::InputSet;
-
-const MAX_DENSE: usize = 4096;
 
 /// Solution in a general basis: coefficient matrices for `x` and `ẋ`.
 #[derive(Clone, Debug)]
@@ -48,106 +45,78 @@ impl GeneralBasisResult {
 
 /// A reusable general-basis session: the factored integral-form matrix
 /// `(I_m ⊗ E − Hᵀ ⊗ A)` plus the basis-side constants, amortized over
-/// many stimuli — the plan layer's ([`crate::session`]) factor-once
-/// economy for the non-BPF bases.
+/// many stimuli — the OPM plan's factor-once economy for the non-BPF
+/// bases.
 pub struct GeneralBasisPlan<'a> {
     sys: &'a DescriptorSystem,
     basis: &'a dyn Basis,
-    x0: Vec<f64>,
     lu: opm_linalg::LuFactors,
     h: DMatrix,
-    c1: Vec<f64>,
-    ax0: DVector,
     b_d: DMatrix,
+    /// `x₀·c₁ᵀ` and `A·x₀·c₁ᵀ`.
+    x0_c1: DMatrix,
+    a_x0_c1: DMatrix,
 }
 
 impl<'a> GeneralBasisPlan<'a> {
     /// Validates shapes and factors the integral-form matrix **once**.
     ///
     /// # Errors
-    /// [`OpmError::BadArguments`] when `n·m` exceeds the dense guard or
-    /// shapes mismatch; [`OpmError::SingularPencil`] when the Kronecker
+    /// [`OracleError::BadArguments`] when `n·m` exceeds the dense guard or
+    /// shapes mismatch; [`OracleError::Singular`] when the Kronecker
     /// matrix is singular.
     pub fn new(
         sys: &'a DescriptorSystem,
         basis: &'a dyn Basis,
         x0: &[f64],
-    ) -> Result<Self, OpmError> {
-        let n = sys.order();
-        let m = basis.dim();
-        validate_x0(n, x0)?;
-        if n * m > MAX_DENSE {
-            return Err(OpmError::BadArguments(format!(
-                "n·m = {} exceeds the dense general-basis guard",
-                n * m
-            )));
-        }
+    ) -> Result<Self, OracleError> {
+        let (n, m) = (sys.order(), basis.dim());
+        check_x0(n, x0)?;
+        dense_order(n, m)?;
         let (e_d, a_d, b_d) = sys.to_dense();
         let h = basis.integration_matrix();
         let big = kron(&DMatrix::identity(m), &e_d).sub(&kron(&h.transpose(), &a_d));
         let lu = big
             .factor_lu()
-            .ok_or_else(|| OpmError::SingularPencil("integral-form matrix singular".into()))?;
-        let ax0 = a_d.mul_vec(&DVector::from_slice(x0));
+            .ok_or_else(|| OracleError::Singular("integral-form matrix singular".into()))?;
+        let (c1, ax0) = (basis.one_coeffs(), a_d.mul_vec(&DVector::from_slice(x0)));
         Ok(GeneralBasisPlan {
             sys,
             basis,
-            x0: x0.to_vec(),
             lu,
             h,
-            c1: basis.one_coeffs(),
-            ax0,
             b_d,
+            x0_c1: DMatrix::from_fn(n, m, |i, j| x0[i] * c1[j]),
+            a_x0_c1: DMatrix::from_fn(n, m, |i, j| ax0[i] * c1[j]),
         })
     }
 
     /// Solves one stimulus against the cached factorization.
     ///
     /// # Errors
-    /// [`OpmError::BadArguments`] on channel mismatches.
-    pub fn solve(&self, inputs: &InputSet) -> Result<GeneralBasisResult, OpmError> {
-        let sys = self.sys;
-        let n = sys.order();
-        let m = self.basis.dim();
-        if inputs.len() != sys.num_inputs() {
-            return Err(OpmError::BadArguments(format!(
-                "{} input channels for {} B columns",
-                inputs.len(),
-                sys.num_inputs()
+    /// [`OracleError::BadArguments`] on channel mismatches.
+    pub fn solve(&self, inputs: &InputSet) -> Result<GeneralBasisResult, OracleError> {
+        let (n, m, p) = (self.sys.order(), self.basis.dim(), self.sys.num_inputs());
+        if inputs.len() != p {
+            return Err(OracleError::BadArguments(format!(
+                "{} input channels for {p} B columns",
+                inputs.len()
             )));
         }
-        // Project inputs.
-        let mut u = DMatrix::zeros(inputs.len(), m);
-        for (ch, w) in inputs.channels().iter().enumerate() {
-            let coeffs = self.basis.project(&|t| w.eval(t));
-            for (j, c) in coeffs.into_iter().enumerate() {
-                u.set(ch, j, c);
-            }
-        }
-
-        // RHS: A·x₀·c₁ᵀ + B·U.
-        let mut rhs_mat = self.b_d.mul_mat(&u);
-        for i in 0..n {
-            for (j, &c) in self.c1.iter().enumerate() {
-                rhs_mat.add_at(i, j, self.ax0[i] * c);
-            }
-        }
-        let rhs = vec_of(&rhs_mat);
-        let y = unvec(&self.lu.solve(&rhs), n, m);
-
-        // X = Y·H + x₀·c₁ᵀ.
-        let mut x = y.mul_mat(&self.h);
-        for i in 0..n {
-            for (j, &c) in self.c1.iter().enumerate() {
-                x.add_at(i, j, self.x0[i] * c);
-            }
-        }
-
-        let output_coeffs = match sys.c() {
+        let rows: Vec<Vec<f64>> = inputs
+            .channels()
+            .iter()
+            .map(|w| self.basis.project(&|t| w.eval(t)))
+            .collect();
+        let u = DMatrix::from_fn(p, m, |ch, j| rows[ch][j]);
+        // Y from A·x₀·c₁ᵀ + B·U, then X = Y·H + x₀·c₁ᵀ.
+        let rhs = self.b_d.mul_mat(&u).add(&self.a_x0_c1);
+        let y = unvec(&self.lu.solve(&vec_of(&rhs)), n, m);
+        let x = y.mul_mat(&self.h).add(&self.x0_c1);
+        let output_coeffs = match self.sys.c() {
             Some(c) => c.to_dense().mul_mat(&x),
             None => x.clone(),
         };
-
         Ok(GeneralBasisResult {
             x_coeffs: x,
             y_coeffs: y,
@@ -159,7 +128,7 @@ impl<'a> GeneralBasisPlan<'a> {
     ///
     /// # Errors
     /// As [`GeneralBasisPlan::solve`].
-    pub fn solve_batch(&self, inputs: &[InputSet]) -> Result<Vec<GeneralBasisResult>, OpmError> {
+    pub fn solve_batch(&self, inputs: &[InputSet]) -> Result<Vec<GeneralBasisResult>, OracleError> {
         inputs.iter().map(|ws| self.solve(ws)).collect()
     }
 }
@@ -177,27 +146,6 @@ mod tests {
         let mut b = CooMatrix::new(1, 1);
         b.push(0, 0, 1.0);
         DescriptorSystem::new(CsrMatrix::identity(1), am.to_csr(), b.to_csr(), None).unwrap()
-    }
-
-    #[test]
-    fn bpf_integral_form_matches_differential_fast_path() {
-        let sys = scalar(-1.0);
-        let m = 32;
-        let basis = BpfBasis::new(m, 2.0);
-        let inputs = InputSet::new(vec![Waveform::Dc(1.0)]);
-        let gen = GeneralBasisPlan::new(&sys, &basis, &[0.5])
-            .and_then(|plan| plan.solve(&inputs))
-            .unwrap();
-        let u = inputs.bpf_matrix(m, 2.0);
-        let fast = crate::testkit::solve_linear(&sys, &u, 2.0, &[0.5]).unwrap();
-        for j in 0..m {
-            assert!(
-                (gen.x_coeffs.get(0, j) - fast.state_coeff(0, j)).abs() < 1e-9,
-                "column {j}: {} vs {}",
-                gen.x_coeffs.get(0, j),
-                fast.state_coeff(0, j)
-            );
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `C ẍ + G ẋ + Γ x = B u` is the three-term instance
 //! `[(2, C), (1, G), (0, Γ)]`.
 
-use crate::{DescriptorSystem, SystemError};
+use crate::{DescriptorSystem, FractionalSystem, SystemError};
 use opm_sparse::CsrMatrix;
 
 /// One differential term `M·d^α x`.
@@ -120,11 +120,24 @@ impl MultiTermSystem {
     }
 
     /// Converts a descriptor system `E ẋ = A x + B u` into the two-term
-    /// form `E·d¹x + (−A)·d⁰x = B·u`.
+    /// form `E·d¹x + (−A)·d⁰x = B·u`: [`MultiTermSystem::from_fractional`]
+    /// at `α = 1`.
     pub fn from_descriptor(sys: &DescriptorSystem) -> Self {
+        Self::two_term(1.0, sys)
+    }
+
+    /// Converts a fractional system `E·d^α x = A x + B u` into the
+    /// two-term form `[(α, E), (0, −A)]`, the system a fractional plan
+    /// sweeps and the Kronecker oracle assembles.
+    pub fn from_fractional(fsys: &FractionalSystem) -> Self {
+        Self::two_term(fsys.alpha(), fsys.system())
+    }
+
+    /// `E·d^α x + (−A)·d⁰x = B·u`, already in descending order (`α > 0`).
+    fn two_term(alpha: f64, sys: &DescriptorSystem) -> Self {
         let terms = vec![
             Term {
-                alpha: 1.0,
+                alpha,
                 matrix: sys.e().clone(),
             },
             Term {
@@ -187,6 +200,62 @@ mod tests {
         // −A stored for the algebraic term.
         assert_eq!(mt.terms()[1].matrix.get(0, 0), 3.0);
         assert_eq!(mt.terms()[1].matrix.get(1, 0), -1.0);
+    }
+
+    /// Every term's order and matrix, then `B` and `C`, as dense matrices.
+    fn parts(mt: &MultiTermSystem) -> (Vec<f64>, Vec<opm_linalg::DMatrix>) {
+        let orders = mt.terms().iter().map(|t| t.alpha).collect();
+        let mut mats: Vec<_> = mt.terms().iter().map(|t| t.matrix.to_dense()).collect();
+        mats.push(mt.b().to_dense());
+        mats.extend(mt.c().map(CsrMatrix::to_dense));
+        (orders, mats)
+    }
+
+    fn descriptor() -> DescriptorSystem {
+        let mut e = CooMatrix::new(2, 2);
+        e.push(0, 0, 2.0);
+        let mut a = CooMatrix::new(2, 2);
+        a.push(0, 0, -3.0);
+        a.push(1, 0, 1.0);
+        a.push(1, 1, -0.5);
+        let mut c = CooMatrix::new(1, 2);
+        c.push(0, 1, 1.0);
+        DescriptorSystem::new(e.to_csr(), a.to_csr(), eye(2), Some(c.to_csr())).unwrap()
+    }
+
+    #[test]
+    fn from_fractional_at_alpha_one_is_from_descriptor() {
+        let d = descriptor();
+        let frac =
+            MultiTermSystem::from_fractional(&FractionalSystem::new(1.0, d.clone()).unwrap());
+        assert_eq!(parts(&frac), parts(&MultiTermSystem::from_descriptor(&d)));
+    }
+
+    #[test]
+    fn from_fractional_keeps_the_order_new_gives() {
+        let d = descriptor();
+        for alpha in [0.3, 1.0, 1.7] {
+            let fsys = FractionalSystem::new(alpha, d.clone()).unwrap();
+            let via_new = MultiTermSystem::new(
+                vec![
+                    Term {
+                        alpha,
+                        matrix: d.e().clone(),
+                    },
+                    Term {
+                        alpha: 0.0,
+                        matrix: d.a().scale(-1.0),
+                    },
+                ],
+                d.b().clone(),
+                d.c().cloned(),
+            )
+            .unwrap();
+            assert_eq!(
+                parts(&MultiTermSystem::from_fractional(&fsys)),
+                parts(&via_new)
+            );
+        }
     }
 
     #[test]

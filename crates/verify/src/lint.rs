@@ -14,10 +14,13 @@
 //! | `panel-fast-math` | kernel crates | `mul_add` / `*_fast` intrinsics — the panel kernels carry a bit-identity contract against the scalar reference (`kernel/panel_vs_scalar_max_abs_delta == 0`), and fused rounding breaks it |
 //! | `stray-print` | library code (not bins) | `println!` / `eprintln!` / `print!` / `eprint!` / `dbg!` — libraries report through return values and the JSON metrics surface |
 //! | `env-knob` | library code (not bins) | `env::var` (and `var_os`, `vars`) — a library takes its configuration as arguments; an environment variable is a hidden option no caller can see |
+//! | `oracle-dep` | production crates' `Cargo.toml` | an oracle crate (`opm-oracle`, `opm-transient`) outside `[dev-dependencies]` — reference solvers check what a request runs and never run in one |
 //!
 //! Test code is exempt everywhere: `#[cfg(test)]` regions are tracked
 //! by brace counting, and only `src/` trees are scanned (integration
-//! `tests/`, `benches/`, `examples/` are not library code).
+//! `tests/`, `benches/`, `examples/` are not library code). The
+//! manifest rule reads the `Cargo.toml` of each [`PRODUCTION_CRATES`]
+//! member; the facade, bench and verify crates are exempt.
 //!
 //! # Allowlists
 //!
@@ -40,6 +43,7 @@ pub const KERNEL_CRATES: &[&str] = &[
     "fft",
     "fracnum",
     "linalg",
+    "oracle",
     "par",
     "rng",
     "sparse",
@@ -47,6 +51,17 @@ pub const KERNEL_CRATES: &[&str] = &[
     "transient",
     "waveform",
 ];
+
+/// Crates a request runs: their manifests may name an
+/// [`ORACLE_CRATES`] member only under `[dev-dependencies]`.
+pub const PRODUCTION_CRATES: &[&str] = &[
+    "basis", "circuits", "core", "fft", "fracnum", "linalg", "par", "rng", "serve", "sparse",
+    "system", "waveform",
+];
+
+/// Packages that hold reference solvers: the paper's reference forms
+/// (`opm-oracle`) and the classical steppers (`opm-transient`).
+pub const ORACLE_CRATES: &[&str] = &["opm-oracle", "opm-transient"];
 
 /// Every lint rule, in report order.
 pub const RULES: &[&str] = &[
@@ -56,6 +71,7 @@ pub const RULES: &[&str] = &[
     "panel-fast-math",
     "stray-print",
     "env-knob",
+    "oracle-dep",
 ];
 
 /// One lint hit.
@@ -414,6 +430,47 @@ pub fn lint_source(rel: &str, source: &str, class: FileClass) -> Vec<Finding> {
     out
 }
 
+/// Lints one production crate's manifest for `oracle-dep`: an
+/// [`ORACLE_CRATES`] package named, by key, header or `package = "…"`,
+/// in a dependency table other than `[dev-dependencies]`. Pure, like
+/// [`lint_source`].
+pub fn lint_manifest(rel: &str, manifest: &str) -> Vec<Finding> {
+    // `[dependencies]`, `[build-dependencies]` and their `target.…`
+    // forms; not `[dev-dependencies]`.
+    let ships = |table: &str| {
+        let last = table.rsplit('.').next().unwrap_or(table);
+        last.ends_with("dependencies") && last != "dev-dependencies"
+    };
+    let is_oracle = |name: &str| ORACLE_CRATES.contains(&name.trim().trim_matches('"'));
+    let mut table = String::new();
+    let mut out = Vec::new();
+    for (idx, raw) in manifest.lines().enumerate() {
+        let line = raw.split('#').next().unwrap_or("").trim();
+        let fires = if let Some(header) = line.strip_prefix('[') {
+            table = header.trim_end_matches(']').trim().to_string();
+            // `[dependencies.opm-oracle]`
+            table
+                .rsplit_once('.')
+                .is_some_and(|(t, name)| ships(t) && is_oracle(name))
+        } else {
+            let key = line.split(['=', '.']).next().unwrap_or("");
+            let renamed = ORACLE_CRATES
+                .iter()
+                .any(|c| line.contains(&format!("\"{c}\"")));
+            ships(&table) && (is_oracle(key) || renamed)
+        };
+        if fires {
+            out.push(Finding {
+                rule: "oracle-dep",
+                path: rel.to_string(),
+                line: idx + 1,
+                excerpt: raw.trim().to_string(),
+            });
+        }
+    }
+    out
+}
+
 // ---------------------------------------------------------------------------
 // Allowlists + repo walk
 // ---------------------------------------------------------------------------
@@ -479,9 +536,10 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
 }
 
 /// Lints the whole workspace under `root`: every `src/` tree of every
-/// workspace crate plus the facade's `src/`. Returns `Err` only for
-/// infrastructure problems (unreadable allowlist); rule violations come
-/// back inside the report.
+/// workspace crate plus the facade's `src/`, and the manifest of every
+/// [`PRODUCTION_CRATES`] member. Returns `Err` only for infrastructure
+/// problems (unreadable allowlist); rule violations come back inside
+/// the report.
 pub fn lint_repo(root: &Path) -> Result<LintReport, String> {
     let mut allows = load_allowlists(root)?;
     let mut files = Vec::new();
@@ -498,6 +556,7 @@ pub fn lint_repo(root: &Path) -> Result<LintReport, String> {
     collect_rs_files(&root.join("src"), &mut files);
 
     let mut report = LintReport::default();
+    let mut found = Vec::new();
     for file in &files {
         let rel = file
             .strip_prefix(root)
@@ -508,18 +567,26 @@ pub fn lint_repo(root: &Path) -> Result<LintReport, String> {
             continue;
         };
         report.files_scanned += 1;
-        let class = FileClass::from_path(&rel);
-        for finding in lint_source(&rel, &source, class) {
-            let allowed = allows
-                .iter_mut()
-                .find(|a| a.rule == finding.rule && a.path == finding.path);
-            match allowed {
-                Some(a) => {
-                    a.used = true;
-                    report.allowed += 1;
-                }
-                None => report.findings.push(finding),
+        found.extend(lint_source(&rel, &source, FileClass::from_path(&rel)));
+    }
+    for c in PRODUCTION_CRATES {
+        let rel = format!("crates/{c}/Cargo.toml");
+        let Ok(manifest) = std::fs::read_to_string(root.join(&rel)) else {
+            continue;
+        };
+        report.files_scanned += 1;
+        found.extend(lint_manifest(&rel, &manifest));
+    }
+    for finding in found {
+        let allowed = allows
+            .iter_mut()
+            .find(|a| a.rule == finding.rule && a.path == finding.path);
+        match allowed {
+            Some(a) => {
+                a.used = true;
+                report.allowed += 1;
             }
+            None => report.findings.push(finding),
         }
     }
     let mut unused: BTreeSet<String> = BTreeSet::new();
@@ -580,6 +647,35 @@ mod tests {
             ..FileClass::default()
         };
         assert!(lint_source("main.rs", src, bin).is_empty());
+    }
+
+    #[test]
+    fn oracle_crates_in_shipped_dependency_tables_fire() {
+        let manifest = "[package]\nname = \"opm-core\"\n\n\
+                        [dependencies]\nopm-basis.workspace = true\n\
+                        opm-oracle.workspace = true\n\
+                        ref = { package = \"opm-transient\", path = \"../transient\" }\n\n\
+                        [dependencies.opm-transient]\npath = \"../transient\"\n";
+        let lines: Vec<_> = lint_manifest("crates/core/Cargo.toml", manifest)
+            .into_iter()
+            .map(|f| (f.rule, f.line))
+            .collect();
+        assert_eq!(
+            lines,
+            vec![("oracle-dep", 6), ("oracle-dep", 7), ("oracle-dep", 9)]
+        );
+    }
+
+    #[test]
+    fn oracle_crates_as_dev_dependencies_are_silent() {
+        let manifest = "[package]\nname = \"opm-core\"\n\
+                        description = \"checked against opm-oracle\"\n\n\
+                        [dependencies]\nopm-basis.workspace = true\n\
+                        # opm-oracle.workspace = true\n\n\
+                        [dev-dependencies]\nopm-oracle.workspace = true\n\
+                        opm-transient.workspace = true\n\n\
+                        [dev-dependencies.opm-rng]\npath = \"../rng\"\n";
+        assert!(lint_manifest("crates/core/Cargo.toml", manifest).is_empty());
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! Run with `cargo run --example basis_gallery`.
 
 use opm::basis::{Basis, BpfBasis, HaarBasis, LegendreBasis, WalshBasis};
-// Non-BPF bases solve through the basis-generic integral-form plan; the
-// `Simulation` plan layer ([`opm::prelude::Simulation`]) is
-// BPF-specialized by design.
-use opm::core::general_basis::GeneralBasisPlan;
+// Non-BPF bases solve through the basis-generic integral-form oracle
+// (`opm-oracle`); the `Simulation` plan layer
+// ([`opm::prelude::Simulation`]) is BPF-specialized by design.
 use opm::sparse::{CooMatrix, CsrMatrix};
 use opm::system::DescriptorSystem;
 use opm::waveform::{InputSet, Waveform};
+use opm_oracle::GeneralBasisPlan;
 
 fn main() {
     // ẋ = −x + u, u = 1(t): x = 1 − e^{−t}.

@@ -8,7 +8,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`core`] | `opm-core` | the OPM solver engine: the [`Simulation`] → [`SimPlan`] session API (the one front door) and the strategies (linear, fractional, multi-term, adaptive, general-basis) |
+//! | [`core`] | `opm-core` | the OPM solver engine: the [`Simulation`] → [`SimPlan`] session API (the one front door) and the strategies (linear, fractional, multi-term, adaptive) |
 //! | [`basis`] | `opm-basis` | block-pulse / Walsh / Haar / Legendre operational matrices |
 //! | [`circuits`] | `opm-circuits` | netlists, SPICE-ish parser, MNA/NA, power-grid & fractional-line generators |
 //! | [`system`] | `opm-system` | descriptor / fractional / multi-term / second-order models |
@@ -19,6 +19,11 @@
 //! | [`sparse`] | `opm-sparse` | CSR/CSC, sparse LU (Gilbert–Peierls, symbolic/numeric refactorization split), weighted pencils, orderings |
 //! | [`par`] | `opm-par` | hermetic std-only scoped thread pool (`OPM_THREADS`) behind the parallel batch runtime |
 //! | [`linalg`] | `opm-linalg` | dense real/complex kernels, expm, Kronecker, Parlett |
+//!
+//! The paper's reference forms — the dense Kronecker vec form, the
+//! literal accumulator and the integral form over any basis — are the
+//! `opm-oracle` crate, which this facade does not re-export: only the
+//! tests and examples that check against them depend on it.
 //!
 //! # Quickstart — one factorization, many scenarios
 //!

@@ -9,9 +9,9 @@ use opm::circuits::mna::{assemble_mna, Output};
 use opm::circuits::na::assemble_na;
 use opm::circuits::tline::FractionalLineSpec;
 use opm::core::adaptive::geometric_grid;
-use opm::core::general_basis::GeneralBasisPlan;
 use opm::core::{Simulation, SolveOptions};
 use opm::waveform::Waveform;
+use opm_oracle::GeneralBasisPlan;
 
 /// The Walsh-basis solve of an assembled circuit equals the BPF solve of
 /// the same circuit after coefficient conversion — end to end.
@@ -24,7 +24,7 @@ fn walsh_and_bpf_agree_on_assembled_circuit() {
     let x0 = vec![0.0; model.system.order()];
 
     let wb = WalshBasis::new(m, t_end);
-    // Non-BPF bases solve through the basis-generic integral-form plan.
+    // Non-BPF bases solve through the basis-generic integral-form oracle.
     let walsh = GeneralBasisPlan::new(&model.system, &wb, &x0)
         .unwrap()
         .solve(&model.inputs)
