@@ -19,7 +19,7 @@
 
 use crate::cache::PatternCache;
 use crate::cancel::CancelToken;
-use crate::engine::{apply_b, Endpoint, PencilFamily};
+use crate::engine::{apply_b_block, Endpoint, PencilFamily};
 use crate::gate::GateCache;
 use crate::metrics::FactorProfile;
 use crate::result::OpmResult;
@@ -334,11 +334,10 @@ pub(crate) fn prepare_step_grid(
 }
 
 /// Runs the distinct-step column sweep against prefactored pencils — the
-/// cheap, per-stimulus half of a step-grid solve. `cancel` is polled
-/// before every column.
+/// cheap, per-stimulus half of a step-grid solve (the plan has checked
+/// the stimulus's channels). `cancel` is polled before every column.
 ///
 /// # Errors
-/// [`OpmError::BadArguments`] on channel mismatches;
 /// [`OpmError::Cancelled`] when `cancel` trips.
 pub(crate) fn sweep_step_grid(
     fsys: &FractionalSystem,
@@ -349,11 +348,9 @@ pub(crate) fn sweep_step_grid(
 ) -> Result<OpmResult, OpmError> {
     let sys = fsys.system();
     let n = sys.order();
-    if inputs.len() != sys.num_inputs() {
-        return Err(OpmError::BadArguments("input channel mismatch".into()));
-    }
     let m = grid.dim();
     let u = inputs.averages_on_grid(grid.bounds());
+    let mut uj = vec![0.0; u.len()];
 
     let mut columns: Vec<Vec<f64>> = Vec::with_capacity(m);
     for j in 0..m {
@@ -369,7 +366,8 @@ pub(crate) fn sweep_step_grid(
             }
         }
         let mut rhs = vec![0.0; n];
-        apply_b(sys.b(), &u, j, 1.0, &mut rhs);
+        uj.iter_mut().zip(&u).for_each(|(v, row)| *v = row[j]);
+        apply_b_block(sys.b(), &uj, 1, 1.0, &mut rhs);
         let mut ea = vec![0.0; n];
         sys.e().mul_vec_into(&acc, &mut ea);
         for (r, w) in rhs.iter_mut().zip(&ea) {

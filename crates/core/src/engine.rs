@@ -23,8 +23,9 @@
 //!   per weight vector ([`PencilFamily::factor`]) and a parallel batch
 //!   form ([`PencilFamily::factor_all`]). A shift `σ·E − A` is the
 //!   two-term case with weights `(σ, −1)`;
-//! - [`apply_b`] / [`apply_b_block`] — accumulate `scale·B·u_j` into a
-//!   right-hand side (single scenario or an interleaved lane block);
+//! - [`apply_b_block`] — accumulates `scale·B·u_j` into a right-hand
+//!   side, an interleaved block of `lanes` scenarios (one lane is a
+//!   plain vector);
 //! - `Endpoint` — the endpoint form of the linear recurrence, the
 //!   right-hand side `σE·e_j + B·u_j` and the step `e_{j+1} = 2x_j − e_j`
 //!   that the uniform, windowed, adaptive and Newton sweeps share;
@@ -502,22 +503,10 @@ impl PencilFamily {
 // Right-hand-side assembly
 // ---------------------------------------------------------------------------
 
-/// Accumulates `scale·B·u_j` into `out`, reading input column `j` from a
-/// BPF coefficient matrix.
-pub fn apply_b(b: &CsrMatrix, u_coeffs: &[Vec<f64>], j: usize, scale: f64, out: &mut [f64]) {
-    for i in 0..b.nrows() {
-        let mut s = 0.0;
-        for (ch, v) in b.row(i) {
-            s += v * u_coeffs[ch][j];
-        }
-        out[i] += scale * s;
-    }
-}
-
-/// Block form of [`apply_b`]: accumulates `scale·B·u` for `lanes`
-/// scenarios at once. `u_block[ch*lanes + l]` is channel `ch` of lane
-/// `l`; `out` is a row-major `n × lanes` block. One pass over `B`'s
-/// sparse structure serves every lane.
+/// Accumulates `scale·B·u` into `out` for `lanes` scenarios at once.
+/// `u_block[ch*lanes + l]` is channel `ch` of lane `l`; `out` is a
+/// row-major `n × lanes` block. One pass over `B`'s sparse structure
+/// serves every lane.
 ///
 /// Lanes are processed in fixed-width register panels
 /// ([`opm_linalg::panel::LANE_PANEL_WIDTH`]); per lane the accumulation
@@ -654,7 +643,7 @@ impl Endpoint {
 
     /// Writes the right-hand side `σE·e + B·u` into `rhs`, where
     /// `u[ch*lanes + l]` is channel `ch` of lane `l`. Each row of `B·u`
-    /// is summed before it is added, in [`apply_b`]'s order.
+    /// is summed in `B`'s stored order before it is added.
     pub(crate) fn rhs(&mut self, sys: &DescriptorSystem, sigma: f64, u: &[f64], rhs: &mut [f64]) {
         let (b, lanes) = (sys.b(), self.e.len() / sys.order());
         sys.e().mul_block_into(&self.e, &mut self.work, lanes);

@@ -15,8 +15,9 @@
 //!   **one factorization over many scenarios** via the engine's
 //!   multi-RHS block sweep. The model picks the sweep; the options set
 //!   only the grid (resolution, adaptivity or an explicit step grid).
-//!   Whole-horizon and windowed solves share one window loop; the whole
-//!   horizon is its one-window case.
+//!   Every solve runs one window loop (the whole horizon is its
+//!   one-window case), whose linear arm solves each column by a block
+//!   solve or, on netlists with diodes or MOSFETs, by Newton iteration.
 //! - [`engine`] — the shared solver engine: [`engine::SolveOptions`]
 //!   plus the validation, pencil-factorization and cached-factorization
 //!   (block) column-sweep primitives every strategy below builds on.

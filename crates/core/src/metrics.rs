@@ -21,7 +21,8 @@ pub struct FactorProfile {
     /// Step-lattice cache lookups that had to factor (adaptive plans).
     pub cache_misses: usize,
     /// Windows swept by the session layer's windowed, streaming and
-    /// Newton solves (`solve`/`solve_batch` book none). Each window
+    /// Newton solves (`solve`/`solve_batch` book none; a nonlinear plan
+    /// books each lane's). Each window
     /// reuses the same window pencil factorization, so this counter
     /// growing while `num_symbolic + num_numeric` stays flat *is* the
     /// long-horizon reuse invariant.
@@ -45,9 +46,9 @@ pub struct FactorProfile {
     /// every column solve (0 when not captured). Deterministic, so a
     /// fill regression shows up without timing noise.
     pub factor_nnz: usize,
-    /// Newton iterations performed by `solve_newton_windowed` (one per
-    /// column on linear netlists — those converge in a single iteration
-    /// by construction).
+    /// Newton iterations of a nonlinear plan's column solves (on a linear
+    /// netlist, `solve_newton_windowed` books one per column — the
+    /// single iteration a linear column takes by construction).
     pub newton_iters: usize,
     /// Numeric-only refactorizations performed *inside* Newton
     /// iterations (each also counts in [`FactorProfile::num_numeric`]).

@@ -12,10 +12,10 @@
 //! ```
 //!
 //! (`σ = 2m/T_w`). The right-hand side and the endpoint step are the
-//! linear sweep's own (`Endpoint` in [`crate::engine`]), so with
-//! `f ≡ 0` this is the linear recurrence exactly — which is why
-//! `solve_newton_windowed` on a linear netlist can delegate to the
-//! linear sweep bit-identically.
+//! linear sweep's own (`Endpoint` in [`crate::engine`]): the window
+//! loop's linear arm ([`crate::session`]) solves each column of a
+//! nonlinear plan with [`NewtonSweep::column`] instead of a block solve,
+//! and with `f ≡ 0` this is the linear recurrence exactly.
 //!
 //! # SPICE-style full-value iteration
 //!
@@ -42,16 +42,15 @@
 //! replays the recorded numeric factorization into the sweep's own
 //! factor ([`SparseLu::refactor_into`]), solves once and evaluates the
 //! residual (two SpMVs plus the device currents). Every buffer it
-//! touches — values, factor, solve scratch, iterates — belongs to the
-//! [`NewtonSweep`] for the whole solve, so a steady-state iterate makes
-//! no heap allocation; a windowed solve allocates once per column (the
-//! stored solution), a few times per window and a constant amount of
-//! setup (`tests/newton_alloc.rs` counts them). On the 36-unknown
+//! touches belongs to the [`NewtonSweep`] for the whole solve, so a
+//! steady-state iterate makes no heap allocation; a solve allocates once
+//! per column (the stored solution) plus a constant setup
+//! (`tests/newton_alloc.rs` counts them). On the 36-unknown
 //! diode-into-RC-ladder pencil that is 2–4 µs per iterate on a shared
 //! 2-vCPU x86 host.
 
+use crate::cancel::CancelToken;
 use crate::engine::{Endpoint, PencilFamily};
-use crate::session::NewtonOptions;
 use crate::OpmError;
 use opm_circuits::nonlinear::{DeviceModel, MnaStamps, NonlinearDevice};
 use opm_sparse::SparseLu;
@@ -64,14 +63,15 @@ const ABS_TOL: f64 = 1e-9;
 /// See [`ABS_TOL`].
 const REL_TOL: f64 = 1e-9;
 
-/// Reusable per-solve Newton machinery: the device list, the map from
-/// stamp coordinates into the pencil family's value buffer, and every
-/// buffer an iterate touches — the stamped values, the factor, the solve
-/// scratch and the iterates themselves — owned for the whole solve,
-/// across all windows.
+/// The column solver of a nonlinear plan, one per solved lane: the
+/// device list, the map from stamp coordinates into the pencil family's
+/// value buffer, and every buffer an iterate touches — the stamped
+/// values, the factor, the solve scratch and the iterates themselves —
+/// owned for the whole solve, across all windows.
 pub(crate) struct NewtonSweep<'a> {
     sys: &'a DescriptorSystem,
     devices: &'a [DeviceModel],
+    family: &'a PencilFamily,
     /// Every `(row, col)` position a device may ever stamp, sorted, with
     /// its index in the union-pattern value buffer.
     slots: Vec<((usize, usize), usize)>,
@@ -80,13 +80,9 @@ pub(crate) struct NewtonSweep<'a> {
     vals: Vec<f64>,
     /// The iterate's factor, refactored in place.
     lu: SparseLu,
-    /// The endpoint recurrence; after a window, its endpoint is that
-    /// window's `x(T_w)` — the next window's seed.
-    endpoint: Endpoint,
-    /// The current column's stimulus, one entry per channel.
-    u: Vec<f64>,
-    /// The current iterate.
-    x: Vec<f64>,
+    /// The current iterate: the last column's solution, or the window's
+    /// start state.
+    pub x: Vec<f64>,
     /// The next iterate, solved into and then swapped with `x`.
     x_new: Vec<f64>,
     /// [`SparseLu::solve_into`]'s scratch.
@@ -96,7 +92,7 @@ pub(crate) struct NewtonSweep<'a> {
     resid: Vec<f64>,
     work: Vec<f64>,
     f_dev: Vec<f64>,
-    /// Newton iterations performed (across all windows driven so far).
+    /// Newton iterations performed (across all columns solved so far).
     pub newton_iters: usize,
 }
 
@@ -108,13 +104,11 @@ impl<'a> NewtonSweep<'a> {
     /// Resolves every position any device may ever touch (the 2×2 blocks
     /// over its coupling pairs — a MOSFET's drain/source swap stays
     /// inside them) into the family's value buffer once, so stamping an
-    /// iterate is a binary search over those positions, and seeds the
-    /// sweep at endpoint `x0`.
+    /// iterate is a binary search over those positions.
     pub fn new(
         sys: &'a DescriptorSystem,
         devices: &'a [DeviceModel],
-        family: &PencilFamily,
-        x0: &[f64],
+        family: &'a PencilFamily,
     ) -> Result<Self, OpmError> {
         let mut coords: Vec<(usize, usize)> = Vec::new();
         for dev in devices {
@@ -133,12 +127,11 @@ impl<'a> NewtonSweep<'a> {
         Ok(NewtonSweep {
             sys,
             devices,
+            family,
             slots: coords.into_iter().zip(indices).collect(),
             stamps: MnaStamps::new(),
             vals: Vec::new(),
             lu: SparseLu::default(),
-            endpoint: Endpoint::new(x0),
-            u: vec![0.0; sys.num_inputs()],
             x: vec![0.0; n],
             x_new: vec![0.0; n],
             y: vec![0.0; n],
@@ -173,53 +166,39 @@ impl<'a> NewtonSweep<'a> {
         }
     }
 
-    /// Sweeps one window: `m` columns at shift `sigma` with stimulus
-    /// coefficients `u[ch][j]`, seeded from the endpoint the previous
-    /// window left (or `x0`), appending the solved columns to `columns`.
-    /// Each column warm-starts from the previous column's solution and
-    /// iterates to the residual tolerance; the cancel token is polled
-    /// every iteration. An iterate allocates nothing: it refactors,
-    /// solves and evaluates its residual in the sweep's own buffers.
+    /// Solves one column at shift `sigma` into [`NewtonSweep::x`] and
+    /// steps `endpoint` past it: the right-hand side `σE·e + B·u` from
+    /// `endpoint` and the column's stimulus `u`, then full-value iterates
+    /// from `x` to the residual tolerance, polling `cancel` every
+    /// iteration. An iterate allocates nothing. `at` is the column and
+    /// window a nonconvergence names.
     ///
     /// # Errors
-    /// [`OpmError::Nonconvergence`] when a column exhausts
+    /// [`OpmError::Nonconvergence`] when the column exhausts
     /// [`MAX_ITERS`]; [`OpmError::Cancelled`] on a tripped token;
     /// [`OpmError::SingularPencil`] from factorization.
-    #[allow(clippy::too_many_arguments)]
-    pub fn window(
+    pub fn column(
         &mut self,
-        family: &PencilFamily,
         sigma: f64,
-        m: usize,
-        u: &[Vec<f64>],
-        opts: &NewtonOptions,
-        window: usize,
-        columns: &mut Vec<Vec<f64>>,
+        endpoint: &mut Endpoint,
+        u: &[f64],
+        cancel: Option<&CancelToken>,
+        at: (usize, usize),
     ) -> Result<(), OpmError> {
         let weights = [sigma, -1.0];
-        self.x.copy_from_slice(&self.endpoint.e);
-        for j in 0..m {
-            for (uc, row) in self.u.iter_mut().zip(u) {
-                *uc = row[j];
+        endpoint.rhs(self.sys, sigma, u, &mut self.rhs_base);
+        let tol = ABS_TOL + REL_TOL * inf_norm(&self.rhs_base);
+        let mut res = f64::INFINITY;
+        for _ in 0..MAX_ITERS {
+            cancel.map_or(Ok(()), CancelToken::check)?;
+            self.newton_iters += 1;
+            self.stamps.clear();
+            for dev in self.devices {
+                dev.stamp(&self.x, &mut self.stamps);
             }
-            let rhs = &mut self.rhs_base;
-            self.endpoint.rhs(self.sys, sigma, &self.u, rhs);
-            let tol = ABS_TOL + REL_TOL * inf_norm(&self.rhs_base);
-            let mut converged = false;
-            let mut res = f64::INFINITY;
-            let mut iters = 0;
-            while iters < MAX_ITERS {
-                if let Some(token) = &opts.cancel {
-                    token.check()?;
-                }
-                iters += 1;
-                self.newton_iters += 1;
-                self.stamps.clear();
-                for dev in self.devices {
-                    dev.stamp(&self.x, &mut self.stamps);
-                }
-                let (stamps, slots) = (&self.stamps, &self.slots);
-                family.factor_stamped(&weights, &mut self.vals, &mut self.lu, |vals| {
+            let (stamps, slots) = (&self.stamps, &self.slots);
+            self.family
+                .factor_stamped(&weights, &mut self.vals, &mut self.lu, |vals| {
                     for &(r, c, g) in stamps.entries() {
                         let k = slots
                             .binary_search_by_key(&(r, c), |&(rc, _)| rc)
@@ -227,29 +206,23 @@ impl<'a> NewtonSweep<'a> {
                         vals[slots[k].1] += g;
                     }
                 })?;
-                self.rhs.copy_from_slice(&self.rhs_base);
-                for &(row, amps) in self.stamps.currents() {
-                    self.rhs[row] += amps;
-                }
-                self.lu.solve_into(&self.rhs, &mut self.x_new, &mut self.y);
-                std::mem::swap(&mut self.x, &mut self.x_new);
-                self.residual(sigma);
-                res = inf_norm(&self.resid);
-                if res <= tol {
-                    converged = true;
-                    break;
-                }
+            self.rhs.copy_from_slice(&self.rhs_base);
+            for &(row, amps) in self.stamps.currents() {
+                self.rhs[row] += amps;
             }
-            if !converged {
-                return Err(OpmError::Nonconvergence {
-                    iterations: iters,
-                    residual: res,
-                    context: format!("column {j} of window {window}"),
-                });
+            self.lu.solve_into(&self.rhs, &mut self.x_new, &mut self.y);
+            std::mem::swap(&mut self.x, &mut self.x_new);
+            self.residual(sigma);
+            res = inf_norm(&self.resid);
+            if res <= tol {
+                endpoint.advance(&self.x);
+                return Ok(());
             }
-            self.endpoint.advance(&self.x);
-            columns.push(self.x.clone());
         }
-        Ok(())
+        Err(OpmError::Nonconvergence {
+            iterations: MAX_ITERS,
+            residual: res,
+            context: format!("column {} of window {}", at.0, at.1),
+        })
     }
 }

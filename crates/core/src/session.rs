@@ -18,7 +18,8 @@
 //! - [`SimPlan::solve_windowed`] / [`SimPlan::solve_windowed_batch_opts`]
 //!   / [`SimPlan::solve_streaming`] — long horizons as `W` windows
 //!   through one window factorization;
-//! - [`SimPlan::solve_newton_windowed`] — nonlinear netlists;
+//! - [`SimPlan::solve_newton_windowed`] — one windowed lane with Newton
+//!   options;
 //! - [`SimPlan::solve_coeffs`] — a precomputed BPF coefficient stimulus.
 //!
 //! ```
@@ -45,10 +46,14 @@
 //!
 //! A windowed solve at `W = 1` is the whole horizon on every plan kind,
 //! bit for bit [`SimPlan::solve`]. Every uniform-grid solve — whole-horizon,
-//! windowed, streaming, and linear Newton — runs one window loop: the
-//! whole horizon is its one-window case, swept against the factorization
-//! the plan was built with. Adaptive and step-grid plans run their own
-//! whole-horizon solve at `W = 1` and reject `W > 1`.
+//! windowed, streaming and Newton — runs one window loop: the whole
+//! horizon is its one-window case, swept against the factorization the
+//! plan was built with. Its linear arm solves each column by a block
+//! solve, or — on a plan carrying nonlinear devices (diodes, MOSFETs),
+//! which every entry point serves — by Newton iteration over the same
+//! recurrence (the `newton` module), one lane per sweep. Adaptive and
+//! step-grid plans run their own whole-horizon solve at `W = 1` and
+//! reject `W > 1`.
 //!
 //! A uniform plan sweeps one of three column recurrences, picked from
 //! the model alone: the linear endpoint recurrence (linear models), the
@@ -83,7 +88,7 @@ use crate::result::{uniform_bounds, OpmResult};
 use crate::sync::StdSync;
 use crate::OpmError;
 use opm_basis::adaptive::AdaptiveBpf;
-use opm_basis::bpf::{endpoint_state, BpfBasis};
+use opm_basis::bpf::BpfBasis;
 use opm_basis::traits::Basis;
 use opm_circuits::mna::{
     assemble_fractional_mna, assemble_mna, assemble_nonlinear_mna, Output, Unknown,
@@ -181,8 +186,8 @@ pub struct Simulation {
     unknowns: Vec<Unknown>,
     /// Nonlinear companion devices riding on a linear model (populated
     /// by [`Simulation::from_circuit`] when the netlist carries diodes
-    /// or MOSFETs); plans built from this session solve through
-    /// [`SimPlan::solve_newton_windowed`].
+    /// or MOSFETs); plans built from this session solve each column by
+    /// Newton iteration.
     devices: Vec<DeviceModel>,
 }
 
@@ -341,8 +346,8 @@ impl Simulation {
         &self.devices
     }
 
-    /// Whether plans built from this session need the Newton path
-    /// ([`SimPlan::solve_newton_windowed`]).
+    /// Whether plans built from this session carry nonlinear devices,
+    /// whose columns every solve entry point solves by Newton iteration.
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
     }
@@ -658,17 +663,15 @@ pub struct SimPlan {
     m: usize,
     x0: Vec<f64>,
     kind: PlanKind,
-    /// Nonlinear companion devices (empty for purely linear plans).
-    /// Plans carrying devices solve through
-    /// [`SimPlan::solve_newton_windowed`];
-    /// the linear entry points reject them so a caller can never
-    /// silently drop the nonlinearities.
+    /// Nonlinear companion devices (empty for purely linear plans),
+    /// whose columns the window loop solves by Newton iteration.
     devices: Arc<Vec<DeviceModel>>,
     /// Window kernels keyed by window count `W`, built on first use (one
     /// factorization serves all `W` windows and every scenario); the
     /// [`WINDOW_KERNELS_RETAINED`] most recently used are kept.
     kernels: GateCache<usize, Arc<WindowKernel>, OpmError, StdSync>,
-    /// Windows swept so far, across every windowed/streaming/Newton call.
+    /// Windows swept so far, across every windowed/streaming/Newton call
+    /// (`W` per lane on a nonlinear plan, whose lanes sweep apart).
     windows_solved: AtomicUsize,
 }
 
@@ -925,26 +928,11 @@ impl SimPlan {
         &self.devices
     }
 
-    /// Whether the plan carries nonlinear devices. Such plans solve only
-    /// through [`SimPlan::solve_newton_windowed`]; every linear entry
-    /// point rejects them.
+    /// Whether the plan carries nonlinear devices. Every entry point
+    /// serves such a plan: the window loop's linear arm solves each
+    /// column by Newton iteration instead of a block solve.
     pub fn has_nonlinear(&self) -> bool {
         !self.devices.is_empty()
-    }
-
-    /// Linear entry points refuse plans carrying nonlinear devices —
-    /// solving the linear recurrence would silently drop the device
-    /// currents.
-    fn reject_nonlinear(&self) -> Result<(), OpmError> {
-        if self.devices.is_empty() {
-            Ok(())
-        } else {
-            Err(OpmError::BadArguments(format!(
-                "this plan carries {} nonlinear device(s) that a linear solve would drop; \
-                 use SimPlan::solve_newton_windowed",
-                self.devices.len()
-            )))
-        }
     }
 
     // -- solving ------------------------------------------------------------
@@ -984,7 +972,6 @@ impl SimPlan {
     /// with the planned resolution, or the plan kind needs waveforms
     /// (second-order, adaptive, step-grid).
     pub fn solve_coeffs(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
-        self.reject_nonlinear()?;
         let plan = match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep:
@@ -1016,7 +1003,15 @@ impl SimPlan {
             &[u],
             &WindowedOptions::new(1),
             opm_par::default_threads(),
-            |c, _, _| Ok(LaneCoeffs::interleave(c, p, self.m)),
+            |_, _, _, lc| {
+                lc.resize(self.m);
+                for (ch, row) in u.iter().enumerate() {
+                    row.iter()
+                        .enumerate()
+                        .for_each(|(j, &v)| lc.set(j, ch, 0, v));
+                }
+                Ok(())
+            },
         )?;
         Ok(out.pop().expect("one lane in, one result out"))
     }
@@ -1127,10 +1122,13 @@ impl SimPlan {
         threads: usize,
     ) -> Result<Vec<OpmResult>, OpmError> {
         let results = self.batch(inputs, opts, threads)?;
-        if !results.is_empty() {
-            self.windows_solved
-                .fetch_add(opts.windows(), Ordering::Relaxed);
-        }
+        // A nonlinear plan sweeps each lane on its own.
+        let sweeps = match self.has_nonlinear() {
+            true => results.len(),
+            false => results.len().min(1),
+        };
+        let booked = opts.windows() * sweeps;
+        self.windows_solved.fetch_add(booked, Ordering::Relaxed);
         Ok(results)
     }
 
@@ -1159,15 +1157,16 @@ impl SimPlan {
         mut sink: impl FnMut(WindowBlock),
     ) -> Result<Vec<f64>, OpmError> {
         let windows = opts.windows();
-        self.reject_nonlinear()?;
         self.check_channels(std::slice::from_ref(inputs))?;
         let kernel = self.window_kernel(windows)?;
         let lane = std::slice::from_ref(inputs);
         let mut final_state = self.x0.clone();
-        let coeffs = |w, seed| self.window_coeffs(lane, opts, w, seed);
+        let coeffs = |w, seed, lc: &mut _| self.window_coeffs(lane, opts, w, seed, lc);
         self.windowed_drive(&kernel, 1, opts, true, coeffs, |w, columns, end| {
             // One lane: the interleaved columns are plain columns.
-            let bounds = self.window_bounds(windows, w, 0);
+            let bounds = (w * self.m..=(w + 1) * self.m)
+                .map(|g| self.global_bound(windows, g))
+                .collect();
             sink(WindowBlock {
                 window: w,
                 result: OpmResult::new(bounds, columns.to_vec(), self.model.c()),
@@ -1180,27 +1179,26 @@ impl SimPlan {
         Ok(final_state)
     }
 
-    /// Windowed Newton solve: the horizon split into `windows` windows
-    /// of `m` columns each, every column solved by SPICE-style
-    /// full-value Newton iteration over the endpoint recurrence
-    /// `(σE − A)·x_j − f(x_j) = σE·e_j + B·u_j`, `e_{j+1} = 2x_j − e_j`.
-    /// `windows = 1` is the whole horizon as one window.
+    /// The one-lane [`SimPlan::solve_windowed_batch_opts`] with the
+    /// [`NewtonOptions`] cancel token. On a plan carrying nonlinear
+    /// devices, every column is solved by SPICE-style full-value Newton
+    /// iteration over the endpoint recurrence
+    /// `(σE − A)·x_j − f(x_j) = σE·e_j + B·u_j`, `e_{j+1} = 2x_j − e_j`,
+    /// as in every entry point. `windows = 1` is the whole horizon.
     ///
     /// Cost shape: **one** symbolic analysis for the whole solve (the
     /// plan's recorded [`opm_sparse::SymbolicLu`]); every Newton
     /// iteration re-stamps the pencil values and replays the analysis as
-    /// a numeric-only [`opm_sparse::SparseLu::refactor`]. Only a pivot
-    /// degradation falls back to a fresh pivoted factorization — both
-    /// paths are counted in the plan's
+    /// a numeric-only [`opm_sparse::SparseLu::refactor`], and the window
+    /// kernel factors nothing. Only a pivot degradation falls back to a
+    /// fresh pivoted factorization — both paths are counted in the plan's
     /// [`factor_profile`](SimPlan::factor_profile) (`newton_iters`,
     /// `newton_refactors`, `newton_fresh_fallbacks`).
     ///
-    /// On a **linear** netlist (no devices) this is *bit-identical* to
-    /// [`SimPlan::solve_windowed`] — the full-value Newton iterate of the
-    /// endpoint recurrence reproduces the linear recurrence exactly, so
-    /// the call delegates to the linear window sweep (on every plan
-    /// kind) and books the `W` windows, plus one Newton iteration per
-    /// column on linear-recurrence plans, into the [`FactorProfile`].
+    /// On a **linear** netlist (no devices) the full-value Newton iterate
+    /// is the linear recurrence, so this is [`SimPlan::solve_windowed`]
+    /// bit for bit; it books one Newton iteration per column on
+    /// linear-recurrence plans into the [`FactorProfile`].
     ///
     /// ```
     /// use opm_core::{NewtonOptions, Simulation, SolveOptions};
@@ -1227,70 +1225,24 @@ impl SimPlan {
     /// # Errors
     /// [`OpmError::Nonconvergence`] when a column exhausts the iteration
     /// budget; [`OpmError::Cancelled`] on a tripped
-    /// [`NewtonOptions::cancel_token`]; [`OpmError::BadArguments`] when
-    /// a nonlinear plan is not linear-recurrence-backed, on channel
-    /// mismatches, or for `windows == 0`.
+    /// [`NewtonOptions::cancel_token`]; otherwise as
+    /// [`SimPlan::solve_windowed`].
     pub fn solve_newton_windowed(
         &self,
         inputs: &InputSet,
         windows: usize,
         opts: &NewtonOptions,
     ) -> Result<OpmResult, OpmError> {
-        if windows == 0 {
-            return Err(OpmError::BadArguments(
-                "windowed solving needs at least one window".into(),
-            ));
+        let mut wopts = WindowedOptions::new(windows);
+        wopts.cancel.clone_from(&opts.cancel);
+        // One lane runs on the calling thread whatever the worker count.
+        let lane = std::slice::from_ref(inputs);
+        let result = self.solve_windowed_batch_opts(lane, &wopts, 1)?.pop();
+        let result = result.expect("one lane in, one result out");
+        if let (false, Some(family)) = (self.has_nonlinear(), self.linear_family()) {
+            // One full-value iterate per column: the linear recurrence.
+            family.note_newton_iters(result.num_intervals());
         }
-        self.check_channels(std::slice::from_ref(inputs))?;
-        if self.devices.is_empty() {
-            // Linear netlist: one full-value iterate of the endpoint
-            // recurrence *is* the linear recurrence, so Newton converges
-            // in exactly one iteration per column — delegate to the
-            // linear window sweep (bit-identical, zero added
-            // factorizations) and book the per-column iterations.
-            let mut wopts = WindowedOptions::new(windows);
-            if let Some(tok) = &opts.cancel {
-                wopts = wopts.cancel_token(tok.clone());
-            }
-            let mut out = self.solve_windowed_batch_opts(
-                std::slice::from_ref(inputs),
-                &wopts,
-                opm_par::default_threads(),
-            )?;
-            let result = out.pop().expect("one lane in, one result out");
-            if let Some(family) = self.linear_family() {
-                family.note_newton_iters(result.num_intervals());
-            }
-            return Ok(result);
-        }
-        let Some(family) = self.linear_family() else {
-            return Err(OpmError::BadArguments(format!(
-                "nonlinear Newton solving needs a linear-recurrence plan, not `{}`",
-                self.strategy_name()
-            )));
-        };
-        let SimModel::Linear(sys) = self.model.as_ref() else {
-            unreachable!("nonlinear device plans are linear-model-backed by construction");
-        };
-        validate_horizon(self.t_end)?;
-        let m = self.m;
-        // Window width T/W at resolution m ⇒ σ_w = 2·m·W/T.
-        let sigma = 2.0 * (m as f64 * windows as f64) / self.t_end;
-        let width = self.t_end / windows as f64;
-        let too_large = || unallocatable(windows, m);
-        let mut columns = Vec::new();
-        columns
-            .try_reserve_exact(windows.checked_mul(m).ok_or_else(too_large)?)
-            .map_err(|_| too_large())?;
-        let mut sweep = NewtonSweep::new(sys, &self.devices, family, &self.x0)?;
-        for w in 0..windows {
-            let u = inputs.bpf_matrix_window(m, w as f64 * width, width);
-            sweep.window(family, sigma, m, &u, opts, w, &mut columns)?;
-        }
-        family.note_newton_iters(sweep.newton_iters);
-        let bounds = uniform_bounds(columns.len(), self.t_end);
-        let result = OpmResult::new(bounds, columns, self.model.c());
-        self.windows_solved.fetch_add(windows, Ordering::Relaxed);
         Ok(result)
     }
 
@@ -1309,7 +1261,6 @@ impl SimPlan {
         if inputs.is_empty() {
             return Ok(Vec::new());
         }
-        self.reject_nonlinear()?;
         self.check_channels(inputs)?;
         let windows = opts.windows();
         let whole = windows == 1;
@@ -1347,8 +1298,8 @@ impl SimPlan {
             // whole-horizon kinds.
             _ => {
                 let kernel = self.window_kernel(windows)?;
-                self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed| {
-                    self.window_coeffs(c, opts, w, seed)
+                self.drive_batch(&kernel, inputs, opts, threads, |c, w, seed, lc| {
+                    self.window_coeffs(c, opts, w, seed, lc)
                 })
             }
         }
@@ -1360,7 +1311,8 @@ impl SimPlan {
     /// `W` is built on its first request through the plan's single-flight
     /// kernel cache: the window pencil refactored numerically against the
     /// plan's recorded analysis, plus the kernel's window-step symbol
-    /// data. The other plan kinds have no window kernel.
+    /// data; a nonlinear plan's kernel factors nothing, as Newton
+    /// refactors at every iterate. Other plan kinds have no window kernel.
     fn window_kernel(&self, windows: usize) -> Result<Arc<WindowKernel>, OpmError> {
         if windows == 0 {
             return Err(OpmError::BadArguments(
@@ -1374,7 +1326,10 @@ impl SimPlan {
                 let (kernel, _) = self.kernels.get_or_build(windows, || {
                     let (symbols, weights) =
                         window_symbols(u.sweep, self.mt(), self.m, self.t_end, windows)?;
-                    let lu = u.pencil.factor(&weights)?;
+                    let lu = match self.has_nonlinear() {
+                        true => SparseLu::default(),
+                        false => u.pencil.factor(&weights)?,
+                    };
                     Ok(Arc::new(WindowKernel { lu, symbols }))
                 })?;
                 return Ok(kernel);
@@ -1405,8 +1360,8 @@ impl SimPlan {
         swept_mt(owned, &self.model)
     }
 
-    /// The `σ·E − A` family of a linear-recurrence plan — the pencil the
-    /// Newton path restamps.
+    /// The `σ·E − A` family of a linear-recurrence plan — the pencil
+    /// Newton iteration restamps.
     fn linear_family(&self) -> Option<&PencilFamily> {
         match &self.kind {
             PlanKind::Uniform(UniformPlan {
@@ -1418,24 +1373,19 @@ impl SimPlan {
         }
     }
 
-    /// Global-time interval bounds of window `w` (of `windows`),
-    /// extended `seed` columns to the left for carried history.
-    fn window_bounds(&self, windows: usize, w: usize, seed: usize) -> Vec<f64> {
-        let mtot = (self.m * windows) as f64;
-        let start = w * self.m - seed;
-        let end = (w + 1) * self.m;
-        (start..=end)
-            .map(|g| g as f64 * self.t_end / mtot)
-            .collect()
+    /// Global-time bound `g` of the `W·m`-column grid of `windows`
+    /// windows.
+    fn global_bound(&self, windows: usize, g: usize) -> f64 {
+        g as f64 * self.t_end / (self.m * windows) as f64
     }
 
     /// Projects the lanes' waveforms onto window `w` (of
-    /// `opts.windows()`), reaching `seed` columns back for the stimulus a
-    /// recurrence re-reads with its carried columns. The window grid is
-    /// shifted, the waveforms are sampled at global time: `u̇` averages
-    /// for second-order input, plain interval averages otherwise. This
-    /// is the one projection of every uniform waveform solve — the whole
-    /// horizon is `W = 1`.
+    /// `opts.windows()`) into `lc`, reaching `seed` columns back for the
+    /// stimulus a recurrence re-reads with its carried columns. The
+    /// window grid is shifted, the waveforms are sampled at global time:
+    /// `u̇` averages for second-order input, plain interval averages
+    /// otherwise. This is the one projection of every uniform waveform
+    /// solve — the whole horizon is `W = 1`.
     ///
     /// # Errors
     /// [`OpmError::Cancelled`] when the options' token trips; it is
@@ -1446,53 +1396,56 @@ impl SimPlan {
         opts: &WindowedOptions,
         w: usize,
         seed: usize,
-    ) -> Result<LaneCoeffs, OpmError> {
-        let windows = opts.windows();
+        lc: &mut LaneCoeffs,
+    ) -> Result<(), OpmError> {
+        let (windows, m) = (opts.windows(), seed + self.m);
         let width = self.t_end / windows as f64;
-        let bounds = self.window_bounds(windows, w, seed);
-        let project = |set: &InputSet| match &self.kind {
+        let bound = |j: usize| self.global_bound(windows, w * self.m - seed + j);
+        let recurrence = match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep: Sweep::Recurrence { differentiate },
                 ..
-            }) => {
-                if *differentiate {
-                    set.derivative_averages_on_grid(&bounds)
-                } else {
-                    set.averages_on_grid(&bounds)
+            }) => Some(*differentiate),
+            _ => None,
+        };
+        lc.resize(m);
+        for (l, set) in sets.iter().enumerate() {
+            opts.check_cancelled()?;
+            for (ch, wave) in set.channels().iter().enumerate() {
+                for j in 0..m {
+                    let v = match recurrence {
+                        Some(true) => {
+                            let (a, b) = (bound(j), bound(j + 1));
+                            (wave.eval(b) - wave.eval(a)) / (b - a)
+                        }
+                        Some(false) => wave.average(bound(j), bound(j + 1)),
+                        None => wave.bpf_coeff_window(self.m, w as f64 * width, width, j),
+                    };
+                    lc.set(j, ch, l, v);
                 }
             }
-            _ => set.bpf_matrix_window(self.m, w as f64 * width, width),
-        };
-        let us = sets
-            .iter()
-            .map(|set| opts.check_cancelled().map(|()| project(set)))
-            .collect::<Result<Vec<_>, _>>()?;
-        let refs: Vec<&[Vec<f64>]> = us.iter().map(Vec::as_slice).collect();
-        Ok(LaneCoeffs::interleave(
-            &refs,
-            self.model.num_inputs(),
-            seed + self.m,
-        ))
+        }
+        Ok(())
     }
 
     /// Runs `lanes` through the window loop against `kernel`, split
     /// across up to `threads` workers in contiguous chunks, and assembles
     /// one whole-horizon result per lane straight from the loop's column
-    /// store. `coeffs(chunk, w, seed)` supplies a chunk's interleaved
+    /// store. `coeffs(chunk, w, seed, lc)` projects a chunk's interleaved
     /// stimulus for window `w` (see [`SimPlan::windowed_drive`]). Lanes
     /// never mix arithmetically (every kernel is elementwise across the
     /// lane dimension), so chunked parallel runs are bit-identical to the
-    /// serial run.
+    /// serial run. A nonlinear plan's Newton lanes run one per chunk.
     fn drive_batch<L: Sync>(
         &self,
         kernel: &WindowKernel,
         lanes: &[L],
         opts: &WindowedOptions,
         threads: usize,
-        coeffs: impl Fn(&[L], usize, usize) -> Result<LaneCoeffs, OpmError> + Sync,
+        coeffs: impl Fn(&[L], usize, usize, &mut LaneCoeffs) -> Result<(), OpmError> + Sync,
     ) -> Result<Vec<OpmResult>, OpmError> {
         let run = |chunk: &[L]| -> Result<Vec<OpmResult>, OpmError> {
-            let chunk_coeffs = |w, seed| coeffs(chunk, w, seed);
+            let chunk_coeffs = |w, seed, lc: &mut _| coeffs(chunk, w, seed, lc);
             let store =
                 self.windowed_drive(kernel, chunk.len(), opts, false, chunk_coeffs, |_, _, _| {})?;
             Ok(deinterleave(store, chunk.len())
@@ -1503,7 +1456,10 @@ impl SimPlan {
                 })
                 .collect())
         };
-        let per_worker = worker_lane_chunk(lanes.len(), threads);
+        let per_worker = match self.has_nonlinear() {
+            true => 1,
+            false => worker_lane_chunk(lanes.len(), threads),
+        };
         if per_worker >= lanes.len() {
             return run(lanes);
         }
@@ -1518,32 +1474,32 @@ impl SimPlan {
     /// The window loop: sweeps `lanes` scenarios through the configured
     /// windows against the shared kernel, keeping every solved column
     /// (global state coordinates, lane-interleaved) once, in one store.
-    /// `coeffs(w, seed)` supplies window `w`'s interleaved stimulus,
-    /// preceded by the `seed` columns a recurrence re-reads. Each window
-    /// reads the state it carries from the store — none for the
-    /// polyline endpoint, the trailing `depth` columns for an integer
-    /// recurrence, and for a convolution kernel the whole store, whose
-    /// sweep continues over global columns with the pending memory of
-    /// [`column_memory`] carried from window to window. `on_window` then
-    /// sees the window's columns and end-of-window state block; with
-    /// `trim`, the store afterwards keeps only what the kernel still
-    /// reads (bounded streaming memory). Returns the store.
+    /// `coeffs(w, seed, lc)` projects window `w`'s interleaved stimulus
+    /// into the one buffer `lc` every window reuses, preceded by the
+    /// `seed` columns a recurrence re-reads. Each window reads the state
+    /// it carries from the store — none for the polyline endpoint, the
+    /// trailing `depth` columns for an integer recurrence, and for a
+    /// convolution kernel the whole store, whose sweep continues over
+    /// global columns with the pending memory of [`column_memory`]
+    /// carried from window to window. `on_window` then sees the window's
+    /// columns and end-of-window state block; with `trim`, the store
+    /// afterwards keeps only what the kernel still reads (bounded
+    /// streaming memory). Returns the store.
     ///
     /// The column sweep polls the [`WindowedOptions`] cancel token at
     /// the start of every window and every [`SWEEP_BLOCK`] columns
-    /// within one. A store the allocator refuses is
-    /// [`OpmError::BadArguments`].
+    /// within one (every Newton iteration on a nonlinear plan). A store
+    /// the allocator refuses is [`OpmError::BadArguments`].
     fn windowed_drive(
         &self,
         kernel: &WindowKernel,
         lanes: usize,
         opts: &WindowedOptions,
         trim: bool,
-        coeffs: impl Fn(usize, usize) -> Result<LaneCoeffs, OpmError>,
+        coeffs: impl Fn(usize, usize, &mut LaneCoeffs) -> Result<(), OpmError>,
         mut on_window: impl FnMut(usize, &[Vec<f64>], &[f64]),
     ) -> Result<Vec<Vec<f64>>, OpmError> {
         let windows = opts.windows();
-        let k = lanes;
         // The columns a window reads back from the store (none, the
         // recurrence depth, or all of them: the Caputo/GL memory), and
         // the stimulus columns it re-reads ahead of its own.
@@ -1552,12 +1508,21 @@ impl SimPlan {
             WindowSymbols::Recurrence { depth, .. } => (*depth, *depth),
             WindowSymbols::Convolution { .. } => (usize::MAX, 0),
         };
-        // A convolution's pending memory, per term, across windows.
-        let mut pending = Vec::new();
         // The end state block: the plan's x0 (nonzero on linear plans
         // only) interleaved across the lanes, then each lane's own.
-        let lanes_of = |&v: &f64| std::iter::repeat(v).take(k);
-        let mut end: Vec<f64> = self.x0.iter().flat_map(lanes_of).collect();
+        let lanes_of = |&v: &f64| std::iter::repeat(v).take(lanes);
+        let end: Vec<f64> = self.x0.iter().flat_map(lanes_of).collect();
+        let mut state = WindowState {
+            endpoint: Endpoint::new(&end),
+            end: Endpoint::new(&end),
+            pending: Vec::new(),
+            newton: match (self.model.as_ref(), self.linear_family()) {
+                (SimModel::Linear(sys), Some(family)) if self.has_nonlinear() => {
+                    Some(NewtonSweep::new(sys, &self.devices, family)?)
+                }
+                _ => None,
+            },
+        };
         // Sized by the request alone, so reserved fallibly.
         let too_large = || unallocatable(windows, self.m);
         let columns = if trim {
@@ -1567,34 +1532,49 @@ impl SimPlan {
         };
         let mut store: Vec<Vec<f64>> = Vec::new();
         store.try_reserve_exact(columns).map_err(|_| too_large())?;
+        let mut lc = LaneCoeffs {
+            lanes,
+            width: self.model.num_inputs() * lanes,
+            m: 0,
+            cols: Vec::new(),
+        };
+        (reread + self.m)
+            .checked_mul(lc.width)
+            .and_then(|len| lc.cols.try_reserve_exact(len).ok())
+            .ok_or_else(too_large)?;
         for w in 0..windows {
-            let lc = coeffs(w, reread.min(store.len()))?;
-            store = self.sweep_window(kernel, &lc, store, &mut pending, &end, opts)?;
+            coeffs(w, reread.min(store.len()), &mut lc)?;
+            store = self.sweep_window(kernel, &lc, store, &mut state, w, opts)?;
             let fresh = &store[store.len() - self.m..];
-            end = endpoint_state(fresh, &end);
-            on_window(w, fresh, &end);
+            for x in fresh {
+                state.end.advance(x);
+            }
+            on_window(w, fresh, &state.end.e);
             if trim {
                 store.drain(..store.len().saturating_sub(carried));
             }
         }
+        if let (Some(newton), Some(family)) = (&state.newton, self.linear_family()) {
+            family.note_newton_iters(newton.newton_iters);
+        }
         Ok(store)
     }
 
-    /// Solves one window for the lanes of `lc` against the shared
-    /// kernel and returns `store` with the window's columns appended. A
+    /// Solves window `w` for the lanes of `lc` against the shared kernel
+    /// and returns `store` with the window's columns appended. A
     /// multi-term sweep continues the store, reading what it carries
     /// from it (the trailing recurrence columns; a convolution's whole
-    /// history, its memory continuing from `pending`), so the restarted
-    /// sweep is column-for-column the unbroken one; a linear window's
-    /// endpoint recurrence starts from the previous window's end state
-    /// block `start`.
+    /// history, its memory continuing from `state.pending`), so the
+    /// restarted sweep is column-for-column the unbroken one; a linear
+    /// window's endpoint recurrence starts from the end state block
+    /// `state.end`, each column a block solve or (nonlinear plans) Newton.
     fn sweep_window(
         &self,
         kernel: &WindowKernel,
         lc: &LaneCoeffs,
-        store: Vec<Vec<f64>>,
-        pending: &mut Vec<Vec<Vec<f64>>>,
-        start: &[f64],
+        mut store: Vec<Vec<f64>>,
+        state: &mut WindowState<'_>,
+        w: usize,
         opts: &WindowedOptions,
     ) -> Result<Vec<Vec<f64>>, OpmError> {
         let (lu, cancel) = (&kernel.lu, opts.cancel.as_ref());
@@ -1610,13 +1590,23 @@ impl SimPlan {
                 // The endpoint recurrence from the window's start block,
                 // continuing the store over global column indices.
                 let (k, first) = (lc.lanes, store.len());
-                let mut endpoint = Endpoint::new(start);
+                let endpoint = &mut state.endpoint;
+                endpoint.e.copy_from_slice(&state.end.e);
+                if let Some(newton) = &mut state.newton {
+                    // One lane; each column warm-starts from the last.
+                    newton.x.copy_from_slice(&state.end.e);
+                    for j in 0..lc.m {
+                        newton.column(*sigma, endpoint, lc.col(j), cancel, (j, w))?;
+                        store.push(newton.x.clone());
+                    }
+                    return Ok(store);
+                }
                 let sweep = BlockColumnSweep::new(sys.order(), lc.m, k, store);
                 sweep.run(lu, cancel, |j, history, rhs, _| {
                     if j > first {
                         endpoint.advance(&history[j - 1]);
                     }
-                    endpoint.rhs(sys, *sigma, &lc.cols[j - first], rhs);
+                    endpoint.rhs(sys, *sigma, lc.col(j - first), rhs);
                     Ok(())
                 })
             }
@@ -1630,11 +1620,12 @@ impl SimPlan {
                 // fractional term's memory is [`column_memory`] over
                 // global columns whatever the window split.
                 let (mt, k, first) = (mt(), lc.lanes, store.len());
+                let pending = &mut state.pending;
                 pending.resize(series.len(), Vec::new());
                 let mut acc = vec![0.0; mt.order() * k];
                 let sweep = BlockColumnSweep::new(mt.order(), lc.m, k, store);
                 sweep.run(lu, cancel, |j, history, rhs, work| {
-                    apply_b_block(mt.b(), &lc.cols[j - first], k, 1.0, rhs);
+                    apply_b_block(mt.b(), lc.col(j - first), k, 1.0, rhs);
                     let terms = mt.terms().iter().zip(series).zip(squares);
                     for (((term, rho), squares), pending) in terms.zip(pending.iter_mut()) {
                         let Some(squares) = squares else {
@@ -1670,27 +1661,44 @@ impl SimPlan {
 // Lane interleaving
 // ---------------------------------------------------------------------------
 
-/// `K` coefficient matrices interleaved for the block sweep:
-/// `cols[j][ch*lanes + l]` is channel `ch`, column `j` of lane `l`.
+/// `lanes` coefficient matrices interleaved in one flat buffer that
+/// every window reuses: column `j` is the `width = p·lanes` entries from
+/// `j·width`, channel `ch` of lane `l` at `ch*lanes + l` within it.
 struct LaneCoeffs {
     lanes: usize,
+    width: usize,
     m: usize,
-    cols: Vec<Vec<f64>>,
+    cols: Vec<f64>,
 }
 
 impl LaneCoeffs {
-    fn interleave(us: &[&[Vec<f64>]], p: usize, m: usize) -> Self {
-        let lanes = us.len();
-        let mut cols = vec![vec![0.0; p * lanes]; m];
-        for (l, u) in us.iter().enumerate() {
-            for (ch, row) in u.iter().enumerate() {
-                for (j, &v) in row.iter().enumerate() {
-                    cols[j][ch * lanes + l] = v;
-                }
-            }
-        }
-        LaneCoeffs { lanes, m, cols }
+    /// Sizes the buffer for `m` columns, keeping its storage.
+    fn resize(&mut self, m: usize) {
+        self.m = m;
+        self.cols.resize(m * self.width, 0.0);
     }
+
+    fn set(&mut self, j: usize, ch: usize, l: usize, v: f64) {
+        self.cols[j * self.width + ch * self.lanes + l] = v;
+    }
+
+    /// Column `j`, all channels of all lanes.
+    fn col(&self, j: usize) -> &[f64] {
+        &self.cols[j * self.width..(j + 1) * self.width]
+    }
+}
+
+/// What the window loop carries from window to window besides its store.
+struct WindowState<'a> {
+    /// The end state block: `x0` across the lanes, then each window's
+    /// polyline endpoint.
+    end: Endpoint,
+    /// The linear arm's recurrence, restarted from `end` every window.
+    endpoint: Endpoint,
+    /// A convolution's pending memory, per term.
+    pending: Vec<Vec<Vec<f64>>>,
+    /// The Newton column solver of a plan carrying nonlinear devices.
+    newton: Option<NewtonSweep<'a>>,
 }
 
 fn axpy(y: &mut [f64], x: &[f64], a: f64) {
@@ -1727,7 +1735,7 @@ fn sweep_mt_recurrence_block(
         let local = j - first;
         for (i, &w) in bw.iter().enumerate() {
             if i <= local {
-                apply_b_block(mt.b(), &lc.cols[local - i], k, w, rhs);
+                apply_b_block(mt.b(), lc.col(local - i), k, w, rhs);
             }
         }
         for (term, p) in mt.terms().iter().zip(polys) {
@@ -2059,9 +2067,17 @@ mod tests {
         let lanes = vec![InputSet::new(vec![Waveform::Dc(1.0)]); 3];
         let token = CancelToken::new();
         let opts = WindowedOptions::new(2).cancel_token(token.clone());
-        assert!(plan.window_coeffs(&lanes, &opts, 1, 0).is_ok());
+        let mut lc = LaneCoeffs {
+            lanes: 3,
+            width: 3,
+            m: 0,
+            cols: Vec::new(),
+        };
+        assert!(plan.window_coeffs(&lanes, &opts, 1, 0, &mut lc).is_ok());
         token.cancel();
-        let err = plan.window_coeffs(&lanes, &opts, 1, 0).err().unwrap();
+        let err = plan
+            .window_coeffs(&lanes, &opts, 1, 0, &mut lc)
+            .unwrap_err();
         assert!(matches!(err, OpmError::Cancelled(_)), "{err}");
     }
 

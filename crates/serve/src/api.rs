@@ -269,12 +269,30 @@ fn parse_triplets(
     Ok(coo.to_csr())
 }
 
+/// A raw descriptor model. Every posted dimension is bounded by what the
+/// body holds before anything is sized from it, so no count can ask the
+/// allocator for more than the body backs: `n` by the stored `e` and `a`
+/// entries (a pencil with fewer entries than rows is structurally
+/// singular), `outputs` by `n` plus the stored `c` entries.
 fn parse_model(model: &Json) -> Result<Simulation, ApiError> {
+    let stored = |name: &str| {
+        model
+            .get(name)
+            .and_then(Json::as_array)
+            .map_or(0, <[_]>::len)
+    };
     let n = model
         .get("n")
         .and_then(Json::as_usize)
         .filter(|&n| n > 0)
         .ok_or_else(|| ApiError::bad("`model.n` (state dimension) is required"))?;
+    if n > stored("e") + stored("a") {
+        return Err(ApiError::bad(format!(
+            "`model.n` is {n}, more than the {} entries of `model.e` and `model.a`: \
+             the pencil would be singular",
+            stored("e") + stored("a")
+        )));
+    }
     let p = model
         .get("inputs")
         .and_then(Json::as_usize)
@@ -311,6 +329,11 @@ fn parse_model(model: &Json) -> Result<Simulation, ApiError> {
                 .and_then(Json::as_usize)
                 .filter(|&q| q > 0)
                 .ok_or_else(|| ApiError::bad("`model.outputs` is required alongside `model.c`"))?;
+            if q > n + stored("c") {
+                return Err(ApiError::bad(format!(
+                    "`model.outputs` is {q}, more than `model.n` plus the entries of `model.c`"
+                )));
+            }
             Some(parse_triplets(c, q, n, "model.c")?)
         }
         None => None,

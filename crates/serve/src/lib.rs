@@ -13,6 +13,11 @@
 //! | `POST /stream` | model/netlist + `windows` | chunked NDJSON, one line per window block |
 //! | `GET /metrics` | — | cache counters, per-plan profiles, latencies, robustness counters |
 //!
+//! Every endpoint serves every netlist, diodes and MOSFETs included: the
+//! plan picks how a column is solved (block solve or Newton iteration),
+//! and `/sweep` is `/solve` with DC-level stimuli and the `levels`
+//! echoed.
+//!
 //! Every request that needs a plan goes through one shared
 //! [`PlanCache`] keyed by [`opm_core::cache::plan_key`]; a repeated
 //! identical request is a **hit** — pure solve work against the interned
@@ -93,8 +98,8 @@ use std::time::{Duration, Instant};
 
 use opm_core::cache::{plan_key, PlanKey};
 use opm_core::json::Json;
-use opm_core::{CancelToken, NewtonOptions, OpmError, PlanCache, SimPlan, WindowedOptions};
-use opm_waveform::InputSet;
+use opm_core::{CancelToken, OpmError, PlanCache, SimPlan, WindowedOptions};
+use opm_waveform::{InputSet, Waveform};
 
 use api::{error_json, ApiError, SimRequest};
 use fault::{FaultSpec, FaultStats};
@@ -478,17 +483,6 @@ impl RequestCtx<'_> {
         opts
     }
 
-    /// Newton options for nonlinear solves: library defaults, wired to
-    /// the request's compute-deadline token so a stuck iteration is
-    /// interrupted mid-column rather than only between requests.
-    fn newton_opts(&self) -> NewtonOptions {
-        let mut opts = NewtonOptions::new();
-        if let Some(token) = &self.cancel {
-            opts = opts.cancel_token(token.clone());
-        }
-        opts
-    }
-
     /// Checks the deadline once the plan is ready (after plan build and
     /// injected sleeps), before any solve starts; the solves then poll
     /// the same token themselves.
@@ -792,60 +786,45 @@ fn plan_header(cache_hit: bool, plan: &SimPlan) -> Vec<(String, Json)> {
 
 fn handle_solve(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.solve);
-    let (plan, hit, (stimuli, windows)) = ctx.plan(&req.body, |d| {
-        let windows = d.windows;
-        Ok((d.stimuli()?, windows))
+    let planned = ctx.plan(&req.body, |d| {
+        let windows = d.windows.unwrap_or(1);
+        Ok((d.stimuli()?, windows, None))
     })?;
-    ctx.apply_slow_solve();
-    ctx.check_deadline()?;
-    let results = if plan.has_nonlinear() {
-        // Nonlinear netlists solve per-column Newton over the same plan;
-        // the linear batch entry points reject them by design.
-        let nopts = ctx.newton_opts();
-        let windows = windows.unwrap_or(1);
-        stimuli
-            .iter()
-            .map(|ws| plan.solve_newton_windowed(ws, windows, &nopts))
-            .collect::<Result<Vec<_>, _>>()?
-    } else {
-        plan.solve_windowed_batch_opts(
-            &stimuli,
-            &ctx.windowed_opts(windows.unwrap_or(1)),
-            opm_par::default_threads(),
-        )?
-    };
-    let mut doc = plan_header(hit, &plan);
-    doc.push((
-        "results".into(),
-        Json::Arr(results.iter().map(api::result_json).collect()),
-    ));
-    let body = Json::Obj(doc).to_string();
-    timer.record();
-    http::write_response(stream, 200, "application/json", body.as_bytes()).map_err(io_reply)?;
-    Ok(())
+    solve_reply(stream, ctx, timer, planned)
 }
 
 fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> Result<(), Reply> {
     let timer = Timer::start(&ctx.state.sweep);
-    let (plan, hit, (levels, p)) = ctx.plan(&req.body, |d| {
+    let planned = ctx.plan(&req.body, |d| {
         let levels = d.levels.ok_or_else(|| {
             ApiError::bad("`levels` (an array of numbers) is required for /sweep")
         })?;
-        Ok((levels, d.num_inputs))
+        let dc = |&v: &f64| InputSet::new(vec![Waveform::Dc(v); d.num_inputs]);
+        Ok((levels.iter().map(dc).collect(), 1, Some(levels)))
     })?;
+    solve_reply(stream, ctx, timer, planned)
+}
+
+/// What `/solve` and `/sweep` share once the plan is ready: solve the
+/// stimuli over their windows and answer with the plan header, the
+/// echoed `levels` of a sweep and one result per stimulus.
+fn solve_reply(
+    stream: &mut TcpStream,
+    ctx: &RequestCtx<'_>,
+    timer: Timer<'_>,
+    (plan, hit, (stimuli, windows, levels)): Planned<(Vec<InputSet>, usize, Option<Vec<f64>>)>,
+) -> Result<(), Reply> {
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
-    let stimuli: Vec<InputSet> = levels
-        .iter()
-        .map(|&v| InputSet::new(vec![opm_waveform::Waveform::Dc(v); p]))
-        .collect();
     let results = plan.solve_windowed_batch_opts(
         &stimuli,
-        &ctx.windowed_opts(1),
+        &ctx.windowed_opts(windows),
         opm_par::default_threads(),
     )?;
     let mut doc = plan_header(hit, &plan);
-    doc.push(("levels".into(), Json::num_arr(&levels)));
+    if let Some(levels) = levels {
+        doc.push(("levels".into(), Json::num_arr(&levels)));
+    }
     doc.push((
         "results".into(),
         Json::Arr(results.iter().map(api::result_json).collect()),
@@ -867,12 +846,6 @@ fn handle_stream(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) ->
             Err(_) => Err(ApiError::bad("/stream takes exactly one scenario")),
         }
     })?;
-    if plan.has_nonlinear() {
-        return Err(ApiError::bad(
-            "/stream serves linear netlists only; post netlists with D/M cards to /solve",
-        )
-        .into());
-    }
     ctx.apply_slow_solve();
     ctx.check_deadline()?;
 

@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use opm_core::json::Json;
-use opm_core::{NewtonOptions, Simulation, SolveOptions, WindowedOptions};
+use opm_core::{Simulation, SolveOptions, WindowedOptions};
 use opm_serve::api::{self, SimRequest};
 use opm_serve::client::{Client, ClientConfig};
 use opm_serve::{client, spawn, ServerConfig};
@@ -33,18 +33,9 @@ fn fresh_results_member(body: &str) -> String {
     let stimuli = parsed.stimuli().unwrap();
     let plan = parsed.sim.plan(&parsed.opts).unwrap();
     let windows = parsed.windows.unwrap_or(1);
-    let results: Vec<_> = if plan.has_nonlinear() {
-        stimuli
-            .iter()
-            .map(|ws| {
-                plan.solve_newton_windowed(ws, windows, &NewtonOptions::new())
-                    .unwrap()
-            })
-            .collect()
-    } else {
-        plan.solve_windowed_batch_opts(&stimuli, &WindowedOptions::new(windows), 1)
-            .unwrap()
-    };
+    let results = plan
+        .solve_windowed_batch_opts(&stimuli, &WindowedOptions::new(windows), 1)
+        .unwrap();
     let doc = Json::Obj(vec![(
         "results".into(),
         Json::Arr(results.iter().map(api::result_json).collect()),
@@ -234,12 +225,9 @@ fn stream_rejections_are_plain_400s() {
                 "options": {options}, "windows": 4, "scenarios": [{scenario}]}}"#
         )
     };
-    let diode = "V1 in 0 SIN(0 1 50)\nR1 in out 1k\nD1 out 0 1e-14\n.end";
     let cpe = "V1 in 0 DC 1\nR1 in top 100\nP1 top 0 CPE 1u 0.5\n.end";
     let m32 = r#"{"resolution": 32}"#;
     let cases = [
-        // Nonlinear netlists (a `D` card) solve through /solve.
-        body(diode, "out", 0.04, m32, step),
         // A fractional step grid has no window blocks to stream.
         body(cpe, "top", 1e-6, r#"{"step_grid": [4e-7, 6e-7]}"#, step),
         // Two channels for a one-source netlist.
@@ -254,6 +242,104 @@ fn stream_rejections_are_plain_400s() {
         let r = client::post(server.addr(), "/solve", &solve_body()).unwrap();
         assert_eq!(r.status, 200, "{}", r.body);
     }
+    server.shutdown();
+}
+
+/// A diode netlist is served by every endpoint: `/stream`'s blocks
+/// concatenate to `/solve`'s windowed result, and `/sweep` at the
+/// source's level equals `/solve` of that DC drive, bit for bit.
+#[test]
+fn nonlinear_netlists_stream_and_sweep() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let diode = "* rectifier\nV1 in 0 SIN(0 1 1)\nR1 in a 0.1\nD1 a out 1e-14\nR2 out 0 10\n\
+                 C1 out 0 0.2\n.end\n";
+    let body = |extra: &str| {
+        format!(
+            r#"{{"netlist": {diode:?}, "probes": ["out"], "horizon": 1.0,
+                "options": {{"resolution": 32}}{extra}}}"#
+        )
+    };
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let windowed = body(r#", "windows": 3"#);
+    let r = client::post(server.addr(), "/stream", &windowed).unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    let lines: Vec<Json> = r.body.lines().map(|l| Json::parse(l).unwrap()).collect();
+    assert_eq!(lines.len(), 4, "three window blocks and the done line");
+    let streamed: Vec<f64> = lines[..3]
+        .iter()
+        .flat_map(|l| outputs_of(l.get("result").unwrap()))
+        .collect();
+    let solved = client::post(server.addr(), "/solve", &windowed).unwrap();
+    assert_eq!(solved.status, 200, "{}", solved.body);
+    let want = format!("{}}}", fresh_results_member(&windowed));
+    assert!(
+        solved.body.ends_with(&want),
+        "/solve ≡ a fresh in-process plan"
+    );
+    let solved = outputs_of(
+        &solved
+            .json()
+            .unwrap()
+            .get("results")
+            .unwrap()
+            .as_array()
+            .unwrap()[0],
+    );
+    assert_eq!(bits(&streamed), bits(&solved), "stream concat ≡ /solve");
+
+    let dc = body(r#", "scenarios": [[{"kind": "dc", "value": 0.5}]]"#);
+    let solved = client::post(server.addr(), "/solve", &dc).unwrap();
+    assert_eq!(solved.status, 200, "{}", solved.body);
+    let swept = client::post(server.addr(), "/sweep", &body(r#", "levels": [0.5, 0.9]"#)).unwrap();
+    assert_eq!(swept.status, 200, "{}", swept.body);
+    let (solved, swept) = (solved.json().unwrap(), swept.json().unwrap());
+    let first = |doc: &Json| outputs_of(&doc.get("results").unwrap().as_array().unwrap()[0]);
+    assert_eq!(
+        bits(&first(&swept)),
+        bits(&first(&solved)),
+        "/sweep ≡ /solve"
+    );
+    assert_eq!(swept.get("results").unwrap().as_array().unwrap().len(), 2);
+    server.shutdown();
+}
+
+/// A posted `model` whose dimensions exceed what its triplets back is a
+/// 400 naming the member — never an allocation that aborts the daemon —
+/// and the daemon serves the next request.
+#[test]
+fn oversized_model_dimensions_are_400s() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let model = |dims: &str| {
+        format!(
+            r#"{{"model": {{{dims}, "e": [[0, 0, 1.0]], "a": [[0, 0, -1.0]],
+                 "b": [[0, 0, 1.0]], "c": [[0, 0, 1.0]]}},
+                 "horizon": 1.0, "options": {{"resolution": 16}},
+                 "scenarios": [[{{"kind": "dc", "value": 1.0}}]]}}"#
+        )
+    };
+    for (dims, member) in [
+        (
+            r#""n": 1000000000000, "inputs": 1, "outputs": 1"#,
+            "model.n",
+        ),
+        (
+            r#""n": 1, "inputs": 1, "outputs": 1000000000000"#,
+            "model.outputs",
+        ),
+    ] {
+        let r = client::post(server.addr(), "/solve", &model(dims)).unwrap();
+        assert_eq!(r.status, 400, "{}", r.body);
+        assert!(r.body.contains(member), "{}", r.body);
+    }
+    let r = client::post(
+        server.addr(),
+        "/solve",
+        &model(r#""n": 1, "inputs": 1, "outputs": 1"#),
+    )
+    .unwrap();
+    assert_eq!(r.status, 200, "{}", r.body);
+    post_fresh(server.addr(), &solve_body(), "miss");
     server.shutdown();
 }
 

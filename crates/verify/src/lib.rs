@@ -1,6 +1,6 @@
 //! In-tree correctness tooling for the OPM workspace.
 //!
-//! Two instruments, one crate:
+//! Three instruments, one crate:
 //!
 //! - **A deterministic-schedule concurrency model checker**
 //!   ([`sched`], [`sync`], [`models`]): shim sync primitives under a
@@ -17,14 +17,17 @@
 //!   discipline, no wall-clock in kernel crates, `SAFETY:`-annotated
 //!   `unsafe`, no fused multiply-add in panel kernels, no stray
 //!   printing in library crates), each rule with a justified allowlist.
+//! - **Bit-identity digests** ([`digest`]): one hash per pinned solve
+//!   over its bounds, columns and outputs, to compare two commits.
 //!
-//! Both run in CI via the `opm-verify` binary: `opm-verify model-check`
-//! and `opm-verify lint`.
+//! All run through the `opm-verify` binary: `opm-verify model-check`
+//! and `opm-verify lint` in CI, `opm-verify digest` by hand.
 
 // No unsafe anywhere in this crate; the only unsafe in the workspace
 // is the audited AVX panel dispatch in opm-{core,sparse,fracnum}.
 #![forbid(unsafe_code)]
 
+pub mod digest;
 pub mod lint;
 pub mod models;
 pub mod sched;

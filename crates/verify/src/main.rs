@@ -3,6 +3,7 @@
 //! ```text
 //! opm-verify model-check [--json PATH] [--budget N]
 //! opm-verify lint [--root PATH]
+//! opm-verify digest
 //! ```
 //!
 //! `model-check` explores the five production sync protocols under the
@@ -15,6 +16,10 @@
 //!
 //! `lint` runs the repo-invariant scanner over every workspace `src/`
 //! tree and exits nonzero on any unallowlisted finding.
+//!
+//! `digest` prints one `name hash` line per pinned solve (see
+//! [`opm_verify::digest`]); run it on two commits and diff the output to
+//! show that a change leaves every result bit-identical.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,9 +38,22 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("model-check") => model_check(&args[1..]),
         Some("lint") => run_lint(&args[1..]),
+        Some("digest") => match opm_verify::digest::cases() {
+            Ok(cases) => {
+                for (name, hash) in cases {
+                    println!("{name} {hash:016x}");
+                }
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("digest: a pinned case failed: {e}");
+                ExitCode::FAILURE
+            }
+        },
         _ => {
             eprintln!(
-                "usage: opm-verify <model-check [--json PATH] [--budget N] | lint [--root PATH]>"
+                "usage: opm-verify <model-check [--json PATH] [--budget N] | lint [--root PATH] \
+                 | digest>"
             );
             ExitCode::from(2)
         }

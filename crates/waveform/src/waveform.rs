@@ -586,10 +586,16 @@ impl Waveform {
     /// `bpf_coeffs_window(m, 0.0, t_end)` equals
     /// [`bpf_coeffs`](Self::bpf_coeffs)`(m, t_end)`.
     pub fn bpf_coeffs_window(&self, m: usize, t_start: f64, t_len: f64) -> Vec<f64> {
-        let h = t_len / m as f64;
         (0..m)
-            .map(|i| self.average(t_start + i as f64 * h, t_start + (i + 1) as f64 * h))
+            .map(|i| self.bpf_coeff_window(m, t_start, t_len, i))
             .collect()
+    }
+
+    /// Coefficient `i` of [`Waveform::bpf_coeffs_window`]: the average
+    /// on `[t_start + i·h, t_start + (i+1)·h)`, `h = t_len/m`.
+    pub fn bpf_coeff_window(&self, m: usize, t_start: f64, t_len: f64, i: usize) -> f64 {
+        let h = t_len / m as f64;
+        self.average(t_start + i as f64 * h, t_start + (i + 1) as f64 * h)
     }
 
     /// Samples at the `m` interval *endpoints* `t_k = k·h` for

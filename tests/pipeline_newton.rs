@@ -2,7 +2,8 @@
 //! with `D`/`M` cards → [`Simulation`] → [`SimPlan::solve_newton_windowed`] —
 //! pinned against the dense Newton–backward-Euler reference in
 //! `opm::transient::newton`, plus the factorization-economy and
-//! linear-degeneration contracts of the ISSUE acceptance criteria.
+//! linear-degeneration contracts, and every other solve entry point
+//! serving the same nonlinear plans bit for bit.
 
 use opm::circuits::mna::assemble_nonlinear_mna;
 use opm::circuits::parser::parse_netlist;
@@ -177,5 +178,82 @@ fn solve_newton_on_linear_netlists_is_bit_identical_to_solve() {
         // The one-window Newton solve books its window.
         assert_eq!(mid.num_windows, 0, "case {case}");
         assert_eq!(after.num_windows, 1, "case {case}");
+    }
+}
+
+/// Every state coefficient, output and bound of `r`, by bit pattern.
+fn result_bits(r: &OpmResult) -> Vec<u64> {
+    let (columns, outputs) = (r.columns.iter().flatten(), r.outputs.iter().flatten());
+    columns
+        .chain(outputs)
+        .chain(&r.bounds)
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// Every entry point serves a nonlinear plan through the one window
+/// loop: `solve_batch` and `solve_windowed_batch_opts` at 1, 2 and 4
+/// threads, and the concatenated `solve_streaming` blocks with their end
+/// states, equal per-stimulus `solve_newton_windowed` bit for bit — and
+/// no window kernel factors anything: every numeric factorization is a
+/// Newton refactor.
+#[test]
+fn every_entry_point_serves_nonlinear_plans() {
+    let rectifier: Vec<InputSet> = [0.5, 1.0, 1.5]
+        .iter()
+        .map(|&ampl| InputSet::new(vec![Waveform::sine(0.0, ampl, 1.0, 0.0, 0.0)]))
+        .collect();
+    let gate = |vdd: f64| {
+        let sim = Simulation::from_netlist(INVERTER, &["d"]).unwrap();
+        let own = sim.inputs().unwrap().channels();
+        assert!(matches!(own[0], Waveform::Dc(_)), "V1 is the supply");
+        InputSet::new(vec![Waveform::Dc(vdd), own[1].clone()])
+    };
+    let inverter: Vec<InputSet> = [5.0, 4.0, 3.0].map(gate).into();
+    let (m, windows) = (64, 4);
+    for (netlist, probe, stimuli) in [(RECTIFIER, "out", rectifier), (INVERTER, "d", inverter)] {
+        let sim = Simulation::from_netlist(netlist, &[probe])
+            .unwrap()
+            .horizon(2.0);
+        let plan = sim.plan(&SolveOptions::new().resolution(m)).unwrap();
+        let newton = |ws: &InputSet, w: usize| {
+            plan.solve_newton_windowed(ws, w, &NewtonOptions::new())
+                .unwrap()
+        };
+        let whole: Vec<Vec<u64>> = stimuli.iter().map(|s| result_bits(&newton(s, 1))).collect();
+        let split: Vec<OpmResult> = stimuli.iter().map(|s| newton(s, windows)).collect();
+        let all_bits = |rs: Vec<OpmResult>| rs.iter().map(result_bits).collect::<Vec<_>>();
+        assert_eq!(all_bits(plan.solve_batch(&stimuli).unwrap()), whole);
+        for threads in [1, 2, 4] {
+            for (w, want) in [(1, whole.clone()), (windows, all_bits(split.clone()))] {
+                let opts = WindowedOptions::new(w);
+                let got = plan.solve_windowed_batch_opts(&stimuli, &opts, threads);
+                assert_eq!(
+                    all_bits(got.unwrap()),
+                    want,
+                    "{probe}, W = {w}, {threads} threads"
+                );
+            }
+        }
+        for (s, want) in stimuli.iter().zip(&split) {
+            let (mut columns, mut ends) = (Vec::new(), Vec::new());
+            let last = plan
+                .solve_streaming(s, &WindowedOptions::new(windows), |block| {
+                    columns.extend(block.result.columns);
+                    ends.push(block.end_state);
+                })
+                .unwrap();
+            assert_eq!(columns, want.columns, "{probe}: streamed columns");
+            assert_eq!(ends.last(), Some(&last));
+            for (w, end) in ends.iter().enumerate() {
+                for (i, e) in end.iter().enumerate() {
+                    let series = want.endpoint_series(i, 0.0);
+                    assert_eq!(e.to_bits(), series[(w + 1) * m - 1].to_bits(), "{probe}");
+                }
+            }
+        }
+        let p = plan.factor_profile();
+        assert_eq!((p.num_symbolic, p.newton_fresh_fallbacks), (1, 0), "{p:?}");
+        assert_eq!(p.num_numeric, p.newton_refactors, "{p:?}");
     }
 }
