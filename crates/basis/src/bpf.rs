@@ -145,26 +145,6 @@ pub fn endpoint_from_averages(averages: &[f64], v0: f64) -> f64 {
     averages.iter().fold(v0, |v, &c| 2.0 * c - v)
 }
 
-/// Vector form of [`endpoint_from_averages`]: folds the polyline
-/// recurrence elementwise over stacked coefficient columns
-/// (`columns[j]` is the average vector of interval `j`; works equally on
-/// lane-interleaved `n × K` blocks, since the recurrence is elementwise
-/// across the flat index). Returns the endpoint state after the last
-/// column, starting from `start`.
-///
-/// # Panics
-/// Panics when a column's length differs from `start.len()`.
-pub fn endpoint_state(columns: &[Vec<f64>], start: &[f64]) -> Vec<f64> {
-    let mut v = start.to_vec();
-    for col in columns {
-        assert_eq!(col.len(), v.len(), "column/state length mismatch");
-        for (vi, &c) in v.iter_mut().zip(col) {
-            *vi = 2.0 * c - *vi;
-        }
-    }
-    v
-}
-
 impl Basis for BpfBasis {
     fn dim(&self) -> usize {
         self.m
@@ -354,13 +334,5 @@ mod tests {
             let mid = endpoint_from_averages(&avgs[..split], 0.0);
             assert!((endpoint_from_averages(&avgs[split..], mid) - 2.0).abs() < 1e-14);
         }
-    }
-
-    #[test]
-    fn endpoint_state_is_columnwise_fold() {
-        let cols = vec![vec![1.0, -1.0], vec![2.0, 0.0], vec![3.0, 1.0]];
-        let v = endpoint_state(&cols, &[0.0, 1.0]);
-        assert_eq!(v[0], endpoint_from_averages(&[1.0, 2.0, 3.0], 0.0));
-        assert_eq!(v[1], endpoint_from_averages(&[-1.0, 0.0, 1.0], 1.0));
     }
 }

@@ -302,13 +302,9 @@ impl PencilFamily {
                 (Arc::new(analysis), lu, false)
             }
         };
-        let stats = lu.supernode_stats();
         let reference = FactorProfile {
             num_symbolic: usize::from(!replayed),
-            num_supernodes: stats.num_supernodes,
-            supernode_cols: stats.supernode_cols,
-            dense_tail_cols: stats.dense_tail_cols,
-            factor_cols: stats.num_cols,
+            factor_cols: lu.dim(),
             factor_nnz: lu.nnz(),
             ..FactorProfile::default()
         };

@@ -27,19 +27,10 @@ pub struct FactorProfile {
     /// growing while `num_symbolic + num_numeric` stays flat *is* the
     /// long-horizon reuse invariant.
     pub num_windows: usize,
-    /// Supernodes (runs of ≥ 2 consecutive columns with identical
-    /// elimination reach) in the plan's reference factorization — the
-    /// structure the supernodal dense tail exploits. Reported by
-    /// pencil-family-backed plans (linear/fractional/adaptive); 0 where
-    /// no sparse factor statistics were captured.
-    pub num_supernodes: usize,
-    /// Columns covered by those supernodes.
-    pub supernode_cols: usize,
-    /// Width of the supernodal dense tail the block solves use (0: none
-    /// qualified under [`opm_sparse::lu::LuOptions::supernode_threshold`]).
-    pub dense_tail_cols: usize,
-    /// Total pivotal columns of the reference factorization (0 when not
-    /// captured).
+    /// Pivotal columns of the reference factorization, its dimension.
+    /// With [`FactorProfile::factor_nnz`] it is the cost counter of the
+    /// column solves. Reported by pencil-family-backed plans
+    /// (linear/fractional/adaptive); 0 where no factor was captured.
     pub factor_cols: usize,
     /// Stored entries of the reference factorization, nnz(L+U) with the
     /// diagonal — the fill the ordering left, which sets the cost of
@@ -78,9 +69,6 @@ impl FactorProfile {
             ("cache_hits".into(), int(self.cache_hits)),
             ("cache_misses".into(), int(self.cache_misses)),
             ("num_windows".into(), int(self.num_windows)),
-            ("num_supernodes".into(), int(self.num_supernodes)),
-            ("supernode_cols".into(), int(self.supernode_cols)),
-            ("dense_tail_cols".into(), int(self.dense_tail_cols)),
             ("factor_cols".into(), int(self.factor_cols)),
             ("factor_nnz".into(), int(self.factor_nnz)),
             ("newton_iters".into(), int(self.newton_iters)),

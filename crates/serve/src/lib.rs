@@ -800,7 +800,8 @@ fn handle_sweep(stream: &mut TcpStream, req: &Request, ctx: &RequestCtx<'_>) -> 
             ApiError::bad("`levels` (an array of numbers) is required for /sweep")
         })?;
         let dc = |&v: &f64| InputSet::new(vec![Waveform::Dc(v); d.num_inputs]);
-        Ok((levels.iter().map(dc).collect(), 1, Some(levels)))
+        let windows = d.windows.unwrap_or(1);
+        Ok((levels.iter().map(dc).collect(), windows, Some(levels)))
     })?;
     solve_reply(stream, ctx, timer, planned)
 }

@@ -173,6 +173,35 @@ fn sweep_round_trip() {
     server.shutdown();
 }
 
+/// `/sweep` honours `windows`: its `results` member is byte-identical to
+/// `/solve` of the same DC drives over the same windows.
+#[test]
+fn windowed_sweep_equals_windowed_solve_of_its_dc_drives() {
+    let server = spawn(ServerConfig::default()).unwrap();
+    let body = |extra: &str| {
+        format!(
+            r#"{{"netlist": {NETLIST:?}, "probes": ["out"], "horizon": 5e-3,
+                "options": {{"resolution": 128}}, "windows": 4{extra}}}"#
+        )
+    };
+    let results = |path: &str, body: &str| {
+        let r = client::post(server.addr(), path, body).unwrap();
+        assert_eq!(r.status, 200, "{path}: {}", r.body);
+        let at = r.body.find(r#""results":"#).expect("a results member");
+        r.body[at..].to_string()
+    };
+    let swept = results("/sweep", &body(r#", "levels": [2.0, 5.0]"#));
+    let solved = results(
+        "/solve",
+        &body(
+            r#", "scenarios": [[{"kind": "dc", "value": 2.0}],
+                               [{"kind": "dc", "value": 5.0}]]"#,
+        ),
+    );
+    assert_eq!(swept, solved, "/sweep at W = 4 ≡ /solve at W = 4");
+    server.shutdown();
+}
+
 /// Streaming NDJSON: concatenating the window blocks reproduces the
 /// whole windowed solve bit-for-bit, and the final line carries the
 /// plan profile.

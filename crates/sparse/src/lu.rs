@@ -35,20 +35,21 @@
 //! accepted replay is bit-identical to [`SymbolicLu::factor_with`] under
 //! the same ordering — the contract a pattern-keyed analysis cache
 //! needs to stand in for a fresh analysis.
+//!
+//! # Triangular solves
+//!
+//! Every solve is one forward and one backward sparse column sweep over
+//! the stored `L` and `U` columns, `O(nnz(L+U))` per right-hand side:
+//! [`SparseLu::solve_into`] for one vector, [`SparseLu::solve_block_into`]
+//! for lane blocks in register-width panels. There is no dense mirror of
+//! the factors' filled trailing corner (the separator columns minimum
+//! degree orders last): measured end to end, solving that corner densely
+//! bought no time and cost peak memory.
 
 use crate::csc::CscMatrix;
 use crate::perm::Permutation;
 use crate::SparseError;
-use opm_linalg::panel::{backward_upper_panels, forward_unit_lower_panels, LANE_PANEL_WIDTH};
-
-/// Minimum width for a supernodal dense tail: trailing column blocks
-/// narrower than this stay in sparse form (the dense kernels cannot
-/// recoup their zero-fill overhead on tiny blocks).
-const MIN_DENSE_TAIL: usize = 8;
-
-/// Maximum width for a supernodal dense tail: caps the redundant dense
-/// mirror at `512² × 8 B = 2 MiB` per factorization.
-const MAX_DENSE_TAIL: usize = 512;
+use opm_linalg::panel::LANE_PANEL_WIDTH;
 
 /// [`SymbolicLu`]'s marker for a column whose diagonal row was not a
 /// pivot candidate.
@@ -66,7 +67,8 @@ enum PivotRule {
     Exact,
 }
 
-/// Factorization options.
+/// Factorization options: the two pivoting thresholds. The factors'
+/// storage and every solve path are the same whatever they are set to.
 #[derive(Clone, Copy, Debug)]
 pub struct LuOptions {
     /// Relative threshold for accepting the diagonal pivot (`0 < t ≤ 1`);
@@ -80,23 +82,6 @@ pub struct LuOptions {
     /// analyzed ones for the recorded pivot order to stay stable.
     /// Default `1e-10`.
     pub refactor_threshold: f64,
-    /// Density threshold (stored entries over dense capacity, in
-    /// `(0, 1]`) at which the trailing columns of the factors collapse
-    /// into a **supernodal dense tail**: the largest trailing block
-    /// `[t, n)` whose factor density reaches the threshold is mirrored
-    /// into one row-major dense panel and solved with the blocked dense
-    /// triangular kernels of `opm-linalg` instead of per-entry sparse
-    /// sweeps. Elimination fill concentrates in exactly this trailing
-    /// corner (the columns share their elimination reach), so MNA-style
-    /// matrices routinely end almost fully dense there while the head
-    /// stays sparse.
-    ///
-    /// The dense tail changes **where** the arithmetic runs, never what
-    /// it computes: block solves stay bit-identical to the sparse path.
-    /// Values above `1.0` disable detection; see
-    /// [`SparseLu::supernode_stats`] for the observability side.
-    /// Default `0.9`.
-    pub supernode_threshold: f64,
 }
 
 impl Default for LuOptions {
@@ -104,125 +89,6 @@ impl Default for LuOptions {
         LuOptions {
             pivot_threshold: 1e-3,
             refactor_threshold: 1e-10,
-            supernode_threshold: 0.9,
-        }
-    }
-}
-
-/// Supernode observability of one factorization — how much of the
-/// factors' structure is supernodal (consecutive columns with identical
-/// elimination reach) and how wide the detected dense tail is. Reported
-/// through `FactorProfile` by the session layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SupernodeStats {
-    /// Maximal runs (width ≥ 2) of consecutive pivotal columns whose `L`
-    /// patterns nest exactly (`pattern(k) = {k+1} ∪ pattern(k+1)`) — the
-    /// classical supernode condition.
-    pub num_supernodes: usize,
-    /// Columns covered by those runs.
-    pub supernode_cols: usize,
-    /// Width of the detected dense tail (0 when none qualified).
-    pub dense_tail_cols: usize,
-    /// Total pivotal columns, the denominator for coverage ratios.
-    pub num_cols: usize,
-}
-
-/// The supernodal dense tail: a redundant row-major mirror of the
-/// trailing `dim × dim` corner of the factors, solved with blocked dense
-/// triangular kernels while the sparse columns remain authoritative for
-/// everything else (`nnz`, `det`, single-vector solves).
-#[derive(Clone, Debug, Default, PartialEq)]
-struct DenseTail {
-    /// First pivotal column of the tail, `t`.
-    start: usize,
-    /// Tail width `n − t`.
-    dim: usize,
-    /// Row-major `dim × dim` panel: `L` strictly below the diagonal
-    /// (unit diagonal implicit), `U` strictly above it; absent pattern
-    /// entries are zero-filled, diagonal slots are unused (`u_diag`
-    /// stays authoritative).
-    lu: Vec<f64>,
-    /// Per tail column: the `U` border entries whose pivotal row lies
-    /// *above* the tail (`row < t`), in stored order — applied after the
-    /// dense back-substitution, before the sparse one.
-    u_above: Vec<Vec<(usize, f64)>>,
-}
-
-/// Scans the factor patterns for the largest trailing block `[t, n)`
-/// whose stored-entry density reaches `threshold`, returning `t`.
-///
-/// An `L` entry of a column `k ≥ t` always lies in the tail (its row
-/// exceeds `k`); a `U` entry lies in the tail exactly when its pivotal
-/// row is `≥ t` (its column is even larger). Both counts are therefore
-/// plain suffix sums, and the scan is `O(nnz + min(n, MAX_DENSE_TAIL))`.
-fn detect_dense_tail(
-    n: usize,
-    l_cols: &[Vec<(usize, f64)>],
-    u_cols: &[Vec<(usize, f64)>],
-    threshold: f64,
-) -> Option<usize> {
-    if !(threshold > 0.0 && threshold <= 1.0) || n < MIN_DENSE_TAIL {
-        return None;
-    }
-    let lo = n.saturating_sub(MAX_DENSE_TAIL);
-    // Suffix counts over the candidate range: l_nnz[t - lo] counts L
-    // entries of columns ≥ t, u_nnz[t - lo] counts U entries with
-    // pivotal row ≥ t.
-    let mut u_rows = vec![0usize; n - lo];
-    for col in u_cols {
-        for &(i, _) in col {
-            if i >= lo {
-                u_rows[i - lo] += 1;
-            }
-        }
-    }
-    let width = n - lo;
-    let mut l_nnz = vec![0usize; width + 1];
-    let mut u_nnz = vec![0usize; width + 1];
-    for t in (lo..n).rev() {
-        l_nnz[t - lo] = l_nnz[t - lo + 1] + l_cols[t].len();
-        u_nnz[t - lo] = u_nnz[t - lo + 1] + u_rows[t - lo];
-    }
-    for t in lo..=(n - MIN_DENSE_TAIL) {
-        let d = n - t;
-        let stored = l_nnz[t - lo] + u_nnz[t - lo] + d;
-        if stored as f64 >= threshold * (d * d) as f64 {
-            return Some(t);
-        }
-    }
-    None
-}
-
-impl DenseTail {
-    /// Mirrors the trailing factor columns `[start, n)` into this tail,
-    /// overwriting what it held and reusing its buffers' capacity.
-    fn fill(
-        &mut self,
-        n: usize,
-        l_cols: &[Vec<(usize, f64)>],
-        u_cols: &[Vec<(usize, f64)>],
-        start: usize,
-    ) {
-        let dim = n - start;
-        self.start = start;
-        self.dim = dim;
-        self.lu.clear();
-        self.lu.resize(dim * dim, 0.0);
-        self.u_above.resize_with(dim, Vec::new);
-        for k in start..n {
-            let kk = k - start;
-            for &(i, lv) in &l_cols[k] {
-                self.lu[(i - start) * dim + kk] = lv; // rows of L col k are > k ≥ start
-            }
-            let above = &mut self.u_above[kk];
-            above.clear();
-            for &(i, uv) in &u_cols[k] {
-                if i >= start {
-                    self.lu[(i - start) * dim + kk] = uv;
-                } else {
-                    above.push((i, uv));
-                }
-            }
         }
     }
 }
@@ -284,10 +150,6 @@ pub struct SymbolicLu {
     pivot_threshold: f64,
     /// Pivot-degradation guard inherited from the analysis options.
     refactor_threshold: f64,
-    /// First column of the supernodal dense tail detected on the
-    /// recorded pattern (`None`: no tail qualified). Pattern-only, so
-    /// every refactorization on this analysis shares it.
-    tail_start: Option<usize>,
 }
 
 impl SymbolicLu {
@@ -375,10 +237,6 @@ pub struct SparseLu {
     row_perm: Vec<usize>,
     /// Column ordering: position `k` factors original column `col_perm[k]`.
     col_perm: Permutation,
-    /// Supernodal dense tail, when the trailing factor columns are dense
-    /// enough ([`LuOptions::supernode_threshold`]). Used by the panel
-    /// block solves; the sparse columns above stay authoritative.
-    tail: Option<DenseTail>,
     /// The numeric replay's dense accumulator: `n` zeros between
     /// factorizations, kept so [`SparseLu::refactor_into`] allocates
     /// nothing.
@@ -436,9 +294,8 @@ impl SparseLu {
     /// [`SparseLu::refactor`] into this factor's storage: on success
     /// `self` equals, field for field, what `SparseLu::refactor(sym,
     /// values)` returns, whatever it held before (another dimension,
-    /// other pivots, a dense tail or none), and a factor that already
-    /// holds this analysis's pattern is refilled without a heap
-    /// allocation.
+    /// other pivots), and a factor that already holds this analysis's
+    /// pattern is refilled without a heap allocation.
     ///
     /// # Errors
     /// As [`SparseLu::refactor`]. On error `self` holds a partial
@@ -457,9 +314,9 @@ impl SparseLu {
     /// [`LuOptions::pivot_threshold`], else the first strict maximum in
     /// the analysis's scan order, ties decided by the recorded candidate
     /// slots. The arithmetic of the replay is the fresh factorization's,
-    /// update for update, so an accepted replay returns factors (and a
-    /// dense tail) bit-identical to that fresh factorization, whose
-    /// symbolic analysis in turn equals `sym`.
+    /// update for update, so an accepted replay returns factors
+    /// bit-identical to that fresh factorization, whose symbolic analysis
+    /// in turn equals `sym`.
     ///
     /// # Errors
     /// [`SparseError::PivotMismatch`] at the first column where the
@@ -578,18 +435,6 @@ impl SparseLu {
             x[k] = 0.0;
             self.u_diag[k] = pivot;
         }
-
-        // The analysis already decided where the dense tail starts (a
-        // pattern property); only the values need re-mirroring.
-        match sym.tail_start {
-            Some(t) => self.tail.get_or_insert_with(DenseTail::default).fill(
-                n,
-                &self.l_cols,
-                &self.u_cols,
-                t,
-            ),
-            None => self.tail = None,
-        }
         Ok(())
     }
 
@@ -666,10 +511,10 @@ impl SparseLu {
     ///
     /// Lanes are swept in fixed-width panels
     /// ([`opm_linalg::panel::LANE_PANEL_WIDTH`] wide, with narrower
-    /// remainder panels) held in `[f64; W]` register accumulators, and a
-    /// detected supernodal dense tail is solved with blocked dense
-    /// kernels; both are pure blocking changes — lanes are independent,
-    /// so the per-lane arithmetic sequence is exactly that of
+    /// remainder panels) held in `[f64; W]` register accumulators, each
+    /// a sparse column sweep over the factors' own storage. Panelling is
+    /// a pure blocking change — lanes are independent, so the per-lane
+    /// arithmetic sequence is exactly that of
     /// [`SparseLu::solve_block_into_scalar`] and results agree bit-for-bit (up to
     /// the sign of zero). The panel body runs as its AVX codegen copy
     /// where the CPU supports it and as the portable build elsewhere.
@@ -692,8 +537,8 @@ impl SparseLu {
 
     /// The scalar reference implementation of
     /// [`solve_block_into`](Self::solve_block_into): one pass over the
-    /// factors with a full-width lane loop per entry, no panelling, no
-    /// dense tail. The panel path is validated against this, bit for
+    /// factors with a full-width lane loop per entry, no panelling. The
+    /// panel path is validated against this, bit for
     /// bit, by the `kernel/*` bench records and the ragged-lane
     /// proptests.
     ///
@@ -798,9 +643,8 @@ impl SparseLu {
 
     /// Solves lanes `p0 .. p0 + W` of the block in one cache-resident
     /// panel (`n × W` f64s): gather through the row permutation, sparse
-    /// forward/backward column sweeps over the head columns, the dense
-    /// tail (when present) via the blocked kernels, scatter through the
-    /// column permutation.
+    /// forward/backward column sweeps over `L` and `U`, scatter through
+    /// the column permutation.
     ///
     /// Every per-lane update happens in the scalar path's order: the
     /// outer column order is identical, and within a column each target
@@ -823,9 +667,8 @@ impl SparseLu {
             panel.copy_from_slice(&b[src..src + W]);
             y.push(panel);
         }
-        let t = self.tail.as_ref().map_or(n, |tl| tl.start);
-        // Forward solve over the sparse head (every column when no tail).
-        for k in 0..t {
+        // Forward solve L·Z = Y (unit diagonal, column sweep).
+        for k in 0..n {
             let piv = y[k];
             if piv == [0.0; W] {
                 continue;
@@ -837,28 +680,8 @@ impl SparseLu {
                 }
             }
         }
-        if let Some(tl) = &self.tail {
-            let (head, tail_y) = y.split_at_mut(t);
-            forward_unit_lower_panels(&tl.lu, tl.dim, tail_y);
-            backward_upper_panels(&tl.lu, &self.u_diag[t..], tl.dim, tail_y);
-            // U border above the tail: target rows are disjoint from the
-            // dense block's, and per target row the column order stays
-            // descending — the scalar back-substitution's order.
-            for kk in (0..tl.dim).rev() {
-                let piv = tail_y[kk];
-                if piv == [0.0; W] {
-                    continue;
-                }
-                for &(i, uv) in &tl.u_above[kk] {
-                    let yi = &mut head[i];
-                    for w in 0..W {
-                        yi[w] -= uv * piv[w];
-                    }
-                }
-            }
-        }
-        // Back solve over the sparse head.
-        for k in (0..t).rev() {
+        // Back solve U·W = Z (column sweep from the right).
+        for k in (0..n).rev() {
             let d = self.u_diag[k];
             let yk = &mut y[k];
             for w in 0..W {
@@ -880,47 +703,6 @@ impl SparseLu {
             let dst = self.col_perm.old_of(k) * lanes + p0;
             out[dst..dst + W].copy_from_slice(&y[k]);
         }
-    }
-
-    /// Supernode observability: maximal runs of consecutive columns whose
-    /// `L` patterns nest exactly (`pattern(k) = {k+1} ∪ pattern(k+1)` —
-    /// identical elimination reach below the diagonal), plus the width of
-    /// the detected dense tail. Runs of width ≥ 2 count as supernodes.
-    pub fn supernode_stats(&self) -> SupernodeStats {
-        let n = self.n;
-        let mut stats = SupernodeStats {
-            dense_tail_cols: self.tail.as_ref().map_or(0, |t| t.dim),
-            num_cols: n,
-            ..SupernodeStats::default()
-        };
-        // mark[i] = k after processing column k ⇒ row i ∈ pattern(k);
-        // stale marks carry an older k, so no per-column reset is needed.
-        let mut mark = vec![usize::MAX; n];
-        let mut run = 1usize;
-        for k in 0..n.saturating_sub(1) {
-            let cur = &self.l_cols[k];
-            let nxt = &self.l_cols[k + 1];
-            let merges = cur.len() == nxt.len() + 1 && {
-                for &(i, _) in cur {
-                    mark[i] = k;
-                }
-                mark[k + 1] == k && nxt.iter().all(|&(i, _)| mark[i] == k)
-            };
-            if merges {
-                run += 1;
-            } else {
-                if run >= 2 {
-                    stats.num_supernodes += 1;
-                    stats.supernode_cols += run;
-                }
-                run = 1;
-            }
-        }
-        if run >= 2 {
-            stats.num_supernodes += 1;
-            stats.supernode_cols += run;
-        }
-        stats
     }
 
     /// Determinant of `A` (product of pivots, sign from both permutations).
@@ -1141,13 +923,6 @@ fn factor_impl(
         }
     }
 
-    let tail_start = detect_dense_tail(n, &l_cols, &u_cols, opts.supernode_threshold);
-    let tail = tail_start.map(|t| {
-        let mut tail = DenseTail::default();
-        tail.fill(n, &l_cols, &u_cols, t);
-        tail
-    });
-
     let sym = if record {
         for r in l_orig.iter_mut() {
             *r = pinv[*r].expect("all rows pivotal after completion");
@@ -1185,7 +960,6 @@ fn factor_impl(
             diag_slot,
             pivot_threshold: opts.pivot_threshold,
             refactor_threshold: opts.refactor_threshold,
-            tail_start,
         })
     } else {
         None
@@ -1199,7 +973,6 @@ fn factor_impl(
             u_diag,
             row_perm,
             col_perm,
-            tail,
             work: x,
         },
         sym,
@@ -1569,8 +1342,8 @@ mod tests {
     }
 
     /// Sparse diagonal head of `head` columns + fully dense trailing
-    /// `dim × dim` block — the canonical supernodal-tail shape (fill
-    /// concentrated in the elimination corner).
+    /// `dim × dim` block — fill concentrated in the elimination corner,
+    /// as minimum degree leaves it on MNA pencils.
     fn arrow_matrix(head: usize, dim: usize) -> CsrMatrix {
         let n = head + dim;
         let mut c = CooMatrix::new(n, n);
@@ -1591,42 +1364,13 @@ mod tests {
     }
 
     #[test]
-    fn dense_tail_detected_on_arrow_matrix() {
-        let a = arrow_matrix(12, 12);
-        let lu = SparseLu::factor(&a.to_csc(), None).unwrap();
-        let stats = lu.supernode_stats();
-        assert_eq!(stats.num_cols, 24);
-        // The trailing 12 columns are fully dense: one supernode, and
-        // the dense tail must cover exactly that block (the head is
-        // diagonal, so no wider tail reaches 90% density).
-        assert_eq!(stats.dense_tail_cols, 12, "{stats:?}");
-        assert_eq!(stats.num_supernodes, 1, "{stats:?}");
-        assert_eq!(stats.supernode_cols, 12, "{stats:?}");
-    }
-
-    #[test]
-    fn dense_tail_disabled_by_threshold() {
-        let a = arrow_matrix(12, 12);
-        let lu = SparseLu::factor_with(
-            &a.to_csc(),
-            None,
-            LuOptions {
-                supernode_threshold: 1.5,
-                ..LuOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(lu.supernode_stats().dense_tail_cols, 0);
-    }
-
-    #[test]
-    fn dense_tail_block_solve_matches_scalar_reference() {
-        // Couple the head to the tail so the U border above the tail
-        // (`u_above`) is exercised, not just the dense block.
+    fn dense_corner_block_solve_matches_scalar_reference() {
+        // A sparse head coupled into a dense trailing corner: the panel
+        // sweep crosses the filled corner and the U border above it.
         let mut c = CooMatrix::new(24, 24);
         for i in 0..12 {
             c.push(i, i, 2.0 + i as f64 * 0.1);
-            c.push(i, 12 + i, 0.5); // head row → tail column border
+            c.push(i, 12 + i, 0.5); // head row → corner column border
         }
         for i in 12..24 {
             for j in 12..24 {
@@ -1639,7 +1383,6 @@ mod tests {
             }
         }
         let lu = SparseLu::factor(&c.to_csc(), None).unwrap();
-        assert!(lu.supernode_stats().dense_tail_cols >= 12);
         for lanes in [1usize, 3, 8, 11, 16, 37, 100] {
             let b: Vec<f64> = (0..24 * lanes)
                 .map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0)
@@ -1652,28 +1395,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn refactor_shares_the_dense_tail_decision() {
-        let a = arrow_matrix(12, 12);
-        let csc = a.to_csc();
-        let (sym, lu0) = SymbolicLu::factor(&csc, None).unwrap();
-        let lu1 = SparseLu::refactor(&sym, csc.values()).unwrap();
-        assert_eq!(lu0.supernode_stats(), lu1.supernode_stats());
-        assert!(lu1.supernode_stats().dense_tail_cols >= 12);
-        let lanes = 9;
-        let b: Vec<f64> = (0..24 * lanes).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut x0 = vec![0.0; 24 * lanes];
-        let mut x1 = vec![0.0; 24 * lanes];
-        lu0.solve_block_into(&b, &mut x0, lanes);
-        lu1.solve_block_into(&b, &mut x1, lanes);
-        assert_eq!(x0, x1);
-    }
-
     // -- exact replay -------------------------------------------------------
 
     /// Asserts two factorizations are the same bit for bit: pivots,
-    /// both permutations, every stored L/U entry in stored order, the
-    /// dense tail, and the single- and multi-lane solves.
+    /// both permutations, every stored L/U entry in stored order, and
+    /// the single- and multi-lane solves.
     fn assert_same_factors(got: &SparseLu, want: &SparseLu) {
         let bits = |col: &[(usize, f64)]| -> Vec<(usize, u64)> {
             col.iter().map(|&(i, v)| (i, v.to_bits())).collect()
@@ -1685,18 +1411,6 @@ mod tests {
         for k in 0..want.n {
             assert_eq!(bits(&got.l_cols[k]), bits(&want.l_cols[k]), "L column {k}");
             assert_eq!(bits(&got.u_cols[k]), bits(&want.u_cols[k]), "U column {k}");
-        }
-        match (&got.tail, &want.tail) {
-            (None, None) => {}
-            (Some(g), Some(w)) => {
-                assert_eq!((g.start, g.dim), (w.start, w.dim), "tail shape");
-                let lu = |t: &DenseTail| t.lu.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(lu(g), lu(w), "tail panel");
-                for (gu, wu) in g.u_above.iter().zip(&w.u_above) {
-                    assert_eq!(bits(gu), bits(wu), "tail border");
-                }
-            }
-            _ => panic!("one factorization has a dense tail, the other not"),
         }
         let n = want.n;
         let lanes = 5;
@@ -1784,7 +1498,7 @@ mod tests {
     }
 
     /// Random value sets on three patterns — a 2D grid, an MNA matrix
-    /// with voltage-source rows, the arrow matrix with a dense tail —
+    /// with voltage-source rows, the arrow matrix with a dense corner —
     /// mild and wild: every accepted exact replay is the fresh
     /// factorization bit for bit, and it accepts exactly when the fresh
     /// pivots equal the recorded ones.
@@ -1806,14 +1520,8 @@ mod tests {
         let (mut accepted, mut refused) = (0, 0);
         for (name, a) in cases {
             let csc = a.to_csc();
-            let (sym, lu) =
+            let (sym, _) =
                 SymbolicLu::factor_with(&csc, Some(&amd(&a)), LuOptions::default()).unwrap();
-            if name == "arrow" {
-                assert!(
-                    lu.supernode_stats().dense_tail_cols > 0,
-                    "arrow fixture has no tail"
-                );
-            }
             for trial in 0..40 {
                 let wild = trial % 2 == 1;
                 let values: Vec<f64> = if name == "mna" {

@@ -6,7 +6,9 @@
 //! cases cover every column solve the plan layer runs: Newton
 //! (rectifier, MOSFET inverter and the diode-into-RC-ladder at one and
 //! eight windows), the linear block sweep (the 48×48 RC mesh over four
-//! windows, a multi-lane RC ladder batch with a nonzero `x₀`), the
+//! windows, one lane and eight on one thread — a multi-lane panel sweep
+//! across the mesh's filled separator columns — and a multi-lane RC
+//! ladder batch with a nonzero `x₀`), the
 //! fractional convolution (the 64-section R–CPE ladder, 16 windows,
 //! 8 lanes), the integer recurrence (a second-order power grid over
 //! four windows), a coefficient stimulus and a step-grid plan.
@@ -189,6 +191,8 @@ pub fn cases() -> Result<Vec<(String, u64)>, OpmError> {
     let own = mesh.inputs().cloned().unwrap_or_default();
     let r = plan.solve_windowed(&own, 4)?;
     out.push(("mesh48/m8_w4".into(), digest(&[r])));
+    let r = plan.solve_windowed_batch_opts(&pulses(8, 2e-6)?, &WindowedOptions::new(4), 1)?;
+    out.push(("mesh48/m8_w4_8lanes".into(), digest(&r)));
 
     let rc = netlist(&ladder_netlist(16, "10", "1m"), "n16", 1.0)?;
     let x0 = (0..rc.order()).map(|i| 0.01 * i as f64).collect();
