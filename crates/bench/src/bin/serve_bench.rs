@@ -15,9 +15,10 @@
 //! - **pattern phase** — one client alternates a fresh structurally
 //!   distinct miss with a value-only variant of the pinned netlist (one
 //!   segment resistance perturbed). The variant misses the plan tier
-//!   but hits the pattern tier: its build replays the pinned analysis
-//!   numerically instead of re-ordering and re-analysing, and its
-//!   results must equal a fresh in-process plan's bit for bit. The
+//!   but hits the pattern tier: its build neither re-orders nor
+//!   re-analyses, its 4-window kernel replays the pinned analysis
+//!   numerically, and its results must equal a fresh in-process plan's
+//!   bit for bit. The
 //!   pattern/cold speedup is the ratio of the two sides' median
 //!   latencies, so host drift lands on both.
 //!
@@ -361,9 +362,10 @@ fn main() {
          the pattern phase. serve/pattern_*: one client alternates {PATTERN_REQUESTS} more \
          structurally distinct misses with {PATTERN_REQUESTS} value-only variants of the \
          pinned request (one resistance perturbed), each a plan miss and a pattern hit whose \
-         build replays the pinned analysis numerically, with results bit-identical to a \
-         fresh in-process plan; serve/pattern_plan_profile sums the phase's plan profiles \
-         (each 0 symbolic + 2 numeric: the replay and the 4-window refactor), and \
+         build factors nothing and whose 4-window kernel replays the pinned analysis \
+         numerically, with results bit-identical to a fresh in-process plan; \
+         serve/pattern_plan_profile sums the phase's plan profiles (each 0 symbolic + 1 \
+         numeric: the 4-window kernel's exact replay), and \
          serve/pattern_vs_cold_speedup is the paired misses' median latency over the \
          variants'. serve/lu_nnz is \
          the pinned plan's nnz(L+U). serve/failed_replies counts the replies over every \

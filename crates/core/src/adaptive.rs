@@ -116,7 +116,7 @@ impl StepLattice {
         }
         let exp = lattice_exp(clamp_step(quantize(opts.h0), 0.0, t_end, opts));
         let (family, lu) =
-            PencilFamily::recorded_in(&[sys.e(), sys.a()], &lattice_weights(exp), patterns)?;
+            PencilFamily::recorded_in(&[sys.e(), sys.a()], &lattice_weights(exp), patterns, true)?;
         // Every exponent the controller can reach: the quantized range,
         // plus one below it (the end-of-horizon halving may step under
         // `quantize(h_min)`), so nothing is ever evicted.
@@ -125,7 +125,7 @@ impl StepLattice {
         let capacity = (hi - lo + 1) as usize;
         Ok(StepLattice {
             family,
-            first: (exp, Arc::new(lu)),
+            first: (exp, Arc::new(lu.expect("a replaying build factors"))),
             factors: GateCache::new(capacity, || {
                 OpmError::BadArguments(
                     "step-lattice factorization panicked; the panicking request reports it".into(),
@@ -318,9 +318,10 @@ pub(crate) fn prepare_step_grid(
         OpmError::SingularPencil(s) => OpmError::SingularPencil(format!("column {j}: {s}")),
         other => other,
     };
-    let (family, head) = PencilFamily::recorded_in(&[sys.e(), sys.a()], &weights[0], patterns)
-        .map_err(|e| at_column(0, e))?;
-    let mut lus = vec![head];
+    let (family, head) =
+        PencilFamily::recorded_in(&[sys.e(), sys.a()], &weights[0], patterns, true)
+            .map_err(|e| at_column(0, e))?;
+    let mut lus = vec![head.expect("a replaying build factors")];
     lus.extend(
         family
             .factor_all(&weights[1..], opm_par::default_threads())

@@ -37,18 +37,18 @@
 //! (`colptr`/`rowind` hashed word by word, confirmed by comparing the
 //! arrays on a hit) and mapping to one shared analysis — ordering plus
 //! [`opm_sparse::SymbolicLu`]. A plan build that finds its pattern
-//! there skips AMD and the symbolic factorization and replays the
-//! numeric half with [`opm_sparse::SparseLu::refactor_exact`], whose
-//! pivot rule accepts only where a fresh factorization would pivot the
-//! same way. The contract is **bit-identity**: a plan built through the
-//! tier equals [`Simulation::plan`] bit for bit — the replay's factors
-//! are the fresh factors, and where the replay refuses, the build
-//! factors fresh under the cached ordering (AMD is a pure function of
-//! the pattern), exactly as a fresh plan would. A replayed plan's
-//! profile books 0 symbolic + 1 numeric factorizations for its build; a
-//! refused one books 1 symbolic, like a fresh plan. Plan hits never
-//! compute the pattern key, and the tier holds as many patterns as the
-//! plan tier holds plans. Its counters are [`PatternStats`].
+//! there skips AMD and the symbolic factorization, and a uniform linear
+//! or multi-term plan factors nothing: each window kernel, on first
+//! use, replays the analysis with
+//! [`opm_sparse::SparseLu::refactor_exact`], whose pivot rule accepts
+//! only where a fresh factorization would pivot the same way, and where
+//! it refuses factors fresh under the cached ordering (AMD is a pure
+//! function of the pattern). Nonlinear, adaptive and step-grid plans
+//! replay the same way at build. The contract is **bit-identity**: a
+//! plan built through the tier equals [`Simulation::plan`] bit for bit.
+//! A replay books 1 numeric factorization, a refused one 1 symbolic.
+//! Plan hits never compute the pattern key, and the tier holds as many
+//! patterns as the plan tier holds plans ([`PatternStats`]).
 //!
 //! # The request pre-key (in `opm-serve`)
 //!
@@ -69,13 +69,12 @@
 //! built on a per-key latch outside it**. A cold request claims its key
 //! by inserting a building placeholder, releases the global lock, and
 //! factors the plan; requests racing on the *same* key wait on that
-//! latch and receive the finished `Arc` — exactly one performs the
-//! symbolic + numeric factorization and the other N−1 become hits (the
-//! per-plan [`crate::FactorProfile`] records `num_symbolic == 1` and
-//! `num_numeric == 1` no matter the concurrency). Requests for *other*
-//! keys are untouched: one pathological model that takes seconds (or
-//! panics) mid-build can no longer stall hits on every other plan,
-//! which is what a multi-tenant server needs to stay live.
+//! latch and receive the finished `Arc` — exactly one builds the plan
+//! (and each window kernel, on the plan's own latch) and the other N−1
+//! become hits. Requests for *other* keys are untouched: one
+//! pathological model that takes seconds (or panics) mid-build can no
+//! longer stall hits on every other plan, which is what a multi-tenant
+//! server needs to stay live.
 //!
 //! # Fault tolerance
 //!
@@ -339,14 +338,14 @@ fn pattern_key(csc: &CscMatrix) -> PatternKey {
 /// tier for is exactly one of the three.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatternStats {
-    /// Builds that replayed an interned analysis exactly (0 symbolic +
-    /// 1 numeric factorizations).
+    /// Builds that took an interned analysis (replayed exactly by the
+    /// kinds that replay at build: 1 numeric factorization).
     pub hits: u64,
     /// Builds that recorded a fresh analysis: AMD + symbolic LU.
     pub misses: u64,
-    /// Builds whose pattern was interned but whose values a fresh
-    /// factorization would pivot differently: a fresh symbolic LU under
-    /// the interned ordering.
+    /// Builds replaying at build whose values a fresh factorization
+    /// would pivot differently: a fresh symbolic LU under the interned
+    /// ordering. A window kernel's refusal is booked in its plan only.
     pub fallbacks: u64,
 }
 
@@ -372,19 +371,18 @@ impl PatternCache {
         }
     }
 
-    /// Factors `csc` against its pattern's interned analysis, recording
-    /// (and interning) one on a miss. Returns the analysis the factor
-    /// belongs to, the factor — bit-identical to a fresh
-    /// [`PatternAnalysis::record`] of `csc` — and whether it was an
-    /// exact replay (no symbolic work).
+    /// The analysis of `csc`'s pattern — interned, or recorded (and
+    /// interned) on a miss — with `csc`'s factor, bit-identical to a
+    /// fresh [`PatternAnalysis::record`], unless an interned one is not
+    /// to `replay`; and whether the analysis was recorded here.
     ///
     /// # Errors
-    /// [`OpmError::SingularPencil`] exactly when a fresh factorization
-    /// of `csc` fails.
+    /// [`OpmError::SingularPencil`] when a factorization of `csc` fails.
     pub(crate) fn factor(
         &self,
         csc: &CscMatrix,
-    ) -> Result<(Arc<PatternAnalysis>, SparseLu, bool), OpmError> {
+        replay: bool,
+    ) -> Result<(Arc<PatternAnalysis>, Option<SparseLu>, bool), OpmError> {
         let mut built_here = false;
         let looked_up = self.gate.get_or_build_with(pattern_key(csc), || {
             built_here = true;
@@ -393,7 +391,7 @@ impl PatternCache {
         let entry = match looked_up {
             Ok((entry, Some(lu))) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                return Ok((entry, lu, false));
+                return Ok((entry, Some(lu), true));
             }
             Ok((entry, None)) if entry.has_pattern(csc) => entry,
             Err(e) if built_here => return Err(e),
@@ -402,18 +400,19 @@ impl PatternCache {
             _ => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let (analysis, lu) = PatternAnalysis::record(csc)?;
-                return Ok((Arc::new(analysis), lu, false));
+                return Ok((Arc::new(analysis), Some(lu), true));
             }
         };
-        match SparseLu::refactor_exact(entry.symbolic(), csc.values()) {
+        let replayed = replay.then(|| SparseLu::refactor_exact(entry.symbolic(), csc.values()));
+        match replayed.transpose() {
             Ok(lu) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Ok((entry, lu, true))
+                Ok((entry, lu, false))
             }
             Err(_) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
                 let (analysis, lu) = PatternAnalysis::record_with(csc, entry.order().clone())?;
-                Ok((Arc::new(analysis), lu, false))
+                Ok((Arc::new(analysis), Some(lu), true))
             }
         }
     }
@@ -502,7 +501,7 @@ impl PlanCache {
     /// interning it — the build a [`PlanCache::get_or_intern`] closure
     /// runs on a miss. The plan equals [`Simulation::plan`] bit for bit;
     /// on a pattern the tier has analysed it skips AMD and the symbolic
-    /// factorization.
+    /// factorization (see the module docs).
     ///
     /// # Errors
     /// As [`Simulation::plan`].
@@ -543,7 +542,8 @@ impl PlanCache {
     }
 
     /// The `/metrics` representation: the plan tier's [`CacheStats`]
-    /// plus `pattern_hits`, `pattern_misses` and `pattern_fallbacks`.
+    /// plus the [`PatternStats`] `pattern_hits`, `pattern_misses` and
+    /// `pattern_fallbacks`.
     pub fn stats_json(&self) -> Json {
         let p = self.pattern_stats();
         let mut doc = self.stats().to_json();

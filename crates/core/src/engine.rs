@@ -229,11 +229,11 @@ impl PatternAnalysis {
 /// fill pattern, pivot order, elimination reach) recorded by factoring
 /// the reference weights. A family built through a [`crate::PlanCache`]
 /// takes the ordering and analysis from the cache's pattern tier when
-/// another plan already recorded them on this pattern, and pays only an
-/// exact numeric replay of the reference weights — bit-identical to
-/// recording it afresh. Every further weight vector is a numeric-only
-/// [`SparseLu::refactor`], with an automatic fall back to a fresh
-/// pivoted factorization when a fixed pivot degrades past
+/// another plan already recorded them on this pattern, and pays at most
+/// an exact numeric replay of the reference weights. A window kernel is
+/// [`PencilFamily::factor_exact`]; every other weight vector is a
+/// numeric-only [`SparseLu::refactor`], with an automatic fall back to a
+/// fresh pivoted factorization when a fixed pivot degrades past
 /// [`LuOptions::refactor_threshold`]. Fallbacks do not replace the
 /// recorded analysis, so the factors produced for given weights are
 /// independent of the order — or the thread — in which they are
@@ -253,15 +253,11 @@ pub struct PencilFamily {
     /// The recorded analysis, shared by `Arc` with the pattern tier when
     /// the family was built through one.
     shared: Arc<PatternAnalysis>,
-    /// Statistics of the reference factorization, set once: every
-    /// refactorization shares its pattern, so they hold for the whole
-    /// family. `num_symbolic` is what the recording itself paid: 1, or
-    /// 0 when the pattern tier's exact replay stood in for it.
-    reference: FactorProfile,
     /// Numeric-only refactorizations (the exact replay included).
     numeric: AtomicUsize,
-    /// Fresh pivoted factorizations forced by pivot degradation.
-    fallbacks: AtomicUsize,
+    /// Symbolic analyses: the recording (unless the pattern tier's
+    /// stood in for it) and every fresh pivoted factorization.
+    symbolic: AtomicUsize,
     newton_iters: AtomicUsize,
     newton_refactors: AtomicUsize,
     newton_fresh_fallbacks: AtomicUsize,
@@ -281,39 +277,34 @@ impl PencilFamily {
     /// Panics when `terms` is empty, the terms differ in dimensions, or
     /// there is not one weight per term.
     pub fn new(terms: &[&CsrMatrix], weights: &[f64]) -> Result<(Self, SparseLu), OpmError> {
-        Self::recorded_in(terms, weights, None)
+        let (family, lu) = Self::recorded_in(terms, weights, None, true)?;
+        Ok((family, lu.expect("a recording factors its reference")))
     }
 
-    /// [`PencilFamily::new`], recording the analysis through the plan
-    /// cache's pattern tier when `patterns` is given: a pattern the tier
-    /// has analysed skips AMD and the symbolic factorization, and the
-    /// reference factor is bit-identical either way.
+    /// [`PencilFamily::new`] through the plan cache's pattern tier when
+    /// `patterns` is given: a pattern the tier has analysed skips AMD and
+    /// the symbolic LU, and its reference factor — bit-identical either
+    /// way — comes only with `replay`.
     pub(crate) fn recorded_in(
         terms: &[&CsrMatrix],
         weights: &[f64],
         patterns: Option<&PatternCache>,
-    ) -> Result<(Self, SparseLu), OpmError> {
+        replay: bool,
+    ) -> Result<(Self, Option<SparseLu>), OpmError> {
         let mut pencil = ShiftedPencil::of_terms(terms);
         let csc = pencil.combined(weights);
-        let (shared, lu, replayed) = match patterns {
-            Some(tier) => tier.factor(csc)?,
+        let (shared, lu, recorded) = match patterns {
+            Some(tier) => tier.factor(csc, replay)?,
             None => {
                 let (analysis, lu) = PatternAnalysis::record(csc)?;
-                (Arc::new(analysis), lu, false)
+                (Arc::new(analysis), Some(lu), true)
             }
-        };
-        let reference = FactorProfile {
-            num_symbolic: usize::from(!replayed),
-            factor_cols: lu.dim(),
-            factor_nnz: lu.nnz(),
-            ..FactorProfile::default()
         };
         let family = PencilFamily {
             pencil,
             shared,
-            reference,
-            numeric: AtomicUsize::new(usize::from(replayed)),
-            fallbacks: AtomicUsize::new(0),
+            numeric: AtomicUsize::new(usize::from(lu.is_some() && !recorded)),
+            symbolic: AtomicUsize::new(usize::from(recorded)),
             newton_iters: AtomicUsize::new(0),
             newton_refactors: AtomicUsize::new(0),
             newton_fresh_fallbacks: AtomicUsize::new(0),
@@ -339,6 +330,23 @@ impl PencilFamily {
         Ok(lu)
     }
 
+    /// The fresh factor of `Σ_k weights[k]·A_k` under the recorded
+    /// ordering, bit for bit: the exact replay ([`SparseLu::refactor_exact`])
+    /// or where it refuses that fresh factorization, booked symbolic.
+    pub(crate) fn factor_exact(&self, weights: &[f64]) -> Result<SparseLu, OpmError> {
+        let mut values = Vec::new();
+        self.pencil.combined_values(weights, &mut values);
+        if let Ok(lu) = SparseLu::refactor_exact(self.shared.symbolic(), &values) {
+            self.numeric.fetch_add(1, Ordering::Relaxed);
+            return Ok(lu);
+        }
+        let mut csc = self.pencil.pattern().clone();
+        csc.values_mut().copy_from_slice(&values);
+        let (_, lu) = PatternAnalysis::record_with(&csc, self.shared.order().clone())?;
+        self.symbolic.fetch_add(1, Ordering::Relaxed);
+        Ok(lu)
+    }
+
     /// The one refactor-with-fallback path: a numeric-only
     /// [`SparseLu::refactor_into`] of `values` (laid out on the union
     /// pattern) into `lu`'s storage, and on
@@ -357,7 +365,7 @@ impl PencilFamily {
                 let mut csc = self.pencil.pattern().clone();
                 csc.values_mut().copy_from_slice(values);
                 *lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
-                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.symbolic.fetch_add(1, Ordering::Relaxed);
                 Ok(true)
             }
             Err(e) => Err(singular(e)),
@@ -400,15 +408,18 @@ impl PencilFamily {
 
     /// Factorization-cost profile of this family so far: the recording
     /// (unless replayed) and every fallback are symbolic, the rest
-    /// numeric.
+    /// numeric. The fill is the recorded analysis's: every
+    /// refactorization shares its pattern.
     pub fn profile(&self) -> FactorProfile {
         FactorProfile {
-            num_symbolic: self.reference.num_symbolic + self.fallbacks.load(Ordering::Relaxed),
+            num_symbolic: self.symbolic.load(Ordering::Relaxed),
             num_numeric: self.numeric.load(Ordering::Relaxed),
             newton_iters: self.newton_iters.load(Ordering::Relaxed),
             newton_refactors: self.newton_refactors.load(Ordering::Relaxed),
             newton_fresh_fallbacks: self.newton_fresh_fallbacks.load(Ordering::Relaxed),
-            ..self.reference
+            factor_cols: self.shared.symbolic().dim(),
+            factor_nnz: self.shared.symbolic().factor_nnz(),
+            ..FactorProfile::default()
         }
     }
 

@@ -47,10 +47,10 @@
 //! A windowed solve at `W = 1` is the whole horizon on every plan kind,
 //! bit for bit [`SimPlan::solve`]. Every uniform-grid solve — whole-horizon,
 //! windowed, streaming and Newton — runs one window loop: the whole
-//! horizon is its one-window case, swept against the factorization the
-//! plan was built with. Its linear arm solves each column by a block
-//! solve, or — on a plan carrying nonlinear devices (diodes, MOSFETs),
-//! which every entry point serves — by Newton iteration over the same
+//! horizon is its one-window case, swept against the plan's window
+//! kernel. Its linear arm solves each column by a block solve, or — on
+//! a plan carrying nonlinear devices (diodes, MOSFETs), which every
+//! entry point serves — by Newton iteration over the same
 //! recurrence (the `newton` module), one lane per sweep. Adaptive and
 //! step-grid plans run their own whole-horizon solve at `W = 1` and
 //! reject `W > 1`.
@@ -429,11 +429,6 @@ impl Simulation {
             x0: x0.clone(),
             kind,
             devices: Arc::new(self.devices.clone()),
-            kernels: GateCache::new(WINDOW_KERNELS_RETAINED, || {
-                OpmError::BadArguments(
-                    "window-kernel build panicked; the panicking request reports it".into(),
-                )
-            }),
             windows_solved: AtomicUsize::new(0),
         };
         if let Some(aopts) = opts.adaptive {
@@ -462,8 +457,10 @@ impl Simulation {
         if !matches!(model.as_ref(), SimModel::Linear(_)) {
             require_linear_kind(model.strategy_name())?;
         }
+        let nonlinear = !self.devices.is_empty();
         let uniform = |sweep: Sweep, mt: Option<MultiTermSystem>| {
-            UniformPlan::prepare(model, sweep, mt, m, t_end, patterns).map(PlanKind::Uniform)
+            let plan = UniformPlan::prepare(model, sweep, mt, (m, t_end), patterns, nonlinear);
+            plan.map(PlanKind::Uniform)
         };
 
         let kind = match model.as_ref() {
@@ -617,9 +614,7 @@ enum Sweep {
     Convolution,
 }
 
-/// A uniform plan: its pencil family and the whole-horizon (`W = 1`)
-/// window kernel, factored when the plan is built. Every other window
-/// count refactors numerically against the family's analysis.
+/// A uniform plan: its pencil family and its window kernels.
 struct UniformPlan {
     sweep: Sweep,
     /// `σ·E − A` over `(E, A)` for linear sweeps, else `Σ_k w_k·A_k`
@@ -628,7 +623,9 @@ struct UniformPlan {
     /// The multi-term conversion the plan sweeps when the model is not
     /// itself multi-term (fractional models, second-order nodal form).
     mt: Option<MultiTermSystem>,
-    whole: Arc<WindowKernel>,
+    /// Window kernels by window count `W`, built on first use; the
+    /// [`WINDOW_KERNELS_RETAINED`] most recently used are kept.
+    kernels: GateCache<usize, Arc<WindowKernel>, OpmError, StdSync>,
 }
 
 /// A reusable solving session: the validated problem shape, orderings
@@ -637,7 +634,8 @@ struct UniformPlan {
 /// [`solve_windowed`](SimPlan::solve_windowed) call. The sweep it runs
 /// is the model's: the linear recurrence for linear models, the finite
 /// recurrence for integer-order multi-term and second-order models, the
-/// convolution for fractional models and mixtures.
+/// convolution for fractional models and mixtures. A uniform plan's
+/// factorizations are its window kernels, each built on first use.
 ///
 /// A plan **owns** its model state (`Arc`-shared with the
 /// [`Simulation`] that built it): it is `'static` and `Send + Sync`, so
@@ -652,7 +650,8 @@ struct UniformPlan {
 /// adaptive lattice factors are built at most once through a
 /// single-flight cache, every scratch buffer belongs to its call, and
 /// the counters are relaxed atomics. Solves on one plan — batch,
-/// windowed, streaming and Newton alike — never wait on each other, and
+/// windowed, streaming and Newton alike — never wait on each other once
+/// their window kernel is built, and
 /// a panic inside one solve leaves nothing behind for the next. A
 /// [`SimPlan::factor_profile`] snapshot taken during concurrent solves
 /// may be mid-update (one counter bumped, the next not yet); once they
@@ -666,10 +665,6 @@ pub struct SimPlan {
     /// Nonlinear companion devices (empty for purely linear plans),
     /// whose columns the window loop solves by Newton iteration.
     devices: Arc<Vec<DeviceModel>>,
-    /// Window kernels keyed by window count `W`, built on first use (one
-    /// factorization serves all `W` windows and every scenario); the
-    /// [`WINDOW_KERNELS_RETAINED`] most recently used are kept.
-    kernels: GateCache<usize, Arc<WindowKernel>, OpmError, StdSync>,
     /// Windows swept so far, across every windowed/streaming/Newton call
     /// (`W` per lane on a nonlinear plan, whose lanes sweep apart).
     windows_solved: AtomicUsize,
@@ -972,7 +967,7 @@ impl SimPlan {
     /// with the planned resolution, or the plan kind needs waveforms
     /// (second-order, adaptive, step-grid).
     pub fn solve_coeffs(&self, u: &[Vec<f64>]) -> Result<OpmResult, OpmError> {
-        let plan = match &self.kind {
+        match &self.kind {
             PlanKind::Uniform(UniformPlan {
                 sweep:
                     Sweep::Recurrence {
@@ -981,7 +976,7 @@ impl SimPlan {
                 ..
             }) => Err("second-order problems need waveform inputs (the engine \
                  differentiates them exactly)"),
-            PlanKind::Uniform(plan) => Ok(plan),
+            PlanKind::Uniform(_) => Ok(()),
             PlanKind::AdaptiveLinear { .. } => {
                 Err("adaptive stepping needs waveform inputs (exact interval averages)")
             }
@@ -999,7 +994,7 @@ impl SimPlan {
             )));
         }
         let mut out = self.drive_batch(
-            &plan.whole,
+            &*self.window_kernel(1)?,
             &[u],
             &WindowedOptions::new(1),
             opm_par::default_threads(),
@@ -1024,8 +1019,9 @@ impl SimPlan {
     /// `W·m` columns), and carries the end-of-window state into the next
     /// window as its initial condition. Because the window pencil
     /// depends only on the window width and resolution, **one**
-    /// factorization — a numeric-only refactorization against the plan's
-    /// own symbolic analysis — serves all `W` windows (and every batched
+    /// factorization — an exact numeric replay of the plan's own symbolic
+    /// analysis, or a fresh factorization where the window pencil pivots
+    /// differently — serves all `W` windows (and every batched
     /// scenario): [`SimPlan::factor_profile`] reports 1 symbolic + 1
     /// numeric no matter how large `W` grows. `W = 1` is exactly
     /// [`SimPlan::solve`], bit for bit, on every plan kind.
@@ -1306,13 +1302,12 @@ impl SimPlan {
     }
 
     /// Resolves the window kernel for `windows` windows — the one
-    /// factorization all windows and scenarios share. A uniform plan's
-    /// `W = 1` kernel is the one it factored when it was built; any other
-    /// `W` is built on its first request through the plan's single-flight
-    /// kernel cache: the window pencil refactored numerically against the
-    /// plan's recorded analysis, plus the kernel's window-step symbol
-    /// data; a nonlinear plan's kernel factors nothing, as Newton
-    /// refactors at every iterate. Other plan kinds have no window kernel.
+    /// factorization all windows and scenarios share — building it
+    /// (`W = 1` included) on first request through the plan's
+    /// single-flight kernel cache: window-step symbols plus the window
+    /// pencil's fresh factor ([`PencilFamily::factor_exact`]); a
+    /// nonlinear plan's kernel factors nothing, as Newton refactors at
+    /// every iterate.
     fn window_kernel(&self, windows: usize) -> Result<Arc<WindowKernel>, OpmError> {
         if windows == 0 {
             return Err(OpmError::BadArguments(
@@ -1320,15 +1315,13 @@ impl SimPlan {
             ));
         }
         let (strategy, why) = match &self.kind {
-            PlanKind::Uniform(u) if windows == 1 => return Ok(Arc::clone(&u.whole)),
             PlanKind::Uniform(u) => {
-                validate_horizon(self.t_end)?;
-                let (kernel, _) = self.kernels.get_or_build(windows, || {
+                let (kernel, _) = u.kernels.get_or_build(windows, || {
                     let (symbols, weights) =
                         window_symbols(u.sweep, self.mt(), self.m, self.t_end, windows)?;
                     let lu = match self.has_nonlinear() {
                         true => SparseLu::default(),
-                        false => u.pencil.factor(&weights)?,
+                        false => u.pencil.factor_exact(&weights)?,
                     };
                     Ok(Arc::new(WindowKernel { lu, symbols }))
                 })?;
@@ -1930,16 +1923,17 @@ fn window_symbols(
 }
 
 impl UniformPlan {
-    /// Derives the whole-horizon kernel, factors its pencil and records
-    /// the family's analysis every other window count replays (through
-    /// `patterns`, the plan cache's pattern tier, when given).
+    /// Records the family's analysis on the whole-horizon pencil, its
+    /// factor a linear plan's `W = 1` kernel. A pattern `patterns` has
+    /// analysed is shared, unreplayed unless the plan is `nonlinear`
+    /// (every Newton iterate replays the recorded pivots).
     fn prepare(
         model: &SimModel,
         sweep: Sweep,
         mt: Option<MultiTermSystem>,
-        m: usize,
-        t_end: f64,
+        (m, t_end): (usize, f64),
         patterns: Option<&PatternCache>,
+        nonlinear: bool,
     ) -> Result<Self, OpmError> {
         let swept = swept_mt(mt.as_ref(), model);
         let (symbols, weights) = window_symbols(sweep, swept, m, t_end, 1)?;
@@ -1948,12 +1942,20 @@ impl UniformPlan {
             (None, SimModel::Linear(sys)) => vec![sys.e(), sys.a()],
             _ => unreachable!("only linear sweeps factor the model's own (E, A)"),
         };
-        let (pencil, lu) = PencilFamily::recorded_in(&terms, &weights, patterns)?;
+        let (pencil, lu) = PencilFamily::recorded_in(&terms, &weights, patterns, nonlinear)?;
+        let kernels = GateCache::new(WINDOW_KERNELS_RETAINED, || {
+            OpmError::BadArguments(
+                "window-kernel build panicked; the panicking request reports it".into(),
+            )
+        });
+        if let (Some(lu), false) = (lu, nonlinear) {
+            kernels.get_or_build(1, || Ok(Arc::new(WindowKernel { lu, symbols })))?;
+        }
         Ok(UniformPlan {
             sweep,
             pencil: Box::new(pencil),
             mt,
-            whole: Arc::new(WindowKernel { lu, symbols }),
+            kernels,
         })
     }
 }
@@ -2650,19 +2652,25 @@ mod tests {
 
     #[test]
     fn window_kernel_retention_is_bounded() {
-        // W = 1 is the kernel the plan was built with, never cached:
-        // exercise the cache from W = 2.
+        // W = 1 is seeded with the plan's recorded factor: exercise the
+        // cache from W = 2.
         let sim = Simulation::from_fractional(FractionalSystem::new(0.5, scalar(-1.0)).unwrap())
             .horizon(2.0);
         let plan = sim.plan(&SolveOptions::new().resolution(4)).unwrap();
         let inputs = InputSet::new(vec![Waveform::step(0.3, 1.0)]);
+        let retained = |plan: &SimPlan| -> Vec<usize> {
+            let PlanKind::Uniform(u) = &plan.kind else {
+                unreachable!("a fractional plan at a resolution is uniform");
+            };
+            u.kernels.values().into_iter().map(|(w, _)| w).collect()
+        };
         let first = plan.solve_windowed(&inputs, 2).unwrap();
         for windows in 2..=21 {
             plan.solve_windowed(&inputs, windows).unwrap();
-            assert!(plan.kernels.len() <= WINDOW_KERNELS_RETAINED);
+            assert!(retained(&plan).len() <= WINDOW_KERNELS_RETAINED);
         }
         // The least recently used kernels — W = 2 among them — are gone.
-        let retained: Vec<usize> = plan.kernels.values().into_iter().map(|(w, _)| w).collect();
+        let retained = retained(&plan);
         assert_eq!(retained.len(), WINDOW_KERNELS_RETAINED);
         assert!(!retained.contains(&2), "{retained:?}");
         // An evicted W refactors and solves bit-identically.

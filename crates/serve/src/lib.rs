@@ -36,9 +36,10 @@
 //! [`opm_core::FactorProfile`], so N identical solve requests visibly
 //! cost 1 symbolic + 1 numeric factorization total. A miss that only
 //! changes values on a pattern the cache has analysed — one resistor
-//! edited — still answers `"cache": "miss"`, but its build replays the
-//! interned analysis (0 symbolic + 1 numeric) and is bit-identical to a
-//! fresh plan; `/metrics` counts those under `plan_cache.pattern_hits`.
+//! edited — still answers `"cache": "miss"`, but its build shares the
+//! interned analysis and factors nothing, its window kernel replaying
+//! that analysis (0 symbolic + 1 numeric), bit-identical to a fresh
+//! plan; `/metrics` counts those under `plan_cache.pattern_hits`.
 //!
 //! # Fault tolerance
 //!

@@ -693,6 +693,41 @@ fn value_variant_is_a_pattern_hit() {
     server.shutdown();
 }
 
+/// A singular raw-model body on a pattern the daemon has analysed
+/// builds its plan without factoring and fails at its first solve —
+/// with the status and body a fresh daemon answers from its failed plan
+/// build — and the next healthy body on the pattern is served.
+#[test]
+fn singular_pattern_hit_fails_as_on_a_fresh_daemon() {
+    // σE − A over a full 2×2 pattern; (1, 1, −1, −1) makes every row
+    // of both matrices equal, so the pencil is singular at every σ.
+    let body = |e01: f64, a01: f64| {
+        format!(
+            r#"{{"model": {{"n": 2, "inputs": 1,
+                 "e": [[0, 0, 1.0], [0, 1, {e01:e}], [1, 0, {e01:e}], [1, 1, 1.0]],
+                 "a": [[0, 0, -1.0], [0, 1, {a01:e}], [1, 0, {a01:e}], [1, 1, -1.0]],
+                 "b": [[0, 0, 1.0]]}},
+                "horizon": 1.0, "options": {{"resolution": 32}},
+                "scenarios": [[{{"kind": "dc", "value": 1.0}}]]}}"#
+        )
+    };
+    let singular = body(1.0, -1.0);
+    let fresh = spawn(ServerConfig::default()).unwrap();
+    let want = client::post(fresh.addr(), "/solve", &singular).unwrap();
+    fresh.shutdown();
+    assert_eq!(want.status, 400, "{}", want.body);
+    assert!(want.body.contains("singular"), "{}", want.body);
+
+    let server = spawn(ServerConfig::default()).unwrap();
+    post_fresh_miss(server.addr(), &body(0.5, 0.1));
+    let got = client::post(server.addr(), "/solve", &singular).unwrap();
+    assert_eq!((got.status, &got.body), (want.status, &want.body));
+    let names = ["pattern_hits", "pattern_misses"];
+    assert_eq!(cache_counts(server.addr(), &names), vec![1, 1]);
+    post_fresh_miss(server.addr(), &body(0.25, 0.2));
+    server.shutdown();
+}
+
 /// The `plan_cache` counters of a `/metrics` snapshot.
 fn cache_counts(addr: std::net::SocketAddr, names: &[&str]) -> Vec<usize> {
     let doc = client::get(addr, "/metrics").unwrap().json().unwrap();

@@ -11,14 +11,21 @@
 //! ladder batch with a nonzero `x₀`), the
 //! fractional convolution (the 64-section R–CPE ladder, 16 windows,
 //! 8 lanes), the integer recurrence (a second-order power grid over
-//! four windows), a coefficient stimulus and a step-grid plan.
+//! four windows), a coefficient stimulus and a step-grid plan. Two more
+//! sets pin the window kernels: an R–L–C ladder at one and four windows
+//! (its four-window pencil pivots unlike the one-window analysis), and
+//! the mesh's four-window solve on a pattern hit — a plan built through
+//! a [`PlanCache`] primed with other values, which must hash as the
+//! fresh plan does.
 
 use std::fmt::Write as _;
 
 use opm_circuits::grid::PowerGridSpec;
 use opm_circuits::na::assemble_na;
 use opm_core::adaptive::geometric_grid;
-use opm_core::{NewtonOptions, OpmError, OpmResult, Simulation, SolveOptions, WindowedOptions};
+use opm_core::{
+    NewtonOptions, OpmError, OpmResult, PlanCache, Simulation, SolveOptions, WindowedOptions,
+};
 use opm_waveform::{InputSet, Waveform};
 
 /// FNV-1a over 64-bit words.
@@ -63,16 +70,16 @@ const RECTIFIER: &str = "* half-wave rectifier with RC load\nV1 in 0 SIN(0 1 1)\
 const INVERTER: &str = "* square-law NMOS inverter\nV1 vdd 0 DC 5\n\
     V2 g 0 PULSE(0 5 0.1 0.6 0.6 0.2 2)\nR1 vdd d 1k\nC1 d 0 1000u\nM1 d g 0 2m 1\n.end\n";
 
-/// The `g×g` RC mesh: 100 Ω segments, 1 nF per node, a DC source at
+/// The `g×g` RC mesh: `ohms` segments, 1 nF per node, a DC source at
 /// the corner.
-fn mesh_netlist(g: usize) -> String {
+fn mesh_netlist(g: usize, ohms: &str) -> String {
     let mut s = String::from("* RC mesh\nV1 n1_1 0 DC 1\n");
     let mut r = 0;
     for i in 1..=g {
         for j in 1..=g {
             let mut resistor = |b: String| {
                 r += 1;
-                let _ = writeln!(s, "R{r} n{i}_{j} {b} 100");
+                let _ = writeln!(s, "R{r} n{i}_{j} {b} {ohms}");
             };
             if j < g {
                 resistor(format!("n{i}_{}", j + 1));
@@ -96,6 +103,19 @@ fn ladder_netlist(sections: usize, r: &str, shunt: &str) -> String {
     for k in 1..=sections {
         let _ = writeln!(s, "R{k} {prev} n{k} {r}");
         let _ = writeln!(s, "{kind}{k} n{k} 0 {shunt}");
+        prev = format!("n{k}");
+    }
+    s.push_str(".end\n");
+    s
+}
+
+/// An 8-section ladder of series 1 Ω + 1 µH and shunt 1 µF, driven at
+/// `in`.
+fn rlc_ladder_netlist() -> String {
+    let mut s = String::from("* R-L-C ladder\nV1 in 0 DC 1\n");
+    let mut prev = "in".to_string();
+    for k in 1..=8 {
+        let _ = writeln!(s, "R{k} {prev} a{k} 1\nL{k} a{k} n{k} 1u\nC{k} n{k} 0 1u");
         prev = format!("n{k}");
     }
     s.push_str(".end\n");
@@ -186,7 +206,7 @@ pub fn cases() -> Result<Vec<(String, u64)>, OpmError> {
     let diode = netlist(&diode_ladder_netlist(), "l32", 2.0)?;
     newton_cases(&mut out, "diode_ladder", &diode, 128, &[1, 8])?;
 
-    let mesh = netlist(&mesh_netlist(48), "n48_48", 2e-6)?;
+    let mesh = netlist(&mesh_netlist(48, "100"), "n48_48", 2e-6)?;
     let plan = mesh.plan(&SolveOptions::new().resolution(8))?;
     let own = mesh.inputs().cloned().unwrap_or_default();
     let r = plan.solve_windowed(&own, 4)?;
@@ -228,5 +248,21 @@ pub fn cases() -> Result<Vec<(String, u64)>, OpmError> {
     let plan = cpe.plan(&SolveOptions::new().step_grid(steps))?;
     let r = plan.solve(&pulses(1, 1e-3)?[0])?;
     out.push(("cpe_ladder64/step_grid_24".into(), digest(&[r])));
+
+    let rlc = netlist(&rlc_ladder_netlist(), "n8", 0.1)?;
+    let plan = rlc.plan(&SolveOptions::new().resolution(8))?;
+    let own = rlc.inputs().cloned().unwrap_or_default();
+    for w in [1, 4] {
+        let r = plan.solve_windowed(&own, w)?;
+        out.push((format!("rlc_ladder/m8_w{w}"), digest(&[r])));
+    }
+
+    let opts = SolveOptions::new().resolution(8);
+    let cache = PlanCache::new(2);
+    cache.get_or_plan(&netlist(&mesh_netlist(48, "130"), "n48_48", 2e-6)?, &opts)?;
+    let plan = cache.get_or_plan(&mesh, &opts)?;
+    let own = mesh.inputs().cloned().unwrap_or_default();
+    let r = plan.solve_windowed(&own, 4)?;
+    out.push(("mesh48/pattern_hit_m8_w4".into(), digest(&[r])));
     Ok(out)
 }

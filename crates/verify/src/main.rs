@@ -6,7 +6,7 @@
 //! opm-verify digest
 //! ```
 //!
-//! `model-check` explores the five production sync protocols under the
+//! `model-check` explores the six production sync protocols under the
 //! deterministic scheduler (plus the seeded buggy-latch canary, which
 //! must *fail* and replay), prints a per-model table, and optionally
 //! writes a BENCH-style JSON artifact that `ci/compare_bench.py` gates:
@@ -29,7 +29,7 @@ use opm_verify::models;
 use opm_verify::sched::{replay, shrink, Report};
 use opm_verify::{lint, sched};
 
-/// Default per-model schedule budget: five protocol models at this
+/// Default per-model schedule budget: six protocol models at this
 /// budget clear the 10k explored-schedules CI floor with headroom.
 const DEFAULT_BUDGET: usize = 4096;
 
@@ -108,11 +108,13 @@ fn model_check(args: &[String]) -> ExitCode {
     print_report(&pattern);
     let prekey = models::check_prekey_tier(budget);
     print_report(&prekey);
+    let kernel = models::check_window_kernel(budget);
+    print_report(&kernel);
     let work = models::check_work_index(budget);
     print_report(&work);
     let cancel = models::check_cancel(budget);
     print_report(&cancel);
-    let protocols_ok = [&cache, &pattern, &prekey, &work, &cancel]
+    let protocols_ok = [&cache, &pattern, &prekey, &kernel, &work, &cancel]
         .iter()
         .all(|r| r.violation.is_none());
 
@@ -155,8 +157,10 @@ fn model_check(args: &[String]) -> ExitCode {
         );
     }
 
-    let total =
-        cache.schedules + pattern.schedules + prekey.schedules + work.schedules + cancel.schedules;
+    let total = [&cache, &pattern, &prekey, &kernel, &work, &cancel]
+        .iter()
+        .map(|r| r.schedules)
+        .sum::<usize>();
     println!("total protocol schedules explored: {total}");
 
     if let Some(path) = flag_value(args, "--json") {
@@ -179,12 +183,12 @@ fn model_check(args: &[String]) -> ExitCode {
             (
                 "note".into(),
                 Json::str(
-                    "opm-verify model-check artifact: explored-schedule counts for the five \
+                    "opm-verify model-check artifact: explored-schedule counts for the six \
                      production sync-protocol models (GateCache single-flight + panic \
                      containment, the plan cache's nested pattern tier on GateCache at both \
                      levels, opm-serve's pre-key tier over the plan gate with the plan \
-                     evicted between them, opm-par work-index claims, CancelCore \
-                     monotonicity) and \
+                     evicted between them, a plan's window-kernel gate nested under the plan \
+                     gate, opm-par work-index claims, CancelCore monotonicity) and \
                      must-hold booleans for the seeded buggy-latch canary. `class: floor` \
                      records gate the candidate at >= the committed reference; `min: 1` \
                      verdicts must hold. ci/compare_bench.py judges a regenerated run against \
@@ -198,12 +202,14 @@ fn model_check(args: &[String]) -> ExitCode {
                     floor("verify/cache_latch_schedules", cache.schedules),
                     floor("verify/pattern_tier_schedules", pattern.schedules),
                     floor("verify/prekey_tier_schedules", prekey.schedules),
+                    floor("verify/window_kernel_schedules", kernel.schedules),
                     floor("verify/work_index_schedules", work.schedules),
                     floor("verify/cancel_schedules", cancel.schedules),
                     floor("verify/total_schedules", total),
                     must_hold("verify/model_check_passed", protocols_ok),
                     must_hold("verify/pattern_tier_passed", pattern.violation.is_none()),
                     must_hold("verify/prekey_tier_passed", prekey.violation.is_none()),
+                    must_hold("verify/window_kernel_passed", kernel.violation.is_none()),
                     must_hold("verify/buggy_latch_caught", caught),
                     must_hold("verify/buggy_latch_replayed", replayed),
                 ]),

@@ -1,13 +1,13 @@
 //! The concurrency models `opm-verify -- model-check` explores.
 //!
-//! Five of the six models instantiate *production* protocol code —
+//! Six of the seven models instantiate *production* protocol code —
 //! [`opm_core::gate::GateCache`] (alone, and nested two levels deep as
-//! the plan cache's pattern tier and `opm-serve`'s pre-key tier nest
-//! it), [`opm_par::claim_indices`],
+//! the plan cache's pattern tier, `opm-serve`'s pre-key tier and a
+//! plan's window-kernel cache nest it), [`opm_par::claim_indices`],
 //! [`opm_core::cancel::CancelCore`] — on the shim primitives in
 //! [`crate::sync`], so the checked code is byte-for-byte the code the
 //! engine runs (the generic-over-[`MonitorFamily`] refactor exists for
-//! exactly this). The sixth, [`BuggyLatch`], carries a deliberately
+//! exactly this). The seventh, [`BuggyLatch`], carries a deliberately
 //! seeded lost-wakeup and exists to prove the checker *can* catch the
 //! bug class the real latch is claimed to be free of: its exploration
 //! must fail, replay deterministically, and shrink to a short trace.
@@ -254,6 +254,91 @@ pub fn pattern_tier_model(panicking: bool) -> impl Fn() + Send + Sync + 'static 
             .get_or_build(failed, || Ok(again))
             .expect("the failed plan key must rebuild");
         assert!(!hit, "a panicked plan build must not be cached");
+    }
+}
+
+/// A plan as its window kernels see it: an interned value of the plan
+/// tier that owns a second [`GateCache`], keyed by window count.
+struct ShimPlan {
+    kernels: ShimTier,
+}
+
+/// The window count both racers of [`window_kernel_model`] solve at.
+const WINDOWS: u64 = 4;
+
+/// A plan's window-kernel cache nested under the plan tier, both on the
+/// production [`GateCache`]: two requests for one plan race to its
+/// first solve at one window count, each resolving the plan and then
+/// the plan's kernel for that count. With `panicking`, the first kernel
+/// build panics. The checker proves, in every schedule: no deadlock
+/// across the two levels of latches; one plan build; without the panic
+/// exactly one kernel build, both racers holding the same `Arc`; with
+/// it, the panic fails only its own solve, the plan stays interned, and
+/// the kernel rebuilds on the next solve.
+pub fn window_kernel_model(panicking: bool) -> impl Fn() + Send + Sync + 'static {
+    move || {
+        let plans: Arc<GateCache<u64, Arc<ShimPlan>, String, ShimSync>> =
+            Arc::new(GateCache::new(2, || PANIC_ERROR.to_string()));
+        let builds = Arc::new(AtomicUsize::new(0));
+        let fail_first = Arc::new(AtomicUsize::new(usize::from(!panicking)));
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let plans = Arc::clone(&plans);
+                let (builds, fail_first) = (Arc::clone(&builds), Arc::clone(&fail_first));
+                thread::spawn(move || {
+                    let (plan, _) = plans
+                        .get_or_build(PLAN, || {
+                            let kernels = GateCache::new(2, || PANIC_ERROR.to_string());
+                            Ok(Arc::new(ShimPlan { kernels }))
+                        })
+                        .expect("the plan build is infallible");
+                    std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        plan.kernels.get_or_build(WINDOWS, || {
+                            if fail_first.fetch_add(1, Ordering::SeqCst) == 0 {
+                                panic!("injected kernel build failure");
+                            }
+                            builds.fetch_add(1, Ordering::SeqCst);
+                            Ok(Arc::new(40))
+                        })
+                    }))
+                    .map(|solved| solved.map(|(kernel, _)| kernel))
+                })
+            })
+            .collect();
+        let solved: Vec<_> = racers
+            .into_iter()
+            .map(|h| h.join().expect("racer panicked outside the injected path"))
+            .collect();
+        assert_eq!(plans.stats().misses, 1, "one plan, built once");
+        if !panicking {
+            assert_eq!(builds.load(Ordering::SeqCst), 1, "one kernel build");
+            let kernel = |i: usize| match &solved[i] {
+                Ok(Ok(kernel)) => Arc::clone(kernel),
+                _ => panic!("an infallible kernel build failed"),
+            };
+            assert!(
+                Arc::ptr_eq(&kernel(0), &kernel(1)),
+                "racers share the kernel"
+            );
+            return;
+        }
+        let panicked = solved.iter().filter(|s| s.is_err()).count();
+        assert_eq!(panicked, 1, "the panic resumes on its builder alone");
+        for e in solved.iter().flatten().filter_map(|s| s.as_ref().err()) {
+            assert_eq!(e, PANIC_ERROR, "a waiter sees the panic error");
+        }
+        // The plan still serves, and its kernel builds (or was built).
+        let (plan, hit) = plans
+            .get_or_build(PLAN, || -> Result<Arc<ShimPlan>, String> {
+                unreachable!("the plan must stay interned")
+            })
+            .expect("plan tier unusable");
+        assert!(hit);
+        let (kernel, _) = plan
+            .kernels
+            .get_or_build(WINDOWS, || Ok(Arc::new(40)))
+            .expect("the kernel must rebuild after a panicked build");
+        assert_eq!(*kernel, 40);
     }
 }
 
@@ -560,6 +645,30 @@ pub fn check_pattern_tier(max_schedules: usize) -> Report {
     }
 }
 
+/// Explores the window-kernel model, plain and with a panicking kernel
+/// build, folded into one report.
+pub fn check_window_kernel(max_schedules: usize) -> Report {
+    let a = explore(
+        "window_kernel/single_build",
+        &protocol_opts(max_schedules / 2),
+        window_kernel_model(false),
+    );
+    if a.violation.is_some() {
+        return a;
+    }
+    let b = explore(
+        "window_kernel/panicking_build",
+        &protocol_opts(max_schedules - a.schedules),
+        window_kernel_model(true),
+    );
+    Report {
+        name: "window_kernel".into(),
+        schedules: a.schedules + b.schedules,
+        complete: a.complete && b.complete,
+        violation: b.violation,
+    }
+}
+
 /// Explores the pre-key tier model.
 pub fn check_prekey_tier(max_schedules: usize) -> Report {
     explore(
@@ -617,6 +726,8 @@ mod tests {
         pattern_tier_model(false)();
         pattern_tier_model(true)();
         prekey_tier_model()();
+        window_kernel_model(false)();
+        window_kernel_model(true)();
         work_index_model()();
         cancel_model()();
     }

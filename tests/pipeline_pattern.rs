@@ -1,9 +1,11 @@
 //! Integration: the plan cache's pattern tier. A value-only miss on a
-//! pattern the cache has analysed replays the interned AMD ordering and
-//! symbolic LU numerically, and the plan it builds equals a fresh
-//! `Simulation::plan` bit for bit — on the 48×48 RC mesh, the Table II
-//! power grid, the R–CPE ladder and the diode + RC ladder, and for
-//! adaptive and step-grid plans as for uniform ones.
+//! pattern the cache has analysed shares the interned AMD ordering and
+//! symbolic LU, and the plan it builds equals a fresh `Simulation::plan`
+//! bit for bit — on the 48×48 RC mesh, the Table II power grid, the
+//! R–CPE ladder, the diode + RC ladder and an R–L–C ladder whose window
+//! kernels pivot differently, and for adaptive and step-grid plans as
+//! for uniform ones. A uniform linear plan's window kernels are built on
+//! first use, each the fresh factor of its own pencil.
 
 use std::fmt::Write as _;
 
@@ -22,19 +24,15 @@ fn bits(r: &OpmResult) -> Vec<u64> {
         .collect()
 }
 
-/// What a request runs on a plan, as state-coefficient bits: the
-/// whole-horizon solve and a 4-window solve (a numeric refactor at the
-/// window shift), or the windowed Newton solve for nonlinear plans.
-fn solve_bits(plan: &SimPlan, sim: &Simulation, stimulus: &InputSet) -> Vec<u64> {
-    if plan.has_nonlinear() {
-        let r = plan
-            .solve_newton_windowed(sim.inputs().unwrap(), 4, &NewtonOptions::new())
-            .unwrap();
-        return bits(&r);
-    }
-    let mut out = bits(&plan.solve(stimulus).unwrap());
-    out.extend(bits(&plan.solve_windowed(stimulus, 4).unwrap()));
-    out
+/// What a request runs on a plan at `windows` windows, as
+/// state-coefficient bits: a windowed solve (its kernel built on first
+/// use), or the windowed Newton solve for nonlinear plans.
+fn solve_bits(plan: &SimPlan, sim: &Simulation, stimulus: &InputSet, windows: usize) -> Vec<u64> {
+    let r = match plan.has_nonlinear() {
+        true => plan.solve_newton_windowed(sim.inputs().unwrap(), windows, &NewtonOptions::new()),
+        false => plan.solve_windowed(stimulus, windows),
+    };
+    bits(&r.unwrap())
 }
 
 /// The `g×g` RC mesh the serving benchmark drives: 100 Ω segments, 1 nF
@@ -112,42 +110,53 @@ fn diode_sim(r_load: f64) -> Simulation {
     Simulation::from_netlist(&s, &["l32"]).unwrap().horizon(2.0)
 }
 
-/// Builds `primer` then `variant` through one cache, checks the variant
-/// was a plan miss but a pattern hit whose build booked 0 symbolic + 1
-/// numeric factorizations, and that every solve on it equals a fresh
-/// plan's bit for bit.
+/// A step on every input of `sim`.
+fn steps(sim: &Simulation) -> InputSet {
+    let n = sim.model().num_inputs();
+    InputSet::new((0..n).map(|_| Waveform::step(0.0, 1.0)).collect())
+}
+
+/// Builds `primer` then `variant` through one cache and checks the
+/// variant was a plan miss but a pattern hit. Its build books no
+/// factorization (a nonlinear plan's exact replay books 1 numeric), a
+/// linear plan's first 4-window solve 1 numeric, and its `W = 1` and
+/// `W = 4` solves equal a fresh plan's bit for bit, `W = 1` solved
+/// before `W = 4` and after it.
 fn check_pattern_hit(name: &str, primer: &Simulation, variant: &Simulation, m: usize) {
     let opts = SolveOptions::new().resolution(m);
-    let stimulus = InputSet::new(
-        (0..primer.model().num_inputs())
-            .map(|_| Waveform::step(0.0, 1.0))
-            .collect(),
-    );
-    let cache = PlanCache::new(4);
-    let (_, hit) = cache.get_or_plan_traced(primer, &opts).unwrap();
-    assert!(!hit);
-    let (plan, hit) = cache.get_or_plan_traced(variant, &opts).unwrap();
-    assert!(!hit, "{name}: a value edit must miss the plan tier");
-    let want = PatternStats {
-        hits: 1,
-        misses: 1,
-        fallbacks: 0,
-    };
-    assert_eq!(cache.pattern_stats(), want, "{name}");
-    let p = plan.factor_profile();
-    assert_eq!(
-        (p.num_symbolic, p.num_numeric),
-        (0, 1),
-        "{name}: build profile"
-    );
+    let stimulus = steps(primer);
+    for order in [[4, 1], [1, 4]] {
+        let cache = PlanCache::new(4);
+        let (_, hit) = cache.get_or_plan_traced(primer, &opts).unwrap();
+        assert!(!hit);
+        let (plan, hit) = cache.get_or_plan_traced(variant, &opts).unwrap();
+        assert!(!hit, "{name}: a value edit must miss the plan tier");
+        let want = PatternStats {
+            hits: 1,
+            misses: 1,
+            fallbacks: 0,
+        };
+        assert_eq!(cache.pattern_stats(), want, "{name}");
+        let p = plan.factor_profile();
+        let replayed = usize::from(plan.has_nonlinear());
+        let build = (p.num_symbolic, p.num_numeric);
+        assert_eq!(build, (0, replayed), "{name}: build profile");
 
-    let fresh = variant.plan(&opts).unwrap();
-    assert_eq!(
-        solve_bits(&plan, variant, &stimulus),
-        solve_bits(&fresh, variant, &stimulus),
-        "{name}: a pattern-hit plan must equal a fresh plan bit for bit"
-    );
-    assert_eq!(p.factor_nnz, fresh.factor_profile().factor_nnz, "{name}");
+        let fresh = variant.plan(&opts).unwrap();
+        for windows in order {
+            assert_eq!(
+                solve_bits(&plan, variant, &stimulus, windows),
+                solve_bits(&fresh, variant, &stimulus, windows),
+                "{name} {order:?}: a pattern-hit plan must equal a fresh plan bit for bit \
+                 at W = {windows}"
+            );
+            if windows == order[0] && windows == 4 && replayed == 0 {
+                let p = plan.factor_profile();
+                assert_eq!((p.num_symbolic, p.num_numeric), (0, 1), "{name}: W = 4");
+            }
+        }
+        assert_eq!(p.factor_nnz, fresh.factor_profile().factor_nnz, "{name}");
+    }
 }
 
 #[test]
@@ -172,7 +181,8 @@ fn pattern_hit_on_the_diode_ladder_equals_a_fresh_plan() {
 
 /// Value sets drawn as the serving benchmark's cold workload draws them
 /// — one mesh resistor scaled by 0.5–1.5 — replay exactly every time:
-/// no pattern fallback, and each plan equals a fresh one.
+/// no kernel falls back to a fresh factorization, and each plan equals
+/// a fresh one.
 #[test]
 fn mesh_cold_draws_never_fall_back() {
     let opts = SolveOptions::new().resolution(8);
@@ -197,15 +207,18 @@ fn mesh_cold_draws_never_fall_back() {
             edit.0,
             edit.1
         );
+        let p = plan.factor_profile();
+        assert_eq!((p.num_symbolic, p.num_numeric), (0, 1), "{edit:?}");
     }
     let stats = cache.pattern_stats();
     assert_eq!((stats.hits, stats.fallbacks), (draws, 0), "{stats:?}");
 }
 
 /// A value set a fresh factorization pivots differently is refused by
-/// the exact replay: the build factors fresh under the interned
-/// ordering, books 1 symbolic factorization like a fresh plan, and still
-/// equals the fresh plan bit for bit.
+/// the exact replay: the plan's first solve builds its `W = 1` kernel by
+/// a fresh factorization under the interned ordering, books 1 symbolic
+/// factorization like a fresh plan, and still equals the fresh plan bit
+/// for bit.
 #[test]
 fn pivot_mismatch_falls_back_to_a_fresh_factorization() {
     use opm::sparse::{CooMatrix, CsrMatrix};
@@ -232,19 +245,73 @@ fn pivot_mismatch_falls_back_to_a_fresh_factorization() {
     let variant = sim(8.0 - 1e-4);
     let plan = cache.get_or_plan(&variant, &opts).unwrap();
     let want = PatternStats {
-        hits: 0,
+        hits: 1,
         misses: 1,
-        fallbacks: 1,
+        fallbacks: 0,
     };
     assert_eq!(cache.pattern_stats(), want);
-    let p = plan.factor_profile();
-    assert_eq!((p.num_symbolic, p.num_numeric), (1, 0), "fallback profile");
+    let profile = |plan: &SimPlan| {
+        let p = plan.factor_profile();
+        (p.num_symbolic, p.num_numeric)
+    };
+    assert_eq!(profile(&plan), (0, 0), "build profile");
     let fresh = variant.plan(&opts).unwrap();
-    let stimulus = InputSet::new(vec![Waveform::step(0.0, 1.0)]);
-    assert_eq!(
-        solve_bits(&plan, &variant, &stimulus),
-        solve_bits(&fresh, &variant, &stimulus)
-    );
+    let stimulus = steps(&variant);
+    for windows in [1, 4] {
+        assert_eq!(
+            solve_bits(&plan, &variant, &stimulus, windows),
+            solve_bits(&fresh, &variant, &stimulus, windows),
+            "W = {windows}"
+        );
+        if windows == 1 {
+            assert_eq!(profile(&plan), (1, 0), "fallback profile");
+        }
+    }
+}
+
+/// An 8-section R–L–C ladder (1 Ω, 1 µH, 1 µF) whose first resistor is
+/// `r_first` ohms.
+fn rlc_ladder_sim(r_first: f64) -> Simulation {
+    let mut s = String::from("* R-L-C ladder\nV1 in 0 DC 1\n");
+    let mut prev = "in".to_string();
+    for k in 1..=8 {
+        let r = if k == 1 { r_first } else { 1.0 };
+        let _ = writeln!(s, "R{k} {prev} a{k} {r:e}");
+        let _ = writeln!(s, "L{k} a{k} n{k} 1u");
+        let _ = writeln!(s, "C{k} n{k} 0 1u");
+        prev = format!("n{k}");
+    }
+    s.push_str(".end\n");
+    Simulation::from_netlist(&s, &["n8"]).unwrap().horizon(0.1)
+}
+
+/// On the R–L–C ladder a fresh factor of the `W = 4` pencil pivots
+/// differently from the `W = 1` analysis, so the exact replay of that
+/// analysis refuses it and the kernel is factored fresh. A fresh plan
+/// and a pattern-hit plan (analysis from other values) therefore build
+/// the same kernels, and agree bit for bit at `W = 1` and `W = 4` in
+/// either order.
+#[test]
+fn kernels_pivot_on_their_own_values() {
+    let opts = SolveOptions::new().resolution(8);
+    let variant = rlc_ladder_sim(1.0);
+    let stimulus = steps(&variant);
+    for order in [[4, 1], [1, 4]] {
+        let cache = PlanCache::new(4);
+        cache.get_or_plan(&rlc_ladder_sim(1.3), &opts).unwrap();
+        let plan = cache.get_or_plan(&variant, &opts).unwrap();
+        let fresh = variant.plan(&opts).unwrap();
+        for windows in order {
+            assert_eq!(
+                solve_bits(&plan, &variant, &stimulus, windows),
+                solve_bits(&fresh, &variant, &stimulus, windows),
+                "{order:?}: W = {windows}"
+            );
+        }
+        // The fresh plan's recording, then its refused `W = 4` replay.
+        let p = fresh.factor_profile();
+        assert_eq!((p.num_symbolic, p.num_numeric), (2, 0), "{order:?}");
+    }
 }
 
 /// An RC ladder with a settable first resistor (a linear model for the
