@@ -266,6 +266,7 @@ fn main() {
     let factor = |key: &str| number(profile.as_ref(), &[key]);
     let (num_symbolic, num_numeric) = (factor("num_symbolic"), factor("num_numeric"));
     let factor_nnz = factor("factor_nnz");
+    let kernel_bytes = factor("kernel_bytes");
     let pattern_hits_before = stat("pattern_hits");
 
     // -- pattern phase: value-only variants, plan misses, pattern hits -----
@@ -329,12 +330,13 @@ fn main() {
     println!(
         "warm/cold {speedup:.2}×   hit rate {}   warm misses {warm_misses}   \
          warm pre-key hits {}   max |Δ| = {warm_delta:e}   \
-         profile {} symbolic + {} numeric, nnz(L+U) {}",
+         profile {} symbolic + {} numeric, nnz(L+U) {}, kernel bytes {}",
         show(hit_rate),
         show(warm_prekey_hits),
         show(num_symbolic),
         show(num_numeric),
         show(factor_nnz),
+        show(kernel_bytes),
     );
     println!(
         "pattern/cold {pattern_speedup:.2}×   pattern hits {}   max |Δ| vs fresh = \
@@ -368,7 +370,9 @@ fn main() {
          numeric: the 4-window kernel's exact replay), and \
          serve/pattern_vs_cold_speedup is the paired misses' median latency over the \
          variants'. serve/lu_nnz is \
-         the pinned plan's nnz(L+U). serve/failed_replies counts the replies over every \
+         the pinned plan's nnz(L+U) and serve/kernel_bytes the heap bytes of its built \
+         window kernels (W = 1 from the recording and W = {WINDOWS}; values and pivots, \
+         the pattern they share with the analysis not counted). serve/failed_replies counts the replies over every \
          phase that were not a usable 200. Each record carries its own bound; \
          ci/compare_bench.py --profile local|pr judges a regenerated run against this file. \
          Regenerate: cargo run --release -p opm-bench --bin serve_bench"
@@ -469,6 +473,14 @@ fn main() {
             "serve/lu_nnz",
             vec![
                 ("value", count(factor_nnz)),
+                ("class", Json::str("ceiling")),
+            ],
+        ),
+        // So may the factors' bytes.
+        rec(
+            "serve/kernel_bytes",
+            vec![
+                ("value", count(kernel_bytes)),
                 ("class", Json::str("ceiling")),
             ],
         ),

@@ -147,12 +147,17 @@ impl StepLattice {
     }
 
     /// The family's symbolic/numeric split plus the lattice's hit/miss
-    /// readout.
+    /// readout and the bytes of the factors it holds.
     pub(crate) fn profile(&self) -> FactorProfile {
         let stats = self.factors.stats();
+        let others: usize = (self.factors.values().iter())
+            .filter(|(exp, _)| *exp != self.first.0)
+            .map(|(_, lu)| lu.owned_bytes())
+            .sum();
         FactorProfile {
             cache_hits: stats.hits as usize,
             cache_misses: stats.misses as usize,
+            kernel_bytes: self.first.1.owned_bytes() + others,
             ..self.family.profile()
         }
     }
@@ -327,10 +332,14 @@ pub(crate) fn prepare_step_grid(
             .factor_all(&weights[1..], opm_par::default_threads())
             .map_err(|(j, e)| at_column(j + 1, e))?,
     );
+    let profile = FactorProfile {
+        kernel_bytes: lus.iter().map(SparseLu::owned_bytes).sum(),
+        ..family.profile()
+    };
     Ok(StepGridFactors {
         f_cols,
         lus,
-        profile: family.profile(),
+        profile,
     })
 }
 

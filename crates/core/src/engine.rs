@@ -231,13 +231,14 @@ impl PatternAnalysis {
 /// takes the ordering and analysis from the cache's pattern tier when
 /// another plan already recorded them on this pattern, and pays at most
 /// an exact numeric replay of the reference weights. A window kernel is
-/// [`PencilFamily::factor_exact`]; every other weight vector is a
-/// numeric-only [`SparseLu::refactor`], with an automatic fall back to a
-/// fresh pivoted factorization when a fixed pivot degrades past
-/// [`LuOptions::refactor_threshold`]. Fallbacks do not replace the
-/// recorded analysis, so the factors produced for given weights are
-/// independent of the order — or the thread — in which they are
-/// requested.
+/// an exact replay ([`SparseLu::refactor_exact`]) or, where it refuses,
+/// a fresh factor under the recorded ordering; every other weight
+/// vector is a numeric-only [`SparseLu::refactor`], with an automatic
+/// fall back to a fresh pivoted factorization when a fixed pivot
+/// degrades past [`LuOptions::refactor_threshold`]. Fallbacks do not
+/// replace the recorded analysis, so the factors produced for given
+/// weights are independent of the order — or the thread — in which
+/// they are requested.
 ///
 /// # Thread safety
 ///
@@ -322,12 +323,17 @@ impl PencilFamily {
         self.factor_into(weights, &mut Vec::new())
     }
 
-    /// [`PencilFamily::factor`] with a caller-owned value buffer.
+    /// [`PencilFamily::factor`] with a caller-owned value buffer. The
+    /// factor owns only its values: a replay shares the recorded pattern.
     fn factor_into(&self, weights: &[f64], vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
         self.pencil.combined_values(weights, vals);
-        let mut lu = SparseLu::default();
-        self.refactor_into(vals, &mut lu)?;
-        Ok(lu)
+        match SparseLu::refactor(self.shared.symbolic(), vals) {
+            Ok(lu) => {
+                self.numeric.fetch_add(1, Ordering::Relaxed);
+                Ok(lu)
+            }
+            Err(refused) => self.fall_back(refused, vals),
+        }
     }
 
     /// The fresh factor of `Σ_k weights[k]·A_k` under the recorded
@@ -347,9 +353,9 @@ impl PencilFamily {
         Ok(lu)
     }
 
-    /// The one refactor-with-fallback path: a numeric-only
-    /// [`SparseLu::refactor_into`] of `values` (laid out on the union
-    /// pattern) into `lu`'s storage, and on
+    /// The in-place refactor with fallback (Newton iterates): a
+    /// numeric-only [`SparseLu::refactor_into`] of `values` (laid out on
+    /// the union pattern) into `lu`'s storage, and on
     /// [`SparseError::PivotDegraded`] a fresh pivoted factorization of
     /// the same values under the recorded ordering in its place. The
     /// recorded analysis itself never changes, so the factor for a value
@@ -361,15 +367,26 @@ impl PencilFamily {
                 self.numeric.fetch_add(1, Ordering::Relaxed);
                 Ok(false)
             }
-            Err(SparseError::PivotDegraded(_)) => {
-                let mut csc = self.pencil.pattern().clone();
-                csc.values_mut().copy_from_slice(values);
-                *lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
-                self.symbolic.fetch_add(1, Ordering::Relaxed);
+            Err(refused) => {
+                *lu = self.fall_back(refused, values)?;
                 Ok(true)
             }
-            Err(e) => Err(singular(e)),
         }
+    }
+
+    /// Where a replay `refused` `values` on [`SparseError::PivotDegraded`],
+    /// their fresh pivoted factorization under the recorded ordering,
+    /// booked symbolic (it has a pattern of its own); any other refusal
+    /// is the pencil's singularity.
+    fn fall_back(&self, refused: SparseError, values: &[f64]) -> Result<SparseLu, OpmError> {
+        let SparseError::PivotDegraded(_) = refused else {
+            return Err(singular(refused));
+        };
+        let mut csc = self.pencil.pattern().clone();
+        csc.values_mut().copy_from_slice(values);
+        let lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
+        self.symbolic.fetch_add(1, Ordering::Relaxed);
+        Ok(lu)
     }
 
     /// Factors every weight vector in `weights`, numerically refactoring
@@ -1002,6 +1019,75 @@ mod tests {
         for (l1, l4) in lus_1.iter().zip(&lus_4) {
             assert_eq!(l1.solve(&[1.0]), l4.solve(&[1.0]));
         }
+    }
+
+    /// The pivot-degradation fallback, and back: recorded weights
+    /// refactor on the analysis, weights that cancel a recorded pivot get
+    /// a fresh factor of their own (booked symbolic), and the recorded
+    /// pattern serves the next weights again. Every factor solves bit for
+    /// bit like `SparseLu::factor` of its values under the recorded
+    /// ordering, and a refactor in place over the fallback factor or a
+    /// factor of another dimension equals a refactor from scratch.
+    #[test]
+    fn pivot_degradation_falls_back_to_a_fresh_factor_and_back() {
+        // σ·I − A, A tridiagonal with −2 on the diagonal and 1 beside
+        // it: every pivot the recorded order takes first is σ + 2, so at
+        // σ = −2 + 1e-15 it degrades against an off-diagonal 1, while
+        // the pencil stays nonsingular (n even).
+        let n = 8;
+        let mut a = CooMatrix::new(n, n);
+        for i in 0..n {
+            a.push(i, i, -2.0);
+            if i + 1 < n {
+                a.push(i, i + 1, 1.0);
+                a.push(i + 1, i, 1.0);
+            }
+        }
+        let (e, a) = (CsrMatrix::identity(n), a.to_csr());
+        let (family, _) = PencilFamily::new(&[&e, &a], &[1.0, -1.0]).unwrap();
+        let one_shot = |sigma: f64| {
+            let mut csc = family.pencil.pattern().clone();
+            let mut vals = Vec::new();
+            family.pencil.combined_values(&[sigma, -1.0], &mut vals);
+            csc.values_mut().copy_from_slice(&vals);
+            SparseLu::factor(&csc, Some(family.shared.order())).unwrap()
+        };
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let bits =
+            |lu: &SparseLu| -> Vec<u64> { lu.solve(&b).iter().map(|v| v.to_bits()).collect() };
+
+        let degraded = -2.0 + 1e-15;
+        let mut booked = Vec::new();
+        for sigma in [1.0, degraded, 3.0] {
+            let lu = family.factor(&[sigma, -1.0]).unwrap();
+            assert_eq!(bits(&lu), bits(&one_shot(sigma)), "σ = {sigma}");
+            let p = family.profile();
+            booked.push((p.num_symbolic, p.num_numeric));
+        }
+        assert_eq!(booked, [(1, 1), (2, 1), (2, 2)], "(symbolic, numeric)");
+        let fallback = family.factor(&[degraded, -1.0]).unwrap();
+        assert_eq!(
+            fallback,
+            one_shot(degraded),
+            "the fallback is the fresh factor"
+        );
+
+        let mut vals = Vec::new();
+        let other_dim = SparseLu::factor(&CsrMatrix::identity(3).to_csc(), None).unwrap();
+        for mut lu in [fallback, other_dim] {
+            family
+                .factor_stamped(&[3.0, -1.0], &mut vals, &mut lu, |_| {})
+                .unwrap();
+            assert_eq!(lu, family.factor(&[3.0, -1.0]).unwrap());
+        }
+        // A Newton iterate on degraded values falls back in place.
+        let mut lu = family.factor(&[3.0, -1.0]).unwrap();
+        family
+            .factor_stamped(&[degraded, -1.0], &mut vals, &mut lu, |_| {})
+            .unwrap();
+        assert_eq!(lu, one_shot(degraded));
+        let p = family.profile();
+        assert_eq!((p.newton_refactors, p.newton_fresh_fallbacks), (2, 1));
     }
 
     #[test]

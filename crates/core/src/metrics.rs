@@ -37,6 +37,13 @@ pub struct FactorProfile {
     /// every column solve (0 when not captured). Deterministic, so a
     /// fill regression shows up without timing noise.
     pub factor_nnz: usize,
+    /// Heap bytes of the factors a plan holds: its built window kernels
+    /// (uniform plans), its per-column factors (step-grid plans) or its
+    /// step-lattice factors (adaptive plans). Only values and pivots
+    /// count: every factor replayed on an analysis shares that
+    /// analysis's pattern, which is not counted. 0 for a pencil family,
+    /// which keeps no factor.
+    pub kernel_bytes: usize,
     /// Newton iterations of a nonlinear plan's column solves (on a linear
     /// netlist, `solve_newton_windowed` books one per column — the
     /// single iteration a linear column takes by construction).
@@ -71,6 +78,7 @@ impl FactorProfile {
             ("num_windows".into(), int(self.num_windows)),
             ("factor_cols".into(), int(self.factor_cols)),
             ("factor_nnz".into(), int(self.factor_nnz)),
+            ("kernel_bytes".into(), int(self.kernel_bytes)),
             ("newton_iters".into(), int(self.newton_iters)),
             ("newton_refactors".into(), int(self.newton_refactors)),
             (

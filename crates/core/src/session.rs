@@ -883,9 +883,17 @@ impl SimPlan {
     /// every pencil after the first is a numeric-only refactorization.
     /// A plan built through a [`crate::PlanCache`] whose pattern tier
     /// replayed its analysis reports 0 symbolic + 1 more numeric.
+    /// `kernel_bytes` reads the values and pivots of the factors the
+    /// plan holds when asked (built window kernels, step-grid columns or
+    /// lattice factors), without the pattern they share.
     pub fn factor_profile(&self) -> FactorProfile {
         let p = match &self.kind {
-            PlanKind::Uniform(u) => u.pencil.profile(),
+            PlanKind::Uniform(u) => FactorProfile {
+                kernel_bytes: (u.kernels.values().iter())
+                    .map(|(_, kernel)| kernel.lu.owned_bytes())
+                    .sum(),
+                ..u.pencil.profile()
+            },
             PlanKind::AdaptiveLinear { lattice, .. } => lattice.profile(),
             PlanKind::StepGrid(sg) => sg.factors.profile(),
         };
@@ -2322,6 +2330,8 @@ mod tests {
         let p = plan.factor_profile();
         assert_eq!((p.num_symbolic, p.num_numeric), (1, 0));
         assert_eq!(p.num_factorizations(), 1);
+        // Its `W = 1` kernel: one pivot, 8 bytes.
+        assert_eq!((p.factor_nnz, p.kernel_bytes), (1, 8));
 
         // Step grid: 12 pencils = 1 analysis + 11 refactorizations.
         let fsys = FractionalSystem::new(0.5, scalar(-1.0)).unwrap();
@@ -2331,6 +2341,7 @@ mod tests {
         let p = planf.factor_profile();
         assert_eq!((p.num_symbolic, p.num_numeric), (1, 11));
         assert_eq!(p.num_factorizations(), 12);
+        assert_eq!(p.kernel_bytes, 12 * 8, "one factor per column");
 
         // Adaptive lattice: the cache readout counts hits across
         // scenarios, and only the first miss is symbolic.
@@ -2348,6 +2359,11 @@ mod tests {
         let p1 = plana.factor_profile();
         assert_eq!(p1.num_symbolic, 1, "first lattice exponent analyzes");
         assert_eq!(p1.num_numeric, p1.cache_misses - 1, "the rest refactor");
+        assert_eq!(
+            p1.kernel_bytes,
+            8 * p1.cache_misses,
+            "one factor per exponent"
+        );
         plana
             .solve(&InputSet::new(vec![Waveform::Dc(2.0)]))
             .unwrap();

@@ -143,8 +143,12 @@ fn n_requests_one_factorization() {
     let plans = doc.get("plans").unwrap().as_array().unwrap();
     assert_eq!(plans.len(), 1);
     let profile = plans[0].get("profile").unwrap();
-    assert_eq!(profile.get("num_symbolic").unwrap().as_usize(), Some(1));
-    assert_eq!(profile.get("num_numeric").unwrap().as_usize(), Some(1));
+    let member = |k: &str| profile.get(k).unwrap().as_usize().unwrap();
+    assert_eq!(member("num_symbolic"), 1);
+    assert_eq!(member("num_numeric"), 1);
+    // Two kernels, the recording's (W = 1) and W = 4, on one pattern:
+    // 8 bytes per stored entry each.
+    assert_eq!(member("kernel_bytes"), 2 * 8 * member("factor_nnz"));
 
     let solve = doc.get("requests").unwrap().get("solve").unwrap();
     assert_eq!(solve.get("count").unwrap().as_usize(), Some(8));
@@ -667,13 +671,19 @@ fn value_variant_is_a_pattern_hit() {
                 "scenarios": [[{{"kind": "step", "level": 5.0}}]]}}"#
         )
     };
+    let member = |doc: &Json, k: &str| {
+        let p = doc.get("profile").unwrap();
+        p.get(k).unwrap().as_usize().unwrap()
+    };
     let primer = post_fresh_miss(server.addr(), &body("1k"));
-    let p = primer.get("profile").unwrap();
-    assert_eq!(p.get("num_symbolic").unwrap().as_usize(), Some(1));
+    assert_eq!(member(&primer, "num_symbolic"), 1);
     let variant = post_fresh_miss(server.addr(), &body("2.2k"));
-    let p = variant.get("profile").unwrap();
-    assert_eq!(p.get("num_symbolic").unwrap().as_usize(), Some(0));
-    assert_eq!(p.get("num_numeric").unwrap().as_usize(), Some(1));
+    assert_eq!(member(&variant, "num_symbolic"), 0);
+    assert_eq!(member(&variant, "num_numeric"), 1);
+    // Each plan holds one kernel, its values on the shared pattern.
+    for doc in [&primer, &variant] {
+        assert_eq!(member(doc, "kernel_bytes"), 8 * member(doc, "factor_nnz"));
+    }
 
     let doc = client::get(server.addr(), "/metrics")
         .unwrap()

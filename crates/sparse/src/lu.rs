@@ -36,12 +36,31 @@
 //! the same ordering — the contract a pattern-keyed analysis cache
 //! needs to stand in for a fresh analysis.
 //!
+//! # Storage
+//!
+//! A factorization is an index half and a value half. The index half
+//! (the pattern) holds both permutations and the flat compressed-column
+//! patterns of `L` (strictly lower, pivotal row indices) and `U` (above
+//! the diagonal, each column in the order the elimination applies its
+//! updates). It is immutable and `Arc`-shared: a [`SymbolicLu`] and
+//! every factor replayed on it hold one pattern, and only a fresh
+//! factorization ([`SparseLu::factor`], or the factor that comes with a
+//! recording) makes a new one. The value half is all a factor owns:
+//! the `L` and `U` values, one flat array each aligned with the
+//! pattern's indices, and the `U` diagonal (the pivots) — 8 bytes per
+//! stored entry of `L + U`. [`SparseLu::owned_bytes`] reports it.
+//! [`SparseLu::refactor_into`] overwrites the values of a factor in
+//! place, and keeps the replay's `n`-entry accumulator for the next
+//! call.
+//!
 //! # Triangular solves
 //!
 //! Every solve is one forward and one backward sparse column sweep over
 //! the stored `L` and `U` columns, `O(nnz(L+U))` per right-hand side:
 //! [`SparseLu::solve_into`] for one vector, [`SparseLu::solve_block_into`]
-//! for lane blocks in register-width panels. There is no dense mirror of
+//! for lane blocks in register-width panels. Within a column every
+//! update goes to a different row, so the order `U` stores its columns
+//! in does not change a bit of any solve. There is no dense mirror of
 //! the factors' filled trailing corner (the separator columns minimum
 //! degree orders last): measured end to end, solving that corner densely
 //! bought no time and cost peak memory.
@@ -50,6 +69,9 @@ use crate::csc::CscMatrix;
 use crate::perm::Permutation;
 use crate::SparseError;
 use opm_linalg::panel::LANE_PANEL_WIDTH;
+use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// [`SymbolicLu`]'s marker for a column whose diagonal row was not a
 /// pivot candidate.
@@ -93,6 +115,44 @@ impl Default for LuOptions {
     }
 }
 
+/// The index half of a factorization (see the module's storage
+/// section), shared by `Arc` between an analysis and its factors.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct LuPattern {
+    /// `row_perm[k]` = original row chosen as pivot `k`.
+    row_perm: Vec<usize>,
+    /// Column ordering: position `k` factors original column `col_perm[k]`.
+    col_perm: Permutation,
+    /// Strictly-lower `L` entries of column `k` (pivotal positions `> k`)
+    /// at `l_idx[l_ptr[k]..l_ptr[k + 1]]`, in the pivot search's scan
+    /// order.
+    l_ptr: Vec<usize>,
+    l_idx: Vec<usize>,
+    /// `U` entries of column `k` above the diagonal (pivotal positions
+    /// `< k`) at `u_idx[u_ptr[k]..u_ptr[k + 1]]`, in the topological
+    /// order the elimination applies them.
+    u_ptr: Vec<usize>,
+    u_idx: Vec<usize>,
+}
+
+impl LuPattern {
+    fn dim(&self) -> usize {
+        self.row_perm.len()
+    }
+
+    /// Slot range of `L` column `k` in `l_idx` and the value array.
+    #[inline(always)]
+    fn l_col(&self, k: usize) -> Range<usize> {
+        self.l_ptr[k]..self.l_ptr[k + 1]
+    }
+
+    /// Slot range of `U` column `k` in `u_idx` and the value array.
+    #[inline(always)]
+    fn u_col(&self, k: usize) -> Range<usize> {
+        self.u_ptr[k]..self.u_ptr[k + 1]
+    }
+}
+
 /// The reusable symbolic half of a sparse LU: fill pattern, pivot and
 /// column order, and per-column elimination reach in topological order.
 ///
@@ -100,7 +160,8 @@ impl Default for LuOptions {
 /// (alongside the numeric factors of the analyzed matrix), then amortized
 /// over every [`SparseLu::refactor`] with new values on the *same*
 /// pattern. The struct is immutable and `Sync`, so one analysis can feed
-/// any number of concurrent refactorizations.
+/// any number of concurrent refactorizations, and every factor replayed
+/// on it shares its pattern instead of copying it.
 ///
 /// ```
 /// use opm_sparse::{CooMatrix, lu::{SparseLu, SymbolicLu}};
@@ -119,29 +180,19 @@ impl Default for LuOptions {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct SymbolicLu {
-    n: usize,
-    /// Column ordering shared with every refactorization.
-    col_perm: Permutation,
-    /// `row_perm[k]` = original row pinned as pivot `k`.
-    row_perm: Vec<usize>,
+    /// Permutations and the `L`/`U` patterns every replay writes values
+    /// for (the reach of column `k` is its `U` pattern, in update order).
+    pattern: Arc<LuPattern>,
     /// Flat scatter map: input value slot `p` (CSC pattern order) lands
     /// at pivotal row `a_dst[p]` of its column.
     a_dst: Vec<usize>,
     /// Per pivotal column `k`: the slot range of original column
     /// `col_perm[k]` in the input value array.
     a_range: Vec<(usize, usize)>,
-    /// U pattern per column (pivotal positions `< k`), flattened, in the
-    /// topological order the numeric update loop must follow.
-    u_ptr: Vec<usize>,
-    u_idx: Vec<usize>,
-    /// L pattern per column (pivotal positions `> k`), flattened.
-    l_ptr: Vec<usize>,
-    l_idx: Vec<usize>,
     /// Per pivotal column `k`: the pivot's slot among the column's
     /// pivot candidates (the rows still unpivoted when column `k` was
     /// eliminated) in the order the analysis scanned them — the L
-    /// pattern `l_idx[l_ptr[k]..l_ptr[k + 1]]` with the pivot inserted
-    /// at this slot.
+    /// pattern of column `k` with the pivot inserted at this slot.
     piv_slot: Vec<usize>,
     /// Per pivotal column: the diagonal row's slot in the same candidate
     /// list, [`NO_SLOT`] when the diagonal was not a candidate.
@@ -167,7 +218,7 @@ impl SymbolicLu {
 
     /// Factors `a` with explicit options, returning both the symbolic
     /// analysis (reusable for every matrix sharing `a`'s pattern) and
-    /// the numeric factors of `a` itself.
+    /// the numeric factors of `a` itself, which share its pattern.
     ///
     /// Unlike [`SparseLu::factor_with`], entries of the elimination
     /// reach that happen to be numerically zero for *this* value set are
@@ -187,7 +238,7 @@ impl SymbolicLu {
 
     /// Dimension of the analyzed pattern.
     pub fn dim(&self) -> usize {
-        self.n
+        self.pattern.dim()
     }
 
     /// Stored entries of the analyzed input pattern — the length
@@ -199,7 +250,7 @@ impl SymbolicLu {
     /// Stored entries in the factors (`L` strictly lower + `U` incl.
     /// diagonal) every refactorization will produce.
     pub fn factor_nnz(&self) -> usize {
-        self.l_idx.len() + self.u_idx.len() + self.n
+        self.pattern.l_idx.len() + self.pattern.u_idx.len() + self.dim()
     }
 }
 
@@ -224,23 +275,45 @@ impl SymbolicLu {
 ///
 /// `SparseLu::default()` is the factor of the `0 × 0` matrix: an empty
 /// slot for [`SparseLu::refactor_into`] to fill.
-#[derive(Clone, Debug, Default, PartialEq)]
+///
+/// Two factors are equal (`==`, and `Debug` prints them alike) when
+/// their patterns and values are; the in-place replay's accumulator is
+/// scratch, not part of the factor.
+#[derive(Clone, Default)]
 pub struct SparseLu {
-    n: usize,
-    /// Strictly-lower entries of `L` per column, in pivotal row indices.
-    l_cols: Vec<Vec<(usize, f64)>>,
-    /// Upper entries of `U` per column (positions `< k`), pivotal indices.
-    u_cols: Vec<Vec<(usize, f64)>>,
+    /// Permutations and `L`/`U` patterns, shared with the analysis the
+    /// factor was replayed on.
+    pattern: Arc<LuPattern>,
+    /// Strictly-lower `L` values, aligned with the pattern's `l_idx`.
+    l_vals: Vec<f64>,
+    /// Above-diagonal `U` values, aligned with the pattern's `u_idx`.
+    u_vals: Vec<f64>,
     /// `U[k,k]` pivots.
     u_diag: Vec<f64>,
-    /// `row_perm[k]` = original row chosen as pivot `k`.
-    row_perm: Vec<usize>,
-    /// Column ordering: position `k` factors original column `col_perm[k]`.
-    col_perm: Permutation,
-    /// The numeric replay's dense accumulator: `n` zeros between
-    /// factorizations, kept so [`SparseLu::refactor_into`] allocates
-    /// nothing.
+    /// The numeric replay's dense accumulator, kept by
+    /// [`SparseLu::refactor_into`] (`n` zeros between calls) so that
+    /// refilling a factor allocates nothing; empty otherwise.
     work: Vec<f64>,
+}
+
+impl PartialEq for SparseLu {
+    fn eq(&self, other: &Self) -> bool {
+        self.pattern == other.pattern
+            && self.l_vals == other.l_vals
+            && self.u_vals == other.u_vals
+            && self.u_diag == other.u_diag
+    }
+}
+
+impl fmt::Debug for SparseLu {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SparseLu")
+            .field("pattern", &self.pattern)
+            .field("l_vals", &self.l_vals)
+            .field("u_vals", &self.u_vals)
+            .field("u_diag", &self.u_diag)
+            .finish_non_exhaustive()
+    }
 }
 
 impl SparseLu {
@@ -270,7 +343,8 @@ impl SparseLu {
     /// fixed pivot order, fixed fill, no reach discovery. `values` must
     /// be the value array of a CSC with the analyzed pattern (see
     /// [`CscMatrix::values`]), e.g. one produced by
-    /// [`crate::pencil::ShiftedPencil::shift_values`].
+    /// [`crate::pencil::ShiftedPencil::shift_values`]. The factor shares
+    /// `sym`'s pattern and owns only its values.
     ///
     /// Refactoring with the values the analysis itself was run on
     /// replays the exact same pivots and update sequence, so downstream
@@ -286,16 +360,14 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
-        let mut lu = SparseLu::default();
-        lu.refactor_into(sym, values)?;
-        Ok(lu)
+        Self::replayed(sym, values, PivotRule::Guarded)
     }
 
     /// [`SparseLu::refactor`] into this factor's storage: on success
-    /// `self` equals, field for field, what `SparseLu::refactor(sym,
-    /// values)` returns, whatever it held before (another dimension,
-    /// other pivots), and a factor that already holds this analysis's
-    /// pattern is refilled without a heap allocation.
+    /// `self` equals what `SparseLu::refactor(sym, values)` returns,
+    /// whatever it held before (another dimension, other pivots), and a
+    /// factor that already holds this analysis's pattern is refilled
+    /// without a heap allocation.
     ///
     /// # Errors
     /// As [`SparseLu::refactor`]. On error `self` holds a partial
@@ -304,7 +376,22 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor_into(&mut self, sym: &SymbolicLu, values: &[f64]) -> Result<(), SparseError> {
-        self.replay(sym, values, PivotRule::Guarded)
+        check_values(sym, values);
+        let p = &sym.pattern;
+        self.pattern = Arc::clone(p);
+        // Every value is overwritten by a successful replay.
+        self.l_vals.resize(p.l_idx.len(), 0.0);
+        self.u_vals.resize(p.u_idx.len(), 0.0);
+        self.u_diag.resize(p.dim(), 0.0);
+        self.work.clear();
+        self.work.resize(p.dim(), 0.0);
+        replay(
+            sym,
+            values,
+            PivotRule::Guarded,
+            (&mut self.l_vals, &mut self.u_vals, &mut self.u_diag),
+            &mut self.work,
+        )
     }
 
     /// Exact replay: [`SparseLu::refactor`] under a pivot rule that
@@ -328,126 +415,64 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor_exact(sym: &SymbolicLu, values: &[f64]) -> Result<Self, SparseError> {
-        let mut lu = SparseLu::default();
-        lu.replay(sym, values, PivotRule::Exact)?;
-        Ok(lu)
+        Self::replayed(sym, values, PivotRule::Exact)
     }
 
-    /// The numeric replay behind [`SparseLu::refactor_into`] and
-    /// [`SparseLu::refactor_exact`]: one loop, two pivot rules, written
-    /// into `self`'s storage.
-    fn replay(
-        &mut self,
-        sym: &SymbolicLu,
-        values: &[f64],
-        rule: PivotRule,
-    ) -> Result<(), SparseError> {
-        assert_eq!(
-            values.len(),
-            sym.pattern_nnz(),
-            "refactor: value array does not match the analyzed pattern"
-        );
-        let n = sym.n;
-        self.n = n;
-        self.l_cols.resize_with(n, Vec::new);
-        self.u_cols.resize_with(n, Vec::new);
-        self.u_diag.clear();
-        self.u_diag.resize(n, 0.0);
-        self.row_perm.clone_from(&sym.row_perm);
-        self.col_perm.clone_from(&sym.col_perm);
-        // Dense accumulator in *pivotal* row coordinates.
-        let x = &mut self.work;
-        x.clear();
-        x.resize(n, 0.0);
-
-        for k in 0..n {
-            let upat = &sym.u_idx[sym.u_ptr[k]..sym.u_ptr[k + 1]];
-            let lpat = &sym.l_idx[sym.l_ptr[k]..sym.l_ptr[k + 1]];
-
-            // Scatter A[:, col_perm[k]] into pivotal positions,
-            // rejecting non-finite input values up front (they would
-            // otherwise slip past the pivot checks into the factors).
-            let (lo, hi) = sym.a_range[k];
-            let mut finite = true;
-            for (p, &v) in (lo..hi).zip(&values[lo..hi]) {
-                finite &= v.is_finite();
-                x[sym.a_dst[p]] = v;
-            }
-            if !finite {
-                return Err(SparseError::Singular(k));
-            }
-
-            // Sparse triangular solve over the recorded reach, in the
-            // recorded topological order — the same update sequence the
-            // analysis performed, hence bitwise-reproducible.
-            for &j in upat {
-                let xj = x[j];
-                if xj != 0.0 {
-                    for &(i, lv) in &self.l_cols[j] {
-                        x[i] -= lv * xj;
-                    }
-                }
-            }
-
-            // The recorded pivot, checked against the rule.
-            let pivot = x[k];
-            let refused = match rule {
-                PivotRule::Guarded => {
-                    let mut max_cand = pivot.abs();
-                    for &i in lpat {
-                        max_cand = max_cand.max(x[i].abs());
-                    }
-                    if !pivot.is_finite() || (pivot == 0.0 && max_cand == 0.0) {
-                        Some(SparseError::Singular(k))
-                    } else if pivot.abs() < sym.refactor_threshold * max_cand {
-                        Some(SparseError::PivotDegraded(k))
-                    } else {
-                        None
-                    }
-                }
-                PivotRule::Exact => (fresh_pivot_slot(sym, k, x, lpat) != Some(sym.piv_slot[k]))
-                    .then_some(SparseError::PivotMismatch(k)),
-            };
-            if let Some(err) = refused {
-                return Err(err);
-            }
-
-            // Gather into the fixed factor pattern; reset workspace. U is
-            // gathered in the analysis's emission order (the reverse of
-            // the update order), so the stored factors match a fresh
-            // factorization entry for entry. The reservations are exact:
-            // a column refilled in place keeps its capacity, and a fresh
-            // one gets no growth slack.
-            let ucol = &mut self.u_cols[k];
-            ucol.clear();
-            ucol.reserve_exact(upat.len());
-            for &i in upat.iter().rev() {
-                ucol.push((i, x[i]));
-                x[i] = 0.0;
-            }
-            let lcol = &mut self.l_cols[k];
-            lcol.clear();
-            lcol.reserve_exact(lpat.len());
-            for &i in lpat {
-                lcol.push((i, x[i] / pivot));
-                x[i] = 0.0;
-            }
-            x[k] = 0.0;
-            self.u_diag[k] = pivot;
-        }
-        Ok(())
+    /// A new factor on `sym`'s pattern, its values replayed under `rule`.
+    fn replayed(sym: &SymbolicLu, values: &[f64], rule: PivotRule) -> Result<Self, SparseError> {
+        check_values(sym, values);
+        let p = &sym.pattern;
+        let mut lu = SparseLu {
+            pattern: Arc::clone(p),
+            l_vals: vec![0.0; p.l_idx.len()],
+            u_vals: vec![0.0; p.u_idx.len()],
+            u_diag: vec![0.0; p.dim()],
+            work: Vec::new(),
+        };
+        replay(
+            sym,
+            values,
+            rule,
+            (&mut lu.l_vals, &mut lu.u_vals, &mut lu.u_diag),
+            &mut vec![0.0; p.dim()],
+        )?;
+        Ok(lu)
     }
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.n
+        self.pattern.dim()
     }
 
     /// Stored entries in `L` (strictly lower) plus `U` (including diagonal).
     pub fn nnz(&self) -> usize {
-        self.l_cols.iter().map(Vec::len).sum::<usize>()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
-            + self.n
+        self.l_vals.len() + self.u_vals.len() + self.u_diag.len()
+    }
+
+    /// Heap bytes the factor owns: its `L` and `U` values, its pivots
+    /// and, once refactored in place, the replay's accumulator. The
+    /// pattern, shared with the analysis and every factor replayed on
+    /// it, is not counted.
+    pub fn owned_bytes(&self) -> usize {
+        let floats = self.l_vals.capacity()
+            + self.u_vals.capacity()
+            + self.u_diag.capacity()
+            + self.work.capacity();
+        floats * std::mem::size_of::<f64>()
+    }
+
+    /// Row indices and values of `L` column `k` (pivotal positions `> k`).
+    #[inline(always)]
+    fn l_col(&self, k: usize) -> (&[usize], &[f64]) {
+        let r = self.pattern.l_col(k);
+        (&self.pattern.l_idx[r.clone()], &self.l_vals[r])
+    }
+
+    /// Row indices and values of `U` column `k` above the diagonal.
+    #[inline(always)]
+    fn u_col(&self, k: usize) -> (&[usize], &[f64]) {
+        let r = self.pattern.u_col(k);
+        (&self.pattern.u_idx[r.clone()], &self.u_vals[r])
     }
 
     /// Solves `A·x = b`.
@@ -455,8 +480,9 @@ impl SparseLu {
     /// # Panics
     /// Panics when `b.len() != self.dim()`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n];
-        self.solve_into(b, &mut out, &mut vec![0.0; self.n]);
+        let n = self.dim();
+        let mut out = vec![0.0; n];
+        self.solve_into(b, &mut out, &mut vec![0.0; n]);
         out
     }
 
@@ -467,36 +493,39 @@ impl SparseLu {
     /// # Panics
     /// Panics when slice lengths differ from `self.dim()`.
     pub fn solve_into(&self, b: &[f64], out: &mut [f64], scratch: &mut [f64]) {
-        assert_eq!(b.len(), self.n, "solve: rhs length mismatch");
-        assert_eq!(out.len(), self.n, "solve: out length mismatch");
-        assert_eq!(scratch.len(), self.n, "solve: scratch length mismatch");
+        let n = self.dim();
+        assert_eq!(b.len(), n, "solve: rhs length mismatch");
+        assert_eq!(out.len(), n, "solve: out length mismatch");
+        assert_eq!(scratch.len(), n, "solve: scratch length mismatch");
         // y ← P·b in pivotal order.
         let y = scratch;
-        for (yk, &r) in y.iter_mut().zip(&self.row_perm) {
+        for (yk, &r) in y.iter_mut().zip(&self.pattern.row_perm) {
             *yk = b[r];
         }
         // Forward solve L·z = y (unit diagonal, column sweep).
-        for k in 0..self.n {
+        for k in 0..n {
             let yk = y[k];
             if yk != 0.0 {
-                for &(i, lv) in &self.l_cols[k] {
+                let (idx, vals) = self.l_col(k);
+                for (&i, &lv) in idx.iter().zip(vals) {
                     y[i] -= lv * yk;
                 }
             }
         }
         // Back solve U·w = z (column sweep from the right).
-        for k in (0..self.n).rev() {
+        for k in (0..n).rev() {
             y[k] /= self.u_diag[k];
             let yk = y[k];
             if yk != 0.0 {
-                for &(i, uv) in &self.u_cols[k] {
+                let (idx, vals) = self.u_col(k);
+                for (&i, &uv) in idx.iter().zip(vals) {
                     y[i] -= uv * yk;
                 }
             }
         }
         // Undo column permutation: x[q[k]] = w[k].
-        for k in 0..self.n {
-            out[self.col_perm.old_of(k)] = y[k];
+        for k in 0..n {
+            out[self.pattern.col_perm.old_of(k)] = y[k];
         }
     }
 
@@ -524,8 +553,16 @@ impl SparseLu {
     /// `self.dim() * lanes`.
     pub fn solve_block_into(&self, b: &[f64], out: &mut [f64], lanes: usize) {
         assert!(lanes > 0, "solve_block: zero lanes");
-        assert_eq!(b.len(), self.n * lanes, "solve_block: rhs size mismatch");
-        assert_eq!(out.len(), self.n * lanes, "solve_block: out size mismatch");
+        assert_eq!(
+            b.len(),
+            self.dim() * lanes,
+            "solve_block: rhs size mismatch"
+        );
+        assert_eq!(
+            out.len(),
+            self.dim() * lanes,
+            "solve_block: out size mismatch"
+        );
         #[cfg(target_arch = "x86_64")]
         if opm_linalg::panel::avx_available() {
             // SAFETY: the `avx` target feature was detected on this CPU.
@@ -545,30 +582,32 @@ impl SparseLu {
     /// # Panics
     /// As [`solve_block_into`](Self::solve_block_into).
     pub fn solve_block_into_scalar(&self, b: &[f64], out: &mut [f64], lanes: usize) {
+        let n = self.dim();
         assert!(lanes > 0, "solve_block: zero lanes");
-        assert_eq!(b.len(), self.n * lanes, "solve_block: rhs size mismatch");
-        assert_eq!(out.len(), self.n * lanes, "solve_block: out size mismatch");
+        assert_eq!(b.len(), n * lanes, "solve_block: rhs size mismatch");
+        assert_eq!(out.len(), n * lanes, "solve_block: out size mismatch");
         // y ← P·B in pivotal order.
-        let mut y = vec![0.0; self.n * lanes];
-        for k in 0..self.n {
-            let src = self.row_perm[k] * lanes;
+        let mut y = vec![0.0; n * lanes];
+        for k in 0..n {
+            let src = self.pattern.row_perm[k] * lanes;
             y[k * lanes..(k + 1) * lanes].copy_from_slice(&b[src..src + lanes]);
         }
         let mut piv = vec![0.0; lanes];
         // Forward solve L·Z = Y (unit diagonal, column sweep).
-        for k in 0..self.n {
+        for k in 0..n {
             piv.copy_from_slice(&y[k * lanes..(k + 1) * lanes]);
             if piv.iter().all(|&v| v == 0.0) {
                 continue;
             }
-            for &(i, lv) in &self.l_cols[k] {
+            let (idx, vals) = self.l_col(k);
+            for (&i, &lv) in idx.iter().zip(vals) {
                 for (yi, pv) in y[i * lanes..(i + 1) * lanes].iter_mut().zip(&piv) {
                     *yi -= lv * pv;
                 }
             }
         }
         // Back solve U·W = Z (column sweep from the right).
-        for k in (0..self.n).rev() {
+        for k in (0..n).rev() {
             let d = self.u_diag[k];
             for (yk, pv) in y[k * lanes..(k + 1) * lanes].iter_mut().zip(piv.iter_mut()) {
                 *yk /= d;
@@ -577,19 +616,19 @@ impl SparseLu {
             if piv.iter().all(|&v| v == 0.0) {
                 continue;
             }
-            for &(i, uv) in &self.u_cols[k] {
+            let (idx, vals) = self.u_col(k);
+            for (&i, &uv) in idx.iter().zip(vals) {
                 for (yi, pv) in y[i * lanes..(i + 1) * lanes].iter_mut().zip(&piv) {
                     *yi -= uv * pv;
                 }
             }
         }
         // Undo column permutation: X[q[k]] = W[k].
-        for k in 0..self.n {
-            let dst = self.col_perm.old_of(k) * lanes;
+        for k in 0..n {
+            let dst = self.pattern.col_perm.old_of(k) * lanes;
             out[dst..dst + lanes].copy_from_slice(&y[k * lanes..(k + 1) * lanes]);
         }
     }
-
     /// The AVX codegen copy of the panel driver: same Rust body, compiled
     /// with 4-wide `f64` vectors (`avx` only — no `fma`, so multiplies
     /// and adds stay separate IEEE operations and bit-identity with the
@@ -658,11 +697,11 @@ impl SparseLu {
         p0: usize,
         y: &mut Vec<[f64; W]>,
     ) {
-        let n = self.n;
+        let n = self.dim();
         y.clear();
         y.reserve(n);
         for k in 0..n {
-            let src = self.row_perm[k] * lanes + p0;
+            let src = self.pattern.row_perm[k] * lanes + p0;
             let mut panel = [0.0; W];
             panel.copy_from_slice(&b[src..src + W]);
             y.push(panel);
@@ -673,7 +712,8 @@ impl SparseLu {
             if piv == [0.0; W] {
                 continue;
             }
-            for &(i, lv) in &self.l_cols[k] {
+            let (idx, vals) = self.l_col(k);
+            for (&i, &lv) in idx.iter().zip(vals) {
                 let yi = &mut y[i];
                 for w in 0..W {
                     yi[w] -= lv * piv[w];
@@ -691,7 +731,8 @@ impl SparseLu {
             if piv == [0.0; W] {
                 continue;
             }
-            for &(i, uv) in &self.u_cols[k] {
+            let (idx, vals) = self.u_col(k);
+            for (&i, &uv) in idx.iter().zip(vals) {
                 let yi = &mut y[i];
                 for w in 0..W {
                     yi[w] -= uv * piv[w];
@@ -700,7 +741,7 @@ impl SparseLu {
         }
         // Undo column permutation: X[q[k]] = W[k].
         for k in 0..n {
-            let dst = self.col_perm.old_of(k) * lanes + p0;
+            let dst = self.pattern.col_perm.old_of(k) * lanes + p0;
             out[dst..dst + W].copy_from_slice(&y[k]);
         }
     }
@@ -708,10 +749,101 @@ impl SparseLu {
     /// Determinant of `A` (product of pivots, sign from both permutations).
     pub fn det(&self) -> f64 {
         let mut d: f64 = self.u_diag.iter().product();
-        d *= perm_sign(&self.row_perm);
-        d *= perm_sign(self.col_perm.as_slice());
+        d *= perm_sign(&self.pattern.row_perm);
+        d *= perm_sign(self.pattern.col_perm.as_slice());
         d
     }
+}
+
+/// Panics unless `values` fits `sym`'s input pattern.
+fn check_values(sym: &SymbolicLu, values: &[f64]) {
+    assert_eq!(
+        values.len(),
+        sym.pattern_nnz(),
+        "refactor: value array does not match the analyzed pattern"
+    );
+}
+
+/// The numeric replay behind [`SparseLu::refactor`],
+/// [`SparseLu::refactor_into`] and [`SparseLu::refactor_exact`]: one
+/// loop, two pivot rules, writing the `(L, U, pivot)` values of `sym`'s
+/// pattern. `x` is the dense accumulator, `n` zeros on entry and again
+/// on success.
+fn replay(
+    sym: &SymbolicLu,
+    values: &[f64],
+    rule: PivotRule,
+    (l_vals, u_vals, u_diag): (&mut [f64], &mut [f64], &mut [f64]),
+    x: &mut [f64],
+) -> Result<(), SparseError> {
+    let p = &*sym.pattern;
+    for k in 0..p.dim() {
+        let (ur, lr) = (p.u_col(k), p.l_col(k));
+        let upat = &p.u_idx[ur.clone()];
+        let lpat = &p.l_idx[lr.clone()];
+
+        // Scatter A[:, col_perm[k]] into pivotal positions,
+        // rejecting non-finite input values up front (they would
+        // otherwise slip past the pivot checks into the factors).
+        let (lo, hi) = sym.a_range[k];
+        let mut finite = true;
+        for (s, &v) in (lo..hi).zip(&values[lo..hi]) {
+            finite &= v.is_finite();
+            x[sym.a_dst[s]] = v;
+        }
+        if !finite {
+            return Err(SparseError::Singular(k));
+        }
+
+        // Sparse triangular solve over the recorded reach, in the
+        // recorded topological order — the same update sequence the
+        // analysis performed, hence bitwise-reproducible.
+        for &j in upat {
+            let xj = x[j];
+            if xj != 0.0 {
+                let r = p.l_col(j);
+                for (&i, &lv) in p.l_idx[r.clone()].iter().zip(&l_vals[r]) {
+                    x[i] -= lv * xj;
+                }
+            }
+        }
+
+        // The recorded pivot, checked against the rule.
+        let pivot = x[k];
+        let refused = match rule {
+            PivotRule::Guarded => {
+                let mut max_cand = pivot.abs();
+                for &i in lpat {
+                    max_cand = max_cand.max(x[i].abs());
+                }
+                if !pivot.is_finite() || (pivot == 0.0 && max_cand == 0.0) {
+                    Some(SparseError::Singular(k))
+                } else if pivot.abs() < sym.refactor_threshold * max_cand {
+                    Some(SparseError::PivotDegraded(k))
+                } else {
+                    None
+                }
+            }
+            PivotRule::Exact => (fresh_pivot_slot(sym, k, x, lpat) != Some(sym.piv_slot[k]))
+                .then_some(SparseError::PivotMismatch(k)),
+        };
+        if let Some(err) = refused {
+            return Err(err);
+        }
+
+        // Gather into the fixed factor pattern; reset workspace.
+        for (&i, u) in upat.iter().zip(&mut u_vals[ur]) {
+            *u = x[i];
+            x[i] = 0.0;
+        }
+        for (&i, l) in lpat.iter().zip(&mut l_vals[lr]) {
+            *l = x[i] / pivot;
+            x[i] = 0.0;
+        }
+        x[k] = 0.0;
+        u_diag[k] = pivot;
+    }
+    Ok(())
 }
 
 /// The candidate slot a fresh factorization would pivot on in column
@@ -747,10 +879,12 @@ fn fresh_pivot_slot(sym: &SymbolicLu, k: usize, x: &[f64], lpat: &[usize]) -> Op
     arg.filter(|&c| cand(c).is_finite())
 }
 
-/// Shared left-looking factorization. With `record` set, the elimination
-/// reach, pivot order and scatter map are captured into a [`SymbolicLu`],
-/// and reached-but-numerically-zero entries are kept in the factors so
-/// the recorded pattern covers every value set on this sparsity pattern.
+/// Shared left-looking factorization, written straight into the flat
+/// arrays of a pattern of its own. With `record` set, the elimination
+/// reach, pivot order and scatter map are captured into a [`SymbolicLu`]
+/// sharing that pattern, and reached-but-numerically-zero entries are
+/// kept in the factors so the recorded pattern covers every value set
+/// on this sparsity pattern.
 fn factor_impl(
     a: &CscMatrix,
     order: Option<&Permutation>,
@@ -769,8 +903,14 @@ fn factor_impl(
 
     // During factorization L columns carry ORIGINAL row indices; they
     // are renumbered to pivotal positions once all pivots are known.
-    let mut l_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
-    let mut u_cols: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+    let mut l_ptr = Vec::with_capacity(n + 1);
+    let mut l_idx: Vec<usize> = Vec::new();
+    let mut l_vals: Vec<f64> = Vec::new();
+    let mut u_ptr = Vec::with_capacity(n + 1);
+    let mut u_idx: Vec<usize> = Vec::new();
+    let mut u_vals: Vec<f64> = Vec::new();
+    l_ptr.push(0);
+    u_ptr.push(0);
     let mut u_diag = vec![0.0; n];
     let mut pinv: Vec<Option<usize>> = vec![None; n];
     let mut row_perm = Vec::with_capacity(n);
@@ -780,12 +920,7 @@ fn factor_impl(
     let mut xi: Vec<usize> = Vec::with_capacity(n); // postorder
     let mut stack: Vec<(usize, usize)> = Vec::with_capacity(n);
 
-    // Symbolic recording (reach in topological order; L pattern is kept
-    // in original row indices and renumbered with the rest at the end).
-    let mut u_ptr = vec![0usize];
-    let mut u_idx: Vec<usize> = Vec::new();
-    let mut l_ptr = vec![0usize];
-    let mut l_orig: Vec<usize> = Vec::new();
+    // Symbolic recording: the pivot and diagonal candidate slots.
     let mut piv_slot: Vec<usize> = Vec::new();
     let mut diag_slot: Vec<usize> = Vec::new();
 
@@ -801,12 +936,12 @@ fn factor_impl(
             visited[r0] = true;
             stack.push((r0, 0));
             while let Some(&mut (node, ref mut ci)) = stack.last_mut() {
-                let children: &[(usize, f64)] = match pinv[node] {
-                    Some(jl) => &l_cols[jl],
+                let children: &[usize] = match pinv[node] {
+                    Some(jl) => &l_idx[l_ptr[jl]..l_ptr[jl + 1]],
                     None => &[],
                 };
                 if *ci < children.len() {
-                    let child = children[*ci].0;
+                    let child = children[*ci];
                     *ci += 1;
                     if !visited[child] {
                         visited[child] = true;
@@ -819,19 +954,22 @@ fn factor_impl(
             }
         }
 
-        // --- Numeric: sparse lower-triangular solve. ---
+        // --- Numeric: sparse lower-triangular solve, emitting U. ---
         for (r, v) in a.col(jcol) {
             x[r] = v;
         }
-        // Reverse postorder = topological order (parents first).
+        // Reverse postorder = topological order (parents first), so
+        // x[r] is final when row r's turn comes: it is U[pinv[r], k].
         for &r in xi.iter().rev() {
             if let Some(jl) = pinv[r] {
-                if record {
-                    u_idx.push(jl);
-                }
                 let xr = x[r];
+                if record || xr != 0.0 {
+                    u_idx.push(jl);
+                    u_vals.push(xr);
+                }
                 if xr != 0.0 {
-                    for &(rr, lv) in &l_cols[jl] {
+                    let lr = l_ptr[jl]..l_ptr[jl + 1];
+                    for (&rr, &lv) in l_idx[lr.clone()].iter().zip(&l_vals[lr]) {
                         x[rr] -= lv * xr;
                     }
                 }
@@ -869,64 +1007,54 @@ fn factor_impl(
         }
         let pivot = x[piv_row];
 
-        // --- Emit U column k and L column k; reset workspace. ---
-        let mut ucol = Vec::new();
-        let mut lcol = Vec::new();
+        // --- Emit L column k; reset workspace. ---
         // Slots in the candidate scan order (the pivot search's `xi`
         // walk over unpivoted rows), for the exact replay's tie-breaks.
         let mut slot = 0usize;
         let (mut pslot, mut dslot) = (NO_SLOT, NO_SLOT);
         for &r in &xi {
-            let v = x[r];
-            match pinv[r] {
-                Some(pos) => {
-                    if record || v != 0.0 {
-                        ucol.push((pos, v));
-                    }
+            if pinv[r].is_none() {
+                if r == piv_row {
+                    pslot = slot;
                 }
-                None => {
-                    if r == piv_row {
-                        pslot = slot;
-                    }
-                    if r == jcol {
-                        dslot = slot;
-                    }
-                    slot += 1;
-                    if r != piv_row && (record || v != 0.0) {
-                        lcol.push((r, v / pivot));
-                        if record {
-                            l_orig.push(r);
-                        }
-                    }
+                if r == jcol {
+                    dslot = slot;
+                }
+                slot += 1;
+                let v = x[r];
+                if r != piv_row && (record || v != 0.0) {
+                    l_idx.push(r);
+                    l_vals.push(v / pivot);
                 }
             }
             visited[r] = false;
             x[r] = 0.0;
         }
         if record {
-            u_ptr.push(u_idx.len());
-            l_ptr.push(l_orig.len());
             piv_slot.push(pslot);
             diag_slot.push(dslot);
         }
+        l_ptr.push(l_idx.len());
+        u_ptr.push(u_idx.len());
         u_diag[k] = pivot;
         pinv[piv_row] = Some(k);
         row_perm.push(piv_row);
-        u_cols.push(ucol);
-        l_cols.push(lcol);
     }
 
     // Renumber L's row indices from original to pivotal positions.
-    for col in &mut l_cols {
-        for entry in col.iter_mut() {
-            entry.0 = pinv[entry.0].expect("all rows pivotal after completion");
-        }
+    let pivotal = |r: usize| pinv[r].expect("all rows pivotal after completion");
+    for r in l_idx.iter_mut() {
+        *r = pivotal(*r);
+    }
+    // The arrays grew by doubling; the factor keeps exactly its entries.
+    for v in [&mut l_idx, &mut u_idx] {
+        v.shrink_to_fit();
+    }
+    for v in [&mut l_vals, &mut u_vals] {
+        v.shrink_to_fit();
     }
 
-    let sym = if record {
-        for r in l_orig.iter_mut() {
-            *r = pinv[*r].expect("all rows pivotal after completion");
-        }
+    let sym = record.then(|| {
         // Scatter map: value slot p of the input CSC (pattern order)
         // lands at pivotal row pinv[rowind[p]]; per-column slot ranges
         // come from prefix sums over the (contiguous) column patterns.
@@ -936,9 +1064,7 @@ fn factor_impl(
         }
         let mut a_dst = Vec::with_capacity(col_lo[n]);
         for j in 0..n {
-            for &r in a.col_pattern(j) {
-                a_dst.push(pinv[r].expect("all rows pivotal after completion"));
-            }
+            a_dst.extend(a.col_pattern(j).iter().map(|&r| pivotal(r)));
         }
         let a_range = (0..n)
             .map(|k| {
@@ -946,37 +1072,33 @@ fn factor_impl(
                 (col_lo[jcol], col_lo[jcol + 1])
             })
             .collect();
-        Some(SymbolicLu {
-            n,
-            col_perm: col_perm.clone(),
-            row_perm: row_perm.clone(),
-            a_dst,
-            a_range,
-            u_ptr,
-            u_idx,
-            l_ptr,
-            l_idx: l_orig,
-            piv_slot,
-            diag_slot,
-            pivot_threshold: opts.pivot_threshold,
-            refactor_threshold: opts.refactor_threshold,
-        })
-    } else {
-        None
+        (a_dst, a_range)
+    });
+    let pattern = Arc::new(LuPattern {
+        row_perm,
+        col_perm,
+        l_ptr,
+        l_idx,
+        u_ptr,
+        u_idx,
+    });
+    let sym = sym.map(|(a_dst, a_range)| SymbolicLu {
+        pattern: Arc::clone(&pattern),
+        a_dst,
+        a_range,
+        piv_slot,
+        diag_slot,
+        pivot_threshold: opts.pivot_threshold,
+        refactor_threshold: opts.refactor_threshold,
+    });
+    let lu = SparseLu {
+        pattern,
+        l_vals,
+        u_vals,
+        u_diag,
+        work: Vec::new(),
     };
-
-    Ok((
-        SparseLu {
-            n,
-            l_cols,
-            u_cols,
-            u_diag,
-            row_perm,
-            col_perm,
-            work: x,
-        },
-        sym,
-    ))
+    Ok((lu, sym))
 }
 
 fn perm_sign(p: &[usize]) -> f64 {
@@ -1397,22 +1519,16 @@ mod tests {
 
     // -- exact replay -------------------------------------------------------
 
-    /// Asserts two factorizations are the same bit for bit: pivots,
-    /// both permutations, every stored L/U entry in stored order, and
-    /// the single- and multi-lane solves.
+    /// Asserts two factorizations are the same bit for bit: both
+    /// permutations, the `L`/`U` patterns, every stored value in stored
+    /// order, and the single- and multi-lane solves.
     fn assert_same_factors(got: &SparseLu, want: &SparseLu) {
-        let bits = |col: &[(usize, f64)]| -> Vec<(usize, u64)> {
-            col.iter().map(|&(i, v)| (i, v.to_bits())).collect()
-        };
-        assert_eq!(got.row_perm, want.row_perm, "row permutation");
-        assert_eq!(got.col_perm, want.col_perm, "column permutation");
-        let diag = |lu: &SparseLu| lu.u_diag.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(diag(got), diag(want), "U diagonal");
-        for k in 0..want.n {
-            assert_eq!(bits(&got.l_cols[k]), bits(&want.l_cols[k]), "L column {k}");
-            assert_eq!(bits(&got.u_cols[k]), bits(&want.u_cols[k]), "U column {k}");
-        }
-        let n = want.n;
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        assert_eq!(got.pattern, want.pattern, "pattern");
+        assert_eq!(bits(&got.u_diag), bits(&want.u_diag), "U diagonal");
+        assert_eq!(bits(&got.l_vals), bits(&want.l_vals), "L values");
+        assert_eq!(bits(&got.u_vals), bits(&want.u_vals), "U values");
+        let n = want.dim();
         let lanes = 5;
         let b: Vec<f64> = (0..n * lanes).map(|i| (i as f64 * 0.37).sin()).collect();
         let solve_bits = |lu: &SparseLu| -> Vec<u64> {
@@ -1432,11 +1548,12 @@ mod tests {
     fn check_exact_replay(sym: &SymbolicLu, pattern: &CscMatrix, values: &[f64]) -> bool {
         let mut csc = pattern.clone();
         csc.values_mut().copy_from_slice(values);
-        let fresh = SymbolicLu::factor_with(&csc, Some(&sym.col_perm), LuOptions::default());
+        let fresh =
+            SymbolicLu::factor_with(&csc, Some(&sym.pattern.col_perm), LuOptions::default());
         let replay = SparseLu::refactor_exact(sym, values);
         match (fresh, replay) {
             (Ok((fsym, flu)), Ok(lu)) => {
-                assert_eq!(flu.row_perm, sym.row_perm, "false accept");
+                assert_eq!(flu.pattern.row_perm, sym.pattern.row_perm, "false accept");
                 assert!(
                     fsym == *sym,
                     "an accepted replay's analysis must equal the fresh one"
@@ -1445,7 +1562,10 @@ mod tests {
                 true
             }
             (Ok((_, flu)), Err(e)) => {
-                assert_ne!(flu.row_perm, sym.row_perm, "false reject: {e:?}");
+                assert_ne!(
+                    flu.pattern.row_perm, sym.pattern.row_perm,
+                    "false reject: {e:?}"
+                );
                 false
             }
             (Err(_), replay) => {
@@ -1579,7 +1699,7 @@ mod tests {
         let tie = pattern(1.0, -1.0);
         let fresh = SparseLu::factor(&tie, None).unwrap();
         assert_eq!(
-            fresh.row_perm[0], 1,
+            fresh.pattern.row_perm[0], 1,
             "the fresh factor takes the first of a tie"
         );
         for (v1, v2, accepts) in [(2.0, 1.0, true), (1.0, 2.0, false)] {
@@ -1608,6 +1728,50 @@ mod tests {
             SparseLu::refactor_exact(&sym, &vals),
             Err(SparseError::PivotMismatch(0))
         ));
+    }
+
+    /// Replays share their analysis's pattern and own only values: the
+    /// factor recorded with the analysis, a guarded and an exact replay
+    /// all hold its very pattern; a fresh factor holds its own; and a
+    /// refill in place of a factor already on the pattern keeps its
+    /// value storage.
+    #[test]
+    fn replays_share_the_analysis_pattern() {
+        let a = grid_matrix(9);
+        let csc = a.to_csc();
+        let order = amd(&a);
+        let (sym, recorded) = SymbolicLu::factor(&csc, Some(&order)).unwrap();
+        let scaled: Vec<f64> = csc.values().iter().map(|v| 2.0 * v).collect();
+        let guarded = SparseLu::refactor(&sym, &scaled).unwrap();
+        let exact = SparseLu::refactor_exact(&sym, csc.values()).unwrap();
+        for lu in [&recorded, &guarded, &exact] {
+            assert!(Arc::ptr_eq(&lu.pattern, &sym.pattern));
+            assert_eq!(lu.owned_bytes(), 8 * sym.factor_nnz(), "values and pivots");
+        }
+        let fresh = SparseLu::factor(&csc, Some(&order)).unwrap();
+        assert!(!Arc::ptr_eq(&fresh.pattern, &sym.pattern));
+        assert_eq!(fresh, recorded, "equal patterns compare by value");
+
+        let storage = |lu: &SparseLu| {
+            let ptrs = [&lu.l_vals, &lu.u_vals, &lu.u_diag, &lu.work];
+            ptrs.map(|v| v.as_ptr())
+        };
+        let mut lu = guarded.clone();
+        lu.refactor_into(&sym, csc.values()).unwrap();
+        let held = storage(&lu);
+        lu.refactor_into(&sym, &scaled).unwrap();
+        assert_eq!(storage(&lu), held, "refilled in place");
+        assert!(Arc::ptr_eq(&lu.pattern, &sym.pattern));
+        assert_eq!(lu, guarded);
+        // The kept accumulator is scratch: counted, but not compared.
+        assert_eq!(lu.owned_bytes(), 8 * (sym.factor_nnz() + sym.dim()));
+
+        let mut lu = fresh;
+        lu.refactor_into(&sym, &scaled).unwrap();
+        assert!(
+            Arc::ptr_eq(&lu.pattern, &sym.pattern),
+            "takes the analysis's"
+        );
     }
 
     #[test]

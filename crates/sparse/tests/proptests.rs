@@ -347,6 +347,111 @@ fn refactor_into_is_independent_of_the_prior_factor() {
     }
 }
 
+/// A random sparse matrix that needs pivoting: [`dd_sparse`] with its
+/// rows shifted up by one and its diagonal removed, so the dominant
+/// entry of every row sits right of a structurally zero diagonal.
+fn pivoting_sparse(rng: &mut StdRng, n: usize, extra: usize) -> CsrMatrix {
+    let dd = dd_sparse(rng, n, extra);
+    let mut c = CooMatrix::new(n, n);
+    for i in 0..n {
+        for (j, v) in dd.row((i + 1) % n) {
+            if j != i {
+                c.push(i, j, v);
+            }
+        }
+    }
+    c.to_csr()
+}
+
+/// The bits of `lu`'s four solve paths on the `n × lanes` block `b`,
+/// lane-major and with every zero made positive: `solve` and
+/// `solve_into` lane by lane, `solve_block_into` and its scalar
+/// reference on the whole block.
+fn solve_paths(lu: &SparseLu, b: &[f64], lanes: usize) -> [Vec<u64>; 4] {
+    let n = lu.dim();
+    let lane_major = |v: &[f64]| -> Vec<u64> {
+        (0..lanes)
+            .flat_map(|l| (0..n).map(move |i| (v[i * lanes + l] + 0.0).to_bits()))
+            .collect()
+    };
+    let (mut solve, mut into) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+    for l in 0..lanes {
+        let bl: Vec<f64> = (0..n).map(|i| b[i * lanes + l]).collect();
+        for (i, x) in lu.solve(&bl).into_iter().enumerate() {
+            solve[i * lanes + l] = x;
+        }
+        let mut out = vec![0.0; n];
+        // Scratch contents on entry must not matter.
+        lu.solve_into(&bl, &mut out, &mut vec![7.0; n]);
+        for (i, x) in out.into_iter().enumerate() {
+            into[i * lanes + l] = x;
+        }
+    }
+    let (mut block, mut scalar) = (vec![0.0; n * lanes], vec![0.0; n * lanes]);
+    lu.solve_block_into(b, &mut block, lanes);
+    lu.solve_block_into_scalar(b, &mut scalar, lanes);
+    [&solve, &into, &block, &scalar].map(|v| lane_major(v))
+}
+
+/// On random matrices that need pivoting, every way to a factor —
+/// `SparseLu::factor`, `SymbolicLu::factor`, and `refactor` and
+/// `refactor_exact` of the analysed values — solves alike on all four
+/// solve paths (up to the sign of zero), and the solves are right. An
+/// exact replay of other values, where it accepts, is the fresh
+/// recorded factor of those values.
+#[test]
+fn every_factor_path_solves_alike_under_pivoting() {
+    let mut rng = StdRng::seed_from_u64(0x5AA_0013);
+    let mut accepted = 0;
+    for case in 0..CASES {
+        let n = 4 + rng.random_range(0..28usize);
+        let a = pivoting_sparse(&mut rng, n, 3 * n);
+        let csc = a.to_csc();
+        let order = amd(&a);
+        let (sym, recorded) = SymbolicLu::factor(&csc, Some(&order)).unwrap();
+        let factors = [
+            ("factor", SparseLu::factor(&csc, Some(&order)).unwrap()),
+            ("SymbolicLu::factor", recorded),
+            ("refactor", SparseLu::refactor(&sym, csc.values()).unwrap()),
+            (
+                "refactor_exact",
+                SparseLu::refactor_exact(&sym, csc.values()).unwrap(),
+            ),
+        ];
+        let lanes = 1 + rng.random_range(0..12usize);
+        let b = rng.vec_in(-2.0..2.0, n * lanes);
+        let want = solve_paths(&factors[0].1, &b, lanes);
+        for (what, lu) in &factors {
+            let got = solve_paths(lu, &b, lanes);
+            for (path, bits) in got.iter().enumerate() {
+                assert_eq!(bits, &want[0], "case {case}: {what}, solve path {path}");
+            }
+        }
+        let x: Vec<f64> = want[0].iter().map(|&v| f64::from_bits(v)).collect();
+        for l in 0..lanes {
+            let xl = &x[l * n..(l + 1) * n];
+            for (i, ax) in a.mul_vec(xl).into_iter().enumerate() {
+                assert!(
+                    (ax - b[i * lanes + l]).abs() < 1e-9,
+                    "case {case}: residual"
+                );
+            }
+        }
+
+        let other: Vec<f64> = (csc.values().iter())
+            .map(|&v| v * rng.random_range(0.5..1.5))
+            .collect();
+        if let Ok(lu) = SparseLu::refactor_exact(&sym, &other) {
+            let mut fresh = csc.clone();
+            fresh.values_mut().copy_from_slice(&other);
+            let (_, fresh) = SymbolicLu::factor(&fresh, Some(&order)).unwrap();
+            assert_same_factor(&lu, &fresh, &format!("case {case}: exact replay"));
+            accepted += 1;
+        }
+    }
+    assert!(accepted > 0, "no exact replay of perturbed values accepted");
+}
+
 /// Panel block solves are bit-identical to the scalar reference across
 /// ragged lane counts — `lanes % 8 != 0`, `lanes == 1`, lanes beyond the
 /// widest register panel — on random sparse patterns. `assert_eq!` (not
