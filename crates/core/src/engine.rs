@@ -327,13 +327,10 @@ impl PencilFamily {
     /// factor owns only its values: a replay shares the recorded pattern.
     fn factor_into(&self, weights: &[f64], vals: &mut Vec<f64>) -> Result<SparseLu, OpmError> {
         self.pencil.combined_values(weights, vals);
-        match SparseLu::refactor(self.shared.symbolic(), vals) {
-            Ok(lu) => {
-                self.numeric.fetch_add(1, Ordering::Relaxed);
-                Ok(lu)
-            }
-            Err(refused) => self.fall_back(refused, vals),
-        }
+        let replayed = SparseLu::refactor(self.shared.symbolic(), vals);
+        Ok(match self.book(replayed, vals)? {
+            Ok(lu) | Err(lu) => lu,
+        })
     }
 
     /// The fresh factor of `Σ_k weights[k]·A_k` under the recorded
@@ -362,23 +359,34 @@ impl PencilFamily {
     /// set does not depend on which thread asks or when. Returns whether
     /// it fell back.
     fn refactor_into(&self, values: &[f64], lu: &mut SparseLu) -> Result<bool, OpmError> {
-        match lu.refactor_into(self.shared.symbolic(), values) {
-            Ok(()) => {
-                self.numeric.fetch_add(1, Ordering::Relaxed);
-                Ok(false)
-            }
-            Err(refused) => {
-                *lu = self.fall_back(refused, values)?;
+        let replayed = lu.refactor_into(self.shared.symbolic(), values);
+        match self.book(replayed, values)? {
+            Ok(()) => Ok(false),
+            Err(fresh) => {
+                *lu = fresh;
                 Ok(true)
             }
         }
     }
 
-    /// Where a replay `refused` `values` on [`SparseError::PivotDegraded`],
-    /// their fresh pivoted factorization under the recorded ordering,
-    /// booked symbolic (it has a pattern of its own); any other refusal
-    /// is the pencil's singularity.
-    fn fall_back(&self, refused: SparseError, values: &[f64]) -> Result<SparseLu, OpmError> {
+    /// Books a replay of `values` on the recorded analysis: `Ok` with
+    /// its result, booked numeric, when it was accepted, and where it
+    /// was refused on [`SparseError::PivotDegraded`] `Err` with their
+    /// fresh pivoted factorization under the recorded ordering, booked
+    /// symbolic (it has a pattern of its own). Any other refusal is the
+    /// pencil's singularity.
+    fn book<T>(
+        &self,
+        replayed: Result<T, SparseError>,
+        values: &[f64],
+    ) -> Result<Result<T, SparseLu>, OpmError> {
+        let refused = match replayed {
+            Ok(t) => {
+                self.numeric.fetch_add(1, Ordering::Relaxed);
+                return Ok(Ok(t));
+            }
+            Err(refused) => refused,
+        };
         let SparseError::PivotDegraded(_) = refused else {
             return Err(singular(refused));
         };
@@ -386,7 +394,7 @@ impl PencilFamily {
         csc.values_mut().copy_from_slice(values);
         let lu = SparseLu::factor(&csc, Some(self.shared.order())).map_err(singular)?;
         self.symbolic.fetch_add(1, Ordering::Relaxed);
-        Ok(lu)
+        Ok(Err(lu))
     }
 
     /// Factors every weight vector in `weights`, numerically refactoring

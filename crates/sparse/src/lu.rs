@@ -365,9 +365,10 @@ impl SparseLu {
 
     /// [`SparseLu::refactor`] into this factor's storage: on success
     /// `self` equals what `SparseLu::refactor(sym, values)` returns,
-    /// whatever it held before (another dimension, other pivots), and a
-    /// factor that already holds this analysis's pattern is refilled
-    /// without a heap allocation.
+    /// whatever it held before (another dimension, other pivots). A
+    /// factor already refilled in place on this analysis's pattern is
+    /// refilled again without a heap allocation; the first refill of a
+    /// factor from any other path allocates the replay's accumulator.
     ///
     /// # Errors
     /// As [`SparseLu::refactor`]. On error `self` holds a partial
@@ -376,22 +377,7 @@ impl SparseLu {
     /// # Panics
     /// Panics when `values.len() != sym.pattern_nnz()`.
     pub fn refactor_into(&mut self, sym: &SymbolicLu, values: &[f64]) -> Result<(), SparseError> {
-        check_values(sym, values);
-        let p = &sym.pattern;
-        self.pattern = Arc::clone(p);
-        // Every value is overwritten by a successful replay.
-        self.l_vals.resize(p.l_idx.len(), 0.0);
-        self.u_vals.resize(p.u_idx.len(), 0.0);
-        self.u_diag.resize(p.dim(), 0.0);
-        self.work.clear();
-        self.work.resize(p.dim(), 0.0);
-        replay(
-            sym,
-            values,
-            PivotRule::Guarded,
-            (&mut self.l_vals, &mut self.u_vals, &mut self.u_diag),
-            &mut self.work,
-        )
+        self.refill(sym, values, PivotRule::Guarded)
     }
 
     /// Exact replay: [`SparseLu::refactor`] under a pivot rule that
@@ -418,25 +404,39 @@ impl SparseLu {
         Self::replayed(sym, values, PivotRule::Exact)
     }
 
-    /// A new factor on `sym`'s pattern, its values replayed under `rule`.
+    /// A new factor on `sym`'s pattern, its values replayed under
+    /// `rule`; it keeps no accumulator.
     fn replayed(sym: &SymbolicLu, values: &[f64], rule: PivotRule) -> Result<Self, SparseError> {
+        let mut lu = SparseLu::default();
+        lu.refill(sym, values, rule)?;
+        lu.work = Vec::new();
+        Ok(lu)
+    }
+
+    /// Shares `sym`'s pattern and overwrites this factor's values with
+    /// their replay under `rule`, reusing its storage where it fits.
+    fn refill(
+        &mut self,
+        sym: &SymbolicLu,
+        values: &[f64],
+        rule: PivotRule,
+    ) -> Result<(), SparseError> {
         check_values(sym, values);
         let p = &sym.pattern;
-        let mut lu = SparseLu {
-            pattern: Arc::clone(p),
-            l_vals: vec![0.0; p.l_idx.len()],
-            u_vals: vec![0.0; p.u_idx.len()],
-            u_diag: vec![0.0; p.dim()],
-            work: Vec::new(),
-        };
+        self.pattern = Arc::clone(p);
+        // Every value is overwritten by a successful replay.
+        fit(&mut self.l_vals, p.l_idx.len());
+        fit(&mut self.u_vals, p.u_idx.len());
+        fit(&mut self.u_diag, p.dim());
+        self.work.clear();
+        fit(&mut self.work, p.dim());
         replay(
             sym,
             values,
             rule,
-            (&mut lu.l_vals, &mut lu.u_vals, &mut lu.u_diag),
-            &mut vec![0.0; p.dim()],
-        )?;
-        Ok(lu)
+            (&mut self.l_vals, &mut self.u_vals, &mut self.u_diag),
+            &mut self.work,
+        )
     }
 
     /// Dimension of the factored matrix.
@@ -752,6 +752,16 @@ impl SparseLu {
         d *= perm_sign(&self.pattern.row_perm);
         d *= perm_sign(self.pattern.col_perm.as_slice());
         d
+    }
+}
+
+/// Sets `v` to `len` entries, zero past its old length, in its own
+/// storage where that fits and in exactly `len` new entries otherwise.
+fn fit(v: &mut Vec<f64>, len: usize) {
+    if v.capacity() < len {
+        *v = vec![0.0; len];
+    } else {
+        v.resize(len, 0.0);
     }
 }
 
